@@ -1,10 +1,11 @@
 """Ablation — exact solvers for the reduced transportation problem.
 
-The Theorem 4 pipeline can hand the reduced min-cost-flow instance to three
-exact solvers: successive shortest paths (default), Goldberg–Tarjan cost
-scaling (the paper's CS2 role), or a dense LP (HiGHS). All must agree on
-the value; the interesting output is the time-vs-n∆ crossover (pure-Python
-SSP wins small instances, HiGHS wins large ones).
+The Theorem 4 pipeline folds the bank bins into one dense reduced
+transportation instance and hands it to an exact solver: successive
+shortest paths (the ``SND`` default), the network simplex (what
+``solver="auto"`` runs), or a dense LP (HiGHS, the paper's CPLEX role).
+All must agree on the value; the interesting output is how each solver's
+time grows with n∆.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from common import experiment_snd, print_table, record
 from repro.datasets.synthetic import giant_component_powerlaw
 from repro.opinions.dynamics import random_transition, seed_state
 
-SOLVERS = ["ssp", "cost-scaling", "lp"]
+SOLVERS = ["ssp", "network-simplex", "lp"]
 
 
 def run_experiment(verbose: bool = True) -> dict:

@@ -10,9 +10,9 @@ n = 2000 power-law graph, 100 seed users) through six evaluators:
   vectorised kernel is measured against;
 * ``cached`` — ``SND.evaluate_series`` serial with the default vectorised
   SSP kernel (heap-free CSR Dijkstra);
-* ``cached_auto`` — the cached engine with ``solver="auto"``: per reduced
-  instance the policy picks simplex / vectorised ssp / HiGHS lp by size
-  (see :func:`repro.flow.select_transport_method`);
+* ``cached_auto`` — the cached engine with ``solver="auto"``: every
+  reduced instance goes to the network simplex (see
+  :func:`repro.flow.select_transport_method`);
 * ``parallel`` — ``evaluate_series(jobs=N)``: process fan-out over
   contiguous transition chunks (wall-clock gains require > 1 CPU; the
   JSON records the host's core count so numbers are interpretable);
@@ -83,15 +83,20 @@ def _time(fn, *, repeats: int = 3):
 
 @contextmanager
 def _heap_kernel():
-    """Pin the reduced-problem SSP solves to the PR-1 heap Dijkstra kernel."""
-    import repro.snd.fast as fast_mod
+    """Pin the reduced-problem SSP solves to the heap Dijkstra kernel.
 
-    orig = fast_mod.solve_mcf_ssp
-    fast_mod.solve_mcf_ssp = lambda problem: orig(problem, kernel="heap")
+    ``solver="ssp"`` reaches :func:`repro.flow.ssp.solve_mcf_ssp` through
+    ``solve_transportation_ssp``, which looks the name up in its own
+    module, so that is the name patched here.
+    """
+    import repro.flow.ssp as ssp_mod
+
+    orig = ssp_mod.solve_mcf_ssp
+    ssp_mod.solve_mcf_ssp = lambda problem, kernel="auto": orig(problem, kernel="heap")
     try:
         yield
     finally:
-        fast_mod.solve_mcf_ssp = orig
+        ssp_mod.solve_mcf_ssp = orig
 
 
 def run_experiment(verbose: bool = True) -> dict:

@@ -40,7 +40,7 @@ def experiment_snd(graph, *, n_clusters: int = 24, gamma_scale: float = 0.5, **k
     γ is sized from hop eccentricity at the typical model-agnostic edge
     cost (1 + ... ≈ per-hop cost 1..3) scaled down for sensitivity — the §4
     guidance that γ should match intra-cluster distances, not the worst
-    case (see DESIGN.md). Banks: one per cluster, balanced BFS clusters.
+    case. Banks: one per cluster, balanced BFS clusters.
     """
     banks = allocate_banks(
         graph,

@@ -1,7 +1,8 @@
 """Metric-space applications of SND — the paper's §9 future work.
 
-Because SND (with size-proportional bank shares and nearest-member bank
-distances, see DESIGN.md) is a metric, network states live in a metric
+Because SND (with size-proportional bank shares, ``bank_shares="size"``,
+and nearest-member bank distances, ``bank_metric="nearest"``; see
+:func:`repro.emd.emd_star.build_extension`) is a metric, network states live in a metric
 space and the standard distance-based machinery applies. This module
 implements the three applications §9 names:
 

@@ -16,8 +16,10 @@ experiment consumes:
   propagation-aware measures should spike);
 * a Google-Trends-like "search interest" series spiking at the events.
 
-See DESIGN.md §2 for why this substitution preserves the experiment's
-discriminative structure.
+The substitution preserves the experiment's discriminative structure:
+Fig. 9 asks which measures react to which event type, and the simulated
+events carry exactly that distinction (volume changes vs. opinion flips
+along community lines) as ground truth.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ EMD(P, Q, D) is the cost of the optimal partial transport moving
 mass (Eq. 1 of the paper). It is a metric on equal-mass histograms when D is
 a metric (Theorem 1), but it silently ignores any total-mass mismatch — the
 limitation EMD̂/EMDα/EMD* address.
+
+The partial transport is one dense transportation problem, solved by
+:func:`repro.flow.solve_transportation` with any of its methods (``"ssp"``
+by default; ``"network-simplex"``, ``"lp"``, ``"auto"``).
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ def emd(
     costs:
         ``(n, m)`` non-negative ground-distance matrix.
     method:
-        Transportation solver: ``"ssp"`` (default), ``"simplex"``, ``"lp"``.
+        Transportation solver: ``"ssp"`` (default), ``"network-simplex"``,
+        ``"lp"``, ``"auto"`` (see :func:`repro.flow.solve_transportation`).
     return_plan:
         Also return the optimal :class:`TransportPlan`.
 

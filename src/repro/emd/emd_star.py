@@ -15,7 +15,7 @@ by the mismatch, which contradicts the stated requirements (proportionality
 + mass evening). We implement the stated intent:
 ``P^(i) = (cluster_mass / total_mass) · Δ`` split uniformly over the
 cluster's banks, falling back to size-proportional allocation when the
-lighter histogram is empty (see DESIGN.md).
+lighter histogram is empty.
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ def _bank_capacities(
     ``bank_shares="mass"`` follows the paper's stated intent (capacity
     proportional to the cluster's mass in the lighter histogram; size
     fallback when it is empty). ``"size"`` uses the fixed size-proportional
-    profile, which is partner-independent and therefore provably metric
-    (see the module docstring / DESIGN.md).
+    profile, which is partner-independent and therefore provably metric.
     """
     nc = len(clusters)
     caps = np.zeros(nc * n_banks)
@@ -200,8 +199,10 @@ def build_extension(
           members of the bin-to-member distance``. This refines the paper's
           Eq. 4: it keeps the extended ground distance a semimetric through
           original bins (the cluster-level variant can violate the triangle
-          inequality across clusters, a gap in the Thm. 3/Lemma 2 proofs;
-          see DESIGN.md), which is what makes the Theorem 4 reduction exact.
+          inequality across clusters — a route through a third cluster's
+          members can undercut the cluster-to-cluster distance — a gap in
+          the Thm. 3/Lemma 2 proofs), which is what makes the Theorem 4
+          reduction exact.
         * ``"cluster"`` — the literal Eq. 4:
           ``γ + d[cluster(bin), cluster(bank)]``.
     bank_shares:

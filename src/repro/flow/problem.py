@@ -2,8 +2,9 @@
 
 :class:`TransportationProblem` is the dense bipartite form used by the EMD
 family (suppliers x consumers with a full cost matrix).
-:class:`MinCostFlowProblem` is the sparse general form used by the fast SND
-pipeline (hub-expanded bank routing, Theorem 4).
+:class:`MinCostFlowProblem` is the sparse general form the successive
+shortest paths solver runs on (the bipartite form of a transportation
+instance, or the screened support of the sinkhorn-hybrid tier).
 """
 
 from __future__ import annotations

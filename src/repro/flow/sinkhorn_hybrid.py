@@ -407,7 +407,7 @@ def solve_transportation_sinkhorn_hybrid(
     max_iter: int = 1_000,
     tolerance: float = 1e-5,
     scaling_factor: float = 0.25,
-    warm_basis: TransportBasis | None = None,
+    basis: TransportBasis | None = None,
     return_basis: bool = False,
 ) -> TransportPlan | tuple[TransportPlan, TransportBasis]:
     """Sinkhorn-screened sparse exact solve.
@@ -428,7 +428,7 @@ def solve_transportation_sinkhorn_hybrid(
         Exact solver for the restricted problem: ``"ssp"`` (sparse
         min-cost flow over support arcs), ``"lp"`` (sparse HiGHS),
         ``"network-simplex"`` (warm-startable sparse simplex — the only
-        backend that consumes *warm_basis* / produces *return_basis*), or
+        backend that consumes *basis* / produces *return_basis*), or
         ``"auto"`` (LP when scipy is importable).
     max_iter, tolerance:
         Screening iteration budget (split across the ε-scaling stages)
@@ -444,7 +444,7 @@ def solve_transportation_sinkhorn_hybrid(
     bound on the true optimum, certified by ``screen_error_bound`` (see
     :func:`last_hybrid_info` / :data:`HYBRID_METRICS`).
 
-    *warm_basis* (original cell space) seeds the restricted solve's
+    *basis* (original cell space) seeds the restricted solve's
     spanning tree when the backend is ``"network-simplex"``; warm cells
     are intersected with the screened support, so the solved problem —
     and hence the plan and bound — is identical to a cold solve. With
@@ -489,12 +489,12 @@ def solve_transportation_sinkhorn_hybrid(
     # onto the positive-mass restriction (cells that fall outside it, or
     # outside the screened support below, are simply ignored).
     warm_local = None
-    if backend == "network-simplex" and warm_basis is not None and len(warm_basis):
+    if backend == "network-simplex" and basis is not None and len(basis):
         inv_r = np.full(costs.shape[0], -1, dtype=np.int64)
         inv_r[rows_ids] = np.arange(n)
         inv_c = np.full(costs.shape[1], -1, dtype=np.int64)
         inv_c[cols_ids] = np.arange(m)
-        br, bc = warm_basis.rows, warm_basis.cols
+        br, bc = basis.rows, basis.cols
         ok = (br >= 0) & (br < costs.shape[0]) & (bc >= 0) & (bc < costs.shape[1])
         lr, lc = inv_r[br[ok]], inv_c[bc[ok]]
         ok = (lr >= 0) & (lc >= 0)

@@ -42,8 +42,8 @@ from repro.snd.snd import SND
 __all__ = ["MultipolarSND", "MultipolarSNDResult"]
 
 #: Solvers whose ``use_basis_cache="auto"`` policy threads warm starts
-#: (mirrors :data:`repro.snd.engine.WARM_SOLVERS` plus the basis-aware
-#: ``"auto"`` tier).
+#: (mirrors :data:`repro.snd.engine.WARM_SOLVERS` plus ``"auto"``, whose
+#: exact branch is the network simplex).
 _WARM_CAPABLE = ("network-simplex", "auto")
 
 

@@ -15,9 +15,9 @@ table, with the ε trick making impossible events merely very expensive):
 * ``ε``                          otherwise.
 
 ``d_v({u})`` is evaluated edge-locally (the direct edge distance ``d_uv``),
-making the per-edge cost computable without all-pairs shortest paths; see
-DESIGN.md. ``p^a(v)`` sums activation probabilities over v's closest active
-in-neighbors.
+making the per-edge cost computable without all-pairs shortest paths, at
+the price of ignoring cheaper multi-hop routes from ``u``. ``p^a(v)`` sums
+activation probabilities over v's closest active in-neighbors.
 """
 
 from __future__ import annotations

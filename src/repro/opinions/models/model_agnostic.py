@@ -12,7 +12,7 @@ the opinion being spread:
 The paper prints the adverse condition as ``G[u] != op ∨ G[v] = -op``; read
 literally (with first-match semantics) the neutral case would be dead code,
 so we implement the evident intent — adverse iff ``G[u] = -op`` or
-``G[v] = -op`` — and document the deviation in DESIGN.md.
+``G[v] = -op`` — a deliberate deviation from the printed condition.
 
 Defaults (1 / 2 / 8) are positive integers so Assumption 2 holds without
 quantization.

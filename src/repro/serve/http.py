@@ -257,13 +257,21 @@ class HttpServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                keep_alive = (
+                # A body of None marks an unreadable Content-Length: the
+                # request is answered, then the connection closes (its
+                # framing is lost).
+                keep_alive = body is not None and (
                     headers.get("connection", "keep-alive").lower() != "close"
                 )
                 route, extra_headers = self._normalise_path(path)
                 status = 200
                 started = time.perf_counter()
                 try:
+                    if body is None:
+                        raise _HttpError(
+                            400,
+                            f"invalid Content-Length {headers['content-length']!r}",
+                        )
                     force_close = await self._dispatch(
                         method, route, headers, body, writer, keep_alive,
                         extra_headers,
@@ -359,9 +367,10 @@ class HttpServer:
             # Header *names* are case-insensitive; values keep their case
             # (X-Client carries an opaque identity string).
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            return method, path, headers, None
+        return method, path, headers, await reader.readexactly(int(length))
 
     async def _dispatch(
         self, method, path, headers, body, writer, keep_alive, extra_headers

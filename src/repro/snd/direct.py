@@ -2,9 +2,11 @@
 
 This path materialises the dense ground-distance matrix (all-pairs shortest
 paths over Eq. 2 edge costs) and hands the full extended transportation
-problem to a general-purpose solver, exactly what the paper's CPLEX baseline
-does. Super-cubic in ``n`` — usable only on small graphs, which is the point
-of the comparison.
+problem to a general-purpose solver — HiGHS ``"lp"`` by default, exactly
+what the paper's CPLEX baseline does; any
+:func:`repro.flow.solve_transportation` method (``"ssp"``,
+``"network-simplex"``) cross-validates it. Super-cubic in ``n`` — usable
+only on small graphs, which is the point of the comparison.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def snd_direct(
     """SND via the direct dense pipeline (Eq. 3 without Theorem 4).
 
     *method* selects the transportation solver (``"lp"`` default — the
-    CPLEX stand-in; ``"ssp"``/``"simplex"`` for cross-validation).
+    CPLEX stand-in; ``"ssp"``/``"network-simplex"`` for cross-validation).
     """
     if state_a.n != graph.num_nodes or state_b.n != graph.num_nodes:
         raise StateError("states must cover the graph's user set")

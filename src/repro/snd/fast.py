@@ -15,22 +15,25 @@ Per EMD* term the pipeline is:
    edge costs, so batch sweeps hand in a
    :class:`~repro.snd.cache.DijkstraRowCache` to reuse rows of unchanged
    sources across terms and transitions.
-3. **Solve the reduced problem**: ``solver="auto"`` (via
-   :func:`repro.flow.select_transport_method`) picks per instance between
-   the hub-expanded sparse min-cost flow (vectorised SSP kernel; arc count
-   ``O(n∆² + n∆·Nc + Nc·N_b)``), the dense MODI simplex, and the HiGHS LP
-   on the bank-folded dense form — all exact, chosen purely for speed.
-   Reduced instances beyond :data:`repro.flow.AUTO_HYBRID_CELLS` cells
-   route to the approximate ``"sinkhorn-hybrid"`` tier (entropic screen +
-   sparse exact solve, certified per-solve error bound; see
-   :mod:`repro.flow.sinkhorn_hybrid`).
+3. **Solve the reduced problem**: bank bins are folded into the dense
+   supplier x consumer matrix as extra consumers (or suppliers), each at
+   per-pair cost ``leg + γ``, and this one transportation instance goes
+   to the solver. ``solver="auto"`` (via
+   :func:`repro.flow.select_transport_method`) runs the network simplex,
+   warm-started from a :class:`~repro.snd.cache.BasisCache` when one is
+   threaded; reduced instances beyond :data:`repro.flow.AUTO_HYBRID_CELLS`
+   cells route to the approximate ``"sinkhorn-hybrid"`` tier (entropic
+   screen + sparse exact solve, certified per-solve error bound; see
+   :mod:`repro.flow.sinkhorn_hybrid`). Explicit ``"ssp"`` and ``"lp"``
+   solve the same folded instance.
 
 Under ``bank_metric="nearest"`` the result *exactly* equals the direct
 (unreduced) EMD* — the extended ground distance is a semimetric, so the
 Lemma 2 cancellation is lossless (property-tested against
 :mod:`repro.snd.direct`). Under ``"cluster"`` the extended distance can
-violate the triangle inequality across clusters and the reduction is exact
-only up to that defect (see DESIGN.md).
+violate the triangle inequality across clusters (a route through a third
+cluster's members can undercut the cluster-to-cluster distance), and the
+reduction is exact only up to that defect.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ import numpy as np
 
 from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
-from repro.flow import select_transport_method, solve_mcf_cost_scaling, solve_mcf_ssp
+from repro.flow import select_transport_method
+# Unused here; kept because perfbench/tracer.py wraps this module-level name.
+from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
 from repro.flow.network_simplex import last_network_simplex_info
-from repro.flow.problem import MinCostFlowProblem
 from repro.flow.sinkhorn_hybrid import last_hybrid_info
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import dijkstra_multi, multi_source_distances
@@ -62,15 +66,7 @@ _EPS = 1e-12
 #: ``"network-simplex"`` is the warm-startable sparse simplex: paired with
 #: a :class:`repro.snd.cache.BasisCache` it reuses the previous optimal
 #: spanning tree across temporally local solves.
-SOLVER_CHOICES = (
-    "auto",
-    "ssp",
-    "cost-scaling",
-    "lp",
-    "simplex",
-    "network-simplex",
-    "sinkhorn-hybrid",
-)
+SOLVER_CHOICES = ("auto", "ssp", "lp", "network-simplex", "sinkhorn-hybrid")
 
 
 @dataclass
@@ -81,7 +77,6 @@ class FastTermStats:
     n_consumers: int = 0
     n_sssp_runs: int = 0
     n_cluster_runs: int = 0
-    n_arcs: int = 0
     cost: float = 0.0
     solver: str = ""
     density: float = 1.0
@@ -226,11 +221,10 @@ def emd_star_term_fast(
     max_cost:
         Assumption-2 bound ``U`` (sizes the unreachable-distance clamp).
     solver:
-        ``"ssp"`` (default), ``"cost-scaling"``, ``"lp"``, ``"simplex"``,
+        ``"ssp"`` (default), ``"lp"``, ``"network-simplex"``,
         ``"sinkhorn-hybrid"`` (approximate, certified error bound), or
-        ``"auto"`` (per-instance size-based selection; routes reduced
-        instances above :data:`repro.flow.AUTO_HYBRID_CELLS` cells to the
-        hybrid tier).
+        ``"auto"`` (the network simplex; reduced instances above
+        :data:`repro.flow.AUTO_HYBRID_CELLS` cells go to the hybrid tier).
     hybrid_cells:
         Overrides the ``"auto"`` escalation threshold (reduced-instance
         cell count at which the hybrid tier takes over): a positive
@@ -290,7 +284,7 @@ def emd_star_term_fast(
     unreach = unreachable_cost(n, max_cost)
     cluster_of = banks.cluster_of(n)
     gamma = banks.gamma_matrix()
-    nc, nb = banks.n_clusters, banks.n_banks
+    nc = banks.n_clusters
     cluster_arrays = [np.asarray(c, dtype=np.int64) for c in banks.clusters]
 
     # ---- shortest paths ---------------------------------------------- #
@@ -371,28 +365,15 @@ def emd_star_term_fast(
                     leg = d_block[cluster_of[con_ids], c] if con_ids.size else np.empty(0)
                 bank_leg[int(c)] = np.where(np.isfinite(leg), leg, unreach)
 
-    # ---- pick the reduced-problem solver ------------------------------ #
-    n_bank_bins = int(np.count_nonzero(bank_caps[active_bank_clusters] > _EPS))
-    if banks_on_demand_side:
-        folded_rows, folded_cols = sup_ids.size, con_ids.size + n_bank_bins
-    else:
-        folded_rows, folded_cols = sup_ids.size + n_bank_bins, con_ids.size
+    # ---- solve the bank-folded reduced problem ----------------------- #
     if solver == "auto":
-        # Basis-aware selection: when the caller threads a basis cache and
-        # key, a previous optimal basis may be available for this instance
-        # (temporal-locality workloads — sliding windows, corpus appends),
-        # so auto routes the exact mid/large region to the warm-startable
-        # network simplex instead of ssp/lp.
-        warm = basis_cache is not None and basis_key is not None
-        if hybrid_cells == "auto":
-            solver = select_transport_method(
-                folded_rows, folded_cols, warm_basis=warm
-            )
+        n_bank_bins = int(np.count_nonzero(bank_caps[active_bank_clusters] > _EPS))
+        if banks_on_demand_side:
+            folded_rows, folded_cols = sup_ids.size, con_ids.size + n_bank_bins
         else:
-            solver = select_transport_method(
-                folded_rows, folded_cols, hybrid_cells=hybrid_cells,
-                warm_basis=warm,
-            )
+            folded_rows, folded_cols = sup_ids.size + n_bank_bins, con_ids.size
+        override = {} if hybrid_cells == "auto" else {"hybrid_cells": hybrid_cells}
+        solver = select_transport_method(folded_rows, folded_cols, **override)
     if stats is not None:
         profile = reduced_problem_profile(
             sup_amounts, con_amounts, d_sc, unreachable=unreach
@@ -402,109 +383,38 @@ def emd_star_term_fast(
         stats.n_sssp_runs = int(n_sssp)
         stats.solver = solver
         stats.n_cluster_runs = int(n_cluster_runs)
-        stats.n_arcs = 0
         stats.density = profile["density"]
 
-    if solver in ("lp", "simplex", "network-simplex", "sinkhorn-hybrid"):
-        # Dense bank-folded transportation problem — the fast choice for
-        # large n∆ where per-augmentation overhead dominates the MCF path.
-        # "sinkhorn-hybrid" rides the same folding and trades a certified
-        # relative error for scale on very large reduced instances;
-        # "network-simplex" additionally threads warm bases through the
-        # basis cache when one is supplied.
-        cost = _solve_reduced_dense(
-            sup_amounts,
-            con_amounts,
-            d_sc,
-            bank_leg,
-            bank_caps,
-            gamma,
-            active_bank_clusters,
-            banks_on_demand_side,
-            method=solver,
-            sup_ids=sup_ids,
-            con_ids=con_ids,
-            basis_cache=basis_cache,
-            basis_key=basis_key,
-        )
-        if stats is not None:
-            stats.cost = float(cost)
-            if solver == "sinkhorn-hybrid":
-                info = last_hybrid_info()
-                if info is not None:
-                    stats.support_density = float(info.support_density)
-                    stats.screen_error_bound = float(info.screen_error_bound)
-            if solver == "network-simplex" or (
-                solver == "sinkhorn-hybrid" and basis_cache is not None
-            ):
-                ns_info = last_network_simplex_info()
-                if ns_info is not None:
-                    stats.pivots = int(ns_info.pivots)
-                    stats.warm_start = bool(ns_info.warm)
-        return float(cost)
-
-    # ---- build the hub-expanded min-cost-flow instance ---------------- #
-    n_s, n_c = sup_ids.size, con_ids.size
-    hub_base = n_s + n_c
-    bank_base = hub_base + nc
-    mcf = MinCostFlowProblem(bank_base + nc * nb)
-
-    mcf.supply[:n_s] = sup_amounts
-    mcf.supply[n_s : n_s + n_c] -= con_amounts
-
-    inf_cap = total_p + total_q + 1.0
-    if n_s and n_c:
-        # Dense supplier x consumer block, in the row-major order the
-        # per-pair loop used.
-        mcf.add_edges(
-            np.repeat(np.arange(n_s), n_c),
-            n_s + np.tile(np.arange(n_c), n_s),
-            np.full(n_s * n_c, inf_cap),
-            d_sc.ravel(),
-        )
-
-    if banks_on_demand_side:
-        for c in active_bank_clusters:
-            leg = bank_leg[int(c)]
-            hub = hub_base + int(c)
-            mcf.add_edges(
-                np.arange(n_s),
-                np.full(n_s, hub),
-                np.full(n_s, inf_cap),
-                leg,
-            )
-            for j in range(nb):
-                cap = float(bank_caps[c, j])
-                if cap > _EPS:
-                    bank_node = bank_base + int(c) * nb + j
-                    mcf.add_edge(hub, bank_node, inf_cap, float(gamma[c, j]))
-                    mcf.add_supply(bank_node, -cap)
-    else:
-        for c in active_bank_clusters:
-            leg = bank_leg[int(c)]
-            hub = hub_base + int(c)
-            for j in range(nb):
-                cap = float(bank_caps[c, j])
-                if cap > _EPS:
-                    bank_node = bank_base + int(c) * nb + j
-                    mcf.add_edge(bank_node, hub, inf_cap, float(gamma[c, j]))
-                    mcf.add_supply(bank_node, cap)
-            mcf.add_edges(
-                np.full(n_c, hub),
-                n_s + np.arange(n_c),
-                np.full(n_c, inf_cap),
-                leg,
-            )
-
-    if solver == "ssp":
-        solution = solve_mcf_ssp(mcf)
-    else:  # "cost-scaling"
-        solution = _solve_scaled_integer(mcf)
-
+    cost = _solve_reduced_dense(
+        sup_amounts,
+        con_amounts,
+        d_sc,
+        bank_leg,
+        bank_caps,
+        gamma,
+        active_bank_clusters,
+        banks_on_demand_side,
+        method=solver,
+        sup_ids=sup_ids,
+        con_ids=con_ids,
+        basis_cache=basis_cache,
+        basis_key=basis_key,
+    )
     if stats is not None:
-        stats.n_arcs = mcf.n_edges
-        stats.cost = float(solution.cost)
-    return float(solution.cost)
+        stats.cost = float(cost)
+        if solver == "sinkhorn-hybrid":
+            info = last_hybrid_info()
+            if info is not None:
+                stats.support_density = float(info.support_density)
+                stats.screen_error_bound = float(info.screen_error_bound)
+        if solver == "network-simplex" or (
+            solver == "sinkhorn-hybrid" and basis_cache is not None
+        ):
+            ns_info = last_network_simplex_info()
+            if ns_info is not None:
+                stats.pivots = int(ns_info.pivots)
+                stats.warm_start = bool(ns_info.warm)
+    return float(cost)
 
 
 def _map_labeled_basis(
@@ -542,9 +452,9 @@ def _solve_reduced_dense(
     active_bank_clusters: np.ndarray,
     banks_on_demand_side: bool,
     *,
-    method: str = "lp",
-    sup_ids: np.ndarray | None = None,
-    con_ids: np.ndarray | None = None,
+    method: str,
+    sup_ids: np.ndarray,
+    con_ids: np.ndarray,
     basis_cache=None,
     basis_key=None,
 ) -> float:
@@ -553,9 +463,9 @@ def _solve_reduced_dense(
     Bank bins are appended as extra consumers (or suppliers); the hub
     decomposition is folded back into per-pair costs ``leg + γ``. The
     instance is handed to :func:`repro.flow.solve_transportation` with
-    *method* (``"lp"`` — HiGHS —, ``"simplex"`` — MODI —,
-    ``"network-simplex"`` — warm-startable —, or ``"sinkhorn-hybrid"`` —
-    approximate screened solve).
+    *method* (``"ssp"``, ``"lp"`` — HiGHS —, ``"network-simplex"`` —
+    warm-startable —, or ``"sinkhorn-hybrid"`` — approximate screened
+    solve).
 
     When a *basis_cache*/*basis_key* pair is supplied and the method can
     carry a basis, the instance's axes are labelled with stable ids
@@ -605,8 +515,6 @@ def _solve_reduced_dense(
     use_basis = (
         basis_cache is not None
         and basis_key is not None
-        and sup_ids is not None
-        and con_ids is not None
         and method in ("network-simplex", "sinkhorn-hybrid")
     )
     if not use_basis:
@@ -632,7 +540,7 @@ def _solve_reduced_dense(
         plan, out_basis = solve_transportation_sinkhorn_hybrid(
             problem,
             exact_backend="network-simplex",
-            warm_basis=warm_local,
+            basis=warm_local,
             return_basis=True,
         )
     if len(out_basis):
@@ -643,48 +551,3 @@ def _solve_reduced_dense(
             ),
         )
     return float(plan.cost)
-
-
-def _solve_scaled_integer(mcf: MinCostFlowProblem):
-    """Run the cost-scaling solver after rationalising masses and costs.
-
-    Bank capacities are rationals with bounded denominators; scaling all
-    supplies by a common factor and rounding makes the instance integral.
-    The returned cost is mapped back to the original mass scale.
-    """
-    tails, heads, caps, costs = mcf.arrays()
-    mass_scale = 1.0
-    supply = mcf.supply
-    if not np.allclose(supply, np.round(supply)):
-        # Find a scale that makes supplies integral (denominators come from
-        # cluster-share splits; powers of ten cover them in practice, and
-        # 10^9 caps pathological cases).
-        for exponent in range(1, 10):
-            candidate = 10.0**exponent
-            if np.allclose(
-                supply * candidate, np.round(supply * candidate), atol=1e-6
-            ):
-                mass_scale = candidate
-                break
-        else:
-            mass_scale = 1e9
-    cost_scale = 1.0
-    if not np.allclose(costs, np.round(costs)):
-        cost_scale = 1e6
-
-    scaled = MinCostFlowProblem(mcf.n_nodes)
-    scaled.add_edges(
-        tails,
-        heads,
-        np.round(caps * mass_scale),
-        np.round(costs * cost_scale),
-    )
-    scaled.supply = np.round(supply * mass_scale)
-    # Rounding can break balance by a unit; repair on the largest entry.
-    imbalance = scaled.supply.sum()
-    if imbalance != 0:
-        idx = int(np.argmax(np.abs(scaled.supply)))
-        scaled.supply[idx] -= imbalance
-    solution = solve_mcf_cost_scaling(scaled)
-    solution.cost = solution.cost / (mass_scale * cost_scale)
-    return solution

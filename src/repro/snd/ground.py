@@ -78,7 +78,9 @@ def unreachable_cost(n_nodes: int, max_cost: int) -> float:
 
     Any finite path costs at most ``U * (n - 1)``, so ``U * n`` is strictly
     larger than every reachable distance while keeping the clamped matrix a
-    semimetric (see DESIGN.md).
+    semimetric: when ``x -> z`` is unreachable, every detour ``x -> y -> z``
+    has an unreachable leg too, so the clamp never breaks the triangle
+    inequality.
     """
     return float(max_cost) * max(n_nodes, 1)
 

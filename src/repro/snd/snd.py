@@ -8,8 +8,11 @@
 Opposite-polarity users are treated as neutral inside each polarity
 histogram (``NetworkState.histogram``), the ground distance is rebuilt for
 the supplier-side state of each term, and each term runs through the fast
-Theorem 4 pipeline. The construction is symmetric by design, so SND applies
-to time-unordered state pairs.
+Theorem 4 pipeline (:mod:`repro.snd.fast`): every reduced instance is one
+bank-folded dense transportation problem, solved by the ``solver=`` of
+choice (``"auto"`` — the network simplex, or the certified
+``"sinkhorn-hybrid"`` on very large instances). The construction is
+symmetric by design, so SND applies to time-unordered state pairs.
 
 Batch workloads (series sweeps, pairwise matrices) go through
 :meth:`SND.evaluate_series` / :meth:`SND.pairwise_matrix`, which share a
@@ -83,13 +86,12 @@ class SND:
     heap:
         Heap for the python engine: ``"binary"``, ``"radix"``, ``"pairing"``.
     solver:
-        Reduced-problem solver: ``"ssp"`` (default), ``"cost-scaling"``,
-        ``"lp"``, ``"simplex"``, ``"network-simplex"`` (warm-startable
-        sparse simplex; the engine threads cached bases through it on
-        temporally local workloads), ``"sinkhorn-hybrid"`` (approximate,
-        with a certified per-solve error bound), or ``"auto"``
-        (per-instance size-based selection; large reduced instances route
-        to the hybrid tier).
+        Reduced-problem solver: ``"ssp"`` (default), ``"lp"``,
+        ``"network-simplex"`` (warm-startable sparse simplex; the engine
+        threads cached bases through it on temporally local workloads),
+        ``"sinkhorn-hybrid"`` (approximate, with a certified per-solve
+        error bound), or ``"auto"`` (the network simplex; large reduced
+        instances route to the hybrid tier).
     hybrid_cells:
         ``solver="auto"`` escalation threshold: reduced instances with at
         least this many cost-matrix cells route to the approximate hybrid

@@ -151,7 +151,7 @@ class TestEmdStarValues:
         p = rng.integers(0, 5, 5).astype(float)
         q = rng.integers(0, 5, 5).astype(float)
         vals = [
-            emd_star(p, q, d, clusters, method=m) for m in ("ssp", "simplex", "lp")
+            emd_star(p, q, d, clusters, method=m) for m in ("ssp", "network-simplex", "lp")
         ]
         assert vals[0] == pytest.approx(vals[1], abs=1e-7)
         assert vals[0] == pytest.approx(vals[2], abs=1e-7)

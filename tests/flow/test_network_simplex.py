@@ -17,9 +17,9 @@ Covers the tier's three contracts:
   terminate on tie-heavy integer costs with many zero bins (the classic
   cycling regime for naive pivot rules); regression-tested across seeds.
 
-Plus the shared basis helpers (:class:`TransportBasis`, ``repair_basis``,
-``validate_basis``), the sparse support entry point the sinkhorn-hybrid
-tier consumes, and the :data:`SIMPLEX_METRICS` counter surface that
+Plus the basis helpers (:class:`TransportBasis`, ``validate_basis``), the
+sparse support entry point the sinkhorn-hybrid tier consumes, and the
+:data:`SIMPLEX_METRICS` counter surface that
 ``engine.stats()`` / BENCH_engine.json report.
 """
 
@@ -32,14 +32,13 @@ import pytest
 
 from repro.exceptions import FlowError
 from repro.flow import TransportationProblem, solve_transportation_lp
-from repro.flow.basis import TransportBasis, repair_basis, validate_basis
+from repro.flow.basis import TransportBasis, validate_basis
 from repro.flow.network_simplex import (
     SIMPLEX_METRICS,
     last_network_simplex_info,
     solve_support_network_simplex,
     solve_transportation_network_simplex,
 )
-from repro.flow.transport_simplex import solve_transportation_simplex
 
 from test_solver_equivalence import (
     AGREE_TOL,
@@ -99,12 +98,6 @@ class TestTransportBasis:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TransportBasis(rows=[0, 1], cols=[1])
-
-    def test_repair_completes_spanning_tree(self):
-        cells: set[tuple[int, int]] = {(0, 0), (2, 1)}
-        repair_basis(cells, 4, 3)
-        assert validate_basis(cells, 4, 3)
-        assert len(cells) == 4 + 3 - 1
 
     def test_validate_rejects_cycles_and_bad_counts(self):
         assert not validate_basis([(0, 0), (0, 1)], 2, 2)  # too few
@@ -238,23 +231,6 @@ class TestWarmStart:
         info = last_network_simplex_info()
         assert info.warm and info.warm_arcs_used > 0
         assert warm.cost == cold.cost  # integral instance: bitwise
-
-    def test_modi_basis_warms_network_simplex(self, rng):
-        """Satellite contract: the MODI solver's exported basis is a valid
-        warm start for the sparse backend (shared representation)."""
-        problem = make_transportation(rng, 9, 9)
-        modi_plan, modi_basis = solve_transportation_simplex(
-            problem, return_basis=True
-        )
-        assert validate_basis(
-            modi_basis.cells(), problem.n_suppliers, problem.n_consumers
-        )
-        warm = solve_transportation_network_simplex(problem, basis=modi_basis)
-        info = last_network_simplex_info()
-        assert info.warm and info.warm_arcs_used > 0
-        assert warm.cost == pytest.approx(
-            modi_plan.cost, abs=AGREE_TOL * max(1.0, modi_plan.cost)
-        )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("trial", range(8))

@@ -5,8 +5,8 @@ upper-bound vs exact) live in ``test_solver_equivalence.py``; this file
 pins the mechanics: the ε-scaling schedule, support-k resolution, top-k
 screening mask, northwest-corner feasibility repair, small-instance exact
 delegation, the restricted-solve backends, the diagnostics surface
-(``last_hybrid_info`` / ``HYBRID_METRICS``), and the ``method="auto"``
-threshold boundaries including the new hybrid branch.
+(``last_hybrid_info`` / ``HYBRID_METRICS``), and the two-branch
+``method="auto"`` policy (network simplex, hybrid above a cell count).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import pytest
 from repro.exceptions import FlowError, ValidationError
 from repro.flow import (
     AUTO_HYBRID_CELLS,
-    AUTO_SIMPLEX_CELLS,
-    AUTO_SSP_CELLS,
     TransportationProblem,
     select_transport_method,
     solve_transportation,
@@ -314,7 +312,7 @@ class TestDiagnostics:
 
 
 # --------------------------------------------------------------------- #
-# method="auto" threshold boundaries (parameterized, both sides of each)
+# method="auto": network simplex, hybrid above the cell threshold
 # --------------------------------------------------------------------- #
 
 
@@ -330,11 +328,7 @@ class TestAutoSelectionBoundaries:
     @pytest.mark.parametrize(
         "cells,expected",
         [
-            (AUTO_SIMPLEX_CELLS, "simplex"),      # at the cutoff: small tier
-            (AUTO_SIMPLEX_CELLS + 1, "ssp"),      # one past: next tier
-            (AUTO_SSP_CELLS, "ssp"),
-            (AUTO_SSP_CELLS + 1, "lp"),
-            (AUTO_HYBRID_CELLS, "lp"),            # exact up to the threshold
+            (AUTO_HYBRID_CELLS, "network-simplex"),  # exact up to the threshold
             (AUTO_HYBRID_CELLS + 1, "sinkhorn-hybrid"),
         ],
     )
@@ -343,15 +337,22 @@ class TestAutoSelectionBoundaries:
         assert n * m == cells
         assert select_transport_method(n, m) == expected
 
+    @pytest.mark.parametrize("cells", [2, 64, 65, 2_048, 2_049, 40_000])
+    def test_exact_region_is_network_simplex(self, cells):
+        """One exact branch: every size below the hybrid threshold lands on
+        the network simplex (no size tiers inside the exact region)."""
+        n, m = _shape_with_cells(cells)
+        assert select_transport_method(n, m) == "network-simplex"
+
     def test_hybrid_cells_none_keeps_auto_exact(self):
         n, m = _shape_with_cells(AUTO_HYBRID_CELLS + 1)
-        assert select_transport_method(n, m, hybrid_cells=None) == "lp"
+        assert select_transport_method(n, m, hybrid_cells=None) == "network-simplex"
         huge = select_transport_method(10_000, 10_000, hybrid_cells=None)
-        assert huge == "lp"
+        assert huge == "network-simplex"
 
     def test_hybrid_cells_override_moves_threshold(self):
         assert select_transport_method(80, 80, hybrid_cells=6_000) == "sinkhorn-hybrid"
-        assert select_transport_method(80, 80, hybrid_cells=6_400) == "lp"
+        assert select_transport_method(80, 80, hybrid_cells=6_400) == "network-simplex"
 
     def test_hybrid_threshold_above_small_exact_floor(self):
         """auto never routes an instance to the hybrid that the hybrid
@@ -359,8 +360,9 @@ class TestAutoSelectionBoundaries:
         assert AUTO_HYBRID_CELLS > SMALL_EXACT_CELLS
 
     def test_degenerate_shapes(self):
-        assert select_transport_method(0, 10) == "simplex"
-        assert select_transport_method(1, 1) == "simplex"
+        assert select_transport_method(0, 10) == "network-simplex"
+        assert select_transport_method(10, 0) == "network-simplex"
+        assert select_transport_method(1, 1) == "network-simplex"
 
     def test_solve_transportation_dispatches_hybrid(self, rng):
         problem = random_balanced(rng, 10, 10)

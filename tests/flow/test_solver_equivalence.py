@@ -7,14 +7,12 @@ costs) — are solved by every exact solver in the library:
 
 * ``solve_transportation_ssp`` under all three Dijkstra kernels
   (``heap`` / ``vector`` / ``argmin``),
-* ``solve_transportation_simplex`` (MODI),
 * ``solve_transportation_network_simplex`` (warm-startable sparse
   simplex — solved cold *and* re-solved warm from its own optimal basis,
   asserting the warm result is bitwise identical on fully integral
   instances and within ``AGREE_TOL`` otherwise),
+* ``solve_transportation(method="auto")`` (the selection policy),
 * ``solve_transportation_lp`` (HiGHS reference),
-* ``solve_mcf_cost_scaling`` (on the bipartite MCF form; integer
-  instances only),
 
 asserting all optimal costs agree within ``1e-9`` (relative to the cost
 scale) and that **every returned plan** satisfies the feasibility and
@@ -42,12 +40,10 @@ import pytest
 from repro.flow import (
     MinCostFlowProblem,
     TransportationProblem,
-    solve_mcf_cost_scaling,
     solve_mcf_ssp,
     solve_transportation,
     solve_transportation_lp,
     solve_transportation_network_simplex,
-    solve_transportation_simplex,
     solve_transportation_ssp,
 )
 from repro.flow.sinkhorn_hybrid import (
@@ -118,23 +114,6 @@ def make_transportation(
     if degenerate:
         costs = np.floor(costs / 4.0) * 4.0
     return TransportationProblem(supplies, demands, costs)
-
-
-def transportation_as_mcf(problem: TransportationProblem) -> MinCostFlowProblem:
-    """The bipartite MCF form of a balanced transportation instance
-    (integer costs/supplies), for the cost-scaling solver."""
-    n, m = problem.n_suppliers, problem.n_consumers
-    mcf = MinCostFlowProblem(n + m)
-    cap = float(np.ceil(problem.total_supply)) + 1.0
-    mcf.supply[:n] = problem.supplies
-    mcf.supply[n:] = -problem.demands
-    mcf.add_edges(
-        np.repeat(np.arange(n), m),
-        n + np.tile(np.arange(m), n),
-        np.full(n * m, cap),
-        problem.costs.ravel(),
-    )
-    return mcf
 
 
 def make_mcf(
@@ -250,7 +229,6 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
     plans = {}
     for kernel in SSP_KERNELS:
         plans[f"ssp-{kernel}"] = solve_transportation_ssp(problem, kernel=kernel)
-    plans["simplex"] = solve_transportation_simplex(problem)
     plans["lp"] = solve_transportation_lp(problem)
     plans["auto"] = solve_transportation(problem, method="auto")
     ns_cold, ns_basis = solve_transportation_network_simplex(
@@ -263,10 +241,6 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
         and np.allclose(problem.supplies, np.round(problem.supplies))
         and np.allclose(problem.demands, np.round(problem.demands))
     )
-    cs_cost = None
-    if integral:
-        cs_solution = solve_mcf_cost_scaling(transportation_as_mcf(problem))
-        cs_cost = cs_solution.cost
 
     reference = plans["lp"].cost
     scale = max(1.0, abs(reference))
@@ -275,10 +249,6 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
             f"{name} disagrees with lp_reference: {plan.cost} vs {reference}"
         )
         assert_transportation_plan_optimal(problem, plan, label=name)
-    if cs_cost is not None:
-        assert cs_cost == pytest.approx(reference, abs=AGREE_TOL * scale), (
-            f"cost-scaling disagrees with lp_reference: {cs_cost} vs {reference}"
-        )
 
     # Warm-vs-cold exactness: re-solving from the cold solve's own optimal
     # basis only changes the *starting tree*, never the optimum. Fully
@@ -296,19 +266,10 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
 
 
 def check_mcf_instance(mcf_factory) -> None:
-    """Solve a (re-buildable) MCF instance with every kernel + solver."""
+    """Solve a (re-buildable) MCF instance with every SSP kernel."""
     solutions = {}
     for kernel in SSP_KERNELS:
         solutions[f"ssp-{kernel}"] = (mcf := mcf_factory(), solve_mcf_ssp(mcf, kernel=kernel))
-    probe = mcf_factory()
-    _, _, caps, costs = probe.arrays()
-    integral = bool(
-        np.allclose(costs, np.round(costs))
-        and np.allclose(caps, np.round(caps))
-        and np.allclose(probe.supply, np.round(probe.supply))
-    )
-    if integral:
-        solutions["cost-scaling"] = (mcf := mcf_factory(), solve_mcf_cost_scaling(mcf))
 
     reference = solutions["ssp-heap"][1].cost
     scale = max(1.0, abs(reference))
@@ -325,7 +286,9 @@ def check_mcf_instance(mcf_factory) -> None:
 
 
 class TestEquivalenceSmoke:
-    @pytest.mark.parametrize("n,m", [(1, 1), (3, 4), (6, 6)])
+    # Up to 8x8 = 64 cells: the small-instance region, where auto runs the
+    # network simplex like everywhere else below the hybrid threshold.
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 4), (6, 6), (8, 8)])
     def test_transportation_small(self, rng, n, m):
         check_transportation_instance(make_transportation(rng, n, m))
 
@@ -400,7 +363,8 @@ class TestEquivalenceMatrix:
             f"ssp-{kernel}": solve_transportation_ssp(problem, kernel=kernel)
             for kernel in SSP_KERNELS
         }
-        plans["simplex"] = solve_transportation_simplex(problem)
+        plans["network-simplex"] = solve_transportation_network_simplex(problem)
+        plans["auto"] = solve_transportation(problem, method="auto")
         plans["lp"] = solve_transportation_lp(problem)
         reference = plans["lp"].cost
         scale = max(1.0, abs(reference))

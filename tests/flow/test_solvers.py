@@ -10,11 +10,10 @@ from repro.exceptions import InfeasibleFlowError, ValidationError
 from repro.flow import (
     MinCostFlowProblem,
     TransportationProblem,
-    solve_mcf_cost_scaling,
     solve_mcf_ssp,
     solve_transportation,
     solve_transportation_lp,
-    solve_transportation_simplex,
+    solve_transportation_network_simplex,
     solve_transportation_ssp,
 )
 
@@ -55,7 +54,7 @@ class TestProblemModel:
             TransportationProblem(np.array([1.0]), np.array([1.0]), np.eye(2))
 
 
-@pytest.mark.parametrize("method", ["ssp", "simplex", "lp"])
+@pytest.mark.parametrize("method", ["ssp", "network-simplex", "lp"])
 class TestTransportationSolvers:
     def test_known_optimum(self, method):
         # Optimal: 2 units 0->0 (cost 2), 1 unit 0->1 (4), 2 units 1->1 (4).
@@ -99,12 +98,12 @@ class TestSolverAgreement:
         costs = rng.integers(0, 15, (n, m)).astype(float)
         p = TransportationProblem(supplies, demands, costs)
         ssp = solve_transportation_ssp(p)
-        simplex = solve_transportation_simplex(p)
+        ns = solve_transportation_network_simplex(p)
         lp = solve_transportation_lp(p)
         assert ssp.cost == pytest.approx(lp.cost, abs=1e-6)
-        assert simplex.cost == pytest.approx(lp.cost, abs=1e-6)
+        assert ns.cost == pytest.approx(lp.cost, abs=1e-6)
         ssp.validate(p)
-        simplex.validate(p)
+        ns.validate(p)
         lp.validate(p)
 
     @settings(max_examples=40, deadline=None)
@@ -152,10 +151,6 @@ class TestMinCostFlow:
         assert sol.cost == pytest.approx(10.0)
         assert sol.flows.tolist() == [2.0, 2.0]
 
-    def test_cost_scaling_path(self):
-        sol = solve_mcf_cost_scaling(self.build_path_problem())
-        assert sol.cost == pytest.approx(10.0)
-
     def test_parallel_routes_pick_cheap(self):
         mcf = MinCostFlowProblem(4)
         mcf.add_edge(0, 1, 10, 1)
@@ -171,9 +166,7 @@ class TestMinCostFlow:
         # The cheap route is capped at 2 units, forcing 2 more onto the
         # expensive one: cost = 2 * (1 + 1) + 2 * (5 + 5).
         ssp = solve_mcf_ssp(self._rebuild_capacity_problem())
-        scaling = solve_mcf_cost_scaling(self._rebuild_capacity_problem())
         assert ssp.cost == pytest.approx(2 * 2 + 2 * 10)
-        assert scaling.cost == pytest.approx(ssp.cost)
 
     @staticmethod
     def _rebuild_capacity_problem():
@@ -200,41 +193,3 @@ class TestMinCostFlow:
         mcf.set_supply(1, -1)
         with pytest.raises(Exception):
             solve_mcf_ssp(mcf)
-
-    def test_cost_scaling_requires_integers(self):
-        mcf = MinCostFlowProblem(2)
-        mcf.add_edge(0, 1, 1.0, 1.5)
-        mcf.set_supply(0, 1)
-        mcf.set_supply(1, -1)
-        with pytest.raises(ValidationError):
-            solve_mcf_cost_scaling(mcf)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ssp_vs_cost_scaling_random(self, seed):
-        rng = np.random.default_rng(seed + 100)
-        n = 8
-        mcf_a = MinCostFlowProblem(n)
-        mcf_b = MinCostFlowProblem(n)
-        # Random bipartite-ish instance with guaranteed feasibility via a
-        # high-cost backbone.
-        supply = rng.integers(1, 5, 3)
-        for i, s in enumerate(supply):
-            mcf_a.set_supply(i, float(s))
-            mcf_b.set_supply(i, float(s))
-        total = float(supply.sum())
-        mcf_a.set_supply(n - 1, -total)
-        mcf_b.set_supply(n - 1, -total)
-        for i in range(3):
-            mcf_a.add_edge(i, n - 1, total, 50)
-            mcf_b.add_edge(i, n - 1, total, 50)
-        for _ in range(12):
-            u, v = rng.integers(0, n, 2)
-            if u == v:
-                continue
-            cap = float(rng.integers(1, 8))
-            cost = float(rng.integers(0, 20))
-            mcf_a.add_edge(int(u), int(v), cap, cost)
-            mcf_b.add_edge(int(u), int(v), cap, cost)
-        a = solve_mcf_ssp(mcf_a)
-        b = solve_mcf_cost_scaling(mcf_b)
-        assert a.cost == pytest.approx(b.cost, abs=1e-6)

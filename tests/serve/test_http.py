@@ -3,6 +3,7 @@ counter-asserted duplicate-burst coalescing guarantee over real sockets."""
 
 import json
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -225,6 +226,30 @@ class TestErrorMapping:
     def test_unsupported_method_405(self, server):
         status, body = _post(server, "/v1/distance", {}, method="PUT")
         assert status == 405
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_invalid_content_length_400(self, server, length):
+        """A Content-Length that is not a non-negative integer gets the 400
+        envelope (the connection then closes: the body framing is unknown)
+        and is counted in the route metrics."""
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/distance HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+            )
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad_request"
+        assert length in error["message"]
+        url = f"http://{server.host}:{server.port}/v1/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            metrics = resp.read().decode("utf-8")
+        assert 'snd_http_requests_total{route="/distance",status="400"} 1' in metrics
 
     def test_saturated_scheduler_503(self, server, monkeypatch):
         def saturated(*args, **kwargs):

@@ -623,9 +623,8 @@ class TestWarmStartedEngine:
     def rotating_adopter_series(self, n: int, length: int) -> StateSeries:
         """Adopter camps that rotate by 10 positions per state: consecutive
         states share only 2 of 12 adopters per camp, so common-mass
-        cancellation leaves ~10x10 reduced instances — past the auto
-        policy's tiny-instance simplex floor, where basis-aware routing
-        actually changes the solver choice."""
+        cancellation leaves ~10x10 reduced instances, large enough that
+        a warm basis saves pivots over a cold solve."""
         states = []
         for t in range(length):
             values = np.zeros(n, dtype=np.int8)
@@ -636,9 +635,9 @@ class TestWarmStartedEngine:
 
     def test_auto_solver_warm_starts_without_opt_in(self, graph):
         """Satellite counter-assert: under plain ``solver="auto"`` (no
-        ``warm_basis`` opt-in anywhere) the engine's basis cache is active
-        and the auto policy routes the mid-size reduced instances to the
-        network simplex, whose reverse-channel hits warm-start the second
+        opt-in anywhere) the engine's basis cache is active and the auto
+        policy solves the reduced instances with the network simplex,
+        whose reverse-channel hits warm-start the second
         direction of every pair — visible in the pivots-per-solve
         counters of ``engine.stats()``."""
         from repro.flow.network_simplex import SIMPLEX_METRICS

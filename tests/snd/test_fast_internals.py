@@ -106,12 +106,11 @@ class TestTermEdgeCases:
         emd_star_term_fast(graph, p, q, costs, banks, max_cost=64, stats=stats)
         assert stats.n_suppliers == 2  # users 1, 2 after cancellation
         assert stats.n_consumers == 1  # user 5
-        assert stats.n_arcs > 0
         assert stats.cost > 0
 
 
 class TestSolverConsistencyAtScale:
-    @pytest.mark.parametrize("solver", ["ssp", "lp", "cost-scaling"])
+    @pytest.mark.parametrize("solver", ["ssp", "lp", "network-simplex"])
     def test_solvers_match_direct(self, solver):
         from repro.snd import snd_direct
 

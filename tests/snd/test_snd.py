@@ -145,8 +145,10 @@ class TestConfiguration:
         a = NetworkState.from_active_sets(30, positive=[0, 3])
         b = NetworkState.from_active_sets(30, positive=[1, 2, 4])
         d_ssp = SND(graph, banks=banks, solver="ssp").distance(a, b)
-        d_scaling = SND(graph, banks=banks, solver="cost-scaling").distance(a, b)
-        assert d_ssp == pytest.approx(d_scaling, rel=1e-6)
+        d_ns = SND(graph, banks=banks, solver="network-simplex").distance(a, b)
+        d_lp = SND(graph, banks=banks, solver="lp").distance(a, b)
+        assert d_ssp == pytest.approx(d_ns, rel=1e-6)
+        assert d_ssp == pytest.approx(d_lp, rel=1e-6)
 
     def test_heaps_agree(self, graph):
         banks = allocate_banks(graph, n_clusters=3, seed=1)
