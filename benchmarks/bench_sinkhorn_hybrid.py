@@ -35,10 +35,7 @@ import numpy as np
 
 from common import print_table, record
 from repro.flow import TransportationProblem, solve_transportation
-from repro.flow.sinkhorn_hybrid import (
-    last_hybrid_info,
-    solve_transportation_sinkhorn_hybrid,
-)
+from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 from repro.graph.generators import powerlaw_configuration_graph
 from repro.shortestpath.dijkstra import multi_source_distances
 
@@ -101,7 +98,7 @@ def run_experiment(verbose: bool = True, quick: bool = False) -> dict:
             solve_transportation, problem, method="sinkhorn-hybrid"
         )
         hybrid_plan.validate(problem)
-        info = last_hybrid_info()
+        info = hybrid_plan.info
         rel_error = (hybrid_plan.cost - exact_cost) / exact_cost
         assert rel_error >= -1e-9, "hybrid cost fell below the exact optimum"
         scaling.append(
@@ -159,7 +156,7 @@ def run_experiment(verbose: bool = True, quick: bool = False) -> dict:
             support_k=support_k,
         )
         plan.validate(problem)
-        info = last_hybrid_info()
+        info = plan.info
         rel = max(0.0, (plan.cost - exact_cost) / exact_cost)
         if np.isfinite(info.screen_error_bound):
             assert rel <= info.screen_error_bound + 1e-9, (

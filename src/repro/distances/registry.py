@@ -72,8 +72,9 @@ class DistanceRegistry:
 
     Measures may additionally register batched evaluators (*series_fn*,
     *pairwise_fn*) that exploit measure-specific structure — SND routes
-    through :mod:`repro.snd.batch` for ground-cost caching and a ``jobs=``
-    fan-out. Measures without batched evaluators fall back to generic
+    through :meth:`repro.snd.snd.SND.evaluate_series` /
+    :meth:`~repro.snd.snd.SND.pairwise_matrix` for ground-cost caching and
+    a ``jobs=`` fan-out. Measures without batched evaluators fall back to generic
     loops (symmetric measures still get upper-triangle-only pairwise
     evaluation), so every registered measure supports :meth:`series` and
     :meth:`pairwise` uniformly.

@@ -27,8 +27,9 @@ solve. This module supplies the solver tier that exploits that:
 * :func:`solve_support_network_simplex` — the sparse entry point the
   sinkhorn-hybrid tier calls for its restricted exact solve (the screened
   support *is* a sparse min-cost flow);
-* process-local :data:`SIMPLEX_METRICS` (pivots per solve, cold vs warm)
-  and a thread-local :func:`last_network_simplex_info`, mirroring the
+* per-solve diagnostics on the returned plan (``plan.info``, a
+  :class:`NetworkSimplexInfo`), aggregated by the process-local
+  :data:`SIMPLEX_METRICS` (pivots per solve, cold vs warm), mirroring the
   hybrid tier's diagnostics, so the temporal-locality win is measured
   rather than assumed (``engine.stats()["network_simplex"]``,
   BENCH_engine.json).
@@ -37,7 +38,7 @@ solve. This module supplies the solver tier that exploits that:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "NetworkSimplexInfo",
     "NetworkSimplexMetrics",
     "SIMPLEX_METRICS",
-    "last_network_simplex_info",
     "solve_support_network_simplex",
     "solve_transportation_network_simplex",
 ]
@@ -138,18 +138,6 @@ class NetworkSimplexMetrics:
 
 
 SIMPLEX_METRICS = NetworkSimplexMetrics()
-
-_LAST = threading.local()
-
-
-def last_network_simplex_info() -> NetworkSimplexInfo | None:
-    """Diagnostics of the most recent solve on this thread, if any."""
-    return getattr(_LAST, "info", None)
-
-
-def _record(info: NetworkSimplexInfo) -> None:
-    _LAST.info = info
-    SIMPLEX_METRICS.record(info)
 
 
 # --------------------------------------------------------------------------- #
@@ -633,21 +621,20 @@ def solve_transportation_network_simplex(
     n_orig, m_orig = problem.n_suppliers, problem.n_consumers
 
     if n == 0 or m == 0 or balanced.total_supply <= _TOL:
-        plan = TransportPlan(flows=np.zeros((n_orig, m_orig)), cost=0.0)
+        info = NetworkSimplexInfo(
+            n_suppliers=n_orig,
+            n_consumers=m_orig,
+            n_arcs=0,
+            pivots=0,
+            warm=basis is not None,
+            warm_arcs_given=0 if basis is None else len(basis),
+            warm_arcs_used=0,
+            cost=0.0,
+        )
+        SIMPLEX_METRICS.record(info)
+        plan = TransportPlan(flows=np.zeros((n_orig, m_orig)), cost=0.0, info=info)
         empty = TransportBasis(
             rows=np.empty(0, dtype=np.int64), cols=np.empty(0, dtype=np.int64)
-        )
-        _record(
-            NetworkSimplexInfo(
-                n_suppliers=n_orig,
-                n_consumers=m_orig,
-                n_arcs=0,
-                pivots=0,
-                warm=basis is not None,
-                warm_arcs_given=0 if basis is None else len(basis),
-                warm_arcs_used=0,
-                cost=0.0,
-            )
         )
         return (plan, empty) if return_basis else plan
 
@@ -680,26 +667,24 @@ def solve_transportation_network_simplex(
         flows = flows[:-1, :]
     flows = np.maximum(flows, 0.0)  # clamp float dust from pivoting
     cost = float((flows * problem.costs).sum())
-    plan = TransportPlan(flows=flows.copy(), cost=cost)
+    info = NetworkSimplexInfo(
+        n_suppliers=n_orig,
+        n_consumers=m_orig,
+        n_arcs=solver.n_arcs,
+        pivots=solver.pivots,
+        warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
+        warm_arcs_given=0 if basis is None else len(basis),
+        warm_arcs_used=solver.warm_arcs_used,
+        cost=cost,
+    )
+    SIMPLEX_METRICS.record(info)
+    plan = TransportPlan(flows=flows.copy(), cost=cost, info=info)
 
     tree_arcs = solver.tree_real_arcs()
     rows = tree_arcs // m
     cols = tree_arcs % m
     keep = (rows < n_orig) & (cols < m_orig)  # drop dummy-node cells
     out_basis = TransportBasis(rows=rows[keep], cols=cols[keep])
-
-    _record(
-        NetworkSimplexInfo(
-            n_suppliers=n_orig,
-            n_consumers=m_orig,
-            n_arcs=solver.n_arcs,
-            pivots=solver.pivots,
-            warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
-            warm_arcs_given=0 if basis is None else len(basis),
-            warm_arcs_used=solver.warm_arcs_used,
-            cost=cost,
-        )
-    )
     return (plan, out_basis) if return_basis else plan
 
 
@@ -712,14 +697,15 @@ def solve_support_network_simplex(
     *,
     warm_cells: tuple[np.ndarray, np.ndarray] | None = None,
     return_cells: bool = False,
-) -> np.ndarray | tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> TransportPlan | tuple[TransportPlan, tuple[np.ndarray, np.ndarray]]:
     """Exact balanced solve restricted to the arcs ``(rows[k], cols[k])``.
 
     The sparse entry point for the sinkhorn-hybrid tier: its screened
     support is exactly a sparse min-cost flow, so this is the natural first
     consumer of the warm-startable backend. *warm_cells* is an optional
     ``(rows, cols)`` hint; cells outside the support are ignored. Returns
-    the dense plan (and the optimal basis cells when *return_cells*).
+    the plan with dense ``(n, m)`` flows (and the optimal basis cells when
+    *return_cells*).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -749,28 +735,22 @@ def solve_support_network_simplex(
 
     solver = _solve_arcs(n, m, tails, heads, costs, a, b, warm_arc_ids)
 
-    plan = np.zeros((n, m), dtype=np.float64)
-    plan[rows, cols] = np.maximum(solver.flow[: solver.n_real], 0.0)
-    cost = float((plan[rows, cols] * costs).sum())
-    _record(
-        NetworkSimplexInfo(
-            n_suppliers=n,
-            n_consumers=m,
-            n_arcs=solver.n_arcs,
-            pivots=solver.pivots,
-            warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
-            warm_arcs_given=0 if warm_cells is None else int(np.asarray(warm_cells[0]).size),
-            warm_arcs_used=solver.warm_arcs_used,
-            cost=cost,
-        )
+    flows = np.zeros((n, m), dtype=np.float64)
+    flows[rows, cols] = np.maximum(solver.flow[: solver.n_real], 0.0)
+    cost = float((flows[rows, cols] * costs).sum())
+    info = NetworkSimplexInfo(
+        n_suppliers=n,
+        n_consumers=m,
+        n_arcs=solver.n_arcs,
+        pivots=solver.pivots,
+        warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
+        warm_arcs_given=0 if warm_cells is None else int(np.asarray(warm_cells[0]).size),
+        warm_arcs_used=solver.warm_arcs_used,
+        cost=cost,
     )
+    SIMPLEX_METRICS.record(info)
+    plan = TransportPlan(flows=flows, cost=cost, info=info)
     if return_cells:
         tree_arcs = solver.tree_real_arcs()
         return plan, (rows[tree_arcs].copy(), cols[tree_arcs].copy())
     return plan
-
-
-def _warm_info_replace(**kwargs) -> None:  # pragma: no cover - debug helper
-    info = last_network_simplex_info()
-    if info is not None:
-        _LAST.info = replace(info, **kwargs)

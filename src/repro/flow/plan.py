@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,16 @@ class TransportPlan:
         moved from supplier ``i`` to consumer ``j``.
     cost:
         Total transportation cost ``sum(flows * costs)``.
+    info:
+        Diagnostics of the solve that produced the plan, when the solver
+        reports any: a :class:`~repro.flow.network_simplex.NetworkSimplexInfo`
+        or a :class:`~repro.flow.sinkhorn_hybrid.HybridSolveInfo`; ``None``
+        for the other solvers.
     """
 
     flows: np.ndarray
     cost: float
+    info: object = field(default=None, compare=False)
 
     @property
     def moved_mass(self) -> float:

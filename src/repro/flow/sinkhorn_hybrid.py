@@ -37,7 +37,8 @@ objective lower-bounds the optimum, so
    \\frac{C_{hybrid} - OPT}{OPT} \\le
    \\frac{C_{hybrid} - LB_{dual}}{LB_{dual}} =: \\texttt{screen\\_error\\_bound}
 
-is reported per solve (and aggregated by :data:`HYBRID_METRICS`, which
+is reported per solve on the returned plan's ``info`` (a
+:class:`HybridSolveInfo`; aggregated by :data:`HYBRID_METRICS`, which
 :meth:`repro.snd.engine.SNDEngine.stats` embeds). The tolerance-tiered
 property harness in ``tests/flow/test_solver_equivalence.py`` asserts the
 certificate, plan feasibility, the upper-bound property, and that the
@@ -71,7 +72,6 @@ __all__ = [
     "HybridSolveInfo",
     "SMALL_EXACT_CELLS",
     "epsilon_schedule",
-    "last_hybrid_info",
     "resolve_support_k",
     "screen_support",
     "solve_transportation_sinkhorn_hybrid",
@@ -95,7 +95,11 @@ _EXACT_BACKENDS = ("auto", "ssp", "lp", "network-simplex")
 
 @dataclass(frozen=True)
 class HybridSolveInfo:
-    """Per-solve diagnostics of the hybrid pipeline."""
+    """Per-solve diagnostics of the hybrid pipeline.
+
+    *pivots* and *warm* describe the restricted exact solve when it ran on
+    the network simplex (0 and ``False`` for the other backends).
+    """
 
     n_cells: int = 0
     support_cells: int = 0
@@ -108,6 +112,8 @@ class HybridSolveInfo:
     cost: float = 0.0
     lower_bound: float = 0.0
     screened: bool = False
+    pivots: int = 0
+    warm: bool = False
 
 
 class HybridMetrics:
@@ -164,20 +170,6 @@ class HybridMetrics:
 
 #: Module-level aggregate every hybrid solve records into.
 HYBRID_METRICS = HybridMetrics()
-
-_LAST = threading.local()
-
-
-def last_hybrid_info() -> HybridSolveInfo | None:
-    """The :class:`HybridSolveInfo` of this thread's most recent hybrid
-    solve (``None`` before the first). The SND fast pipeline reads it to
-    fill ``FastTermStats.support_density`` / ``screen_error_bound``."""
-    return getattr(_LAST, "info", None)
-
-
-def _record(info: HybridSolveInfo) -> None:
-    _LAST.info = info
-    HYBRID_METRICS.record(info)
 
 
 # --------------------------------------------------------------------- #
@@ -356,26 +348,31 @@ def _solve_support_lp(
     return plan
 
 
-def _solve_support_ns(
+def _solve_support(
+    backend: str,
     a: np.ndarray,
     b: np.ndarray,
     d: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    warm_cells: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Exact restricted solve on the warm-startable network simplex.
+    warm_cells: tuple[np.ndarray, np.ndarray] | None,
+):
+    """Exact restricted solve on *backend*: ``(plan, ns_info, ns_cells)``.
 
-    The screened support *is* a sparse min-cost flow, which makes the
-    hybrid tier the first consumer of the basis-carrying backend: the
-    warm cells (intersected with the support — the restricted problem is
-    identical to a cold solve, only the starting tree differs) seed the
-    spanning tree, and the optimal basis cells come back for the caller's
-    basis store.
+    On ``"network-simplex"`` the warm cells (intersected with the support —
+    the restricted problem is identical to a cold solve, only the starting
+    tree differs) seed the spanning tree, and the solve's
+    :class:`~repro.flow.network_simplex.NetworkSimplexInfo` and optimal
+    basis cells come back for the caller; the other backends return
+    ``None`` for both.
     """
-    return solve_support_network_simplex(
-        a, b, d, rows, cols, warm_cells=warm_cells, return_cells=True
-    )
+    if backend == "network-simplex":
+        plan, cells = solve_support_network_simplex(
+            a, b, d, rows, cols, warm_cells=warm_cells, return_cells=True
+        )
+        return plan.flows, plan.info, cells
+    solve = _solve_support_lp if backend == "lp" else _solve_support_ssp
+    return solve(a, b, d, rows, cols), None, None
 
 
 def _resolve_backend(exact_backend: str) -> str:
@@ -442,7 +439,7 @@ def solve_transportation_sinkhorn_hybrid(
     Returns a feasible :class:`~repro.flow.plan.TransportPlan` whose cost
     is the exact optimum of the support-restricted problem — an upper
     bound on the true optimum, certified by ``screen_error_bound`` (see
-    :func:`last_hybrid_info` / :data:`HYBRID_METRICS`).
+    ``plan.info``, a :class:`HybridSolveInfo`, and :data:`HYBRID_METRICS`).
 
     *basis* (original cell space) seeds the restricted solve's
     spanning tree when the backend is ``"network-simplex"``; warm cells
@@ -466,8 +463,9 @@ def solve_transportation_sinkhorn_hybrid(
 
     total = float(a_full.sum())
     if total <= 0:
-        _record(HybridSolveInfo(exact_backend=backend))
-        plan = TransportPlan(flows=np.zeros(problem.costs.shape), cost=0.0)
+        info = HybridSolveInfo(exact_backend=backend)
+        HYBRID_METRICS.record(info)
+        plan = TransportPlan(flows=np.zeros(problem.costs.shape), cost=0.0, info=info)
         if return_basis:
             empty = np.empty(0, dtype=np.int64)
             return plan, TransportBasis(rows=empty, cols=empty)
@@ -501,17 +499,12 @@ def solve_transportation_sinkhorn_hybrid(
         if ok.any():
             warm_local = (lr[ok], lc[ok])
 
-    ns_cells = None
     if n_cells <= SMALL_EXACT_CELLS or (k >= n and k >= m):
         # Nothing to prune: solve exactly on the full support.
         rr, cc = np.nonzero(np.ones((n, m), dtype=bool))
-        if backend == "network-simplex":
-            plan_s, ns_cells = _solve_support_ns(
-                a_s, b_s, d_s, rr, cc, warm_cells=warm_local
-            )
-        else:
-            solve = _solve_support_lp if backend == "lp" else _solve_support_ssp
-            plan_s = solve(a_s, b_s, d_s, rr, cc)
+        plan_s, ns_info, ns_cells = _solve_support(
+            backend, a_s, b_s, d_s, rr, cc, warm_local
+        )
         info = HybridSolveInfo(
             n_cells=n_cells,
             support_cells=n_cells,
@@ -559,13 +552,9 @@ def solve_transportation_sinkhorn_hybrid(
         rr, cc = np.nonzero(mask)
 
         # ---- exact solve restricted to the support ------------------- #
-        if backend == "network-simplex":
-            plan_s, ns_cells = _solve_support_ns(
-                a_s, b_s, d_s, rr, cc, warm_cells=warm_local
-            )
-        else:
-            solve = _solve_support_lp if backend == "lp" else _solve_support_ssp
-            plan_s = solve(a_s, b_s, d_s, rr, cc)
+        plan_s, ns_info, ns_cells = _solve_support(
+            backend, a_s, b_s, d_s, rr, cc, warm_local
+        )
 
         # ---- certified error bound via the repaired dual ------------- #
         cost_norm = float((plan_s * d_s).sum())
@@ -600,8 +589,11 @@ def solve_transportation_sinkhorn_hybrid(
     if dummy_supplier:
         flows = flows[:-1, :]
     cost = float((flows * problem.costs).sum())
-    _record(replace(info, cost=cost))
-    plan = TransportPlan(flows=flows, cost=cost)
+    if ns_info is not None:
+        info = replace(info, pivots=ns_info.pivots, warm=ns_info.warm)
+    info = replace(info, cost=cost)
+    HYBRID_METRICS.record(info)
+    plan = TransportPlan(flows=flows, cost=cost, info=info)
     if return_basis:
         if ns_cells is not None:
             gr = rows_ids[ns_cells[0]]

@@ -23,10 +23,8 @@ service copies what it needs at construction) with:
   :class:`~repro.exceptions.ValidationError`, so a bad knob fails at
   configuration time, not on the first solve.
 
-Legacy keyword arguments on :class:`~repro.serve.service.SNDService`
-keep working through a shim that folds them into an ``EngineConfig`` and
-emits a :class:`DeprecationWarning` (tested in
-``tests/serve/test_config.py``).
+:class:`~repro.serve.service.SNDService` takes its configuration only as
+``config=``.
 """
 
 from __future__ import annotations
@@ -186,7 +184,7 @@ class EngineConfig:
         from repro.snd.scheduler import DEFAULT_MAX_PENDING
 
         return {
-            "jobs": self.jobs if self.jobs is not None else None,
+            "jobs": self.jobs,
             "executor": self.executor,
             "use_row_cache": self.use_row_cache,
             "use_basis_cache": self.use_basis_cache,

@@ -17,7 +17,8 @@ the repo's no-new-dependencies rule) with the shape the workload needs:
   a client over its per-identity fairness quota
   (:class:`~repro.exceptions.ClientSaturatedError`) maps to HTTP 429, so
   well-behaved clients can tell "the server is full" from "I am being
-  rationed".  Validation failures map to 400, unknown names/routes to 404.
+  rationed".  Validation failures map to 400, unknown names/routes to 404,
+  and any other exception to 500.
 * **Observability** — ``GET /v1/metrics`` serves Prometheus text
   exposition (see :mod:`repro.serve.metrics`): live per-route request
   counters and latency histograms plus a snapshot translation of the
@@ -26,9 +27,8 @@ the repo's no-new-dependencies rule) with the shape the workload needs:
 
 API versioning (v1)
 -------------------
-All routes are canonically mounted under ``/v1/``.  The original
-unversioned paths keep working as aliases but mark every response with a
-``Deprecation: true`` header; new clients should use ``/v1/...`` only.
+All routes are mounted under ``/v1/``; any other path, the old
+unversioned spellings included, gets the 404 ``not_found`` envelope.
 Every 4xx/5xx response body is one JSON envelope::
 
     {"error": {"code": "<machine-readable>", "message": "<human>", "detail": {...}}}
@@ -38,8 +38,8 @@ string, case preserved) and ``X-Priority`` (``low`` / ``normal`` /
 ``high``); the distance endpoint threads them into the scheduler's
 per-client accounting and fairness quotas.
 
-Routes (canonical form)
------------------------
+Routes
+------
 ``GET  /v1/healthz``          liveness probe
 ``GET  /v1/stats``            cache + scheduler + pool counters, per shard
 ``GET  /v1/metrics``          Prometheus text exposition format
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import signal
 import threading
 import time
@@ -74,6 +75,8 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.service import SNDService
 
 __all__ = ["HttpServer", "BackgroundServer", "serve_forever"]
+
+_LOG = logging.getLogger(__name__)
 
 #: Executor width: wide enough that duplicate-pair bursts overlap in time
 #: (the whole point of scheduler coalescing), bounded so a misbehaving
@@ -263,7 +266,7 @@ class HttpServer:
                 keep_alive = body is not None and (
                     headers.get("connection", "keep-alive").lower() != "close"
                 )
-                route, extra_headers = self._normalise_path(path)
+                route = self._route(path)
                 status = 200
                 started = time.perf_counter()
                 try:
@@ -272,9 +275,10 @@ class HttpServer:
                             400,
                             f"invalid Content-Length {headers['content-length']!r}",
                         )
+                    if route is None:
+                        raise _HttpError(404, f"no such route: {method} {path}")
                     force_close = await self._dispatch(
-                        method, route, headers, body, writer, keep_alive,
-                        extra_headers,
+                        method, route, headers, body, writer, keep_alive
                     )
                     if force_close:
                         keep_alive = False
@@ -288,40 +292,41 @@ class HttpServer:
                             detail=exc.detail,
                         ),
                         keep_alive,
-                        extra_headers,
                     )
                 except ClientSaturatedError as exc:
                     status = 429
                     self._write_json(
-                        writer, 429, _error_envelope(429, str(exc)), keep_alive,
-                        extra_headers,
+                        writer, 429, _error_envelope(429, str(exc)), keep_alive
                     )
                 except SchedulerSaturatedError as exc:
                     status = 503
                     self._write_json(
-                        writer, 503, _error_envelope(503, str(exc)), keep_alive,
-                        extra_headers,
+                        writer, 503, _error_envelope(503, str(exc)), keep_alive
                     )
                 except (ValidationError, json.JSONDecodeError) as exc:
                     status = 400
                     self._write_json(
-                        writer, 400, _error_envelope(400, str(exc)), keep_alive,
-                        extra_headers,
+                        writer, 400, _error_envelope(400, str(exc)), keep_alive
                     )
-                except (KeyError, ReproError) as exc:
+                except ReproError as exc:
+                    # Lookup misses: unknown graph/corpus names (StoreError)
+                    # and node ids (NodeError).
                     status = 404
                     self._write_json(
-                        writer, 404, _error_envelope(404, str(exc)), keep_alive,
-                        extra_headers,
+                        writer, 404, _error_envelope(404, str(exc)), keep_alive
                     )
-                except Exception as exc:  # pragma: no cover - defensive
+                except Exception as exc:
+                    # Anything else is a bug: answer 500, keep serving, and
+                    # leave the traceback in the server's log.
+                    _LOG.exception("internal error on %s %s", method, path)
                     status = 500
                     self._write_json(
-                        writer, 500, _error_envelope(500, str(exc)), keep_alive,
-                        extra_headers,
+                        writer, 500, _error_envelope(500, str(exc)), keep_alive
                     )
                 self.metrics.observe_request(
-                    route, status, time.perf_counter() - started
+                    "other" if route is None else route,
+                    status,
+                    time.perf_counter() - started,
                 )
                 await writer.drain()
                 if not keep_alive:
@@ -336,16 +341,12 @@ class HttpServer:
                 pass
 
     @staticmethod
-    def _normalise_path(path: str) -> tuple[str, dict[str, str]]:
-        """Canonicalise a request path to its unprefixed route.
-
-        ``/v1/...`` strips the version prefix; the historical unversioned
-        spelling still resolves but earns a ``Deprecation: true`` response
-        header, per the v1 migration contract in ``docs/serving.md``.
-        """
+    def _route(path: str) -> str | None:
+        """The route of a ``/v1/...`` path with the version prefix
+        stripped, or ``None`` for any other path."""
         if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-            return path[len(API_PREFIX):] or "/", {}
-        return path, {"Deprecation": "true"}
+            return path[len(API_PREFIX):] or "/"
+        return None
 
     async def _read_request(self, reader):
         try:
@@ -372,37 +373,28 @@ class HttpServer:
             return method, path, headers, None
         return method, path, headers, await reader.readexactly(int(length))
 
-    async def _dispatch(
-        self, method, path, headers, body, writer, keep_alive, extra_headers
-    ) -> bool:
+    async def _dispatch(self, method, path, headers, body, writer, keep_alive) -> bool:
         """Handle one request; returns True when the response format
         forces the connection closed (chunked watch streams)."""
         if method == "GET":
             if path == "/healthz":
-                self._write_json(writer, 200, {"ok": True}, keep_alive, extra_headers)
+                self._write_json(writer, 200, {"ok": True}, keep_alive)
                 return False
             if path == "/stats":
                 payload = await self._run(self.service.stats)
-                self._write_json(
-                    writer, 200, _json_safe(payload), keep_alive, extra_headers
-                )
+                self._write_json(writer, 200, _json_safe(payload), keep_alive)
                 return False
             if path == "/metrics":
                 stats = await self._run(self.service.stats)
                 text = self.metrics.render(stats)
-                self._write_text(
-                    writer, 200, text, METRICS_CONTENT_TYPE, keep_alive,
-                    extra_headers,
-                )
+                self._write_text(writer, 200, text, METRICS_CONTENT_TYPE, keep_alive)
                 return False
             if path == "/corpora":
                 rows = await self._run(self.service.list_corpora)
                 payload = [
                     {"graph": g, "corpus": c, "n_states": n} for g, c, n in rows
                 ]
-                self._write_json(
-                    writer, 200, _json_safe(payload), keep_alive, extra_headers
-                )
+                self._write_json(writer, 200, _json_safe(payload), keep_alive)
                 return False
             raise _HttpError(404, f"no such route: GET {path}")
         if method != "POST":
@@ -421,9 +413,7 @@ class HttpServer:
                 client=client,
                 priority=priority,
             )
-            self._write_json(
-                writer, 200, {"distance": float(value)}, keep_alive, extra_headers
-            )
+            self._write_json(writer, 200, {"distance": float(value)}, keep_alive)
             return False
         if path == "/series":
             values = await self._run(
@@ -434,8 +424,7 @@ class HttpServer:
                 window=params.get("window"),
             )
             self._write_json(
-                writer, 200, {"distances": _json_safe(values)}, keep_alive,
-                extra_headers,
+                writer, 200, {"distances": _json_safe(values)}, keep_alive
             )
             return False
         if path == "/matrix":
@@ -445,10 +434,7 @@ class HttpServer:
                 measure=params.get("measure", "snd"),
                 jobs=params.get("jobs"),
             )
-            self._write_json(
-                writer, 200, {"matrix": _json_safe(matrix)}, keep_alive,
-                extra_headers,
-            )
+            self._write_json(writer, 200, {"matrix": _json_safe(matrix)}, keep_alive)
             return False
         if path == "/corpus/query":
             neighbours = await self._run(
@@ -462,12 +448,11 @@ class HttpServer:
                 {"index": idx, "distance": dist} for idx, dist in neighbours
             ]
             self._write_json(
-                writer, 200, {"neighbours": _json_safe(payload)}, keep_alive,
-                extra_headers,
+                writer, 200, {"neighbours": _json_safe(payload)}, keep_alive
             )
             return False
         if path == "/watch":
-            await self._stream_watch(params, writer, extra_headers)
+            await self._stream_watch(params, writer)
             return True  # chunked responses always close
         raise _HttpError(404, f"no such route: POST {path}")
 
@@ -485,7 +470,7 @@ class HttpServer:
     # Watch streaming
     # ------------------------------------------------------------------ #
 
-    async def _stream_watch(self, params: dict, writer, extra_headers) -> None:
+    async def _stream_watch(self, params: dict, writer) -> None:
         name = self._require(params, "name")
         window = params.get("window", 10)
         threshold = params.get("threshold")
@@ -496,10 +481,8 @@ class HttpServer:
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: application/x-ndjson\r\n"
             "Transfer-Encoding: chunked\r\n"
+            "Connection: close\r\n\r\n"
         )
-        for header_name, header_value in (extra_headers or {}).items():
-            head += f"{header_name}: {header_value}\r\n"
-        head += "Connection: close\r\n\r\n"
         writer.write(head.encode("ascii"))
 
         def _next():
@@ -523,42 +506,30 @@ class HttpServer:
 
     @staticmethod
     def _write_payload(
-        writer,
-        status: int,
-        body: bytes,
-        content_type: str,
-        keep_alive: bool,
-        extra_headers: dict[str, str] | None = None,
+        writer, status: int, body: bytes, content_type: str, keep_alive: bool
     ) -> None:
         connection = "keep-alive" if keep_alive else "close"
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
+            f"Connection: {connection}\r\n\r\n"
         )
-        for name, value in (extra_headers or {}).items():
-            head += f"{name}: {value}\r\n"
-        head += f"Connection: {connection}\r\n\r\n"
         writer.write(head.encode("ascii") + body)
 
     @classmethod
-    def _write_json(
-        cls, writer, status: int, payload, keep_alive: bool,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
+    def _write_json(cls, writer, status: int, payload, keep_alive: bool) -> None:
         cls._write_payload(
             writer, status, json.dumps(payload).encode("utf-8"),
-            "application/json", keep_alive, extra_headers,
+            "application/json", keep_alive,
         )
 
     @classmethod
     def _write_text(
-        cls, writer, status: int, text: str, content_type: str,
-        keep_alive: bool, extra_headers: dict[str, str] | None = None,
+        cls, writer, status: int, text: str, content_type: str, keep_alive: bool
     ) -> None:
         cls._write_payload(
-            writer, status, text.encode("utf-8"), content_type, keep_alive,
-            extra_headers,
+            writer, status, text.encode("utf-8"), content_type, keep_alive
         )
 
 

@@ -27,7 +27,6 @@ thread.
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -179,11 +178,6 @@ class EngineShard:
             engine.close()
 
 
-#: Sentinel distinguishing "not passed" from explicit values in the
-#: legacy-keyword shim below.
-_UNSET = object()
-
-
 class SNDService:
     """Named-corpus distance service over one experiment store.
 
@@ -203,55 +197,9 @@ class SNDService:
         engine warm-starts repeat solves from its shared basis cache,
         which pays off on exactly the serving access patterns — repeated
         windows and growing corpora (see :mod:`repro.flow.network_simplex`).
-    clusters / solver / jobs / seed / max_pending:
-        **Deprecated** keyword spellings of the corresponding
-        ``EngineConfig`` fields, kept for one release; passing any emits
-        a :class:`DeprecationWarning` and they cannot be combined with
-        *config*.  ``jobs=0`` remains a legacy spelling of serial at
-        this boundary — the library-level
-        :func:`~repro.snd.scheduler.resolve_jobs` itself rejects it.
     """
 
-    def __init__(
-        self,
-        store_path: str,
-        *,
-        config: EngineConfig | None = None,
-        clusters=_UNSET,
-        solver=_UNSET,
-        jobs=_UNSET,
-        seed=_UNSET,
-        max_pending=_UNSET,
-    ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("clusters", clusters),
-                ("solver", solver),
-                ("jobs", jobs),
-                ("seed", seed),
-                ("max_pending", max_pending),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValidationError(
-                    f"pass configuration via config= or legacy keywords, "
-                    f"not both (got config and {sorted(legacy)})"
-                )
-            warnings.warn(
-                f"SNDService keyword arguments {sorted(legacy)} are "
-                f"deprecated; pass an EngineConfig via config= instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if legacy.get("jobs") == 0:
-                legacy["jobs"] = 1  # legacy spelling of serial
-            # Direct construction (not from_mapping): an explicit
-            # ``jobs=None`` / ``clusters=None`` must stay None, not fall
-            # back to the field default.
-            config = EngineConfig(**legacy)
+    def __init__(self, store_path: str, *, config: EngineConfig | None = None) -> None:
         self.config = config if config is not None else EngineConfig()
         self.store_path = store_path
         self._shards: dict[str, EngineShard] = {}
@@ -273,23 +221,10 @@ class SNDService:
         with self._measures_lock:
             return dict(self._measure_requests)
 
-    # Read-only mirrors of the config fields the historical attribute
-    # surface exposed (tests and callers read e.g. ``service.jobs``).
-    @property
-    def clusters(self):
-        return self.config.clusters
-
-    @property
-    def solver(self):
-        return self.config.solver
-
+    # Read-only views of the config the shards and the serve banner read.
     @property
     def jobs(self):
         return self.config.jobs
-
-    @property
-    def seed(self):
-        return self.config.seed
 
     @property
     def max_pending(self):
@@ -303,15 +238,15 @@ class SNDService:
 
     @staticmethod
     def _normalise_jobs(jobs):
-        # Registry/batch spelling: None and 0 both mean serial there; the
-        # CLI documented --jobs 0 as "serial, not auto", so keep that
-        # working at the service boundary while the library rejects it.
+        # Registry spelling: None and 0 both mean serial there; a per-call
+        # ``jobs=0`` (the HTTP ``jobs`` field) keeps meaning serial at the
+        # service boundary while the library rejects it.
         return None if jobs == 0 else jobs
 
     @staticmethod
     def _engine_jobs(jobs):
-        # Engine-creation spelling: None means "service default", so the
-        # legacy 0-means-serial must become an explicit 1 here.
+        # Engine-creation spelling: None means "service default", so
+        # 0-means-serial must become an explicit 1 here.
         return 1 if jobs == 0 else jobs
 
     def _open_store(self):

@@ -12,8 +12,8 @@ Theorem 4 (:mod:`repro.snd.fast`); :mod:`repro.snd.direct` computes the
 same quantity without the reduction, for validation and the Fig. 11
 baseline.
 
-Batch workloads — whole-series sweeps and all-pairs matrices — run through
-:mod:`repro.snd.batch`::
+Batch workloads — whole-series sweeps and all-pairs matrices — run
+through a one-call :class:`~repro.snd.engine.SNDEngine`::
 
     distances = snd.evaluate_series(series, jobs=4)   # d_t = SND(G_t, G_{t+1})
     matrix = snd.pairwise_matrix(series)              # symmetric, zero diagonal
@@ -39,7 +39,6 @@ to a shared-memory state matrix::
 """
 
 from repro.snd.banks import BankAllocation, allocate_banks
-from repro.snd.batch import evaluate_series, pairwise_matrix
 from repro.snd.cache import (
     CacheManager,
     DijkstraRowCache,
@@ -69,7 +68,5 @@ __all__ = [
     "TransitionCache",
     "GroundDistanceConfig",
     "build_edge_costs",
-    "evaluate_series",
-    "pairwise_matrix",
     "quantize_costs",
 ]

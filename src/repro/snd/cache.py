@@ -1,9 +1,10 @@
 """The unified SND cache hierarchy.
 
 Every SND entry point — single-pair :meth:`repro.snd.snd.SND.evaluate`,
-the batch wrappers in :mod:`repro.snd.batch`, the persistent
+the batch methods :meth:`~repro.snd.snd.SND.evaluate_series` /
+:meth:`~repro.snd.snd.SND.pairwise_matrix`, the persistent
 :class:`repro.snd.engine.SNDEngine`, and the distance registry — reuses
-work at three levels:
+work at four levels:
 
 1. **Ground costs** (:class:`GroundCostCache`): Eq. 2 edge-cost arrays
    keyed by ``(state fingerprint, opinion)``. A series sweep builds
@@ -30,9 +31,7 @@ retained payload exceeds the budget, entries are evicted
 least-recently-used from whichever cache currently retains the most
 bytes, so one oversized layer cannot starve the others (a basis entry is
 two int64 vectors — far heavier than a float transition value — and its
-``nbytes`` participate in the accounting).  The first three caches were
-historically defined in :mod:`repro.snd.batch`; that module re-exports
-them, so existing imports keep working.
+``nbytes`` participate in the accounting).
 """
 
 from __future__ import annotations
@@ -470,9 +469,9 @@ class CacheManager:
     Bundles a :class:`GroundCostCache`, a :class:`DijkstraRowCache`, and a
     :class:`TransitionCache` behind a single stats surface and an optional
     shared *memory_budget* (bytes). Existing cache instances can be
-    adopted (``CacheManager(ground=my_cache)``), which is how the batch
-    wrappers keep honouring caller-supplied caches while the engine sees
-    one unified hierarchy.
+    adopted (``CacheManager(ground=my_cache)``), which is how
+    :meth:`~repro.snd.snd.SND.pairwise_matrix` swaps in a right-sized
+    ground cache for one call while sharing the instance's other caches.
 
     The budget is enforced on insert: while the total retained payload
     exceeds it, the least-recently-used entry of whichever member cache
@@ -512,8 +511,8 @@ class CacheManager:
         self.bases = bases if bases is not None else BasisCache(basis_size)
         for cache in self._members():
             # Adopt unowned caches only: a cache already reporting to a
-            # budgeted manager keeps doing so when a transient wrapper
-            # manager borrows it for one call.
+            # budgeted manager keeps doing so when a transient manager
+            # borrows it for one call.
             if cache._manager is None:
                 cache._manager = self
 

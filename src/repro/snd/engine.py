@@ -2,10 +2,11 @@
 
 The paper's online workloads — anomaly detection over arriving Twitter
 states (§6.2) and metric-space search/clustering over growing corpora
-(§9) — evaluate SND repeatedly against largely unchanged data. The batch
-wrappers in :mod:`repro.snd.batch` rebuild their process pool on every
-call and recompute pairwise matrices from scratch on every append; this
-module makes the evaluate-as-states-arrive path first-class:
+(§9) — evaluate SND repeatedly against largely unchanged data. The
+one-call :meth:`SND.evaluate_series` / :meth:`SND.pairwise_matrix` open a
+transient engine, so they rebuild their process pool on every call and
+recompute pairwise matrices from scratch on every append; this module
+makes the evaluate-as-states-arrive path first-class:
 
 :class:`SNDEngine`
     A long-lived evaluator over one :class:`~repro.snd.snd.SND` instance.
@@ -61,13 +62,7 @@ from repro.snd.cache import (
     GroundCostCache,
     TransitionCache,
 )
-from repro.snd.scheduler import (  # noqa: F401 - re-exported for compat
-    DEFAULT_MAX_PENDING,
-    PairScheduler,
-    _chunk_ranges,
-    _missing_runs,
-    resolve_jobs,
-)
+from repro.snd.scheduler import DEFAULT_MAX_PENDING, PairScheduler, resolve_jobs
 
 __all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs"]
 
@@ -270,8 +265,9 @@ class SNDEngine:
         ``"thread"`` (workers share the engine caches directly).
     caches:
         A :class:`~repro.snd.cache.CacheManager` to draw from; defaults to
-        the SND instance's own hierarchy so the engine, the batch
-        wrappers, and single-pair calls all reuse one set of caches.
+        the SND instance's own hierarchy so the engine, the one-call
+        :class:`~repro.snd.snd.SND` batch methods, and single-pair calls
+        all reuse one set of caches.
     use_row_cache:
         Reuse per-source Dijkstra rows across terms (on by default;
         value-preserving).
@@ -297,7 +293,7 @@ class SNDEngine:
     parallel call and reused until :meth:`close` (the engine is a context
     manager). ``pool_starts`` counts pool launches, which makes
     persistence testable: two sweeps through one engine show one start,
-    where the batch wrappers would show two.
+    where two one-call :meth:`SND.evaluate_series` sweeps would show two.
 
     Every evaluation entry point routes through ``self.scheduler``, so
     concurrent callers sharing one engine get their duplicate pairs

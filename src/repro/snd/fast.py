@@ -48,8 +48,7 @@ from repro.flow import select_transport_method
 # Unused here; kept because perfbench/tracer.py wraps this module-level name.
 from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
-from repro.flow.network_simplex import last_network_simplex_info
-from repro.flow.sinkhorn_hybrid import last_hybrid_info
+from repro.flow.sinkhorn_hybrid import HybridSolveInfo
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import dijkstra_multi, multi_source_distances
 from repro.snd.banks import BankAllocation
@@ -86,9 +85,10 @@ class FastTermStats:
     support_density: float = 1.0
     #: Certified relative-error bound of the hybrid solve (0.0 for exact).
     screen_error_bound: float = 0.0
-    #: Simplex pivots of the network-simplex solve (0 for other solvers).
+    #: Simplex pivots of the network-simplex solve, or of the hybrid's
+    #: restricted network-simplex solve (0 for other solvers).
     pivots: int = 0
-    #: Whether the network-simplex solve started from a cached warm basis.
+    #: Whether that network-simplex solve started from a cached warm basis.
     warm_start: bool = False
 
 
@@ -322,19 +322,14 @@ def emd_star_term_fast(
     bank_leg: dict[int, np.ndarray] = {}
     if delta > _EPS and active_bank_clusters.size:
         if bank_metric == "nearest":
-            if banks_on_demand_side:
-                # supplier s -> bank of cluster c: min over members of row.
-                for c in active_bank_clusters:
-                    members = cluster_arrays[c]
-                    leg = rows[:, members].min(axis=1) if rows.size else np.empty(0)
-                    bank_leg[int(c)] = np.where(np.isfinite(leg), leg, unreach)
-            else:
-                # bank of cluster c -> consumer t: min over members of the
-                # reversed rows (rows[t, v] = D(v, t)).
-                for c in active_bank_clusters:
-                    members = cluster_arrays[c]
-                    leg = rows[:, members].min(axis=1) if rows.size else np.empty(0)
-                    bank_leg[int(c)] = np.where(np.isfinite(leg), leg, unreach)
+            # Min over the cluster's members of each row: supplier s -> bank
+            # of cluster c when the banks sit on the demand side, bank of
+            # cluster c -> consumer t otherwise (reversed rows,
+            # rows[t, v] = D(v, t)).
+            for c in active_bank_clusters:
+                members = cluster_arrays[c]
+                leg = rows[:, members].min(axis=1) if rows.size else np.empty(0)
+                bank_leg[int(c)] = np.where(np.isfinite(leg), leg, unreach)
         else:  # "cluster": per-cluster multi-source runs for the d matrix
             if banks_on_demand_side:
                 side_ids = sup_ids
@@ -385,7 +380,7 @@ def emd_star_term_fast(
         stats.n_cluster_runs = int(n_cluster_runs)
         stats.density = profile["density"]
 
-    cost = _solve_reduced_dense(
+    plan = _solve_reduced_dense(
         sup_amounts,
         con_amounts,
         d_sc,
@@ -400,21 +395,20 @@ def emd_star_term_fast(
         basis_cache=basis_cache,
         basis_key=basis_key,
     )
+    cost = 0.0 if plan is None else float(plan.cost)
     if stats is not None:
-        stats.cost = float(cost)
-        if solver == "sinkhorn-hybrid":
-            info = last_hybrid_info()
-            if info is not None:
-                stats.support_density = float(info.support_density)
-                stats.screen_error_bound = float(info.screen_error_bound)
-        if solver == "network-simplex" or (
-            solver == "sinkhorn-hybrid" and basis_cache is not None
-        ):
-            ns_info = last_network_simplex_info()
-            if ns_info is not None:
-                stats.pivots = int(ns_info.pivots)
-                stats.warm_start = bool(ns_info.warm)
-    return float(cost)
+        stats.cost = cost
+        # Diagnostics of the solve that produced *cost*: the network
+        # simplex and the hybrid report pivots and the warm flag; the
+        # hybrid also reports its screen.
+        info = None if plan is None else plan.info
+        if isinstance(info, HybridSolveInfo):
+            stats.support_density = float(info.support_density)
+            stats.screen_error_bound = float(info.screen_error_bound)
+        if info is not None:
+            stats.pivots = int(info.pivots)
+            stats.warm_start = bool(info.warm)
+    return cost
 
 
 def _map_labeled_basis(
@@ -457,7 +451,7 @@ def _solve_reduced_dense(
     con_ids: np.ndarray,
     basis_cache=None,
     basis_key=None,
-) -> float:
+):
     """Solve the reduced problem as one dense transportation instance.
 
     Bank bins are appended as extra consumers (or suppliers); the hub
@@ -473,6 +467,10 @@ def _solve_reduced_dense(
     ``-(1 + cluster·nb + bin)``), the nearest cached basis is re-anchored
     onto those labels to warm-start the solve, and the optimal basis is
     stored back under the term key.
+
+    Returns the solver's :class:`~repro.flow.plan.TransportPlan` (its
+    ``info`` carries the solve's diagnostics), or ``None`` when one side
+    of the instance is empty and there is nothing to solve.
     """
     from repro.flow import solve_transportation
     from repro.flow.network_simplex import solve_transportation_network_simplex
@@ -509,7 +507,7 @@ def _solve_reduced_dense(
             costs = d_sc
 
     if supplies.size == 0 or demands.size == 0:
-        return 0.0
+        return None
     problem = TransportationProblem(supplies, demands, costs)
 
     use_basis = (
@@ -518,7 +516,7 @@ def _solve_reduced_dense(
         and method in ("network-simplex", "sinkhorn-hybrid")
     )
     if not use_basis:
-        return float(solve_transportation(problem, method=method).cost)
+        return solve_transportation(problem, method=method)
 
     bank_label_arr = np.asarray(bank_labels, dtype=np.int64)
     if banks_on_demand_side:
@@ -550,4 +548,4 @@ def _solve_reduced_dense(
                 rows=row_labels[out_basis.rows], cols=col_labels[out_basis.cols]
             ),
         )
-    return float(plan.cost)
+    return plan

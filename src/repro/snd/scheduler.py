@@ -5,8 +5,8 @@ network states (§6.2), metric-space queries against growing corpora (§9) —
 hit the SND stack with *many concurrent, heavily duplicated* pair
 requests.  Before this module, every entry point
 (:meth:`~repro.snd.engine.SNDEngine.evaluate_series`,
-:meth:`~repro.snd.engine.SNDEngine.pairwise_matrix`, streaming, the batch
-wrappers) carried its own copy of the request plumbing: probe the
+:meth:`~repro.snd.engine.SNDEngine.pairwise_matrix`, streaming, the
+one-call batch methods) carried its own copy of the request plumbing: probe the
 :class:`~repro.snd.cache.TransitionCache`, partition the missing pairs
 into chunks, dispatch to the pool, fill the cache back in.
 

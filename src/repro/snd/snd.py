@@ -15,9 +15,9 @@ choice (``"auto"`` — the network simplex, or the certified
 symmetric by design, so SND applies to time-unordered state pairs.
 
 Batch workloads (series sweeps, pairwise matrices) go through
-:meth:`SND.evaluate_series` / :meth:`SND.pairwise_matrix`, which share a
-:class:`~repro.snd.cache.GroundCostCache` of Eq. 2 cost arrays and accept a
-``jobs=`` parallel fan-out (see :mod:`repro.snd.batch`).
+:meth:`SND.evaluate_series` / :meth:`SND.pairwise_matrix`, which run a
+one-call :class:`~repro.snd.engine.SNDEngine` over the instance's cache
+hierarchy and accept a ``jobs=`` parallel fan-out.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.opinions.models.base import OpinionModel
 from repro.opinions.models.model_agnostic import ModelAgnostic
 from repro.opinions.state import NEGATIVE, POSITIVE, NetworkState, StateSeries
 from repro.snd.banks import BankAllocation, allocate_banks
-from repro.snd.batch import evaluate_series, pairwise_matrix
 from repro.snd.cache import (
     CacheManager,
     DijkstraRowCache,
@@ -252,7 +251,7 @@ class SND:
         return SNDResult(value=0.5 * sum(terms), terms=terms, stats=stats)
 
     # ------------------------------------------------------------------ #
-    # Batch evaluation (see repro.snd.batch)
+    # Batch evaluation (one-call engines, see repro.snd.engine)
     # ------------------------------------------------------------------ #
 
     @property
@@ -260,7 +259,7 @@ class SND:
         """The instance-level cache hierarchy shared by every entry point.
 
         Created lazily; single-pair calls are cache-free, but the batch
-        wrappers, :class:`~repro.snd.engine.SNDEngine`, the distance
+        methods, :class:`~repro.snd.engine.SNDEngine`, the distance
         registry, and :class:`~repro.snd.engine.Corpus` all draw from this
         one :class:`~repro.snd.cache.CacheManager` unless handed an
         explicit hierarchy, so repeated sweeps over overlapping states
@@ -304,72 +303,53 @@ class SND:
         return SNDEngine(self, jobs=jobs, executor=executor, **kwargs)
 
     def evaluate_series(
-        self,
-        series: StateSeries,
-        *,
-        jobs: int | None = None,
-        cache: GroundCostCache | None = None,
-        executor: str = "process",
-        transitions: TransitionCache | None = None,
-        row_cache: DijkstraRowCache | None = None,
-        window: int | None = None,
+        self, series: StateSeries, *, jobs: int | None = None, window: int | None = None
     ) -> np.ndarray:
-        """Adjacent-state distances with ground-cost caching and an
-        optional ``jobs``-way parallel fan-out.
+        """Adjacent-state distances ``d_t = SND(G_t, G_{t+1})``, batched.
+
+        Runs a one-call :class:`~repro.snd.engine.SNDEngine` over the
+        instance caches: each state's two cost arrays are built once and
+        reused by both transitions touching it (``2·(T-1) + 2`` builds
+        instead of ``4·(T-1)``). ``jobs >= 2`` splits the transitions into
+        contiguous chunks over a process pool that lives for this call;
+        hold an engine (:meth:`create_engine`) to keep one warm across
+        sweeps.
 
         ``window=W`` switches to incremental sliding-window evaluation:
         the series is processed through overlapping length-``W`` windows
         sharing the instance :attr:`transition_cache`, so each one-state
         shift re-solves exactly one fresh transition (repeat calls over
         overlapping series reuse earlier sweeps the same way). The
-        returned ``(T-1,)`` array is bit-identical to the from-scratch
-        sweep in every mode; see :func:`repro.snd.batch.evaluate_series`
-        for the caching and parallelism contract.
+        returned ``(T-1,)`` array is bit-identical to ``[self.distance(a,
+        b) for a, b in series.transitions()]`` in every mode.
         """
-        if window is not None and transitions is None:
-            transitions = self.transition_cache
-        return evaluate_series(
-            self,
-            series,
-            jobs=jobs,
-            cache=cache if cache is not None else self.ground_cache,
-            executor=executor,
-            transitions=transitions,
-            row_cache=row_cache if row_cache is not None else self.row_cache,
-            window=window,
-        )
+        with self.create_engine(jobs=jobs) as engine:
+            return engine.evaluate_series(series, window=window)
 
-    def pairwise_matrix(
-        self,
-        states,
-        *,
-        jobs: int | None = None,
-        cache: GroundCostCache | None = None,
-        executor: str = "process",
-        row_cache: DijkstraRowCache | None = None,
-    ) -> np.ndarray:
-        """Symmetric all-pairs SND matrix (upper triangle evaluated once).
+    def pairwise_matrix(self, states, *, jobs: int | None = None) -> np.ndarray:
+        """Symmetric ``(N, N)`` SND matrix over *states*, upper triangle only.
 
-        See :func:`repro.snd.batch.pairwise_matrix`.
+        Eq. 3 is symmetric by construction, so only the ``N·(N-1)/2``
+        pairs ``i < j`` are evaluated and mirrored; the diagonal is
+        exactly 0. Each state's two cost arrays are built once (``2·N``
+        builds). *states* may be a :class:`StateSeries` or any sequence of
+        :class:`NetworkState`; 0- and 1-state inputs yield the trivial
+        all-zero matrix.
         """
         states = list(states)
-        if cache is None:
-            cache = self.ground_cache
-            if cache.maxsize < 2 * len(states):
-                # The instance cache is too small to hold every state's two
-                # cost arrays — a transient right-sized cache keeps builds
-                # at 2N without permanently pinning 2N arrays on the
-                # instance (a long-lived SNDEngine grows its own hierarchy
-                # instead, by explicit opt-in).
-                cache = GroundCostCache(2 * len(states))
-        return pairwise_matrix(
-            self,
-            states,
-            jobs=jobs,
-            cache=cache,
-            executor=executor,
-            row_cache=row_cache if row_cache is not None else self.row_cache,
-        )
+        caches = self.caches
+        if caches.ground.maxsize < 2 * len(states):
+            # A right-sized ground cache for this call only keeps builds at
+            # 2N without pinning 2N cost arrays on the instance (a
+            # long-lived SNDEngine grows the shared cache instead).
+            caches = CacheManager(
+                ground=GroundCostCache(2 * len(states)),
+                rows=caches.rows,
+                transitions=caches.transitions,
+                bases=caches.bases,
+            )
+        with self.create_engine(jobs=jobs, caches=caches) as engine:
+            return engine.pairwise_matrix(states)
 
     def distance_series(self, series: StateSeries) -> np.ndarray:
         """Distances between adjacent states: ``d_t = SND(G_{t-1}, G_t)``.

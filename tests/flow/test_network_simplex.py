@@ -35,7 +35,6 @@ from repro.flow import TransportationProblem, solve_transportation_lp
 from repro.flow.basis import TransportBasis, validate_basis
 from repro.flow.network_simplex import (
     SIMPLEX_METRICS,
-    last_network_simplex_info,
     solve_support_network_simplex,
     solve_transportation_network_simplex,
 )
@@ -169,7 +168,7 @@ class TestWarmStart:
         problem = make_nondegenerate(rng, 10, 10)
         cold, basis = solve_transportation_network_simplex(problem, return_basis=True)
         warm = solve_transportation_network_simplex(problem, basis=basis)
-        info = last_network_simplex_info()
+        info = warm.info
         assert info is not None and info.warm
         assert info.pivots == 0, "re-solving from the optimal basis must not pivot"
         assert info.warm_arcs_used == len(basis)
@@ -183,7 +182,7 @@ class TestWarmStart:
         problem = make_transportation(rng, 10, 10)
         cold, basis = solve_transportation_network_simplex(problem, return_basis=True)
         warm = solve_transportation_network_simplex(problem, basis=basis)
-        assert last_network_simplex_info().warm
+        assert warm.info.warm
         assert warm.cost == cold.cost
         assert np.array_equal(warm.flows, cold.flows)
 
@@ -197,9 +196,9 @@ class TestWarmStart:
         supplies[donors[-1]] += 2
         perturbed = TransportationProblem(supplies, base.demands, base.costs)
         cold = solve_transportation_network_simplex(perturbed)
-        cold_pivots = last_network_simplex_info().pivots
+        cold_pivots = cold.info.pivots
         warm = solve_transportation_network_simplex(perturbed, basis=basis)
-        warm_pivots = last_network_simplex_info().pivots
+        warm_pivots = warm.info.pivots
         assert warm.cost == pytest.approx(cold.cost, abs=AGREE_TOL * max(1.0, cold.cost))
         assert warm_pivots < cold_pivots, (
             f"warm start did not save pivots: {warm_pivots} vs {cold_pivots}"
@@ -228,7 +227,7 @@ class TestWarmStart:
         warm = solve_transportation_network_simplex(
             reversed_problem, basis=basis.transpose()
         )
-        info = last_network_simplex_info()
+        info = warm.info
         assert info.warm and info.warm_arcs_used > 0
         assert warm.cost == cold.cost  # integral instance: bitwise
 
@@ -278,7 +277,7 @@ class TestSupportSolve:
         b *= a.sum() / b.sum()
         d = problem.costs
         rows, cols = self._dense_support(7, 7)
-        plan = solve_support_network_simplex(a, b, d, rows, cols)
+        plan = solve_support_network_simplex(a, b, d, rows, cols).flows
         dense = solve_transportation_lp(TransportationProblem(a, b, d))
         assert float((plan * d).sum()) == pytest.approx(
             dense.cost, abs=AGREE_TOL * max(1.0, dense.cost)
@@ -306,11 +305,10 @@ class TestSupportSolve:
         plan_warm = solve_support_network_simplex(
             a, b, d, rows, cols, warm_cells=cells
         )
-        warm_pivots = last_network_simplex_info().pivots
-        assert warm_pivots == 0
-        np.testing.assert_allclose(plan_warm, plan_cold, atol=1e-9)
+        assert plan_warm.info.warm and plan_warm.info.pivots == 0
+        np.testing.assert_allclose(plan_warm.flows, plan_cold.flows, atol=1e-9)
         # Off-support cells never receive flow.
-        assert not plan_cold[~mask].any()
+        assert not plan_cold.flows[~mask].any()
 
     def test_infeasible_support_raises(self):
         # Two suppliers, two consumers, but the support only reaches
@@ -345,15 +343,20 @@ class TestMetrics:
         assert SIMPLEX_METRICS.snapshot()["solves"] == 0
 
     def test_last_info_fields(self, rng):
+        """Each plan carries its own solve's info, and the aggregate's
+        ``last_pivots`` matches the latest one."""
         problem = make_transportation(rng, 6, 5)
-        _, basis = solve_transportation_network_simplex(problem, return_basis=True)
-        info = last_network_simplex_info()
+        cold, basis = solve_transportation_network_simplex(problem, return_basis=True)
+        info = cold.info
         assert (info.n_suppliers, info.n_consumers) == (6, 5)
         assert not info.warm and info.warm_arcs_given == 0
-        solve_transportation_network_simplex(problem, basis=basis)
-        info = last_network_simplex_info()
+        assert info.cost == cold.cost
+        warm = solve_transportation_network_simplex(problem, basis=basis)
+        info = warm.info
         assert info.warm and info.warm_arcs_given == len(basis)
         assert info.warm_arcs_used <= info.warm_arcs_given
+        assert SIMPLEX_METRICS.snapshot()["last_pivots"] == info.pivots
+        assert not cold.info.warm  # earlier plans keep their own info
 
     def test_basis_survives_pickle(self, rng):
         """Bases cross the process boundary via worker caches; the arrays
@@ -363,7 +366,7 @@ class TestMetrics:
         clone = pickle.loads(pickle.dumps(basis))
         assert clone.cells() == basis.cells()
         warm = solve_transportation_network_simplex(problem, basis=clone)
-        info = last_network_simplex_info()
+        info = warm.info
         assert info.warm and info.pivots == 0
         assert warm.cost == pytest.approx(
             solve_transportation_lp(problem).cost, abs=AGREE_TOL

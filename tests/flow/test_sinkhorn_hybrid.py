@@ -5,7 +5,7 @@ upper-bound vs exact) live in ``test_solver_equivalence.py``; this file
 pins the mechanics: the ε-scaling schedule, support-k resolution, top-k
 screening mask, northwest-corner feasibility repair, small-instance exact
 delegation, the restricted-solve backends, the diagnostics surface
-(``last_hybrid_info`` / ``HYBRID_METRICS``), and the two-branch
+(``plan.info`` / ``HYBRID_METRICS``), and the two-branch
 ``method="auto"`` policy (network simplex, hybrid above a cell count).
 """
 
@@ -30,7 +30,6 @@ from repro.flow.sinkhorn_hybrid import (
     _northwest_corner_cells,
     _solve_support_ssp,
     epsilon_schedule,
-    last_hybrid_info,
     resolve_support_k,
     screen_support,
     solve_transportation_sinkhorn_hybrid,
@@ -159,7 +158,7 @@ class TestNorthwestRepair:
             problem, support_k=1, epsilon=0.3, max_iter=100
         )
         plan.validate(problem)
-        info = last_hybrid_info()
+        info = plan.info
         assert info.screened
         assert info.support_density < 0.15
 
@@ -175,7 +174,7 @@ class TestDelegationAndBackends:
         hybrid = solve_transportation_sinkhorn_hybrid(problem)
         exact = solve_transportation_lp(problem)
         assert hybrid.cost == pytest.approx(exact.cost, abs=1e-9 * max(1.0, exact.cost))
-        info = last_hybrid_info()
+        info = hybrid.info
         assert not info.screened
         assert info.support_density == 1.0
         assert info.screen_error_bound == 0.0
@@ -185,7 +184,7 @@ class TestDelegationAndBackends:
         hybrid = solve_transportation_sinkhorn_hybrid(problem, support_k=70)
         exact = solve_transportation_lp(problem)
         assert hybrid.cost == pytest.approx(exact.cost, abs=1e-9 * max(1.0, exact.cost))
-        assert not last_hybrid_info().screened
+        assert not hybrid.info.screened
 
     @pytest.mark.parametrize("backend", ["ssp", "lp"])
     def test_backends_agree_when_screened(self, rng, backend):
@@ -195,13 +194,29 @@ class TestDelegationAndBackends:
             problem, support_k=8, epsilon=0.02, exact_backend=backend
         )
         plan.validate(problem)
-        assert last_hybrid_info().exact_backend == backend
+        assert plan.info.exact_backend == backend
+        assert plan.info.pivots == 0 and not plan.info.warm
         # Same screen (deterministic) -> same restricted optimum.
         other = "lp" if backend == "ssp" else "ssp"
         ref = solve_transportation_sinkhorn_hybrid(
             problem, support_k=8, epsilon=0.02, exact_backend=other
         )
         assert plan.cost == pytest.approx(ref.cost, abs=1e-7 * max(1.0, ref.cost))
+
+    def test_network_simplex_backend_reports_its_pivots(self, rng):
+        problem = random_balanced(rng, 70, 70)
+        cold, basis = solve_transportation_sinkhorn_hybrid(
+            problem, support_k=8, exact_backend="network-simplex",
+            return_basis=True,
+        )
+        assert cold.info.screened and not cold.info.warm
+        assert cold.info.pivots > 0
+        warm = solve_transportation_sinkhorn_hybrid(
+            problem, support_k=8, exact_backend="network-simplex", basis=basis,
+        )
+        assert warm.info.warm
+        assert warm.info.pivots < cold.info.pivots
+        assert warm.cost == pytest.approx(cold.cost, abs=1e-9 * max(1.0, cold.cost))
 
     def test_bad_backend(self, rng):
         with pytest.raises(ValidationError):
@@ -256,9 +271,14 @@ class TestDegenerateInstances:
 
 class TestDiagnostics:
     def test_last_hybrid_info_fields(self, rng):
+        """The plan carries its own solve's info, and the aggregate's
+        ``last_*`` fields match it."""
         problem = random_balanced(rng, 70, 70)
         plan = solve_transportation_sinkhorn_hybrid(problem, epsilon=0.05, support_k=6)
-        info = last_hybrid_info()
+        info = plan.info
+        snap = HYBRID_METRICS.snapshot()
+        assert snap["last_support_density"] == info.support_density
+        assert snap["last_screen_error_bound"] == info.screen_error_bound
         assert info.screened
         assert info.n_cells == 70 * 70
         assert 0 < info.support_cells < info.n_cells

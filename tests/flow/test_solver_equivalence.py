@@ -46,10 +46,7 @@ from repro.flow import (
     solve_transportation_network_simplex,
     solve_transportation_ssp,
 )
-from repro.flow.sinkhorn_hybrid import (
-    last_hybrid_info,
-    solve_transportation_sinkhorn_hybrid,
-)
+from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 
 #: Cross-solver agreement budget (absolute, costs are O(1e3) at most).
 AGREE_TOL = 1e-9
@@ -430,7 +427,7 @@ def check_hybrid_tier(
     )
     # The certificate: actual error never exceeds the reported bound
     # ((C - OPT)/OPT <= (C - LB)/LB whenever LB <= OPT <= C).
-    info = last_hybrid_info()
+    info = plan.info
     assert info is not None and info.screened, f"{label}: expected a screened solve"
     if np.isfinite(info.screen_error_bound):
         assert rel <= info.screen_error_bound + 1e-9, (

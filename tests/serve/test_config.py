@@ -88,27 +88,25 @@ class TestLayerViews:
 
 
 class TestLegacyServiceShim:
-    def test_legacy_kwargs_warn_and_fold_into_config(self, tmp_path):
+    """The keyword spellings that predate ``EngineConfig`` are gone:
+    ``SNDService`` takes its configuration only as ``config=``."""
+
+    def test_legacy_kwargs_rejected(self, tmp_path):
         from repro.store import ExperimentStore
 
         path = str(tmp_path / "exp.sqlite")
         ExperimentStore(path).close()
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            service = SNDService(path, clusters=3, solver="exact", jobs=2)
-        with service:
-            assert service.config.clusters == 3
-            assert service.config.solver == "exact"
-            assert service.config.jobs == 2
-            # Property mirrors still answer the old surface.
-            assert service.clusters == 3
-            assert service.jobs == 2
+        for name, value in [("clusters", 3), ("solver", "auto"), ("jobs", 2),
+                            ("seed", 1), ("max_pending", 8)]:
+            with pytest.raises(TypeError, match=name):
+                SNDService(path, **{name: value})
 
     def test_config_plus_legacy_kwargs_rejected(self, tmp_path):
         from repro.store import ExperimentStore
 
         path = str(tmp_path / "exp.sqlite")
         ExperimentStore(path).close()
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             SNDService(path, config=EngineConfig(), clusters=3)
 
     def test_config_only_emits_no_warning(self, tmp_path):

@@ -251,6 +251,23 @@ class TestErrorMapping:
             metrics = resp.read().decode("utf-8")
         assert 'snd_http_requests_total{route="/distance",status="400"} 1' in metrics
 
+    def test_bare_key_error_is_500(self, server, monkeypatch, caplog):
+        """A plain KeyError inside a service call is a bug, not a lookup
+        miss: it gets the 500 envelope, is counted as a 500 and its
+        traceback is logged."""
+        def broken(*args, **kwargs):
+            raise KeyError("stale index")
+
+        monkeypatch.setattr(server.server.service, "distance_pair", broken)
+        status, body = _post(server, "/v1/distance", {"name": "t", "i": 0, "j": 1})
+        assert status == 500
+        assert body["error"]["code"] == "internal"
+        assert "stale index" in caplog.text
+        url = f"http://{server.host}:{server.port}/v1/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            metrics = resp.read().decode("utf-8")
+        assert 'snd_http_requests_total{route="/distance",status="500"} 1' in metrics
+
     def test_saturated_scheduler_503(self, server, monkeypatch):
         def saturated(*args, **kwargs):
             raise SchedulerSaturatedError("scheduler queue full (4096 pending)")
@@ -263,8 +280,8 @@ class TestErrorMapping:
 
 
 class TestApiVersioning:
-    """The /v1 prefix is canonical; unversioned paths are deprecated
-    aliases that keep serving but carry a ``Deprecation: true`` header."""
+    """Routes live under /v1 only; the old unversioned spellings get the
+    404 envelope like any other unknown path."""
 
     def _raw_get(self, server, path):
         url = f"http://{server.host}:{server.port}{path}"
@@ -279,22 +296,21 @@ class TestApiVersioning:
         assert status == 200
         assert "Deprecation" not in headers
 
-    def test_unversioned_alias_still_serves(self, server):
-        status, headers, body = self._raw_get(server, "/healthz")
-        assert status == 200
-        assert json.loads(body) == {"ok": True}
-        assert headers["Deprecation"] == "true"
+    def test_unversioned_path_not_found(self, server):
+        for path in ("/healthz", "/stats", "/metrics", "/corpora", "/bogus"):
+            status, headers, body = self._raw_get(server, path)
+            assert status == 404
+            assert "Deprecation" not in headers
+            error = json.loads(body)["error"]
+            assert error["code"] == "not_found"
+            assert error["message"] == f"no such route: GET {path}"
 
     def test_unversioned_post_alias(self, server):
         status, body = _post(server, "/distance", {"name": "t", "i": 0, "j": 1})
-        assert status == 200
-        assert body["distance"] >= 0
-
-    def test_unversioned_error_carries_deprecation(self, server):
-        status, headers, body = self._raw_get(server, "/bogus")
         assert status == 404
-        assert headers["Deprecation"] == "true"
-        assert json.loads(body)["error"]["code"] == "not_found"
+        assert body["error"]["code"] == "not_found"
+        _status, stats = _get(server, "/v1/stats")
+        assert stats["shards"] == {}  # nothing reached the service
 
     def test_client_identity_headers_reach_scheduler(self, server):
         url = f"http://{server.host}:{server.port}/v1/distance"

@@ -3,6 +3,7 @@ bridge, and a real-socket scrape of /v1/metrics with counter
 monotonicity across requests."""
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -239,8 +240,12 @@ class TestScrapeOverHttp:
                 == after['snd_http_request_duration_seconds_count{route="/distance"}']
             )
 
-    def test_metrics_alias_deprecated(self, store_path):
+    def test_metrics_alias_not_found(self, store_path):
         config = EngineConfig(clusters=2, persist_transitions=False)
         with BackgroundServer(SNDService(store_path, config=config)) as server:
-            _status, headers, _text = self._fetch(server, "/metrics")
-            assert headers["Deprecation"] == "true"
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._fetch(server, "/metrics")
+            assert excinfo.value.code == 404
+            assert "Deprecation" not in excinfo.value.headers
+            _status, _headers, text = self._fetch(server, "/v1/metrics")
+            assert 'snd_http_requests_total{route="other",status="404"} 1' in text

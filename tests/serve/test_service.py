@@ -186,11 +186,13 @@ class TestStatsAndLifecycle:
 
 class TestJobsSpellings:
     def test_zero_jobs_means_serial_at_service_boundary(self, store_path):
-        # jobs=0 is only reachable through the legacy-kwargs shim;
-        # EngineConfig itself rejects it.
-        with pytest.warns(DeprecationWarning):
-            svc = SNDService(store_path, clusters=2, jobs=0)
-        assert svc.jobs == 1
+        # A per-call jobs=0 (the HTTP ``jobs`` field) means serial, though
+        # EngineConfig and the library reject it.
+        config = EngineConfig(clusters=2, persist_transitions=False)
+        with SNDService(store_path, config=config) as svc:
+            serial = svc.series_distances("t", jobs=None)
+            assert np.array_equal(svc.series_distances("t", jobs=0), serial)
+            assert np.array_equal(svc.matrix("t", jobs=0), svc.matrix("t"))
 
     def test_normalise_jobs(self):
         assert SNDService._normalise_jobs(0) is None

@@ -1,4 +1,9 @@
-"""Tests for the batch SND engine: caches, series, windows, pairwise."""
+"""Tests for batch SND evaluation: caches, series, windows, pairwise.
+
+``SND.evaluate_series`` / ``SND.pairwise_matrix`` run a one-call engine
+over the instance caches; tests that need a thread executor or a
+non-default cache hierarchy hold an engine of their own.
+"""
 
 import pickle
 
@@ -8,8 +13,15 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.graph.generators import erdos_renyi_graph
 from repro.opinions.state import NetworkState, StateSeries
-from repro.snd import SND, DijkstraRowCache, GroundCostCache, TransitionCache
-from repro.snd.batch import _chunk_ranges, _missing_runs
+from repro.snd import (
+    SND,
+    CacheManager,
+    DijkstraRowCache,
+    GroundCostCache,
+    SNDEngine,
+    TransitionCache,
+)
+from repro.snd.scheduler import _chunk_ranges, _missing_runs
 
 
 def random_series(n: int, length: int, rng: np.random.Generator) -> StateSeries:
@@ -33,6 +45,18 @@ def distinct_series(n: int, length: int) -> StateSeries:
         values[: t + 1] = 1
         states.append(NetworkState(values))
     return StateSeries(states)
+
+
+def sweep(snd, series, *, jobs=None, executor="process", caches=None, **kwargs):
+    """``evaluate_series`` through an engine of the given shape."""
+    with SNDEngine(snd, jobs=jobs, executor=executor, caches=caches) as engine:
+        return engine.evaluate_series(series, **kwargs)
+
+
+def matrix_of(snd, states, *, jobs=None, executor="process", caches=None):
+    """``pairwise_matrix`` through an engine of the given shape."""
+    with SNDEngine(snd, jobs=jobs, executor=executor, caches=caches) as engine:
+        return engine.pairwise_matrix(states)
 
 
 @pytest.fixture(scope="module")
@@ -186,28 +210,32 @@ class TestDijkstraRowCache:
     def test_eviction_pressure_preserves_values(self, graph, snd, rng):
         series = random_series(40, 6, rng)
         reference = SND(graph, n_clusters=3, seed=0).pairwise_matrix(list(series))
-        pressured = SND(graph, n_clusters=3, seed=0).pairwise_matrix(
-            list(series), row_cache=DijkstraRowCache(1)
+        pressured = matrix_of(
+            SND(graph, n_clusters=3, seed=0),
+            list(series),
+            caches=CacheManager(rows=DijkstraRowCache(1)),
         )
         assert np.array_equal(reference, pressured)
 
 
 class TestEvaluateSeries:
     @pytest.mark.parametrize("trial", [1, 2, 3])
-    def test_cached_matches_naive_loop(self, snd, rng, trial):
+    def test_cached_matches_naive_loop(self, graph, rng, trial):
+        snd = SND(graph, n_clusters=3, seed=0)
         series = random_series(40, 8, rng)
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
-        cache = GroundCostCache()
-        batched = snd.evaluate_series(series, cache=cache)
+        batched = snd.evaluate_series(series)
         assert np.max(np.abs(batched - naive)) <= 1e-9
-        assert cache.builds <= 2 * (len(series) - 1) + 2
+        assert snd.ground_cache.builds <= 2 * (len(series) - 1) + 2
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_parallel_matches_naive_loop(self, snd, rng, executor):
         series = random_series(40, 8, rng)
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
-        batched = snd.evaluate_series(series, jobs=2, executor=executor)
+        batched = sweep(snd, series, jobs=2, executor=executor)
         assert np.max(np.abs(batched - naive)) <= 1e-9
+        if executor == "process":
+            assert np.array_equal(snd.evaluate_series(series, jobs=2), batched)
 
     def test_distance_series_unchanged(self, snd, rng):
         series = random_series(40, 6, rng)
@@ -221,13 +249,13 @@ class TestEvaluateSeries:
     def test_more_jobs_than_transitions(self, snd, rng):
         series = random_series(40, 3, rng)
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
-        batched = snd.evaluate_series(series, jobs=16, executor="thread")
+        batched = sweep(snd, series, jobs=16, executor="thread")
         assert np.max(np.abs(batched - naive)) <= 1e-9
 
     def test_unknown_executor_rejected(self, snd, rng):
         series = random_series(40, 4, rng)
         with pytest.raises(ValidationError):
-            snd.evaluate_series(series, jobs=2, executor="gpu")
+            sweep(snd, series, jobs=2, executor="gpu")
 
     def test_instance_cache_shared_across_calls(self, graph, rng):
         snd = SND(graph, n_clusters=3, seed=0)
@@ -241,9 +269,9 @@ class TestEvaluateSeries:
         snd = SND(graph, n_clusters=3, seed=0)
         series = random_series(40, 6, rng)
         cache = TransitionCache()
-        first = snd.evaluate_series(series, transitions=cache)
+        first = sweep(snd, series, transitions=cache)
         solved = cache.fresh
-        second = snd.evaluate_series(series, transitions=cache)
+        second = sweep(snd, series, transitions=cache)
         assert np.array_equal(first, second)
         assert cache.fresh == solved  # nothing re-solved
 
@@ -262,21 +290,21 @@ class TestSlidingWindow:
         fresh = SND(graph, n_clusters=3, seed=0)
         snd = SND(graph, n_clusters=3, seed=0)
         window = 4
-        cache = TransitionCache()
         for start in range(len(series) - window + 1):
             sub = series[start : start + window]
-            windowed = snd.evaluate_series(sub, transitions=cache)
-            scratch = fresh.evaluate_series(sub, cache=GroundCostCache())
+            windowed = snd.evaluate_series(sub, window=window)
+            fresh.caches.clear()
+            scratch = fresh.evaluate_series(sub)
             assert np.array_equal(windowed, scratch), f"shift {start} diverged"
 
     def test_one_fresh_transition_per_shift(self, graph):
         series = distinct_series(40, 8)
         snd = SND(graph, n_clusters=3, seed=0)
         window = 4
-        cache = TransitionCache()
+        cache = snd.transition_cache
         for start in range(len(series) - window + 1):
             before = cache.fresh
-            snd.evaluate_series(series[start : start + window], transitions=cache)
+            snd.evaluate_series(series[start : start + window], window=window)
             fresh = cache.fresh - before
             expected = window - 1 if start == 0 else 1
             assert fresh == expected, f"shift {start}: {fresh} fresh != {expected}"
@@ -286,9 +314,7 @@ class TestSlidingWindow:
         series = distinct_series(40, 6)
         scratch = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
         snd = SND(graph, n_clusters=3, seed=0)
-        windowed = snd.evaluate_series(
-            series, window=4, jobs=2, executor=executor
-        )
+        windowed = sweep(snd, series, window=4, jobs=2, executor=executor)
         assert np.array_equal(scratch, windowed)
         assert snd.transition_cache.fresh == len(series) - 1
 
@@ -299,29 +325,27 @@ class TestSlidingWindow:
         window = 5
         cache = snd.transition_cache
         reference = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
-        for start in range(len(series) - window + 1):
-            before = cache.fresh
-            vals = snd.evaluate_series(
-                series[start : start + window],
-                jobs=2,
-                executor=executor,
-                transitions=cache,
-            )
-            assert np.array_equal(vals, reference[start : start + window - 1])
-            expected = window - 1 if start == 0 else 1
-            assert cache.fresh - before == expected
+        with SNDEngine(snd, jobs=2, executor=executor) as engine:
+            for start in range(len(series) - window + 1):
+                before = cache.fresh
+                vals = engine.evaluate_series(
+                    series[start : start + window], transitions=cache
+                )
+                assert np.array_equal(vals, reference[start : start + window - 1])
+                expected = window - 1 if start == 0 else 1
+                assert cache.fresh - before == expected
 
     def test_ground_cache_eviction_pressure(self, graph):
         # A one-entry ground-cost cache forces constant rebuilds; values
         # and the one-fresh-per-shift contract must survive.
         series = distinct_series(40, 6)
         scratch = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
-        snd = SND(graph, n_clusters=3, seed=0)
-        windowed = snd.evaluate_series(
-            series, window=3, cache=GroundCostCache(maxsize=1)
+        caches = CacheManager(ground_size=1)
+        windowed = sweep(
+            SND(graph, n_clusters=3, seed=0), series, window=3, caches=caches
         )
         assert np.array_equal(scratch, windowed)
-        assert snd.transition_cache.fresh == len(series) - 1
+        assert caches.transitions.fresh == len(series) - 1
 
     def test_window_larger_than_series(self, graph, rng):
         series = random_series(40, 5, rng)
@@ -352,13 +376,13 @@ class TestSlidingWindow:
         pressure, one fresh transition per shift."""
         series = random_series(40, 9, rng)
         scratch = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
-        snd = SND(graph, n_clusters=3, seed=0)
-        windowed = snd.evaluate_series(
+        windowed = sweep(
+            SND(graph, n_clusters=3, seed=0),
             series,
             window=window,
             jobs=2,
             executor=executor,
-            cache=GroundCostCache(maxsize=2),
+            caches=CacheManager(ground_size=2),
         )
         assert np.array_equal(scratch, windowed)
 
@@ -384,14 +408,29 @@ class TestPairwiseMatrix:
     def test_parallel_matches_serial(self, snd, rng, executor):
         series = random_series(40, 5, rng)
         serial = snd.pairwise_matrix(series)
-        parallel = snd.pairwise_matrix(series, jobs=3, executor=executor)
-        assert np.max(np.abs(serial - parallel)) <= 1e-9
+        parallel = matrix_of(snd, series, jobs=3, executor=executor)
+        assert np.array_equal(serial, parallel)
+        if executor == "process":
+            assert np.array_equal(snd.pairwise_matrix(series, jobs=3), serial)
 
-    def test_build_count_linear_in_states(self, snd, rng):
+    def test_build_count_linear_in_states(self, graph, rng):
+        snd = SND(graph, n_clusters=3, seed=0)
         states = list(random_series(40, 6, rng))
-        cache = GroundCostCache(maxsize=4 * len(states))
-        snd.pairwise_matrix(states, cache=cache)
-        assert cache.builds <= 2 * len(states)
+        snd.pairwise_matrix(states)
+        assert snd.ground_cache.builds <= 2 * len(states)
+
+    def test_large_matrix_leaves_instance_ground_cache_unchanged(self, graph):
+        # More states than the instance cache holds: the call builds each
+        # state's arrays once in a right-sized cache of its own and does
+        # not grow the instance cache to 2·N.
+        snd = SND(graph, n_clusters=3, seed=0)
+        n = snd.ground_cache.maxsize // 2 + 1
+        states = [NetworkState.from_active_sets(40, positive=[k]) for k in range(n)]
+        maxsize = snd.ground_cache.maxsize
+        matrix = snd.pairwise_matrix(states)
+        assert matrix.shape == (n, n)
+        assert snd.ground_cache.maxsize == maxsize
+        assert snd.ground_cache.builds == 0
 
     def test_empty_input(self, snd):
         out = snd.pairwise_matrix([])
@@ -404,16 +443,14 @@ class TestPairwiseMatrix:
     @pytest.mark.parametrize("executor", ["process", "thread"])
     def test_degenerate_sizes_with_jobs(self, snd, executor):
         # 0/1-state inputs return before any pool is created, jobs or not.
-        assert snd.pairwise_matrix([], jobs=2, executor=executor).shape == (0, 0)
-        one = snd.pairwise_matrix(
-            [NetworkState.neutral(40)], jobs=2, executor=executor
-        )
+        assert matrix_of(snd, [], jobs=2, executor=executor).shape == (0, 0)
+        one = matrix_of(snd, [NetworkState.neutral(40)], jobs=2, executor=executor)
         assert one.shape == (1, 1) and one[0, 0] == 0.0
 
     def test_two_states_single_pair(self, snd, rng):
         states = list(random_series(40, 2, rng))
         serial = snd.pairwise_matrix(states)
-        threaded = snd.pairwise_matrix(states, jobs=4, executor="thread")
+        threaded = matrix_of(snd, states, jobs=4, executor="thread")
         assert np.array_equal(serial, threaded)
 
 

@@ -86,20 +86,20 @@ class TestCacheManager:
 
     def test_eviction_never_breaks_values(self, graph, snd):
         # A starved hierarchy must still produce bit-identical results.
-        from repro.snd.batch import evaluate_series
         from repro.opinions.state import StateSeries
+        from repro.snd import SNDEngine
 
         states = [
             NetworkState.from_active_sets(40, positive=list(range(k + 1)))
             for k in range(5)
         ]
         series = StateSeries(states)
-        reference = evaluate_series(snd, series)
+        reference = snd.evaluate_series(series)
         manager = CacheManager(memory_budget=1)
-        starved = evaluate_series(
-            snd, series, cache=manager.ground, row_cache=manager.rows
-        )
+        with SNDEngine(snd, jobs=None, caches=manager) as engine:
+            starved = engine.evaluate_series(series)
         assert np.array_equal(reference, starved)
+        assert manager.nbytes <= 1
 
     def test_ensure_ground_capacity_grows_only(self):
         manager = CacheManager(ground_size=4)

@@ -121,3 +121,32 @@ class TestSolverConsistencyAtScale:
         fast = SND(g, banks=banks, solver=solver).distance(a, b)
         direct = snd_direct(g, a, b, banks=banks)
         assert fast == pytest.approx(direct, rel=1e-6)
+
+
+class TestTermDiagnostics:
+    def test_hybrid_term_does_not_report_earlier_simplex_pivots(self):
+        """Pivots and the warm flag describe the solve behind the term's
+        own cost: a sinkhorn-hybrid term handed a basis cache but no basis
+        key runs the hybrid's LP backend, so it reports no simplex work
+        even right after a network-simplex term on the same thread."""
+        from repro.opinions.state import POSITIVE
+        from repro.snd.cache import BasisCache
+
+        g = erdos_renyi_graph(60, 0.1, seed=4)
+        banks = allocate_banks(g, n_clusters=3, seed=0)
+        a = NetworkState.from_active_sets(60, positive=list(range(0, 24, 2)))
+        b = NetworkState.from_active_sets(60, positive=list(range(30, 50, 2)))
+
+        simplex_stats = FastTermStats()
+        SND(g, banks=banks, solver="network-simplex").term(
+            a, b, POSITIVE, stats=simplex_stats
+        )
+        assert simplex_stats.pivots > 0
+
+        hybrid_stats = FastTermStats()
+        SND(g, banks=banks, solver="sinkhorn-hybrid").term(
+            b, a, POSITIVE, basis_cache=BasisCache(), stats=hybrid_stats
+        )
+        assert hybrid_stats.solver == "sinkhorn-hybrid"
+        assert hybrid_stats.pivots == 0
+        assert hybrid_stats.warm_start is False
