@@ -296,14 +296,26 @@ class TestApiVersioning:
         assert status == 200
         assert "Deprecation" not in headers
 
-    def test_unversioned_path_not_found(self, server):
+    def test_unversioned_alias_still_serves(self, server):
+        """An old unversioned spelling is answered with the 404 not_found
+        envelope, like any unknown path, and the server keeps serving."""
         for path in ("/healthz", "/stats", "/metrics", "/corpora", "/bogus"):
-            status, headers, body = self._raw_get(server, path)
+            status, _headers, body = self._raw_get(server, path)
             assert status == 404
-            assert "Deprecation" not in headers
             error = json.loads(body)["error"]
             assert error["code"] == "not_found"
             assert error["message"] == f"no such route: GET {path}"
+        status, _headers, body = self._raw_get(server, "/v1/healthz")
+        assert status == 200
+        assert json.loads(body) == {"ok": True}
+
+    def test_unversioned_error_carries_deprecation(self, server):
+        """Unversioned paths are no longer deprecated aliases but unknown
+        routes: their 404 carries no ``Deprecation`` header."""
+        for path in ("/healthz", "/stats", "/metrics", "/corpora", "/bogus"):
+            status, headers, _body = self._raw_get(server, path)
+            assert status == 404
+            assert "Deprecation" not in headers
 
     def test_unversioned_post_alias(self, server):
         status, body = _post(server, "/distance", {"name": "t", "i": 0, "j": 1})
