@@ -13,12 +13,11 @@ Two different needs, two different algorithms:
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.exceptions import ClusteringError
 from repro.graph.digraph import DiGraph
+from repro.graph.traversal import bfs_distances
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive_int
 
@@ -109,25 +108,26 @@ def balanced_bfs_partition(
 ) -> list[np.ndarray]:
     """Partition nodes into *n_clusters* connected, size-balanced chunks.
 
+    Clusters grow along *graph*'s edges as stored; pass
+    ``graph.to_undirected()`` for chunks that ignore edge direction, as
+    bank allocation does.
+
     Seeds are chosen greedily far apart (k-center style on hop distance),
-    then clusters grow by synchronized BFS; each frontier step assigns
-    unclaimed nodes to the smallest adjacent cluster. Isolated leftovers are
-    assigned to the globally smallest cluster, which keeps the result a true
-    partition even on disconnected graphs.
+    then clusters grow by synchronized BFS, smallest cluster first: each
+    step claims every unclaimed neighbour of the cluster's frontier, and
+    those nodes become its next frontier. Leftovers no cluster can reach
+    are assigned to the globally smallest cluster, which keeps the result
+    a true partition even on disconnected graphs.
     """
     check_positive_int(n_clusters, "n_clusters")
     n = graph.num_nodes
     if n_clusters > n:
         raise ClusteringError(f"cannot make {n_clusters} clusters from {n} nodes")
     rng = as_rng(seed)
-    undirected = graph.to_undirected()
-    indptr, indices = undirected.indptr, undirected.indices
-
-    from repro.graph.traversal import bfs_distances
 
     seeds = [int(rng.integers(n))]
     for _ in range(n_clusters - 1):
-        dist = bfs_distances(undirected, seeds)
+        dist = bfs_distances(graph, seeds)
         unreached = dist < 0
         if unreached.any():
             candidates = np.flatnonzero(unreached)
@@ -136,37 +136,27 @@ def balanced_bfs_partition(
             seeds.append(int(np.argmax(dist)))
 
     assignment = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(n_clusters, dtype=np.int64)
-    frontiers: list[deque[int]] = []
-    for ci, s in enumerate(seeds):
-        assignment[s] = ci
-        sizes[ci] += 1
-        frontiers.append(deque([s]))
-
+    assignment[seeds] = np.arange(n_clusters)
+    sizes = np.ones(n_clusters, dtype=np.int64)
+    frontiers = [np.array([s], dtype=np.int64) for s in seeds]
     remaining = n - n_clusters
     while remaining > 0:
         progressed = False
         # Grow smallest-first so sizes stay balanced.
         for ci in np.argsort(sizes, kind="stable"):
-            frontier = frontiers[ci]
-            steps = len(frontier)
-            for _ in range(steps):
-                u = frontier.popleft()
-                for v in indices[indptr[u] : indptr[u + 1]]:
-                    if assignment[v] < 0:
-                        assignment[v] = ci
-                        sizes[ci] += 1
-                        remaining -= 1
-                        frontier.append(int(v))
-                        progressed = True
+            neighbours = graph.indices[graph.out_edge_ids(frontiers[ci])]
+            claimed = np.unique(neighbours[assignment[neighbours] < 0])
+            assignment[claimed] = ci
+            sizes[ci] += claimed.size
+            remaining -= claimed.size
+            frontiers[ci] = claimed
+            progressed = progressed or claimed.size > 0
             if remaining == 0:
                 break
         if not progressed:
-            # Disconnected leftovers: dump them into the smallest cluster.
             leftovers = np.flatnonzero(assignment < 0)
             smallest = int(np.argmin(sizes))
             assignment[leftovers] = smallest
-            sizes[smallest] += len(leftovers)
             remaining = 0
     return partition_from_labels(assignment)
 

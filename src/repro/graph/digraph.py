@@ -248,6 +248,13 @@ class DiGraph:
         u = self._check_node(u)
         return int(self._indptr[u]), int(self._indptr[u + 1])
 
+    def out_edge_ids(self, nodes: np.ndarray) -> np.ndarray:
+        """Ids of the edges leaving each of *nodes*, concatenated in order."""
+        starts = self._indptr[nodes]
+        counts = self._indptr[nodes + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
     def in_neighbors(self, u: int) -> np.ndarray:
         """Sources of edges entering *u* (from the cached reverse CSR)."""
         self._ensure_reverse()
@@ -384,16 +391,12 @@ class DiGraph:
             raise NodeError("subgraph nodes out of range")
         relabel = -np.ones(self._n, dtype=np.int64)
         relabel[nodes_arr] = np.arange(len(nodes_arr))
-        sub_edges = []
-        sub_weights = []
-        for new_u, u in enumerate(nodes_arr):
-            lo, hi = self._indptr[u], self._indptr[u + 1]
-            for k in range(lo, hi):
-                v = self._indices[k]
-                if relabel[v] >= 0:
-                    sub_edges.append((new_u, relabel[v]))
-                    sub_weights.append(self._weights[k])
-        return DiGraph(len(nodes_arr), sub_edges, sub_weights), nodes_arr
+        eids = self.out_edge_ids(nodes_arr)
+        sources = np.repeat(np.arange(len(nodes_arr)), np.diff(self._indptr)[nodes_arr])
+        targets = relabel[self._indices[eids]]
+        keep = targets >= 0
+        sub_edges = np.column_stack([sources[keep], targets[keep]])
+        return DiGraph(len(nodes_arr), sub_edges, self._weights[eids[keep]]), nodes_arr
 
     # ------------------------------------------------------------------ #
     # Interop

@@ -23,25 +23,16 @@ _UNREACHED = -1
 def bfs_distances(graph: DiGraph, sources: int | list[int]) -> np.ndarray:
     """Hop distances from *sources* (a node or a set of nodes) to every node.
 
-    Unreachable nodes get ``-1``.
+    Unreachable nodes get ``-1`` (every node does for an empty source list).
     """
-    if isinstance(sources, (int, np.integer)):
-        sources = [int(sources)]
+    from scipy.sparse.csgraph import dijkstra
+
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    unit = graph.to_scipy_csr(np.ones(graph.num_edges))
+    hops = dijkstra(unit, indices=sources, unweighted=True, min_only=True)
     dist = np.full(graph.num_nodes, _UNREACHED, dtype=np.int64)
-    queue: deque[int] = deque()
-    for s in sources:
-        s = int(s)
-        if dist[s] == _UNREACHED:
-            dist[s] = 0
-            queue.append(s)
-    indptr, indices = graph.indptr, graph.indices
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if dist[v] == _UNREACHED:
-                dist[v] = du + 1
-                queue.append(v)
+    reached = np.isfinite(hops)
+    dist[reached] = hops[reached]
     return dist
 
 

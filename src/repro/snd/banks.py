@@ -13,8 +13,11 @@ Three strategies mirror the design space the paper sketches:
 ``γ ≥ ½ · max intra-cluster D`` without computing intra-cluster diameters
 exactly: for any node v of cluster C, the hop-eccentricity bound
 ``diam(C) ≤ 2·ecc(v)`` gives ``max D ≤ U·2·ecc(v)``, so ``γ = U·ecc(v)``
-is always safe. Multiple banks per cluster get geometrically spaced γ
-(γ, 2γ, ...), modelling non-constant disposal cost.
+is safe **provided C induces a connected subgraph**. The cluster that
+collects the leftovers of a graph with more weak components than clusters
+breaks that precondition: ``ecc(v)`` then only covers v's own piece, and γ
+can fall below the threshold. Multiple banks per cluster get geometrically
+spaced γ (γ, 2γ, ...), modelling non-constant disposal cost.
 """
 
 from __future__ import annotations
@@ -78,13 +81,16 @@ class BankAllocation:
 
 
 def _cluster_gamma(
-    graph: DiGraph, members: np.ndarray, hop_cost: float, n_banks: int
+    undirected: DiGraph, members: np.ndarray, hop_cost: float, n_banks: int
 ) -> np.ndarray:
-    """γ ladder for one cluster: hop eccentricity times a per-hop cost."""
-    sub, _ = graph.to_undirected().subgraph(members)
-    dist = bfs_distances(sub, 0)
-    reach = dist[dist >= 0]
-    ecc = int(reach.max()) if reach.size else 0
+    """γ ladder for one cluster: the hop eccentricity of its first member
+    inside the cluster's induced subgraph, times a per-hop cost.
+
+    The ladder meets the Theorem 3 threshold only when that subgraph is
+    connected (see the module docstring).
+    """
+    sub, _ = undirected.subgraph(members)
+    ecc = int(bfs_distances(sub, 0).max())
     base = float(hop_cost) * max(1, ecc)
     return base * (2.0 ** np.arange(n_banks))
 
@@ -132,6 +138,7 @@ def allocate_banks(
     if n == 0:
         raise ValidationError("cannot allocate banks on an empty graph")
     rng = as_rng(seed)
+    undirected = graph.to_undirected()
 
     if strategy == "global":
         clusters = [np.arange(n, dtype=np.int64)]
@@ -141,7 +148,7 @@ def allocate_banks(
         if n_clusters is None:
             n_clusters = max(2, int(round(np.sqrt(n) / 4)))
         n_clusters = min(n_clusters, n)
-        clusters = balanced_bfs_partition(graph, n_clusters, seed=rng)
+        clusters = balanced_bfs_partition(undirected, n_clusters, seed=rng)
     else:
         raise ValidationError(
             f"unknown bank strategy {strategy!r}; "
@@ -160,7 +167,7 @@ def allocate_banks(
             # (the Theorem 3 bound is 0 for singletons).
             ladder = 0.5 * scale * (2.0 ** np.arange(n_banks))
         else:
-            ladder = _cluster_gamma(graph, np.asarray(members), scale, n_banks)
+            ladder = _cluster_gamma(undirected, np.asarray(members), scale, n_banks)
         gammas.append(gamma_scale * ladder)
 
     return BankAllocation(

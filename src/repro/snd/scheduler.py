@@ -102,25 +102,6 @@ def _chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _missing_runs(missing: list[int], jobs: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` runs over *missing* (sorted indices),
-    with long runs split so the task count roughly matches *jobs*."""
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(missing):
-        j = i
-        while j + 1 < len(missing) and missing[j + 1] == missing[j] + 1:
-            j += 1
-        runs.append((missing[i], missing[j] + 1))
-        i = j + 1
-    target = max(1, -(-len(missing) // max(1, jobs)))  # ceil division
-    tasks: list[tuple[int, int]] = []
-    for start, stop in runs:
-        for a, b in _chunk_ranges(stop - start, -(-(stop - start) // target)):
-            tasks.append((start + a, start + b))
-    return tasks
-
-
 def resolve_jobs(jobs) -> int:
     """Normalise a ``jobs`` request to a worker count.
 

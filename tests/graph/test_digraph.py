@@ -1,10 +1,12 @@
 """Unit tests for the CSR DiGraph."""
 
+import bank_reference
 import numpy as np
 import pytest
 
 from repro.exceptions import EdgeError, GraphError, NodeError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi_graph
 
 
 class TestConstruction:
@@ -154,6 +156,24 @@ class TestDerivedGraphs:
         assert sub.has_edge(0, 1)  # 1 -> 2 relabelled
         assert sub.has_edge(1, 2)  # 2 -> 3 relabelled
         assert not sub.has_edge(0, 2)
+
+    def test_subgraph_matches_reference(self):
+        g = erdos_renyi_graph(30, 0.2, seed=5, directed=True)
+        g = g.with_weights(np.arange(g.num_edges) + 0.5)
+        nodes = [17, 3, 25, 8, 0, 12, 29, 4]
+        sub, ids = g.subgraph(nodes)
+        want = bank_reference.subgraph(g, nodes)
+        assert ids.tolist() == nodes
+        assert sub == want
+        assert np.array_equal(sub.weights, want.weights)
+        # Relabelled in the given order, weights carried along.
+        induced = [
+            (i, j, g.edge_weight(u, v))
+            for i, u in enumerate(nodes)
+            for j, v in enumerate(nodes)
+            if g.has_edge(u, v)
+        ]
+        assert induced and sorted(sub.edges()) == sorted(induced)
 
     def test_from_undirected_edges(self):
         g = DiGraph.from_undirected_edges(3, [(0, 1), (1, 2)])

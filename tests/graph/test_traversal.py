@@ -1,5 +1,6 @@
 """Tests for BFS and connectivity."""
 
+import bank_reference
 import numpy as np
 import pytest
 
@@ -30,6 +31,17 @@ class TestBfs:
     def test_tree_predecessors(self, line_graph):
         pred = bfs_tree(line_graph, 0)
         assert pred.tolist() == [-1, 0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "sources", [0, [4, 11, 27], [9, 9, 2, 9], np.array([33, 0]), []]
+    )
+    def test_matches_reference_on_directed_graph(self, sources):
+        g = erdos_renyi_graph(40, 0.04, seed=3, directed=True)
+        want = bank_reference.bfs_distances(g, sources)
+        got = bfs_distances(g, sources)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert (want < 0).any()  # some nodes are unreachable (all of them for [])
 
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")

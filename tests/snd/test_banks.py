@@ -1,10 +1,15 @@
 """Tests for bank allocation strategies."""
 
+import functools
+
+import bank_reference
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import giant_component_powerlaw
 from repro.exceptions import ValidationError
 from repro.graph.generators import erdos_renyi_graph, two_cluster_graph
+from repro.graph.traversal import weakly_connected_components
 from repro.snd.banks import BankAllocation, allocate_banks
 
 
@@ -95,3 +100,72 @@ class TestBankAllocation:
 
         with pytest.raises(ValidationError):
             allocate_banks(DiGraph(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _powerlaw(n: int):
+    """The benchmark's deployment graph family (power-law giant component)."""
+    return giant_component_powerlaw(n, -2.3, k_min=2, seed=1)
+
+
+def _assert_matches_reference(graph, **kwargs):
+    banks = allocate_banks(graph, **kwargs)
+    clusters, gammas = bank_reference.allocate_banks(graph, **kwargs)
+    assert banks.n_clusters == len(clusters)
+    for got, want in zip(banks.clusters, clusters):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for got, want in zip(banks.gammas, gammas):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestBankLayoutOracle:
+    """``allocate_banks`` is bitwise equal to the pure-Python reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_powerlaw_2k(self, seed):
+        _assert_matches_reference(_powerlaw(2000), n_clusters=24, seed=seed)
+
+    def test_leftovers_dumped_into_smallest_cluster(self):
+        g = erdos_renyi_graph(40, 0.03, seed=0)
+        assert np.unique(weakly_connected_components(g)).size > 3
+        _assert_matches_reference(g, n_clusters=3, seed=0)
+
+    def test_directed_asymmetric_graph(self):
+        g = erdos_renyi_graph(60, 0.05, seed=2, directed=True)
+        assert g.num_edges < g.to_undirected().num_edges
+        _assert_matches_reference(g, n_clusters=4, seed=1)
+
+    def test_bank_ladder_and_hop_cost(self):
+        _assert_matches_reference(
+            _powerlaw(2000), n_clusters=24, n_banks=3, hop_cost=2.5, seed=0
+        )
+
+    def test_global_strategy(self):
+        g = erdos_renyi_graph(50, 0.08, seed=4, directed=True)
+        _assert_matches_reference(g, strategy="global", n_banks=2, gamma_scale=0.5)
+
+    @pytest.mark.slow
+    def test_powerlaw_20k(self):
+        _assert_matches_reference(_powerlaw(20_000), n_clusters=24, seed=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="γ = U·ecc(v) assumes a connected cluster; the leftover cluster "
+        "of a graph with more weak components than clusters is not",
+    )
+    def test_leftover_cluster_gamma_meets_threshold(self):
+        from repro.opinions.models.model_agnostic import ModelAgnostic
+        from repro.opinions.state import NetworkState
+        from repro.snd.direct import dense_ground_distance
+        from repro.snd.ground import GroundDistanceConfig
+
+        g = erdos_renyi_graph(40, 0.03, seed=0)
+        banks = allocate_banks(g, n_clusters=3, max_cost=16, seed=0)
+        config = GroundDistanceConfig(model=ModelAgnostic(), max_cost=16)
+        dense = dense_ground_distance(
+            g, NetworkState.neutral(g.num_nodes), 1, config=config
+        )
+        for members, gammas in zip(banks.clusters, banks.gammas):
+            assert gammas[0] >= 0.5 * dense[np.ix_(members, members)].max()

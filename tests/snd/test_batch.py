@@ -21,7 +21,7 @@ from repro.snd import (
     SNDEngine,
     TransitionCache,
 )
-from repro.snd.scheduler import _chunk_ranges, _missing_runs
+from repro.snd.scheduler import _chunk_ranges
 
 
 def random_series(n: int, length: int, rng: np.random.Generator) -> StateSeries:
@@ -556,14 +556,3 @@ class TestChunking:
     def test_degenerate_chunk_counts(self):
         assert _chunk_ranges(5, 0) == [(0, 5)]
         assert _chunk_ranges(5, -2) == [(0, 5)]
-
-    def test_missing_runs_contiguity(self):
-        # Non-contiguous missing indices split into contiguous tasks.
-        tasks = _missing_runs([0, 1, 2, 5, 6, 9], jobs=2)
-        covered = sorted(t for a, b in tasks for t in range(a, b))
-        assert covered == [0, 1, 2, 5, 6, 9]
-        for a, b in tasks:
-            assert b > a
-
-    def test_missing_runs_single_gap(self):
-        assert _missing_runs([4], jobs=8) == [(4, 5)]
