@@ -1,8 +1,9 @@
 """Legacy setup shim.
 
 All metadata lives in pyproject.toml (PEP 621); this file exists so that
-``pip install -e .`` succeeds in offline environments where the PEP 660
-editable build cannot fetch the ``wheel`` package.
+``python setup.py develop`` can install the package in offline
+environments without the ``wheel`` package, where the PEP 660 editable
+build of ``pip install -e .`` fails.
 """
 
 from setuptools import setup

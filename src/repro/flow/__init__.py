@@ -11,8 +11,8 @@ exact solvers are provided:
   instances (sliding windows, corpus appends);
 * :func:`solve_transportation_ssp` — successive shortest paths with
   potentials over the bipartite min-cost-flow form
-  (:func:`solve_mcf_ssp`: heap-free vectorised Dijkstra kernel, heap
-  kernel without scipy); the paper's own solver, kept for the ablation;
+  (:func:`solve_mcf_ssp`, one scipy csgraph Dijkstra per augmentation);
+  the paper's own solver, kept for the ablation;
 * :func:`solve_transportation_lp` — :func:`scipy.optimize.linprog`
   reference (the paper's CPLEX role in Fig. 11) and the independent
   oracle of the equivalence tests.
@@ -36,13 +36,12 @@ from repro.flow.network_simplex import solve_transportation_network_simplex
 from repro.flow.problem import MinCostFlowProblem, TransportationProblem
 from repro.flow.sinkhorn import solve_transportation_sinkhorn
 from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
-from repro.flow.ssp import select_mcf_kernel, solve_mcf_ssp, solve_transportation_ssp
+from repro.flow.ssp import solve_mcf_ssp, solve_transportation_ssp
 
 __all__ = [
     "TransportationProblem",
     "MinCostFlowProblem",
     "TransportBasis",
-    "select_mcf_kernel",
     "select_transport_method",
     "solve_mcf_ssp",
     "solve_transportation_ssp",

@@ -23,9 +23,8 @@ uses a cheap regularised solve to decide *which cells can matter*:
 4. **Exact solve on the support** — the restricted problem is solved
    *exactly* with the library's own backends: the sparse SSP min-cost-flow
    kernel over support arcs only, or the HiGHS LP on a sparse
-   column-restricted constraint matrix (``exact_backend="auto"`` picks LP
-   when scipy is importable). Arc count drops from ``n·m`` to
-   ``O(k·(n+m))``.
+   column-restricted constraint matrix (``exact_backend="auto"`` picks
+   LP). Arc count drops from ``n·m`` to ``O(k·(n+m))``.
 
 The result is a **feasible plan whose cost upper-bounds the exact
 optimum** (it is the exact optimum over a restricted arc set). A certified
@@ -380,14 +379,7 @@ def _resolve_backend(exact_backend: str) -> str:
         raise ValidationError(
             f"exact_backend must be one of {_EXACT_BACKENDS}, got {exact_backend!r}"
         )
-    if exact_backend != "auto":
-        return exact_backend
-    try:
-        import scipy.optimize  # noqa: F401
-
-        return "lp"
-    except ImportError:  # pragma: no cover - scipy-less hosts
-        return "ssp"
+    return "lp" if exact_backend == "auto" else exact_backend
 
 
 # --------------------------------------------------------------------- #
@@ -426,7 +418,7 @@ def solve_transportation_sinkhorn_hybrid(
         min-cost flow over support arcs), ``"lp"`` (sparse HiGHS),
         ``"network-simplex"`` (warm-startable sparse simplex — the only
         backend that consumes *basis* / produces *return_basis*), or
-        ``"auto"`` (LP when scipy is importable).
+        ``"auto"`` (LP).
     max_iter, tolerance:
         Screening iteration budget (split across the ε-scaling stages)
         and marginal-violation stop threshold. Screening accuracy only

@@ -8,80 +8,35 @@ node, and for transportation-shaped instances the number of augmentations is
 bounded by ``n_suppliers + n_consumers``, which is what makes it fast on the
 reduced problems produced by the SND pipeline (Theorem 4).
 
-Two Dijkstra kernels drive the augmentations:
-
-* ``"vector"`` — heap-free: the residual adjacency is kept as one CSR
-  structure whose weight buffer is rewritten (reduced costs, unusable arcs
-  masked to ``inf``) between augmentations. Shortest paths come from
-  :func:`scipy.sparse.csgraph.dijkstra` when scipy is importable, and from
-  a pure-numpy masked-``argmin`` round loop otherwise. With scipy this is
-  the fast path on every measured instance shape (the per-node
-  Python/heap overhead dominates the original loop).
-* ``"heap"`` — the original indexed-binary-heap loop. It remains the
-  scipy-less choice, where the ``O(n²)`` argmin fallback loses to a
-  targeted heap search.
-
-``kernel="auto"`` (the default) picks between them; see
-:func:`select_mcf_kernel`. All kernels are exact and agree to numerical
-tolerance — property-tested in ``tests/flow/test_solver_equivalence.py``.
+The residual adjacency is kept as one CSR structure whose weight buffer is
+rewritten (reduced costs, unusable arcs masked to ``inf``) between
+augmentations, and each augmenting path comes from one
+:func:`scipy.sparse.csgraph.dijkstra` call. The solver is exact and agrees
+with the other exact solvers to numerical tolerance — property-tested in
+``tests/flow/test_solver_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
-from repro.exceptions import InfeasibleFlowError, ValidationError
+from repro.exceptions import InfeasibleFlowError
 from repro.flow.plan import TransportPlan
 from repro.flow.problem import FlowSolution, MinCostFlowProblem, TransportationProblem
-from repro.heaps.binary_heap import IndexedBinaryHeap
 
-__all__ = ["select_mcf_kernel", "solve_mcf_ssp", "solve_transportation_ssp"]
+__all__ = ["solve_mcf_ssp", "solve_transportation_ssp"]
 
 _EPS = 1e-12
 
-try:  # scipy is the expected backend; the argmin rounds cover its absence
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-except ImportError:  # pragma: no cover - exercised via kernel="argmin"
-    _csr_matrix = None
-    _sp_dijkstra = None
 
-
-def select_mcf_kernel(n_nodes: int, n_arcs: int) -> str:
-    """The ``kernel="auto"`` policy.
-
-    With scipy present the vector kernel wins on every measured shape —
-    3-9x over the heap from the ~50-node reduced instances of the SND
-    pipeline up to n=2000 sparse MCFs (see benchmarks/README.md) — so it
-    is always selected. Without scipy the vector kernel degrades to the
-    O(n²)-per-Dijkstra masked-argmin rounds, which did not beat the heap
-    on any measured instance, so ``"heap"`` is kept. The shape arguments
-    are accepted for future tuning of that scipy-less boundary.
-    """
-    del n_nodes, n_arcs  # measured winner currently depends only on scipy
-    if _sp_dijkstra is not None:
-        return "vector"
-    return "heap"
-
-
-def solve_mcf_ssp(problem: MinCostFlowProblem, *, kernel: str = "auto") -> FlowSolution:
+def solve_mcf_ssp(problem: MinCostFlowProblem) -> FlowSolution:
     """Solve a balanced min-cost-flow problem exactly.
-
-    Parameters
-    ----------
-    kernel:
-        Dijkstra kernel: ``"auto"`` (default; see :func:`select_mcf_kernel`),
-        ``"vector"`` (heap-free CSR kernel, scipy-backed when available),
-        ``"argmin"`` (force the pure-numpy masked-argmin rounds of the
-        vector kernel), or ``"heap"`` (indexed binary heap).
 
     Raises :class:`InfeasibleFlowError` when the required flow cannot be
     routed (disconnected demand).
     """
-    if kernel not in ("auto", "vector", "argmin", "heap"):
-        raise ValidationError(
-            f"kernel must be 'auto', 'vector', 'argmin', or 'heap', got {kernel!r}"
-        )
     problem.validate_balance()
     tails, heads, caps, costs = problem.arrays()
     n = problem.n_nodes
@@ -137,37 +92,19 @@ def solve_mcf_ssp(problem: MinCostFlowProblem, *, kernel: str = "auto") -> FlowS
             n_total, source, arc_tail, arc_head, arc_cost, arc_res
         )
 
-    if kernel == "auto":
-        kernel = select_mcf_kernel(n_total, m_total)
-    if kernel in ("vector", "argmin"):
-        iterations = _augment_vector(
-            n_total,
-            source,
-            sink,
-            arc_tail,
-            arc_head,
-            arc_cost,
-            arc_res,
-            adj_arcs,
-            adj_ptr,
-            potential,
-            total_required,
-            use_scipy=(kernel == "vector" and _sp_dijkstra is not None),
-        )
-    else:
-        iterations = _augment_heap(
-            n_total,
-            source,
-            sink,
-            arc_tail,
-            arc_head,
-            arc_cost,
-            arc_res,
-            adj_arcs,
-            adj_ptr,
-            potential,
-            total_required,
-        )
+    iterations = _augment(
+        n_total,
+        source,
+        sink,
+        arc_tail,
+        arc_head,
+        arc_cost,
+        arc_res,
+        adj_arcs,
+        adj_ptr,
+        potential,
+        total_required,
+    )
 
     # Per-original-arc flow = residual of the backward arc.
     flows = arc_res[1 : 2 * m : 2].copy() if m else np.empty(0)
@@ -175,12 +112,7 @@ def solve_mcf_ssp(problem: MinCostFlowProblem, *, kernel: str = "auto") -> FlowS
     return FlowSolution(flows=flows, cost=cost, iterations=iterations)
 
 
-# --------------------------------------------------------------------- #
-# Heap kernel (reference path)
-# --------------------------------------------------------------------- #
-
-
-def _augment_heap(
+def _augment(
     n_total: int,
     source: int,
     sink: int,
@@ -193,105 +125,12 @@ def _augment_heap(
     potential: np.ndarray,
     total_required: float,
 ) -> int:
-    """Successive shortest paths with a per-augmentation heap Dijkstra.
-
-    Mutates ``arc_res`` (residuals after the optimal flow) and ``potential``
-    in place; returns the number of augmentations.
-    """
-    flow_sent = 0.0
-    iterations = 0
-    dist = np.empty(n_total, dtype=np.float64)
-    pred_arc = np.empty(n_total, dtype=np.int64)
-
-    while flow_sent < total_required - _EPS * max(1.0, total_required):
-        # Dijkstra on reduced costs from the super source.
-        dist.fill(np.inf)
-        pred_arc.fill(-1)
-        dist[source] = 0.0
-        heap = IndexedBinaryHeap(n_total)
-        heap.push(source, 0.0)
-        settled = np.zeros(n_total, dtype=bool)
-        while len(heap):
-            u, du = heap.pop()
-            if settled[u]:
-                continue
-            settled[u] = True
-            if u == sink:
-                break
-            for idx in range(adj_ptr[u], adj_ptr[u + 1]):
-                a = adj_arcs[idx]
-                if arc_res[a] <= _EPS:
-                    continue
-                v = arc_head[a]
-                if settled[v]:
-                    continue
-                reduced = arc_cost[a] + potential[u] - potential[v]
-                # Reduced costs are >= 0 up to float dust; clamp the dust.
-                if reduced < 0.0:
-                    reduced = 0.0
-                alt = du + reduced
-                if alt < dist[v] - _EPS:
-                    dist[v] = alt
-                    pred_arc[v] = a
-                    heap.push(int(v), alt)
-
-        if not np.isfinite(dist[sink]):
-            raise InfeasibleFlowError(
-                f"cannot route required flow: {total_required - flow_sent} "
-                f"units remain with the sink unreachable"
-            )
-
-        # Update potentials. With early termination, settled nodes have exact
-        # distances and unsettled/unreached ones are capped at dist[sink],
-        # which preserves non-negative reduced costs (standard SSP technique).
-        potential += np.minimum(dist, dist[sink])
-
-        # Find bottleneck along the source->sink path.
-        bottleneck = np.inf
-        v = sink
-        while v != source:
-            a = pred_arc[v]
-            bottleneck = min(bottleneck, arc_res[a])
-            v = int(arc_tail[a])
-        # Augment.
-        v = sink
-        while v != source:
-            a = pred_arc[v]
-            arc_res[a] -= bottleneck
-            arc_res[a ^ 1] += bottleneck
-            v = int(arc_tail[a])
-        flow_sent += bottleneck
-        iterations += 1
-    return iterations
-
-
-# --------------------------------------------------------------------- #
-# Vector kernel (heap-free)
-# --------------------------------------------------------------------- #
-
-
-def _augment_vector(
-    n_total: int,
-    source: int,
-    sink: int,
-    arc_tail: np.ndarray,
-    arc_head: np.ndarray,
-    arc_cost: np.ndarray,
-    arc_res: np.ndarray,
-    adj_arcs: np.ndarray,
-    adj_ptr: np.ndarray,
-    potential: np.ndarray,
-    total_required: float,
-    *,
-    use_scipy: bool,
-) -> int:
-    """Heap-free successive shortest paths over the CSR residual adjacency.
+    """Successive shortest paths over the CSR residual adjacency.
 
     The CSR weight buffer is rebuilt in a handful of vectorised operations
     between augmentations: reduced costs (clamped at zero against float
     dust), with saturated arcs masked to ``inf``. Shortest paths then come
-    from scipy's C Dijkstra, or from :func:`_dijkstra_argmin_rounds` when
-    scipy is unavailable. Mutates ``arc_res`` and ``potential`` in place;
+    from scipy's C Dijkstra. Mutates ``arc_res`` and ``potential`` in place;
     returns the number of augmentations.
     """
     # Sorted-by-tail views of the residual arc attributes. ``adj_arcs`` maps
@@ -300,13 +139,11 @@ def _augment_vector(
     csr_cost = arc_cost[adj_arcs]
     csr_tail_pot_idx = arc_tail[adj_arcs]
     weights = np.empty(len(adj_arcs), dtype=np.float64)
-    matrix = None
-    if use_scipy:
-        matrix = _csr_matrix(
-            (weights, csr_head.astype(np.int32), adj_ptr.astype(np.int32)),
-            shape=(n_total, n_total),
-            copy=False,
-        )
+    matrix = csr_matrix(
+        (weights, csr_head.astype(np.int32), adj_ptr.astype(np.int32)),
+        shape=(n_total, n_total),
+        copy=False,
+    )
 
     flow_sent = 0.0
     iterations = 0
@@ -318,15 +155,10 @@ def _augment_vector(
         np.maximum(weights, 0.0, out=weights)
         weights[arc_res[adj_arcs] <= _EPS] = np.inf
 
-        if matrix is not None:
-            matrix.data = weights  # rebind: csr_matrix(copy=False) may copy
-            dist, pred_node = _sp_dijkstra(
-                matrix, directed=True, indices=source, return_predecessors=True
-            )
-        else:
-            dist, pred_node = _dijkstra_argmin_rounds(
-                n_total, source, sink, weights, csr_head, adj_ptr
-            )
+        matrix.data = weights  # rebind: csr_matrix(copy=False) may copy
+        dist, pred_node = sp_dijkstra(
+            matrix, directed=True, indices=source, return_predecessors=True
+        )
 
         d_sink = dist[sink]
         if not np.isfinite(d_sink):
@@ -363,53 +195,6 @@ def _augment_vector(
     return iterations
 
 
-def _dijkstra_argmin_rounds(
-    n_total: int,
-    source: int,
-    sink: int,
-    weights: np.ndarray,
-    csr_head: np.ndarray,
-    adj_ptr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Heap-free Dijkstra: one masked-``argmin`` round per settled node.
-
-    ``weights`` are the CSR-ordered reduced costs with unusable arcs already
-    masked to ``inf``. Returns ``(dist, pred_node)`` like scipy's dijkstra
-    (early-terminated once the sink settles; remaining entries keep their
-    tentative distances, which the SSP potential update caps at
-    ``dist[sink]``).
-    """
-    dist = np.full(n_total, np.inf)
-    work = np.full(n_total, np.inf)  # settled entries masked to inf
-    pred_node = np.full(n_total, -1, dtype=np.int64)
-    dist[source] = 0.0
-    work[source] = 0.0
-    while True:
-        u = int(np.argmin(work))
-        du = work[u]
-        if not np.isfinite(du):
-            break
-        work[u] = np.inf
-        if u == sink:
-            break
-        lo, hi = adj_ptr[u], adj_ptr[u + 1]
-        if lo == hi:
-            continue
-        heads = csr_head[lo:hi]
-        alt = weights[lo:hi] + du
-        # Settled nodes cannot improve (alt >= du >= their final distance),
-        # so comparing against the tentative distances is sufficient.
-        better = alt < dist[heads]
-        if better.any():
-            upd = heads[better]
-            vals = alt[better]
-            # Parallel arcs to one head: keep the per-head minimum.
-            np.minimum.at(dist, upd, vals)
-            np.minimum.at(work, upd, vals)
-            pred_node[upd[vals <= dist[upd]]] = u
-    return dist, pred_node
-
-
 def _bellman_ford_potentials(
     n_total: int,
     source: int,
@@ -434,9 +219,7 @@ def _bellman_ford_potentials(
     return dist
 
 
-def solve_transportation_ssp(
-    problem: TransportationProblem, *, kernel: str = "auto"
-) -> TransportPlan:
+def solve_transportation_ssp(problem: TransportationProblem) -> TransportPlan:
     """Solve a (possibly unbalanced) dense transportation problem via SSP."""
     balanced, dummy_consumer, dummy_supplier = problem.balanced_form()
     n, m = balanced.n_suppliers, balanced.n_consumers
@@ -459,7 +242,7 @@ def solve_transportation_ssp(
         balanced.costs[grid_i, grid_j],
     )
 
-    solution = solve_mcf_ssp(mcf, kernel=kernel)
+    solution = solve_mcf_ssp(mcf)
     flows = np.zeros((n, m))
     flows[grid_i, grid_j] = solution.flows
     # Strip dummy row/column added for balancing.

@@ -77,7 +77,7 @@ class MultipolarSND:
     Thin orchestration over an inner bipolar :class:`~repro.snd.snd.SND`:
     each (direction, pole) term projects the supplier/consumer states
     one-vs-rest and runs the unchanged bipolar term pipeline, so every
-    solver / engine / cache knob of :class:`SND` applies verbatim (all
+    solver / bank / cache knob of :class:`SND` applies verbatim (all
     keyword arguments are forwarded).
 
     Parameters
@@ -92,7 +92,7 @@ class MultipolarSND:
         :class:`~repro.opinions.models.model_agnostic.ModelAgnostic`
         (symmetry is what the k=2 bit-identity reduction relies on).
     **snd_kwargs:
-        Forwarded to :class:`~repro.snd.snd.SND` (banks, solver, engine,
+        Forwarded to :class:`~repro.snd.snd.SND` (banks, solver,
         penalties, seed, ...).
 
     Examples

@@ -1,29 +1,19 @@
 """Shortest-path algorithms over :class:`~repro.graph.digraph.DiGraph`.
 
-Two engines compute identical results:
-
-* ``"python"`` — our from-scratch Dijkstra with a pluggable heap (binary /
-  radix / pairing), the reference implementation matching the paper's §5;
-* ``"scipy"`` — vectorised :mod:`scipy.sparse.csgraph`, used for large-scale
-  benchmark runs.
-
-The ground-distance builder of :mod:`repro.snd` calls
-:func:`multi_source_distances`, which is the workhorse of the linear-time SND
-computation (one single-source run per changed user, Theorem 4).
+* :func:`dijkstra` / :func:`dijkstra_multi` — our from-scratch Dijkstra
+  with a pluggable heap (binary / radix / pairing), the reference
+  implementation matching the paper's §5 and the subject of the §6.5 heap
+  ablation;
+* :func:`multi_source_distances` — one row per source from
+  :mod:`scipy.sparse.csgraph` in a single call: the workhorse of the
+  linear-time SND computation (one single-source run per changed user,
+  Theorem 4).
 """
 
-from repro.shortestpath.bellman_ford import bellman_ford
 from repro.shortestpath.dijkstra import (
     dijkstra,
     dijkstra_multi,
     multi_source_distances,
 )
-from repro.shortestpath.johnson import johnson_all_pairs
 
-__all__ = [
-    "dijkstra",
-    "dijkstra_multi",
-    "multi_source_distances",
-    "bellman_ford",
-    "johnson_all_pairs",
-]
+__all__ = ["dijkstra", "dijkstra_multi", "multi_source_distances"]

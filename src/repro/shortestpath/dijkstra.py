@@ -1,4 +1,4 @@
-"""Dijkstra's algorithm with pluggable heaps and a scipy fast path.
+"""Dijkstra's algorithm: a pluggable-heap reference and the scipy bulk path.
 
 All functions accept ``weights`` overriding the graph's stored per-edge
 weights (aligned with the CSR edge order); the SND ground-distance builder
@@ -9,6 +9,7 @@ copying the graph.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.exceptions import ValidationError
 from repro.graph.digraph import DiGraph
@@ -132,39 +133,27 @@ def multi_source_distances(
     sources,
     *,
     weights: np.ndarray | None = None,
-    engine: str = "scipy",
-    heap: str = "binary",
     reverse: bool = False,
 ) -> np.ndarray:
     """Distances from *each* source to all nodes: an ``(k, n)`` matrix.
 
     This is the bulk operation of the fast SND pipeline: one row per changed
-    user. With ``reverse=True``, distances are measured *into* the sources
-    (i.e. along reversed edges), which Theorem 4 uses when the lighter side
-    of the transportation problem supplies the Dijkstra sources.
-
-    ``engine="scipy"`` dispatches all sources to
-    :func:`scipy.sparse.csgraph.dijkstra` in one call; ``engine="python"``
-    loops our reference implementation.
+    user, all sources dispatched to :func:`scipy.sparse.csgraph.dijkstra` in
+    one call. With ``reverse=True``, distances are measured *into* the
+    sources (i.e. along reversed edges), which Theorem 4 uses when the
+    lighter side of the transportation problem supplies the Dijkstra
+    sources. Row ``i`` equals :func:`dijkstra` from ``sources[i]``.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    if sources.size == 0:
+        return np.empty((0, graph.num_nodes))
+    if sources.min() < 0 or sources.max() >= graph.num_nodes:
+        raise ValidationError("source nodes out of range")
     work_graph = graph.reverse() if reverse else graph
     if reverse and weights is not None:
         # Re-align the override weights with the reversed CSR ordering.
         graph._ensure_reverse()  # noqa: SLF001 - intentional internal access
         weights = np.asarray(weights, dtype=np.float64)[graph._rev_edge_ids]  # noqa: SLF001
-
-    if engine == "scipy":
-        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-        if sources.size == 0:
-            return np.empty((0, graph.num_nodes))
-        w = _edge_weights(work_graph, weights)
-        matrix = work_graph.to_scipy_csr(w)
-        return np.atleast_2d(sp_dijkstra(matrix, directed=True, indices=sources))
-    if engine == "python":
-        rows = [
-            dijkstra(work_graph, int(s), weights=weights, heap=heap) for s in sources
-        ]
-        return np.vstack(rows) if rows else np.empty((0, graph.num_nodes))
-    raise ValidationError(f"unknown engine {engine!r}; expected 'scipy' or 'python'")
+    w = _edge_weights(work_graph, weights)
+    matrix = work_graph.to_scipy_csr(w)
+    return np.atleast_2d(sp_dijkstra(matrix, directed=True, indices=sources))

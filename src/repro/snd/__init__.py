@@ -21,10 +21,11 @@ through a one-call :class:`~repro.snd.engine.SNDEngine`::
 Every entry point shares the instance's unified cache hierarchy
 (:class:`~repro.snd.cache.CacheManager`: Eq. 2 cost arrays, per-source
 shortest-path rows, finished transition values — one optional memory
-budget, one stats surface), and all return values bit-identical to the
-per-pair loop. ``evaluate_series(window=W)`` additionally runs the
-incremental sliding-window mode: each one-state window shift re-solves
-exactly one fresh transition.
+budget, one stats surface), and every return value equals the per-pair
+loop's: bitwise for cold solvers, within 1e-9 under warm starts (see
+:mod:`repro.snd.engine`). ``evaluate_series(window=W)`` additionally runs
+the incremental sliding-window mode: each one-state window shift
+re-solves exactly one fresh transition.
 
 Online workloads — repeated sweeps, growing corpora, state streams — hold
 a persistent engine (:mod:`repro.snd.engine`) whose workers attach once

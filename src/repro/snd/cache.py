@@ -265,8 +265,6 @@ class DijkstraRowCache(_LruCache):
         edge_costs: np.ndarray,
         *,
         reverse: bool,
-        engine: str,
-        heap: str,
         cost_key,
     ) -> np.ndarray:
         """``multi_source_distances`` with per-source row memoisation."""
@@ -284,12 +282,7 @@ class DijkstraRowCache(_LruCache):
                 out[i] = row
         if missing:
             fresh = multi_source_distances(
-                graph,
-                sources[missing],
-                weights=edge_costs,
-                engine=engine,
-                heap=heap,
-                reverse=reverse,
+                graph, sources[missing], weights=edge_costs, reverse=reverse
             )
             for k, i in enumerate(missing):
                 out[i] = fresh[k]

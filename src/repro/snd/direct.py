@@ -12,6 +12,7 @@ only on small graphs, which is the point of the comparison.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.emd.emd_star import build_extension
 from repro.exceptions import StateError
@@ -31,19 +32,11 @@ def dense_ground_distance(
     opinion: int,
     *,
     config: GroundDistanceConfig,
-    engine: str = "scipy",
 ) -> np.ndarray:
     """Full ``n x n`` ground distance ``D(state, opinion)`` with the
     unreachable clamp applied (so downstream EMD sees finite costs)."""
     edge_costs = config.edge_costs(graph, state, opinion)
-    if engine == "scipy":
-        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-        dist = sp_dijkstra(graph.to_scipy_csr(edge_costs), directed=True)
-    else:
-        from repro.shortestpath.johnson import johnson_all_pairs
-
-        dist = johnson_all_pairs(graph, weights=edge_costs)
+    dist = sp_dijkstra(graph.to_scipy_csr(edge_costs), directed=True)
     clamp = unreachable_cost(graph.num_nodes, config.max_cost)
     dist = np.where(np.isfinite(dist), dist, clamp)
     np.fill_diagonal(dist, 0.0)
@@ -89,7 +82,6 @@ def snd_direct(
     config: GroundDistanceConfig | None = None,
     max_cost: int = DEFAULT_MAX_COST,
     method: str = "lp",
-    engine: str = "scipy",
     bank_metric: str = "nearest",
     bank_shares: str = "mass",
     seed=None,
@@ -111,9 +103,7 @@ def snd_direct(
     total = 0.0
     for supplier_state, consumer_state in ((state_a, state_b), (state_b, state_a)):
         for opinion in (POSITIVE, NEGATIVE):
-            dense = dense_ground_distance(
-                graph, supplier_state, opinion, config=config, engine=engine
-            )
+            dense = dense_ground_distance(graph, supplier_state, opinion, config=config)
             total += emd_star_term_direct(
                 graph,
                 supplier_state.histogram(opinion),

@@ -35,8 +35,14 @@ makes the evaluate-as-states-arrive path first-class:
 
 Exactness contract: every path funnels through the same
 :func:`_pair_distance` per-pair pipeline as :meth:`SND.evaluate` (same
-cost arrays, same solver, same summation order), so results are
-bit-identical to the naive per-pair loop in every execution mode.
+cost arrays, same solver, same summation order). With a cold solver
+(``"ssp"``, ``"lp"``, ``"sinkhorn-hybrid"`` by default) or with
+``use_basis_cache=False``, results are bit-identical to the naive
+per-pair loop in every execution mode. With warm starts on — the default
+for ``"auto"`` and ``"network-simplex"`` — a cached basis only changes
+where pivoting starts, but the optimum can then be summed in another
+order: values agree with the per-pair loop within 1e-9 (relative), and
+bitwise on fully integral instances.
 
 Scheduling — cache probing, request coalescing, chunking, and pool
 dispatch — lives in :mod:`repro.snd.scheduler`; every engine entry point
@@ -602,8 +608,10 @@ class SNDEngine:
         length-*window* sub-sweeps sharing the engine transition cache and
         returns the same ``(T-1,)`` array as the from-scratch sweep.
 
-        Values are bit-identical to ``[snd.distance(a, b) for a, b in
-        series.transitions()]`` in every mode.
+        Values equal ``[snd.distance(a, b) for a, b in
+        series.transitions()]`` in every mode: bitwise for cold solvers
+        and with the basis cache off, within 1e-9 with warm starts (see
+        the module's exactness contract).
         """
         n_transitions = len(series) - 1
         if n_transitions <= 0:

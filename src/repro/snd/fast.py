@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
@@ -50,7 +52,7 @@ from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
 from repro.flow.sinkhorn_hybrid import HybridSolveInfo
 from repro.graph.digraph import DiGraph
-from repro.shortestpath.dijkstra import dijkstra_multi, multi_source_distances
+from repro.shortestpath.dijkstra import multi_source_distances
 from repro.snd.banks import BankAllocation
 from repro.snd.ground import unreachable_cost
 
@@ -98,26 +100,14 @@ def _min_distance_from_set(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
-    engine: str,
 ) -> np.ndarray:
     """``min_{s in members} dist(s -> v)`` for every node v (or ``v -> s``
     when *reverse*). One Dijkstra pass regardless of ``len(members)``."""
-    if engine == "python":
-        work = graph.reverse() if reverse else graph
-        w = edge_costs
-        if reverse:
-            graph._ensure_reverse()  # noqa: SLF001 - align costs with reversed CSR
-            w = np.asarray(edge_costs)[graph._rev_edge_ids]  # noqa: SLF001
-        return dijkstra_multi(work, members, weights=w)
-
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
     n = graph.num_nodes
     work = graph.reverse() if reverse else graph
     w = edge_costs
     if reverse:
-        graph._ensure_reverse()  # noqa: SLF001
+        graph._ensure_reverse()  # noqa: SLF001 - align costs with reversed CSR
         w = np.asarray(edge_costs)[graph._rev_edge_ids]  # noqa: SLF001
 
     # Virtual super-source n with unit edges into the member set; the +1
@@ -136,8 +126,6 @@ def _distance_rows(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
-    engine: str,
-    heap: str,
     row_cache=None,
     cost_key=None,
 ) -> np.ndarray:
@@ -148,12 +136,10 @@ def _distance_rows(
     """
     if row_cache is None or cost_key is None:
         return multi_source_distances(
-            graph, sources, weights=edge_costs, engine=engine, heap=heap,
-            reverse=reverse,
+            graph, sources, weights=edge_costs, reverse=reverse
         )
     return row_cache.distance_rows(
-        graph, sources, edge_costs, reverse=reverse, engine=engine, heap=heap,
-        cost_key=cost_key,
+        graph, sources, edge_costs, reverse=reverse, cost_key=cost_key
     )
 
 
@@ -195,8 +181,6 @@ def emd_star_term_fast(
     banks: BankAllocation,
     *,
     max_cost: int,
-    engine: str = "scipy",
-    heap: str = "binary",
     solver: str = "ssp",
     hybrid_cells: "int | str | None" = "auto",
     bank_metric: str = "nearest",
@@ -300,14 +284,14 @@ def emd_star_term_fast(
     rows = np.empty((0, n))
     if run_forward and sup_ids.size:
         rows = _distance_rows(
-            graph, sup_ids, edge_costs, reverse=False, engine=engine, heap=heap,
+            graph, sup_ids, edge_costs, reverse=False,
             row_cache=row_cache, cost_key=cost_key,
         )
         d_sc = rows[:, con_ids] if con_ids.size else np.empty((sup_ids.size, 0))
         n_sssp = sup_ids.size
     elif not run_forward and con_ids.size:
         rows = _distance_rows(
-            graph, con_ids, edge_costs, reverse=True, engine=engine, heap=heap,
+            graph, con_ids, edge_costs, reverse=True,
             row_cache=row_cache, cost_key=cost_key,
         )
         d_sc = rows[:, sup_ids].T if sup_ids.size else np.empty((0, con_ids.size))
@@ -345,7 +329,6 @@ def emd_star_term_fast(
                     cluster_arrays[a],
                     edge_costs,
                     reverse=not banks_on_demand_side,
-                    engine=engine,
                 )
                 per_cluster = np.array(
                     [float(np.min(dist[c])) for c in cluster_arrays]

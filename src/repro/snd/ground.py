@@ -101,7 +101,7 @@ class GroundDistanceConfig:
         for the non-stubborn default of 0.
     max_cost:
         Assumption-2 bound ``U``; set ``quantize=False`` to skip integer
-        quantization (disables the radix-heap fast path).
+        quantization.
     """
 
     model: OpinionModel

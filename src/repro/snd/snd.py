@@ -80,10 +80,6 @@ class SND:
         Optional ``-log P`` / ``-log Pin`` terms of Eq. 2.
     max_cost:
         Assumption-2 integer bound ``U``.
-    engine:
-        Shortest-path engine: ``"scipy"`` (default) or ``"python"``.
-    heap:
-        Heap for the python engine: ``"binary"``, ``"radix"``, ``"pairing"``.
     solver:
         Reduced-problem solver: ``"ssp"`` (default), ``"lp"``,
         ``"network-simplex"`` (warm-startable sparse simplex; the engine
@@ -125,8 +121,6 @@ class SND:
         adoption_penalties: np.ndarray | None = None,
         max_cost: int = DEFAULT_MAX_COST,
         quantize: bool = True,
-        engine: str = "scipy",
-        heap: str = "binary",
         solver: str = "ssp",
         hybrid_cells: "int | str | None" = "auto",
         bank_metric: str = "nearest",
@@ -153,8 +147,6 @@ class SND:
             max_cost=max_cost,
             quantize=quantize,
         )
-        if engine not in ("scipy", "python"):
-            raise ValidationError(f"unknown engine {engine!r}")
         if solver not in SOLVER_CHOICES:
             raise ValidationError(
                 f"unknown solver {solver!r}; expected one of {sorted(SOLVER_CHOICES)}"
@@ -166,8 +158,6 @@ class SND:
                     f"'auto', got {hybrid_cells!r}"
                 )
             hybrid_cells = int(hybrid_cells)
-        self.engine = engine
-        self.heap = heap
         self.solver = solver
         self.hybrid_cells = hybrid_cells
         self.bank_metric = bank_metric
@@ -222,8 +212,6 @@ class SND:
             edge_costs,
             self.banks,
             max_cost=self.ground.max_cost,
-            engine=self.engine,
-            heap=self.heap,
             solver=self.solver,
             hybrid_cells=self.hybrid_cells,
             bank_metric=self.bank_metric,
@@ -295,8 +283,7 @@ class SND:
         """A persistent :class:`~repro.snd.engine.SNDEngine` over this
         instance, sharing its cache hierarchy (see
         :mod:`repro.snd.engine`). The caller owns its lifetime — use it as
-        a context manager or call ``close()``. (Named ``create_engine``
-        because :attr:`engine` is the shortest-path engine knob.)
+        a context manager or call ``close()``.
         """
         from repro.snd.engine import SNDEngine
 
@@ -320,8 +307,11 @@ class SND:
         sharing the instance :attr:`transition_cache`, so each one-state
         shift re-solves exactly one fresh transition (repeat calls over
         overlapping series reuse earlier sweeps the same way). The
-        returned ``(T-1,)`` array is bit-identical to ``[self.distance(a,
-        b) for a, b in series.transitions()]`` in every mode.
+        returned ``(T-1,)`` array equals ``[self.distance(a, b) for a, b
+        in series.transitions()]`` in every mode: bitwise for cold solvers,
+        within 1e-9 when the engine warm-starts ``"auto"`` /
+        ``"network-simplex"`` solves from its basis cache (see
+        :mod:`repro.snd.engine`).
         """
         with self.create_engine(jobs=jobs) as engine:
             return engine.evaluate_series(series, window=window)
@@ -367,5 +357,5 @@ class SND:
         return (
             f"SND(n={self.graph.num_nodes}, model={self.model.name}, "
             f"clusters={self.banks.n_clusters}, banks={self.banks.n_banks}, "
-            f"engine={self.engine}, solver={self.solver})"
+            f"solver={self.solver})"
         )

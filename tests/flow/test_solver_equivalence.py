@@ -5,8 +5,9 @@ parametrized over size, density (fraction of cheaply-connected pairs),
 integer vs float costs, and degenerate supplies (zero bins, tie-heavy
 costs) — are solved by every exact solver in the library:
 
-* ``solve_transportation_ssp`` under all three Dijkstra kernels
-  (``heap`` / ``vector`` / ``argmin``),
+* ``solve_transportation_ssp`` (scipy-backed successive shortest paths;
+  min-cost-flow instances are checked against the heap-Dijkstra oracle
+  in ``tests/ssp_reference.py``),
 * ``solve_transportation_network_simplex`` (warm-startable sparse
   simplex — solved cold *and* re-solved warm from its own optimal basis,
   asserting the warm result is bitwise identical on fully integral
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import ssp_reference
 
 from repro.flow import (
     MinCostFlowProblem,
@@ -52,8 +54,6 @@ from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 AGREE_TOL = 1e-9
 #: Slack for invariant checks on plans returned by the float LP solver.
 FEAS_TOL = 1e-6
-
-SSP_KERNELS = ("heap", "vector", "argmin")
 
 #: The hybrid tier table: ``(epsilon, support_k) -> relative-error
 #: budget``. Budgets were calibrated on randomized 70x70..120x80 instances
@@ -223,9 +223,7 @@ def assert_mcf_solution_optimal(mcf: MinCostFlowProblem, flows, *, label: str) -
 
 def check_transportation_instance(problem: TransportationProblem) -> None:
     """Solve with every applicable solver; assert agreement + invariants."""
-    plans = {}
-    for kernel in SSP_KERNELS:
-        plans[f"ssp-{kernel}"] = solve_transportation_ssp(problem, kernel=kernel)
+    plans = {"ssp": solve_transportation_ssp(problem)}
     plans["lp"] = solve_transportation_lp(problem)
     plans["auto"] = solve_transportation(problem, method="auto")
     ns_cold, ns_basis = solve_transportation_network_simplex(
@@ -263,10 +261,12 @@ def check_transportation_instance(problem: TransportationProblem) -> None:
 
 
 def check_mcf_instance(mcf_factory) -> None:
-    """Solve a (re-buildable) MCF instance with every SSP kernel."""
-    solutions = {}
-    for kernel in SSP_KERNELS:
-        solutions[f"ssp-{kernel}"] = (mcf := mcf_factory(), solve_mcf_ssp(mcf, kernel=kernel))
+    """Solve a (re-buildable) MCF instance with the SSP solver and the
+    heap-Dijkstra reference."""
+    solutions = {
+        "ssp-heap": (mcf := mcf_factory(), ssp_reference.solve_mcf_ssp_heap(mcf)),
+        "ssp": (mcf := mcf_factory(), solve_mcf_ssp(mcf)),
+    }
 
     reference = solutions["ssp-heap"][1].cost
     scale = max(1.0, abs(reference))
@@ -309,17 +309,6 @@ class TestEquivalenceSmoke:
         problem = TransportationProblem(np.zeros(3), np.zeros(2), np.ones((3, 2)))
         check_transportation_instance(problem)
 
-    def test_auto_kernel_policy(self, monkeypatch):
-        import repro.flow.ssp as ssp_mod
-        from repro.flow import select_mcf_kernel
-
-        # With scipy importable the vector kernel wins on every measured
-        # shape; without it the heap loop is kept.
-        assert select_mcf_kernel(50, 100) == "vector"
-        assert select_mcf_kernel(100_000, 200_000) == "vector"
-        monkeypatch.setattr(ssp_mod, "_sp_dijkstra", None)
-        assert select_mcf_kernel(50, 100) == "heap"
-
 
 # --------------------------------------------------------------------- #
 # Full property matrix (CI property-suite job)
@@ -356,10 +345,7 @@ class TestEquivalenceMatrix:
         demands = rng.integers(0, 12, m).astype(np.float64)
         costs = rng.integers(0, 20, (n, m)).astype(np.float64)
         problem = TransportationProblem(supplies, demands, costs)
-        plans = {
-            f"ssp-{kernel}": solve_transportation_ssp(problem, kernel=kernel)
-            for kernel in SSP_KERNELS
-        }
+        plans = {"ssp": solve_transportation_ssp(problem)}
         plans["network-simplex"] = solve_transportation_network_simplex(problem)
         plans["auto"] = solve_transportation(problem, method="auto")
         plans["lp"] = solve_transportation_lp(problem)

@@ -1,4 +1,5 @@
-"""Dijkstra correctness: hand cases, networkx oracle, engine/heap agreement."""
+"""Dijkstra correctness: hand cases, networkx oracle, heap agreement, and
+the scipy bulk rows against the reference Dijkstra."""
 
 import numpy as np
 import pytest
@@ -87,21 +88,30 @@ class TestNetworkxOracle:
 class TestEngines:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_scipy_and_python_agree(self, rng, reverse):
+        """The scipy rows equal the reference Dijkstra run per source
+        (along reversed edges, with re-aligned weights, when *reverse*)."""
         g = erdos_renyi_graph(30, 0.15, seed=5, directed=True)
         w = rng.integers(1, 9, g.num_edges).astype(np.float64)
         sources = np.array([0, 3, 7])
-        a = multi_source_distances(g, sources, weights=w, engine="scipy", reverse=reverse)
-        b = multi_source_distances(g, sources, weights=w, engine="python", reverse=reverse)
-        assert a.shape == (3, 30)
-        assert np.allclose(a, b)
+        rows = multi_source_distances(g, sources, weights=w, reverse=reverse)
+        if reverse:
+            # dist(v -> s) for every v, from one forward run per v.
+            expected = np.vstack(
+                [dijkstra(g, v, weights=w) for v in range(g.num_nodes)]
+            )[:, sources].T
+        else:
+            expected = np.vstack([dijkstra(g, int(s), weights=w) for s in sources])
+        assert rows.shape == (3, 30)
+        assert np.allclose(rows, expected)
 
     def test_reverse_semantics(self, line_graph):
-        rows = multi_source_distances(line_graph, [3], engine="python", reverse=True)
+        rows = multi_source_distances(line_graph, [3], reverse=True)
         assert rows[0].tolist() == [3, 2, 1, 0]
 
-    def test_unknown_engine(self, line_graph):
-        with pytest.raises(ValidationError):
-            multi_source_distances(line_graph, [0], engine="matlab")
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_source(self, line_graph, bad):
+        with pytest.raises(ValidationError, match="out of range"):
+            multi_source_distances(line_graph, [0, bad])
 
     def test_empty_sources_matrix(self, line_graph):
         rows = multi_source_distances(line_graph, np.array([], dtype=np.int64))

@@ -166,9 +166,7 @@ class TestDijkstraRowCache:
         from repro.shortestpath.dijkstra import multi_source_distances
 
         costs = snd.ground.edge_costs(graph, state, 1)
-        return multi_source_distances(
-            graph, sources, weights=costs, engine="scipy", reverse=reverse
-        )
+        return multi_source_distances(graph, sources, weights=costs, reverse=reverse)
 
     def test_stitched_rows_identical(self, graph, snd):
         state = NetworkState.from_active_sets(40, positive=[1, 5, 9])
@@ -177,13 +175,9 @@ class TestDijkstraRowCache:
         cache = DijkstraRowCache()
         # Prime two of four sources, then ask for all four: the stitched
         # matrix must equal one direct batched run bit-for-bit.
-        cache.distance_rows(
-            graph, [1, 9], costs, reverse=False, engine="scipy", heap="binary",
-            cost_key=key,
-        )
+        cache.distance_rows(graph, [1, 9], costs, reverse=False, cost_key=key)
         stitched = cache.distance_rows(
-            graph, [1, 5, 9, 12], costs, reverse=False, engine="scipy",
-            heap="binary", cost_key=key,
+            graph, [1, 5, 9, 12], costs, reverse=False, cost_key=key
         )
         direct = self._rows_direct(graph, snd, state, [1, 5, 9, 12])
         assert np.array_equal(stitched, direct)
@@ -194,14 +188,8 @@ class TestDijkstraRowCache:
         costs = snd.ground.edge_costs(graph, state, 1)
         key = (GroundCostCache.fingerprint(state), 1)
         cache = DijkstraRowCache()
-        fwd = cache.distance_rows(
-            graph, [2], costs, reverse=False, engine="scipy", heap="binary",
-            cost_key=key,
-        )
-        rev = cache.distance_rows(
-            graph, [2], costs, reverse=True, engine="scipy", heap="binary",
-            cost_key=key,
-        )
+        fwd = cache.distance_rows(graph, [2], costs, reverse=False, cost_key=key)
+        rev = cache.distance_rows(graph, [2], costs, reverse=True, cost_key=key)
         assert cache.misses == 2  # no cross-direction hit
         direct_rev = self._rows_direct(graph, snd, state, [2], reverse=True)
         assert np.array_equal(rev, direct_rev)

@@ -8,6 +8,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.opinions.models.model_agnostic import ModelAgnostic
 from repro.opinions.state import NetworkState
+from repro.shortestpath.dijkstra import dijkstra_multi
 from repro.snd import SND, allocate_banks
 from repro.snd.fast import FastTermStats, _min_distance_from_set, emd_star_term_fast
 from repro.snd.ground import build_edge_costs
@@ -26,29 +27,30 @@ class TestMinDistanceFromSet:
     def test_engines_agree_forward(self, setting):
         graph, costs, _ = setting
         members = np.array([0, 5, 9])
-        a = _min_distance_from_set(graph, members, costs, reverse=False, engine="scipy")
-        b = _min_distance_from_set(graph, members, costs, reverse=False, engine="python")
+        a = _min_distance_from_set(graph, members, costs, reverse=False)
+        b = dijkstra_multi(graph, members, weights=costs)
         assert np.allclose(a, b)
 
     def test_engines_agree_reverse(self, setting):
         graph, costs, _ = setting
         members = np.array([2, 7])
-        a = _min_distance_from_set(graph, members, costs, reverse=True, engine="scipy")
-        b = _min_distance_from_set(graph, members, costs, reverse=True, engine="python")
+        a = _min_distance_from_set(graph, members, costs, reverse=True)
+        flipped = DiGraph(graph.num_nodes, graph.edge_array()[:, ::-1], weights=costs)
+        b = dijkstra_multi(flipped, members)
         assert np.allclose(a, b)
 
     def test_members_at_zero(self, setting):
         graph, costs, _ = setting
         members = np.array([4])
-        dist = _min_distance_from_set(graph, members, costs, reverse=False, engine="scipy")
+        dist = _min_distance_from_set(graph, members, costs, reverse=False)
         assert dist[4] == 0.0
 
     def test_reverse_means_into_set(self):
         g = DiGraph(3, [(0, 1), (1, 2)])
         costs = np.array([2.0, 3.0])
-        into = _min_distance_from_set(g, np.array([2]), costs, reverse=True, engine="python")
+        into = _min_distance_from_set(g, np.array([2]), costs, reverse=True)
         assert into[0] == 5.0  # 0 -> 1 -> 2
-        out = _min_distance_from_set(g, np.array([2]), costs, reverse=False, engine="python")
+        out = _min_distance_from_set(g, np.array([2]), costs, reverse=False)
         assert not np.isfinite(out[0])  # 2 cannot reach 0
 
 
