@@ -10,7 +10,8 @@ solve. This module supplies the solver tier that exploits that:
 * a primal network simplex over the bipartite transportation graph
   (suppliers ``0..n-1``, consumers ``n..n+m-1``, plus an artificial root),
   with the spanning-tree basis held in flat ``parent`` / ``pred_arc`` /
-  ``depth`` arrays, a *block-pivoting* entering-arc search (vectorised
+  ``depth`` lists threaded in preorder (a pivot re-roots one subtree by
+  splicing the thread), a *block-pivoting* entering-arc search (vectorised
   reduced costs over sqrt-sized arc blocks with a roving start pointer),
   and Cunningham's *strongly feasible basis* leaving-arc rule for
   anti-cycling (degenerate arcs always point toward the root; the leaving
@@ -37,6 +38,7 @@ solve. This module supplies the solver tier that exploits that:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -45,7 +47,7 @@ import numpy as np
 from repro.exceptions import FlowError
 from repro.flow.basis import TransportBasis
 from repro.flow.plan import TransportPlan
-from repro.flow.problem import TransportationProblem
+from repro.flow.problem import MASS_EPS, TransportationProblem
 
 __all__ = [
     "NetworkSimplexInfo",
@@ -152,6 +154,18 @@ class _TreeSimplex:
     Real arcs run supplier -> consumer with the given costs; every non-root
     node additionally owns one big-M artificial arc to/from the root, used
     only where the (warm or empty) starting forest leaves it uncovered.
+
+    A pivot reads and writes the tree one element at a time, so the tree
+    state lives on Python lists: arc ``tails`` / ``heads`` / ``costs`` /
+    ``flow`` and per-node ``parent`` / ``pred_arc`` / ``pred_dir`` /
+    ``depth``. The tree is also threaded in preorder: ``thread[x]`` is the
+    node after ``x`` in a depth-first order from the root and
+    ``rev_thread`` its inverse, so a subtree is the run of the thread that
+    starts at its root and ends before the first node no deeper than it.
+    Pricing stays vectorised: it reads numpy views of the real arcs, the
+    numpy potentials ``pi`` and the numpy ``in_tree`` mask, which the
+    pivots update in place. ``flow`` becomes an array when :meth:`run`
+    finishes.
     """
 
     def __init__(
@@ -174,17 +188,18 @@ class _TreeSimplex:
         self.n_real = int(tails.shape[0])
         self.n_arcs = self.n_real + self.N - 1  # + one artificial per non-root
 
-        cost_scale = float(np.max(np.abs(costs))) if self.n_real else 1.0
+        cost_scale = float(np.abs(costs).max()) if self.n_real else 1.0
         self.big_m = 1.0 + self.N * max(1.0, cost_scale)
 
-        self.tails = np.empty(self.n_arcs, dtype=np.int64)
-        self.heads = np.empty(self.n_arcs, dtype=np.int64)
-        self.costs = np.empty(self.n_arcs, dtype=np.float64)
-        self.tails[: self.n_real] = tails
-        self.heads[: self.n_real] = heads
-        self.costs[: self.n_real] = costs
-        # Artificial orientations are fixed per-node at tree build time.
-        self.costs[self.n_real :] = self.big_m
+        # Real arcs as arrays for pricing; every arc as lists for pivoting.
+        # Artificial arc n_real + v belongs to node v; build_tree orients it.
+        self.real_tails = tails
+        self.real_heads = heads
+        self.real_costs = costs
+        n_art = self.N - 1
+        self.tails = tails.tolist() + [0] * n_art
+        self.heads = heads.tolist() + [0] * n_art
+        self.costs = costs.tolist() + [self.big_m] * n_art
 
         self.supplies = np.asarray(supplies, dtype=np.float64)
         self.demands = np.asarray(demands, dtype=np.float64)
@@ -192,7 +207,7 @@ class _TreeSimplex:
         self.block = (
             int(block_size)
             if block_size is not None
-            else max(64, int(round(np.sqrt(max(self.n_real, 1)))))
+            else max(64, int(round(math.sqrt(max(self.n_real, 1)))))
         )
         self.max_iterations = (
             int(max_iterations)
@@ -200,14 +215,8 @@ class _TreeSimplex:
             else 50 * self.n_arcs + 1000
         )
 
-        self.flow = np.zeros(self.n_arcs, dtype=np.float64)
+        self.flow = [0.0] * self.n_arcs
         self.in_tree = np.zeros(self.n_arcs, dtype=bool)
-        self.parent = np.full(self.N, -1, dtype=np.int64)
-        self.pred_arc = np.full(self.N, -1, dtype=np.int64)
-        self.pred_dir = np.zeros(self.N, dtype=np.int64)
-        self.depth = np.zeros(self.N, dtype=np.int64)
-        self.pi = np.zeros(self.N, dtype=np.float64)
-        self.children: list[set[int]] = [set() for _ in range(self.N)]
 
         self._next_arc = 0
         self.pivots = 0
@@ -215,7 +224,7 @@ class _TreeSimplex:
 
     # -- starting tree ----------------------------------------------------- #
 
-    def build_tree(self, warm_arc_ids: np.ndarray | None) -> None:
+    def build_tree(self, warm_arc_ids: list[int]) -> None:
         """Build a strongly feasible starting tree from a warm-arc hint.
 
         The warm arcs (possibly empty — the cold start) are de-cycled into
@@ -227,137 +236,139 @@ class _TreeSimplex:
         root — which is exactly Cunningham's strong-feasibility invariant,
         making the cold start (empty hint → pure artificial star) and every
         warm start cycle-safe from the first pivot.
+
+        A kept arc becomes the tree arc from its leaf up to the node it
+        leads to, which is eliminated later or anchored at the root, so
+        the elimination itself yields the rooted tree, and its reverse
+        order lists every parent before its children.
         """
-        n, m, root, N = self.n, self.m, self.root, self.N
-        residual = np.concatenate([self.supplies, -self.demands, [0.0]])
+        n_real, root, N = self.n_real, self.root, self.N
+        tails, heads, flow = self.tails, self.heads, self.flow
+        residual = self.supplies.tolist() + (-self.demands).tolist() + [0.0]
+        parent = [root] * N
+        pred_arc = [-1] * N
+        pred_dir = [0] * N
+        tree_arcs: list[int] = []
+        kept_nodes: list[int] = []  # anchored by a kept arc, in elimination order
 
-        kept_adj: list[list[int]] = [[] for _ in range(N)]
-        degree = np.zeros(N, dtype=np.int64)
-        if warm_arc_ids is not None and len(warm_arc_ids):
+        if warm_arc_ids:
             # De-cycle the hint: keep arcs that connect new components only.
-            uf = np.arange(N, dtype=np.int64)
-
-            def find(x: int) -> int:
-                while uf[x] != x:
-                    uf[x] = uf[uf[x]]
-                    x = int(uf[x])
-                return x
-
+            uf = list(range(N))
+            forest_adj: list[list[int]] = [[] for _ in range(N)]
+            degree = [0] * N
             for aid in warm_arc_ids:
-                aid = int(aid)
-                u, v = int(self.tails[aid]), int(self.heads[aid])
-                ru, rv = find(u), find(v)
+                u, v = tails[aid], heads[aid]
+                ru, rv = u, v  # their components' roots, by path halving
+                while uf[ru] != ru:
+                    uf[ru] = ru = uf[uf[ru]]
+                while uf[rv] != rv:
+                    uf[rv] = rv = uf[uf[rv]]
                 if ru == rv:
                     continue
                 uf[ru] = rv
-                kept_adj[u].append(aid)
-                kept_adj[v].append(aid)
+                forest_adj[u].append(aid)
+                forest_adj[v].append(aid)
                 degree[u] += 1
                 degree[v] += 1
 
-        arc_dropped = np.zeros(self.n_arcs, dtype=bool)
-        up_real = np.full(N, -1, dtype=np.int64)
-        done = np.zeros(N, dtype=bool)
-        queue = [v for v in range(N - 1) if degree[v] == 1]
-        while queue:
-            v = queue.pop()
-            if done[v] or degree[v] != 1:
-                continue
-            arc = -1
-            for aid in kept_adj[v]:
-                if not arc_dropped[aid] and not self.in_tree[aid]:
-                    arc = aid
-                    break
-            if arc < 0:
-                continue
-            u = int(self.heads[arc]) if int(self.tails[arc]) == v else int(self.tails[arc])
-            # Flow the arc must carry to zero out v's residual (arc points
-            # supplier -> consumer; v on the tail side pushes, head side pulls).
-            needed = residual[v] if int(self.tails[arc]) == v else -residual[v]
-            if needed > _TOL:
-                self.in_tree[arc] = True
-                self.flow[arc] = needed
-                up_real[v] = arc
-                residual[u] += residual[v]
-                residual[v] = 0.0
-                self.warm_arcs_used += 1
-            else:
-                arc_dropped[arc] = True
-            done[v] = True
-            degree[v] -= 1
-            degree[u] -= 1
-            if degree[u] == 1 and not done[u]:
-                queue.append(u)
+            settled: set[int] = set()  # kept or dropped warm arcs
+            done: set[int] = set()
+            queue = [v for v in range(N - 1) if degree[v] == 1]
+            while queue:
+                v = queue.pop()
+                if v in done or degree[v] != 1:
+                    continue
+                arc = -1
+                for aid in forest_adj[v]:
+                    if aid not in settled:
+                        arc = aid
+                        break
+                if arc < 0:
+                    continue
+                settled.add(arc)
+                on_tail = tails[arc] == v
+                u = heads[arc] if on_tail else tails[arc]
+                # Flow the arc must carry to zero out v's residual (arc
+                # points supplier -> consumer; v on the tail side pushes,
+                # head side pulls).
+                needed = residual[v] if on_tail else -residual[v]
+                if needed > _TOL:
+                    tree_arcs.append(arc)
+                    kept_nodes.append(v)
+                    flow[arc] = needed
+                    parent[v] = u
+                    pred_arc[v] = arc
+                    pred_dir[v] = 1 if on_tail else -1
+                    residual[u] += residual[v]
+                    residual[v] = 0.0
+                done.add(v)
+                degree[v] -= 1
+                degree[u] -= 1
+                if degree[u] == 1 and u not in done:
+                    queue.append(u)
+            self.warm_arcs_used = len(kept_nodes)
 
         # Artificial anchors for every node the surviving forest missed.
+        anchors: list[int] = []
         for v in range(N - 1):
-            if up_real[v] >= 0:
+            if pred_arc[v] >= 0:
                 continue
-            aid = self.n_real + v
+            aid = n_real + v
             rv = residual[v]
             if rv >= 0.0:
-                self.tails[aid] = v  # degenerate arcs point toward the root
-                self.heads[aid] = root
+                tails[aid] = v  # degenerate arcs point toward the root
+                heads[aid] = root
+                pred_dir[v] = 1
             else:
-                self.tails[aid] = root
-                self.heads[aid] = v
-            self.flow[aid] = abs(rv)
-            self.in_tree[aid] = True
+                tails[aid] = root
+                heads[aid] = v
+                pred_dir[v] = -1
+            flow[aid] = abs(rv)
+            pred_arc[v] = aid
+            tree_arcs.append(aid)
+            anchors.append(v)
+        self.in_tree[tree_arcs] = True
 
-        self._rebuild_indices()
+        # Thread the tree in preorder by inserting each node right after its
+        # parent, parents first; depths and potentials follow the same way.
+        costs = self.costs
+        depth = [0] * N
+        pi = [0.0] * N
+        thread = [root] * N
+        rev_thread = [root] * N
+        for v in anchors + kept_nodes[::-1]:
+            p = parent[v]
+            nxt = thread[p]
+            thread[p] = v
+            rev_thread[v] = p
+            thread[v] = nxt
+            rev_thread[nxt] = v
+            depth[v] = depth[p] + 1
+            aid = pred_arc[v]
+            if pred_dir[v] == 1:
+                pi[v] = costs[aid] + pi[p]
+            else:
+                pi[v] = pi[p] - costs[aid]
 
-    def _rebuild_indices(self) -> None:
-        """Recompute parent/pred/depth/pi/children from ``in_tree`` arcs."""
-        N, root = self.N, self.root
-        adj: list[list[int]] = [[] for _ in range(N)]
-        for aid in np.nonzero(self.in_tree)[0]:
-            aid = int(aid)
-            adj[int(self.tails[aid])].append(aid)
-            adj[int(self.heads[aid])].append(aid)
-
-        self.parent[:] = -1
-        self.pred_arc[:] = -1
-        self.pred_dir[:] = 0
-        self.depth[:] = 0
-        self.pi[:] = 0.0
-        self.children = [set() for _ in range(N)]
-
-        visited = np.zeros(N, dtype=bool)
-        visited[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for aid in adj[u]:
-                v = int(self.heads[aid]) if int(self.tails[aid]) == u else int(self.tails[aid])
-                if visited[v]:
-                    continue
-                visited[v] = True
-                self.parent[v] = u
-                self.pred_arc[v] = aid
-                self.pred_dir[v] = 1 if int(self.tails[aid]) == v else -1
-                self.depth[v] = self.depth[u] + 1
-                if self.pred_dir[v] == 1:
-                    self.pi[v] = self.costs[aid] + self.pi[u]
-                else:
-                    self.pi[v] = self.pi[u] - self.costs[aid]
-                self.children[u].add(v)
-                stack.append(v)
-        if not visited.all():
-            raise FlowError("network simplex basis does not span all nodes")
+        parent[root] = -1
+        self.parent, self.pred_arc, self.pred_dir = parent, pred_arc, pred_dir
+        self.depth, self.thread, self.rev_thread = depth, thread, rev_thread
+        self.pi = np.array(pi)
 
     def _recompute_potentials(self) -> None:
         """Exact potentials from the current tree (kills big-M float drift)."""
-        stack = [self.root]
-        self.pi[self.root] = 0.0
-        while stack:
-            u = stack.pop()
-            for v in self.children[u]:
-                aid = int(self.pred_arc[v])
-                if self.pred_dir[v] == 1:
-                    self.pi[v] = self.costs[aid] + self.pi[u]
-                else:
-                    self.pi[v] = self.pi[u] - self.costs[aid]
-                stack.append(v)
+        root, costs, parent = self.root, self.costs, self.parent
+        pred_arc, pred_dir, thread = self.pred_arc, self.pred_dir, self.thread
+        pi = [0.0] * self.N
+        x = thread[root]
+        while x != root:
+            aid = pred_arc[x]
+            if pred_dir[x] == 1:
+                pi[x] = costs[aid] + pi[parent[x]]
+            else:
+                pi[x] = pi[parent[x]] - costs[aid]
+            x = thread[x]
+        self.pi[:] = pi
 
     # -- pricing ----------------------------------------------------------- #
 
@@ -367,14 +378,16 @@ class _TreeSimplex:
         n_real = self.n_real
         if n_real == 0:
             return -1
+        costs, tails, heads = self.real_costs, self.real_tails, self.real_heads
+        pi, in_tree = self.pi, self.in_tree
         start = self._next_arc
         scanned = 0
         while scanned < n_real:
             end = min(start + self.block, n_real)
             sl = slice(start, end)
-            rc = self.costs[sl] - self.pi[self.tails[sl]] + self.pi[self.heads[sl]]
-            rc[self.in_tree[sl]] = 0.0
-            k = int(np.argmin(rc))
+            rc = costs[sl] - pi[tails[sl]] + pi[heads[sl]]
+            rc[in_tree[sl]] = 0.0
+            k = int(rc.argmin())
             if rc[k] < -_TOL:
                 self._next_arc = (start + k + 1) % n_real
                 return start + k
@@ -386,10 +399,10 @@ class _TreeSimplex:
         """One vectorised scan of every real arc (termination verification)."""
         if self.n_real == 0:
             return -1
-        sl = slice(0, self.n_real)
-        rc = self.costs[sl] - self.pi[self.tails[sl]] + self.pi[self.heads[sl]]
-        rc[self.in_tree[sl]] = 0.0
-        k = int(np.argmin(rc))
+        pi = self.pi
+        rc = self.real_costs - pi[self.real_tails] + pi[self.real_heads]
+        rc[self.in_tree[: self.n_real]] = 0.0
+        k = int(rc.argmin())
         if rc[k] < -_TOL:
             self._next_arc = (k + 1) % self.n_real
             return k
@@ -398,15 +411,16 @@ class _TreeSimplex:
     # -- pivoting ---------------------------------------------------------- #
 
     def _pivot(self, entering: int) -> None:
-        u = int(self.tails[entering])
-        v = int(self.heads[entering])
-        depth, parent, pred_arc, pred_dir, flow = (
-            self.depth,
+        tails, costs, flow = self.tails, self.costs, self.flow
+        parent, pred_arc, pred_dir, depth = (
             self.parent,
             self.pred_arc,
             self.pred_dir,
-            self.flow,
+            self.depth,
         )
+        thread, rev_thread, pi = self.thread, self.rev_thread, self.pi
+        u = tails[entering]
+        v = self.heads[entering]
 
         # Ratio test along the cycle (entering arc oriented u -> v; the tree
         # path closes it v -> join -> u). Cunningham's rule: leaving arc is
@@ -414,33 +428,33 @@ class _TreeSimplex:
         # '<' on the u-side keeps the candidate closest to u, '<=' on the
         # v-side keeps the candidate closest to the join, and v-side wins
         # side ties.
-        theta_u = np.inf
+        theta_u = math.inf
         leave_u = -1
         node_u = -1
-        theta_v = np.inf
+        theta_v = math.inf
         leave_v = -1
         node_v = -1
         x, y = u, v
         while x != y:
             if depth[x] >= depth[y]:
-                arc = int(pred_arc[x])
                 if pred_dir[x] == 1:  # arc x->parent opposes cycle: decreases
+                    arc = pred_arc[x]
                     if flow[arc] < theta_u:
                         theta_u = flow[arc]
                         leave_u = arc
                         node_u = x
-                x = int(parent[x])
+                x = parent[x]
             else:
-                arc = int(pred_arc[y])
                 if pred_dir[y] == -1:  # arc parent->y opposes cycle: decreases
+                    arc = pred_arc[y]
                     if flow[arc] <= theta_v:
                         theta_v = flow[arc]
                         leave_v = arc
                         node_v = y
-                y = int(parent[y])
+                y = parent[y]
 
         theta = min(theta_u, theta_v)
-        if not np.isfinite(theta):
+        if not math.isfinite(theta):
             raise FlowError("network simplex cycle is unbounded")
 
         # Apply the flow change around the cycle.
@@ -448,11 +462,11 @@ class _TreeSimplex:
             x, y = u, v
             while x != y:
                 if depth[x] >= depth[y]:
-                    flow[int(pred_arc[x])] += -theta if pred_dir[x] == 1 else theta
-                    x = int(parent[x])
+                    flow[pred_arc[x]] += -theta if pred_dir[x] == 1 else theta
+                    x = parent[x]
                 else:
-                    flow[int(pred_arc[y])] += theta if pred_dir[y] == 1 else -theta
-                    y = int(parent[y])
+                    flow[pred_arc[y]] += theta if pred_dir[y] == 1 else -theta
+                    y = parent[y]
             flow[entering] += theta
 
         if theta_v <= theta_u:
@@ -460,78 +474,78 @@ class _TreeSimplex:
         else:
             leaving, w_out, e_in_node, other = leave_u, node_u, u, v
         flow[leaving] = 0.0
-
-        self._replace_arc(entering, leaving, w_out, e_in_node, other)
-        self.pivots += 1
-
-    def _replace_arc(
-        self, entering: int, leaving: int, w_out: int, e_in_node: int, other: int
-    ) -> None:
-        """Re-root the subtree cut off by *leaving* onto the entering arc."""
-        parent, pred_arc, pred_dir, children = (
-            self.parent,
-            self.pred_arc,
-            self.pred_dir,
-            self.children,
-        )
-
-        # Collect the detached component before restructuring it.
-        component = []
-        stack = [w_out]
-        while stack:
-            x = stack.pop()
-            component.append(x)
-            stack.extend(children[x])
-
-        children[int(parent[w_out])].discard(w_out)
-
-        # Reverse the path e_in_node -> ... -> w_out.
-        path = [e_in_node]
-        while path[-1] != w_out:
-            path.append(int(parent[path[-1]]))
-        arcs_up = [int(pred_arc[x]) for x in path[:-1]]
-        for i in range(len(path) - 1, 0, -1):
-            child_new, parent_new = path[i], path[i - 1]
-            arc = arcs_up[i - 1]
-            parent[child_new] = parent_new
-            pred_arc[child_new] = arc
-            pred_dir[child_new] = 1 if int(self.tails[arc]) == child_new else -1
-            children[child_new].discard(parent_new)
-            children[parent_new].add(child_new)
-
-        parent[e_in_node] = other
-        pred_arc[e_in_node] = entering
-        pred_dir[e_in_node] = 1 if int(self.tails[entering]) == e_in_node else -1
-        children[other].add(e_in_node)
-
         self.in_tree[leaving] = False
         self.in_tree[entering] = True
+        self.pivots += 1
+
+        # Re-root the subtree cut off by the leaving arc onto the entering
+        # arc. The subtree hanging from w_out is cut out of the thread,
+        # re-rooted at e_in_node and spliced back in right after other, its
+        # new parent. Its new preorder takes each node of the path
+        # e_in_node -> ... -> w_out in turn, followed by that node's old
+        # descendants outside the previous path node's old subtree; the old
+        # thread and depths are read before anything changes.
+        path = [e_in_node]
+        while path[-1] != w_out:
+            path.append(parent[path[-1]])
+        order: list[int] = []
+        below = -1  # previous path node
+        skip_to = -1  # first node after the previous path node's old subtree
+        for p in path:
+            order.append(p)
+            d = depth[p]
+            x = thread[p]
+            while depth[x] > d:
+                if x == below:
+                    x = skip_to
+                    continue
+                order.append(x)
+                x = thread[x]
+            below, skip_to = p, x
+        after = skip_to  # the old subtree of w_out ends right before it
+
+        # Reverse the tree arcs along the path.
+        for i in range(len(path) - 1, 0, -1):
+            child_new = path[i]
+            arc = pred_arc[path[i - 1]]
+            parent[child_new] = path[i - 1]
+            pred_arc[child_new] = arc
+            pred_dir[child_new] = 1 if tails[arc] == child_new else -1
+        parent[e_in_node] = other
+        pred_arc[e_in_node] = entering
+        pred_dir[e_in_node] = 1 if tails[entering] == e_in_node else -1
 
         # Potentials shift by one constant across the moved component.
         if pred_dir[e_in_node] == 1:
-            new_pi = self.costs[entering] + self.pi[other]
+            new_pi = costs[entering] + pi[other]
         else:
-            new_pi = self.pi[other] - self.costs[entering]
-        delta = new_pi - self.pi[e_in_node]
-        if delta != 0.0:
-            for x in component:
-                self.pi[x] += delta
+            new_pi = pi[other] - costs[entering]
+        delta = new_pi - pi[e_in_node]
 
-        # Depths below the new attachment point.
-        self.depth[e_in_node] = self.depth[other] + 1
-        stack = [e_in_node]
-        while stack:
-            x = stack.pop()
-            for c in children[x]:
-                self.depth[c] = self.depth[x] + 1
-                stack.append(c)
+        # Cut the old run out of the thread and splice the new one in after
+        # other, fixing depths and potentials on the way.
+        before = rev_thread[w_out]
+        thread[before] = after
+        rev_thread[after] = before
+        prev = other
+        nxt = thread[other]
+        for x in order:
+            thread[prev] = x
+            rev_thread[x] = prev
+            depth[x] = depth[parent[x]] + 1
+            if delta != 0.0:
+                pi[x] += delta
+            prev = x
+        thread[prev] = nxt
+        rev_thread[nxt] = prev
 
     # -- driver ------------------------------------------------------------ #
 
     def run(self) -> None:
         refinements = 0
+        scan, pivot = self._scan_blocks, self._pivot
         while True:
-            entering = self._scan_blocks()
+            entering = scan()
             if entering < 0:
                 # Big-M artificial costs contaminate incrementally-maintained
                 # potentials with ~1e-7 cancellation noise; re-derive them
@@ -545,10 +559,11 @@ class _TreeSimplex:
                     raise FlowError(
                         "network simplex failed to converge (potential refinement)"
                     )
-            self._pivot(entering)
+            pivot(entering)
             if self.pivots > self.max_iterations:
                 raise FlowError("network simplex exceeded its pivot budget")
 
+        self.flow = np.array(self.flow)
         # At optimality the artificial arcs must be flowless, otherwise the
         # real-arc graph cannot route the marginals (sparse supports only;
         # dense instances are always feasible).
@@ -559,7 +574,7 @@ class _TreeSimplex:
             raise FlowError("transportation instance is infeasible on this support")
 
     def tree_real_arcs(self) -> np.ndarray:
-        return np.nonzero(self.in_tree[: self.n_real])[0]
+        return np.flatnonzero(self.in_tree[: self.n_real])
 
 
 # --------------------------------------------------------------------------- #
@@ -575,7 +590,7 @@ def _solve_arcs(
     costs: np.ndarray,
     supplies: np.ndarray,
     demands: np.ndarray,
-    warm_arc_ids: np.ndarray | None,
+    warm_arc_ids: list[int],
     *,
     block_size: int | None = None,
     max_iterations: int | None = None,
@@ -610,24 +625,47 @@ def solve_transportation_network_simplex(
     the basis returned by a previous solve of a nearby instance. Cells that
     fall outside the instance are ignored; whatever remains is repaired
     into a feasible strongly feasible tree, so the hint never changes the
-    result, only the number of pivots needed to reach it. With
+    result, only the number of pivots needed to reach it. The solve counts
+    as warm when at least one hint cell lies inside the instance. With
     ``return_basis=True`` the optimal spanning-tree basis (restricted to
     non-dummy cells) is returned alongside the plan.
     """
-    balanced, dummy_consumer, dummy_supplier = problem.balanced_form()
-    supplies = balanced.supplies
-    demands = balanced.demands
-    n, m = balanced.n_suppliers, balanced.n_consumers
-    n_orig, m_orig = problem.n_suppliers, problem.n_consumers
+    # TransportationProblem.balanced_form inline, without building and
+    # re-validating a second problem: a zero-cost dummy consumer
+    # (supplier) absorbs a supply (demand) surplus.
+    supplies, demands = problem.supplies, problem.demands
+    n_orig, m_orig = problem.costs.shape
+    total_supply = float(supplies.sum())
+    total_demand = float(demands.sum())
+    surplus = total_supply - total_demand
+    dummy_consumer = dummy_supplier = False
+    if abs(surplus) > MASS_EPS * max(1.0, total_supply, total_demand):
+        if surplus > 0:
+            dummy_consumer = True
+            demands = np.append(demands, surplus)
+        else:
+            dummy_supplier = True
+            supplies = np.append(supplies, -surplus)
+            total_supply = float(supplies.sum())
+    n, m = supplies.shape[0], demands.shape[0]
 
-    if n == 0 or m == 0 or balanced.total_supply <= _TOL:
+    given = 0 if basis is None else len(basis)
+    warm_arc_ids = []
+    if given:
+        warm_arc_ids = [
+            r * m + c
+            for r, c in zip(basis.rows.tolist(), basis.cols.tolist())
+            if 0 <= r < n and 0 <= c < m
+        ]
+
+    if n == 0 or m == 0 or total_supply <= _TOL:
         info = NetworkSimplexInfo(
             n_suppliers=n_orig,
             n_consumers=m_orig,
             n_arcs=0,
             pivots=0,
-            warm=basis is not None,
-            warm_arcs_given=0 if basis is None else len(basis),
+            warm=bool(warm_arc_ids),
+            warm_arcs_given=given,
             warm_arcs_used=0,
             cost=0.0,
         )
@@ -638,21 +676,20 @@ def solve_transportation_network_simplex(
         )
         return (plan, empty) if return_basis else plan
 
-    tails = np.repeat(np.arange(n, dtype=np.int64), m)
-    heads = n + np.tile(np.arange(m, dtype=np.int64), n)
-    costs = np.ascontiguousarray(balanced.costs, dtype=np.float64).ravel()
-
-    warm_arc_ids = None
-    if basis is not None and len(basis):
-        keep = (basis.rows >= 0) & (basis.rows < n) & (basis.cols >= 0) & (basis.cols < m)
-        warm_arc_ids = (basis.rows[keep] * m + basis.cols[keep]).astype(np.int64)
+    costs = problem.costs
+    if dummy_consumer:
+        costs = np.hstack([costs, np.zeros((n, 1))])
+    elif dummy_supplier:
+        costs = np.vstack([costs, np.zeros((1, m))])
+    tails, heads = np.divmod(np.arange(n * m, dtype=np.int64), m)
+    heads += n
 
     solver = _solve_arcs(
         n,
         m,
         tails,
         heads,
-        costs,
+        costs.ravel(),
         supplies,
         demands,
         warm_arc_ids,
@@ -665,27 +702,28 @@ def solve_transportation_network_simplex(
         flows = flows[:, :-1]
     if dummy_supplier:
         flows = flows[:-1, :]
-    flows = np.maximum(flows, 0.0)  # clamp float dust from pivoting
+    flows = np.maximum(flows, 0.0)  # clamp float dust from pivoting (a copy)
     cost = float((flows * problem.costs).sum())
     info = NetworkSimplexInfo(
         n_suppliers=n_orig,
         n_consumers=m_orig,
         n_arcs=solver.n_arcs,
         pivots=solver.pivots,
-        warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
-        warm_arcs_given=0 if basis is None else len(basis),
+        warm=bool(warm_arc_ids),
+        warm_arcs_given=given,
         warm_arcs_used=solver.warm_arcs_used,
         cost=cost,
     )
     SIMPLEX_METRICS.record(info)
-    plan = TransportPlan(flows=flows.copy(), cost=cost, info=info)
+    plan = TransportPlan(flows=flows, cost=cost, info=info)
+    if not return_basis:
+        return plan
 
-    tree_arcs = solver.tree_real_arcs()
-    rows = tree_arcs // m
-    cols = tree_arcs % m
-    keep = (rows < n_orig) & (cols < m_orig)  # drop dummy-node cells
-    out_basis = TransportBasis(rows=rows[keep], cols=cols[keep])
-    return (plan, out_basis) if return_basis else plan
+    rows, cols = np.divmod(solver.tree_real_arcs(), m)
+    if dummy_consumer or dummy_supplier:
+        keep = (rows < n_orig) & (cols < m_orig)  # drop dummy-node cells
+        rows, cols = rows[keep], cols[keep]
+    return plan, TransportBasis(rows=rows, cols=cols)
 
 
 def solve_support_network_simplex(
@@ -717,21 +755,19 @@ def solve_support_network_simplex(
     heads = n + cols
     costs = np.ascontiguousarray(d[rows, cols], dtype=np.float64)
 
-    warm_arc_ids = None
+    warm_arc_ids = []
     if warm_cells is not None:
         wr = np.asarray(warm_cells[0], dtype=np.int64)
         wc = np.asarray(warm_cells[1], dtype=np.int64)
         if wr.size:
-            arc_of = {
-                (int(r), int(c)): k for k, (r, c) in enumerate(zip(rows, cols))
-            }
-            ids = [
-                arc_of[(int(r), int(c))]
-                for r, c in zip(wr, wc)
-                if (int(r), int(c)) in arc_of
+            # A support cell's key is its row-major index; the last arc of a
+            # repeated cell wins, as a dict built in arc order would have it.
+            arc_of = dict(zip((rows * m + cols).tolist(), range(rows.size)))
+            warm_arc_ids = [
+                arc_of[r * m + c]
+                for r, c in zip(wr.tolist(), wc.tolist())
+                if 0 <= r < n and 0 <= c < m and r * m + c in arc_of
             ]
-            if ids:
-                warm_arc_ids = np.asarray(ids, dtype=np.int64)
 
     solver = _solve_arcs(n, m, tails, heads, costs, a, b, warm_arc_ids)
 
@@ -743,7 +779,7 @@ def solve_support_network_simplex(
         n_consumers=m,
         n_arcs=solver.n_arcs,
         pivots=solver.pivots,
-        warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
+        warm=bool(warm_arc_ids),
         warm_arcs_given=0 if warm_cells is None else int(np.asarray(warm_cells[0]).size),
         warm_arcs_used=solver.warm_arcs_used,
         cost=cost,
@@ -752,5 +788,5 @@ def solve_support_network_simplex(
     plan = TransportPlan(flows=flows, cost=cost, info=info)
     if return_cells:
         tree_arcs = solver.tree_real_arcs()
-        return plan, (rows[tree_arcs].copy(), cols[tree_arcs].copy())
+        return plan, (rows[tree_arcs], cols[tree_arcs])
     return plan

@@ -59,6 +59,19 @@ class TransportationProblem:
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "costs", costs)
 
+    @classmethod
+    def _unchecked(
+        cls, supplies: np.ndarray, demands: np.ndarray, costs: np.ndarray
+    ) -> "TransportationProblem":
+        """Wrap arrays already known to be valid — float64 vectors and a
+        matching float64 matrix, all non-negative and finite — without
+        re-checking them (internal builders of tiny instances)."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "supplies", supplies)
+        object.__setattr__(problem, "demands", demands)
+        object.__setattr__(problem, "costs", costs)
+        return problem
+
     @property
     def n_suppliers(self) -> int:
         return self.supplies.shape[0]

@@ -22,7 +22,8 @@ spaced γ (γ, 2γ, ...), modelling non-constant disposal cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -58,26 +59,73 @@ class BankAllocation:
             if g.size and g.min() < 0:
                 raise ValidationError(f"cluster {ci}: gammas must be non-negative")
 
+    # Per-allocation constants the fast term pipeline reads on every term
+    # are computed once, read-only, and kept outside the dataclass fields:
+    # they take no part in ``==`` and are dropped from the pickled state.
+
+    def __getstate__(self) -> dict:
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
 
+    @cached_property
+    def member_arrays(self) -> tuple:
+        """Each cluster's members as an int64 array."""
+        return tuple(_frozen(np.array(c, dtype=np.int64)) for c in self.clusters)
+
+    @cached_property
+    def cluster_sizes(self) -> np.ndarray:
+        """``(n_clusters,)`` float64 member counts."""
+        return _frozen(
+            np.array([len(c) for c in self.member_arrays], dtype=np.float64)
+        )
+
+    @cached_property
+    def cluster_order(self) -> tuple:
+        """``(order, starts)``: the members of cluster 0, then of cluster 1,
+        ..., and the offset of each cluster's run in *order*, so
+        ``np.minimum.reduceat(x.take(order, axis=-1), starts, axis=-1)``
+        is the per-cluster minimum of *x*."""
+        members = self.member_arrays
+        order = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+        starts = np.zeros(len(members), dtype=np.int64)
+        np.cumsum([len(c) for c in members[:-1]], out=starts[1:])
+        return _frozen(order), _frozen(starts)
+
     def cluster_of(self, n_nodes: int) -> np.ndarray:
-        """Node -> cluster-id lookup array."""
+        """Node -> cluster-id lookup array (read-only)."""
+        cached = self.__dict__.get("_cluster_of")
+        if cached is not None and cached.shape[0] == n_nodes:
+            return cached
         out = np.full(n_nodes, -1, dtype=np.int64)
-        for ci, members in enumerate(self.clusters):
-            out[np.asarray(members, dtype=np.int64)] = ci
+        for ci, members in enumerate(self.member_arrays):
+            out[members] = ci
         if (out < 0).any():
             raise ClusteringError("bank allocation does not cover all nodes")
+        self.__dict__["_cluster_of"] = _frozen(out)
         return out
 
     def gamma_matrix(self) -> np.ndarray:
-        """``(n_clusters, n_banks)`` matrix of bank ground distances."""
-        return np.vstack([np.asarray(g, dtype=np.float64) for g in self.gammas])
+        """``(n_clusters, n_banks)`` matrix of bank ground distances
+        (read-only)."""
+        return self._gamma_matrix
+
+    @cached_property
+    def _gamma_matrix(self) -> np.ndarray:
+        return _frozen(
+            np.vstack([np.asarray(g, dtype=np.float64) for g in self.gammas])
+        )
 
     def validate(self, n_nodes: int) -> None:
         """Check the clusters partition ``0..n_nodes-1``."""
         validate_partition([np.asarray(c) for c in self.clusters], n_nodes)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _cluster_gamma(

@@ -44,12 +44,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
+import repro.flow as flow
 from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
-from repro.flow import select_transport_method
+from repro.flow import network_simplex, select_transport_method, sinkhorn_hybrid
 # Unused here; kept because perfbench/tracer.py wraps this module-level name.
 from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
+from repro.flow.problem import TransportationProblem
 from repro.flow.sinkhorn_hybrid import HybridSolveInfo
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import multi_source_distances
@@ -143,6 +145,14 @@ def _distance_rows(
     )
 
 
+def _cluster_minima(values: np.ndarray, banks: BankAllocation) -> np.ndarray:
+    """Per-cluster minima over the last axis of *values* (one entry per
+    node): one reduceat over cluster-sorted columns. Min is exact, so this
+    equals a min over each cluster's member columns bit for bit."""
+    order, starts = banks.cluster_order
+    return np.minimum.reduceat(values.take(order, axis=-1), starts, axis=-1)
+
+
 def _bank_capacities(
     histogram: np.ndarray, banks: BankAllocation, deficit: float, bank_shares: str
 ) -> np.ndarray:
@@ -155,7 +165,7 @@ def _bank_capacities(
     caps = np.zeros((nc, nb))
     if deficit <= 0:
         return caps
-    sizes = np.array([len(c) for c in banks.clusters], dtype=np.float64)
+    sizes = banks.cluster_sizes
     if bank_shares == "size":
         shares = sizes / sizes.sum()
     elif bank_shares == "mass":
@@ -250,10 +260,12 @@ def emd_star_term_fast(
 
     # Lemma 2: cancel common mass; Lemma 1: keep only non-empty bins.
     common = np.minimum(p, q)
-    sup_ids = np.flatnonzero(p - common > _EPS)
-    con_ids = np.flatnonzero(q - common > _EPS)
-    sup_amounts = (p - common)[sup_ids]
-    con_amounts = (q - common)[con_ids]
+    p_rest = p - common
+    q_rest = q - common
+    sup_ids = np.flatnonzero(p_rest > _EPS)
+    con_ids = np.flatnonzero(q_rest > _EPS)
+    sup_amounts = p_rest[sup_ids]
+    con_amounts = q_rest[con_ids]
 
     if sup_ids.size == 0 and con_ids.size == 0 and delta <= _EPS:
         if stats is not None:
@@ -266,10 +278,6 @@ def emd_star_term_fast(
     active_bank_clusters = np.flatnonzero(bank_caps.sum(axis=1) > _EPS)
 
     unreach = unreachable_cost(n, max_cost)
-    cluster_of = banks.cluster_of(n)
-    gamma = banks.gamma_matrix()
-    nc = banks.n_clusters
-    cluster_arrays = [np.asarray(c, dtype=np.int64) for c in banks.clusters]
 
     # ---- shortest paths ---------------------------------------------- #
     # Run the per-user Dijkstras from the bank-free side so the same rows
@@ -301,47 +309,35 @@ def emd_star_term_fast(
         n_sssp = 0
     d_sc = np.where(np.isfinite(d_sc), d_sc, unreach)
 
-    # Bank-arc distances.
+    # Bank-arc distances: legs[k, a] joins user k of the bank-free side
+    # and the banks of active cluster a.
     n_cluster_runs = 0
-    bank_leg: dict[int, np.ndarray] = {}
+    legs = None
     if delta > _EPS and active_bank_clusters.size:
         if bank_metric == "nearest":
             # Min over the cluster's members of each row: supplier s -> bank
             # of cluster c when the banks sit on the demand side, bank of
             # cluster c -> consumer t otherwise (reversed rows,
             # rows[t, v] = D(v, t)).
-            for c in active_bank_clusters:
-                members = cluster_arrays[c]
-                leg = rows[:, members].min(axis=1) if rows.size else np.empty(0)
-                bank_leg[int(c)] = np.where(np.isfinite(leg), leg, unreach)
+            legs = _cluster_minima(rows, banks)[:, active_bank_clusters]
         else:  # "cluster": per-cluster multi-source runs for the d matrix
-            if banks_on_demand_side:
-                side_ids = sup_ids
-            else:
-                side_ids = con_ids
-            side_clusters = (
-                np.unique(cluster_of[side_ids]) if side_ids.size else np.array([], dtype=np.int64)
-            )
+            cluster_of = banks.cluster_of(n)
+            side_ids = sup_ids if banks_on_demand_side else con_ids
+            nc = banks.n_clusters
             d_block = np.full((nc, nc), np.inf)
-            for a in side_clusters:
+            for a in np.unique(cluster_of[side_ids]).tolist():
                 dist = _min_distance_from_set(
                     graph,
-                    cluster_arrays[a],
+                    banks.member_arrays[a],
                     edge_costs,
                     reverse=not banks_on_demand_side,
                 )
-                per_cluster = np.array(
-                    [float(np.min(dist[c])) for c in cluster_arrays]
-                )
+                per_cluster = _cluster_minima(dist, banks)
                 d_block[a] = np.where(np.isfinite(per_cluster), per_cluster, unreach)
                 n_cluster_runs += 1
-            # bank_leg[c][k] = d(cluster_of(user k on the bank-free side), c)
-            for c in active_bank_clusters:
-                if banks_on_demand_side:
-                    leg = d_block[cluster_of[sup_ids], c] if sup_ids.size else np.empty(0)
-                else:
-                    leg = d_block[cluster_of[con_ids], c] if con_ids.size else np.empty(0)
-                bank_leg[int(c)] = np.where(np.isfinite(leg), leg, unreach)
+            # legs[k, a] = d(cluster_of(user k on the bank-free side), a)
+            legs = d_block[cluster_of[side_ids]][:, active_bank_clusters]
+        legs = np.where(np.isfinite(legs), legs, unreach)
 
     # ---- solve the bank-folded reduced problem ----------------------- #
     if solver == "auto":
@@ -367,9 +363,9 @@ def emd_star_term_fast(
         sup_amounts,
         con_amounts,
         d_sc,
-        bank_leg,
+        legs,
         bank_caps,
-        gamma,
+        banks.gamma_matrix(),
         active_bank_clusters,
         banks_on_demand_side,
         method=solver,
@@ -394,6 +390,17 @@ def emd_star_term_fast(
     return cost
 
 
+def _label_positions(labels: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index of each *wanted* label in the unique, non-empty *labels*; -1
+    where absent."""
+    order = labels.argsort()
+    at = labels.searchsorted(wanted, sorter=order)
+    at[at == labels.size] = 0
+    at = order[at]
+    at[labels[at] != wanted] = -1
+    return at
+
+
 def _map_labeled_basis(
     basis: TransportBasis, row_labels: np.ndarray, col_labels: np.ndarray
 ) -> TransportBasis | None:
@@ -401,29 +408,48 @@ def _map_labeled_basis(
 
     Cells survive only when *both* labels exist in the new instance —
     which is exactly the temporal-locality overlap the warm start
-    exploits. Returns ``None`` when nothing survives (a cold solve)."""
-    ridx = {int(label): i for i, label in enumerate(row_labels)}
-    cidx = {int(label): j for j, label in enumerate(col_labels)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for label_r, label_c in zip(basis.rows, basis.cols):
-        i = ridx.get(int(label_r))
-        j = cidx.get(int(label_c))
-        if i is not None and j is not None:
-            rows.append(i)
-            cols.append(j)
-    if not rows:
+    exploits — and keep the hint's order. Returns ``None`` when nothing
+    survives (a cold solve)."""
+    if row_labels.size == 0 or col_labels.size == 0:
         return None
-    return TransportBasis(
-        rows=np.asarray(rows, dtype=np.int64), cols=np.asarray(cols, dtype=np.int64)
-    )
+    rows = _label_positions(row_labels, basis.rows)
+    cols = _label_positions(col_labels, basis.cols)
+    keep = (rows >= 0) & (cols >= 0)
+    if not keep.any():
+        return None
+    return TransportBasis(rows=rows[keep], cols=cols[keep])
+
+
+def _fold_banks(
+    legs: np.ndarray,
+    bank_caps: np.ndarray,
+    gamma: np.ndarray,
+    active_bank_clusters: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bank bins as extra columns of the bank-free side, in one gather.
+
+    Returns ``(block, amounts, live)``: ``block[k, b] = legs[k, a] + γ`` for
+    the b-th bin with capacity above ``_EPS``, bins running cluster-major
+    and bin-minor over the active clusters; their capacities; and the
+    ``(active clusters, n_banks)`` mask of the bins kept.
+    """
+    caps = bank_caps[active_bank_clusters]
+    live = caps > _EPS
+    block = (legs[:, :, None] + gamma[active_bank_clusters])[:, live]
+    return block, caps[live], live
+
+
+def _bank_labels(active_bank_clusters: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Stable labels ``-(1 + cluster·nb + bin)`` of the bins *live* keeps."""
+    nb = live.shape[1]
+    return -(1 + active_bank_clusters[:, None] * nb + np.arange(nb))[live]
 
 
 def _solve_reduced_dense(
     sup_amounts: np.ndarray,
     con_amounts: np.ndarray,
     d_sc: np.ndarray,
-    bank_leg: dict[int, np.ndarray],
+    legs: np.ndarray | None,
     bank_caps: np.ndarray,
     gamma: np.ndarray,
     active_bank_clusters: np.ndarray,
@@ -438,11 +464,13 @@ def _solve_reduced_dense(
     """Solve the reduced problem as one dense transportation instance.
 
     Bank bins are appended as extra consumers (or suppliers); the hub
-    decomposition is folded back into per-pair costs ``leg + γ``. The
-    instance is handed to :func:`repro.flow.solve_transportation` with
-    *method* (``"ssp"``, ``"lp"`` — HiGHS —, ``"network-simplex"`` —
-    warm-startable —, or ``"sinkhorn-hybrid"`` — approximate screened
-    solve).
+    decomposition is folded back into per-pair costs ``leg + γ``, with
+    *legs* ``(bank-free side users, active clusters)`` (``None`` without
+    banks). The bank axis runs cluster-major, bin-minor, skipping bins of
+    capacity at most ``_EPS``. The instance is handed to
+    :func:`repro.flow.solve_transportation` with *method* (``"ssp"``,
+    ``"lp"`` — HiGHS —, ``"network-simplex"`` — warm-startable —, or
+    ``"sinkhorn-hybrid"`` — approximate screened solve).
 
     When a *basis_cache*/*basis_key* pair is supplied and the method can
     carry a basis, the instance's axes are labelled with stable ids
@@ -455,43 +483,39 @@ def _solve_reduced_dense(
     ``info`` carries the solve's diagnostics), or ``None`` when one side
     of the instance is empty and there is nothing to solve.
     """
-    from repro.flow import solve_transportation
-    from repro.flow.network_simplex import solve_transportation_network_simplex
-    from repro.flow.problem import TransportationProblem
-    from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
+    live = bank_block = None
+    bank_amounts = np.empty(0)
+    if legs is not None:
+        bank_block, bank_amounts, live = _fold_banks(
+            legs, bank_caps, gamma, active_bank_clusters
+        )
 
-    bank_cols: list[np.ndarray] = []
-    bank_amounts: list[float] = []
-    bank_labels: list[int] = []
-    nb = bank_caps.shape[1] if bank_caps.size else 0
-    for c in active_bank_clusters:
-        leg = bank_leg[int(c)]
-        for j in range(nb):
-            cap = float(bank_caps[c, j])
-            if cap <= _EPS:
-                continue
-            bank_cols.append(leg + float(gamma[c, j]))
-            bank_amounts.append(cap)
-            bank_labels.append(-(1 + int(c) * nb + j))
-
+    # The folded matrix is C-ordered whatever the layout of d_sc, as the
+    # stacking of bank columns always made it: the hybrid tier's sums run
+    # in memory order, so another layout could move a last bit.
+    n_sup, n_con = d_sc.shape
     if banks_on_demand_side:
         supplies = sup_amounts
-        demands = np.concatenate([con_amounts, np.asarray(bank_amounts)])
-        if bank_cols:
-            costs = np.hstack([d_sc, np.column_stack(bank_cols)])
-        else:
-            costs = d_sc
+        demands = np.concatenate([con_amounts, bank_amounts])
+        costs = d_sc
+        if bank_amounts.size:
+            costs = np.empty((n_sup, n_con + bank_amounts.size))
+            costs[:, :n_con] = d_sc
+            costs[:, n_con:] = bank_block
     else:
-        supplies = np.concatenate([sup_amounts, np.asarray(bank_amounts)])
+        supplies = np.concatenate([sup_amounts, bank_amounts])
         demands = con_amounts
-        if bank_cols:
-            costs = np.vstack([d_sc, np.vstack([col for col in bank_cols])])
-        else:
-            costs = d_sc
+        costs = d_sc
+        if bank_amounts.size:
+            costs = np.empty((n_sup + bank_amounts.size, n_con))
+            costs[:n_sup] = d_sc
+            costs[n_sup:] = bank_block.T
 
     if supplies.size == 0 or demands.size == 0:
         return None
-    problem = TransportationProblem(supplies, demands, costs)
+    # Non-negative and finite by construction: amounts above _EPS, costs
+    # clamped to the unreachable cost, γ >= 0.
+    problem = TransportationProblem._unchecked(supplies, demands, costs)
 
     use_basis = (
         basis_cache is not None
@@ -499,14 +523,17 @@ def _solve_reduced_dense(
         and method in ("network-simplex", "sinkhorn-hybrid")
     )
     if not use_basis:
-        return solve_transportation(problem, method=method)
+        return flow.solve_transportation(problem, method=method)
 
-    bank_label_arr = np.asarray(bank_labels, dtype=np.int64)
+    if live is None:
+        bank_labels = np.empty(0, dtype=np.int64)
+    else:
+        bank_labels = _bank_labels(active_bank_clusters, live)
     if banks_on_demand_side:
         row_labels = np.asarray(sup_ids, dtype=np.int64)
-        col_labels = np.concatenate([np.asarray(con_ids, dtype=np.int64), bank_label_arr])
+        col_labels = np.concatenate([np.asarray(con_ids, dtype=np.int64), bank_labels])
     else:
-        row_labels = np.concatenate([np.asarray(sup_ids, dtype=np.int64), bank_label_arr])
+        row_labels = np.concatenate([np.asarray(sup_ids, dtype=np.int64), bank_labels])
         col_labels = np.asarray(con_ids, dtype=np.int64)
 
     warm = basis_cache.get_warm(basis_key)
@@ -514,11 +541,11 @@ def _solve_reduced_dense(
         _map_labeled_basis(warm, row_labels, col_labels) if warm is not None else None
     )
     if method == "network-simplex":
-        plan, out_basis = solve_transportation_network_simplex(
+        plan, out_basis = network_simplex.solve_transportation_network_simplex(
             problem, basis=warm_local, return_basis=True
         )
     else:
-        plan, out_basis = solve_transportation_sinkhorn_hybrid(
+        plan, out_basis = sinkhorn_hybrid.solve_transportation_sinkhorn_hybrid(
             problem,
             exact_backend="network-simplex",
             basis=warm_local,

@@ -358,6 +358,26 @@ class TestMetrics:
         assert SIMPLEX_METRICS.snapshot()["last_pivots"] == info.pivots
         assert not cold.info.warm  # earlier plans keep their own info
 
+    @pytest.mark.parametrize(
+        "supplies,demands",
+        [([0.0], [0.0]), ([0.0, 0.0], [0.0]), ([1.0, 2.0], [3.0])],
+    )
+    def test_empty_hint_counts_cold(self, supplies, demands):
+        """A hint with no in-range cell leaves a solve cold on every path,
+        the zero-mass shortcut included."""
+        problem = TransportationProblem(
+            supplies, demands, np.ones((len(supplies), len(demands)))
+        )
+        empty = TransportBasis(rows=[], cols=[])
+        outside = TransportBasis(rows=[5, -1], cols=[0, 9])
+        SIMPLEX_METRICS.reset()
+        for hint in (empty, outside):
+            plan = solve_transportation_network_simplex(problem, basis=hint)
+            assert not plan.info.warm
+            assert plan.info.warm_arcs_given == len(hint)
+        snap = SIMPLEX_METRICS.snapshot()
+        assert snap["warm_solves"] == 0 and snap["cold_solves"] == 2
+
     def test_basis_survives_pickle(self, rng):
         """Bases cross the process boundary via worker caches; the arrays
         must survive a pickle round-trip intact (and stay read-only)."""

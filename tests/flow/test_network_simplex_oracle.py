@@ -1,0 +1,230 @@
+"""The network simplex is bitwise equal to its frozen reference.
+
+``tests/network_simplex_reference.py`` keeps the array-state solver the
+list-and-thread tree state replaced. Both run the same pivot rule with
+the same float operations in the same order, so every output must match
+bit for bit: cost, flows, basis cells, pivots and warm arcs used. The
+instances are tiny, medium, degenerate with integer costs and
+unbalanced; the starts are cold, the instance's own optimal basis, a
+neighbouring instance's basis, random in-range cells and garbage cells.
+The sparse entry point the sinkhorn-hybrid tier calls is checked the
+same way.
+
+The default run draws a modest number of examples; ``--runslow`` (CI's
+warm-start suite) draws ten times as many.
+"""
+
+from __future__ import annotations
+
+import network_simplex_reference as reference
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.flow import TransportationProblem
+from repro.flow.basis import TransportBasis
+from repro.flow.network_simplex import (
+    solve_support_network_simplex,
+    solve_transportation_network_simplex,
+)
+
+KINDS = ("tiny", "medium", "degenerate", "unbalanced")
+HINTS = ("cold", "own", "neighbour", "random", "garbage", "empty")
+EXAMPLES = 60
+SLOW_EXAMPLES = 600
+
+
+def _instance(rng, kind: str) -> TransportationProblem:
+    if kind == "tiny":
+        n, m = (int(k) for k in rng.integers(1, 5, size=2))
+    else:
+        n, m = (int(k) for k in rng.integers(2, 25, size=2))
+    if kind == "degenerate":
+        # Integer masses with zero bins and tie-heavy integer costs: the
+        # regime where the leaving-arc rule decides every degenerate pivot.
+        supplies = rng.integers(0, 4, size=n).astype(np.float64)
+        demands = rng.integers(0, 4, size=m).astype(np.float64)
+        gap = supplies.sum() - demands.sum()
+        if gap > 0:
+            demands[0] += gap
+        else:
+            supplies[0] -= gap
+        costs = rng.integers(0, 4, size=(n, m)).astype(np.float64)
+    else:
+        supplies = rng.random(n) + 0.1 * (rng.random(n) < 0.8)
+        demands = rng.random(m) + 0.1 * (rng.random(m) < 0.8)
+        if kind != "unbalanced":
+            demands *= supplies.sum() / demands.sum()
+        costs = rng.random((n, m)) * 20.0
+    return TransportationProblem(supplies, demands, costs)
+
+
+def _perturbed(rng, problem: TransportationProblem) -> TransportationProblem:
+    supplies = problem.supplies * (1.0 + 0.2 * rng.random(problem.n_suppliers))
+    demands = problem.demands * (1.0 + 0.2 * rng.random(problem.n_consumers))
+    return TransportationProblem(supplies, demands, problem.costs)
+
+
+def _hint(rng, mode: str, problem: TransportationProblem):
+    n, m = problem.costs.shape
+    if mode == "cold":
+        return None
+    if mode == "empty":
+        return TransportBasis(rows=[], cols=[])
+    if mode == "own":
+        return reference.solve_transportation_network_simplex(
+            problem, return_basis=True
+        )[1]
+    if mode == "neighbour":
+        return reference.solve_transportation_network_simplex(
+            _perturbed(rng, problem), return_basis=True
+        )[1]
+    k = int(rng.integers(1, n + m + 3))
+    rows = rng.integers(0, n, size=k)
+    cols = rng.integers(0, m, size=k)
+    if mode == "garbage":
+        # Out-of-range and negative cells, repeats and a cycle's worth of
+        # in-range cells: everything the warm-start repair must survive.
+        rows = np.concatenate([rows, [-1, n, n + 7, 0], rows[:2]])
+        cols = np.concatenate([cols, [0, -3, m, m + 2], cols[:2]])
+    return TransportBasis(rows=rows, cols=cols)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _assert_same_plan(got, want) -> None:
+    assert _same_float(got.cost, want.cost), (got.cost, want.cost)
+    assert got.flows.shape == want.flows.shape
+    assert got.flows.tobytes() == want.flows.tobytes()
+    for field in ("n_arcs", "pivots", "warm_arcs_given", "warm_arcs_used"):
+        assert getattr(got.info, field) == getattr(want.info, field), field
+
+
+def _check_dense(seed: int, kind: str, mode: str) -> None:
+    rng = np.random.default_rng(seed)
+    problem = _instance(rng, kind)
+    basis = _hint(rng, mode, problem)
+    got, got_basis = solve_transportation_network_simplex(
+        problem, basis=basis, return_basis=True
+    )
+    want, want_basis = reference.solve_transportation_network_simplex(
+        problem, basis=basis, return_basis=True
+    )
+    _assert_same_plan(got, want)
+    assert np.array_equal(got_basis.rows, want_basis.rows)
+    assert np.array_equal(got_basis.cols, want_basis.cols)
+    if mode != "empty" or problem.total_supply > 0:
+        assert got.info.warm == want.info.warm
+
+
+def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
+    a, b = a.copy(), b.copy()
+    cells, i, j = [], 0, 0
+    while i < a.size and j < b.size:
+        cells.append((i, j))
+        moved = min(a[i], b[j])
+        a[i] -= moved
+        b[j] -= moved
+        if a[i] <= b[j] and i < a.size - 1:
+            i += 1
+        else:
+            j += 1
+    return cells
+
+
+def _check_support(seed: int, kind: str, mode: str) -> None:
+    rng = np.random.default_rng(seed)
+    problem = _instance(rng, "medium" if kind == "unbalanced" else kind)
+    a, b, d = problem.supplies.copy(), problem.demands.copy(), problem.costs
+    n, m = d.shape
+    a[0] += 1.0
+    b[0] += 1.0
+    b *= a.sum() / b.sum()
+    # The neighbour moves the supplies; its demands keep b's shape.
+    source = a * (1.0 + 0.2 * rng.random(n))
+    target = b * (source.sum() / b.sum())
+    mask = rng.random((n, m)) < 0.4
+    for i, j in _northwest_corner(a, b) + _northwest_corner(source, target):
+        mask[i, j] = True  # feasible chains, as the hybrid's screen adds
+    rows, cols = np.nonzero(mask)
+    perm = rng.permutation(rows.size)
+    rows, cols = rows[perm], cols[perm]
+
+    warm = None
+    if mode == "own":
+        _, warm = reference.solve_support_network_simplex(
+            a, b, d, rows, cols, return_cells=True
+        )
+    elif mode == "neighbour":
+        _, warm = reference.solve_support_network_simplex(
+            source, target, d, rows, cols, return_cells=True
+        )
+    elif mode != "cold":
+        basis = _hint(rng, mode, problem)
+        warm = (basis.rows, basis.cols)
+
+    got, got_cells = solve_support_network_simplex(
+        a, b, d, rows, cols, warm_cells=warm, return_cells=True
+    )
+    want, want_cells = reference.solve_support_network_simplex(
+        a, b, d, rows, cols, warm_cells=warm, return_cells=True
+    )
+    _assert_same_plan(got, want)
+    assert got.info.warm == want.info.warm
+    assert np.array_equal(got_cells[0], want_cells[0])
+    assert np.array_equal(got_cells[1], want_cells[1])
+
+
+_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(KINDS),
+    mode=st.sampled_from(HINTS),
+)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(**_cases)
+def test_dense_matches_reference(seed, kind, mode):
+    _check_dense(seed, kind, mode)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(**_cases)
+def test_support_matches_reference(seed, kind, mode):
+    _check_support(seed, kind, mode)
+
+
+@pytest.mark.slow
+@settings(max_examples=SLOW_EXAMPLES, deadline=None)
+@given(**_cases)
+def test_dense_matches_reference_large_budget(seed, kind, mode):
+    _check_dense(seed, kind, mode)
+
+
+@pytest.mark.slow
+@settings(max_examples=SLOW_EXAMPLES, deadline=None)
+@given(**_cases)
+def test_support_matches_reference_large_budget(seed, kind, mode):
+    _check_support(seed, kind, mode)
+
+
+@pytest.mark.parametrize("n,m", [(96, 96), (40, 150)])
+def test_large_dense_matches_reference(rng, n, m):
+    """Instances well past one pricing block (cold and own-basis warm)."""
+    problem = TransportationProblem(
+        rng.random(n) + 0.5, rng.random(m) + 0.5, rng.integers(0, 50, (n, m))
+    )
+    own = reference.solve_transportation_network_simplex(problem, return_basis=True)[1]
+    for basis in (None, own):
+        got, got_basis = solve_transportation_network_simplex(
+            problem, basis=basis, return_basis=True
+        )
+        want, want_basis = reference.solve_transportation_network_simplex(
+            problem, basis=basis, return_basis=True
+        )
+        _assert_same_plan(got, want)
+        assert np.array_equal(got_basis.rows, want_basis.rows)
+        assert np.array_equal(got_basis.cols, want_basis.cols)

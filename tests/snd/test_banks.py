@@ -102,6 +102,90 @@ class TestBankAllocation:
             allocate_banks(DiGraph(0))
 
 
+class TestPerAllocationConstants:
+    """Constants the term pipeline reads on every term are computed once
+    per allocation, read-only, and invisible to ``==`` and pickling."""
+
+    @staticmethod
+    def _layout():
+        return BankAllocation(
+            clusters=((0, 3), (1, 2, 5), (4,)),
+            gammas=((1.0, 2.0), (3.0, 6.0), (0.5, 1.0)),
+            n_banks=2,
+        )
+
+    @staticmethod
+    def _fill(banks):
+        banks.cluster_of(6)
+        banks.gamma_matrix()
+        banks.cluster_order
+        banks.cluster_sizes
+
+    def test_values(self):
+        banks = self._layout()
+        order, starts = banks.cluster_order
+        assert order.tolist() == [0, 3, 1, 2, 5, 4]
+        assert starts.tolist() == [0, 2, 5]
+        assert banks.cluster_sizes.tolist() == [2.0, 3.0, 1.0]
+        assert banks.cluster_of(6).tolist() == [0, 1, 1, 0, 2, 1]
+        assert banks.gamma_matrix().tolist() == [[1.0, 2.0], [3.0, 6.0], [0.5, 1.0]]
+        assert [m.tolist() for m in banks.member_arrays] == [[0, 3], [1, 2, 5], [4]]
+
+    def test_cached_once_and_read_only(self):
+        banks = self._layout()
+        self._fill(banks)
+        assert banks.gamma_matrix() is banks.gamma_matrix()
+        assert banks.cluster_of(6) is banks.cluster_of(6)
+        for array in (
+            banks.gamma_matrix(), banks.cluster_of(6), banks.cluster_sizes,
+            *banks.cluster_order, *banks.member_arrays,
+        ):
+            assert not array.flags.writeable
+
+    def test_cluster_of_other_size_still_checked(self):
+        from repro.exceptions import ClusteringError
+
+        banks = self._layout()
+        banks.cluster_of(6)
+        with pytest.raises(ClusteringError):
+            banks.cluster_of(7)
+        assert banks.cluster_of(6).shape == (6,)
+
+    def test_caches_do_not_touch_eq_or_pickle(self):
+        import pickle
+
+        filled, fresh = self._layout(), self._layout()
+        before = pickle.dumps(filled)
+        self._fill(filled)
+        assert filled == fresh
+        assert pickle.dumps(filled) == before == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(filled))
+        assert "cluster_order" not in vars(clone)
+        assert clone.cluster_order[1].tolist() == [0, 2, 5]
+
+    def test_process_pool_matches_serial(self):
+        """Workers unpickle an allocation whose caches were filled in the
+        parent and reproduce the serial values bit for bit. (SSP: a pool
+        warm-starts network-simplex solves from other bases than a serial
+        loop does, which may move a last bit.)"""
+        from repro.opinions.state import NetworkState
+        from repro.snd import SND
+
+        graph = erdos_renyi_graph(40, 0.12, seed=3)
+        banks = allocate_banks(graph, n_clusters=4, n_banks=2, seed=0)
+        rng = np.random.default_rng(11)
+        states = [
+            NetworkState(rng.choice([-1, 0, 0, 1], size=40).astype(np.int8))
+            for _ in range(5)
+        ]
+        serial = SND(graph, banks=banks, solver="ssp")
+        expected = [serial.distance(a, b) for a, b in zip(states, states[1:])]
+        assert "cluster_order" in vars(banks)  # filled by the serial solves
+        pooled = SND(graph, banks=banks, solver="ssp").pairwise_matrix(states, jobs=2)
+        got = [float(pooled[i, i + 1]) for i in range(len(states) - 1)]
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
 @functools.lru_cache(maxsize=None)
 def _powerlaw(n: int):
     """The benchmark's deployment graph family (power-law giant component)."""

@@ -152,3 +152,176 @@ class TestTermDiagnostics:
         assert hybrid_stats.solver == "sinkhorn-hybrid"
         assert hybrid_stats.pivots == 0
         assert hybrid_stats.warm_start is False
+
+
+# --------------------------------------------------------------------- #
+# Vectorised bank legs, folding and basis-label mapping vs their loops
+# --------------------------------------------------------------------- #
+
+
+def _legs_loop(values, banks, active):
+    """Per-cluster minima of each row, one cluster at a time."""
+    legs = {}
+    for c in active:
+        members = np.asarray(banks.clusters[c], dtype=np.int64)
+        legs[int(c)] = values[:, members].min(axis=1) if values.size else np.empty(0)
+    return legs
+
+
+def _fold_loop(sup_amounts, con_amounts, d_sc, legs, caps, gamma, active, on_demand):
+    """The per-(cluster, bin) folding loop: (supplies, demands, costs, labels)."""
+    cols, amounts, labels = [], [], []
+    nb = caps.shape[1]
+    for c in active:
+        for j in range(nb):
+            cap = float(caps[c, j])
+            if cap <= 1e-12:
+                continue
+            cols.append(legs[int(c)] + float(gamma[c, j]))
+            amounts.append(cap)
+            labels.append(-(1 + int(c) * nb + j))
+    if on_demand:
+        supplies = sup_amounts
+        demands = np.concatenate([con_amounts, np.asarray(amounts)])
+        costs = np.hstack([d_sc, np.column_stack(cols)]) if cols else d_sc
+    else:
+        supplies = np.concatenate([sup_amounts, np.asarray(amounts)])
+        demands = con_amounts
+        costs = np.vstack([d_sc, np.vstack(cols)]) if cols else d_sc
+    return supplies, demands, costs, np.asarray(labels, dtype=np.int64)
+
+
+def _map_loop(basis, row_labels, col_labels):
+    ridx = {int(label): i for i, label in enumerate(row_labels)}
+    cidx = {int(label): j for j, label in enumerate(col_labels)}
+    cells = [
+        (ridx[int(r)], cidx[int(c)])
+        for r, c in zip(basis.rows, basis.cols)
+        if int(r) in ridx and int(c) in cidx
+    ]
+    return cells or None
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(params=[1, 3], ids=["nb1", "nb3"])
+def folding_setting(request, rng):
+    graph = erdos_renyi_graph(40, 0.15, seed=5, directed=True)
+    banks = allocate_banks(graph, n_clusters=5, n_banks=request.param, seed=2)
+    return graph, banks, rng
+
+
+class TestVectorisedFolding:
+    def test_cluster_minima_match_member_loop(self, folding_setting):
+        from repro.snd.fast import _cluster_minima
+
+        graph, banks, rng = folding_setting
+        active = np.arange(banks.n_clusters)
+        for n_rows in (0, 1, 4):
+            rows = rng.integers(0, 9, size=(n_rows, 40)).astype(np.float64)
+            rows[rng.random(rows.shape) < 0.2] = np.inf
+            got = _cluster_minima(rows, banks)
+            want = _legs_loop(rows, banks, active)
+            assert got.shape == (n_rows, banks.n_clusters)
+            for c in active:
+                assert _bitwise(got[:, c], want[int(c)].reshape(n_rows))
+        dist = rows[0]
+        per_cluster = np.array(
+            [float(np.min(dist[np.asarray(c)])) for c in banks.clusters]
+        )
+        assert _bitwise(_cluster_minima(dist, banks), per_cluster)
+
+    @pytest.mark.parametrize("on_demand", [True, False], ids=["demand", "supply"])
+    def test_fold_matches_bin_loop(self, folding_setting, monkeypatch, on_demand):
+        import repro.flow
+        from repro.snd.fast import _bank_labels, _fold_banks, _solve_reduced_dense
+
+        graph, banks, rng = folding_setting
+        nb, nc = banks.n_banks, banks.n_clusters
+        n_sup, n_con = 4, 6
+        n_side = n_sup if on_demand else n_con
+        caps = rng.random((nc, nb)) * (rng.random((nc, nb)) < 0.7)
+        caps[1] = 1e-13  # every bin at or below the skip threshold...
+        caps[2, 0] = 2e-12  # ...and a cluster that is active on one bin only
+        caps[2, 1:] = 0.0
+        active = np.flatnonzero(caps.sum(axis=1) > 1e-12)
+        gamma = banks.gamma_matrix()
+        legs_full = rng.integers(0, 20, size=(n_side, nc)).astype(np.float64)
+        legs = legs_full[:, active]
+        sup = rng.random(n_sup) + 0.1
+        con = rng.random(n_con) + 0.1
+        d_sc = rng.integers(0, 20, size=(n_con, n_sup)).astype(np.float64).T
+
+        captured = []
+        monkeypatch.setattr(
+            repro.flow, "solve_transportation",
+            lambda problem, method: captured.append(problem),
+        )
+        _solve_reduced_dense(
+            sup, con, d_sc, legs, caps, gamma, active, on_demand,
+            method="lp", sup_ids=np.arange(n_sup), con_ids=np.arange(n_con),
+        )
+        (problem,) = captured
+        loop_legs = {int(c): legs_full[:, c] for c in active}
+        want = _fold_loop(sup, con, d_sc, loop_legs, caps, gamma, active, on_demand)
+        assert _bitwise(problem.supplies, want[0])
+        assert _bitwise(problem.demands, want[1])
+        assert _bitwise(problem.costs, want[2])
+        assert problem.costs.strides == want[2].strides
+
+        _, amounts, live = _fold_banks(legs, caps, gamma, active)
+        assert _bitwise(_bank_labels(active, live), want[3])
+        assert _bitwise(amounts, np.asarray(want[1 if on_demand else 0][-amounts.size:]))
+
+    def test_fold_without_sources(self, folding_setting):
+        """A term with no user on the bank-free side folds to an empty
+        block, and the instance with an empty side is not solved."""
+        from repro.snd.fast import _fold_banks, _solve_reduced_dense
+
+        _, banks, _ = folding_setting
+        caps = np.full((banks.n_clusters, banks.n_banks), 0.5)
+        active = np.arange(banks.n_clusters)
+        legs = np.empty((0, active.size))
+        block, amounts, _ = _fold_banks(legs, caps, banks.gamma_matrix(), active)
+        assert block.shape == (0, active.size * banks.n_banks)
+        assert amounts.size == active.size * banks.n_banks
+        plan = _solve_reduced_dense(
+            np.empty(0), np.array([1.0]), np.empty((0, 1)), legs, caps,
+            banks.gamma_matrix(), active, True, method="network-simplex",
+            sup_ids=np.empty(0, dtype=np.int64), con_ids=np.array([3]),
+        )
+        assert plan is None
+
+    def test_label_mapping_matches_dict_loop(self, rng):
+        from repro.flow.basis import TransportBasis
+        from repro.snd.fast import _map_labeled_basis
+
+        for _ in range(50):
+            row_labels = rng.permutation(np.concatenate(
+                [rng.choice(30, 5, replace=False), -1 - rng.choice(9, 3, replace=False)]
+            ))
+            col_labels = rng.permutation(np.arange(30, 42))
+            k = int(rng.integers(1, 25))
+            basis = TransportBasis(
+                rows=rng.integers(-10, 35, size=k), cols=rng.integers(25, 45, size=k)
+            )
+            got = _map_labeled_basis(basis, row_labels, col_labels)
+            want = _map_loop(basis, row_labels, col_labels)
+            if want is None:
+                assert got is None
+            else:
+                assert got.cells() == want  # same cells, in hint order
+
+    def test_label_mapping_without_overlap(self):
+        from repro.flow.basis import TransportBasis
+        from repro.snd.fast import _map_labeled_basis
+
+        basis = TransportBasis(rows=[1, 2], cols=[7, 8])
+        assert _map_labeled_basis(basis, np.array([3, 4]), np.array([7, 8])) is None
+        assert _map_labeled_basis(basis, np.array([1, 2]), np.array([-1])) is None
+        assert _map_labeled_basis(
+            basis, np.empty(0, dtype=np.int64), np.array([7])
+        ) is None
