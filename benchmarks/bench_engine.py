@@ -194,12 +194,12 @@ def _network_simplex_section(graph, cfg, verbose):
         return matrix, dt, stats, bases
 
     v_cold, t_cold, sweep_cold, _ = sweep(False)
-    v_warm, t_warm, sweep_warm, sweep_bases = sweep("auto")
+    v_warm, t_warm, sweep_warm, sweep_bases = sweep(True)
     assert np.allclose(v_cold, v_warm, atol=1e-9), (
         "warm-started sweep deviates from the cold network-simplex sweep"
     )
     m_cold, ta_cold, app_cold, _ = append(False)
-    m_warm, ta_warm, app_warm, app_bases = append("auto")
+    m_warm, ta_warm, app_warm, app_bases = append(True)
     assert np.allclose(m_cold, m_warm, atol=1e-9), (
         "warm-started corpus append deviates from the cold sweep"
     )
@@ -284,7 +284,7 @@ def run_experiment(verbose: bool = True, quick: bool = False) -> dict:
     t_percall = time.perf_counter() - t0
 
     # --- persistent engine: R sweeps, one pool launch total ---------- #
-    with SNDEngine(_snd(graph), jobs=jobs, executor="process") as engine:
+    with SNDEngine(_snd(graph), jobs=jobs) as engine:
         engine.snd.distance(series[0], series[1])
         t0 = time.perf_counter()
         for _ in range(sweeps):

@@ -301,13 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default priority class for requests without an X-Priority "
         "header (default: normal)",
     )
-    serve.add_argument(
-        "--hybrid-cells",
-        type=int,
-        default=None,
-        help="cost-matrix cell threshold steering auto solver selection "
-        "toward the sinkhorn-hybrid tier (default: library auto)",
-    )
 
     bake = sub.add_parser(
         "bakeoff",
@@ -611,7 +604,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         persist_transitions=not args.no_persist,
         client=args.client,
         priority="normal" if args.priority is None else args.priority,
-        hybrid_cells="auto" if args.hybrid_cells is None else args.hybrid_cells,
     )
     if args.flush_interval is not None:
         config = config.replace(flush_interval=args.flush_interval)

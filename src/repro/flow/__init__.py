@@ -23,10 +23,9 @@ property-tested in ``tests/flow/test_solver_equivalence.py``. One
 :func:`solve_transportation_sinkhorn_hybrid` (``"sinkhorn-hybrid"``) — a
 Sinkhorn screen identifies a sparse support, then an exact solver runs on
 that support; its relative error is certified per solve and
-property-tested under tolerance tiers. ``method="auto"``
-(:func:`select_transport_method`) is the network simplex up to
-:data:`AUTO_HYBRID_CELLS` cells and the hybrid above, where exact dense
-solves stop being viable; see ``docs/solvers.md``.
+property-tested under tolerance tiers. It runs only when asked for by
+name, and always cold. ``method="auto"`` (:func:`select_transport_method`)
+is the exact network simplex at every size; see ``docs/solvers.md``.
 """
 
 from repro.exceptions import ValidationError
@@ -52,16 +51,6 @@ __all__ = [
     "solve_transportation",
 ]
 
-#: Above this cell count ``method="auto"`` switches from the exact network
-#: simplex to the ``"sinkhorn-hybrid"`` approximation tier: the screened
-#: sparse exact solve beats the best exact dense solver by >= 5x at <= 1%
-#: certified relative error from roughly this size upward (measured on
-#: powerlaw-graph reduced instances — see benchmarks/README.md and
-#: BENCH_sinkhorn_hybrid.json). Overridable per call via the
-#: ``hybrid_cells`` parameter of :func:`select_transport_method`
-#: (``None`` disables the branch and keeps ``auto`` fully exact).
-AUTO_HYBRID_CELLS = 160_000
-
 _TRANSPORT_SOLVERS = {
     "ssp": solve_transportation_ssp,
     "network-simplex": solve_transportation_network_simplex,
@@ -70,28 +59,18 @@ _TRANSPORT_SOLVERS = {
 }
 
 
-def select_transport_method(
-    n_suppliers: int,
-    n_consumers: int,
-    *,
-    hybrid_cells: int | None = AUTO_HYBRID_CELLS,
-) -> str:
+def select_transport_method(n_suppliers: int, n_consumers: int) -> str:
     """The ``method="auto"`` policy for dense transportation instances.
 
-    Returns ``"sinkhorn-hybrid"`` above ``hybrid_cells`` cells and
-    ``"network-simplex"`` otherwise. The cold network simplex ties or
-    beats every other exact solver from 8x8 upward (measured in
-    ``docs/solvers.md``) and is the only exact tier that consumes a warm
-    basis, so one exact branch serves cold and warm callers alike. The
-    hybrid tier is approximate (certified relative error, see
-    :mod:`repro.flow.sinkhorn_hybrid`) and is the only branch that trades
-    accuracy for scale. Pass ``hybrid_cells=None`` to keep the selection
-    fully exact, or another cell count to move the approximation
-    threshold.
+    Always ``"network-simplex"``. The cold network simplex ties or beats
+    every other exact solver from 8x8 upward, and it keeps pace with the
+    approximate screened hybrid up to 640k cells (measured in
+    ``docs/solvers.md``); it is also the only tier that consumes a warm
+    basis. The SND pipeline still calls
+    this with the folded instance shape, so a tracer wrapping it can count
+    solves per tier and instance sizes.
     """
-    cells = max(0, int(n_suppliers)) * max(0, int(n_consumers))
-    if hybrid_cells is not None and cells > int(hybrid_cells):
-        return "sinkhorn-hybrid"
+    del n_suppliers, n_consumers
     return "network-simplex"
 
 
@@ -102,9 +81,8 @@ def solve_transportation(problem: TransportationProblem, *, method: str = "ssp")
     ``"network-simplex"`` (warm-startable sparse simplex — pass bases via
     :func:`solve_transportation_network_simplex` directly), ``"lp"``,
     ``"sinkhorn-hybrid"`` (approximate: Sinkhorn-screened sparse exact
-    solve with a certified error bound), or ``"auto"`` (size-based
-    selection, :func:`select_transport_method` — the network simplex below
-    :data:`AUTO_HYBRID_CELLS` cells, hybrid above).
+    solve with a certified error bound), or ``"auto"``
+    (:func:`select_transport_method`: the network simplex).
     Returns a :class:`~repro.flow.plan.TransportPlan`.
     """
     if method == "auto":

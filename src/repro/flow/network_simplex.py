@@ -26,8 +26,8 @@ solve. This module supplies the solver tier that exploits that:
   always the exact optimum (bit-identical to a cold solve on integral
   instances, see docs/solvers.md for the contract);
 * :func:`solve_support_network_simplex` — the sparse entry point the
-  sinkhorn-hybrid tier calls for its restricted exact solve (the screened
-  support *is* a sparse min-cost flow);
+  sinkhorn-hybrid tier calls, cold, for its restricted exact solve (the
+  screened support *is* a sparse min-cost flow);
 * per-solve diagnostics on the returned plan (``plan.info``, a
   :class:`NetworkSimplexInfo`), aggregated by the process-local
   :data:`SIMPLEX_METRICS` (pivots per solve, cold vs warm), mirroring the
@@ -738,10 +738,10 @@ def solve_support_network_simplex(
 ) -> TransportPlan | tuple[TransportPlan, tuple[np.ndarray, np.ndarray]]:
     """Exact balanced solve restricted to the arcs ``(rows[k], cols[k])``.
 
-    The sparse entry point for the sinkhorn-hybrid tier: its screened
-    support is exactly a sparse min-cost flow, so this is the natural first
-    consumer of the warm-startable backend. *warm_cells* is an optional
-    ``(rows, cols)`` hint; cells outside the support are ignored. Returns
+    The sparse entry point the sinkhorn-hybrid tier solves its screened
+    support on, cold (the support *is* a sparse min-cost flow).
+    *warm_cells* is an optional ``(rows, cols)`` hint; cells outside the
+    support are ignored. Returns
     the plan with dense ``(n, m)`` flows (and the optimal basis cells when
     *return_cells*).
     """

@@ -1,6 +1,7 @@
 """Sinkhorn-screened sparse exact transportation solves (``"sinkhorn-hybrid"``).
 
-The large-instance branch of the solver stack. Every exact solver in the
+The approximate tier of the solver stack, run only when asked for by
+name. Every exact solver in the
 library works on the *dense* reduced cost matrix, so instance size
 (``n_suppliers · n_consumers`` cells) is the binding constraint on graph
 scale. The paper's §7 rejects EMD approximations that simplify the ground
@@ -21,10 +22,9 @@ uses a cheap regularised solve to decide *which cells can matter*:
    problem always admits a plan regardless of how aggressively the screen
    pruned.
 4. **Exact solve on the support** — the restricted problem is solved
-   *exactly* with the library's own backends: the sparse SSP min-cost-flow
-   kernel over support arcs only, or the HiGHS LP on a sparse
-   column-restricted constraint matrix (``exact_backend="auto"`` picks
-   LP). Arc count drops from ``n·m`` to ``O(k·(n+m))``.
+   *exactly* and cold by the network simplex over the support arcs only
+   (:func:`~repro.flow.network_simplex.solve_support_network_simplex`).
+   Arc count drops from ``n·m`` to ``O(k·(n+m))``.
 
 The result is a **feasible plan whose cost upper-bounds the exact
 optimum** (it is the exact optimum over a restricted arc set). A certified
@@ -44,10 +44,7 @@ certificate, plan feasibility, the upper-bound property, and that the
 error tiers are monotone in ε and ``k``.
 
 Instances at or below :data:`SMALL_EXACT_CELLS` cells skip the screen and
-solve exactly — screening has nothing to prune there, which also makes the
-hybrid safe as the ``method="auto"`` large-instance branch: selection only
-routes here above the measured threshold
-(:data:`repro.flow.AUTO_HYBRID_CELLS`).
+solve exactly — screening has nothing to prune there.
 """
 
 from __future__ import annotations
@@ -58,12 +55,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.exceptions import FlowError, ValidationError
-from repro.flow.basis import TransportBasis
 from repro.flow.network_simplex import solve_support_network_simplex
 from repro.flow.plan import TransportPlan
-from repro.flow.problem import MinCostFlowProblem, TransportationProblem
+from repro.flow.problem import TransportationProblem
 from repro.flow.sinkhorn import sinkhorn_iterate
-from repro.flow.ssp import solve_mcf_ssp
 
 __all__ = [
     "HYBRID_METRICS",
@@ -84,8 +79,6 @@ _EPS = 1e-12
 #: small reduced problems that dominate low-``n∆`` SND sweeps.
 SMALL_EXACT_CELLS = 4096
 
-_EXACT_BACKENDS = ("auto", "ssp", "lp", "network-simplex")
-
 
 # --------------------------------------------------------------------- #
 # Diagnostics
@@ -96,8 +89,7 @@ _EXACT_BACKENDS = ("auto", "ssp", "lp", "network-simplex")
 class HybridSolveInfo:
     """Per-solve diagnostics of the hybrid pipeline.
 
-    *pivots* and *warm* describe the restricted exact solve when it ran on
-    the network simplex (0 and ``False`` for the other backends).
+    *pivots* counts the restricted network-simplex solve's pivots.
     """
 
     n_cells: int = 0
@@ -107,21 +99,19 @@ class HybridSolveInfo:
     epsilon: float = 0.0
     support_k: int = 0
     sinkhorn_iterations: int = 0
-    exact_backend: str = ""
     cost: float = 0.0
     lower_bound: float = 0.0
     screened: bool = False
     pivots: int = 0
-    warm: bool = False
 
 
 class HybridMetrics:
     """Thread-safe running aggregate of hybrid solves.
 
     Embedded in :meth:`repro.snd.engine.SNDEngine.stats` as the
-    ``"hybrid"`` block. Counters are process-local: the serial and thread
-    executors are fully covered; process-pool workers aggregate inside the
-    worker (their parents see only distance values).
+    ``"hybrid"`` block. Counters are process-local: serial engines are
+    fully covered; process-pool workers aggregate inside the worker (their
+    parents see only distance values).
     """
 
     def __init__(self) -> None:
@@ -294,95 +284,6 @@ def _dual_lower_bound(
 
 
 # --------------------------------------------------------------------- #
-# Exact solves restricted to a sparse support
-# --------------------------------------------------------------------- #
-
-
-def _solve_support_ssp(
-    a: np.ndarray, b: np.ndarray, d: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Exact restricted solve as a sparse bipartite min-cost flow."""
-    n, m = a.shape[0], b.shape[0]
-    mcf = MinCostFlowProblem(n + m)
-    mcf.supply[:n] = a
-    mcf.supply[n:] = -b
-    cap = float(a.sum()) + 1.0
-    mcf.add_edges(rows, n + cols, np.full(rows.size, cap), d[rows, cols])
-    solution = solve_mcf_ssp(mcf)
-    plan = np.zeros((n, m))
-    np.add.at(plan, (rows, cols), solution.flows)
-    return plan
-
-
-def _solve_support_lp(
-    a: np.ndarray, b: np.ndarray, d: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Exact restricted solve as a column-sparse HiGHS LP.
-
-    Variables are the support cells only; equality marginals (the
-    balanced form), so the constraint matrix has exactly two non-zeros per
-    variable.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    n, m = a.shape[0], b.shape[0]
-    nnz = rows.size
-    var = np.arange(nnz)
-    a_eq = csr_matrix(
-        (
-            np.ones(2 * nnz),
-            (np.concatenate([rows, n + cols]), np.concatenate([var, var])),
-        ),
-        shape=(n + m, nnz),
-    )
-    b_eq = np.concatenate([a, b])
-    result = linprog(
-        d[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if not result.success:
-        raise FlowError(f"restricted LP solve failed: {result.message}")
-    plan = np.zeros((n, m))
-    np.add.at(plan, (rows, cols), np.maximum(result.x, 0.0))
-    return plan
-
-
-def _solve_support(
-    backend: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    d: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    warm_cells: tuple[np.ndarray, np.ndarray] | None,
-):
-    """Exact restricted solve on *backend*: ``(plan, ns_info, ns_cells)``.
-
-    On ``"network-simplex"`` the warm cells (intersected with the support —
-    the restricted problem is identical to a cold solve, only the starting
-    tree differs) seed the spanning tree, and the solve's
-    :class:`~repro.flow.network_simplex.NetworkSimplexInfo` and optimal
-    basis cells come back for the caller; the other backends return
-    ``None`` for both.
-    """
-    if backend == "network-simplex":
-        plan, cells = solve_support_network_simplex(
-            a, b, d, rows, cols, warm_cells=warm_cells, return_cells=True
-        )
-        return plan.flows, plan.info, cells
-    solve = _solve_support_lp if backend == "lp" else _solve_support_ssp
-    return solve(a, b, d, rows, cols), None, None
-
-
-def _resolve_backend(exact_backend: str) -> str:
-    if exact_backend not in _EXACT_BACKENDS:
-        raise ValidationError(
-            f"exact_backend must be one of {_EXACT_BACKENDS}, got {exact_backend!r}"
-        )
-    return "lp" if exact_backend == "auto" else exact_backend
-
-
-# --------------------------------------------------------------------- #
 # The solver
 # --------------------------------------------------------------------- #
 
@@ -392,13 +293,10 @@ def solve_transportation_sinkhorn_hybrid(
     *,
     epsilon: float = 0.02,
     support_k="auto",
-    exact_backend: str = "auto",
     max_iter: int = 1_000,
     tolerance: float = 1e-5,
     scaling_factor: float = 0.25,
-    basis: TransportBasis | None = None,
-    return_basis: bool = False,
-) -> TransportPlan | tuple[TransportPlan, TransportBasis]:
+) -> TransportPlan:
     """Sinkhorn-screened sparse exact solve.
 
     Parameters
@@ -413,12 +311,6 @@ def solve_transportation_sinkhorn_hybrid(
         Cells kept per row and per column (union), or ``"auto"``
         (logarithmic in the instance size). Larger ``k`` → denser support
         → tighter error, slower exact solve.
-    exact_backend:
-        Exact solver for the restricted problem: ``"ssp"`` (sparse
-        min-cost flow over support arcs), ``"lp"`` (sparse HiGHS),
-        ``"network-simplex"`` (warm-startable sparse simplex — the only
-        backend that consumes *basis* / produces *return_basis*), or
-        ``"auto"`` (LP).
     max_iter, tolerance:
         Screening iteration budget (split across the ε-scaling stages)
         and marginal-violation stop threshold. Screening accuracy only
@@ -432,21 +324,10 @@ def solve_transportation_sinkhorn_hybrid(
     is the exact optimum of the support-restricted problem — an upper
     bound on the true optimum, certified by ``screen_error_bound`` (see
     ``plan.info``, a :class:`HybridSolveInfo`, and :data:`HYBRID_METRICS`).
-
-    *basis* (original cell space) seeds the restricted solve's
-    spanning tree when the backend is ``"network-simplex"``; warm cells
-    are intersected with the screened support, so the solved problem —
-    and hence the plan and bound — is identical to a cold solve. With
-    ``return_basis=True`` the optimal basis comes back for caching.
+    The restricted solve is always cold.
     """
     if epsilon <= 0:
         raise FlowError(f"epsilon must be positive, got {epsilon}")
-    backend = _resolve_backend(exact_backend)
-    if return_basis and backend != "network-simplex":
-        raise ValidationError(
-            "return_basis requires exact_backend='network-simplex', "
-            f"got {exact_backend!r}"
-        )
 
     balanced, dummy_consumer, dummy_supplier = problem.balanced_form()
     a_full = balanced.supplies
@@ -455,13 +336,9 @@ def solve_transportation_sinkhorn_hybrid(
 
     total = float(a_full.sum())
     if total <= 0:
-        info = HybridSolveInfo(exact_backend=backend)
+        info = HybridSolveInfo()
         HYBRID_METRICS.record(info)
-        plan = TransportPlan(flows=np.zeros(problem.costs.shape), cost=0.0, info=info)
-        if return_basis:
-            empty = np.empty(0, dtype=np.int64)
-            return plan, TransportBasis(rows=empty, cols=empty)
-        return plan
+        return TransportPlan(flows=np.zeros(problem.costs.shape), cost=0.0, info=info)
 
     # Lemma 1: restrict to positive-mass bins (empty bins break Sinkhorn
     # and cannot carry flow anyway).
@@ -475,28 +352,10 @@ def solve_transportation_sinkhorn_hybrid(
 
     k = resolve_support_k(support_k, n, m)
 
-    # Warm basis cells arrive in the original cell space; re-anchor them
-    # onto the positive-mass restriction (cells that fall outside it, or
-    # outside the screened support below, are simply ignored).
-    warm_local = None
-    if backend == "network-simplex" and basis is not None and len(basis):
-        inv_r = np.full(costs.shape[0], -1, dtype=np.int64)
-        inv_r[rows_ids] = np.arange(n)
-        inv_c = np.full(costs.shape[1], -1, dtype=np.int64)
-        inv_c[cols_ids] = np.arange(m)
-        br, bc = basis.rows, basis.cols
-        ok = (br >= 0) & (br < costs.shape[0]) & (bc >= 0) & (bc < costs.shape[1])
-        lr, lc = inv_r[br[ok]], inv_c[bc[ok]]
-        ok = (lr >= 0) & (lc >= 0)
-        if ok.any():
-            warm_local = (lr[ok], lc[ok])
-
     if n_cells <= SMALL_EXACT_CELLS or (k >= n and k >= m):
         # Nothing to prune: solve exactly on the full support.
         rr, cc = np.nonzero(np.ones((n, m), dtype=bool))
-        plan_s, ns_info, ns_cells = _solve_support(
-            backend, a_s, b_s, d_s, rr, cc, warm_local
-        )
+        exact = solve_support_network_simplex(a_s, b_s, d_s, rr, cc)
         info = HybridSolveInfo(
             n_cells=n_cells,
             support_cells=n_cells,
@@ -504,7 +363,6 @@ def solve_transportation_sinkhorn_hybrid(
             screen_error_bound=0.0,
             epsilon=float(epsilon),
             support_k=k,
-            exact_backend=backend,
             screened=False,
         )
     else:
@@ -544,12 +402,10 @@ def solve_transportation_sinkhorn_hybrid(
         rr, cc = np.nonzero(mask)
 
         # ---- exact solve restricted to the support ------------------- #
-        plan_s, ns_info, ns_cells = _solve_support(
-            backend, a_s, b_s, d_s, rr, cc, warm_local
-        )
+        exact = solve_support_network_simplex(a_s, b_s, d_s, rr, cc)
 
         # ---- certified error bound via the repaired dual ------------- #
-        cost_norm = float((plan_s * d_s).sum())
+        cost_norm = float((exact.flows * d_s).sum())
         # Center the row potentials (dual objectives are shift-invariant).
         f_centered = f - f.mean()
         lb_norm = _dual_lower_bound(d_s, a_s, b_s, f_centered)
@@ -568,12 +424,11 @@ def solve_transportation_sinkhorn_hybrid(
             epsilon=float(epsilon),
             support_k=k,
             sinkhorn_iterations=iterations,
-            exact_backend=backend,
             lower_bound=lb_norm * total,
             screened=True,
         )
 
-    plan_s = plan_s * total
+    plan_s = exact.flows * total
     flows = np.zeros_like(costs)
     flows[np.ix_(rows_ids, cols_ids)] = plan_s
     if dummy_consumer:
@@ -581,19 +436,6 @@ def solve_transportation_sinkhorn_hybrid(
     if dummy_supplier:
         flows = flows[:-1, :]
     cost = float((flows * problem.costs).sum())
-    if ns_info is not None:
-        info = replace(info, pivots=ns_info.pivots, warm=ns_info.warm)
-    info = replace(info, cost=cost)
+    info = replace(info, pivots=exact.info.pivots, cost=cost)
     HYBRID_METRICS.record(info)
-    plan = TransportPlan(flows=flows, cost=cost, info=info)
-    if return_basis:
-        if ns_cells is not None:
-            gr = rows_ids[ns_cells[0]]
-            gc = cols_ids[ns_cells[1]]
-            keep = (gr < problem.n_suppliers) & (gc < problem.n_consumers)
-            out_basis = TransportBasis(rows=gr[keep], cols=gc[keep])
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            out_basis = TransportBasis(rows=empty, cols=empty)
-        return plan, out_basis
-    return plan
+    return TransportPlan(flows=flows, cost=cost, info=info)

@@ -47,7 +47,7 @@ class DiGraph:
     >>> g = DiGraph(3, [(0, 1), (1, 2)])
     >>> g.num_nodes, g.num_edges
     (3, 2)
-    >>> list(g.out_neighbors(0))
+    >>> g.out_neighbors(0).tolist()
     [1]
     """
 

@@ -41,11 +41,6 @@ from repro.snd.snd import SND
 
 __all__ = ["MultipolarSND", "MultipolarSNDResult"]
 
-#: Solvers whose ``use_basis_cache="auto"`` policy threads warm starts
-#: (mirrors :data:`repro.snd.engine.WARM_SOLVERS` plus ``"auto"``, whose
-#: exact branch is the network simplex).
-_WARM_CAPABLE = ("network-simplex", "auto")
-
 
 @dataclass
 class MultipolarSNDResult:
@@ -150,13 +145,6 @@ class MultipolarSND:
             raise StateError(
                 f"state covers {state.n} users, graph has {self.graph.num_nodes}"
             )
-
-    def _basis_cache(self):
-        """Basis store for warm-capable solvers (the engine's ``"auto"``
-        activation policy)."""
-        if self.snd.solver in _WARM_CAPABLE:
-            return self.snd.caches.bases
-        return None
 
     # ------------------------------------------------------------------ #
 
@@ -277,7 +265,8 @@ class MultipolarSND:
         arrays (one per live projection), Dijkstra rows, finished
         transitions (keyed by the multipolar content fingerprints, so a
         repeated or window-shifted sweep re-solves only fresh
-        transitions), and — for warm-capable solvers — the basis store.
+        transitions), and the basis store (read only by network-simplex
+        solves).
         *window* is accepted for interface parity with the bipolar path:
         transition memoisation already gives the incremental sliding-window
         behaviour, so the value is identical for every window size.
@@ -286,7 +275,6 @@ class MultipolarSND:
         for state in series:
             self._check_state(state)
         caches = self.caches
-        basis_cache = self._basis_cache()
         out = np.empty(max(len(series) - 1, 0), dtype=np.float64)
         for t, (a, b) in enumerate(series.transitions()):
             cached = caches.transitions.get(a, b)
@@ -294,7 +282,7 @@ class MultipolarSND:
                 out[t] = cached
                 continue
             value = self._pair_cached(
-                a, b, caches.ground, row_cache=caches.rows, basis_cache=basis_cache
+                a, b, caches.ground, row_cache=caches.rows, basis_cache=caches.bases
             )
             caches.transitions.put(a, b, value)
             out[t] = value
@@ -312,7 +300,6 @@ class MultipolarSND:
             # Right-size transiently so each state's k projected cost
             # arrays are built once (mirrors SND.pairwise_matrix).
             cache = GroundCostCache(self.n_poles * n)
-        basis_cache = self._basis_cache()
         matrix = np.zeros((n, n), dtype=np.float64)
         for i in range(n):
             for j in range(i + 1, n):
@@ -321,7 +308,7 @@ class MultipolarSND:
                     states[j],
                     cache,
                     row_cache=self.caches.rows,
-                    basis_cache=basis_cache,
+                    basis_cache=self.caches.bases,
                 )
                 matrix[i, j] = matrix[j, i] = value
         return matrix

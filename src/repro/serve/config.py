@@ -3,8 +3,7 @@
 Before this module, the construction knobs of the SND serving tier were
 spread as keyword sprawl across four layers — :class:`~repro.snd.snd.SND`
 (``n_clusters`` / ``solver`` / ``seed``), :class:`~repro.snd.engine.SNDEngine`
-(``jobs`` / ``executor`` / ``use_row_cache`` / ``use_basis_cache`` /
-``max_pending``), :class:`~repro.snd.scheduler.PairScheduler`
+(``jobs`` / ``max_pending``), :class:`~repro.snd.scheduler.PairScheduler`
 (``max_pending`` / ``client_max_pending``), and
 :class:`~repro.serve.service.SNDService` (all of the above again) — so
 every front (CLI flags, HTTP server, benchmarks) re-spelled the same
@@ -49,13 +48,9 @@ class EngineConfig:
     Parameters mirror the historical keyword arguments one-to-one; see
     each consumer's docstring for exact semantics.  Grouped by layer:
 
-    SND construction — ``clusters``, ``solver``, ``seed``,
-    ``hybrid_cells`` (the ``solver="auto"`` escalation threshold to the
-    approximate tier; ``"auto"`` keeps the library default,
-    ``None`` disables escalation entirely).
+    SND construction — ``clusters``, ``solver``, ``seed``.
 
-    Engine — ``jobs``, ``executor``, ``use_row_cache``,
-    ``use_basis_cache``, ``memory_budget`` (shared cache budget in bytes).
+    Engine — ``jobs``, ``memory_budget`` (shared cache budget in bytes).
 
     Scheduler — ``max_pending`` (global backpressure bound;
     ``None`` → library default), ``client_max_pending`` (per-client
@@ -73,12 +68,8 @@ class EngineConfig:
     clusters: int | None = None
     solver: str = "auto"
     seed: int = 0
-    hybrid_cells: "int | str | None" = "auto"
 
     jobs: "int | str | None" = "auto"
-    executor: str = "process"
-    use_row_cache: bool = True
-    use_basis_cache: "bool | str" = "auto"
     memory_budget: int | None = None
 
     max_pending: int | None = None
@@ -91,10 +82,6 @@ class EngineConfig:
     flush_interval: float = field(default=DEFAULT_FLUSH_INTERVAL)
 
     def __post_init__(self) -> None:
-        if self.executor not in ("process", "thread"):
-            raise ValidationError(
-                f"executor must be 'process' or 'thread', got {self.executor!r}"
-            )
         if self.priority not in PRIORITY_CLASSES:
             raise ValidationError(
                 f"priority must be one of {sorted(PRIORITY_CLASSES)}, "
@@ -116,12 +103,6 @@ class EngineConfig:
             raise ValidationError(
                 f"flush_interval must be > 0 seconds, got {self.flush_interval}"
             )
-        if self.hybrid_cells is not None and self.hybrid_cells != "auto":
-            if not isinstance(self.hybrid_cells, int) or self.hybrid_cells < 1:
-                raise ValidationError(
-                    f"hybrid_cells must be a positive integer, None, or "
-                    f"'auto', got {self.hybrid_cells!r}"
-                )
 
     # ------------------------------------------------------------------ #
     # Construction / export
@@ -169,14 +150,11 @@ class EngineConfig:
     def snd_kwargs(self) -> dict:
         """Keywords for :class:`~repro.snd.snd.SND` construction (via
         ``DistanceContext.ensure_snd``)."""
-        kwargs = {
+        return {
             "n_clusters": self.clusters,
             "seed": self.seed,
             "solver": self.solver,
         }
-        if self.hybrid_cells != "auto":
-            kwargs["hybrid_cells"] = self.hybrid_cells
-        return kwargs
 
     def engine_kwargs(self) -> dict:
         """Keywords for :class:`~repro.snd.engine.SNDEngine` construction
@@ -185,9 +163,6 @@ class EngineConfig:
 
         return {
             "jobs": self.jobs,
-            "executor": self.executor,
-            "use_row_cache": self.use_row_cache,
-            "use_basis_cache": self.use_basis_cache,
             "max_pending": (
                 DEFAULT_MAX_PENDING if self.max_pending is None else self.max_pending
             ),

@@ -188,9 +188,8 @@ class SNDService:
         graphs, series, and corpora to serve.
     config:
         An :class:`~repro.serve.config.EngineConfig` consolidating every
-        construction knob — SND (``clusters`` / ``solver`` / ``seed`` /
-        ``hybrid_cells``), engine (``jobs`` / ``executor`` / cache
-        toggles / ``memory_budget``), scheduler (``max_pending`` /
+        construction knob — SND (``clusters`` / ``solver`` / ``seed``),
+        engine (``jobs`` / ``memory_budget``), scheduler (``max_pending`` /
         ``client_max_pending``), and persistence
         (``persist_transitions`` / ``flush_interval``).  ``None`` means
         all defaults.  With ``solver="network-simplex"`` each shard's

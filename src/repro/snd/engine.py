@@ -35,14 +35,14 @@ makes the evaluate-as-states-arrive path first-class:
 
 Exactness contract: every path funnels through the same
 :func:`_pair_distance` per-pair pipeline as :meth:`SND.evaluate` (same
-cost arrays, same solver, same summation order). With a cold solver
-(``"ssp"``, ``"lp"``, ``"sinkhorn-hybrid"`` by default) or with
+cost arrays, same solver, same summation order). Only network-simplex
+solves (``"network-simplex"`` and ``"auto"``) ever warm-start. With a
+cold solver (``"ssp"``, ``"lp"``, ``"sinkhorn-hybrid"``) or with
 ``use_basis_cache=False``, results are bit-identical to the naive
-per-pair loop in every execution mode. With warm starts on — the default
-for ``"auto"`` and ``"network-simplex"`` — a cached basis only changes
-where pivoting starts, but the optimum can then be summed in another
-order: values agree with the per-pair loop within 1e-9 (relative), and
-bitwise on fully integral instances.
+per-pair loop in every execution mode. With warm starts on, a cached
+basis only changes where pivoting starts, but the optimum can then be
+summed in another order: values agree with the per-pair loop within 1e-9
+(relative), and bitwise on fully integral instances.
 
 Scheduling — cache probing, request coalescing, chunking, and pool
 dispatch — lives in :mod:`repro.snd.scheduler`; every engine entry point
@@ -52,7 +52,7 @@ is a client of the engine's own :class:`~repro.snd.scheduler.PairScheduler`.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -71,14 +71,6 @@ from repro.snd.cache import (
 from repro.snd.scheduler import DEFAULT_MAX_PENDING, PairScheduler, resolve_jobs
 
 __all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs"]
-
-#: Solvers whose per-term solves can consume a warm spanning-tree basis.
-#: ``use_basis_cache="auto"`` activates the basis store for the pure
-#: network-simplex solver and for ``solver="auto"`` (whose exact branch
-#: is the network simplex — value-neutral by the warm-exactness contract);
-#: ``use_basis_cache=True`` extends it to the sinkhorn-hybrid tier by
-#: routing its restricted exact solve through the network simplex.
-WARM_SOLVERS = ("network-simplex", "sinkhorn-hybrid")
 
 
 # --------------------------------------------------------------------- #
@@ -100,7 +92,7 @@ def _pair_distance(
     result is bit-identical to the unbatched path; *row_cache* (optional)
     additionally reuses per-source Dijkstra rows across terms, which is
     value-preserving (rows are per-source deterministic). *basis_cache*
-    (optional, warm-capable solvers only) keys each term's optimal
+    (optional; only network-simplex solves use it) keys each term's optimal
     spanning-tree basis by ``(fingerprint_supplier, fingerprint_consumer,
     opinion)`` so temporally adjacent pairs — window shifts, corpus
     appends, the reverse terms of this very pair — warm-start the network
@@ -172,13 +164,13 @@ def _attach_shared_memory(name: str):
             resource_tracker.register = original
 
 
-def _init_engine_worker(snd, shm_name, shape, ground_size, row_size, basis_size=0) -> None:
+def _init_engine_worker(snd, shm_name, shape, ground_size, row_size, basis_size) -> None:
     """Attach this worker to the engine's shared state matrix (once).
 
-    *row_size* and *basis_size* of 0 disable the respective worker-local
-    cache (the cache object still exists — content-keyed caches are
-    per-process, so a worker's basis store warms only solves dispatched
-    to that worker; chunk contiguity keeps related pairs together).
+    A *basis_size* of 0 disables the worker-local basis store (the cache
+    object still exists — content-keyed caches are per-process, so a
+    worker's basis store warms only solves dispatched to that worker;
+    chunk contiguity keeps related pairs together).
     """
     if shm_name is None:
         matrix = shape  # no shared memory available: *shape* is the matrix
@@ -190,10 +182,9 @@ def _init_engine_worker(snd, shm_name, shape, ground_size, row_size, basis_size=
     _ENGINE_WORKER["matrix"] = matrix
     _ENGINE_WORKER["caches"] = CacheManager(
         ground_size=ground_size,
-        row_size=max(1, row_size),
+        row_size=row_size,
         basis_size=max(1, basis_size),
     )
-    _ENGINE_WORKER["row_cache_enabled"] = row_size > 0
     _ENGINE_WORKER["basis_cache_enabled"] = basis_size > 0
 
 
@@ -208,7 +199,6 @@ def _engine_pairs_worker(pairs: list[tuple[int, int]]) -> list[float]:
     snd = _ENGINE_WORKER["snd"]
     matrix = _ENGINE_WORKER["matrix"]
     caches: CacheManager = _ENGINE_WORKER["caches"]
-    row_cache = caches.rows if _ENGINE_WORKER["row_cache_enabled"] else None
     basis_cache = caches.bases if _ENGINE_WORKER["basis_cache_enabled"] else None
     local: dict[int, NetworkState] = {}
 
@@ -220,7 +210,7 @@ def _engine_pairs_worker(pairs: list[tuple[int, int]]) -> list[float]:
         return s
 
     return [
-        _pair_distance(snd, state(i), state(j), caches.ground, row_cache, basis_cache)
+        _pair_distance(snd, state(i), state(j), caches.ground, caches.rows, basis_cache)
         for i, j in pairs
     ]
 
@@ -265,28 +255,19 @@ class SNDEngine:
     jobs:
         ``"auto"`` (default — serial on single-CPU hosts, up to 4 workers
         otherwise), an explicit worker count (>= 1), or ``None`` for
-        serial.
-    executor:
-        ``"process"`` (default; shared-memory state matrix) or
-        ``"thread"`` (workers share the engine caches directly).
+        serial. Parallel work runs on a process pool that reads the
+        states from a shared-memory matrix.
     caches:
         A :class:`~repro.snd.cache.CacheManager` to draw from; defaults to
         the SND instance's own hierarchy so the engine, the one-call
         :class:`~repro.snd.snd.SND` batch methods, and single-pair calls
-        all reuse one set of caches.
-    use_row_cache:
-        Reuse per-source Dijkstra rows across terms (on by default;
-        value-preserving).
+        all reuse one set of caches. Per-source Dijkstra rows are always
+        reused across terms (value-preserving).
     use_basis_cache:
-        Warm-start transportation solves from cached optimal bases.
-        ``"auto"`` (default) activates the basis store when the SND
-        instance solves with ``"network-simplex"`` (warm bases consumed
-        natively, provably value-preserving) or with ``"auto"`` (whose
-        exact branch is the network simplex, so temporally-local engine
-        workloads warm-start without any opt-in). ``True`` additionally opts the
-        ``"sinkhorn-hybrid"`` tier in (its restricted exact solve is then
-        routed through the network simplex; same support, so certified
-        error bounds are unchanged). ``False`` disables warm-starting.
+        Thread the cache hierarchy's basis store through every solve
+        (default ``True``). Only network-simplex solves (``"auto"`` and
+        ``"network-simplex"``) read and store bases; other solvers run
+        cold either way. ``False`` disables warm-starting.
     max_pending:
         Bound on unique pairs the engine's scheduler will hold admitted
         at once (backpressure; see :class:`~repro.snd.scheduler.PairScheduler`).
@@ -311,28 +292,20 @@ class SNDEngine:
         snd,
         *,
         jobs="auto",
-        executor: str = "process",
         caches: CacheManager | None = None,
-        use_row_cache: bool = True,
-        use_basis_cache: "bool | str" = "auto",
+        use_basis_cache: bool = True,
         max_pending: int = DEFAULT_MAX_PENDING,
         client_max_pending: int | None = None,
     ) -> None:
-        if executor not in ("process", "thread"):
+        if not isinstance(use_basis_cache, bool):
             raise ValidationError(
-                f"executor must be 'process' or 'thread', got {executor!r}"
-            )
-        if use_basis_cache not in (True, False, "auto"):
-            raise ValidationError(
-                f"use_basis_cache must be True, False or 'auto', "
-                f"got {use_basis_cache!r}"
+                f"use_basis_cache must be True or False, got {use_basis_cache!r}"
             )
         self.snd = snd
         self.jobs = resolve_jobs(jobs)
-        self.executor = executor
         self.caches = caches if caches is not None else snd.caches
-        self.use_row_cache = use_row_cache
-        self.use_basis_cache = use_basis_cache
+        #: The basis store threaded through every solve, or ``None``.
+        self.basis_cache = self.caches.bases if use_basis_cache else None
         self.pool_starts = 0
         self.slot_writes = 0
         self._slots: dict[bytes, int] = {}
@@ -446,10 +419,7 @@ class SNDEngine:
                 self._shm = None
                 self._matrix = np.zeros(shape, dtype=np.int8)
             ground_size = max(self.caches.ground.maxsize, 2 * self._capacity)
-            row_size = self.caches.rows.maxsize if self.use_row_cache else 0
-            basis_size = (
-                self.caches.bases.maxsize if self._basis_cache() is not None else 0
-            )
+            basis_size = 0 if self.basis_cache is None else self.basis_cache.maxsize
             init_matrix = None if shm_name is not None else self._matrix
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -459,7 +429,7 @@ class SNDEngine:
                     shm_name,
                     shape if shm_name is not None else init_matrix,
                     ground_size,
-                    row_size,
+                    self.caches.rows.maxsize,
                     basis_size,
                 ),
             )
@@ -477,50 +447,15 @@ class SNDEngine:
                 self.slot_writes += 1
         return self._pool, [slots[fp] for fp in fingerprints]
 
-    def _ensure_thread_pool(self):
-        if self._closed:
-            raise ValidationError("engine is closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.jobs)
-            self.pool_starts += 1
-        return self._pool
-
     # ------------------------------------------------------------------ #
     # Core pair evaluation
     # ------------------------------------------------------------------ #
 
-    def _row_cache(self):
-        return self.caches.rows if self.use_row_cache else None
-
-    def _basis_cache(self):
-        """The engine's warm-start basis store, or ``None`` when inactive.
-
-        Activation is solver-gated (see ``use_basis_cache``): warm hints
-        are only consumed by :data:`WARM_SOLVERS`, and under ``"auto"``
-        only by warm-exact routes — the pure network simplex and the
-        ``"auto"`` solver, whose exact branch
-        (:func:`repro.flow.select_transport_method`) is the network simplex.
-        """
-        mode = self.use_basis_cache
-        if mode is False:
-            return None
-        solver = getattr(self.snd, "solver", None)
-        active = (
-            solver in ("network-simplex", "auto")
-            if mode == "auto"
-            else solver in WARM_SOLVERS + ("auto",)
-        )
-        return self.caches.bases if active else None
-
-    def _pair(self, a: NetworkState, b: NetworkState) -> float:
-        """One serial pair evaluation through the engine caches."""
-        return _pair_distance(
-            self.snd, a, b, self.caches.ground, self._row_cache(), self._basis_cache()
-        )
-
     def distance(self, a: NetworkState, b: NetworkState) -> float:
         """SND between two states through the engine's cache hierarchy."""
-        return self._pair(a, b)
+        return _pair_distance(
+            self.snd, a, b, self.caches.ground, self.caches.rows, self.basis_cache
+        )
 
     def _solve_pairs_local(
         self,
@@ -528,12 +463,11 @@ class SNDEngine:
         pairs: Sequence[tuple[int, int]],
     ) -> list[float]:
         """Serial in-process solve of index *pairs* over *states*."""
-        row_cache = self._row_cache()
-        basis_cache = self._basis_cache()
+        caches = self.caches
         return [
             _pair_distance(
-                self.snd, states[i], states[j], self.caches.ground, row_cache,
-                basis_cache,
+                self.snd, states[i], states[j], caches.ground, caches.rows,
+                self.basis_cache,
             )
             for i, j in pairs
         ]
@@ -545,27 +479,11 @@ class SNDEngine:
     ) -> list[list[float]]:
         """Dispatch pre-chunked index pairs to the persistent pool.
 
-        Callers (the scheduler) must serialize dispatches: the process
-        path rewrites *states* into the shared matrix rows, so two
-        concurrent dispatches would clobber each other's slots. Chunks
-        are expected to be contiguous-ish so worker caches keep supplier
-        states hot.
+        Callers (the scheduler) must serialize dispatches: each dispatch
+        rewrites *states* into the shared matrix rows, so two concurrent
+        dispatches would clobber each other's slots. Chunks are expected
+        to be contiguous-ish so worker caches keep supplier states hot.
         """
-        if self.executor == "thread":
-            pool = self._ensure_thread_pool()
-            row_cache = self._row_cache()
-            basis_cache = self._basis_cache()
-
-            def run(chunk: list[tuple[int, int]]) -> list[float]:
-                return [
-                    _pair_distance(
-                        self.snd, states[i], states[j], self.caches.ground, row_cache,
-                        basis_cache,
-                    )
-                    for i, j in chunk
-                ]
-
-            return list(pool.map(run, chunks))
         pool, slot_of = self._ensure_process_pool(states)
         # Translate caller indices to shared-matrix slots: append-only
         # assignment means a state's slot is stable across dispatches, not
@@ -762,9 +680,9 @@ class SNDEngine:
         simplex tier's pivot counters, split cold vs warm
         (``cold_pivots_per_solve`` / ``warm_pivots_per_solve`` — the
         headline temporal-locality numbers in ``BENCH_engine.json``).
-        Both are process-local: serial and thread executors are covered
-        fully; process workers accumulate in-worker and this snapshot
-        then only reflects solves that ran in the engine's own process.
+        Both are process-local: serial engines are covered fully; process
+        workers accumulate in-worker and this snapshot then only reflects
+        solves that ran in the engine's own process.
         ``slot_writes`` counts shared-matrix row writes — append-only
         slot assignment keeps it at the number of *distinct* states ever
         dispatched, not dispatches times states.
@@ -775,18 +693,17 @@ class SNDEngine:
             "hybrid": HYBRID_METRICS.snapshot(),
             "network_simplex": SIMPLEX_METRICS.snapshot(),
             "jobs": self.jobs,
-            "executor": self.executor,
             "pool_starts": self.pool_starts,
             "pool_alive": self._pool is not None,
             "shared_memory": self._shm is not None,
             "capacity": self._capacity,
             "slot_writes": self.slot_writes,
-            "basis_cache_active": self._basis_cache() is not None,
+            "basis_cache_active": self.basis_cache is not None,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SNDEngine(jobs={self.jobs}, executor={self.executor!r}, "
+            f"SNDEngine(jobs={self.jobs}, "
             f"pool_starts={self.pool_starts}, capacity={self._capacity})"
         )
 

@@ -19,13 +19,13 @@ Per EMD* term the pipeline is:
    supplier x consumer matrix as extra consumers (or suppliers), each at
    per-pair cost ``leg + γ``, and this one transportation instance goes
    to the solver. ``solver="auto"`` (via
-   :func:`repro.flow.select_transport_method`) runs the network simplex,
-   warm-started from a :class:`~repro.snd.cache.BasisCache` when one is
-   threaded; reduced instances beyond :data:`repro.flow.AUTO_HYBRID_CELLS`
-   cells route to the approximate ``"sinkhorn-hybrid"`` tier (entropic
-   screen + sparse exact solve, certified per-solve error bound; see
-   :mod:`repro.flow.sinkhorn_hybrid`). Explicit ``"ssp"`` and ``"lp"``
-   solve the same folded instance.
+   :func:`repro.flow.select_transport_method`) is the exact network
+   simplex at every size. A network-simplex solve is warm-started from a
+   :class:`~repro.snd.cache.BasisCache` when one is threaded; every other
+   solver runs cold. Explicit ``"ssp"``, ``"lp"`` and the approximate
+   ``"sinkhorn-hybrid"`` (entropic screen + sparse exact solve, certified
+   per-solve error bound; see :mod:`repro.flow.sinkhorn_hybrid`) solve the
+   same folded instance.
 
 Under ``bank_metric="nearest"`` the result *exactly* equals the direct
 (unreduced) EMD* — the extended ground distance is a semimetric, so the
@@ -47,7 +47,7 @@ from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 import repro.flow as flow
 from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
-from repro.flow import network_simplex, select_transport_method, sinkhorn_hybrid
+from repro.flow import network_simplex, select_transport_method
 # Unused here; kept because perfbench/tracer.py wraps this module-level name.
 from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
@@ -63,10 +63,8 @@ __all__ = ["emd_star_term_fast", "FastTermStats", "SOLVER_CHOICES"]
 _EPS = 1e-12
 
 #: Valid values for the ``solver=`` knob of the fast pipeline (and of
-#: :class:`repro.snd.snd.SND`). ``"auto"`` selects per reduced instance
-#: (and routes very large reduced instances to the approximate
-#: ``"sinkhorn-hybrid"`` tier — see :data:`repro.flow.AUTO_HYBRID_CELLS`).
-#: ``"network-simplex"`` is the warm-startable sparse simplex: paired with
+#: :class:`repro.snd.snd.SND`). ``"auto"`` resolves to
+#: ``"network-simplex"``, the warm-startable sparse simplex: paired with
 #: a :class:`repro.snd.cache.BasisCache` it reuses the previous optimal
 #: spanning tree across temporally local solves.
 SOLVER_CHOICES = ("auto", "ssp", "lp", "network-simplex", "sinkhorn-hybrid")
@@ -92,7 +90,7 @@ class FastTermStats:
     #: Simplex pivots of the network-simplex solve, or of the hybrid's
     #: restricted network-simplex solve (0 for other solvers).
     pivots: int = 0
-    #: Whether that network-simplex solve started from a cached warm basis.
+    #: Whether the network-simplex solve started from a cached warm basis.
     warm_start: bool = False
 
 
@@ -192,7 +190,6 @@ def emd_star_term_fast(
     *,
     max_cost: int,
     solver: str = "ssp",
-    hybrid_cells: "int | str | None" = "auto",
     bank_metric: str = "nearest",
     bank_shares: str = "mass",
     row_cache=None,
@@ -217,13 +214,7 @@ def emd_star_term_fast(
     solver:
         ``"ssp"`` (default), ``"lp"``, ``"network-simplex"``,
         ``"sinkhorn-hybrid"`` (approximate, certified error bound), or
-        ``"auto"`` (the network simplex; reduced instances above
-        :data:`repro.flow.AUTO_HYBRID_CELLS` cells go to the hybrid tier).
-    hybrid_cells:
-        Overrides the ``"auto"`` escalation threshold (reduced-instance
-        cell count at which the hybrid tier takes over): a positive
-        integer, ``None`` to disable the hybrid tier, or ``"auto"`` for
-        the library default. Ignored for explicit solver choices.
+        ``"auto"`` (the network simplex).
     bank_metric:
         ``"nearest"`` (default, semimetric-preserving) or ``"cluster"``
         (the literal Eq. 4); see :func:`repro.emd.emd_star.build_extension`.
@@ -234,8 +225,8 @@ def emd_star_term_fast(
     basis_cache, basis_key:
         Optional :class:`~repro.snd.cache.BasisCache` plus this term's key
         ``(supplier fingerprint, consumer fingerprint, opinion)``. Only
-        consulted when the (resolved) solver is ``"network-simplex"`` or
-        ``"sinkhorn-hybrid"``: the nearest cached basis (same term,
+        consulted when the (resolved) solver is ``"network-simplex"``:
+        the nearest cached basis (same term,
         transposed term, or previous term with the same supplier state)
         warm-starts the solve, and the fresh optimal basis is stored back
         in stable node-label space. Values are unaffected — a warm basis
@@ -341,13 +332,14 @@ def emd_star_term_fast(
 
     # ---- solve the bank-folded reduced problem ----------------------- #
     if solver == "auto":
+        # Always the network simplex; asked with the folded shape so a
+        # wrapped selector can count solves per tier and instance sizes.
         n_bank_bins = int(np.count_nonzero(bank_caps[active_bank_clusters] > _EPS))
         if banks_on_demand_side:
             folded_rows, folded_cols = sup_ids.size, con_ids.size + n_bank_bins
         else:
             folded_rows, folded_cols = sup_ids.size + n_bank_bins, con_ids.size
-        override = {} if hybrid_cells == "auto" else {"hybrid_cells": hybrid_cells}
-        solver = select_transport_method(folded_rows, folded_cols, **override)
+        solver = select_transport_method(folded_rows, folded_cols)
     if stats is not None:
         profile = reduced_problem_profile(
             sup_amounts, con_amounts, d_sc, unreachable=unreach
@@ -378,15 +370,16 @@ def emd_star_term_fast(
     if stats is not None:
         stats.cost = cost
         # Diagnostics of the solve that produced *cost*: the network
-        # simplex and the hybrid report pivots and the warm flag; the
-        # hybrid also reports its screen.
+        # simplex and the hybrid report pivots, the network simplex its
+        # warm flag and the hybrid its screen.
         info = None if plan is None else plan.info
         if isinstance(info, HybridSolveInfo):
             stats.support_density = float(info.support_density)
             stats.screen_error_bound = float(info.screen_error_bound)
+        elif info is not None:
+            stats.warm_start = bool(info.warm)
         if info is not None:
             stats.pivots = int(info.pivots)
-            stats.warm_start = bool(info.warm)
     return cost
 
 
@@ -472,12 +465,14 @@ def _solve_reduced_dense(
     ``"lp"`` — HiGHS —, ``"network-simplex"`` — warm-startable —, or
     ``"sinkhorn-hybrid"`` — approximate screened solve).
 
-    When a *basis_cache*/*basis_key* pair is supplied and the method can
-    carry a basis, the instance's axes are labelled with stable ids
-    (global supplier/consumer node ids; bank bins as negative labels
-    ``-(1 + cluster·nb + bin)``), the nearest cached basis is re-anchored
-    onto those labels to warm-start the solve, and the optimal basis is
-    stored back under the term key.
+    This is the one place the warm-start rule lives: a basis is read and
+    stored if and only if *method* is ``"network-simplex"`` (and a
+    *basis_cache*/*basis_key* pair is supplied); every other method
+    solves cold. For a warm solve the instance's axes are labelled with
+    stable ids (global supplier/consumer node ids; bank bins as negative
+    labels ``-(1 + cluster·nb + bin)``), the nearest cached basis is
+    re-anchored onto those labels to warm-start the solve, and the
+    optimal basis is stored back under the term key.
 
     Returns the solver's :class:`~repro.flow.plan.TransportPlan` (its
     ``info`` carries the solve's diagnostics), or ``None`` when one side
@@ -517,12 +512,7 @@ def _solve_reduced_dense(
     # clamped to the unreachable cost, γ >= 0.
     problem = TransportationProblem._unchecked(supplies, demands, costs)
 
-    use_basis = (
-        basis_cache is not None
-        and basis_key is not None
-        and method in ("network-simplex", "sinkhorn-hybrid")
-    )
-    if not use_basis:
+    if method != "network-simplex" or basis_cache is None or basis_key is None:
         return flow.solve_transportation(problem, method=method)
 
     if live is None:
@@ -540,17 +530,9 @@ def _solve_reduced_dense(
     warm_local = (
         _map_labeled_basis(warm, row_labels, col_labels) if warm is not None else None
     )
-    if method == "network-simplex":
-        plan, out_basis = network_simplex.solve_transportation_network_simplex(
-            problem, basis=warm_local, return_basis=True
-        )
-    else:
-        plan, out_basis = sinkhorn_hybrid.solve_transportation_sinkhorn_hybrid(
-            problem,
-            exact_backend="network-simplex",
-            basis=warm_local,
-            return_basis=True,
-        )
+    plan, out_basis = network_simplex.solve_transportation_network_simplex(
+        problem, basis=warm_local, return_basis=True
+    )
     if len(out_basis):
         basis_cache.put_term(
             basis_key,

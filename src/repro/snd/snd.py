@@ -10,8 +10,8 @@ histogram (``NetworkState.histogram``), the ground distance is rebuilt for
 the supplier-side state of each term, and each term runs through the fast
 Theorem 4 pipeline (:mod:`repro.snd.fast`): every reduced instance is one
 bank-folded dense transportation problem, solved by the ``solver=`` of
-choice (``"auto"`` — the network simplex, or the certified
-``"sinkhorn-hybrid"`` on very large instances). The construction is
+choice (``"auto"`` is the exact network simplex at every size). The
+construction is
 symmetric by design, so SND applies to time-unordered state pairs.
 
 Batch workloads (series sweeps, pairwise matrices) go through
@@ -85,14 +85,8 @@ class SND:
         ``"network-simplex"`` (warm-startable sparse simplex; the engine
         threads cached bases through it on temporally local workloads),
         ``"sinkhorn-hybrid"`` (approximate, with a certified per-solve
-        error bound), or ``"auto"`` (the network simplex; large reduced
-        instances route to the hybrid tier).
-    hybrid_cells:
-        ``solver="auto"`` escalation threshold: reduced instances with at
-        least this many cost-matrix cells route to the approximate hybrid
-        tier. ``"auto"`` keeps the library default
-        (:data:`repro.flow.AUTO_HYBRID_CELLS`); ``None`` disables the
-        hybrid tier so ``auto`` stays exact at every size.
+        error bound; always cold), or ``"auto"`` (the network simplex at
+        every size).
 
     Examples
     --------
@@ -122,7 +116,6 @@ class SND:
         max_cost: int = DEFAULT_MAX_COST,
         quantize: bool = True,
         solver: str = "ssp",
-        hybrid_cells: "int | str | None" = "auto",
         bank_metric: str = "nearest",
         bank_shares: str = "mass",
         seed=None,
@@ -151,15 +144,7 @@ class SND:
             raise ValidationError(
                 f"unknown solver {solver!r}; expected one of {sorted(SOLVER_CHOICES)}"
             )
-        if hybrid_cells is not None and hybrid_cells != "auto":
-            if not isinstance(hybrid_cells, (int, np.integer)) or hybrid_cells < 1:
-                raise ValidationError(
-                    f"hybrid_cells must be a positive integer, None, or "
-                    f"'auto', got {hybrid_cells!r}"
-                )
-            hybrid_cells = int(hybrid_cells)
         self.solver = solver
-        self.hybrid_cells = hybrid_cells
         self.bank_metric = bank_metric
         self.bank_shares = bank_shares
         self._caches: CacheManager | None = None
@@ -198,7 +183,7 @@ class SND:
         :class:`~repro.snd.cache.DijkstraRowCache`. *basis_cache* /
         *basis_key* (the term's ``(supplier fingerprint, consumer
         fingerprint, opinion)`` key) thread spanning-tree warm starts
-        through basis-carrying solvers — also value-preserving, see
+        through network-simplex solves — also value-preserving, see
         :class:`~repro.snd.cache.BasisCache`.
         """
         self._check_state(supplier_state)
@@ -213,7 +198,6 @@ class SND:
             self.banks,
             max_cost=self.ground.max_cost,
             solver=self.solver,
-            hybrid_cells=self.hybrid_cells,
             bank_metric=self.bank_metric,
             bank_shares=self.bank_shares,
             row_cache=row_cache,
@@ -279,7 +263,7 @@ class SND:
         transition."""
         return self.caches.transitions
 
-    def create_engine(self, *, jobs="auto", executor: str = "process", **kwargs):
+    def create_engine(self, **kwargs):
         """A persistent :class:`~repro.snd.engine.SNDEngine` over this
         instance, sharing its cache hierarchy (see
         :mod:`repro.snd.engine`). The caller owns its lifetime — use it as
@@ -287,7 +271,7 @@ class SND:
         """
         from repro.snd.engine import SNDEngine
 
-        return SNDEngine(self, jobs=jobs, executor=executor, **kwargs)
+        return SNDEngine(self, **kwargs)
 
     def evaluate_series(
         self, series: StateSeries, *, jobs: int | None = None, window: int | None = None

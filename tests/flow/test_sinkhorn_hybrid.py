@@ -4,9 +4,9 @@ The cross-solver *accuracy* properties (tolerance tiers, certificates,
 upper-bound vs exact) live in ``test_solver_equivalence.py``; this file
 pins the mechanics: the ε-scaling schedule, support-k resolution, top-k
 screening mask, northwest-corner feasibility repair, small-instance exact
-delegation, the restricted-solve backends, the diagnostics surface
-(``plan.info`` / ``HYBRID_METRICS``), and the two-branch
-``method="auto"`` policy (network simplex, hybrid above a cell count).
+delegation, the cold network-simplex restricted solve, the diagnostics
+surface (``plan.info`` / ``HYBRID_METRICS``), and the ``method="auto"``
+policy (the exact network simplex at every size).
 """
 
 from __future__ import annotations
@@ -14,21 +14,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import flow
 from repro.exceptions import FlowError, ValidationError
 from repro.flow import (
-    AUTO_HYBRID_CELLS,
     TransportationProblem,
     select_transport_method,
     solve_transportation,
     solve_transportation_lp,
+    solve_transportation_network_simplex,
 )
+from repro.flow.network_simplex import solve_support_network_simplex
 from repro.flow.sinkhorn_hybrid import (
     HYBRID_METRICS,
     HybridMetrics,
     HybridSolveInfo,
-    SMALL_EXACT_CELLS,
     _northwest_corner_cells,
-    _solve_support_ssp,
     epsilon_schedule,
     resolve_support_k,
     screen_support,
@@ -146,7 +146,7 @@ class TestNorthwestRepair:
         b *= a.sum() / b.sum()
         d = rng.integers(0, 20, (9, 12)).astype(float)
         rows, cols = _northwest_corner_cells(a, b)
-        plan = _solve_support_ssp(a, b, d, rows, cols)
+        plan = solve_support_network_simplex(a, b, d, rows, cols).flows
         assert np.allclose(plan.sum(axis=1), a, atol=1e-9)
         assert np.allclose(plan.sum(axis=0), b, atol=1e-9)
 
@@ -164,7 +164,7 @@ class TestNorthwestRepair:
 
 
 # --------------------------------------------------------------------- #
-# exact delegation + restricted-solve backends
+# exact delegation + the cold restricted solve
 # --------------------------------------------------------------------- #
 
 
@@ -186,42 +186,24 @@ class TestDelegationAndBackends:
         assert hybrid.cost == pytest.approx(exact.cost, abs=1e-9 * max(1.0, exact.cost))
         assert not hybrid.info.screened
 
-    @pytest.mark.parametrize("backend", ["ssp", "lp"])
-    def test_backends_agree_when_screened(self, rng, backend):
-        seed = int(rng.integers(0, 2**32))
-        problem = random_balanced(np.random.default_rng(seed), 70, 70)
-        plan = solve_transportation_sinkhorn_hybrid(
-            problem, support_k=8, epsilon=0.02, exact_backend=backend
-        )
-        plan.validate(problem)
-        assert plan.info.exact_backend == backend
-        assert plan.info.pivots == 0 and not plan.info.warm
-        # Same screen (deterministic) -> same restricted optimum.
-        other = "lp" if backend == "ssp" else "ssp"
-        ref = solve_transportation_sinkhorn_hybrid(
-            problem, support_k=8, epsilon=0.02, exact_backend=other
-        )
-        assert plan.cost == pytest.approx(ref.cost, abs=1e-7 * max(1.0, ref.cost))
-
     def test_network_simplex_backend_reports_its_pivots(self, rng):
+        """The screened support is solved cold by the network simplex, and
+        the plan reports that solve's pivots."""
         problem = random_balanced(rng, 70, 70)
-        cold, basis = solve_transportation_sinkhorn_hybrid(
-            problem, support_k=8, exact_backend="network-simplex",
-            return_basis=True,
-        )
-        assert cold.info.screened and not cold.info.warm
-        assert cold.info.pivots > 0
-        warm = solve_transportation_sinkhorn_hybrid(
-            problem, support_k=8, exact_backend="network-simplex", basis=basis,
-        )
-        assert warm.info.warm
-        assert warm.info.pivots < cold.info.pivots
-        assert warm.cost == pytest.approx(cold.cost, abs=1e-9 * max(1.0, cold.cost))
+        plan = solve_transportation_sinkhorn_hybrid(problem, support_k=8)
+        plan.validate(problem)
+        assert plan.info.screened
+        assert plan.info.pivots > 0
+        again = solve_transportation_sinkhorn_hybrid(problem, support_k=8)
+        assert again.info.pivots == plan.info.pivots
+        assert np.array_equal(again.flows, plan.flows)
 
     def test_bad_backend(self, rng):
-        with pytest.raises(ValidationError):
+        # The restricted solve has one backend; the option is gone and
+        # fails loudly rather than being ignored.
+        with pytest.raises(TypeError, match="exact_backend"):
             solve_transportation_sinkhorn_hybrid(
-                random_balanced(rng, 4, 4), exact_backend="cplex"
+                random_balanced(rng, 4, 4), exact_backend="lp"
             )
 
     def test_bad_epsilon(self, rng):
@@ -332,7 +314,7 @@ class TestDiagnostics:
 
 
 # --------------------------------------------------------------------- #
-# method="auto": network simplex, hybrid above the cell threshold
+# method="auto": the exact network simplex at every size
 # --------------------------------------------------------------------- #
 
 
@@ -346,38 +328,48 @@ def _shape_with_cells(cells: int) -> tuple[int, int]:
 
 class TestAutoSelectionBoundaries:
     @pytest.mark.parametrize(
-        "cells,expected",
+        "cells,explicit",
         [
-            (AUTO_HYBRID_CELLS, "network-simplex"),  # exact up to the threshold
-            (AUTO_HYBRID_CELLS + 1, "sinkhorn-hybrid"),
+            (160_000, "network-simplex"),
+            (160_001, "sinkhorn-hybrid"),  # above the former auto cutoff
         ],
     )
-    def test_each_cutoff_both_sides(self, cells, expected):
+    def test_each_cutoff_both_sides(self, monkeypatch, cells, explicit):
+        """On both sides of the former 160 000-cell cutoff ``auto`` dispatches
+        to the network simplex, while naming a solver still reaches it."""
         n, m = _shape_with_cells(cells)
         assert n * m == cells
-        assert select_transport_method(n, m) == expected
+        assert select_transport_method(n, m) == "network-simplex"
+        calls = []
+        for name in ("network-simplex", "sinkhorn-hybrid"):
+            monkeypatch.setitem(
+                flow._TRANSPORT_SOLVERS, name, lambda p, name=name: calls.append(name)
+            )
+        problem = TransportationProblem(np.ones(n), np.ones(m), np.zeros((n, m)))
+        solve_transportation(problem, method="auto")
+        solve_transportation(problem, method=explicit)
+        assert calls == ["network-simplex", explicit]
 
-    @pytest.mark.parametrize("cells", [2, 64, 65, 2_048, 2_049, 40_000])
+    @pytest.mark.parametrize(
+        "cells", [2, 64, 65, 2_048, 2_049, 40_000, 160_001, 100_000_000]
+    )
     def test_exact_region_is_network_simplex(self, cells):
-        """One exact branch: every size below the hybrid threshold lands on
-        the network simplex (no size tiers inside the exact region)."""
+        """One exact branch: every size lands on the network simplex (no
+        size tiers), 10 000 x 10 000 included."""
         n, m = _shape_with_cells(cells)
         assert select_transport_method(n, m) == "network-simplex"
 
-    def test_hybrid_cells_none_keeps_auto_exact(self):
-        n, m = _shape_with_cells(AUTO_HYBRID_CELLS + 1)
-        assert select_transport_method(n, m, hybrid_cells=None) == "network-simplex"
-        huge = select_transport_method(10_000, 10_000, hybrid_cells=None)
-        assert huge == "network-simplex"
-
-    def test_hybrid_cells_override_moves_threshold(self):
-        assert select_transport_method(80, 80, hybrid_cells=6_000) == "sinkhorn-hybrid"
-        assert select_transport_method(80, 80, hybrid_cells=6_400) == "network-simplex"
-
-    def test_hybrid_threshold_above_small_exact_floor(self):
-        """auto never routes an instance to the hybrid that the hybrid
-        would immediately delegate back to an exact solver."""
-        assert AUTO_HYBRID_CELLS > SMALL_EXACT_CELLS
+    def test_auto_exact_above_old_cutoff(self):
+        """420 x 400 = 168 000 cells, above the 160 000-cell cutoff where
+        ``auto`` used to escalate to the approximate hybrid: ``auto`` is
+        now bitwise the cold network simplex and agrees with HiGHS."""
+        problem = random_balanced(np.random.default_rng(11), 420, 400)
+        auto = solve_transportation(problem, method="auto")
+        cold = solve_transportation_network_simplex(problem)
+        assert np.array_equal(auto.flows, cold.flows)
+        assert repr(auto.cost) == repr(cold.cost)
+        exact = solve_transportation_lp(problem)
+        assert auto.cost == pytest.approx(exact.cost, rel=1e-9)
 
     def test_degenerate_shapes(self):
         assert select_transport_method(0, 10) == "network-simplex"

@@ -19,21 +19,30 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"executor": "greenlet"},
+            {"priority": ""},
             {"priority": "urgent"},
             {"max_pending": 0},
             {"client_max_pending": 0},
             {"memory_budget": 0},
             {"flush_interval": 0},
             {"flush_interval": -1.0},
-            {"hybrid_cells": 0},
-            {"hybrid_cells": "sometimes"},
-            {"hybrid_cells": 2.5},
+            {"max_pending": -1},
+            {"client_max_pending": -3},
+            {"memory_budget": -1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name", ["hybrid_cells", "executor", "use_row_cache", "use_basis_cache"]
+    )
+    def test_removed_fields_rejected(self, name):
+        with pytest.raises(TypeError, match=name):
+            EngineConfig(**{name: None})
+        with pytest.raises(ValidationError, match=name):
+            EngineConfig.from_mapping({name: 1}, strict=True)
 
     def test_priority_classes_cover_scheduler_weights(self):
         assert set(PRIORITY_CLASSES) == {"low", "normal", "high"}
@@ -73,15 +82,11 @@ class TestLayerViews:
             "solver": "exact",
         }
 
-    def test_snd_kwargs_threads_hybrid_cells_only_when_set(self):
-        assert "hybrid_cells" not in EngineConfig().snd_kwargs()
-        assert EngineConfig(hybrid_cells=5000).snd_kwargs()["hybrid_cells"] == 5000
-        assert EngineConfig(hybrid_cells=None).snd_kwargs()["hybrid_cells"] is None
-
     def test_engine_kwargs_defaults_max_pending(self):
         from repro.snd.scheduler import DEFAULT_MAX_PENDING
 
         kwargs = EngineConfig().engine_kwargs()
+        assert set(kwargs) == {"jobs", "max_pending", "client_max_pending"}
         assert kwargs["max_pending"] == DEFAULT_MAX_PENDING
         assert kwargs["client_max_pending"] is None
         assert EngineConfig(max_pending=7).engine_kwargs()["max_pending"] == 7

@@ -1,7 +1,7 @@
 """Tests for batch SND evaluation: caches, series, windows, pairwise.
 
 ``SND.evaluate_series`` / ``SND.pairwise_matrix`` run a one-call engine
-over the instance caches; tests that need a thread executor or a
+over the instance caches; tests that need a process pool or a
 non-default cache hierarchy hold an engine of their own.
 """
 
@@ -47,15 +47,19 @@ def distinct_series(n: int, length: int) -> StateSeries:
     return StateSeries(states)
 
 
-def sweep(snd, series, *, jobs=None, executor="process", caches=None, **kwargs):
+#: The engine's two execution modes: serial in-process, and a process pool.
+ENGINE_MODES = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
+
+
+def sweep(snd, series, *, jobs=None, caches=None, **kwargs):
     """``evaluate_series`` through an engine of the given shape."""
-    with SNDEngine(snd, jobs=jobs, executor=executor, caches=caches) as engine:
+    with SNDEngine(snd, jobs=jobs, caches=caches) as engine:
         return engine.evaluate_series(series, **kwargs)
 
 
-def matrix_of(snd, states, *, jobs=None, executor="process", caches=None):
+def matrix_of(snd, states, *, jobs=None, caches=None):
     """``pairwise_matrix`` through an engine of the given shape."""
-    with SNDEngine(snd, jobs=jobs, executor=executor, caches=caches) as engine:
+    with SNDEngine(snd, jobs=jobs, caches=caches) as engine:
         return engine.pairwise_matrix(states)
 
 
@@ -216,14 +220,13 @@ class TestEvaluateSeries:
         assert np.max(np.abs(batched - naive)) <= 1e-9
         assert snd.ground_cache.builds <= 2 * (len(series) - 1) + 2
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_parallel_matches_naive_loop(self, snd, rng, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_parallel_matches_naive_loop(self, snd, rng, jobs):
         series = random_series(40, 8, rng)
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
-        batched = sweep(snd, series, jobs=2, executor=executor)
+        batched = sweep(snd, series, jobs=jobs)
         assert np.max(np.abs(batched - naive)) <= 1e-9
-        if executor == "process":
-            assert np.array_equal(snd.evaluate_series(series, jobs=2), batched)
+        assert np.array_equal(snd.evaluate_series(series, jobs=jobs), batched)
 
     def test_distance_series_unchanged(self, snd, rng):
         series = random_series(40, 6, rng)
@@ -237,13 +240,14 @@ class TestEvaluateSeries:
     def test_more_jobs_than_transitions(self, snd, rng):
         series = random_series(40, 3, rng)
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
-        batched = sweep(snd, series, jobs=16, executor="thread")
+        batched = sweep(snd, series, jobs=4)
         assert np.max(np.abs(batched - naive)) <= 1e-9
 
-    def test_unknown_executor_rejected(self, snd, rng):
-        series = random_series(40, 4, rng)
-        with pytest.raises(ValidationError):
-            sweep(snd, series, jobs=2, executor="gpu")
+    def test_unknown_executor_rejected(self, snd):
+        # The engine has one parallel mode, a process pool; the executor
+        # option is gone and fails loudly rather than being ignored.
+        with pytest.raises(TypeError, match="executor"):
+            SNDEngine(snd, jobs=2, executor="gpu")
 
     def test_instance_cache_shared_across_calls(self, graph, rng):
         snd = SND(graph, n_clusters=3, seed=0)
@@ -297,23 +301,23 @@ class TestSlidingWindow:
             expected = window - 1 if start == 0 else 1
             assert fresh == expected, f"shift {start}: {fresh} fresh != {expected}"
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_windowed_parallel_identical(self, graph, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_windowed_parallel_identical(self, graph, jobs):
         series = distinct_series(40, 6)
         scratch = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
         snd = SND(graph, n_clusters=3, seed=0)
-        windowed = sweep(snd, series, window=4, jobs=2, executor=executor)
+        windowed = sweep(snd, series, window=4, jobs=jobs)
         assert np.array_equal(scratch, windowed)
         assert snd.transition_cache.fresh == len(series) - 1
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_parallel_shifts_resolve_one_fresh(self, graph, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_parallel_shifts_resolve_one_fresh(self, graph, jobs):
         series = distinct_series(40, 7)
         snd = SND(graph, n_clusters=3, seed=0)
         window = 5
         cache = snd.transition_cache
         reference = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
-        with SNDEngine(snd, jobs=2, executor=executor) as engine:
+        with SNDEngine(snd, jobs=jobs) as engine:
             for start in range(len(series) - window + 1):
                 before = cache.fresh
                 vals = engine.evaluate_series(
@@ -358,9 +362,9 @@ class TestSlidingWindow:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("window", [2, 3, 4, 6, 9])
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_full_window_matrix(self, graph, rng, window, executor):
-        """Every window size x executor: identical to scratch under cache
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_full_window_matrix(self, graph, rng, window, jobs):
+        """Every window size x engine mode: identical to scratch under cache
         pressure, one fresh transition per shift."""
         series = random_series(40, 9, rng)
         scratch = SND(graph, n_clusters=3, seed=0).evaluate_series(series)
@@ -368,8 +372,7 @@ class TestSlidingWindow:
             SND(graph, n_clusters=3, seed=0),
             series,
             window=window,
-            jobs=2,
-            executor=executor,
+            jobs=jobs,
             caches=CacheManager(ground_size=2),
         )
         assert np.array_equal(scratch, windowed)
@@ -392,14 +395,12 @@ class TestPairwiseMatrix:
                     snd.distance(states[i], states[j]), abs=1e-9
                 )
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_parallel_matches_serial(self, snd, rng, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_parallel_matches_serial(self, snd, rng, jobs):
         series = random_series(40, 5, rng)
         serial = snd.pairwise_matrix(series)
-        parallel = matrix_of(snd, series, jobs=3, executor=executor)
-        assert np.array_equal(serial, parallel)
-        if executor == "process":
-            assert np.array_equal(snd.pairwise_matrix(series, jobs=3), serial)
+        assert np.array_equal(matrix_of(snd, series, jobs=jobs), serial)
+        assert np.array_equal(snd.pairwise_matrix(series, jobs=jobs), serial)
 
     def test_build_count_linear_in_states(self, graph, rng):
         snd = SND(graph, n_clusters=3, seed=0)
@@ -428,18 +429,18 @@ class TestPairwiseMatrix:
         one = snd.pairwise_matrix([NetworkState.neutral(40)])
         assert one.shape == (1, 1) and one[0, 0] == 0.0
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_degenerate_sizes_with_jobs(self, snd, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_degenerate_sizes_with_jobs(self, snd, jobs):
         # 0/1-state inputs return before any pool is created, jobs or not.
-        assert matrix_of(snd, [], jobs=2, executor=executor).shape == (0, 0)
-        one = matrix_of(snd, [NetworkState.neutral(40)], jobs=2, executor=executor)
+        assert matrix_of(snd, [], jobs=jobs).shape == (0, 0)
+        one = matrix_of(snd, [NetworkState.neutral(40)], jobs=jobs)
         assert one.shape == (1, 1) and one[0, 0] == 0.0
 
     def test_two_states_single_pair(self, snd, rng):
         states = list(random_series(40, 2, rng))
         serial = snd.pairwise_matrix(states)
-        threaded = matrix_of(snd, states, jobs=4, executor="thread")
-        assert np.array_equal(serial, threaded)
+        parallel = matrix_of(snd, states, jobs=4)
+        assert np.array_equal(serial, parallel)
 
 
 class TestRegistryBatchPath:

@@ -47,6 +47,10 @@ def fresh_snd(graph):
     return SND(graph, n_clusters=3, seed=0)
 
 
+#: The engine's two execution modes: serial in-process, and a process pool.
+ENGINE_MODES = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
+
+
 class TestResolveJobs:
     def test_serial_spellings(self):
         assert resolve_jobs(None) == 1
@@ -76,11 +80,11 @@ class TestResolveJobs:
 
 
 class TestEngineSeries:
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_matches_naive_loop(self, graph, snd, rng, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_matches_naive_loop(self, graph, snd, rng, jobs):
         series = random_series(40, 7, rng)
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
-        with SNDEngine(fresh_snd(graph), jobs=2, executor=executor) as engine:
+        with SNDEngine(fresh_snd(graph), jobs=jobs) as engine:
             assert np.array_equal(engine.evaluate_series(series), naive)
 
     def test_serial_engine(self, graph, snd, rng):
@@ -88,11 +92,11 @@ class TestEngineSeries:
         naive = np.array([snd.distance(a, b) for a, b in series.transitions()])
         with SNDEngine(fresh_snd(graph), jobs=None) as engine:
             assert np.array_equal(engine.evaluate_series(series), naive)
+            assert engine.pool_starts == 0  # serial runs in-process, no pool
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_pool_persists_across_calls(self, graph, rng, executor):
+    def test_pool_persists_across_calls(self, graph, rng):
         series = random_series(40, 6, rng)
-        with SNDEngine(fresh_snd(graph), jobs=2, executor=executor) as engine:
+        with SNDEngine(fresh_snd(graph), jobs=2) as engine:
             first = engine.evaluate_series(series)
             second = engine.evaluate_series(series)
             third = engine.pairwise_matrix(list(series)[:4])
@@ -145,21 +149,23 @@ class TestEngineSeries:
         with SNDEngine(fresh_snd(graph), jobs=2) as engine:
             engine.evaluate_series(random_series(40, 5, rng))
             stats = engine.stats()
-            assert stats["jobs"] == 2 and stats["executor"] == "process"
+            assert stats["jobs"] == 2 and "executor" not in stats
             assert stats["pool_starts"] == 1 and stats["pool_alive"]
             assert "ground" in stats["caches"]
 
     def test_bad_executor_rejected(self, graph):
-        with pytest.raises(ValidationError):
+        # The process pool is the one parallel mode; the executor option
+        # is gone and fails loudly rather than being ignored.
+        with pytest.raises(TypeError, match="executor"):
             SNDEngine(fresh_snd(graph), executor="gpu")
 
 
 class TestEnginePairwise:
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_matches_batch_wrapper(self, graph, snd, rng, executor):
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_matches_batch_wrapper(self, graph, snd, rng, jobs):
         states = list(random_series(40, 5, rng))
         reference = snd.pairwise_matrix(states)
-        with SNDEngine(fresh_snd(graph), jobs=2, executor=executor) as engine:
+        with SNDEngine(fresh_snd(graph), jobs=jobs) as engine:
             assert np.array_equal(engine.pairwise_matrix(states), reference)
 
     def test_transitions_skip_solved_pairs(self, graph):
@@ -183,12 +189,12 @@ class TestCorpusIncremental:
     """The acceptance contract: ``Corpus.extend`` is bit-identical to a
     from-scratch matrix while solving only the new transitions."""
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
     @pytest.mark.parametrize("k", [1, 3])
-    def test_extend_bit_identical_and_minimal(self, graph, executor, k):
+    def test_extend_bit_identical_and_minimal(self, graph, jobs, k):
         states = distinct_states(40, 6 + k)
         scratch = fresh_snd(graph).pairwise_matrix(states)
-        with SNDEngine(fresh_snd(graph), jobs=2, executor=executor) as engine:
+        with SNDEngine(fresh_snd(graph), jobs=jobs) as engine:
             corpus = Corpus(engine, states[:6])
             before = engine.caches.transitions.fresh
             extended = corpus.extend(states[6:])
@@ -285,15 +291,15 @@ class TestCorpusIncremental:
             assert engine.caches.transitions.fresh - fresh_engine_cache == 4
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("executor", ["process", "thread"])
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
     @pytest.mark.parametrize("k", [1, 3])
-    def test_extend_matrix_property(self, graph, rng, executor, k):
-        """Randomised extension property across executors and pressure."""
+    def test_extend_matrix_property(self, graph, rng, jobs, k):
+        """Randomised extension property across engine modes and pressure."""
         series = random_series(40, 6 + k, rng)
         states = list(series)
         scratch = fresh_snd(graph).pairwise_matrix(states)
         caches = CacheManager(ground=GroundCostCache(maxsize=2))
-        with SNDEngine(fresh_snd(graph), jobs=2, executor=executor, caches=caches) as engine:
+        with SNDEngine(fresh_snd(graph), jobs=jobs, caches=caches) as engine:
             corpus = Corpus(engine, states[:6])
             extended = corpus.extend(states[6:])
             assert np.array_equal(extended, scratch)
@@ -537,7 +543,7 @@ class TestConcurrentEngine:
 
 
 class TestWarmStartedEngine:
-    """The basis-cache layer: solver-gated activation, counter-asserted
+    """The basis-cache layer: one warm-start rule, counter-asserted
     temporal locality, warm-vs-cold bit-identity, and append-only slots."""
 
     def constant_adopter_series(self, n: int, length: int) -> StateSeries:
@@ -560,31 +566,36 @@ class TestWarmStartedEngine:
         return SND(graph, n_clusters=3, seed=0, solver="network-simplex")
 
     def test_activation_policy(self, graph):
-        assert SNDEngine(self.ns_snd(graph), jobs=None)._basis_cache() is not None
-        # solver="auto" is warm-capable by default: its basis-aware
-        # selection routes cached-basis instances to the network simplex.
-        auto = SND(graph, n_clusters=3, seed=0, solver="auto")
-        assert SNDEngine(auto, jobs=None)._basis_cache() is not None
-        # Pure ssp never consumes a basis, so the store stays off.
-        assert SNDEngine(fresh_snd(graph), jobs=None)._basis_cache() is None
-        hybrid = SND(graph, n_clusters=3, seed=0, solver="sinkhorn-hybrid")
-        assert SNDEngine(hybrid, jobs=None)._basis_cache() is None  # auto: warm-exact only
-        assert (
-            SNDEngine(hybrid, jobs=None, use_basis_cache=True)._basis_cache()
-            is not None
-        )
-        assert (
-            SNDEngine(self.ns_snd(graph), jobs=None, use_basis_cache=False)
-            ._basis_cache()
-            is None
-        )
-        stats = SNDEngine(self.ns_snd(graph), jobs=None).stats()
-        assert stats["basis_cache_active"]
+        """The basis store is active if and only if ``use_basis_cache``,
+        whatever the solver; only network-simplex solves read it."""
+        for solver in ("auto", "network-simplex", "ssp", "lp", "sinkhorn-hybrid"):
+            snd = SND(graph, n_clusters=3, seed=0, solver=solver)
+            on = SNDEngine(snd, jobs=None)
+            assert on.basis_cache is on.caches.bases
+            assert on.stats()["basis_cache_active"]
+            off = SNDEngine(snd, jobs=None, use_basis_cache=False)
+            assert off.basis_cache is None
+            assert not off.stats()["basis_cache_active"]
+        stats = on.stats()
         assert "network_simplex" in stats and "slot_writes" in stats
 
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_hybrid_engine_stays_cold(self, graph, rng, jobs):
+        """The hybrid never reads or stores a basis: a serial and a
+        process engine with basis caching on are bitwise the per-pair
+        ``SND.distance`` loop, and the basis store stays empty."""
+        hybrid = SND(graph, n_clusters=3, seed=0, solver="sinkhorn-hybrid")
+        series = random_series(40, 6, rng)
+        naive = np.array([hybrid.distance(a, b) for a, b in series.transitions()])
+        engine_snd = SND(graph, n_clusters=3, seed=0, solver="sinkhorn-hybrid")
+        with SNDEngine(engine_snd, jobs=jobs, use_basis_cache=True) as engine:
+            assert np.array_equal(engine.evaluate_series(series), naive)
+            assert len(engine.caches.bases) == 0
+
     def test_bad_use_basis_cache_rejected(self, graph):
-        with pytest.raises(ValidationError, match="use_basis_cache"):
-            SNDEngine(fresh_snd(graph), use_basis_cache="always")
+        for bad in ("always", "auto"):
+            with pytest.raises(ValidationError, match="use_basis_cache"):
+                SNDEngine(fresh_snd(graph), use_basis_cache=bad)
 
     def test_window_shift_of_one_hits_warm_start(self, graph):
         """The headline locality counter-assert: after sweeping a window,
@@ -680,15 +691,6 @@ class TestWarmStartedEngine:
             assert warm_engine.caches.bases.stats()["hits"] > 0
             assert cold_engine.caches.bases.stats()["hits"] == 0
         assert np.array_equal(warm_vals, cold_vals)
-
-    def test_thread_executor_matches_serial(self, graph):
-        series = self.constant_adopter_series(40, 6)
-        with SNDEngine(self.ns_snd(graph), jobs=None) as serial, SNDEngine(
-            self.ns_snd(graph), jobs=2, executor="thread"
-        ) as threaded:
-            assert np.array_equal(
-                serial.evaluate_series(series), threaded.evaluate_series(series)
-            )
 
     def test_slot_writes_append_only(self, graph):
         """Satellite contract: corpus appends write only the *new* rows of

@@ -128,9 +128,10 @@ class TestSolverConsistencyAtScale:
 class TestTermDiagnostics:
     def test_hybrid_term_does_not_report_earlier_simplex_pivots(self):
         """Pivots and the warm flag describe the solve behind the term's
-        own cost: a sinkhorn-hybrid term handed a basis cache but no basis
-        key runs the hybrid's LP backend, so it reports no simplex work
-        even right after a network-simplex term on the same thread."""
+        own cost: a sinkhorn-hybrid term handed a basis cache solves its
+        support cold, so right after a network-simplex term on the same
+        thread it reports exactly the pivots of a hybrid term run alone,
+        and never a warm start."""
         from repro.opinions.state import POSITIVE
         from repro.snd.cache import BasisCache
 
@@ -138,6 +139,10 @@ class TestTermDiagnostics:
         banks = allocate_banks(g, n_clusters=3, seed=0)
         a = NetworkState.from_active_sets(60, positive=list(range(0, 24, 2)))
         b = NetworkState.from_active_sets(60, positive=list(range(30, 50, 2)))
+        hybrid = SND(g, banks=banks, solver="sinkhorn-hybrid")
+
+        alone = FastTermStats()
+        hybrid.term(b, a, POSITIVE, stats=alone)
 
         simplex_stats = FastTermStats()
         SND(g, banks=banks, solver="network-simplex").term(
@@ -146,12 +151,44 @@ class TestTermDiagnostics:
         assert simplex_stats.pivots > 0
 
         hybrid_stats = FastTermStats()
-        SND(g, banks=banks, solver="sinkhorn-hybrid").term(
-            b, a, POSITIVE, basis_cache=BasisCache(), stats=hybrid_stats
+        cache = BasisCache()
+        hybrid.term(
+            b, a, POSITIVE, basis_cache=cache, basis_key=("b", "a", POSITIVE),
+            stats=hybrid_stats,
         )
         assert hybrid_stats.solver == "sinkhorn-hybrid"
-        assert hybrid_stats.pivots == 0
+        assert hybrid_stats.pivots == alone.pivots
         assert hybrid_stats.warm_start is False
+        assert len(cache) == 0
+
+
+class TestWarmStartRule:
+    """One rule in ``_solve_reduced_dense``: a term reads and stores a
+    basis if and only if its resolved method is the network simplex."""
+
+    @pytest.mark.parametrize(
+        "solver", ["auto", "network-simplex", "ssp", "lp", "sinkhorn-hybrid"]
+    )
+    def test_only_network_simplex_touches_the_basis_store(self, solver):
+        from repro.opinions.state import POSITIVE
+        from repro.snd.cache import BasisCache
+
+        g = erdos_renyi_graph(60, 0.1, seed=4)
+        banks = allocate_banks(g, n_clusters=3, seed=0)
+        a = NetworkState.from_active_sets(60, positive=list(range(0, 24, 2)))
+        b = NetworkState.from_active_sets(60, positive=list(range(30, 50, 2)))
+        snd = SND(g, banks=banks, solver=solver)
+        cache = BasisCache()
+        stats = FastTermStats()
+        for _ in range(2):  # the second solve finds the first one's basis
+            snd.term(
+                a, b, POSITIVE, basis_cache=cache, basis_key=("a", "b", POSITIVE),
+                stats=stats,
+            )
+        warm = solver in ("auto", "network-simplex")
+        assert (len(cache) > 0) == warm
+        assert (cache.stats()["hits"] > 0) == warm
+        assert stats.warm_start == warm
 
 
 # --------------------------------------------------------------------- #
