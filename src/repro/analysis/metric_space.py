@@ -47,9 +47,11 @@ def state_distance_matrix(
     maintained matrix is returned directly when *items* are exactly the
     corpus members, and whose engine is used otherwise), an object
     exposing a batched ``pairwise_matrix`` (:class:`repro.snd.SND` or
-    :class:`repro.snd.SNDEngine`, which cache ground costs and honour
-    *jobs*), or a plain callable ``f(a, b) -> float``, in which case the
-    upper triangle is evaluated once and mirrored.
+    :class:`repro.snd.SNDEngine`, which cache ground costs), or a plain
+    callable ``f(a, b) -> float``, in which case the upper triangle is
+    evaluated once and mirrored. *jobs* is forwarded to
+    :meth:`repro.snd.SND.pairwise_matrix`; an engine (or a corpus's
+    engine) always runs on its own worker count.
     """
     # Class-level probes: ``matrix`` is a copying property on Corpus, so
     # it must not be touched until the membership check says it applies.
@@ -64,7 +66,8 @@ def state_distance_matrix(
         distance = getattr(distance, "engine", distance)
     batched = getattr(distance, "pairwise_matrix", None)
     if callable(batched):
-        return np.asarray(batched(items, jobs=jobs), dtype=np.float64)
+        values = batched(items) if jobs is None else batched(items, jobs=jobs)
+        return np.asarray(values, dtype=np.float64)
     items = list(items)
     n = len(items)
     out = np.zeros((n, n), dtype=np.float64)

@@ -9,7 +9,7 @@ Subcommands
     series.
 ``distance-matrix``
     Compute the symmetric all-pairs distance matrix over a saved series
-    (upper triangle evaluated once; ``--jobs`` fans out across workers).
+    (upper triangle evaluated once; ``--jobs`` sizes the engine's pool).
 ``watch``
     Stream a saved series state-by-state through the persistent
     :class:`~repro.snd.engine.SNDEngine`, scoring each transition with the
@@ -57,6 +57,23 @@ from repro import __version__
 __all__ = ["main", "build_parser"]
 
 
+def _add_jobs(parser: argparse.ArgumentParser, default: int | None = None) -> None:
+    # The one place a worker count enters: _config_jobs turns it into
+    # EngineConfig.jobs, and no operation takes one per call.
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=default,
+        help="SND engine worker count; 0 means serial (default: "
+        f"{'auto, serial on 1-CPU hosts' if default is None else default})",
+    )
+
+
+def _config_jobs(jobs: int | None):
+    """``--jobs`` as ``EngineConfig.jobs``: unset is ``auto``, 0 serial."""
+    return "auto" if jobs is None else (jobs or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-snd",
@@ -86,12 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--name", default="synthetic")
     dist.add_argument("--measure", default="snd", choices=measures)
     dist.add_argument("--clusters", type=int, default=None)
-    dist.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel workers for batched measures (default: serial)",
-    )
+    _add_jobs(dist, default=1)
     dist.add_argument(
         "--solver",
         default="auto",
@@ -127,12 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     dmat.add_argument("--name", default="synthetic")
     dmat.add_argument("--measure", default="snd", choices=measures)
     dmat.add_argument("--clusters", type=int, default=None)
-    dmat.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel workers for batched measures (default: serial)",
-    )
+    _add_jobs(dmat, default=1)
     dmat.add_argument(
         "--solver",
         default="auto",
@@ -166,12 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--name", default="synthetic")
     watch.add_argument("--clusters", type=int, default=None)
     watch.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
-    watch.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="engine worker count (default: auto — serial on 1-CPU hosts)",
-    )
+    _add_jobs(watch)
     watch.add_argument(
         "--window",
         type=int,
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", default="corpus", help="corpus name in the store")
         p.add_argument("--clusters", type=int, default=None)
         p.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
-        p.add_argument("--jobs", type=int, default=None)
+        _add_jobs(p)
         p.add_argument("--cache-stats", action="store_true")
 
     cbuild = csub.add_parser(
@@ -248,12 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--clusters", type=int, default=None)
     serve.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="engine worker count per shard (default: auto)",
-    )
+    _add_jobs(serve)
     serve.add_argument(
         "--max-pending",
         type=int,
@@ -397,7 +394,7 @@ def _make_service(args: argparse.Namespace):
     config = EngineConfig(
         clusters=getattr(args, "clusters", None),
         solver=getattr(args, "solver", "auto"),
-        jobs="auto" if getattr(args, "jobs", None) is None else args.jobs,
+        jobs=_config_jobs(getattr(args, "jobs", None)),
         # One-shot CLI runs never outlive the process; spilling the
         # transition cache on every invocation would thrash the store.
         persist_transitions=False,
@@ -437,11 +434,11 @@ def _print_cache_stats(
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    service = _make_service(args)
-    values = service.series_distances(
-        args.name, measure=args.measure, jobs=args.jobs, window=args.window
-    )
-    context = service.shard(args.name).context
+    with _make_service(args) as service:
+        context = service.shard(args.name).context
+        values = service.series_distances(
+            args.name, measure=args.measure, window=args.window
+        )
     print(f"# {args.measure} distances between adjacent states")
     for t, v in enumerate(values):
         print(f"{t:4d} -> {t + 1:4d}: {v:.6g}")
@@ -463,16 +460,15 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             f"(series_id={sid}) in {args.store}"
         )
     if args.cache_stats:
-        _print_cache_stats(
-            service.cache_stats(args.name), service.measure_requests()
-        )
+        _print_cache_stats(context.cache_stats(), service.measure_requests())
     return 0
 
 
 def _cmd_distance_matrix(args: argparse.Namespace) -> int:
-    service = _make_service(args)
-    matrix = service.matrix(args.name, measure=args.measure, jobs=args.jobs)
-    series = service.shard(args.name).series
+    with _make_service(args) as service:
+        shard = service.shard(args.name)
+        matrix = service.matrix(args.name, measure=args.measure)
+    series = shard.series
     if args.output:
         np.save(args.output, matrix)
         print(
@@ -493,9 +489,7 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
             f"({args.measure} matrix) to {args.store}"
         )
     if args.cache_stats:
-        _print_cache_stats(
-            service.cache_stats(args.name), service.measure_requests()
-        )
+        _print_cache_stats(shard.context.cache_stats(), service.measure_requests())
     return 0
 
 
@@ -509,7 +503,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     )
     with service:
         updates = service.watch(
-            args.name, window=args.window, threshold=args.threshold, jobs=args.jobs
+            args.name, window=args.window, threshold=args.threshold
         )
         for update in updates:
             parts = [f"t={update.index:4d}"]
@@ -542,18 +536,14 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     shard = service.shard(args.name)
     with service:
         if args.corpus_command == "build":
-            result = service.corpus_build(
-                args.name, args.corpus, first=args.first, jobs=args.jobs
-            )
+            result = service.corpus_build(args.name, args.corpus, first=args.first)
             print(
                 f"built corpus {args.corpus!r}: {result['n_states']} states, "
                 f"{result['pairs_solved']} pairs solved, "
                 f"saved to {args.store}"
             )
         elif args.corpus_command == "extend":
-            result = service.corpus_extend(
-                args.name, args.corpus, take=args.take, jobs=args.jobs
-            )
+            result = service.corpus_extend(args.name, args.corpus, take=args.take)
             if result["added"] == 0:
                 print(
                     f"corpus {args.corpus!r} already covers all "
@@ -575,7 +565,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                 )
                 return 1
             neighbours = service.corpus_query(
-                args.name, args.corpus, args.state, k=args.k, jobs=args.jobs
+                args.name, args.corpus, args.state, k=args.k
             )
             print(
                 f"# {len(neighbours)} nearest corpus members to series "
@@ -597,7 +587,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = EngineConfig(
         clusters=args.clusters,
         solver=args.solver,
-        jobs="auto" if args.jobs is None else args.jobs,
+        jobs=_config_jobs(args.jobs),
         max_pending=args.max_pending,
         client_max_pending=args.client_max_pending,
         memory_budget=args.memory_budget,

@@ -58,26 +58,24 @@ class DistanceContext:
 MeasureFn = Callable[[NetworkState, NetworkState, DistanceContext], float]
 
 
-#: Batched series evaluator:
-#: ``(series, context, jobs, window) -> (T-1,) array``.
-SeriesFn = Callable[
-    [StateSeries, DistanceContext, "int | None", "int | None"], np.ndarray
-]
-#: Batched all-pairs evaluator: ``(states, context, jobs) -> (N, N) array``.
-PairwiseFn = Callable[[Sequence, DistanceContext, "int | None"], np.ndarray]
+#: Batched series evaluator: ``(series, context) -> (T-1,) array``.
+SeriesFn = Callable[[StateSeries, DistanceContext], np.ndarray]
+#: Batched all-pairs evaluator: ``(states, context) -> (N, N) array``.
+PairwiseFn = Callable[[Sequence, DistanceContext], np.ndarray]
 
 
 class DistanceRegistry:
     """Named distance measures with a shared ``(p, q, context)`` signature.
 
     Measures may additionally register batched evaluators (*series_fn*,
-    *pairwise_fn*) that exploit measure-specific structure — SND routes
-    through :meth:`repro.snd.snd.SND.evaluate_series` /
-    :meth:`~repro.snd.snd.SND.pairwise_matrix` for ground-cost caching and
-    a ``jobs=`` fan-out. Measures without batched evaluators fall back to generic
-    loops (symmetric measures still get upper-triangle-only pairwise
-    evaluation), so every registered measure supports :meth:`series` and
-    :meth:`pairwise` uniformly.
+    *pairwise_fn*) that exploit measure-specific structure — SND runs a
+    serial :class:`~repro.snd.engine.SNDEngine` over the context's SND
+    instance, which caches ground costs across pairs. Measures without
+    batched evaluators fall back to generic loops (symmetric measures
+    still get upper-triangle-only pairwise evaluation), so every
+    registered measure supports :meth:`series` and :meth:`pairwise`
+    uniformly. A worker pool is an engine's business: hold an
+    :class:`~repro.snd.engine.SNDEngine` to run SND on one.
     """
 
     def __init__(self) -> None:
@@ -122,22 +120,16 @@ class DistanceRegistry:
         name: str,
         series: StateSeries,
         context: DistanceContext,
-        *,
-        jobs: int | None = None,
-        window: int | None = None,
     ) -> np.ndarray:
         """Adjacent-state distances ``d_t = f(G_{t-1}, G_t)``.
 
-        Measures with a registered batched evaluator (SND) honour *jobs*
-        and *window* (incremental sliding-window evaluation — identical
-        values, previously solved transitions reused) and cache shared
-        work; others run the generic per-pair loop, for which *window* is
-        a no-op (the values do not depend on it).
+        Measures with a registered batched evaluator (SND) cache shared
+        work; others run the generic per-pair loop.
         """
         fn = self.get(name)  # validates the name for both paths
         batched = self._series_fns.get(name)
         if batched is not None:
-            return np.asarray(batched(series, context, jobs, window), dtype=np.float64)
+            return np.asarray(batched(series, context), dtype=np.float64)
         return np.array(
             [fn(a, b, context) for a, b in series.transitions()], dtype=np.float64
         )
@@ -147,22 +139,26 @@ class DistanceRegistry:
         name: str,
         states,
         context: DistanceContext,
-        *,
-        jobs: int | None = None,
     ) -> np.ndarray:
         """Symmetric all-pairs distance matrix over *states*.
 
         The generic fallback evaluates the upper triangle only and mirrors
         it (every registered measure is symmetric); SND's batched evaluator
-        additionally caches ground costs and fans out across *jobs*.
+        additionally caches ground costs.
         """
         fn = self.get(name)
         batched = self._pairwise_fns.get(name)
         if batched is not None:
-            return np.asarray(batched(states, context, jobs), dtype=np.float64)
+            return np.asarray(batched(states, context), dtype=np.float64)
         from repro.analysis.metric_space import state_distance_matrix
 
         return state_distance_matrix(states, lambda p, q: fn(p, q, context))
+
+
+def _serial_engine(context: DistanceContext):
+    """A serial engine over the context's SND instance and its caches
+    (serial engines own no pool, so there is nothing to close)."""
+    return context.ensure_snd().create_engine(jobs=1)
 
 
 def default_registry() -> DistanceRegistry:
@@ -181,11 +177,8 @@ def default_registry() -> DistanceRegistry:
     registry.register(
         "snd",
         lambda p, q, ctx: ctx.ensure_snd().distance(p, q),
-        series_fn=lambda series, ctx, jobs, window=None: ctx.ensure_snd()
-        .evaluate_series(series, jobs=jobs, window=window),
-        pairwise_fn=lambda states, ctx, jobs: ctx.ensure_snd().pairwise_matrix(
-            states, jobs=jobs
-        ),
+        series_fn=lambda series, ctx: _serial_engine(ctx).evaluate_series(series),
+        pairwise_fn=lambda states, ctx: _serial_engine(ctx).pairwise_matrix(states),
     )
     registry.register("hamming", lambda p, q, ctx: hamming_distance(p, q))
     registry.register("l1", lambda p, q, ctx: l1_distance(p, q))

@@ -33,6 +33,7 @@ from typing import Any, Mapping
 
 from repro.exceptions import ValidationError
 from repro.snd.scheduler import PRIORITY_WEIGHTS as PRIORITY_CLASSES
+from repro.snd.scheduler import resolve_jobs
 
 __all__ = ["EngineConfig", "PRIORITY_CLASSES", "DEFAULT_FLUSH_INTERVAL"]
 
@@ -82,6 +83,7 @@ class EngineConfig:
     flush_interval: float = field(default=DEFAULT_FLUSH_INTERVAL)
 
     def __post_init__(self) -> None:
+        resolve_jobs(self.jobs)  # 0, "many" and True fail here, not per request
         if self.priority not in PRIORITY_CLASSES:
             raise ValidationError(
                 f"priority must be one of {sorted(PRIORITY_CLASSES)}, "

@@ -45,8 +45,8 @@ Routes
 ``GET  /v1/metrics``          Prometheus text exposition format
 ``GET  /v1/corpora``          corpora stored for serving
 ``POST /v1/distance``         ``{"name", "i", "j"}`` → one coalescable pair
-``POST /v1/series``           ``{"name", "measure"?, "jobs"?, "window"?}``
-``POST /v1/matrix``           ``{"name", "measure"?, "jobs"?}``
+``POST /v1/series``           ``{"name", "measure"?, "window"?}``
+``POST /v1/matrix``           ``{"name", "measure"?}``
 ``POST /v1/corpus/query``     ``{"name", "corpus", "state", "k"?}``
 ``POST /v1/watch``            ``{"name", "window"?, "threshold"?}`` (NDJSON)
 """
@@ -420,7 +420,6 @@ class HttpServer:
                 self.service.series_distances,
                 self._require(params, "name"),
                 measure=params.get("measure", "snd"),
-                jobs=params.get("jobs"),
                 window=params.get("window"),
             )
             self._write_json(
@@ -432,7 +431,6 @@ class HttpServer:
                 self.service.matrix,
                 self._require(params, "name"),
                 measure=params.get("measure", "snd"),
-                jobs=params.get("jobs"),
             )
             self._write_json(writer, 200, {"matrix": _json_safe(matrix)}, keep_alive)
             return False
@@ -607,10 +605,11 @@ class BackgroundServer:
 async def _serve_async(server: HttpServer, announce: bool, state: dict) -> None:
     await server.start()
     if announce:
+        config = server.service.config
         print(f"repro-snd serve: listening on http://{server.host}:{server.port}")
         print(
-            f"# store={server.service.store_path} "
-            f"jobs={server.service.jobs} max_pending={server.service.max_pending}",
+            f"# store={server.service.store_path} jobs={config.jobs} "
+            f"max_pending={config.engine_kwargs()['max_pending']}",
             flush=True,
         )
     # Process managers stop services with SIGTERM, whose default action

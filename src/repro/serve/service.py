@@ -14,10 +14,13 @@ saved series, a :class:`~repro.distances.DistanceContext` (so non-SND
 measures work too), a lazily created persistent
 :class:`~repro.snd.engine.SNDEngine` sharing the SND instance's unified
 cache hierarchy and shared-memory state matrix, and the corpora loaded
-for that graph.  All SND work funnels through the shard engine's
+for that graph.  Every SND operation — pair, series, matrix, watch and
+corpus — runs on that one engine and funnels through its
 :class:`~repro.snd.scheduler.PairScheduler`, which is what makes the
-service safe to hammer from many threads: duplicate concurrent requests
-for one pair coalesce into a single solve.
+service safe to hammer from many threads (duplicate concurrent requests
+for one pair coalesce into a single solve) and puts every request in the
+shard's counters.  The engine's worker count is ``EngineConfig.jobs``;
+no request can change it.
 
 The SQLite store is opened fresh per operation (connections are pinned
 to their creating thread), so service methods may run on any executor
@@ -97,16 +100,16 @@ class EngineShard:
                         )
         return snd
 
-    def engine(self, jobs=None):
-        """The shard's persistent engine (created once; *jobs* only
-        matters on the creating call — later calls reuse the engine and
-        can cap fan-out per call through the scheduler instead)."""
+    def engine(self):
+        """The shard's one persistent engine, created on first use from
+        the service config's ``engine_kwargs()`` (so its worker count is
+        ``EngineConfig.jobs``, fixed for the shard's lifetime)."""
         snd = self.ensure_snd()
         with self._lock:
             if self._engine is None:
-                kwargs = self.service.config.engine_kwargs()
-                kwargs["jobs"] = self.service.jobs if jobs is None else jobs
-                self._engine = snd.create_engine(**kwargs)
+                self._engine = snd.create_engine(
+                    **self.service.config.engine_kwargs()
+                )
             return self._engine
 
     def flush_transitions(self) -> int:
@@ -138,7 +141,7 @@ class EngineShard:
             self.transitions_persisted += written
         return written
 
-    def corpus(self, corpus_name: str, *, jobs=None, reload: bool = False):
+    def corpus(self, corpus_name: str, *, reload: bool = False):
         """The named corpus, loaded from the store through the shard
         engine (cached across calls unless *reload*)."""
         from repro.snd.engine import Corpus
@@ -147,7 +150,7 @@ class EngineShard:
             cached = self.corpora.get(corpus_name)
         if cached is not None and not reload:
             return cached
-        engine = self.engine(jobs=SNDService._engine_jobs(jobs))
+        engine = self.engine()
         with self.service._open_store() as store:
             corpus = Corpus.load(store, engine, self.graph_name, corpus_name)
         with self._lock:
@@ -220,34 +223,6 @@ class SNDService:
         with self._measures_lock:
             return dict(self._measure_requests)
 
-    # Read-only views of the config the shards and the serve banner read.
-    @property
-    def jobs(self):
-        return self.config.jobs
-
-    @property
-    def max_pending(self):
-        from repro.snd.scheduler import DEFAULT_MAX_PENDING
-
-        return (
-            DEFAULT_MAX_PENDING
-            if self.config.max_pending is None
-            else self.config.max_pending
-        )
-
-    @staticmethod
-    def _normalise_jobs(jobs):
-        # Registry spelling: None and 0 both mean serial there; a per-call
-        # ``jobs=0`` (the HTTP ``jobs`` field) keeps meaning serial at the
-        # service boundary while the library rejects it.
-        return None if jobs == 0 else jobs
-
-    @staticmethod
-    def _engine_jobs(jobs):
-        # Engine-creation spelling: None means "service default", so
-        # 0-means-serial must become an explicit 1 here.
-        return 1 if jobs == 0 else jobs
-
     def _open_store(self):
         from repro.store import ExperimentStore
 
@@ -280,42 +255,38 @@ class SNDService:
     # Distances
     # ------------------------------------------------------------------ #
 
-    def _prepare_measure(self, shard: EngineShard, measure: str) -> None:
-        # Mirror the CLI: the SND instance exists only when the SND
-        # measure is actually used (so --cache-stats can truthfully say
-        # "no SND instance was used" for baselines).
-        if measure == "snd":
-            shard.ensure_snd()
-
     def series_distances(
         self,
         graph_name: str,
         *,
         measure: str = "snd",
-        jobs=None,
         window: int | None = None,
     ) -> np.ndarray:
-        """Adjacent-state distances over the shard's saved series."""
+        """Adjacent-state distances over the shard's saved series.
+
+        SND runs on the shard engine (*window* selects its incremental
+        sliding-window sweep); other measures run the registry's generic
+        loop, for which *window* changes nothing.  Only SND builds an SND
+        instance, so ``--cache-stats`` can truthfully report none for
+        baselines."""
         from repro.distances import default_registry
 
         shard = self.shard(graph_name)
-        self._prepare_measure(shard, measure)
         self._count_measure(measure)
-        return default_registry().series(
-            measure, shard.series, shard.context,
-            jobs=self._normalise_jobs(jobs), window=window,
-        )
+        if measure == "snd":
+            return shard.engine().evaluate_series(shard.series, window=window)
+        return default_registry().series(measure, shard.series, shard.context)
 
-    def matrix(self, graph_name: str, *, measure: str = "snd", jobs=None) -> np.ndarray:
-        """All-pairs distance matrix over the shard's saved series."""
+    def matrix(self, graph_name: str, *, measure: str = "snd") -> np.ndarray:
+        """All-pairs distance matrix over the shard's saved series (SND on
+        the shard engine, other measures through the registry)."""
         from repro.distances import default_registry
 
         shard = self.shard(graph_name)
-        self._prepare_measure(shard, measure)
         self._count_measure(measure)
-        return default_registry().pairwise(
-            measure, shard.series, shard.context, jobs=self._normalise_jobs(jobs)
-        )
+        if measure == "snd":
+            return shard.engine().pairwise_matrix(shard.series)
+        return default_registry().pairwise(measure, shard.series, shard.context)
 
     def distance_pair(
         self,
@@ -364,7 +335,6 @@ class SNDService:
         *,
         window: int | None = 10,
         threshold: float | None = None,
-        jobs=None,
         states: Sequence[NetworkState] | None = None,
     ) -> Iterator:
         """Stream the shard's series (or *states*) through the engine,
@@ -373,7 +343,7 @@ class SNDService:
         from repro.analysis.anomaly import StreamingAnomalyDetector
 
         shard = self.shard(graph_name)
-        engine = shard.engine(jobs=self._engine_jobs(jobs))
+        engine = shard.engine()
         detector = StreamingAnomalyDetector(threshold=threshold)
         source = shard.series if states is None else states
         self._count_measure("snd")
@@ -389,13 +359,12 @@ class SNDService:
         corpus_name: str,
         *,
         first: int | None = None,
-        jobs=None,
     ) -> dict:
         """Build a corpus from the saved series' states and persist it."""
         from repro.snd.engine import Corpus
 
         shard = self.shard(graph_name)
-        engine = shard.engine(jobs=self._engine_jobs(jobs))
+        engine = shard.engine()
         states = list(shard.series)
         if first is not None:
             states = states[:first]
@@ -413,12 +382,11 @@ class SNDService:
         corpus_name: str,
         *,
         take: int = 1,
-        jobs=None,
     ) -> dict:
         """Append the next *take* series states to the corpus, solving
         only the new pairs (counter-asserted via the transition cache)."""
         shard = self.shard(graph_name)
-        corpus = shard.corpus(corpus_name, jobs=jobs)
+        corpus = shard.corpus(corpus_name)
         old_n = len(corpus)
         new_states = list(shard.series)[old_n : old_n + take]
         if not new_states:
@@ -452,7 +420,6 @@ class SNDService:
         state_index: int,
         *,
         k: int = 3,
-        jobs=None,
     ) -> list[tuple[int, float]]:
         """The *k* nearest corpus members to series state *state_index*."""
         shard = self.shard(graph_name)
@@ -461,7 +428,7 @@ class SNDService:
                 f"state index {state_index} out of range "
                 f"[0, {len(shard.series) - 1}]"
             )
-        corpus = shard.corpus(corpus_name, jobs=jobs)
+        corpus = shard.corpus(corpus_name)
         return corpus.query(shard.series[state_index], k=k)
 
     # ------------------------------------------------------------------ #

@@ -164,6 +164,19 @@ def _attach_shared_memory(name: str):
             resource_tracker.register = original
 
 
+def _pool_context():
+    """A forkserver, not a fork of the caller: a forked worker would keep
+    the caller's open sockets (a server's listener and connections) for
+    the pool's lifetime. Workers re-import the caller's main module, so a
+    script using ``jobs >= 2`` needs an ``if __name__ == "__main__":``
+    guard."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro.snd.engine"])
+    return context
+
+
 def _init_engine_worker(snd, shm_name, shape, ground_size, row_size, basis_size) -> None:
     """Attach this worker to the engine's shared state matrix (once).
 
@@ -423,6 +436,7 @@ class SNDEngine:
             init_matrix = None if shm_name is not None else self._matrix
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
+                mp_context=_pool_context(),
                 initializer=_init_engine_worker,
                 initargs=(
                     self.snd,
@@ -491,21 +505,6 @@ class SNDEngine:
         slot_chunks = [[(slot_of[i], slot_of[j]) for i, j in chunk] for chunk in chunks]
         return list(pool.map(_engine_pairs_worker, slot_chunks))
 
-    def _evaluate_pairs(
-        self,
-        states: Sequence[NetworkState],
-        chunks: list[list[tuple[int, int]]],
-    ) -> list[list[float]]:
-        """Distances for pre-chunked index pairs over *states*.
-
-        Serial when the engine is serial or there is a single tiny chunk;
-        otherwise dispatched to the persistent pool.
-        """
-        n_pairs = sum(len(c) for c in chunks)
-        if self.jobs <= 1 or n_pairs <= 1:
-            return [self._solve_pairs_local(states, chunk) for chunk in chunks]
-        return self._dispatch_chunks(states, chunks)
-
     # ------------------------------------------------------------------ #
     # Series evaluation
     # ------------------------------------------------------------------ #
@@ -569,7 +568,6 @@ class SNDEngine:
         states,
         *,
         transitions: TransitionCache | None = None,
-        jobs=None,
     ) -> np.ndarray:
         """Symmetric ``(N, N)`` SND matrix over *states*, upper triangle only.
 
@@ -578,9 +576,7 @@ class SNDEngine:
         exactly 0. The ground cache is grown to hold ``2·N`` cost arrays
         so each state's two arrays are built once. *transitions*
         (optional) answers already-solved pairs from the cache before any
-        dispatch — the lever behind :meth:`Corpus.extend`. *jobs*
-        overrides the engine's worker count for this call only (it cannot
-        exceed the persistent pool's size).
+        dispatch — the lever behind :meth:`Corpus.extend`.
         """
         states = list(states)
         n = len(states)
@@ -592,9 +588,7 @@ class SNDEngine:
         # Pairs are emitted grouped by row, so the scheduler's contiguous
         # chunks keep the supplier-side cost arrays hot in each worker.
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        values = self.scheduler.evaluate(
-            states, pairs, transitions=transitions, jobs=jobs
-        )
+        values = self.scheduler.evaluate(states, pairs, transitions=transitions)
         for (i, j), v in zip(pairs, values):
             out[i, j] = out[j, i] = v
         return out

@@ -295,7 +295,6 @@ class PairScheduler:
         pairs: Sequence[tuple[int, int]],
         *,
         transitions: TransitionCache | None = None,
-        jobs=None,
         block: bool = True,
         timeout: float | None = None,
         client: str | None = None,
@@ -317,8 +316,7 @@ class PairScheduler:
         by *priority*; an identified client over its quota fails fast
         with :class:`~repro.exceptions.ClientSaturatedError`.
 
-        *jobs* caps this call's chunk fan-out (it can never exceed the
-        engine's worker count).  Values are bit-identical to
+        Values are bit-identical to
         ``[engine.distance(states[i], states[j]) for i, j in pairs]``.
         """
         quota = self.client_quota(priority)  # validates priority up front
@@ -421,7 +419,7 @@ class PairScheduler:
             if not owned:
                 continue
             try:
-                values = self._solve(states, [pair for _, pair in owned], jobs)
+                values = self._solve(states, [pair for _, pair in owned])
             except BaseException as exc:
                 self._publish(
                     owned, None, owned_targets, results, transitions, states, exc,
@@ -448,18 +446,17 @@ class PairScheduler:
         self,
         states: Sequence[NetworkState],
         pairs: list[tuple[int, int]],
-        jobs,
     ) -> list[float]:
-        """Dispatch admitted *pairs* to the engine, chunked by worker count."""
+        """Dispatch admitted *pairs* to the engine: in-process when the
+        engine is serial or there is a single pair, otherwise chunked
+        across its worker pool — the one place that decides where a batch
+        runs."""
         engine = self.engine
-        call_jobs = (
-            engine.jobs if jobs is None else min(engine.jobs, resolve_jobs(jobs))
-        )
         self.solved += len(pairs)
-        if call_jobs <= 1 or len(pairs) <= 1:
+        if engine.jobs <= 1 or len(pairs) <= 1:
             self.batches += 1
             return engine._solve_pairs_local(states, pairs)
-        chunks = [pairs[a:b] for a, b in _chunk_ranges(len(pairs), call_jobs)]
+        chunks = [pairs[a:b] for a, b in _chunk_ranges(len(pairs), engine.jobs)]
         self.batches += len(chunks)
         # The engine (re)writes states into the shared-memory matrix per
         # dispatch, so concurrent dispatches must not interleave.

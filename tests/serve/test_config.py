@@ -29,6 +29,9 @@ class TestValidation:
             {"max_pending": -1},
             {"client_max_pending": -3},
             {"memory_budget": -1},
+            {"jobs": 0},
+            {"jobs": "many"},
+            {"jobs": True},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -471,6 +472,102 @@ class TestHybridOverHttp:
             assert stats["shards"]["t"]["hybrid"]["solves"] >= 1
 
 
+def _post_until_eof(server, path, payload, timeout):
+    """Send one ``Connection: close`` POST over a raw socket and read to
+    EOF; fail if the server has not closed the connection by *timeout*
+    seconds (``urllib`` reads by ``Content-Length`` and would not notice)."""
+    body = json.dumps(payload).encode()
+    request = (
+        f"POST {path} HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode() + body
+    deadline = time.monotonic() + timeout
+    chunks = []
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(request)
+        while True:
+            sock.settimeout(max(0.01, deadline - time.monotonic()))
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                pytest.fail(f"no EOF on {path} within {timeout}s")
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestPooledConnectionClose:
+    """Pool workers must not inherit the server's sockets: the request that
+    starts a shard's process pool still gets its connection closed."""
+
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/v1/corpus/query", {"name": "t", "corpus": "c", "state": 4, "k": 2}),
+            ("/v1/series", {"name": "t"}),
+        ],
+        ids=["corpus-query", "series"],
+    )
+    def test_first_pooled_request_reaches_eof(self, store_path, path, payload):
+        config = EngineConfig(clusters=2, jobs=2, persist_transitions=False)
+        with BackgroundServer(SNDService(store_path, config=config)) as server:
+            response = _post_until_eof(server, path, payload, timeout=10)
+            stats = server.server.service.stats()["shards"]["t"]
+        assert response.startswith(b"HTTP/1.1 200")
+        assert stats["pool_starts"] == 1
+
+
+class TestShardEngineRouting:
+    """SND series and matrix requests run on the shard's one engine: they
+    show up in its counters, and the request body cannot size its pool."""
+
+    def test_series_and_matrix_counted(self, server):
+        n = len(server.server.service.shard("t").series)
+        assert _post(server, "/v1/series", {"name": "t"})[0] == 200
+        assert _post(server, "/v1/matrix", {"name": "t"})[0] == 200
+        expected = (n - 1) + n * (n - 1) // 2
+        status, stats = _get(server, "/v1/stats")
+        assert status == 200
+        assert stats["shards"]["t"]["scheduler"]["requested"] == expected
+        url = f"http://{server.host}:{server.port}/v1/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            text = resp.read().decode("utf-8")
+        sample = 'snd_scheduler_requested_total{graph="t"} '
+        lines = [line for line in text.splitlines() if line.startswith(sample)]
+        assert len(lines) == 1
+        assert float(lines[0][len(sample):]) == expected
+
+    def test_hostile_jobs_field_ignored(self, store_path, monkeypatch):
+        import repro.snd.engine as engine_module
+
+        pools = []
+
+        class CountingPool(engine_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+        config = EngineConfig(clusters=2, jobs=1, persist_transitions=False)
+        with BackgroundServer(SNDService(store_path, config=config)) as server:
+            plain = {
+                path: _post(server, path, {"name": "t"})
+                for path in ("/v1/series", "/v1/matrix")
+            }
+            hostile = {
+                path: _post(server, path, {"name": "t", "jobs": 32})
+                for path in ("/v1/series", "/v1/matrix")
+            }
+            stats = server.server.service.stats()["shards"]["t"]
+        assert hostile == plain
+        assert all(status == 200 for status, _body in plain.values())
+        assert pools == []
+        assert (stats["jobs"], stats["pool_starts"]) == (1, 0)
+
+
 class TestServeSubprocess:
     def test_cli_serve_end_to_end(self, store_path):
         """`repro-snd serve` as a real subprocess: parse the bound port
@@ -514,3 +611,45 @@ class TestServeSubprocess:
                 raise
         assert proc.returncode == 0, err
         assert "shutting down" in out
+
+    def test_cli_serve_jobs_zero_is_serial(self, store_path):
+        """`serve --jobs 0` builds a serial config: /v1/distance answers
+        from an engine with one worker and no pool."""
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli",
+                "serve",
+                "--store", store_path,
+                "--port", "0",
+                "--clusters", "2",
+                "--jobs", "0",
+                "--no-persist",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            bufsize=1,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            assert "jobs=1 " in proc.stdout.readline()
+
+            class _Addr:
+                host = "127.0.0.1"
+                port = int(line.rsplit(":", 1)[1])
+
+            status, body = _post(_Addr, "/v1/distance", {"name": "t", "i": 0, "j": 1})
+            assert status == 200, body
+            status, stats = _get(_Addr, "/v1/stats")
+            assert status == 200
+            shard = stats["shards"]["t"]
+            assert (shard["jobs"], shard["pool_starts"]) == (1, 0)
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                _out, err = proc.communicate(timeout=30)
+            except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
+                proc.kill()
+                raise
+        assert proc.returncode == 0, err

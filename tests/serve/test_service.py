@@ -184,22 +184,28 @@ class TestStatsAndLifecycle:
         assert svc.names() == []
 
 
-class TestJobsSpellings:
-    def test_zero_jobs_means_serial_at_service_boundary(self, store_path):
-        # A per-call jobs=0 (the HTTP ``jobs`` field) means serial, though
-        # EngineConfig and the library reject it.
-        config = EngineConfig(clusters=2, persist_transitions=False)
+class TestOneEnginePerShard:
+    def test_every_snd_operation_shares_the_shard_engine(
+        self, store_path, monkeypatch
+    ):
+        import repro.snd.engine as engine_module
+
+        created = []
+
+        class CountingEngine(engine_module.SNDEngine):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("jobs"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "SNDEngine", CountingEngine)
+        config = EngineConfig(clusters=2, jobs=1, persist_transitions=False)
         with SNDService(store_path, config=config) as svc:
-            serial = svc.series_distances("t", jobs=None)
-            assert np.array_equal(svc.series_distances("t", jobs=0), serial)
-            assert np.array_equal(svc.matrix("t", jobs=0), svc.matrix("t"))
-
-    def test_normalise_jobs(self):
-        assert SNDService._normalise_jobs(0) is None
-        assert SNDService._normalise_jobs(None) is None
-        assert SNDService._normalise_jobs(3) == 3
-
-    def test_engine_jobs(self):
-        assert SNDService._engine_jobs(0) == 1
-        assert SNDService._engine_jobs(None) is None
-        assert SNDService._engine_jobs(3) == 3
+            svc.distance_pair("t", 0, 1)
+            svc.series_distances("t")
+            svc.series_distances("t", window=3)
+            svc.matrix("t")
+            list(svc.watch("t", window=3))
+            svc.corpus_build("t", "one-engine", first=3)
+            svc.corpus_extend("t", "one-engine", take=1)
+            svc.corpus_query("t", "one-engine", 4, k=2)
+        assert created == [1]

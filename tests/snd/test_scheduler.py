@@ -60,12 +60,6 @@ class TestEvaluateBasics:
         with pytest.raises(ValidationError):
             PairScheduler(object(), max_pending=0)
 
-    def test_bad_jobs_override_rejected(self, graph):
-        states = distinct_states(30, 2)
-        with fresh_engine(graph) as engine:
-            with pytest.raises(ValidationError):
-                engine.scheduler.evaluate(states, [(0, 1)], jobs=0)
-
 
 class TestDedupAndCoalescing:
     def test_duplicate_pairs_in_one_batch_solved_once(self, graph):
