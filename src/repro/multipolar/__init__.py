@@ -6,12 +6,11 @@ generalises it to ``k >= 2`` mutually exclusive poles:
 * :class:`MultipolarState` / :class:`MultipolarSeries` — k-pole states
   with the same byte-stable content fingerprints as bipolar ones, so the
   cache hierarchy and scheduler layers work unchanged;
-* :func:`~repro.multipolar.ground.pole_edge_costs` — Eq. 2 ground costs
-  per pole, every competing pole adverse (one-vs-rest over the bipolar
-  builder);
-* :class:`MultipolarSND` — the k-pole Eq. 3 generalisation, reducing
-  **bit-identically** to the bipolar :class:`~repro.snd.snd.SND` at
-  ``k = 2``.
+* :class:`MultipolarSND` — the k-pole Eq. 3 generalisation: an
+  :class:`~repro.snd.snd.SND` whose terms are the one-vs-rest pole
+  projections (every competing pole adverse), so it runs on
+  :class:`~repro.snd.engine.SNDEngine` unchanged and reduces
+  **bit-identically** to the bipolar SND at ``k = 2``.
 
 The synthetic k-pole evolution process lives in
 :mod:`repro.opinions.models.multipolar_voting`; the polarization-measure
@@ -19,8 +18,7 @@ bake-off comparing ``SND_k`` against scalar literature measures lives in
 :mod:`repro.analysis.bakeoff`.
 """
 
-from repro.multipolar.ground import pole_edge_costs
-from repro.multipolar.snd import MultipolarSND, MultipolarSNDResult
+from repro.multipolar.snd import MultipolarSND
 from repro.multipolar.state import (
     POLE_NEUTRAL,
     MultipolarSeries,
@@ -32,6 +30,4 @@ __all__ = [
     "MultipolarState",
     "MultipolarSeries",
     "MultipolarSND",
-    "MultipolarSNDResult",
-    "pole_edge_costs",
 ]

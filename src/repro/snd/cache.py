@@ -27,11 +27,12 @@ work at four levels:
 
 :class:`CacheManager` bundles one instance of each under a single,
 optional **shared memory budget** and one stats surface: when the total
-retained payload exceeds the budget, entries are evicted
+retained bytes exceed the budget, entries are evicted
 least-recently-used from whichever cache currently retains the most
-bytes, so one oversized layer cannot starve the others (a basis entry is
-two int64 vectors — far heavier than a float transition value — and its
-``nbytes`` participate in the accounting).
+bytes, so one oversized layer cannot starve the others. An entry retains
+its value's payload (a basis entry is two int64 vectors) plus the
+fingerprint bytes of its key: a transition entry over two ``n``-user
+states holds ``2·n`` key bytes next to an 8-byte float.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ DEFAULT_TRANSITION_CACHE_SIZE = 65536
 DEFAULT_BASIS_CACHE_SIZE = 512
 
 
+def _key_nbytes(key) -> int:
+    """Bytes retained by the ``bytes`` parts of a cache key (state
+    fingerprints), nested tuples included."""
+    if isinstance(key, bytes):
+        return len(key)
+    if isinstance(key, tuple):
+        return sum(_key_nbytes(part) for part in key)
+    return 0
+
+
 def _value_nbytes(value) -> int:
     """Approximate retained payload bytes of one cache entry."""
     if isinstance(value, np.ndarray):
@@ -92,12 +103,13 @@ def _value_nbytes(value) -> int:
 
 
 class _LruCache:
-    """Bounded thread-safe LRU shared by the three SND caches.
+    """Bounded thread-safe LRU shared by the four SND caches.
 
     ``hits`` / ``misses`` / ``evictions`` counters make reuse testable:
     ``misses`` equals the number of fresh computations performed through
-    the cache. Retained payload bytes are tracked in :attr:`nbytes` so a
-    :class:`CacheManager` can enforce a budget across caches. Pickling
+    the cache. Retained bytes (key fingerprints plus value payloads) are
+    tracked in :attr:`nbytes` so a :class:`CacheManager` can enforce a
+    budget across caches. Pickling
     drops the entries and the lock (process-pool workers rebuild their own
     caches; shipping entries across the boundary defeats the point).
     """
@@ -130,6 +142,8 @@ class _LruCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._nbytes -= _value_nbytes(old)
+            else:
+                self._nbytes += _key_nbytes(key)
             self._entries[key] = value
             self._nbytes += _value_nbytes(value)
             while len(self._entries) > self.maxsize:
@@ -138,8 +152,8 @@ class _LruCache:
             self._manager._rebalance()
 
     def _evict_oldest_locked(self) -> int:
-        _, value = self._entries.popitem(last=False)
-        freed = _value_nbytes(value)
+        key, value = self._entries.popitem(last=False)
+        freed = _key_nbytes(key) + _value_nbytes(value)
         self._nbytes -= freed
         self.evictions += 1
         return freed
@@ -153,7 +167,7 @@ class _LruCache:
 
     @property
     def nbytes(self) -> int:
-        """Approximate retained payload bytes."""
+        """Approximate retained bytes: key fingerprints plus payloads."""
         return self._nbytes
 
     def grow(self, maxsize: int) -> None:
@@ -459,15 +473,16 @@ class BasisCache(_LruCache):
 class CacheManager:
     """One cache hierarchy for every SND entry point.
 
-    Bundles a :class:`GroundCostCache`, a :class:`DijkstraRowCache`, and a
-    :class:`TransitionCache` behind a single stats surface and an optional
-    shared *memory_budget* (bytes). Existing cache instances can be
-    adopted (``CacheManager(ground=my_cache)``), which is how
+    Bundles a :class:`GroundCostCache`, a :class:`DijkstraRowCache`, a
+    :class:`TransitionCache` and a :class:`BasisCache` behind a single
+    stats surface and an optional shared *memory_budget* (bytes).
+    Existing cache instances can be adopted
+    (``CacheManager(ground=my_cache)``), which is how
     :meth:`~repro.snd.snd.SND.pairwise_matrix` swaps in a right-sized
     ground cache for one call while sharing the instance's other caches.
 
-    The budget is enforced on insert: while the total retained payload
-    exceeds it, the least-recently-used entry of whichever member cache
+    The budget is enforced on insert: while the total retained bytes
+    exceed it, the least-recently-used entry of whichever member cache
     currently retains the most bytes is evicted (so an oversized row cache
     cannot crowd out the ground-cost arrays, and vice versa). Eviction
     never breaks correctness — every cache is a pure memoisation layer —
@@ -514,7 +529,7 @@ class CacheManager:
 
     @property
     def nbytes(self) -> int:
-        """Total retained payload bytes across the hierarchy."""
+        """Total retained bytes across the hierarchy."""
         return sum(cache.nbytes for cache in self._members())
 
     def _rebalance(self) -> None:
@@ -528,7 +543,7 @@ class CacheManager:
 
     def ensure_ground_capacity(self, n_entries: int) -> None:
         """Grow the ground cache so *n_entries* cost arrays fit at once
-        (pairwise sweeps size it to ``2·N`` to keep builds linear)."""
+        (pairwise sweeps size it to ``n_poles·N`` to keep builds linear)."""
         self.ground.grow(n_entries)
 
     def stats(self) -> dict:
@@ -567,8 +582,7 @@ class CacheManager:
         self.ground = state["ground"]
         self.rows = state["rows"]
         self.transitions = state["transitions"]
-        # Managers pickled before the basis store existed rebuild a default.
-        self.bases = state.get("bases") or BasisCache()
+        self.bases = state["bases"]
         for cache in self._members():
             if cache._manager is None:
                 cache._manager = self

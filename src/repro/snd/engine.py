@@ -33,10 +33,14 @@ makes the evaluate-as-states-arrive path first-class:
     :class:`~repro.analysis.anomaly.StreamingAnomalyDetector` — the
     ``repro-snd watch`` CLI path.
 
-Exactness contract: every path funnels through the same
-:func:`_pair_distance` per-pair pipeline as :meth:`SND.evaluate` (same
-cost arrays, same solver, same summation order). Only network-simplex
-solves (``"network-simplex"`` and ``"auto"``) ever warm-start. With a
+The engine runs any :class:`~repro.snd.snd.SND`, including the k-pole
+:class:`~repro.multipolar.snd.MultipolarSND`: pool workers rebuild
+states from shared-memory rows through ``snd.state_from_row``.
+
+Exactness contract: every path funnels through the same Eq. 3 loop as
+:meth:`SND.evaluate`, ``SND._sum_terms`` (same cost arrays, same solver,
+same summation order). Only network-simplex solves
+(``"network-simplex"`` and ``"auto"``) ever warm-start. With a
 cold solver (``"ssp"``, ``"lp"``, ``"sinkhorn-hybrid"``) or with
 ``use_basis_cache=False``, results are bit-identical to the naive
 per-pair loop in every execution mode. With warm starts on, a cached
@@ -61,7 +65,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.flow.network_simplex import SIMPLEX_METRICS
 from repro.flow.sinkhorn_hybrid import HYBRID_METRICS
-from repro.opinions.state import NEGATIVE, POSITIVE, NetworkState, StateSeries
+from repro.opinions.state import NetworkState, StateSeries
 from repro.snd.cache import (
     DEFAULT_CACHE_SIZE,
     CacheManager,
@@ -71,62 +75,6 @@ from repro.snd.cache import (
 from repro.snd.scheduler import DEFAULT_MAX_PENDING, PairScheduler, resolve_jobs
 
 __all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs"]
-
-
-# --------------------------------------------------------------------- #
-# Single-pair evaluation through the caches
-# --------------------------------------------------------------------- #
-
-
-def _pair_distance(
-    snd,
-    a: NetworkState,
-    b: NetworkState,
-    cache: GroundCostCache,
-    row_cache=None,
-    basis_cache=None,
-) -> float:
-    """One Eq. 3 evaluation with ground costs drawn from *cache*.
-
-    Term order and summation match :meth:`SND.evaluate` exactly so the
-    result is bit-identical to the unbatched path; *row_cache* (optional)
-    additionally reuses per-source Dijkstra rows across terms, which is
-    value-preserving (rows are per-source deterministic). *basis_cache*
-    (optional; only network-simplex solves use it) keys each term's optimal
-    spanning-tree basis by ``(fingerprint_supplier, fingerprint_consumer,
-    opinion)`` so temporally adjacent pairs — window shifts, corpus
-    appends, the reverse terms of this very pair — warm-start the network
-    simplex; warm solves are exact, so this too is value-preserving.
-    """
-    ground, graph = snd.ground, snd.graph
-    key_a, key_b = GroundCostCache.fingerprint(a), GroundCostCache.fingerprint(b)
-    terms = (
-        snd.term(
-            a, b, POSITIVE,
-            edge_costs=cache.edge_costs(ground, graph, a, POSITIVE),
-            row_cache=row_cache, cost_key=(key_a, POSITIVE),
-            basis_cache=basis_cache, basis_key=(key_a, key_b, POSITIVE),
-        ),
-        snd.term(
-            a, b, NEGATIVE,
-            edge_costs=cache.edge_costs(ground, graph, a, NEGATIVE),
-            row_cache=row_cache, cost_key=(key_a, NEGATIVE),
-            basis_cache=basis_cache, basis_key=(key_a, key_b, NEGATIVE),
-        ),
-        snd.term(
-            b, a, POSITIVE,
-            edge_costs=cache.edge_costs(ground, graph, b, POSITIVE),
-            row_cache=row_cache, cost_key=(key_b, POSITIVE),
-            basis_cache=basis_cache, basis_key=(key_b, key_a, POSITIVE),
-        ),
-        snd.term(
-            b, a, NEGATIVE,
-            edge_costs=cache.edge_costs(ground, graph, b, NEGATIVE),
-            row_cache=row_cache, cost_key=(key_b, NEGATIVE),
-            basis_cache=basis_cache, basis_key=(key_b, key_a, NEGATIVE),
-        ),
-    )
-    return 0.5 * sum(terms)
 
 
 # --------------------------------------------------------------------- #
@@ -213,17 +161,17 @@ def _engine_pairs_worker(pairs: list[tuple[int, int]]) -> list[float]:
     matrix = _ENGINE_WORKER["matrix"]
     caches: CacheManager = _ENGINE_WORKER["caches"]
     basis_cache = caches.bases if _ENGINE_WORKER["basis_cache_enabled"] else None
-    local: dict[int, NetworkState] = {}
+    local: dict = {}
 
-    def state(i: int) -> NetworkState:
+    def state(i: int):
         s = local.get(i)
         if s is None:
-            s = NetworkState(matrix[i].copy())
+            s = snd.state_from_row(matrix[i].copy())
             local[i] = s
         return s
 
     return [
-        _pair_distance(snd, state(i), state(j), caches.ground, caches.rows, basis_cache)
+        snd._sum_terms(state(i), state(j), caches=caches, basis_cache=basis_cache)[0]
         for i, j in pairs
     ]
 
@@ -264,7 +212,8 @@ class SNDEngine:
     Parameters
     ----------
     snd:
-        The :class:`~repro.snd.snd.SND` instance to evaluate through.
+        The :class:`~repro.snd.snd.SND` instance to evaluate through
+        (bipolar or k-pole).
     jobs:
         ``"auto"`` (default — serial on single-CPU hosts, up to 4 workers
         otherwise), an explicit worker count (>= 1), or ``None`` for
@@ -431,7 +380,9 @@ class SNDEngine:
             except (ImportError, OSError):  # pragma: no cover - no /dev/shm
                 self._shm = None
                 self._matrix = np.zeros(shape, dtype=np.int8)
-            ground_size = max(self.caches.ground.maxsize, 2 * self._capacity)
+            ground_size = max(
+                self.caches.ground.maxsize, self.snd.n_poles * self._capacity
+            )
             basis_size = 0 if self.basis_cache is None else self.basis_cache.maxsize
             init_matrix = None if shm_name is not None else self._matrix
             self._pool = ProcessPoolExecutor(
@@ -467,9 +418,9 @@ class SNDEngine:
 
     def distance(self, a: NetworkState, b: NetworkState) -> float:
         """SND between two states through the engine's cache hierarchy."""
-        return _pair_distance(
-            self.snd, a, b, self.caches.ground, self.caches.rows, self.basis_cache
-        )
+        return self.snd._sum_terms(
+            a, b, caches=self.caches, basis_cache=self.basis_cache
+        )[0]
 
     def _solve_pairs_local(
         self,
@@ -477,14 +428,7 @@ class SNDEngine:
         pairs: Sequence[tuple[int, int]],
     ) -> list[float]:
         """Serial in-process solve of index *pairs* over *states*."""
-        caches = self.caches
-        return [
-            _pair_distance(
-                self.snd, states[i], states[j], caches.ground, caches.rows,
-                self.basis_cache,
-            )
-            for i, j in pairs
-        ]
+        return [self.distance(states[i], states[j]) for i, j in pairs]
 
     def _dispatch_chunks(
         self,
@@ -573,8 +517,8 @@ class SNDEngine:
 
         Eq. 3 is symmetric by construction, so only the ``N·(N-1)/2``
         pairs ``i < j`` are evaluated and mirrored; the diagonal is
-        exactly 0. The ground cache is grown to hold ``2·N`` cost arrays
-        so each state's two arrays are built once. *transitions*
+        exactly 0. The ground cache is grown to hold ``n_poles·N`` cost
+        arrays so each state's arrays are built once. *transitions*
         (optional) answers already-solved pairs from the cache before any
         dispatch — the lever behind :meth:`Corpus.extend`.
         """
@@ -583,7 +527,9 @@ class SNDEngine:
         out = np.zeros((n, n), dtype=np.float64)
         if n < 2:
             return out
-        self.caches.ensure_ground_capacity(max(DEFAULT_CACHE_SIZE, 2 * n))
+        self.caches.ensure_ground_capacity(
+            max(DEFAULT_CACHE_SIZE, self.snd.n_poles * n)
+        )
 
         # Pairs are emitted grouped by row, so the scheduler's contiguous
         # chunks keep the supplier-side cost arrays hot in each worker.
@@ -736,7 +682,11 @@ class Corpus:
 
     def __init__(self, engine: SNDEngine, states: Sequence[NetworkState] = ()) -> None:
         if not isinstance(engine, SNDEngine):
-            engine = SNDEngine(engine)  # accept a bare SND for convenience
+            # The caller owns the engine's pool and shared memory; a corpus
+            # never starts one it could not close.
+            raise ValidationError(
+                f"Corpus needs an SNDEngine, got {type(engine).__name__}"
+            )
         self.engine = engine
         self._states: list[NetworkState] = []
         self._matrix = np.zeros((0, 0), dtype=np.float64)

@@ -14,6 +14,13 @@ choice (``"auto"`` is the exact network simplex at every size). The
 construction is
 symmetric by design, so SND applies to time-unordered state pairs.
 
+``SND._sum_terms`` is the only Eq. 3 loop: :meth:`SND.evaluate` runs it
+cache-free, and :class:`~repro.snd.engine.SNDEngine` runs it through its
+cache hierarchy, serially and in pool workers. It walks a term list of
+``(supplier, consumer, opinion)`` triples; the k-pole
+:class:`~repro.multipolar.snd.MultipolarSND` is an ``SND`` whose term
+list holds pole projections.
+
 Batch workloads (series sweeps, pairwise matrices) go through
 :meth:`SND.evaluate_series` / :meth:`SND.pairwise_matrix`, which run a
 one-call :class:`~repro.snd.engine.SNDEngine` over the instance's cache
@@ -44,20 +51,26 @@ from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig
 __all__ = ["SND", "SNDResult"]
 
 
+def _check_users(graph: DiGraph, state) -> None:
+    if state.n != graph.num_nodes:
+        raise StateError(f"state covers {state.n} users, graph has {graph.num_nodes}")
+
+
 @dataclass
 class SNDResult:
-    """A fully itemised SND evaluation (term order as in Eq. 3)."""
+    """A fully itemised SND evaluation: ``terms`` and ``stats`` follow the
+    summation order of :meth:`SND.evaluate` (Eq. 3's order for bipolar
+    SND; direction-major, pole-minor for k-pole SND)."""
 
     value: float
-    terms: tuple[float, float, float, float]
-    stats: tuple[FastTermStats, FastTermStats, FastTermStats, FastTermStats]
+    terms: tuple[float, ...]
+    stats: tuple[FastTermStats, ...]
 
     @property
     def n_delta(self) -> int:
-        """Changed users observed across the positive/negative terms."""
+        """Changed users observed across the first direction's terms."""
         return max(
-            self.stats[0].n_suppliers + self.stats[0].n_consumers,
-            self.stats[1].n_suppliers + self.stats[1].n_consumers,
+            s.n_suppliers + s.n_consumers for s in self.stats[: len(self.stats) // 2]
         )
 
 
@@ -151,11 +164,71 @@ class SND:
 
     # ------------------------------------------------------------------ #
 
+    #: Poles of the opinion space (Eq. 3: positive and negative); each state
+    #: contributes one cost array per pole to a pair.
+    n_poles = 2
+
     def _check_state(self, state: NetworkState) -> None:
-        if state.n != self.graph.num_nodes:
-            raise StateError(
-                f"state covers {state.n} users, graph has {self.graph.num_nodes}"
-            )
+        _check_users(self.graph, state)
+
+    def state_from_row(self, row: np.ndarray) -> NetworkState:
+        """Rebuild a state from an int8 opinion row (pool workers read the
+        engine's states this way from shared memory)."""
+        return NetworkState(row)
+
+    def _pair_terms(self, a, b) -> list[tuple[NetworkState, NetworkState, int]]:
+        """Eq. 3's terms as ``(supplier, consumer, opinion)`` triples, in
+        summation order."""
+        return [(a, b, POSITIVE), (a, b, NEGATIVE), (b, a, POSITIVE), (b, a, NEGATIVE)]
+
+    def _sum_terms(
+        self,
+        a,
+        b,
+        *,
+        caches: CacheManager | None = None,
+        basis_cache=None,
+        stats: list[FastTermStats] | None = None,
+    ) -> tuple[float, tuple[float, ...]]:
+        """The Eq. 3 sum ``(value, terms)``: every :meth:`_pair_terms` term
+        through :meth:`term`, summed left to right.
+
+        :meth:`evaluate` runs it cache-free and collects one
+        :class:`FastTermStats` per term into *stats*. The engine passes
+        *caches* (ground costs, Dijkstra rows) and *basis_cache*, keyed by
+        the supplier's and consumer's content fingerprints; every cache
+        layer is value-preserving.
+        """
+        self._check_state(a)
+        self._check_state(b)
+        pair_terms = self._pair_terms(a, b)
+        if caches is not None:
+            # One key object per state: the row and basis entries it keys
+            # share it instead of each retaining an n-byte copy.
+            fp = {
+                id(s): GroundCostCache.fingerprint(s)
+                for supplier, consumer, _ in pair_terms
+                for s in (supplier, consumer)
+            }
+        terms = []
+        for supplier, consumer, opinion in pair_terms:
+            kwargs = {}
+            if caches is not None:
+                fp_sup = fp[id(supplier)]
+                kwargs = dict(
+                    edge_costs=caches.ground.edge_costs(
+                        self.ground, self.graph, supplier, opinion
+                    ),
+                    row_cache=caches.rows,
+                    cost_key=(fp_sup, opinion),
+                    basis_cache=basis_cache,
+                    basis_key=(fp_sup, fp[id(consumer)], opinion),
+                )
+            if stats is not None:
+                stats.append(FastTermStats())
+                kwargs["stats"] = stats[-1]
+            terms.append(self.term(supplier, consumer, opinion, **kwargs))
+        return 0.5 * sum(terms), tuple(terms)
 
     def term(
         self,
@@ -186,8 +259,8 @@ class SND:
         through network-simplex solves — also value-preserving, see
         :class:`~repro.snd.cache.BasisCache`.
         """
-        self._check_state(supplier_state)
-        self._check_state(consumer_state)
+        _check_users(self.graph, supplier_state)
+        _check_users(self.graph, consumer_state)
         if edge_costs is None:
             edge_costs = self.ground.edge_costs(self.graph, supplier_state, opinion)
         return emd_star_term_fast(
@@ -212,15 +285,10 @@ class SND:
         return self.evaluate(state_a, state_b).value
 
     def evaluate(self, state_a: NetworkState, state_b: NetworkState) -> SNDResult:
-        """SND with per-term values and pipeline diagnostics."""
-        stats = tuple(FastTermStats() for _ in range(4))
-        terms = (
-            self.term(state_a, state_b, POSITIVE, stats=stats[0]),
-            self.term(state_a, state_b, NEGATIVE, stats=stats[1]),
-            self.term(state_b, state_a, POSITIVE, stats=stats[2]),
-            self.term(state_b, state_a, NEGATIVE, stats=stats[3]),
-        )
-        return SNDResult(value=0.5 * sum(terms), terms=terms, stats=stats)
+        """SND with per-term values and pipeline diagnostics (cache-free)."""
+        stats: list[FastTermStats] = []
+        value, terms = self._sum_terms(state_a, state_b, stats=stats)
+        return SNDResult(value=value, terms=terms, stats=tuple(stats))
 
     # ------------------------------------------------------------------ #
     # Batch evaluation (one-call engines, see repro.snd.engine)
@@ -279,9 +347,9 @@ class SND:
         """Adjacent-state distances ``d_t = SND(G_t, G_{t+1})``, batched.
 
         Runs a one-call :class:`~repro.snd.engine.SNDEngine` over the
-        instance caches: each state's two cost arrays are built once and
-        reused by both transitions touching it (``2·(T-1) + 2`` builds
-        instead of ``4·(T-1)``). ``jobs >= 2`` splits the transitions into
+        instance caches: each state's cost arrays (one per pole) are built
+        once and reused by both transitions touching it (``2·(T-1) + 2``
+        builds instead of ``4·(T-1)`` for bipolar SND). ``jobs >= 2`` splits the transitions into
         contiguous chunks over a process pool that lives for this call;
         hold an engine (:meth:`create_engine`) to keep one warm across
         sweeps.
@@ -305,19 +373,20 @@ class SND:
 
         Eq. 3 is symmetric by construction, so only the ``N·(N-1)/2``
         pairs ``i < j`` are evaluated and mirrored; the diagonal is
-        exactly 0. Each state's two cost arrays are built once (``2·N``
+        exactly 0. Each state's cost arrays are built once (``n_poles·N``
         builds). *states* may be a :class:`StateSeries` or any sequence of
         :class:`NetworkState`; 0- and 1-state inputs yield the trivial
         all-zero matrix.
         """
         states = list(states)
         caches = self.caches
-        if caches.ground.maxsize < 2 * len(states):
+        if caches.ground.maxsize < self.n_poles * len(states):
             # A right-sized ground cache for this call only keeps builds at
-            # 2N without pinning 2N cost arrays on the instance (a
-            # long-lived SNDEngine grows the shared cache instead).
+            # one per state and pole without pinning those cost arrays on
+            # the instance (a long-lived SNDEngine grows the shared cache
+            # instead).
             caches = CacheManager(
-                ground=GroundCostCache(2 * len(states)),
+                ground=GroundCostCache(self.n_poles * len(states)),
                 rows=caches.rows,
                 transitions=caches.transitions,
                 bases=caches.bases,
@@ -339,7 +408,8 @@ class SND:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SND(n={self.graph.num_nodes}, model={self.model.name}, "
+            f"{type(self).__name__}(n={self.graph.num_nodes}, poles={self.n_poles}, "
+            f"model={self.model.name}, "
             f"clusters={self.banks.n_clusters}, banks={self.banks.n_banks}, "
             f"solver={self.solver})"
         )

@@ -32,7 +32,7 @@ from repro.opinions.models.multipolar_voting import (
     seed_multipolar_state,
 )
 from repro.opinions.state import NEGATIVE, POSITIVE, NetworkState
-from repro.snd import SND
+from repro.snd import SND, Corpus, SNDEngine
 from repro.snd.fast import SOLVER_CHOICES
 
 
@@ -216,6 +216,79 @@ class TestBitIdentity:
                 NetworkState.neutral(graph.num_nodes),
                 NetworkState.neutral(graph.num_nodes),
             )
+
+
+# --------------------------------------------------------------------- #
+# k-pole SND on the engine
+# --------------------------------------------------------------------- #
+
+#: The engine's two execution modes: serial in-process, and a process pool.
+ENGINE_MODES = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
+
+
+def assert_same(got, expected, solver):
+    """Bitwise for cold solvers; ``auto`` warm-starts from cached bases."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    if solver == "auto":
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+    else:
+        assert np.array_equal(got, expected)
+
+
+class TestEngine:
+    """``SNDEngine`` runs k-pole SND like bipolar SND: series, matrices,
+    corpora and pools all equal the per-pair ``distance`` loop."""
+
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    @pytest.mark.parametrize("solver", ["ssp", "lp", "auto"])
+    def test_engine_matches_per_pair_loop(self, graph, solver, jobs):
+        series = generate_multipolar_series(
+            graph, 6, n_poles=3, n_seeds=9, p_nbr=0.4, p_ext=0.1, seed=1
+        )
+        states = list(series)
+        snd_kwargs = dict(n_clusters=3, seed=0, solver=solver)
+        msnd = MultipolarSND(graph, 3, **snd_kwargs)
+        pair_series = [msnd.distance(a, b) for a, b in series.transitions()]
+        pair_matrix = np.zeros((len(states), len(states)))
+        for i in range(len(states)):
+            for j in range(i + 1, len(states)):
+                pair_matrix[i, j] = pair_matrix[j, i] = msnd.distance(
+                    states[i], states[j]
+                )
+        assert max(pair_series) > 0
+        with SNDEngine(MultipolarSND(graph, 3, **snd_kwargs), jobs=jobs) as engine:
+            assert_same(engine.evaluate_series(series), pair_series, solver)
+            assert_same(engine.pairwise_matrix(states), pair_matrix, solver)
+        with SNDEngine(MultipolarSND(graph, 3, **snd_kwargs), jobs=jobs) as engine:
+            corpus = Corpus(engine, states[:3])
+            assert_same(corpus.extend(states[3:]), pair_matrix, solver)
+            hits = corpus.query(states[1], k=len(states))
+            got = [d for _, d in sorted(hits)]
+            expected = [msnd.distance(states[1], m) for m in states]
+            assert_same(got, expected, solver)
+            assert engine.pool_starts == (0 if jobs is None else 1)
+
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    @pytest.mark.parametrize("solver", ["ssp", "auto"])
+    def test_k2_engine_series_equals_bipolar(self, graph, solver, jobs):
+        series = generate_series(
+            graph, 7, n_seeds=8, p_nbr=0.4, p_ext=0.1, seed=9
+        )
+        snd_kwargs = dict(n_clusters=3, seed=0, solver=solver)
+        with SNDEngine(SND(graph, **snd_kwargs), jobs=jobs) as engine:
+            expected = engine.evaluate_series(series)
+        with SNDEngine(MultipolarSND(graph, 2, **snd_kwargs), jobs=jobs) as engine:
+            got = engine.evaluate_series(MultipolarSeries.from_bipolar(series))
+        assert expected.max() > 0
+        assert np.array_equal(got, expected)
+
+    def test_state_mismatch_rejected_by_engine(self, graph):
+        with SNDEngine(MultipolarSND(graph, 3, n_clusters=3, seed=0), jobs=None) as engine:
+            with pytest.raises(StateError):
+                engine.distance(
+                    NetworkState.neutral(graph.num_nodes),
+                    NetworkState.neutral(graph.num_nodes),
+                )
 
 
 # --------------------------------------------------------------------- #

@@ -147,14 +147,32 @@ class TestCounters:
         assert cache.hits == 0 and cache.misses == 0
 
     def test_nbytes_tracks_entries(self):
+        # A row key nests the cost key: ((fingerprint, opinion), reverse,
+        # source); its fingerprint bytes count next to the row.
         cache = DijkstraRowCache(maxsize=4)
         row = np.arange(10, dtype=np.float64)
-        cache._put(("k", False, 0), row)
-        assert cache.nbytes == row.nbytes
-        cache._put(("k", False, 0), row)  # overwrite: no double count
-        assert cache.nbytes == row.nbytes
+        key = ((b"fp", 1), False, 0)
+        cache._put(key, row)
+        assert cache.nbytes == row.nbytes + 2
+        cache._put(key, row)  # overwrite: no double count
+        assert cache.nbytes == row.nbytes + 2
         cache.evict_oldest()
         assert cache.nbytes == 0
+
+    def test_transition_entry_counts_key_bytes(self):
+        # An 8-byte value keyed by two 20k-user fingerprints retains 40 000
+        # key bytes; the budget must see them.
+        n = 20_000
+        a = NetworkState.from_active_sets(n, positive=[0])
+        b = NetworkState.from_active_sets(n, positive=[1])
+        cache = TransitionCache()
+        cache.put(a, b, 1.0)
+        assert cache.nbytes == 2 * n + 8
+        manager = CacheManager(memory_budget=2 * n - 1)
+        manager.transitions.put(a, b, 1.0)
+        assert len(manager.transitions) == 0
+        assert manager.transitions.evictions == 1
+        assert manager.nbytes == 0
 
 
 def _basis(k: int, size: int = 8) -> TransportBasis:
@@ -217,11 +235,12 @@ class TestBasisCache:
         assert _value_nbytes(basis) == basis.nbytes == 2 * 16 * 8
 
     def test_nbytes_accounting(self):
+        # Payload plus the key's two one-byte fingerprints.
         cache = BasisCache(maxsize=4)
         cache.put_term((b"a", b"b", 1), _basis(0, size=16))
-        assert cache.nbytes == 2 * 16 * 8
+        assert cache.nbytes == 2 * 16 * 8 + 2
         cache.put_term((b"a", b"b", 1), _basis(1, size=4))  # overwrite
-        assert cache.nbytes == 2 * 4 * 8
+        assert cache.nbytes == 2 * 4 * 8 + 2
 
     def test_memory_budget_includes_bases(self):
         """Satellite contract: basis payloads participate in the shared

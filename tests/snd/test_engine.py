@@ -251,11 +251,11 @@ class TestCorpusIncremental:
             assert engine.caches.transitions.fresh == before
             assert matrix.shape == (3, 3)
 
-    def test_accepts_bare_snd(self, graph):
-        corpus = Corpus(fresh_snd(graph), distinct_states(40, 3))
-        assert isinstance(corpus.engine, SNDEngine)
-        assert corpus.matrix.shape == (3, 3)
-        corpus.engine.close()
+    def test_rejects_bare_snd(self, graph):
+        # A corpus wrapping its own engine would start a pool and a
+        # shared-memory block that nobody closes.
+        with pytest.raises(ValidationError, match="SNDEngine"):
+            Corpus(fresh_snd(graph), distinct_states(40, 3))
 
     def test_query_nearest(self, graph):
         states = distinct_states(40, 5)
