@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget",
         type=int,
         default=None,
-        help="cache hierarchy memory budget in bytes (default: unbounded)",
+        help="cache hierarchy memory budget in bytes, per process "
+        "(default: unbounded)",
     )
     serve.add_argument(
         "--no-persist",

@@ -15,11 +15,7 @@ from repro.emd.base import emd, emd_raw_cost
 from repro.emd.emd_alpha import emd_alpha
 from repro.emd.emd_hat import emd_hat
 from repro.emd.emd_star import EmdStarExtension, build_extension, emd_star, metric_gammas
-from repro.emd.reduction import (
-    cancel_common_mass,
-    reduced_problem_profile,
-    remove_empty_bins,
-)
+from repro.emd.reduction import cancel_common_mass, remove_empty_bins
 
 __all__ = [
     "emd",
@@ -31,6 +27,5 @@ __all__ = [
     "build_extension",
     "metric_gammas",
     "cancel_common_mass",
-    "reduced_problem_profile",
     "remove_empty_bins",
 ]

@@ -21,42 +21,9 @@ from repro.utils.validation import check_nonnegative, check_vector
 
 __all__ = [
     "cancel_common_mass",
-    "reduced_problem_profile",
     "remove_empty_bins",
     "reduce_histograms",
 ]
-
-
-def reduced_problem_profile(
-    p_red: np.ndarray,
-    q_red: np.ndarray,
-    costs_red: np.ndarray | None = None,
-    *,
-    unreachable: float | None = None,
-) -> dict:
-    """Size/density profile of a reduced instance, consumed by the
-    ``solver="auto"`` selection policy.
-
-    Returns a dict with ``n_suppliers``, ``n_consumers``, ``n_cells``
-    (``n_suppliers * n_consumers``) and ``density`` — the fraction of cost
-    cells strictly below *unreachable* (1.0 when no cost matrix or clamp is
-    given). A low density means most supplier/consumer pairs are effectively
-    disconnected, which favours the sparse min-cost-flow formulation over
-    the dense simplex/LP ones.
-    """
-    n_sup = int(np.asarray(p_red).shape[0])
-    n_con = int(np.asarray(q_red).shape[0])
-    cells = n_sup * n_con
-    density = 1.0
-    if costs_red is not None and unreachable is not None and cells:
-        costs_red = np.asarray(costs_red, dtype=np.float64)
-        density = float(np.count_nonzero(costs_red < unreachable)) / costs_red.size
-    return {
-        "n_suppliers": n_sup,
-        "n_consumers": n_con,
-        "n_cells": cells,
-        "density": density,
-    }
 
 
 def cancel_common_mass(p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -103,6 +103,8 @@ class HybridSolveInfo:
     lower_bound: float = 0.0
     screened: bool = False
     pivots: int = 0
+    #: The restricted solve is always cold.
+    warm: bool = False
 
 
 class HybridMetrics:

@@ -51,7 +51,8 @@ class EngineConfig:
 
     SND construction — ``clusters``, ``solver``, ``seed``.
 
-    Engine — ``jobs``, ``memory_budget`` (shared cache budget in bytes).
+    Engine — ``jobs``, ``memory_budget`` (shared cache budget in bytes,
+    applied to each process: the engine's and every pool worker's).
 
     Scheduler — ``max_pending`` (global backpressure bound;
     ``None`` → library default), ``client_max_pending`` (per-client

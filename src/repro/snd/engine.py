@@ -125,13 +125,17 @@ def _pool_context():
     return context
 
 
-def _init_engine_worker(snd, shm_name, shape, ground_size, row_size, basis_size) -> None:
+def _init_engine_worker(
+    snd, shm_name, shape, ground_size, row_size, basis_size, memory_budget
+) -> None:
     """Attach this worker to the engine's shared state matrix (once).
 
-    A *basis_size* of 0 disables the worker-local basis store (the cache
-    object still exists — content-keyed caches are per-process, so a
-    worker's basis store warms only solves dispatched to that worker;
-    chunk contiguity keeps related pairs together).
+    The worker's caches get the engine's *memory_budget* as their own cap,
+    so the budget bounds each process. A *basis_size* of 0 disables the
+    worker-local basis store (the cache object still exists —
+    content-keyed caches are per-process, so a worker's basis store warms
+    only solves dispatched to that worker; chunk contiguity keeps related
+    pairs together).
     """
     if shm_name is None:
         matrix = shape  # no shared memory available: *shape* is the matrix
@@ -145,6 +149,7 @@ def _init_engine_worker(snd, shm_name, shape, ground_size, row_size, basis_size)
         ground_size=ground_size,
         row_size=row_size,
         basis_size=max(1, basis_size),
+        memory_budget=memory_budget,
     )
     _ENGINE_WORKER["basis_cache_enabled"] = basis_size > 0
 
@@ -396,6 +401,7 @@ class SNDEngine:
                     ground_size,
                     self.caches.rows.maxsize,
                     basis_size,
+                    self.caches.memory_budget,
                 ),
             )
             self.pool_starts += 1

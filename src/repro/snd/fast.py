@@ -1,31 +1,35 @@
 """The linear-time SND computation (Theorem 4, §5).
 
-Per EMD* term the pipeline is:
+Each EMD* term runs four stages over one :class:`ReducedTerm` record:
 
-1. **Reduce** (Lemmas 1-2): cancel per-bin common mass; the surviving
-   suppliers/consumers are exactly the users whose opinion changed — at
-   most ``n∆`` of each (Assumption 1).
-2. **Shortest paths**: one single-source Dijkstra per changed user on the
-   bank-free side (forward from suppliers when the banks sit on the demand
-   side, reversed from consumers otherwise) — under the default
-   ``"nearest"`` bank metric those same rows also price every bank arc, so
-   no extra shortest-path work is needed. The paper-literal ``"cluster"``
-   metric additionally runs one multi-source Dijkstra per cluster hosting
-   changed users. Rows are per-source and depend only on the supplier-side
-   edge costs, so batch sweeps hand in a
-   :class:`~repro.snd.cache.DijkstraRowCache` to reuse rows of unchanged
-   sources across terms and transitions.
-3. **Solve the reduced problem**: bank bins are folded into the dense
-   supplier x consumer matrix as extra consumers (or suppliers), each at
-   per-pair cost ``leg + γ``, and this one transportation instance goes
-   to the solver. ``solver="auto"`` (via
-   :func:`repro.flow.select_transport_method`) is the exact network
-   simplex at every size. A network-simplex solve is warm-started from a
-   :class:`~repro.snd.cache.BasisCache` when one is threaded; every other
-   solver runs cold. Explicit ``"ssp"``, ``"lp"`` and the approximate
-   ``"sinkhorn-hybrid"`` (entropic screen + sparse exact solve, certified
-   per-solve error bound; see :mod:`repro.flow.sinkhorn_hybrid`) solve the
-   same folded instance.
+1. **Reduce** (:func:`_reduce`, Lemmas 1-2): cancel per-bin common mass;
+   the surviving suppliers/consumers are exactly the users whose opinion
+   changed — at most ``n∆`` of each (Assumption 1). This stage also sizes
+   the bank bins and decides the orientation, once: ``src`` is the
+   bank-free side the shortest-path rows run from, ``dst`` the other
+   side, which also hosts the bank bins (the lighter histogram's side;
+   without a deficit there are no banks and ``src`` is the smaller side).
+2. **Price** (:func:`_price`): one single-source Dijkstra per ``src``
+   user (reversed when ``src`` holds the consumers) prices the
+   ``d[src, dst]`` block, and under the default ``"nearest"`` bank metric
+   those same rows also price every bank leg, so no extra shortest-path
+   work is needed. The paper-literal ``"cluster"`` metric additionally
+   runs one multi-source Dijkstra per cluster hosting ``src`` users. Rows
+   are per-source and depend only on the supplier-side edge costs, so
+   batch sweeps hand in a :class:`~repro.snd.cache.DijkstraRowCache` to
+   reuse rows of unchanged sources across terms and transitions.
+3. **Fold** (:func:`_fold`): bank bins join ``dst`` as extra columns at
+   per-pair cost ``leg + γ``, every axis gets a stable label, and the
+   ``src x dst`` block becomes the supplier x consumer transportation
+   instance.
+4. **Solve** (:func:`_solve`): the instance goes to the solver.
+   ``solver="auto"`` (via :func:`repro.flow.select_transport_method`) is
+   the exact network simplex at every size. A network-simplex solve is
+   warm-started from a :class:`~repro.snd.cache.BasisCache` when one is
+   threaded; every other solver runs cold. Explicit ``"ssp"``, ``"lp"``
+   and the approximate ``"sinkhorn-hybrid"`` (entropic screen + sparse
+   exact solve, certified per-solve error bound; see
+   :mod:`repro.flow.sinkhorn_hybrid`) solve the same folded instance.
 
 Under ``bank_metric="nearest"`` the result *exactly* equals the direct
 (unreduced) EMD* — the extended ground distance is a semimetric, so the
@@ -45,20 +49,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
 import repro.flow as flow
-from repro.emd.reduction import reduced_problem_profile
 from repro.exceptions import ValidationError
 from repro.flow import network_simplex, select_transport_method
 # Unused here; kept because perfbench/tracer.py wraps this module-level name.
 from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
 from repro.flow.problem import TransportationProblem
-from repro.flow.sinkhorn_hybrid import HybridSolveInfo
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import multi_source_distances
 from repro.snd.banks import BankAllocation
 from repro.snd.ground import unreachable_cost
 
-__all__ = ["emd_star_term_fast", "FastTermStats", "SOLVER_CHOICES"]
+__all__ = [
+    "emd_star_term_fast", "check_term_options", "FastTermStats", "SOLVER_CHOICES",
+]
 
 _EPS = 1e-12
 
@@ -68,6 +72,27 @@ _EPS = 1e-12
 #: a :class:`repro.snd.cache.BasisCache` it reuses the previous optimal
 #: spanning tree across temporally local solves.
 SOLVER_CHOICES = ("auto", "ssp", "lp", "network-simplex", "sinkhorn-hybrid")
+
+
+def check_term_options(solver: str, bank_metric: str, bank_shares: str) -> None:
+    """Reject an unknown solver, bank metric or bank-share rule.
+
+    :class:`~repro.snd.snd.SND` runs it at construction and
+    :func:`emd_star_term_fast` before any work, so a bad option fails
+    even on terms that would never consult it (no deficit, no banks).
+    """
+    if solver not in SOLVER_CHOICES:
+        raise ValidationError(
+            f"unknown solver {solver!r}; expected one of {sorted(SOLVER_CHOICES)}"
+        )
+    if bank_metric not in ("nearest", "cluster"):
+        raise ValidationError(
+            f"bank_metric must be 'nearest' or 'cluster', got {bank_metric!r}"
+        )
+    if bank_shares not in ("mass", "size"):
+        raise ValidationError(
+            f"bank_shares must be 'mass' or 'size', got {bank_shares!r}"
+        )
 
 
 @dataclass
@@ -80,18 +105,39 @@ class FastTermStats:
     n_cluster_runs: int = 0
     cost: float = 0.0
     solver: str = ""
-    density: float = 1.0
-    #: Fraction of reduced-instance cells kept by the sinkhorn-hybrid
-    #: screen (1.0 when an exact solver ran, or the instance was small
-    #: enough that the hybrid delegated to an exact solve).
-    support_density: float = 1.0
-    #: Certified relative-error bound of the hybrid solve (0.0 for exact).
-    screen_error_bound: float = 0.0
     #: Simplex pivots of the network-simplex solve, or of the hybrid's
     #: restricted network-simplex solve (0 for other solvers).
     pivots: int = 0
     #: Whether the network-simplex solve started from a cached warm basis.
     warm_start: bool = False
+
+
+@dataclass
+class ReducedTerm:
+    """One EMD* term after Lemmas 1-2, oriented once.
+
+    ``src`` is the bank-free side the shortest-path rows run from: the
+    suppliers when *forward*, else the consumers (rows over reversed
+    edges). ``dst`` is the other side; bank bins join it. *bank_caps* is
+    ``(n_clusters, n_banks)`` and *active* lists the clusters with bank
+    capacity (empty without a deficit). :func:`_price` fills ``d``
+    (``d[src, dst]``) and ``legs`` (``(src, active)``, ``None`` without
+    banks), both clamped to the unreachable cost.
+    """
+
+    forward: bool
+    src_ids: np.ndarray
+    src_amounts: np.ndarray
+    dst_ids: np.ndarray
+    dst_amounts: np.ndarray
+    bank_caps: np.ndarray
+    active: np.ndarray
+    n_suppliers: int
+    n_consumers: int
+    d: np.ndarray | None = None
+    legs: np.ndarray | None = None
+    n_sssp_runs: int = 0
+    n_cluster_runs: int = 0
 
 
 def _min_distance_from_set(
@@ -154,98 +200,35 @@ def _cluster_minima(values: np.ndarray, banks: BankAllocation) -> np.ndarray:
 def _bank_capacities(
     histogram: np.ndarray, banks: BankAllocation, deficit: float, bank_shares: str
 ) -> np.ndarray:
-    """Bank capacities, ``(n_clusters, n_banks)``.
+    """Bank capacities, ``(n_clusters, n_banks)``, for a positive *deficit*.
 
     Must match :func:`repro.emd.emd_star.build_extension` exactly (the
     fast/direct equivalence depends on it).
     """
     nc, nb = banks.n_clusters, banks.n_banks
-    caps = np.zeros((nc, nb))
-    if deficit <= 0:
-        return caps
     sizes = banks.cluster_sizes
     if bank_shares == "size":
         shares = sizes / sizes.sum()
-    elif bank_shares == "mass":
+    else:  # "mass"
         cluster_of = banks.cluster_of(histogram.shape[0])
         cluster_mass = np.bincount(
             cluster_of, weights=histogram, minlength=nc
         ).astype(np.float64)
         total = cluster_mass.sum()
         shares = cluster_mass / total if total > 0 else sizes / sizes.sum()
-    else:
-        raise ValidationError(
-            f"bank_shares must be 'mass' or 'size', got {bank_shares!r}"
-        )
-    caps[:] = (shares[:, None] / nb) * deficit
-    return caps
+    return np.repeat((shares[:, None] / nb) * deficit, nb, axis=1)
 
 
-def emd_star_term_fast(
-    graph: DiGraph,
-    p_hist: np.ndarray,
-    q_hist: np.ndarray,
-    edge_costs: np.ndarray,
-    banks: BankAllocation,
-    *,
-    max_cost: int,
-    solver: str = "ssp",
-    bank_metric: str = "nearest",
-    bank_shares: str = "mass",
-    row_cache=None,
-    cost_key=None,
-    basis_cache=None,
-    basis_key=None,
-    stats: FastTermStats | None = None,
-) -> float:
-    """One EMD* term of Eq. 3 via the Theorem 4 reduction.
+# --------------------------------------------------------------------- #
+# The four stages
+# --------------------------------------------------------------------- #
 
-    Parameters
-    ----------
-    p_hist, q_hist:
-        Supplier / consumer histograms over the graph's nodes (e.g. the
-        ``G+`` indicators of two states).
-    edge_costs:
-        CSR-aligned ground costs from :func:`repro.snd.ground.build_edge_costs`.
-    banks:
-        The bank allocation shared across terms.
-    max_cost:
-        Assumption-2 bound ``U`` (sizes the unreachable-distance clamp).
-    solver:
-        ``"ssp"`` (default), ``"lp"``, ``"network-simplex"``,
-        ``"sinkhorn-hybrid"`` (approximate, certified error bound), or
-        ``"auto"`` (the network simplex).
-    bank_metric:
-        ``"nearest"`` (default, semimetric-preserving) or ``"cluster"``
-        (the literal Eq. 4); see :func:`repro.emd.emd_star.build_extension`.
-    row_cache, cost_key:
-        Optional :class:`~repro.snd.cache.DijkstraRowCache` plus the
-        content key of *edge_costs* (state fingerprint, opinion); per-source
-        Dijkstra rows are then reused across terms sharing the key.
-    basis_cache, basis_key:
-        Optional :class:`~repro.snd.cache.BasisCache` plus this term's key
-        ``(supplier fingerprint, consumer fingerprint, opinion)``. Only
-        consulted when the (resolved) solver is ``"network-simplex"``:
-        the nearest cached basis (same term,
-        transposed term, or previous term with the same supplier state)
-        warm-starts the solve, and the fresh optimal basis is stored back
-        in stable node-label space. Values are unaffected — a warm basis
-        only changes where pivoting starts.
-    """
-    if bank_metric not in ("nearest", "cluster"):
-        raise ValidationError(
-            f"bank_metric must be 'nearest' or 'cluster', got {bank_metric!r}"
-        )
-    if solver not in SOLVER_CHOICES:
-        raise ValidationError(
-            f"unknown solver {solver!r}; expected one of {sorted(SOLVER_CHOICES)}"
-        )
-    n = graph.num_nodes
-    p = np.asarray(p_hist, dtype=np.float64)
-    q = np.asarray(q_hist, dtype=np.float64)
-    if p.shape != (n,) or q.shape != (n,):
-        raise ValidationError("histograms must have one bin per graph node")
 
+def _reduce(
+    p: np.ndarray, q: np.ndarray, banks: BankAllocation, bank_shares: str
+) -> ReducedTerm | None:
+    """Lemmas 1-2, the bank bins and the orientation; ``None`` when no mass
+    moves at all."""
     total_p, total_q = float(p.sum()), float(q.sum())
     delta = abs(total_p - total_q)
 
@@ -255,132 +238,140 @@ def emd_star_term_fast(
     q_rest = q - common
     sup_ids = np.flatnonzero(p_rest > _EPS)
     con_ids = np.flatnonzero(q_rest > _EPS)
-    sup_amounts = p_rest[sup_ids]
-    con_amounts = q_rest[con_ids]
-
     if sup_ids.size == 0 and con_ids.size == 0 and delta <= _EPS:
-        if stats is not None:
-            stats.cost = 0.0
-        return 0.0
+        return None
 
-    banks_on_demand_side = total_p >= total_q  # lighter histogram hosts banks
-    lighter_hist = q if banks_on_demand_side else p
-    bank_caps = _bank_capacities(lighter_hist, banks, delta, bank_shares)
-    active_bank_clusters = np.flatnonzero(bank_caps.sum(axis=1) > _EPS)
-
-    unreach = unreachable_cost(n, max_cost)
-
-    # ---- shortest paths ---------------------------------------------- #
-    # Run the per-user Dijkstras from the bank-free side so the same rows
-    # price both the supplier->consumer block and (under "nearest") every
-    # bank arc. When there are no banks (delta == 0), run from the smaller
-    # side.
+    # The lighter histogram hosts the banks. Rows run from the other side,
+    # so the same rows price both the d block and (under "nearest") every
+    # bank leg; without a deficit they run from the smaller side.
     if delta > _EPS:
-        run_forward = banks_on_demand_side
+        forward = total_p >= total_q
     else:
-        run_forward = sup_ids.size <= con_ids.size
+        forward = sup_ids.size <= con_ids.size
+    sup = (sup_ids, p_rest[sup_ids], p)
+    con = (con_ids, q_rest[con_ids], q)
+    src, dst = (sup, con) if forward else (con, sup)
 
-    rows = np.empty((0, n))
-    if run_forward and sup_ids.size:
-        rows = _distance_rows(
-            graph, sup_ids, edge_costs, reverse=False,
-            row_cache=row_cache, cost_key=cost_key,
-        )
-        d_sc = rows[:, con_ids] if con_ids.size else np.empty((sup_ids.size, 0))
-        n_sssp = sup_ids.size
-    elif not run_forward and con_ids.size:
-        rows = _distance_rows(
-            graph, con_ids, edge_costs, reverse=True,
-            row_cache=row_cache, cost_key=cost_key,
-        )
-        d_sc = rows[:, sup_ids].T if sup_ids.size else np.empty((0, con_ids.size))
-        n_sssp = con_ids.size
-    else:
-        d_sc = np.zeros((sup_ids.size, con_ids.size))
-        n_sssp = 0
-    d_sc = np.where(np.isfinite(d_sc), d_sc, unreach)
-
-    # Bank-arc distances: legs[k, a] joins user k of the bank-free side
-    # and the banks of active cluster a.
-    n_cluster_runs = 0
-    legs = None
-    if delta > _EPS and active_bank_clusters.size:
-        if bank_metric == "nearest":
-            # Min over the cluster's members of each row: supplier s -> bank
-            # of cluster c when the banks sit on the demand side, bank of
-            # cluster c -> consumer t otherwise (reversed rows,
-            # rows[t, v] = D(v, t)).
-            legs = _cluster_minima(rows, banks)[:, active_bank_clusters]
-        else:  # "cluster": per-cluster multi-source runs for the d matrix
-            cluster_of = banks.cluster_of(n)
-            side_ids = sup_ids if banks_on_demand_side else con_ids
-            nc = banks.n_clusters
-            d_block = np.full((nc, nc), np.inf)
-            for a in np.unique(cluster_of[side_ids]).tolist():
-                dist = _min_distance_from_set(
-                    graph,
-                    banks.member_arrays[a],
-                    edge_costs,
-                    reverse=not banks_on_demand_side,
-                )
-                per_cluster = _cluster_minima(dist, banks)
-                d_block[a] = np.where(np.isfinite(per_cluster), per_cluster, unreach)
-                n_cluster_runs += 1
-            # legs[k, a] = d(cluster_of(user k on the bank-free side), a)
-            legs = d_block[cluster_of[side_ids]][:, active_bank_clusters]
-        legs = np.where(np.isfinite(legs), legs, unreach)
-
-    # ---- solve the bank-folded reduced problem ----------------------- #
-    if solver == "auto":
-        # Always the network simplex; asked with the folded shape so a
-        # wrapped selector can count solves per tier and instance sizes.
-        n_bank_bins = int(np.count_nonzero(bank_caps[active_bank_clusters] > _EPS))
-        if banks_on_demand_side:
-            folded_rows, folded_cols = sup_ids.size, con_ids.size + n_bank_bins
-        else:
-            folded_rows, folded_cols = sup_ids.size + n_bank_bins, con_ids.size
-        solver = select_transport_method(folded_rows, folded_cols)
-    if stats is not None:
-        profile = reduced_problem_profile(
-            sup_amounts, con_amounts, d_sc, unreachable=unreach
-        )
-        stats.n_suppliers = int(sup_ids.size)
-        stats.n_consumers = int(con_ids.size)
-        stats.n_sssp_runs = int(n_sssp)
-        stats.solver = solver
-        stats.n_cluster_runs = int(n_cluster_runs)
-        stats.density = profile["density"]
-
-    plan = _solve_reduced_dense(
-        sup_amounts,
-        con_amounts,
-        d_sc,
-        legs,
-        bank_caps,
-        banks.gamma_matrix(),
-        active_bank_clusters,
-        banks_on_demand_side,
-        method=solver,
-        sup_ids=sup_ids,
-        con_ids=con_ids,
-        basis_cache=basis_cache,
-        basis_key=basis_key,
+    bank_caps = np.zeros((banks.n_clusters, banks.n_banks))
+    active = np.empty(0, dtype=np.int64)
+    if delta > _EPS:
+        bank_caps = _bank_capacities(dst[2], banks, delta, bank_shares)
+        active = np.flatnonzero(bank_caps.sum(axis=1) > _EPS)
+    return ReducedTerm(
+        forward=forward,
+        src_ids=src[0],
+        src_amounts=src[1],
+        dst_ids=dst[0],
+        dst_amounts=dst[1],
+        bank_caps=bank_caps,
+        active=active,
+        n_suppliers=int(sup_ids.size),
+        n_consumers=int(con_ids.size),
     )
-    cost = 0.0 if plan is None else float(plan.cost)
-    if stats is not None:
-        stats.cost = cost
-        # Diagnostics of the solve that produced *cost*: the network
-        # simplex and the hybrid report pivots, the network simplex its
-        # warm flag and the hybrid its screen.
-        info = None if plan is None else plan.info
-        if isinstance(info, HybridSolveInfo):
-            stats.support_density = float(info.support_density)
-            stats.screen_error_bound = float(info.screen_error_bound)
-        elif info is not None:
-            stats.warm_start = bool(info.warm)
-        if info is not None:
-            stats.pivots = int(info.pivots)
-    return cost
+
+
+def _price(
+    term: ReducedTerm,
+    graph: DiGraph,
+    edge_costs: np.ndarray,
+    banks: BankAllocation,
+    *,
+    unreachable: float,
+    bank_metric: str,
+    row_cache=None,
+    cost_key=None,
+) -> None:
+    """Fill ``term.d`` (``d[src, dst]``) and, with banks, ``term.legs``:
+    ``legs[k, a]`` joins ``src`` user k and the banks of active cluster a."""
+    n = graph.num_nodes
+    reverse = not term.forward
+    rows = np.empty((0, n))
+    d = np.zeros((0, term.dst_ids.size))
+    if term.src_ids.size:
+        rows = _distance_rows(
+            graph, term.src_ids, edge_costs, reverse=reverse,
+            row_cache=row_cache, cost_key=cost_key,
+        )
+        d = rows[:, term.dst_ids]
+        term.n_sssp_runs = int(term.src_ids.size)
+    term.d = np.where(np.isfinite(d), d, unreachable)
+    if not term.active.size:
+        return
+
+    if bank_metric == "nearest":
+        # Min over each cluster's members of each row: src user -> banks of
+        # the cluster, or banks -> user over reversed rows.
+        legs = _cluster_minima(rows, banks)[:, term.active]
+    else:  # "cluster": per-cluster multi-source runs for the d matrix
+        cluster_of = banks.cluster_of(n)
+        d_block = np.full((banks.n_clusters, banks.n_clusters), np.inf)
+        for a in np.unique(cluster_of[term.src_ids]).tolist():
+            dist = _min_distance_from_set(
+                graph, banks.member_arrays[a], edge_costs, reverse=reverse
+            )
+            per_cluster = _cluster_minima(dist, banks)
+            d_block[a] = np.where(np.isfinite(per_cluster), per_cluster, unreachable)
+            term.n_cluster_runs += 1
+        legs = d_block[cluster_of[term.src_ids]][:, term.active]
+    term.legs = np.where(np.isfinite(legs), legs, unreachable)
+
+
+def _fold_banks(
+    legs: np.ndarray,
+    bank_caps: np.ndarray,
+    gamma: np.ndarray,
+    active_bank_clusters: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bank bins as extra columns of the bank-free side, in one gather.
+
+    Returns ``(block, amounts, live)``: ``block[k, b] = legs[k, a] + γ`` for
+    the b-th bin with capacity above ``_EPS``, bins running cluster-major
+    and bin-minor over the active clusters; their capacities; and the
+    ``(active clusters, n_banks)`` mask of the bins kept.
+    """
+    caps = bank_caps[active_bank_clusters]
+    live = caps > _EPS
+    block = (legs[:, :, None] + gamma[active_bank_clusters])[:, live]
+    return block, caps[live], live
+
+
+def _bank_labels(active_bank_clusters: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Stable labels ``-(1 + cluster·nb + bin)`` of the bins *live* keeps."""
+    nb = live.shape[1]
+    return -(1 + active_bank_clusters[:, None] * nb + np.arange(nb))[live]
+
+
+def _fold(
+    term: ReducedTerm, gamma: np.ndarray
+) -> tuple[TransportationProblem, np.ndarray, np.ndarray]:
+    """The term as one supplier x consumer instance plus its row and
+    column labels: node ids for users, ``-(1 + cluster·nb + bin)`` for
+    bank bins.
+
+    Bank bins join ``dst`` as extra columns at per-pair cost ``leg + γ``
+    (see :func:`_fold_banks`). The ``src x dst`` block is oriented
+    supplier x consumer here and only here, as a C-ordered copy: the
+    hybrid tier's sums run in memory order, so another layout could move
+    a last bit.
+    """
+    costs, dst_amounts, dst_labels = term.d, term.dst_amounts, term.dst_ids
+    if term.legs is not None:
+        block, bin_amounts, live = _fold_banks(
+            term.legs, term.bank_caps, gamma, term.active
+        )
+        costs = np.concatenate([costs, block], axis=1)
+        dst_amounts = np.concatenate([dst_amounts, bin_amounts])
+        dst_labels = np.concatenate([dst_labels, _bank_labels(term.active, live)])
+    # Non-negative and finite by construction: amounts above _EPS, costs
+    # clamped to the unreachable cost, γ >= 0.
+    rows = (term.src_amounts, term.src_ids)
+    cols = (dst_amounts, dst_labels)
+    if not term.forward:
+        rows, cols, costs = cols, rows, costs.T
+    problem = TransportationProblem._unchecked(
+        rows[0], cols[0], np.ascontiguousarray(costs)
+    )
+    return problem, rows[1], cols[1]
 
 
 def _label_positions(labels: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -413,118 +404,34 @@ def _map_labeled_basis(
     return TransportBasis(rows=rows[keep], cols=cols[keep])
 
 
-def _fold_banks(
-    legs: np.ndarray,
-    bank_caps: np.ndarray,
-    gamma: np.ndarray,
-    active_bank_clusters: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bank bins as extra columns of the bank-free side, in one gather.
-
-    Returns ``(block, amounts, live)``: ``block[k, b] = legs[k, a] + γ`` for
-    the b-th bin with capacity above ``_EPS``, bins running cluster-major
-    and bin-minor over the active clusters; their capacities; and the
-    ``(active clusters, n_banks)`` mask of the bins kept.
-    """
-    caps = bank_caps[active_bank_clusters]
-    live = caps > _EPS
-    block = (legs[:, :, None] + gamma[active_bank_clusters])[:, live]
-    return block, caps[live], live
-
-
-def _bank_labels(active_bank_clusters: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Stable labels ``-(1 + cluster·nb + bin)`` of the bins *live* keeps."""
-    nb = live.shape[1]
-    return -(1 + active_bank_clusters[:, None] * nb + np.arange(nb))[live]
-
-
-def _solve_reduced_dense(
-    sup_amounts: np.ndarray,
-    con_amounts: np.ndarray,
-    d_sc: np.ndarray,
-    legs: np.ndarray | None,
-    bank_caps: np.ndarray,
-    gamma: np.ndarray,
-    active_bank_clusters: np.ndarray,
-    banks_on_demand_side: bool,
-    *,
+def _solve(
+    problem: TransportationProblem,
+    row_labels: np.ndarray,
+    col_labels: np.ndarray,
     method: str,
-    sup_ids: np.ndarray,
-    con_ids: np.ndarray,
+    *,
     basis_cache=None,
     basis_key=None,
 ):
-    """Solve the reduced problem as one dense transportation instance.
-
-    Bank bins are appended as extra consumers (or suppliers); the hub
-    decomposition is folded back into per-pair costs ``leg + γ``, with
-    *legs* ``(bank-free side users, active clusters)`` (``None`` without
-    banks). The bank axis runs cluster-major, bin-minor, skipping bins of
-    capacity at most ``_EPS``. The instance is handed to
-    :func:`repro.flow.solve_transportation` with *method* (``"ssp"``,
-    ``"lp"`` — HiGHS —, ``"network-simplex"`` — warm-startable —, or
+    """Solve the folded instance with *method* (``"ssp"``, ``"lp"`` —
+    HiGHS —, ``"network-simplex"`` — warm-startable —, or
     ``"sinkhorn-hybrid"`` — approximate screened solve).
 
     This is the one place the warm-start rule lives: a basis is read and
     stored if and only if *method* is ``"network-simplex"`` (and a
     *basis_cache*/*basis_key* pair is supplied); every other method
-    solves cold. For a warm solve the instance's axes are labelled with
-    stable ids (global supplier/consumer node ids; bank bins as negative
-    labels ``-(1 + cluster·nb + bin)``), the nearest cached basis is
-    re-anchored onto those labels to warm-start the solve, and the
-    optimal basis is stored back under the term key.
+    solves cold. For a warm solve the nearest cached basis is re-anchored
+    onto the instance's labels to warm-start the solve, and the optimal
+    basis is stored back, in label space, under the term key.
 
     Returns the solver's :class:`~repro.flow.plan.TransportPlan` (its
     ``info`` carries the solve's diagnostics), or ``None`` when one side
     of the instance is empty and there is nothing to solve.
     """
-    live = bank_block = None
-    bank_amounts = np.empty(0)
-    if legs is not None:
-        bank_block, bank_amounts, live = _fold_banks(
-            legs, bank_caps, gamma, active_bank_clusters
-        )
-
-    # The folded matrix is C-ordered whatever the layout of d_sc, as the
-    # stacking of bank columns always made it: the hybrid tier's sums run
-    # in memory order, so another layout could move a last bit.
-    n_sup, n_con = d_sc.shape
-    if banks_on_demand_side:
-        supplies = sup_amounts
-        demands = np.concatenate([con_amounts, bank_amounts])
-        costs = d_sc
-        if bank_amounts.size:
-            costs = np.empty((n_sup, n_con + bank_amounts.size))
-            costs[:, :n_con] = d_sc
-            costs[:, n_con:] = bank_block
-    else:
-        supplies = np.concatenate([sup_amounts, bank_amounts])
-        demands = con_amounts
-        costs = d_sc
-        if bank_amounts.size:
-            costs = np.empty((n_sup + bank_amounts.size, n_con))
-            costs[:n_sup] = d_sc
-            costs[n_sup:] = bank_block.T
-
-    if supplies.size == 0 or demands.size == 0:
+    if problem.supplies.size == 0 or problem.demands.size == 0:
         return None
-    # Non-negative and finite by construction: amounts above _EPS, costs
-    # clamped to the unreachable cost, γ >= 0.
-    problem = TransportationProblem._unchecked(supplies, demands, costs)
-
     if method != "network-simplex" or basis_cache is None or basis_key is None:
         return flow.solve_transportation(problem, method=method)
-
-    if live is None:
-        bank_labels = np.empty(0, dtype=np.int64)
-    else:
-        bank_labels = _bank_labels(active_bank_clusters, live)
-    if banks_on_demand_side:
-        row_labels = np.asarray(sup_ids, dtype=np.int64)
-        col_labels = np.concatenate([np.asarray(con_ids, dtype=np.int64), bank_labels])
-    else:
-        row_labels = np.concatenate([np.asarray(sup_ids, dtype=np.int64), bank_labels])
-        col_labels = np.asarray(con_ids, dtype=np.int64)
 
     warm = basis_cache.get_warm(basis_key)
     warm_local = (
@@ -541,3 +448,102 @@ def _solve_reduced_dense(
             ),
         )
     return plan
+
+
+def emd_star_term_fast(
+    graph: DiGraph,
+    p_hist: np.ndarray,
+    q_hist: np.ndarray,
+    edge_costs: np.ndarray,
+    banks: BankAllocation,
+    *,
+    max_cost: int,
+    solver: str = "ssp",
+    bank_metric: str = "nearest",
+    bank_shares: str = "mass",
+    row_cache=None,
+    cost_key=None,
+    basis_cache=None,
+    basis_key=None,
+    stats: FastTermStats | None = None,
+) -> float:
+    """One EMD* term of Eq. 3 via the Theorem 4 reduction: reduce → price
+    → fold → solve.
+
+    Parameters
+    ----------
+    p_hist, q_hist:
+        Supplier / consumer histograms over the graph's nodes (e.g. the
+        ``G+`` indicators of two states).
+    edge_costs:
+        CSR-aligned ground costs from :func:`repro.snd.ground.build_edge_costs`.
+    banks:
+        The bank allocation shared across terms.
+    max_cost:
+        Assumption-2 bound ``U`` (sizes the unreachable-distance clamp).
+    solver:
+        ``"ssp"`` (default), ``"lp"``, ``"network-simplex"``,
+        ``"sinkhorn-hybrid"`` (approximate, certified error bound), or
+        ``"auto"`` (the network simplex).
+    bank_metric:
+        ``"nearest"`` (default, semimetric-preserving) or ``"cluster"``
+        (the literal Eq. 4); see :func:`repro.emd.emd_star.build_extension`.
+    bank_shares:
+        ``"mass"`` (default) or ``"size"``: how the deficit splits over
+        the clusters' banks.
+    row_cache, cost_key:
+        Optional :class:`~repro.snd.cache.DijkstraRowCache` plus the
+        content key of *edge_costs* (state fingerprint, opinion); per-source
+        Dijkstra rows are then reused across terms sharing the key.
+    basis_cache, basis_key:
+        Optional :class:`~repro.snd.cache.BasisCache` plus this term's key
+        ``(supplier fingerprint, consumer fingerprint, opinion)``. Only
+        consulted when the (resolved) solver is ``"network-simplex"``:
+        the nearest cached basis (same term,
+        transposed term, or previous term with the same supplier state)
+        warm-starts the solve, and the fresh optimal basis is stored back
+        in stable node-label space. Values are unaffected — a warm basis
+        only changes where pivoting starts.
+    """
+    check_term_options(solver, bank_metric, bank_shares)
+    n = graph.num_nodes
+    p = np.asarray(p_hist, dtype=np.float64)
+    q = np.asarray(q_hist, dtype=np.float64)
+    if p.shape != (n,) or q.shape != (n,):
+        raise ValidationError("histograms must have one bin per graph node")
+
+    term = _reduce(p, q, banks, bank_shares)
+    if term is None:
+        if stats is not None:
+            stats.cost = 0.0
+        return 0.0
+    _price(
+        term, graph, edge_costs, banks,
+        unreachable=unreachable_cost(n, max_cost), bank_metric=bank_metric,
+        row_cache=row_cache, cost_key=cost_key,
+    )
+    problem, row_labels, col_labels = _fold(term, banks.gamma_matrix())
+    if solver == "auto":
+        # Always the network simplex; asked with the folded shape so a
+        # wrapped selector can count solves per tier and instance sizes.
+        solver = select_transport_method(*problem.costs.shape)
+    plan = _solve(
+        problem, row_labels, col_labels, solver,
+        basis_cache=basis_cache, basis_key=basis_key,
+    )
+    cost = 0.0 if plan is None else float(plan.cost)
+
+    if stats is not None:
+        stats.n_suppliers = term.n_suppliers
+        stats.n_consumers = term.n_consumers
+        stats.n_sssp_runs = term.n_sssp_runs
+        stats.n_cluster_runs = term.n_cluster_runs
+        stats.solver = solver
+        stats.cost = cost
+        # The network simplex and the hybrid report the pivots and warm
+        # flag of the solve that produced *cost*.
+        info = None if plan is None else plan.info
+        if info is not None:
+            stats.pivots = int(info.pivots)
+            stats.warm_start = bool(info.warm)
+    return cost

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import StateError, ValidationError
+from repro.exceptions import StateError
 from repro.graph.digraph import DiGraph
 from repro.opinions.models.base import OpinionModel
 from repro.opinions.models.model_agnostic import ModelAgnostic
@@ -45,7 +45,7 @@ from repro.snd.cache import (
     GroundCostCache,
     TransitionCache,
 )
-from repro.snd.fast import SOLVER_CHOICES, FastTermStats, emd_star_term_fast
+from repro.snd.fast import FastTermStats, check_term_options, emd_star_term_fast
 from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig
 
 __all__ = ["SND", "SNDResult"]
@@ -153,10 +153,7 @@ class SND:
             max_cost=max_cost,
             quantize=quantize,
         )
-        if solver not in SOLVER_CHOICES:
-            raise ValidationError(
-                f"unknown solver {solver!r}; expected one of {sorted(SOLVER_CHOICES)}"
-            )
+        check_term_options(solver, bank_metric, bank_shares)
         self.solver = solver
         self.bank_metric = bank_metric
         self.bank_shares = bank_shares

@@ -47,6 +47,19 @@ def fresh_snd(graph):
     return SND(graph, n_clusters=3, seed=0)
 
 
+def _worker_cache_probe() -> tuple[int, int | None, int]:
+    """``(pid, memory_budget, nbytes)`` of a pool worker's caches; sleeps
+    briefly so concurrent probes spread over every worker."""
+    import os
+    import time
+
+    from repro.snd.engine import _ENGINE_WORKER
+
+    time.sleep(0.2)
+    caches = _ENGINE_WORKER["caches"]
+    return os.getpid(), caches.memory_budget, caches.nbytes
+
+
 #: The engine's two execution modes: serial in-process, and a process pool.
 ENGINE_MODES = [pytest.param(None, id="serial"), pytest.param(2, id="process")]
 
@@ -152,6 +165,21 @@ class TestEngineSeries:
             assert stats["jobs"] == 2 and "executor" not in stats
             assert stats["pool_starts"] == 1 and stats["pool_alive"]
             assert "ground" in stats["caches"]
+
+    def test_workers_keep_the_memory_budget(self, graph, rng):
+        """Every pool worker caps its own cache hierarchy at the engine's
+        memory budget."""
+        budget = 1000
+        caches = CacheManager(memory_budget=budget)
+        with SNDEngine(fresh_snd(graph), jobs=2, caches=caches) as engine:
+            engine.evaluate_series(random_series(40, 6, rng))
+            probes = [engine._pool.submit(_worker_cache_probe) for _ in range(6)]
+            results = [f.result(timeout=60) for f in probes]
+        reports = {pid: rest for pid, *rest in results}
+        assert len(reports) == 2
+        for worker_budget, nbytes in reports.values():
+            assert worker_budget == budget
+            assert nbytes <= budget
 
     def test_bad_executor_rejected(self, graph):
         # The process pool is the one parallel mode; the executor option

@@ -83,6 +83,18 @@ class TestTermEdgeCases:
                 graph, p, p, costs, banks, max_cost=64, bank_metric="median"
             )
 
+    def test_unknown_bank_shares_without_deficit(self, setting):
+        """Equal totals need no banks, identical histograms no solve; a
+        bad share rule still fails."""
+        graph, costs, banks = setting
+        p = np.zeros(25); p[0] = 1.0
+        q = np.zeros(25); q[1] = 1.0
+        for a, b in ((p, q), (p, p)):
+            with pytest.raises(ValidationError):
+                emd_star_term_fast(
+                    graph, a, b, costs, banks, max_cost=64, bank_shares="typo"
+                )
+
     def test_empty_supplier_side(self, setting):
         """P empty, Q non-empty: everything comes from P's banks."""
         graph, costs, banks = setting
@@ -163,7 +175,7 @@ class TestTermDiagnostics:
 
 
 class TestWarmStartRule:
-    """One rule in ``_solve_reduced_dense``: a term reads and stores a
+    """One rule in the solve stage: a term reads and stores a
     basis if and only if its resolved method is the network simplex."""
 
     @pytest.mark.parametrize(
@@ -239,6 +251,17 @@ def _map_loop(basis, row_labels, col_labels):
     return cells or None
 
 
+def _reduced_term(forward, src, dst, d, legs, caps, active):
+    """A priced :class:`ReducedTerm` from ``(ids, amounts)`` sides."""
+    from repro.snd.fast import ReducedTerm
+
+    return ReducedTerm(
+        forward=forward, src_ids=src[0], src_amounts=src[1], dst_ids=dst[0],
+        dst_amounts=dst[1], bank_caps=caps, active=active,
+        n_suppliers=0, n_consumers=0, d=d, legs=legs,
+    )
+
+
 def _bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -274,7 +297,7 @@ class TestVectorisedFolding:
     @pytest.mark.parametrize("on_demand", [True, False], ids=["demand", "supply"])
     def test_fold_matches_bin_loop(self, folding_setting, monkeypatch, on_demand):
         import repro.flow
-        from repro.snd.fast import _bank_labels, _fold_banks, _solve_reduced_dense
+        from repro.snd.fast import _bank_labels, _fold, _fold_banks, _solve
 
         graph, banks, rng = folding_setting
         nb, nc = banks.n_banks, banks.n_clusters
@@ -297,10 +320,13 @@ class TestVectorisedFolding:
             repro.flow, "solve_transportation",
             lambda problem, method: captured.append(problem),
         )
-        _solve_reduced_dense(
-            sup, con, d_sc, legs, caps, gamma, active, on_demand,
-            method="lp", sup_ids=np.arange(n_sup), con_ids=np.arange(n_con),
+        sup_side = (np.arange(n_sup), sup)
+        con_side = (np.arange(n_con), con)
+        src, dst = (sup_side, con_side) if on_demand else (con_side, sup_side)
+        term = _reduced_term(
+            on_demand, src, dst, d_sc if on_demand else d_sc.T, legs, caps, active
         )
+        _solve(*_fold(term, gamma), "lp")
         (problem,) = captured
         loop_legs = {int(c): legs_full[:, c] for c in active}
         want = _fold_loop(sup, con, d_sc, loop_legs, caps, gamma, active, on_demand)
@@ -316,7 +342,7 @@ class TestVectorisedFolding:
     def test_fold_without_sources(self, folding_setting):
         """A term with no user on the bank-free side folds to an empty
         block, and the instance with an empty side is not solved."""
-        from repro.snd.fast import _fold_banks, _solve_reduced_dense
+        from repro.snd.fast import _fold, _fold_banks, _solve
 
         _, banks, _ = folding_setting
         caps = np.full((banks.n_clusters, banks.n_banks), 0.5)
@@ -325,11 +351,11 @@ class TestVectorisedFolding:
         block, amounts, _ = _fold_banks(legs, caps, banks.gamma_matrix(), active)
         assert block.shape == (0, active.size * banks.n_banks)
         assert amounts.size == active.size * banks.n_banks
-        plan = _solve_reduced_dense(
-            np.empty(0), np.array([1.0]), np.empty((0, 1)), legs, caps,
-            banks.gamma_matrix(), active, True, method="network-simplex",
-            sup_ids=np.empty(0, dtype=np.int64), con_ids=np.array([3]),
+        term = _reduced_term(
+            True, (np.empty(0, dtype=np.int64), np.empty(0)),
+            (np.array([3]), np.array([1.0])), np.empty((0, 1)), legs, caps, active,
         )
+        plan = _solve(*_fold(term, banks.gamma_matrix()), "network-simplex")
         assert plan is None
 
     def test_label_mapping_matches_dict_loop(self, rng):

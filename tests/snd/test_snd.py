@@ -150,6 +150,13 @@ class TestConfiguration:
         icc = SND(graph, IndependentCascadeModel(0.3), banks=banks).distance(a, b)
         assert agnostic != pytest.approx(icc)
 
+    @pytest.mark.parametrize(
+        "option", [{"bank_shares": "typo"}, {"bank_metric": "bogus"}, {"solver": "x"}]
+    )
+    def test_bad_term_option_fails_at_construction(self, graph, option):
+        with pytest.raises(ValidationError):
+            SND(graph, n_clusters=2, seed=0, **option)
+
     def test_star_graph_works(self):
         g = star_graph(10)
         snd = SND(g, strategy="global")
