@@ -1,17 +1,24 @@
 """Metric-space applications of SND — the paper's §9 future work.
 
-Because SND (with size-proportional bank shares, ``bank_shares="size"``,
-and nearest-member bank distances, ``bank_metric="nearest"``; see
-:func:`repro.emd.emd_star.build_extension`) is a metric, network states live in a metric
-space and the standard distance-based machinery applies. This module
-implements the three applications §9 names:
+SND is a metric only under size-proportional bank shares
+(``bank_shares="size"``) with nearest-member bank distances
+(``bank_metric="nearest"``; see :func:`repro.emd.emd_star.build_extension`),
+and even then only approximately across pairs, because Eq. 3 rebuilds the
+ground distance from each pair's own states. Under the default
+``bank_shares="mass"`` the bank capacities depend on the pair, and the
+triangle inequality can fail outright: on ``erdos_renyi_graph(30, 0.15)``
+with three clusters one pinned triple has ``d(a, c) > 1.06·(d(a, b) +
+d(b, c))`` (``tests/snd/test_invariances.py``). This module implements the
+three applications §9 names, and they treat SND as a metric:
 
 * **search** — :class:`VPTree`, a vantage-point tree with triangle-
-  inequality pruning for exact nearest-neighbor queries (the §4 remark on
+  inequality pruning for nearest-neighbor queries (the §4 remark on
   exploiting metricity "to improve practical performance of distance-based
-  search", citing Clarkson);
+  search", citing Clarkson). The pruning is exact for a true metric; for
+  SND under the default ``"mass"`` shares it is a heuristic that can miss
+  the true nearest neighbour;
 * **clustering** — :func:`k_medoids`, PAM-style clustering over a
-  precomputed distance matrix;
+  precomputed distance matrix (needs no triangle inequality);
 * **classification** — :class:`KnnStateClassifier`, k-nearest-neighbor
   classification of network states (e.g. "normal" vs "anomalous" regime).
 
@@ -91,11 +98,14 @@ class _VPNode:
 
 
 class VPTree:
-    """Exact nearest-neighbor search under a metric distance.
+    """Nearest-neighbor search, exact under a metric distance.
 
     Construction performs O(n log n) distance evaluations; queries prune
     subtrees with the triangle inequality, so with a true metric the result
-    equals brute force at (typically) far fewer evaluations. The number of
+    equals brute force at (typically) far fewer evaluations. With a
+    distance that breaks the inequality — SND under the default
+    ``bank_shares="mass"`` — the pruning is a heuristic and a query may
+    return a farther item than brute force would. The number of
     distance calls is tracked in :attr:`last_query_evaluations` so tests
     and benchmarks can verify the pruning actually bites.
     """

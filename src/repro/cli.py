@@ -417,12 +417,14 @@ def _print_cache_stats(
     print("# cache stats (unified hierarchy)")
     for layer in ("ground", "rows", "transitions", "bases"):
         s = stats[layer]
-        extra = (
-            f" (exact={s['exact_hits']} reverse={s['reverse_hits']} "
-            f"supplier={s['supplier_hits']})"
-            if layer == "bases"
-            else ""
-        )
+        extra = ""
+        if layer == "bases":
+            extra = (
+                f" (exact={s['exact_hits']} reverse={s['reverse_hits']} "
+                f"supplier={s['supplier_hits']})"
+            )
+        elif layer == "rows":
+            extra = f" (extensions={s['extensions']} settled={s['settled']})"
         print(
             f"#   {layer:11s} hits={s['hits']} misses={s['misses']} "
             f"builds={s['builds']} evictions={s['evictions']} "

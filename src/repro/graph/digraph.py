@@ -60,6 +60,7 @@ class DiGraph:
         "_rev_indices",
         "_rev_weights",
         "_rev_edge_ids",
+        "_scipy_index",
     )
 
     def __init__(
@@ -130,6 +131,7 @@ class DiGraph:
         self._rev_indices: np.ndarray | None = None
         self._rev_weights: np.ndarray | None = None
         self._rev_edge_ids: np.ndarray | None = None
+        self._scipy_index: dict = {}
 
     # ------------------------------------------------------------------ #
     # Alternative constructors
@@ -153,6 +155,7 @@ class DiGraph:
         if g._weights.shape != g._indices.shape:
             raise EdgeError("weights must align with indices")
         g._rev_indptr = g._rev_indices = g._rev_weights = g._rev_edge_ids = None
+        g._scipy_index = {}
         return g
 
     @classmethod
@@ -415,6 +418,25 @@ class DiGraph:
         if data.shape != self._indices.shape:
             raise EdgeError("weights must align with CSR indices")
         return csr_matrix((data, self._indices, self._indptr), shape=(self._n, self._n))
+
+    def scipy_index(self, *, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the CSR, or of the reverse CSR when
+        *reverse*, in the index dtype scipy's sparse matrices use (int32
+        while it fits), built once and read-only: a matrix built per
+        search from them skips scipy's index down-cast."""
+        arrays = self._scipy_index.get(reverse)
+        if arrays is None:
+            if reverse:
+                self._ensure_reverse()
+                indptr, indices = self._rev_indptr, self._rev_indices
+            else:
+                indptr, indices = self._indptr, self._indices
+            dtype = np.int32 if max(self._n, len(self._indices)) < 2**31 else np.int64
+            arrays = (indptr.astype(dtype), indices.astype(dtype))
+            for array in arrays:
+                array.setflags(write=False)
+            self._scipy_index[reverse] = arrays
+        return arrays
 
     def to_networkx(self):
         """Return a :class:`networkx.DiGraph` copy (requires networkx)."""

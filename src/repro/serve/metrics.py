@@ -335,6 +335,8 @@ _CACHE_COUNTERS = {
     "misses": "Cache lookups that missed.",
     "builds": "Entries computed and inserted.",
     "evictions": "Entries evicted by the LRU or the memory budget.",
+    "extensions": "Row searches that grew a cached row to a larger radius.",
+    "settled": "Nodes settled by the row searches.",
 }
 
 _CACHE_GAUGES = {

@@ -16,7 +16,7 @@ from repro.graph.digraph import DiGraph
 from repro.heaps import make_heap
 from repro.utils.validation import check_nonnegative
 
-__all__ = ["dijkstra", "dijkstra_multi", "multi_source_distances"]
+__all__ = ["dijkstra", "dijkstra_multi", "multi_source_distances", "search_matrix"]
 
 
 def _edge_weights(graph: DiGraph, weights: np.ndarray | None) -> np.ndarray:
@@ -128,12 +128,33 @@ def dijkstra_multi(
     return dist
 
 
+def search_matrix(graph: DiGraph, weights: np.ndarray | None, *, reverse: bool):
+    """The scipy CSR matrix a search runs on: *graph* under *weights*, or
+    its transpose when *reverse*.
+
+    Built from the graph's cached scipy index arrays
+    (:meth:`DiGraph.scipy_index`); the reversed matrix takes the weights
+    gathered into the reverse CSR's edge order (``_rev_edge_ids``) instead
+    of copying the graph into a reversed :class:`DiGraph`.
+    """
+    from scipy.sparse import csr_matrix
+
+    w = _edge_weights(graph, weights)
+    if reverse:
+        graph._ensure_reverse()  # noqa: SLF001 - intentional internal access
+        w = w[graph._rev_edge_ids]  # noqa: SLF001
+    indptr, indices = graph.scipy_index(reverse=reverse)
+    n = graph.num_nodes
+    return csr_matrix((w, indices, indptr), shape=(n, n))
+
+
 def multi_source_distances(
     graph: DiGraph,
     sources,
     *,
     weights: np.ndarray | None = None,
     reverse: bool = False,
+    limit: float = np.inf,
 ) -> np.ndarray:
     """Distances from *each* source to all nodes: an ``(k, n)`` matrix.
 
@@ -143,17 +164,18 @@ def multi_source_distances(
     sources (i.e. along reversed edges), which Theorem 4 uses when the
     lighter side of the transportation problem supplies the Dijkstra
     sources. Row ``i`` equals :func:`dijkstra` from ``sources[i]``.
+
+    A finite *limit* stops each search at that radius: nodes at distance
+    ``<= limit`` carry their exact distance (bit for bit the unlimited
+    value, since a search only ever settles nodes in distance order), every
+    other node reads ``inf``.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
         return np.empty((0, graph.num_nodes))
     if sources.min() < 0 or sources.max() >= graph.num_nodes:
         raise ValidationError("source nodes out of range")
-    work_graph = graph.reverse() if reverse else graph
-    if reverse and weights is not None:
-        # Re-align the override weights with the reversed CSR ordering.
-        graph._ensure_reverse()  # noqa: SLF001 - intentional internal access
-        weights = np.asarray(weights, dtype=np.float64)[graph._rev_edge_ids]  # noqa: SLF001
-    w = _edge_weights(work_graph, weights)
-    matrix = work_graph.to_scipy_csr(w)
-    return np.atleast_2d(sp_dijkstra(matrix, directed=True, indices=sources))
+    matrix = search_matrix(graph, weights, reverse=reverse)
+    return np.atleast_2d(
+        sp_dijkstra(matrix, directed=True, indices=sources, limit=limit)
+    )

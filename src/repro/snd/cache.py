@@ -11,9 +11,11 @@ work at four levels:
    ``2·(T-1) + 2`` arrays instead of ``4·(T-1)``; a pairwise matrix over
    ``N`` states builds ``2·N`` instead of ``2·N·(N-1)``.
 2. **Shortest-path rows** (:class:`DijkstraRowCache`): per-source Dijkstra
-   rows keyed by ``(cost key, direction, source)``. Rows are independent
-   per source, so stitching cached and fresh rows is bit-identical to one
-   batched run.
+   rows keyed by ``(cost key, direction, source)``, each searched to a
+   radius (partial rows are kept sparse). Rows are independent per
+   source, so stitching cached and fresh rows is bit-identical to one
+   batched run at the same radius. The cache also records recent
+   certificate radii, which set how far a new term searches first.
 3. **Finished transitions** (:class:`TransitionCache`): whole SND values
    keyed by the ordered state-fingerprint pair. Sliding windows re-solve
    exactly one transition per shift; corpus extensions solve only the new
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 import numpy as np
 
@@ -85,9 +87,15 @@ def _key_nbytes(key) -> int:
     fingerprints), nested tuples included."""
     if isinstance(key, bytes):
         return len(key)
-    if isinstance(key, tuple):
-        return sum(_key_nbytes(part) for part in key)
-    return 0
+    if not isinstance(key, tuple):
+        return 0
+    total = 0
+    for part in key:
+        if isinstance(part, bytes):
+            total += len(part)
+        elif isinstance(part, tuple):
+            total += _key_nbytes(part)
+    return total
 
 
 def _value_nbytes(value) -> int:
@@ -256,21 +264,141 @@ class GroundCostCache(_LruCache):
         return self.misses
 
 
+def _upper_quartile(values) -> float:
+    """The 75th percentile of *values*, interpolated linearly as
+    ``numpy.percentile`` does (sorting a few dozen floats beats its
+    overhead)."""
+    ordered = sorted(values)
+    pos = 0.75 * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+
+class _PartialRow:
+    """One cached row: exact distances up to *radius*.
+
+    A partial row is stored sparse: ``indices`` (int32) and ``dists`` list
+    every node the search settled, i.e. every node at distance
+    ``<= radius``; all other nodes lie beyond it. A full row (*radius*
+    ``inf``) keeps its dense array in ``dists`` and ``indices`` is
+    ``None``.
+    """
+
+    __slots__ = ("radius", "indices", "dists", "nbytes")
+
+    def __init__(self, row: np.ndarray, radius: float) -> None:
+        self.radius = float(radius)
+        if self.radius == np.inf:
+            self.indices = None
+            self.dists = row.copy()
+        else:
+            indices = np.flatnonzero(row <= radius)
+            self.indices = indices.astype(np.int32)
+            self.dists = row[indices]
+            self.indices.setflags(write=False)
+        self.dists.setflags(write=False)
+        held = self.dists.nbytes + (0 if self.indices is None else self.indices.nbytes)
+        self.nbytes = int(held) + 8
+
+    def fill(self, out: np.ndarray, radius: float) -> None:
+        """Write the row, cut at *radius* (``<= self.radius``), into the
+        dense *out* (``inf`` beyond the cut)."""
+        dists = self.dists
+        if self.indices is None:
+            out[:] = dists if radius == np.inf else np.where(dists <= radius, dists, np.inf)
+            return
+        out.fill(np.inf)
+        if radius >= self.radius:
+            out[self.indices] = dists
+        else:
+            keep = dists <= radius
+            out[self.indices[keep]] = dists[keep]
+
+
 class DijkstraRowCache(_LruCache):
-    """Bounded LRU cache of per-source shortest-path rows.
+    """Bounded LRU cache of per-source shortest-path rows, searched only
+    as far as they were asked to go.
 
     A row is ``dist(source -> ·)`` (or ``dist(· -> source)`` when
     *reverse*) under one supplier-side cost array; the key is
     ``(cost_key, reverse, source)`` where ``cost_key`` is the ground-cost
-    cache key ``(state fingerprint, opinion)``. Rows are independent per
-    source, so a matrix stitched from cached and freshly computed rows is
-    bit-identical to one batched :func:`multi_source_distances` call —
-    which is what makes the cache safe for the exactness contract of the
-    batch engine.
+    cache key ``(state fingerprint, opinion)``. An entry is a partial row
+    ``(radius, indices, dists)``, held sparse: the exact distance of every
+    node within *radius* (a full row, radius ``inf``, is held dense). A
+    request at a radius the entry covers is a hit and is served cut at the
+    asked radius, so what a term sees never depends on what the cache
+    happened to hold. A request past it extends the entry: that source is
+    searched again to the larger radius (scipy cannot resume a search)
+    and the longer row replaces the shorter. Rows are independent per source
+    and a search limited to a radius settles exactly the nodes within it,
+    so for each radius a matrix stitched from cached and fresh rows is
+    bit-identical to one batched ``multi_source_distances(..., limit=)``
+    call — which is what makes the cache safe for the exactness contract
+    of the batch engine.
+
+    The cache also keeps the record of recent certificate radii
+    (:meth:`record_radius`) that sets where the next term's searches
+    start (:meth:`start_radius`); see :mod:`repro.snd.fast`.
+
+    ``misses`` counts row requests that ran a search, ``extensions`` the
+    ones among them that grew a row already held, and ``settled`` the
+    nodes those searches settled.
     """
+
+    #: Certificate radii kept for :meth:`start_radius`, and how many it
+    #: needs before it starts a term at a finite radius.
+    RADIUS_WINDOW = 64
+    RADIUS_WARMUP = 16
+    #: Settled fraction of the graph past which rows are searched in full.
+    FULL_ROW_FRACTION = 0.5
+    #: While rows are searched in full for that reason, one term in this
+    #: many records its certificate (enough to notice them shrinking).
+    FULL_ROW_SAMPLE = 8
 
     def __init__(self, maxsize: int = DEFAULT_ROW_CACHE_SIZE) -> None:
         super().__init__(maxsize)
+        self._radii: deque = deque(maxlen=self.RADIUS_WINDOW)  # (radius, settled)
+        self._start = np.inf
+        self._full_rows = False  # full rows for large certificates
+        self._full_row_terms = 0  # terms started so since the last bounded one
+        self.extensions = 0
+        self.settled = 0
+
+    def record_radius(self, radius: float, settled: float) -> None:
+        """Keep one solved term's certificate radius and the fraction of
+        the graph its rows hold within that radius, and work out where
+        the next terms start (:meth:`start_radius`)."""
+        with self._lock:
+            self._radii.append((float(radius), float(settled)))
+            self._start = np.inf
+            self._full_rows = False
+            if len(self._radii) >= self.RADIUS_WARMUP:
+                radii, fractions = zip(*self._radii)
+                self._full_rows = _upper_quartile(fractions) > self.FULL_ROW_FRACTION
+                if not self._full_rows:
+                    self._start = _upper_quartile(radii)
+
+    def start_radius(self) -> float:
+        """Search radius for a new term: the 75th percentile of the last
+        64 recorded certificate radii.
+
+        It is ``inf`` (full rows) until :attr:`RADIUS_WARMUP` are recorded
+        — a percentile of fewer would be a noisy guess, and an engine's
+        first terms then run exactly as cache-free ones do — and while the
+        75th percentile of their settled fractions exceeds
+        :attr:`FULL_ROW_FRACTION`: there a bounded search saves little and
+        its extra rounds cost more.
+        """
+        with self._lock:
+            self._full_row_terms = self._full_row_terms + 1 if self._full_rows else 0
+            return self._start
+
+    def record_due(self) -> bool:
+        """Whether the term started last should record its certificate:
+        always, except while rows run full for large certificates, when
+        one term in :attr:`FULL_ROW_SAMPLE` does."""
+        return self._full_row_terms % self.FULL_ROW_SAMPLE == 0
 
     def distance_rows(
         self,
@@ -280,30 +408,62 @@ class DijkstraRowCache(_LruCache):
         *,
         reverse: bool,
         cost_key,
+        radius=np.inf,
     ) -> np.ndarray:
-        """``multi_source_distances`` with per-source row memoisation."""
+        """``multi_source_distances(..., limit=radius)`` with per-source
+        row memoisation; *radius* is one value or one per source. Sources
+        still to search go out in one call per distinct radius."""
         from repro.shortestpath.dijkstra import multi_source_distances
 
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        n = graph.num_nodes
-        out = np.empty((sources.size, n), dtype=np.float64)
-        missing: list[int] = []
-        for i, s in enumerate(sources):
-            row = self._get((cost_key, bool(reverse), int(s)))
-            if row is None:
-                missing.append(i)
-            else:
-                out[i] = row
-        if missing:
+        radii = np.asarray(radius, dtype=np.float64)
+        if radii.ndim == 0:
+            radii = np.full(sources.shape, radii)
+        keys = [(cost_key, bool(reverse), s) for s in sources.tolist()]
+        out = np.empty((sources.size, graph.num_nodes))
+        searches: dict[float, list[int]] = {}
+        with self._lock:
+            for i, (key, r) in enumerate(zip(keys, radii.tolist())):
+                entry = self._entries.get(key)
+                if entry is not None and entry.radius >= r:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    entry.fill(out[i], r)
+                    continue
+                self.misses += 1
+                self.extensions += entry is not None
+                searches.setdefault(r, []).append(i)
+        for r, rows in searches.items():
             fresh = multi_source_distances(
-                graph, sources[missing], weights=edge_costs, reverse=reverse
+                graph, sources[rows], weights=edge_costs, reverse=reverse, limit=r
             )
-            for k, i in enumerate(missing):
-                out[i] = fresh[k]
-                row = fresh[k].copy()
-                row.setflags(write=False)
-                self._put((cost_key, bool(reverse), int(sources[i])), row)
+            if len(rows) == sources.size:
+                out = fresh
+            else:
+                out[rows] = fresh
+            with self._lock:
+                self.settled += int(np.count_nonzero(np.isfinite(fresh)))
+            for k, i in enumerate(rows):
+                self._put(keys[i], _PartialRow(fresh[k], r))
         return out
+
+    def stats(self) -> dict:
+        out = super().stats()
+        out["extensions"] = self.extensions
+        out["settled"] = self.settled
+        return out
+
+    def clear(self) -> None:
+        super().clear()
+        with self._lock:
+            self._radii.clear()
+            self._start, self._full_rows, self._full_row_terms = np.inf, False, 0
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        state["_radii"] = deque(maxlen=self.RADIUS_WINDOW)  # like the entries
+        state["_start"], state["_full_rows"], state["_full_row_terms"] = np.inf, False, 0
+        return state
 
 
 class TransitionCache(_LruCache):

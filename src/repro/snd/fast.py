@@ -9,15 +9,36 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    bank-free side the shortest-path rows run from, ``dst`` the other
    side, which also hosts the bank bins (the lighter histogram's side;
    without a deficit there are no banks and ``src`` is the smaller side).
-2. **Price** (:func:`_price`): one single-source Dijkstra per ``src``
-   user (reversed when ``src`` holds the consumers) prices the
-   ``d[src, dst]`` block, and under the default ``"nearest"`` bank metric
-   those same rows also price every bank leg, so no extra shortest-path
-   work is needed. The paper-literal ``"cluster"`` metric additionally
-   runs one multi-source Dijkstra per cluster hosting ``src`` users. Rows
-   are per-source and depend only on the supplier-side edge costs, so
-   batch sweeps hand in a :class:`~repro.snd.cache.DijkstraRowCache` to
-   reuse rows of unchanged sources across terms and transitions.
+2. **Price** (:func:`_price`), inside the certified rows loop: one
+   single-source Dijkstra per ``src`` user (reversed when ``src`` holds
+   the consumers) prices the ``d[src, dst]`` block, and under the default
+   ``"nearest"`` bank metric those same rows also price every bank leg, so
+   no extra shortest-path work is needed. Rows are per-source and depend
+   only on the supplier-side edge costs, so batch sweeps hand in a
+   :class:`~repro.snd.cache.DijkstraRowCache` to reuse rows of unchanged
+   sources across terms and transitions.
+
+   With such a cache (and ``"nearest"``) each row is searched only to a
+   radius ``L_s`` (``scipy.sparse.csgraph.dijkstra(..., limit=L_s)``,
+   sources sharing a radius in one call). Every user the search did not
+   reach is priced at ``L_s`` and every unreached bank leg at
+   ``L_s + γ``: both are lower bounds, so the relaxed instance's optimum
+   is at most the term. If its optimal plan ships only on exactly priced
+   cells, its cost is that of a feasible plan of the true instance, so the
+   plan is optimal there too. Otherwise the sources that ship on a bound
+   cell search again to ``RADIUS_GROWTH`` times their radius (every
+   partial row in full before the last of ``MAX_ROUNDS`` solves) and the
+   instance, whose shape does not change, is solved again warm from the
+   basis just found. The start
+   radius is the 75th percentile of the cache's recent certificate radii
+   (:meth:`~repro.snd.cache.DijkstraRowCache.start_radius`); a term with
+   no such record starts unlimited, which is exactly one round over full
+   rows — so cache-free terms, and an engine's first terms, are bitwise
+   what they were before the loop existed. A certified plan may be a
+   different optimal vertex than the full-row solve finds, so a value may
+   move in its last bits (within 1e-12). The paper-literal ``"cluster"``
+   metric additionally runs one multi-source Dijkstra per cluster hosting
+   ``src`` users and always uses full rows.
 3. **Fold** (:func:`_fold`): bank bins join ``dst`` as extra columns at
    per-pair cost ``leg + γ``, every axis gets a stable label, and the
    ``src x dst`` block becomes the supplier x consumer transportation
@@ -56,7 +77,7 @@ from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
 from repro.flow.problem import TransportationProblem
 from repro.graph.digraph import DiGraph
-from repro.shortestpath.dijkstra import multi_source_distances
+from repro.shortestpath.dijkstra import multi_source_distances, search_matrix
 from repro.snd.banks import BankAllocation
 from repro.snd.ground import unreachable_cost
 
@@ -65,6 +86,15 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+#: A row source whose certificate fails searches again this many times
+#: as far, ...
+RADIUS_GROWTH = 1.5
+#: ... and every partial row is searched in full before a term's last
+#: solve: a term takes at most this many (an unreachable target costs one
+#: full search, and a term with hundreds of row sources, which fail a few
+#: at a time, a bounded number of solves).
+MAX_ROUNDS = 4
 
 #: Valid values for the ``solver=`` knob of the fast pipeline (and of
 #: :class:`repro.snd.snd.SND`). ``"auto"`` resolves to
@@ -103,6 +133,9 @@ class FastTermStats:
     n_consumers: int = 0
     n_sssp_runs: int = 0
     n_cluster_runs: int = 0
+    rounds: int = 0
+    pivots: int = 0
+    warm_start: bool = False
     cost: float = 0.0
     solver: str = ""
     #: Simplex pivots of the network-simplex solve, or of the hybrid's
@@ -110,6 +143,11 @@ class FastTermStats:
     pivots: int = 0
     #: Whether the network-simplex solve started from a cached warm basis.
     warm_start: bool = False
+    #: Nodes settled over the term's final rows (a full row settles every
+    #: node the source reaches).
+    n_settled: int = 0
+    #: Solves of the term: 1, plus one per round that searched further.
+    rounds: int = 0
 
 
 @dataclass
@@ -120,9 +158,18 @@ class ReducedTerm:
     suppliers when *forward*, else the consumers (rows over reversed
     edges). ``dst`` is the other side; bank bins join it. *bank_caps* is
     ``(n_clusters, n_banks)`` and *active* lists the clusters with bank
-    capacity (empty without a deficit). :func:`_price` fills ``d``
-    (``d[src, dst]``) and ``legs`` (``(src, active)``, ``None`` without
-    banks), both clamped to the unreachable cost.
+    capacity (empty without a deficit).
+
+    ``radius`` holds each ``src`` user's search radius (``None``: every
+    row full) and ``rows`` its row, exact up to that radius (``inf``
+    beyond). :func:`_price` fills
+    ``d`` (``d[src, dst]``) and ``legs`` (``(src, active)``, ``None``
+    without banks) from them: an unreached node costs the unreachable
+    cost under a full row and ``min(radius, unreachable)`` — a lower
+    bound — under a partial one. ``bound_d`` / ``bound_legs`` mark the
+    entries that are such bounds (``None`` while every row is full).
+    :func:`_certified_solve` counts its ``rounds``, their ``pivots`` and
+    whether the first started warm.
     """
 
     forward: bool
@@ -134,10 +181,17 @@ class ReducedTerm:
     active: np.ndarray
     n_suppliers: int
     n_consumers: int
+    radius: np.ndarray | None = None
+    rows: np.ndarray | None = None
     d: np.ndarray | None = None
     legs: np.ndarray | None = None
+    bound_d: np.ndarray | None = None
+    bound_legs: np.ndarray | None = None
     n_sssp_runs: int = 0
     n_cluster_runs: int = 0
+    rounds: int = 0
+    pivots: int = 0
+    warm_start: bool = False
 
 
 def _min_distance_from_set(
@@ -150,17 +204,12 @@ def _min_distance_from_set(
     """``min_{s in members} dist(s -> v)`` for every node v (or ``v -> s``
     when *reverse*). One Dijkstra pass regardless of ``len(members)``."""
     n = graph.num_nodes
-    work = graph.reverse() if reverse else graph
-    w = edge_costs
-    if reverse:
-        graph._ensure_reverse()  # noqa: SLF001 - align costs with reversed CSR
-        w = np.asarray(edge_costs)[graph._rev_edge_ids]  # noqa: SLF001
-
+    base = search_matrix(graph, edge_costs, reverse=reverse)
     # Virtual super-source n with unit edges into the member set; the +1
     # offset avoids scipy's explicit-zero ambiguity and is subtracted back.
-    indptr = np.append(work.indptr, work.indptr[-1] + len(members))
-    indices = np.concatenate([work.indices, np.asarray(members, dtype=np.int64)])
-    data = np.concatenate([np.asarray(w, dtype=np.float64), np.ones(len(members))])
+    indptr = np.append(base.indptr, base.indptr[-1] + len(members))
+    indices = np.concatenate([base.indices, np.asarray(members, dtype=base.indices.dtype)])
+    data = np.concatenate([base.data, np.ones(len(members))])
     matrix = csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
     dist = sp_dijkstra(matrix, directed=True, indices=n)
     return np.maximum(dist[:n] - 1.0, 0.0)
@@ -172,20 +221,25 @@ def _distance_rows(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
+    radius=np.inf,
     row_cache=None,
     cost_key=None,
 ) -> np.ndarray:
-    """Per-source shortest-path rows, drawn from *row_cache* when possible.
+    """Per-source shortest-path rows, exact up to *radius* (one value or
+    one per source; ``inf`` beyond it), drawn from *row_cache* when
+    possible.
 
     Falls back to :func:`multi_source_distances` directly (identical
-    values) when no cache or no content key is available.
+    values) when no cache or no content key is available; only full rows
+    run that way, since the certified loop needs the cache's record.
     """
     if row_cache is None or cost_key is None:
         return multi_source_distances(
             graph, sources, weights=edge_costs, reverse=reverse
         )
     return row_cache.distance_rows(
-        graph, sources, edge_costs, reverse=reverse, cost_key=cost_key
+        graph, sources, edge_costs, reverse=reverse, cost_key=cost_key,
+        radius=radius,
     )
 
 
@@ -280,40 +334,103 @@ def _price(
     bank_metric: str,
     row_cache=None,
     cost_key=None,
+    grow: np.ndarray | None = None,
 ) -> None:
     """Fill ``term.d`` (``d[src, dst]``) and, with banks, ``term.legs``:
-    ``legs[k, a]`` joins ``src`` user k and the banks of active cluster a."""
+    ``legs[k, a]`` joins ``src`` user k and the banks of active cluster a.
+
+    Rows are searched to ``term.radius``; with *grow* (positions in
+    ``src``) only those sources search again, to their new radius, and
+    the whole term is re-priced.
+    """
     n = graph.num_nodes
     reverse = not term.forward
-    rows = np.empty((0, n))
-    d = np.zeros((0, term.dst_ids.size))
-    if term.src_ids.size:
+    if grow is None:
+        term.rows = np.empty((0, n))
+        term.n_sssp_runs = int(term.src_ids.size)
+        grow = np.arange(term.src_ids.size)
+    if grow.size:
         rows = _distance_rows(
-            graph, term.src_ids, edge_costs, reverse=reverse,
+            graph, term.src_ids[grow], edge_costs, reverse=reverse,
+            radius=np.inf if term.radius is None else term.radius[grow],
             row_cache=row_cache, cost_key=cost_key,
         )
-        d = rows[:, term.dst_ids]
-        term.n_sssp_runs = int(term.src_ids.size)
-    term.d = np.where(np.isfinite(d), d, unreachable)
+        if grow.size == term.src_ids.size:
+            term.rows = rows
+        else:
+            term.rows[grow] = rows
+    term.d, term.bound_d = _priced(term.rows[:, term.dst_ids], term.radius, unreachable)
     if not term.active.size:
         return
 
     if bank_metric == "nearest":
         # Min over each cluster's members of each row: src user -> banks of
-        # the cluster, or banks -> user over reversed rows.
-        legs = _cluster_minima(rows, banks)[:, term.active]
-    else:  # "cluster": per-cluster multi-source runs for the d matrix
-        cluster_of = banks.cluster_of(n)
-        d_block = np.full((banks.n_clusters, banks.n_clusters), np.inf)
-        for a in np.unique(cluster_of[term.src_ids]).tolist():
-            dist = _min_distance_from_set(
-                graph, banks.member_arrays[a], edge_costs, reverse=reverse
-            )
-            per_cluster = _cluster_minima(dist, banks)
-            d_block[a] = np.where(np.isfinite(per_cluster), per_cluster, unreachable)
-            term.n_cluster_runs += 1
-        legs = d_block[cluster_of[term.src_ids]][:, term.active]
+        # the cluster, or banks -> user over reversed rows. A cluster with
+        # one member within the radius has its exact minimum there.
+        legs = _cluster_minima(term.rows, banks)[:, term.active]
+        term.legs, term.bound_legs = _priced(legs, term.radius, unreachable)
+        return
+    # "cluster": per-cluster multi-source runs for the d matrix (full rows)
+    cluster_of = banks.cluster_of(n)
+    d_block = np.full((banks.n_clusters, banks.n_clusters), np.inf)
+    for a in np.unique(cluster_of[term.src_ids]).tolist():
+        dist = _min_distance_from_set(
+            graph, banks.member_arrays[a], edge_costs, reverse=reverse
+        )
+        per_cluster = _cluster_minima(dist, banks)
+        d_block[a] = np.where(np.isfinite(per_cluster), per_cluster, unreachable)
+        term.n_cluster_runs += 1
+    legs = d_block[cluster_of[term.src_ids]][:, term.active]
     term.legs = np.where(np.isfinite(legs), legs, unreachable)
+
+
+def _priced(
+    values: np.ndarray, radius: np.ndarray | None, unreachable: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(prices, bound)`` of per-source *values* read off rows searched
+    to *radius* (``None``: full rows): an unreached entry costs
+    *unreachable* under a full row and the lower bound
+    ``min(radius, unreachable)`` under a partial one, and *bound* marks
+    those lower bounds (``None`` for full rows)."""
+    reached = np.isfinite(values)
+    if radius is None:
+        return np.where(reached, values, unreachable), None
+    fill = np.minimum(radius, unreachable)[:, None]
+    return np.where(reached, values, fill), np.isfinite(radius)[:, None] & ~reached
+
+
+def _shipped(term: ReducedTerm, plan) -> np.ndarray:
+    """The plan's positive-flow cells, ``src``-major: one column per
+    ``dst`` user, then one per folded bank bin."""
+    flows = plan.flows if term.forward else plan.flows.T
+    return flows > 0
+
+
+def _with_bins(users: np.ndarray, legs: np.ndarray | None, term: ReducedTerm) -> np.ndarray:
+    """A per-cell array of the folded instance, ``src``-major: *users*,
+    then *legs* repeated for each bank bin the fold keeps, in the order
+    :func:`_fold_banks` lays the bins out in."""
+    if legs is None:
+        return users
+    bins = np.nonzero(term.bank_caps[term.active] > _EPS)[0]
+    return np.concatenate([users, legs[:, bins]], axis=1)
+
+
+def _uncertified(term: ReducedTerm, plan) -> np.ndarray:
+    """Positions in ``src`` of the sources the plan ships from on a
+    bound-priced cell (empty: the plan is optimal for the true instance)."""
+    bound = _with_bins(term.bound_d, term.bound_legs, term)
+    return np.flatnonzero((_shipped(term, plan) & bound).any(axis=1))
+
+
+def _certificate(term: ReducedTerm, plan) -> tuple[float, float]:
+    """``(radius, settled)`` of a certified plan: the largest arc cost it
+    ships on, bank legs taken without γ — searching every source that far
+    would have priced each of its cells exactly — and the fraction of the
+    term's row entries within that radius."""
+    costs = _with_bins(term.d, term.legs, term)
+    radius = float(costs[_shipped(term, plan)].max(initial=0.0))
+    return radius, np.count_nonzero(term.rows <= radius) / max(term.rows.size, 1)
 
 
 def _fold_banks(
@@ -412,17 +529,22 @@ def _solve(
     *,
     basis_cache=None,
     basis_key=None,
+    chain: list | None = None,
 ):
     """Solve the folded instance with *method* (``"ssp"``, ``"lp"`` —
     HiGHS —, ``"network-simplex"`` — warm-startable —, or
     ``"sinkhorn-hybrid"`` — approximate screened solve).
 
-    This is the one place the warm-start rule lives: a basis is read and
-    stored if and only if *method* is ``"network-simplex"`` (and a
-    *basis_cache*/*basis_key* pair is supplied); every other method
-    solves cold. For a warm solve the nearest cached basis is re-anchored
-    onto the instance's labels to warm-start the solve, and the optimal
-    basis is stored back, in label space, under the term key.
+    This is the one place the warm-start rule lives: only a
+    ``"network-simplex"`` solve is warm-started, and every other method
+    solves cold. *chain* links the certificate rounds of one term: a
+    one-slot list that each network-simplex solve leaves its optimal
+    basis (local indices) in, and that warm-starts the next round when
+    set (the folded shape does not change between rounds). Otherwise, with
+    a *basis_cache*/*basis_key* pair, the nearest cached basis is
+    re-anchored onto the instance's labels to warm-start the solve. The
+    optimal basis is stored back into *basis_cache*, in label space, under
+    the term key.
 
     Returns the solver's :class:`~repro.flow.plan.TransportPlan` (its
     ``info`` carries the solve's diagnostics), or ``None`` when one side
@@ -430,24 +552,80 @@ def _solve(
     """
     if problem.supplies.size == 0 or problem.demands.size == 0:
         return None
-    if method != "network-simplex" or basis_cache is None or basis_key is None:
+    if method != "network-simplex":
         return flow.solve_transportation(problem, method=method)
 
-    warm = basis_cache.get_warm(basis_key)
-    warm_local = (
-        _map_labeled_basis(warm, row_labels, col_labels) if warm is not None else None
+    cached = basis_cache is not None and basis_key is not None
+    warm = chain[0] if chain else None
+    if warm is None and cached:
+        hint = basis_cache.get_warm(basis_key)
+        if hint is not None:
+            warm = _map_labeled_basis(hint, row_labels, col_labels)
+    plan, basis = network_simplex.solve_transportation_network_simplex(
+        problem, basis=warm, return_basis=True
     )
-    plan, out_basis = network_simplex.solve_transportation_network_simplex(
-        problem, basis=warm_local, return_basis=True
-    )
-    if len(out_basis):
+    if chain is not None:
+        chain[:] = [basis]
+    if cached and len(basis):
         basis_cache.put_term(
             basis_key,
-            TransportBasis(
-                rows=row_labels[out_basis.rows], cols=col_labels[out_basis.cols]
-            ),
+            TransportBasis(rows=row_labels[basis.rows], cols=col_labels[basis.cols]),
         )
     return plan
+
+
+def _certified_solve(
+    term: ReducedTerm,
+    graph: DiGraph,
+    edge_costs: np.ndarray,
+    banks: BankAllocation,
+    solver: str,
+    *,
+    price: dict,
+    basis_cache=None,
+    basis_key=None,
+):
+    """Fold → solve → check → extend until the plan ships only on exactly
+    priced cells; returns ``(plan, resolved solver)``.
+
+    Each round folds and solves the priced term. While some row is partial
+    and the plan ships on a bound-priced cell, the sources shipping on one
+    search ``RADIUS_GROWTH`` times further (every partial row in full
+    before the last of ``MAX_ROUNDS`` solves), :func:`_price` re-prices
+    the term with the *price* options, and the next round starts from the
+    basis just found. Rounds, pivots and the first solve's warm flag
+    accumulate on *term*.
+    """
+    gamma = banks.gamma_matrix()
+    chain: list = []
+    while True:
+        problem, row_labels, col_labels = _fold(term, gamma)
+        # "auto" is always the network simplex; asked with the folded shape
+        # so a wrapped selector can count solves per tier and instance sizes.
+        method = (
+            select_transport_method(*problem.costs.shape) if solver == "auto" else solver
+        )
+        plan = _solve(
+            problem, row_labels, col_labels, method,
+            basis_cache=basis_cache, basis_key=basis_key, chain=chain,
+        )
+        term.rounds += 1
+        if plan is not None and plan.info is not None:
+            term.pivots += int(plan.info.pivots)
+            term.warm_start |= term.rounds == 1 and bool(plan.info.warm)
+        if plan is None or term.radius is None or not np.isfinite(term.radius).any():
+            return plan, method
+        grow = _uncertified(term, plan)
+        if not grow.size:
+            return plan, method
+        if term.rounds == MAX_ROUNDS - 1:
+            grow = np.flatnonzero(np.isfinite(term.radius))
+            term.radius[grow] = np.inf
+        else:
+            grown = term.radius[grow] * RADIUS_GROWTH
+            grown[grown >= price["unreachable"]] = np.inf  # no finite distance lies beyond
+            term.radius[grow] = grown
+        _price(term, graph, edge_costs, banks, grow=grow, **price)
 
 
 def emd_star_term_fast(
@@ -494,7 +672,9 @@ def emd_star_term_fast(
     row_cache, cost_key:
         Optional :class:`~repro.snd.cache.DijkstraRowCache` plus the
         content key of *edge_costs* (state fingerprint, opinion); per-source
-        Dijkstra rows are then reused across terms sharing the key.
+        Dijkstra rows are then reused across terms sharing the key, and
+        under ``"nearest"`` searched only as far as the certified loop
+        needs (see the module docstring).
     basis_cache, basis_key:
         Optional :class:`~repro.snd.cache.BasisCache` plus this term's key
         ``(supplier fingerprint, consumer fingerprint, opinion)``. Only
@@ -517,33 +697,36 @@ def emd_star_term_fast(
         if stats is not None:
             stats.cost = 0.0
         return 0.0
-    _price(
-        term, graph, edge_costs, banks,
-        unreachable=unreachable_cost(n, max_cost), bank_metric=bank_metric,
+    unreachable = unreachable_cost(n, max_cost)
+    certify = bank_metric == "nearest" and row_cache is not None and cost_key is not None
+    start = row_cache.start_radius() if certify else np.inf
+    if start < unreachable:
+        term.radius = np.full(term.src_ids.size, start)
+    price = dict(
+        unreachable=unreachable, bank_metric=bank_metric,
         row_cache=row_cache, cost_key=cost_key,
     )
-    problem, row_labels, col_labels = _fold(term, banks.gamma_matrix())
-    if solver == "auto":
-        # Always the network simplex; asked with the folded shape so a
-        # wrapped selector can count solves per tier and instance sizes.
-        solver = select_transport_method(*problem.costs.shape)
-    plan = _solve(
-        problem, row_labels, col_labels, solver,
+    _price(term, graph, edge_costs, banks, **price)
+    plan, solver = _certified_solve(
+        term, graph, edge_costs, banks, solver, price=price,
         basis_cache=basis_cache, basis_key=basis_key,
     )
+    if certify and plan is not None and row_cache.record_due():
+        row_cache.record_radius(*_certificate(term, plan))
     cost = 0.0 if plan is None else float(plan.cost)
 
     if stats is not None:
         stats.n_suppliers = term.n_suppliers
         stats.n_consumers = term.n_consumers
         stats.n_sssp_runs = term.n_sssp_runs
+        stats.n_settled = int(np.isfinite(term.rows).sum())
         stats.n_cluster_runs = term.n_cluster_runs
+        stats.rounds = term.rounds
         stats.solver = solver
         stats.cost = cost
-        # The network simplex and the hybrid report the pivots and warm
-        # flag of the solve that produced *cost*.
-        info = None if plan is None else plan.info
-        if info is not None:
-            stats.pivots = int(info.pivots)
-            stats.warm_start = bool(info.warm)
+        # The network simplex and the hybrid report their pivots, summed
+        # over the term's rounds, and whether its first solve started warm.
+        if plan is not None and plan.info is not None:
+            stats.pivots = term.pivots
+            stats.warm_start = term.warm_start
     return cost

@@ -104,6 +104,36 @@ class TestEngines:
         assert rows.shape == (3, 30)
         assert np.allclose(rows, expected)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rows_bitwise_equal_without_graph_copy(self, rng, monkeypatch, reverse):
+        """Rows are searched on a matrix built from the graph's (reverse)
+        CSR arrays: bit for bit the rows of a search over a copied
+        (reversed) graph, and no copy is made."""
+        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+
+        from repro.snd.fast import _min_distance_from_set
+
+        g = erdos_renyi_graph(40, 0.1, seed=2, directed=True)
+        w = rng.integers(1, 9, g.num_edges).astype(np.float64)
+        sources = np.array([1, 4, 9, 30])
+        work = g.reverse() if reverse else g
+        work_w = w[g._rev_edge_ids] if reverse else w
+        expected = sp_dijkstra(work.to_scipy_csr(work_w), directed=True, indices=sources)
+
+        def no_copy(self):
+            raise AssertionError("searches must not copy the graph")
+
+        monkeypatch.setattr(DiGraph, "reverse", no_copy)
+        for limit in (np.inf, 6.0):
+            rows = multi_source_distances(
+                g, sources, weights=w, reverse=reverse, limit=limit
+            )
+            want = np.where(expected <= limit, expected, np.inf)
+            assert rows.tobytes() == want.tobytes()
+        # Integer weights: the super-source's +1 offset cancels exactly.
+        near = _min_distance_from_set(g, sources, w, reverse=reverse)
+        assert near.tobytes() == expected.min(axis=0).tobytes()
+
     def test_reverse_semantics(self, line_graph):
         rows = multi_source_distances(line_graph, [3], reverse=True)
         assert rows[0].tolist() == [3, 2, 1, 0]

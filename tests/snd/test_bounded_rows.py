@@ -1,0 +1,261 @@
+"""Certified bounded Dijkstra rows: a term searched only as far as its
+optimum needs equals the full-row term.
+
+A :class:`DijkstraRowCache` whose certificate-radius record is seeded
+starts every term's searches at a chosen finite radius; the term then
+runs the rows → solve → check → extend loop of :mod:`repro.snd.fast`.
+Its value must equal the cache-free (full-row) value to 1e-12 for every
+exact solver, both bank-share rules and every orientation of the reduced
+instance, including directed graphs whose targets are unreachable.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi_graph
+from repro.opinions.models.model_agnostic import ModelAgnostic
+from repro.opinions.state import NEGATIVE, POSITIVE, NetworkState
+from repro.shortestpath.dijkstra import multi_source_distances
+from repro.snd import allocate_banks
+from repro.snd.cache import DijkstraRowCache
+from repro.snd.fast import MAX_ROUNDS, FastTermStats, emd_star_term_fast
+from repro.snd.ground import build_edge_costs, unreachable_cost
+
+EXACT_SOLVERS = ("auto", "ssp", "lp", "network-simplex")
+MAX_COST = 10
+
+
+def seeded_cache(radius: float) -> DijkstraRowCache:
+    """A row cache that starts its next term's searches at *radius*."""
+    cache = DijkstraRowCache()
+    for _ in range(cache.RADIUS_WINDOW):
+        cache.record_radius(radius, 0.0)
+    assert cache.start_radius() == radius
+    return cache
+
+
+def _histograms(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(supplier, consumer) histograms covering every orientation: a
+    deficit on either side, and equal totals with either side smaller."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(3):
+        # 0/1 states: deficits on both sides.
+        p = (rng.random(n) < 0.3).astype(float)
+        q = (rng.random(n) < 0.3).astype(float)
+        pairs += [(p, q), (q, p)]
+        # Dyadic masses with equal totals: zero deficit, either side smaller.
+        h = rng.integers(1, 4, n) / 4 * (rng.random(n) < 0.35)
+        spread = rng.permutation(h)
+        pairs += [(h, spread), (spread, h)]
+    return pairs
+
+
+def _orientations(pairs) -> set[str]:
+    seen = set()
+    for p, q in pairs:
+        common = np.minimum(p, q)
+        n_sup = np.count_nonzero(p - common > 1e-12)
+        n_con = np.count_nonzero(q - common > 1e-12)
+        if p.sum() != q.sum():
+            seen.add("banks-on-consumers" if p.sum() > q.sum() else "banks-on-suppliers")
+        elif n_sup != n_con:
+            seen.add("even-fewer-suppliers" if n_sup < n_con else "even-more-suppliers")
+    return seen
+
+
+def _term(graph, p, q, costs, banks, **kwargs) -> tuple[float, FastTermStats]:
+    stats = FastTermStats()
+    value = emd_star_term_fast(
+        graph, p, q, costs, banks, max_cost=MAX_COST, stats=stats, **kwargs
+    )
+    return value, stats
+
+
+def bounded_vs_full(graph, solver, shares, n_banks, radii, seed) -> list[tuple]:
+    """Check every histogram pair at every start radius; returns one
+    record per bounded term: ``float.hex`` of its value, its rounds,
+    settled nodes and pivots."""
+    banks = allocate_banks(graph, n_clusters=3, n_banks=n_banks, seed=0)
+    state = NetworkState.from_active_sets(graph.num_nodes, positive=range(0, 8))
+    pairs = _histograms(graph.num_nodes, seed)
+    assert _orientations(pairs) == {
+        "banks-on-consumers", "banks-on-suppliers",
+        "even-fewer-suppliers", "even-more-suppliers",
+    }
+    records = []
+    for opinion in (POSITIVE, NEGATIVE):
+        costs = build_edge_costs(
+            graph, state, opinion, ModelAgnostic(), max_cost=MAX_COST
+        )
+        for p, q in pairs:
+            options = dict(solver=solver, bank_shares=shares)
+            full, full_stats = _term(graph, p, q, costs, banks, **options)
+            for radius in radii:
+                value, stats = _term(
+                    graph, p, q, costs, banks, row_cache=seeded_cache(radius),
+                    cost_key=("costs", opinion), **options,
+                )
+                assert abs(value - full) <= 1e-12 * max(1.0, abs(full))
+                assert stats.n_sssp_runs == full_stats.n_sssp_runs
+                assert stats.n_settled <= full_stats.n_settled
+                records.append(
+                    (value.hex(), stats.rounds, stats.n_settled, stats.pivots)
+                )
+    return records
+
+
+GRAPH = erdos_renyi_graph(30, 0.15, seed=5, directed=True)
+
+
+#: sha256 prefix of the bounded terms' records: a refactor of the loop
+#: that moves a value bit, a round, a settled count or a pivot shows here.
+BOUNDED_DIGEST = {"network-simplex": "517d1782de586433", "ssp": "b4b7e536bf09ea26"}
+
+
+@pytest.mark.parametrize("solver", ["network-simplex", "ssp"])
+def test_bounded_equals_full_rows(solver):
+    records = bounded_vs_full(GRAPH, solver, "mass", 1, radii=(2.0, 8.0), seed=1)
+    rounds = [r[1] for r in records]
+    # The grid reaches both certified first rounds and grown radii.
+    assert 1 in rounds and max(rounds) > 1
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == BOUNDED_DIGEST[solver]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("solver", EXACT_SOLVERS)
+@pytest.mark.parametrize("shares", ["mass", "size"])
+@pytest.mark.parametrize("n_banks", [1, 3])
+@pytest.mark.parametrize("graph_seed", [2, 9])
+def test_bounded_equals_full_rows_grid(solver, shares, n_banks, graph_seed):
+    graph = erdos_renyi_graph(40, 0.1, seed=graph_seed, directed=True)
+    records = bounded_vs_full(
+        graph, solver, shares, n_banks, radii=(1.0, 4.0, 12.0), seed=graph_seed
+    )
+    rounds = [r[1] for r in records]
+    assert 1 in rounds and max(rounds) > 1
+
+
+def _split_graph() -> DiGraph:
+    """Two directed chains, 0 → … → 4 and 5 → … → 9, with no edge
+    between them: nothing in the second is reachable from the first."""
+    edges = [(k, k + 1) for k in range(4)] + [(k, k + 1) for k in range(5, 9)]
+    return DiGraph(10, edges)
+
+
+def test_unreachable_target_escalates_to_one_unlimited_search():
+    graph = _split_graph()
+    banks = allocate_banks(graph, n_clusters=2, seed=0)
+    costs = np.ones(graph.num_edges)
+    p, q = np.zeros(10), np.zeros(10)
+    p[0] = q[7] = 1.0  # equal totals: no banks, node 7 must be served from 0
+    full, _ = _term(graph, p, q, costs, banks, solver="network-simplex")
+    assert full == unreachable_cost(10, MAX_COST)
+
+    cache = seeded_cache(1.0)
+    value, stats = _term(
+        graph, p, q, costs, banks, solver="network-simplex",
+        row_cache=cache, cost_key=("ones", POSITIVE),
+    )
+    assert value == full
+    # Start radius, x1.5 growths, then one unlimited search for the last
+    # round — not ~30 doublings up to the unreachable cost.
+    assert stats.rounds == MAX_ROUNDS
+    rows = cache.stats()
+    assert rows["misses"] == MAX_ROUNDS
+    assert rows["extensions"] == MAX_ROUNDS - 1
+    (entry,) = cache._entries.values()
+    assert entry.radius == np.inf
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_extended_row_bitwise_equals_fresh_search(reverse):
+    graph = erdos_renyi_graph(60, 0.08, seed=4, directed=True)
+    state = NetworkState.from_active_sets(60, positive=range(0, 12))
+    costs = build_edge_costs(graph, state, POSITIVE, ModelAgnostic(), max_cost=MAX_COST)
+    sources = np.array([3, 17, 40])
+    cache = DijkstraRowCache()
+    kwargs = dict(reverse=reverse, cost_key=("c", POSITIVE))
+
+    def fresh(limit):
+        return multi_source_distances(
+            graph, sources, weights=costs, reverse=reverse, limit=limit
+        )
+
+    short = cache.distance_rows(graph, sources, costs, radius=4.0, **kwargs)
+    assert short.tobytes() == fresh(4.0).tobytes()
+    assert np.isfinite(short).sum() < np.isfinite(fresh(np.inf)).sum()
+    # Per-source radii: one source grows, the others are served cut.
+    radii = np.array([4.0, 9.0, 2.5])
+    mixed = cache.distance_rows(graph, sources, costs, radius=radii, **kwargs)
+    for row, source, radius in zip(mixed, sources, radii):
+        want = multi_source_distances(
+            graph, [source], weights=costs, reverse=reverse, limit=radius
+        )
+        assert row.tobytes() == want[0].tobytes()
+    for limit in (9.0, np.inf):
+        grown = cache.distance_rows(graph, sources, costs, radius=limit, **kwargs)
+        assert grown.tobytes() == fresh(limit).tobytes()
+    stats = cache.stats()
+    # 3 fresh rows; then 1 extension (to 9) and 2 hits; then 2 extensions
+    # (to 9) plus 1 hit; then 3 extensions to a full row.
+    assert (stats["misses"], stats["extensions"], stats["hits"]) == (9, 6, 3)
+    assert stats["settled"] > 0
+
+
+def test_row_cache_counts_settled_nodes():
+    graph = erdos_renyi_graph(40, 0.1, seed=1, directed=True)
+    costs = np.ones(graph.num_edges)
+    cache = DijkstraRowCache()
+    rows = cache.distance_rows(
+        graph, [0, 5], costs, reverse=False, cost_key="k", radius=2.0
+    )
+    assert cache.stats()["settled"] == int(np.isfinite(rows).sum())
+    cache.distance_rows(graph, [0, 5], costs, reverse=False, cost_key="k", radius=2.0)
+    assert cache.stats()["settled"] == int(np.isfinite(rows).sum())  # hits only
+
+
+def test_start_radius_needs_a_warm_record_and_small_certificates():
+    cache = DijkstraRowCache()
+    for k in range(cache.RADIUS_WARMUP - 1):
+        cache.record_radius(float(k), 0.1)
+    assert cache.start_radius() == np.inf  # too few radii recorded
+    cache.record_radius(3.0, 0.1)
+    assert cache.start_radius() == float(
+        np.percentile([*range(cache.RADIUS_WARMUP - 1), 3.0], 75)
+    )
+    for _ in range(cache.RADIUS_WINDOW):
+        cache.record_radius(5.0, 0.9)  # certificates settle most of the graph
+    assert cache.start_radius() == np.inf
+    cache.clear()
+    assert cache.start_radius() == np.inf
+
+
+def test_engine_bounded_rows_match_cache_free_values():
+    """An engine whose row record starts terms at a small radius returns
+    the cache-free values to 1e-12 and counts its row searches' settled
+    nodes and extensions in ``stats()``."""
+    from repro.snd import SND, SNDEngine
+
+    graph = erdos_renyi_graph(60, 0.06, seed=8)
+    rng = np.random.default_rng(3)
+    states = [
+        NetworkState(rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=60))
+        for _ in range(8)
+    ]
+    snd = SND(graph, n_clusters=3, seed=0, solver="auto")
+    reference = [snd.distance(a, b) for a, b in zip(states, states[1:])]
+    with SNDEngine(SND(graph, banks=snd.banks, solver="auto"), jobs=1) as engine:
+        for _ in range(engine.caches.rows.RADIUS_WINDOW):
+            engine.caches.rows.record_radius(2.0, 0.0)
+        values = engine.evaluate_series(states)
+        rows = engine.stats()["caches"]["rows"]
+    np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0)
+    assert rows["extensions"] > 0
+    assert 0 < rows["settled"] < rows["misses"] * graph.num_nodes

@@ -141,3 +141,29 @@ class TestSeriesBehaviour:
             # states, so even the size-share variant is only approximately
             # triangle-consistent across pairs; allow a 5% slack.
             assert ac <= (ab + bc) * 1.05 + 1e-9
+
+    def test_default_mass_shares_triangle_counterexample(self):
+        """Under the defaults (``bank_shares="mass"``) SND is not a metric:
+        this triple breaks the triangle inequality by 6% (found by a random
+        probe; pinned as the evidence behind the metric-space docstring).
+        The same triple under ``"size"`` shares keeps it."""
+        # Literal states on purpose: this pins one concrete violating
+        # instance, so it must NOT follow the per-nodeid `rng` fixture.
+        g = erdos_renyi_graph(30, 0.15, seed=2)
+        a, b, c = (
+            NetworkState(np.array(values, dtype=np.int8))
+            for values in (
+                [0, 0, 1, 0, -1, -1, -1, -1, 0, -1, 0, 1, 0, 0, -1,
+                 1, -1, 1, 0, 0, 1, 1, 1, 0, -1, 1, 1, 0, 0, -1],
+                [1, -1, 0, -1, 1, 0, -1, -1, -1, -1, 1, 1, 0, -1, -1,
+                 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, -1, 0, 1, 0],
+                [-1, 0, 0, 1, 0, -1, -1, 1, 1, 0, -1, -1, 1, -1, 0,
+                 1, -1, 1, -1, -1, -1, -1, 0, -1, 0, 1, 0, -1, 1, -1],
+            )
+        )
+        snd = SND(g, n_clusters=3, seed=0)
+        assert snd.bank_shares == "mass"
+        ab, bc, ac = snd.distance(a, b), snd.distance(b, c), snd.distance(a, c)
+        assert ac > 1.05 * (ab + bc)  # the violation is real
+        sized = SND(g, banks=snd.banks, bank_shares="size")
+        assert sized.distance(a, c) <= sized.distance(a, b) + sized.distance(b, c)
