@@ -24,7 +24,10 @@ Measures the two levers PR 3 adds over the PR-2 batch layer, writing
    solve come from :data:`repro.flow.network_simplex.SIMPLEX_METRICS`
    snapshot deltas (engines run serially so the counters stay
    in-process); the warm sweep must cut them by >= 2x on both the
-   windowed sweep and a corpus append, with values identical to 1e-9.
+   windowed sweep and a corpus append, with values identical to 1e-9,
+   and must not slow either below 0.8x the cold wall clock. Each cold and
+   warm region is timed as the fastest of ``REPEATS`` fresh-engine runs,
+   cold and warm runs alternating.
 
 The engine's unified cache-hierarchy counters
 (:meth:`~repro.snd.CacheManager.stats`) are embedded in the JSON.
@@ -140,6 +143,22 @@ def _flare_states(graph, fc, seed=1):
     return baseline, [flare(t) for t in range(fc["n_flares"])]
 
 
+#: Fresh-engine repetitions of each timed cold and warm region; a region
+#: reports its fastest run, so one slow run of a ~20 ms region on a busy
+#: host cannot decide the wall-clock gate.
+REPEATS = 3
+
+
+def _fastest_cold_warm(run):
+    """``(cold, warm)``: the fastest of ``REPEATS`` results of
+    ``run(False)`` and of ``run(True)``, each result ``(values, seconds,
+    ...)``. Every call builds a fresh engine, so the counters of each
+    repetition are the same; cold and warm runs alternate, so a burst of
+    host load slows both sides alike."""
+    runs = [(run(False), run(True)) for _ in range(REPEATS)]
+    return tuple(min(side, key=lambda result: result[1]) for side in zip(*runs))
+
+
 def _pivot_stats(before, after):
     d = {
         k: after[k] - before[k]
@@ -193,13 +212,15 @@ def _network_simplex_section(graph, cfg, verbose):
             bases = engine.stats()["caches"]["bases"]
         return matrix, dt, stats, bases
 
-    v_cold, t_cold, sweep_cold, _ = sweep(False)
-    v_warm, t_warm, sweep_warm, sweep_bases = sweep(True)
+    (v_cold, t_cold, sweep_cold, _), (v_warm, t_warm, sweep_warm, sweep_bases) = (
+        _fastest_cold_warm(sweep)
+    )
     assert np.allclose(v_cold, v_warm, atol=1e-9), (
         "warm-started sweep deviates from the cold network-simplex sweep"
     )
-    m_cold, ta_cold, app_cold, _ = append(False)
-    m_warm, ta_warm, app_warm, app_bases = append(True)
+    (m_cold, ta_cold, app_cold, _), (m_warm, ta_warm, app_warm, app_bases) = (
+        _fastest_cold_warm(append)
+    )
     assert np.allclose(m_cold, m_warm, atol=1e-9), (
         "warm-started corpus append deviates from the cold sweep"
     )

@@ -328,28 +328,15 @@ class DiGraph:
     def _ensure_reverse(self) -> None:
         if self._rev_indptr is not None:
             return
-        m = len(self._indices)
         rev_indptr = np.zeros(self._n + 1, dtype=np.int64)
-        if m:
-            np.add.at(rev_indptr, self._indices + 1, 1)
-        np.cumsum(rev_indptr, out=rev_indptr)
-        rev_indices = np.empty(m, dtype=np.int64)
-        rev_weights = np.empty(m, dtype=np.float64)
-        rev_edge_ids = np.empty(m, dtype=np.int64)
-        cursor = rev_indptr[:-1].copy()
+        np.cumsum(np.bincount(self._indices, minlength=self._n), out=rev_indptr[1:])
+        # A stable sort by target keeps each reverse list in CSR (sorted
+        # source) order.
+        rev_edge_ids = np.argsort(self._indices, kind="stable")
         sources = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
-        # Stable counting pass: edges are visited in CSR (sorted) order, so the
-        # reverse lists come out sorted by source automatically.
-        for eid in range(m):
-            v = self._indices[eid]
-            slot = cursor[v]
-            rev_indices[slot] = sources[eid]
-            rev_weights[slot] = self._weights[eid]
-            rev_edge_ids[slot] = eid
-            cursor[v] += 1
         self._rev_indptr = rev_indptr
-        self._rev_indices = rev_indices
-        self._rev_weights = rev_weights
+        self._rev_indices = sources[rev_edge_ids]
+        self._rev_weights = self._weights[rev_edge_ids]
         self._rev_edge_ids = rev_edge_ids
 
     def reverse(self) -> "DiGraph":

@@ -378,6 +378,13 @@ _PERSIST_COUNTERS = {
 }
 
 
+_CORPUS_QUERY_COUNTERS = {
+    "queries": "Corpus top-k queries answered.",
+    "bounded": "Corpus member pairs ranked by their row-free SND lower bound.",
+    "solved": "Corpus member pairs solved exactly (the rest were pruned).",
+}
+
+
 def _emit(
     out: list[Sample],
     family: str,
@@ -490,6 +497,8 @@ def samples_from_stats(stats: dict) -> list[Sample]:
                 ))
         _emit(out, "snd_persistence", shard, _PERSIST_COUNTERS,
               "counter", labels, suffix="_total")
+        _emit(out, "snd_corpus_query", shard.get("corpus_query") or {},
+              _CORPUS_QUERY_COUNTERS, "counter", labels, suffix="_total")
         if not solver_done:
             simplex = shard.get("network_simplex")
             if simplex:

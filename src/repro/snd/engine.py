@@ -55,6 +55,7 @@ is a client of the engine's own :class:`~repro.snd.scheduler.PairScheduler`.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -285,6 +286,8 @@ class SNDEngine:
         self.scheduler = PairScheduler(
             self, max_pending=max_pending, client_max_pending=client_max_pending
         )
+        self._queries = {"queries": 0, "bounded": 0, "solved": 0}
+        self._queries_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -616,6 +619,13 @@ class SNDEngine:
     # Introspection
     # ------------------------------------------------------------------ #
 
+    def _count_query(self, *, bounded: int, solved: int) -> None:
+        """Add one :meth:`Corpus.query` to the ``corpus_query`` counters."""
+        with self._queries_lock:
+            self._queries["queries"] += 1
+            self._queries["bounded"] += bounded
+            self._queries["solved"] += solved
+
     def stats(self) -> dict:
         """Cache hierarchy counters plus engine/pool state (benchmark
         JSON-ready).
@@ -631,8 +641,12 @@ class SNDEngine:
         solves that ran in the engine's own process.
         ``slot_writes`` counts shared-matrix row writes — append-only
         slot assignment keeps it at the number of *distinct* states ever
-        dispatched, not dispatches times states.
+        dispatched, not dispatches times states. ``corpus_query`` counts
+        :meth:`Corpus.query` calls on this engine and the member pairs they
+        bounded and solved exactly (solved < bounded when pruning works).
         """
+        with self._queries_lock:
+            queries = dict(self._queries)
         return {
             "caches": self.caches.stats(),
             "scheduler": self.scheduler.stats(),
@@ -645,6 +659,7 @@ class SNDEngine:
             "capacity": self._capacity,
             "slot_writes": self.slot_writes,
             "basis_cache_active": self.basis_cache is not None,
+            "corpus_query": queries,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -657,6 +672,12 @@ class SNDEngine:
 # --------------------------------------------------------------------- #
 # Corpus
 # --------------------------------------------------------------------- #
+
+#: :meth:`Corpus.query` prunes a member only when its lower bound exceeds
+#: the k-th exact distance by more than this relative margin: the bound
+#: sums its terms in another order than the solver, so a member tied with
+#: the k-th value could otherwise be pruned on a last-bit overshoot.
+BOUND_RTOL = 1e-9
 
 
 class Corpus:
@@ -757,18 +778,45 @@ class Corpus:
 
     def query(self, state: NetworkState, k: int = 1) -> list[tuple[int, float]]:
         """The *k* nearest corpus members to *state*: ``(index, distance)``
-        pairs, nearest first (ties broken by index)."""
+        pairs, nearest first (ties broken by index).
+
+        The answer is exact, the same as solving *state* against every
+        member and sorting, but found by bound-pruning. Every member gets
+        a row-free lower bound (:meth:`~repro.snd.snd.SND.lower_bound`,
+        which assumes no metric). Members are solved exactly in bound
+        order: the first *k* in one batch, then, round by round, every
+        member whose bound is at most the current k-th exact distance. A
+        member whose bound exceeds it by more than ``BOUND_RTOL`` cannot
+        place and is never solved. ``engine.stats()["corpus_query"]``
+        counts the bounded and solved pairs.
+        """
         if not self._states:
             raise ValidationError("corpus is empty")
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
+        engine = self.engine
+        k = min(k, len(self._states))
+        bounds = np.array([
+            engine.snd.lower_bound(state, m, engine.caches) for m in self._states
+        ])
+        # Stable: members with equal bounds are solved in index order.
+        order = np.argsort(bounds, kind="stable")
+        sorted_bounds = bounds[order]
         # (query, member) argument order is preserved through the
         # scheduler so values stay bit-identical to the per-pair loop.
         query_states = [state] + self._states
-        query_pairs = [(0, m + 1) for m in range(len(self._states))]
-        distances = np.array(self.engine.scheduler.evaluate(query_states, query_pairs))
-        order = np.argsort(distances, kind="stable")[: min(k, len(self._states))]
-        return [(int(i), float(distances[i])) for i in order]
+        exact: dict[int, float] = {}
+        batch = order[:k].tolist()
+        while batch:
+            values = engine.scheduler.evaluate(query_states, [(0, m + 1) for m in batch])
+            exact.update(zip(batch, values))
+            kth = sorted(exact.values())[k - 1]
+            # <=, not <: a member tied with the k-th value may win on index.
+            end = int(np.searchsorted(sorted_bounds, kth * (1 + BOUND_RTOL), side="right"))
+            batch = order[len(exact):end].tolist()
+        engine._count_query(bounded=len(bounds), solved=len(exact))
+        nearest = sorted(exact.items(), key=lambda item: (item[1], item[0]))[:k]
+        return [(int(i), float(d)) for i, d in nearest]
 
     # ------------------------------------------------------------------ #
     # Persistence

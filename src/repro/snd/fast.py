@@ -59,6 +59,10 @@ Lemma 2 cancellation is lossless (property-tested against
 violate the triangle inequality across clusters (a route through a third
 cluster's members can undercut the cluster-to-cluster distance), and the
 reduction is exact only up to that defect.
+
+:func:`emd_star_term_bound` runs the reduce stage alone and returns a
+lower bound on the term: no rows, no solve. ``Corpus.query`` ranks
+members by it to solve only those that could still place.
 """
 
 from __future__ import annotations
@@ -82,7 +86,8 @@ from repro.snd.banks import BankAllocation
 from repro.snd.ground import unreachable_cost
 
 __all__ = [
-    "emd_star_term_fast", "check_term_options", "FastTermStats", "SOLVER_CHOICES",
+    "emd_star_term_fast", "emd_star_term_bound", "check_term_options", "FastTermStats",
+    "SOLVER_CHOICES",
 ]
 
 _EPS = 1e-12
@@ -133,21 +138,18 @@ class FastTermStats:
     n_consumers: int = 0
     n_sssp_runs: int = 0
     n_cluster_runs: int = 0
+    #: Solves of the term: 1, plus one per round that searched further.
     rounds: int = 0
-    pivots: int = 0
-    warm_start: bool = False
-    cost: float = 0.0
-    solver: str = ""
     #: Simplex pivots of the network-simplex solve, or of the hybrid's
     #: restricted network-simplex solve (0 for other solvers).
     pivots: int = 0
     #: Whether the network-simplex solve started from a cached warm basis.
     warm_start: bool = False
+    cost: float = 0.0
+    solver: str = ""
     #: Nodes settled over the term's final rows (a full row settles every
     #: node the source reaches).
     n_settled: int = 0
-    #: Solves of the term: 1, plus one per round that searched further.
-    rounds: int = 0
 
 
 @dataclass
@@ -322,6 +324,40 @@ def _reduce(
         n_suppliers=int(sup_ids.size),
         n_consumers=int(con_ids.size),
     )
+
+
+def emd_star_term_bound(
+    p_hist: np.ndarray,
+    q_hist: np.ndarray,
+    edge_costs: np.ndarray,
+    banks: BankAllocation,
+    *,
+    max_cost: int,
+    bank_shares: str = "mass",
+) -> float:
+    """A lower bound on the EMD* term :func:`emd_star_term_fast` returns
+    for the same arguments, from :func:`_reduce` alone: no Dijkstra rows
+    and no solve.
+
+    The reduced instance is balanced, so every plan ships each ``dst``
+    amount in full and fills every live bank bin. A bin costs ``leg + γ_b
+    >= γ_b`` per unit. A ``dst`` user is reached from another node (Lemma
+    2 leaves ``src`` and ``dst`` disjoint): over at least one edge, or at
+    the unreachable cost, so at least ``c_min``, the smaller of the two,
+    per unit. ``Σ_b cap_b·γ_b + c_min·Σ dst`` is therefore at most the
+    cost of any feasible plan, under either bank metric and share rule.
+    No metric property of the ground distance is used.
+    """
+    p = np.asarray(p_hist, dtype=np.float64)
+    q = np.asarray(q_hist, dtype=np.float64)
+    term = _reduce(p, q, banks, bank_shares)
+    if term is None or term.src_ids.size == 0:
+        return 0.0  # nothing to solve: the term is 0
+    c_min = min(float(edge_costs.min(initial=np.inf)), unreachable_cost(p.size, max_cost))
+    caps = term.bank_caps[term.active]
+    live = caps > _EPS
+    banked = float((caps[live] * banks.gamma_matrix()[term.active][live]).sum())
+    return banked + c_min * float(term.dst_amounts.sum())
 
 
 def _price(

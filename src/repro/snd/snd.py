@@ -45,7 +45,12 @@ from repro.snd.cache import (
     GroundCostCache,
     TransitionCache,
 )
-from repro.snd.fast import FastTermStats, check_term_options, emd_star_term_fast
+from repro.snd.fast import (
+    FastTermStats,
+    check_term_options,
+    emd_star_term_bound,
+    emd_star_term_fast,
+)
 from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig
 
 __all__ = ["SND", "SNDResult"]
@@ -226,6 +231,35 @@ class SND:
                 kwargs["stats"] = stats[-1]
             terms.append(self.term(supplier, consumer, opinion, **kwargs))
         return 0.5 * sum(terms), tuple(terms)
+
+    def lower_bound(self, a, b, caches: CacheManager | None = None) -> float:
+        """A lower bound on ``SND(a, b)`` that searches no rows and solves
+        nothing: half the sum of :func:`~repro.snd.fast.emd_star_term_bound`
+        over :meth:`_pair_terms`. It holds for every solver, bank metric and
+        share rule, and assumes no metric (see ``docs/measures.md``).
+
+        *caches* supplies the Eq. 2 cost arrays from its ground cache, so
+        an exact solve of the same pair afterwards builds none of them.
+        """
+        self._check_state(a)
+        self._check_state(b)
+        bounds = []
+        for supplier, consumer, opinion in self._pair_terms(a, b):
+            if caches is None:
+                edge_costs = self.ground.edge_costs(self.graph, supplier, opinion)
+            else:
+                edge_costs = caches.ground.edge_costs(
+                    self.ground, self.graph, supplier, opinion
+                )
+            bounds.append(emd_star_term_bound(
+                supplier.histogram(opinion),
+                consumer.histogram(opinion),
+                edge_costs,
+                self.banks,
+                max_cost=self.ground.max_cost,
+                bank_shares=self.bank_shares,
+            ))
+        return 0.5 * sum(bounds)
 
     def term(
         self,

@@ -125,6 +125,37 @@ class TestDerivedGraphs:
         g = DiGraph(4, [(0, 1), (1, 2), (3, 0)], weights=[1.0, 2.0, 3.0])
         assert g.reverse().reverse() == g
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reverse_csr_matches_counting_loop(self, seed):
+        """The reverse CSR equals the per-edge counting pass bit for bit."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = erdos_renyi_graph(n, float(rng.uniform(0, 0.4)), seed=seed, directed=True)
+        g = g.with_weights(rng.random(g.num_edges))
+        indptr, indices, weights = g.indptr, g.indices, g.weights
+        m = indices.size
+        want_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(want_indptr, indices + 1, 1)
+        np.cumsum(want_indptr, out=want_indptr)
+        want_indices = np.empty(m, dtype=np.int64)
+        want_weights = np.empty(m, dtype=np.float64)
+        want_ids = np.empty(m, dtype=np.int64)
+        cursor = want_indptr[:-1].copy()
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        for eid in range(m):
+            slot = cursor[indices[eid]]
+            want_indices[slot] = sources[eid]
+            want_weights[slot] = weights[eid]
+            want_ids[slot] = eid
+            cursor[indices[eid]] += 1
+        g._ensure_reverse()
+        for got, want in (
+            (g._rev_indptr, want_indptr), (g._rev_indices, want_indices),
+            (g._rev_weights, want_weights), (g._rev_edge_ids, want_ids),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_to_undirected(self):
         g = DiGraph(3, [(0, 1)])
         u = g.to_undirected()

@@ -112,6 +112,7 @@ class TestStatsBridge:
             "caches": {"transitions": {"hits": 1, "misses": 2, "size": 3},
                        "total_nbytes": 64},
             "pool_starts": 1,
+            "corpus_query": {"queries": 2, "bounded": 16, "solved": 7},
         }
         _types, values = parse_exposition(
             render_samples(samples_from_stats(stats))
@@ -122,6 +123,8 @@ class TestStatsBridge:
         assert values['snd_cache_hits_total{cache="transitions",graph="default"}'] == 1
         assert values['snd_cache_total_nbytes{graph="default"}'] == 64
         assert values['snd_engine_pool_starts_total{graph="default"}'] == 1
+        assert values['snd_corpus_query_bounded_total{graph="default"}'] == 16
+        assert values['snd_corpus_query_solved_total{graph="default"}'] == 7
 
     def test_measure_request_counters(self):
         stats = {
