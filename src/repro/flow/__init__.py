@@ -7,7 +7,7 @@ exact solvers are provided:
 * :func:`solve_transportation_network_simplex` — sparse network simplex
   with a warm-startable spanning-tree basis (block pivoting, strongly
   feasible anti-cycling); the exact tier ``method="auto"`` selects, and
-  the one that exploits temporal locality across nearly identical
+  the only one that exploits temporal locality across nearly identical
   instances (sliding windows, corpus appends);
 * :func:`solve_transportation_ssp` — successive shortest paths with
   potentials over the bipartite min-cost-flow form
@@ -21,10 +21,10 @@ All exact solvers agree to numerical tolerance; cross-solver agreement is
 property-tested in ``tests/flow/test_solver_equivalence.py``. One
 *approximation tier* sits alongside them:
 :func:`solve_transportation_sinkhorn_hybrid` (``"sinkhorn-hybrid"``) — a
-Sinkhorn screen identifies a sparse support, then an exact solver runs on
-that support; its relative error is certified per solve and
-property-tested under tolerance tiers. It runs only when asked for by
-name, and always cold. ``method="auto"`` (:func:`select_transport_method`)
+log-domain Sinkhorn screen identifies a sparse support, then the network
+simplex solves that support exactly and cold; its relative error is
+certified per solve and property-tested under tolerance tiers. It runs
+only when asked for by name. ``method="auto"`` (:func:`select_transport_method`)
 is the exact network simplex at every size; see ``docs/solvers.md``.
 """
 
@@ -33,7 +33,6 @@ from repro.flow.basis import TransportBasis
 from repro.flow.lp_reference import solve_transportation_lp
 from repro.flow.network_simplex import solve_transportation_network_simplex
 from repro.flow.problem import MinCostFlowProblem, TransportationProblem
-from repro.flow.sinkhorn import solve_transportation_sinkhorn
 from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 from repro.flow.ssp import solve_mcf_ssp, solve_transportation_ssp
 
@@ -46,7 +45,6 @@ __all__ = [
     "solve_transportation_ssp",
     "solve_transportation_network_simplex",
     "solve_transportation_lp",
-    "solve_transportation_sinkhorn",
     "solve_transportation_sinkhorn_hybrid",
     "solve_transportation",
 ]

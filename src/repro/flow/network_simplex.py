@@ -26,8 +26,9 @@ solve. This module supplies the solver tier that exploits that:
   always the exact optimum (bit-identical to a cold solve on integral
   instances, see docs/solvers.md for the contract);
 * :func:`solve_support_network_simplex` — the sparse entry point the
-  sinkhorn-hybrid tier calls, cold, for its restricted exact solve (the
-  screened support *is* a sparse min-cost flow);
+  sinkhorn-hybrid tier calls for its restricted exact solve (the screened
+  support *is* a sparse min-cost flow); it takes no basis and always
+  starts cold;
 * per-solve diagnostics on the returned plan (``plan.info``, a
   :class:`NetworkSimplexInfo`), aggregated by the process-local
   :data:`SIMPLEX_METRICS` (pivots per solve, cold vs warm), mirroring the
@@ -177,9 +178,6 @@ class _TreeSimplex:
         costs: np.ndarray,
         supplies: np.ndarray,
         demands: np.ndarray,
-        *,
-        block_size: int | None = None,
-        max_iterations: int | None = None,
     ) -> None:
         self.n = int(n)
         self.m = int(m)
@@ -204,16 +202,8 @@ class _TreeSimplex:
         self.supplies = np.asarray(supplies, dtype=np.float64)
         self.demands = np.asarray(demands, dtype=np.float64)
 
-        self.block = (
-            int(block_size)
-            if block_size is not None
-            else max(64, int(round(math.sqrt(max(self.n_real, 1)))))
-        )
-        self.max_iterations = (
-            int(max_iterations)
-            if max_iterations is not None
-            else 50 * self.n_arcs + 1000
-        )
+        self.block = max(64, int(round(math.sqrt(max(self.n_real, 1)))))
+        self.pivot_budget = 50 * self.n_arcs + 1000
 
         self.flow = [0.0] * self.n_arcs
         self.in_tree = np.zeros(self.n_arcs, dtype=bool)
@@ -560,7 +550,7 @@ class _TreeSimplex:
                         "network simplex failed to converge (potential refinement)"
                     )
             pivot(entering)
-            if self.pivots > self.max_iterations:
+            if self.pivots > self.pivot_budget:
                 raise FlowError("network simplex exceeded its pivot budget")
 
         self.flow = np.array(self.flow)
@@ -591,21 +581,8 @@ def _solve_arcs(
     supplies: np.ndarray,
     demands: np.ndarray,
     warm_arc_ids: list[int],
-    *,
-    block_size: int | None = None,
-    max_iterations: int | None = None,
 ) -> _TreeSimplex:
-    solver = _TreeSimplex(
-        n,
-        m,
-        tails,
-        heads,
-        costs,
-        supplies,
-        demands,
-        block_size=block_size,
-        max_iterations=max_iterations,
-    )
+    solver = _TreeSimplex(n, m, tails, heads, costs, supplies, demands)
     solver.build_tree(warm_arc_ids)
     solver.run()
     return solver
@@ -616,8 +593,6 @@ def solve_transportation_network_simplex(
     *,
     basis: TransportBasis | None = None,
     return_basis: bool = False,
-    block_size: int | None = None,
-    max_iterations: int | None = None,
 ) -> TransportPlan | tuple[TransportPlan, TransportBasis]:
     """Solve a (possibly unbalanced) transportation problem, warm-startable.
 
@@ -685,16 +660,7 @@ def solve_transportation_network_simplex(
     heads += n
 
     solver = _solve_arcs(
-        n,
-        m,
-        tails,
-        heads,
-        costs.ravel(),
-        supplies,
-        demands,
-        warm_arc_ids,
-        block_size=block_size,
-        max_iterations=max_iterations,
+        n, m, tails, heads, costs.ravel(), supplies, demands, warm_arc_ids
     )
 
     flows = solver.flow[: n * m].reshape(n, m)
@@ -732,44 +698,21 @@ def solve_support_network_simplex(
     d: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    *,
-    warm_cells: tuple[np.ndarray, np.ndarray] | None = None,
-    return_cells: bool = False,
-) -> TransportPlan | tuple[TransportPlan, tuple[np.ndarray, np.ndarray]]:
+) -> TransportPlan:
     """Exact balanced solve restricted to the arcs ``(rows[k], cols[k])``.
 
     The sparse entry point the sinkhorn-hybrid tier solves its screened
-    support on, cold (the support *is* a sparse min-cost flow).
-    *warm_cells* is an optional ``(rows, cols)`` hint; cells outside the
-    support are ignored. Returns
-    the plan with dense ``(n, m)`` flows (and the optimal basis cells when
-    *return_cells*).
+    support on (the support *is* a sparse min-cost flow). The solve is
+    always cold. Returns the plan with dense ``(n, m)`` flows.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = a.shape[0], b.shape[0]
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-
-    tails = rows
-    heads = n + cols
     costs = np.ascontiguousarray(d[rows, cols], dtype=np.float64)
 
-    warm_arc_ids = []
-    if warm_cells is not None:
-        wr = np.asarray(warm_cells[0], dtype=np.int64)
-        wc = np.asarray(warm_cells[1], dtype=np.int64)
-        if wr.size:
-            # A support cell's key is its row-major index; the last arc of a
-            # repeated cell wins, as a dict built in arc order would have it.
-            arc_of = dict(zip((rows * m + cols).tolist(), range(rows.size)))
-            warm_arc_ids = [
-                arc_of[r * m + c]
-                for r, c in zip(wr.tolist(), wc.tolist())
-                if 0 <= r < n and 0 <= c < m and r * m + c in arc_of
-            ]
-
-    solver = _solve_arcs(n, m, tails, heads, costs, a, b, warm_arc_ids)
+    solver = _solve_arcs(n, m, rows, n + cols, costs, a, b, [])
 
     flows = np.zeros((n, m), dtype=np.float64)
     flows[rows, cols] = np.maximum(solver.flow[: solver.n_real], 0.0)
@@ -779,14 +722,10 @@ def solve_support_network_simplex(
         n_consumers=m,
         n_arcs=solver.n_arcs,
         pivots=solver.pivots,
-        warm=bool(warm_arc_ids),
-        warm_arcs_given=0 if warm_cells is None else int(np.asarray(warm_cells[0]).size),
-        warm_arcs_used=solver.warm_arcs_used,
+        warm=False,
+        warm_arcs_given=0,
+        warm_arcs_used=0,
         cost=cost,
     )
     SIMPLEX_METRICS.record(info)
-    plan = TransportPlan(flows=flows, cost=cost, info=info)
-    if return_cells:
-        tree_arcs = solver.tree_real_arcs()
-        return plan, (rows[tree_arcs], cols[tree_arcs])
-    return plan
+    return TransportPlan(flows=flows, cost=cost, info=info)

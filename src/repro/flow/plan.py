@@ -41,14 +41,6 @@ class TransportPlan:
         """Total mass moved by the plan."""
         return float(self.flows.sum())
 
-    def mean_cost(self) -> float:
-        """Cost per unit of moved mass (the EMD normalisation). Zero-mass
-        plans have zero mean cost by convention (identical empty histograms)."""
-        moved = self.moved_mass
-        if moved <= 0.0:
-            return 0.0
-        return self.cost / moved
-
     def validate(self, problem: TransportationProblem) -> None:
         """Raise :class:`FlowError` unless the plan is feasible for *problem*
         and moves the required ``min(total_supply, total_demand)`` mass."""

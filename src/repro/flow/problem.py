@@ -195,12 +195,6 @@ class MinCostFlowProblem:
             raise ValidationError(f"node {node} out of range")
         self.supply[node] = float(b)
 
-    def add_supply(self, node: int, b: float) -> None:
-        """Accumulate imbalance onto *node*."""
-        if not 0 <= node < self.n_nodes:
-            raise ValidationError(f"node {node} out of range")
-        self.supply[node] += float(b)
-
     @property
     def n_edges(self) -> int:
         return len(self._tails)

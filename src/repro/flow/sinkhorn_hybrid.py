@@ -8,7 +8,7 @@ scale. The paper's §7 rejects EMD approximations that simplify the ground
 distance; entropic screening keeps the full ground distance and instead
 uses a cheap regularised solve to decide *which cells can matter*:
 
-1. **Screen** — log-domain Sinkhorn (:func:`repro.flow.sinkhorn.sinkhorn_iterate`)
+1. **Screen** — log-domain Sinkhorn (:func:`sinkhorn_iterate`)
    with *epsilon-scaling*: a geometric schedule of decreasing ε values,
    each stage warm-started from the previous stage's potentials (scaled
    into the new regularisation), so the final tight-ε stage converges in
@@ -58,7 +58,6 @@ from repro.exceptions import FlowError, ValidationError
 from repro.flow.network_simplex import solve_support_network_simplex
 from repro.flow.plan import TransportPlan
 from repro.flow.problem import TransportationProblem
-from repro.flow.sinkhorn import sinkhorn_iterate
 
 __all__ = [
     "HYBRID_METRICS",
@@ -166,6 +165,49 @@ HYBRID_METRICS = HybridMetrics()
 # --------------------------------------------------------------------- #
 # Screening building blocks
 # --------------------------------------------------------------------- #
+
+
+def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
+    peak = m.max(axis=axis, keepdims=True)
+    return (peak + np.log(np.exp(m - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def sinkhorn_iterate(
+    log_a: np.ndarray,
+    log_b: np.ndarray,
+    log_k: np.ndarray,
+    *,
+    max_iter: int,
+    tolerance: float,
+    log_u: np.ndarray | None = None,
+    log_v: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Log-domain Sinkhorn iterations on a prepared kernel.
+
+    *log_a*, *log_b* are the log-marginals (masses normalised to sum 1,
+    strictly positive), *log_k* is ``-D / reg``. *log_u* / *log_v* warm
+    start the scalings — the lever behind the hybrid solver's
+    epsilon-scaling schedule, where the potentials of one regularisation
+    stage seed the next. Returns ``(log_u, log_v, iterations)``; the
+    iteration loop stops once the row-marginal violation of the implied
+    plan drops below *tolerance* (checked every 10 rounds and on the last
+    round, so a tight ``max_iter`` budget cannot skip the final check).
+    """
+    a_s = np.exp(log_a)
+    if log_u is None:
+        log_u = np.zeros(log_a.shape[0])
+    if log_v is None:
+        log_v = np.zeros(log_b.shape[0])
+    iterations = 0
+    for iteration in range(max_iter):
+        log_u = log_a - _logsumexp(log_k + log_v[None, :], axis=1)
+        log_v = log_b - _logsumexp(log_k + log_u[:, None], axis=0)
+        iterations = iteration + 1
+        if iteration % 10 == 0 or iteration == max_iter - 1:
+            plan_rows = np.exp(log_u[:, None] + log_k + log_v[None, :]).sum(axis=1)
+            if np.abs(plan_rows - a_s).max() < tolerance:
+                break
+    return log_u, log_v, iterations
 
 
 def epsilon_schedule(epsilon: float, *, start: float = 1.0, factor: float = 0.25) -> list[float]:
@@ -305,8 +347,8 @@ def solve_transportation_sinkhorn_hybrid(
     ----------
     epsilon:
         Final entropic regularisation of the screening pass, relative to
-        the maximum cost (scale-free, as in
-        :func:`~repro.flow.sinkhorn.solve_transportation_sinkhorn`).
+        the maximum cost (scale-free: the kernel is
+        ``exp(-D / (epsilon * max(D)))``).
         Smaller ε concentrates the kernel harder on the optimal support →
         tighter error at slightly more screening work.
     support_k:

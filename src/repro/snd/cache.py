@@ -568,8 +568,8 @@ class BasisCache(_LruCache):
 
     def __init__(self, maxsize: int = DEFAULT_BASIS_CACHE_SIZE) -> None:
         super().__init__(maxsize)
-        # (supplier fingerprint, opinion) -> most recent full key; stale
-        # references (evicted entries) are dropped lazily on lookup.
+        # (supplier fingerprint, opinion) -> most recent full key; an entry
+        # leaves with the basis it points at, so it never outgrows the store.
         self._index: dict = {}
         self.exact_hits = 0
         self.reverse_hits = 0
@@ -601,16 +601,20 @@ class BasisCache(_LruCache):
                 return entry.transpose()
             near_key = self._index.get((fp_sup, opinion))
             if near_key is not None:
-                entry = self._entries.get(near_key)
-                if entry is None:
-                    del self._index[(fp_sup, opinion)]  # evicted underneath
-                else:
-                    self._entries.move_to_end(near_key)
-                    self.hits += 1
-                    self.supplier_hits += 1
-                    return entry
+                self._entries.move_to_end(near_key)
+                self.hits += 1
+                self.supplier_hits += 1
+                return self._entries[near_key]
             self.misses += 1
             return None
+
+    def _evict_oldest_locked(self) -> int:
+        # LRU and memory-budget evictions both come through here.
+        key = next(iter(self._entries))
+        index_key = (key[0], key[2])
+        if self._index.get(index_key) == key:
+            del self._index[index_key]
+        return super()._evict_oldest_locked()
 
     def stats(self) -> dict:
         out = super().stats()

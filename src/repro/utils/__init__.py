@@ -1,7 +1,6 @@
-"""Shared utilities: validation helpers, RNG handling, timing."""
+"""Shared utilities: validation helpers and RNG handling."""
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -15,8 +14,6 @@ from repro.utils.validation import (
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "timed",
     "check_finite",
     "check_in_range",
     "check_nonnegative",

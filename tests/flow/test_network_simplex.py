@@ -38,6 +38,7 @@ from repro.flow.network_simplex import (
     solve_support_network_simplex,
     solve_transportation_network_simplex,
 )
+from repro.flow.sinkhorn_hybrid import _northwest_corner_cells
 
 from test_solver_equivalence import (
     AGREE_TOL,
@@ -285,30 +286,24 @@ class TestSupportSolve:
         np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-9)
         np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-9)
 
-    def test_restricted_support_warm_cells(self, rng):
+    def test_restricted_support_ships_on_support_only(self, rng):
         n = m = 8
-        # Continuous masses: the optimal support basis is nondegenerate
-        # almost surely, so the own-cells warm start is pivot-free.
         a = rng.random(n) + 0.5
         b = rng.random(m) + 0.5
         b *= a.sum() / b.sum()
         d = rng.random((n, m)) * 20.0
-        # A feasible sparse support: full row 0 + full column 0 + randoms.
-        mask = np.zeros((n, m), dtype=bool)
-        mask[0, :] = True
-        mask[:, 0] = True
-        mask[rng.random((n, m)) < 0.4] = True
+        # A feasible sparse support: the northwest-corner chain + randoms.
+        mask = rng.random((n, m)) < 0.4
+        mask[_northwest_corner_cells(a, b)] = True
         rows, cols = np.nonzero(mask)
-        plan_cold, cells = solve_support_network_simplex(
-            a, b, d, rows, cols, return_cells=True
-        )
-        plan_warm = solve_support_network_simplex(
-            a, b, d, rows, cols, warm_cells=cells
-        )
-        assert plan_warm.info.warm and plan_warm.info.pivots == 0
-        np.testing.assert_allclose(plan_warm.flows, plan_cold.flows, atol=1e-9)
-        # Off-support cells never receive flow.
-        assert not plan_cold.flows[~mask].any()
+        plan = solve_support_network_simplex(a, b, d, rows, cols)
+        assert not plan.info.warm and plan.info.warm_arcs_used == 0
+        # Off-support cells never receive flow, and the plan is the dense
+        # optimum once off-support cells are priced out of reach.
+        assert not plan.flows[~mask].any()
+        priced_out = np.where(mask, d, 1e6)
+        dense = solve_transportation_lp(TransportationProblem(a, b, priced_out))
+        assert plan.cost == pytest.approx(dense.cost, rel=1e-9)
 
     def test_infeasible_support_raises(self):
         # Two suppliers, two consumers, but the support only reaches

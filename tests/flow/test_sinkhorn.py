@@ -1,14 +1,13 @@
-"""Tests for the Sinkhorn approximate transportation solver.
+"""Tests for the Sinkhorn screen of the ``"sinkhorn-hybrid"`` solver.
 
-The regression class at the bottom pins the degenerate-instance contract:
+The log-domain Sinkhorn iterations (``sinkhorn_iterate``) run only as the
+hybrid's screening pass. These tests pin the contract the hybrid keeps
 whatever the instance (single supplier/consumer, all-equal costs,
-zero-mass bins surviving the balancing step) and whatever the iteration
-budget, the returned plan satisfies the marginals to float precision (the
-kernel is rounded onto the feasible polytope) and its cost upper-bounds
-the exact optimum. Before the rounding step landed, tight ``max_iter``
-budgets could return infeasible kernels whose cost fell *below* the
-optimum — silently corrupting any consumer treating Sinkhorn as an upper
-bound.
+zero-mass bins surviving the balancing step) and whatever the screening
+budget or regularisation: the returned plan satisfies the marginals to
+float precision and its cost upper-bounds the exact optimum. Instances
+that must exercise the screen have more than ``SMALL_EXACT_CELLS`` cells
+(``plan.info.screened``); smaller ones are solved exactly unscreened.
 """
 
 import numpy as np
@@ -16,13 +15,17 @@ import pytest
 
 from repro.exceptions import FlowError
 from repro.flow import TransportationProblem, solve_transportation_lp
-from repro.flow.sinkhorn import (
-    round_to_marginals,
-    solve_transportation_sinkhorn,
+from repro.flow.sinkhorn_hybrid import (
+    SMALL_EXACT_CELLS,
+    solve_transportation_sinkhorn_hybrid,
 )
 
+#: Side of a square instance just above the unscreened size.
+SCREENED = 70
+assert SCREENED * SCREENED > SMALL_EXACT_CELLS
 
-def random_problem(rng, n=5, m=5, balanced=True):
+
+def random_problem(rng, n=SCREENED, m=SCREENED, balanced=True):
     supplies = rng.integers(1, 10, n).astype(float)
     demands = rng.integers(1, 10, m).astype(float)
     if balanced:
@@ -35,94 +38,78 @@ def child_rng(rng):
     return np.random.default_rng(int(rng.integers(0, 2**32)))
 
 
+def screened(problem, **kwargs):
+    plan = solve_transportation_sinkhorn_hybrid(problem, **kwargs)
+    assert plan.info.screened and plan.info.sinkhorn_iterations > 0
+    return plan
+
+
 class TestSinkhorn:
     @pytest.mark.parametrize("trial", range(4))
     def test_upper_bounds_exact_within_margin(self, rng, trial):
         problem = random_problem(child_rng(rng))
         exact = solve_transportation_lp(problem).cost
-        approx = solve_transportation_sinkhorn(problem, epsilon=0.02).cost
-        assert approx >= exact - 1e-6  # upper bound (regularised optimum)
+        approx = screened(problem, epsilon=0.02).cost
+        assert approx >= exact - 1e-6  # exact optimum over a restricted support
         assert approx <= exact * 1.15 + 1e-6  # but close
 
     def test_tightens_with_smaller_epsilon(self, rng):
+        """A sharper screening kernel keeps cells nearer the optimal
+        support, so the restricted optimum moves toward the exact one."""
         problem = random_problem(rng)
         exact = solve_transportation_lp(problem).cost
-        loose = solve_transportation_sinkhorn(problem, epsilon=0.5).cost
-        tight = solve_transportation_sinkhorn(problem, epsilon=0.01).cost
+        loose = screened(problem, epsilon=0.5).cost
+        tight = screened(problem, epsilon=0.01).cost
         assert abs(tight - exact) <= abs(loose - exact) + 1e-9
 
     def test_marginals_respected(self, rng):
         problem = random_problem(rng)
-        plan = solve_transportation_sinkhorn(problem, epsilon=0.05)
+        plan = screened(problem, epsilon=0.05)
         assert np.allclose(plan.flows.sum(axis=1), problem.supplies, atol=1e-9)
         assert np.allclose(plan.flows.sum(axis=0), problem.demands, atol=1e-9)
 
-    def test_unbalanced_problem_handled(self):
-        problem = TransportationProblem(
-            np.array([5.0, 3.0]), np.array([4.0]), np.array([[2.0], [1.0]])
-        )
-        plan = solve_transportation_sinkhorn(problem, epsilon=0.02)
+    def test_unbalanced_problem_handled(self, rng):
+        problem = random_problem(rng, balanced=False)
+        assert problem.total_supply != problem.total_demand
+        plan = screened(problem, epsilon=0.02)
+        plan.validate(problem)
         exact = solve_transportation_lp(problem).cost
         assert plan.cost == pytest.approx(exact, rel=0.15)
 
     def test_zero_mass(self):
         problem = TransportationProblem(np.zeros(2), np.zeros(2), np.ones((2, 2)))
-        assert solve_transportation_sinkhorn(problem).cost == 0.0
+        assert solve_transportation_sinkhorn_hybrid(problem).cost == 0.0
 
     def test_empty_bins_tolerated(self, rng):
-        problem = TransportationProblem(
-            np.array([0.0, 4.0]), np.array([4.0, 0.0]), np.arange(4.0).reshape(2, 2)
-        )
-        plan = solve_transportation_sinkhorn(problem, epsilon=0.02)
+        problem = random_problem(rng, m=SCREENED + 2)
+        supplies, demands = problem.supplies.copy(), problem.demands.copy()
+        supplies[[0, 5]] = 0.0
+        demands[[1, 9]] = 0.0
+        demands *= supplies.sum() / demands.sum()
+        problem = TransportationProblem(supplies, demands, problem.costs)
+        plan = screened(problem, epsilon=0.02)
+        assert not plan.flows[[0, 5], :].any() and not plan.flows[:, [1, 9]].any()
         exact = solve_transportation_lp(problem).cost
         assert plan.cost == pytest.approx(exact, rel=0.1)
 
     def test_bad_epsilon(self, rng):
         with pytest.raises(FlowError):
-            solve_transportation_sinkhorn(random_problem(rng), epsilon=0.0)
-
-
-class TestRoundToMarginals:
-    def test_projects_arbitrary_plan(self, rng):
-        a = rng.integers(1, 10, 6).astype(float)
-        b = rng.integers(1, 10, 8).astype(float)
-        b *= a.sum() / b.sum()
-        messy = rng.random((6, 8)) * 3.0  # wildly infeasible
-        fixed = round_to_marginals(messy, a, b)
-        assert fixed.min() >= 0.0
-        assert np.allclose(fixed.sum(axis=1), a, atol=1e-9)
-        assert np.allclose(fixed.sum(axis=0), b, atol=1e-9)
-
-    def test_feasible_plan_unchanged(self, rng):
-        a = np.array([2.0, 3.0])
-        b = np.array([1.0, 4.0])
-        plan = np.array([[1.0, 1.0], [0.0, 3.0]])
-        assert np.allclose(round_to_marginals(plan, a, b), plan)
-
-    def test_zero_rows_handled(self):
-        a = np.array([0.0, 5.0])
-        b = np.array([2.0, 3.0])
-        plan = np.array([[1.0, 1.0], [1.0, 1.0]])
-        fixed = round_to_marginals(plan, a, b)
-        assert np.allclose(fixed.sum(axis=1), a, atol=1e-9)
-        assert np.allclose(fixed.sum(axis=0), b, atol=1e-9)
-        assert np.all(fixed[0] == 0.0)
+            solve_transportation_sinkhorn_hybrid(random_problem(rng), epsilon=0.0)
 
 
 class TestDegenerateRegressions:
     """Pin the feasibility + upper-bound contract on degenerate instances
-    and starved iteration budgets (the historical failure modes)."""
+    and starved screening budgets."""
 
     def assert_contract(self, problem, **kwargs):
-        plan = solve_transportation_sinkhorn(problem, **kwargs)
+        plan = solve_transportation_sinkhorn_hybrid(problem, **kwargs)
         exact = solve_transportation_lp(problem).cost
-        # Marginal feasibility: shape, non-negativity, moved mass (the
-        # rounded plan hits the marginals to float precision).
+        # Marginal feasibility: shape, non-negativity, moved mass.
         plan.validate(problem)
         # Cost is a true upper bound on the exact optimum.
         scale = max(1.0, abs(exact))
         assert plan.cost >= exact - 1e-9 * scale, (
-            f"sinkhorn cost {plan.cost} fell below exact optimum {exact}"
+            f"hybrid cost {plan.cost} fell below exact optimum {exact}"
         )
         return plan, exact
 
@@ -150,15 +137,16 @@ class TestDegenerateRegressions:
         assert plan.cost == pytest.approx(21.0, abs=1e-9)
 
     def test_all_equal_costs(self, rng):
-        """Flat cost surface: every plan is optimal; the kernel is uniform
-        and the rounded plan must still hit the marginals exactly."""
-        n, m = 5, 7
+        """Flat cost surface: every plan is optimal; the screening kernel is
+        uniform and the plan must still hit the marginals exactly."""
+        n, m = SCREENED, SCREENED
         supplies = rng.integers(1, 8, n).astype(float)
         demands = rng.integers(1, 8, m).astype(float)
         demands *= supplies.sum() / demands.sum()
         problem = TransportationProblem(supplies, demands, np.full((n, m), 3.0))
         plan, exact = self.assert_contract(problem)
-        assert plan.cost == pytest.approx(3.0 * supplies.sum(), abs=1e-6)
+        assert plan.info.screened
+        assert plan.cost == pytest.approx(3.0 * supplies.sum(), rel=1e-12)
 
     def test_all_zero_costs(self, rng):
         problem = TransportationProblem(
@@ -181,27 +169,21 @@ class TestDegenerateRegressions:
 
     @pytest.mark.parametrize("max_iter", [1, 3, 10])
     def test_starved_iteration_budget_still_feasible(self, rng, max_iter):
-        """The historical bug: with max_iter below the convergence horizon
-        the unrounded kernel violates the marginals and its cost can fall
-        below the optimum. Post-rounding, feasibility and the upper bound
-        hold for ANY budget."""
-        problem = random_problem(child_rng(rng), n=6, m=6)
-        plan = solve_transportation_sinkhorn(
-            problem, epsilon=0.02, max_iter=max_iter
-        )
-        exact = solve_transportation_lp(problem).cost
-        plan.validate(problem)
+        """A screening budget far below the convergence horizon picks a
+        poor support, but the northwest-corner repair keeps it feasible:
+        the plan meets the marginals and upper-bounds the optimum for ANY
+        budget."""
+        problem = random_problem(child_rng(rng))
+        plan, _ = self.assert_contract(problem, epsilon=0.02, max_iter=max_iter)
+        assert plan.info.screened
         assert np.allclose(plan.flows.sum(axis=1), problem.supplies, atol=1e-9)
         assert np.allclose(plan.flows.sum(axis=0), problem.demands, atol=1e-9)
-        assert plan.cost >= exact - 1e-9 * max(1.0, exact)
 
     def test_tiny_epsilon_numerically_stable(self, rng):
-        """Aggressive regularisation (near-exact regime): log-domain
+        """Aggressive regularisation (near-exact regime): the log-domain
         iterations must not overflow and the plan must stay feasible."""
-        problem = random_problem(child_rng(rng), n=4, m=4)
-        plan = solve_transportation_sinkhorn(problem, epsilon=0.001)
-        exact = solve_transportation_lp(problem).cost
-        plan.validate(problem)
-        assert np.isfinite(plan.cost)
-        assert plan.cost >= exact - 1e-9 * max(1.0, exact)
+        problem = random_problem(child_rng(rng))
+        plan, exact = self.assert_contract(problem, epsilon=0.001)
+        assert plan.info.screened and plan.info.sinkhorn_iterations > 0
+        assert np.isfinite(plan.cost) and np.isfinite(plan.info.lower_bound)
         assert plan.cost == pytest.approx(exact, rel=0.02)

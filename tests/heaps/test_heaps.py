@@ -1,4 +1,5 @@
-"""Unit + property tests for all three heap implementations.
+"""Unit + property tests for the three heaps of the Dijkstra oracle
+(``tests/dijkstra_reference.py``).
 
 The three heaps share one interface; most tests are parametrised over all
 of them. The radix heap additionally enforces monotone integer keys, which
@@ -7,13 +8,15 @@ gets its own tests.
 
 import numpy as np
 import pytest
+from dijkstra_reference import (
+    HEAP_KINDS,
+    IndexedBinaryHeap,
+    PairingHeap,
+    RadixHeap,
+    make_heap,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.heaps import HEAP_KINDS, make_heap
-from repro.heaps.binary_heap import IndexedBinaryHeap
-from repro.heaps.pairing_heap import PairingHeap
-from repro.heaps.radix_heap import RadixHeap
 
 
 def build(kind: str, capacity: int = 64, max_key: int = 10_000):

@@ -1,14 +1,15 @@
-"""Dijkstra correctness: hand cases, networkx oracle, heap agreement, and
-the scipy bulk rows against the reference Dijkstra."""
+"""Dijkstra correctness: the reference Dijkstra (``tests/dijkstra_reference.py``)
+on hand cases, against networkx and across its heaps, and the scipy bulk
+rows against it."""
 
 import numpy as np
 import pytest
+from dijkstra_reference import HEAP_KINDS, dijkstra, dijkstra_multi
 
 from repro.exceptions import ValidationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi_graph
-from repro.heaps import HEAP_KINDS
-from repro.shortestpath.dijkstra import dijkstra, dijkstra_multi, multi_source_distances
+from repro.shortestpath.dijkstra import multi_source_distances
 
 
 class TestHandCases:

@@ -230,6 +230,27 @@ class TestBasisCache:
         assert (b"a", 1) not in cache._index
         assert cache.get_warm((b"c", b"x", 1)) is not None
 
+    def test_index_bounded_by_entries(self):
+        """An LRU eviction drops the supplier index entry that pointed at
+        the evicted basis, so suppliers that are never looked up again
+        leave nothing behind."""
+        cache = BasisCache(maxsize=2)
+        for k in range(10):
+            cache.put_term((b"s%d" % k, b"c", 1), _basis(k))
+            assert len(cache._index) <= len(cache)
+        assert set(cache._index) == {(b"s8", 1), (b"s9", 1)}
+
+    def test_index_survives_eviction_of_an_older_entry(self):
+        """Evicting a supplier's older term keeps the index entry of its
+        newer, still cached term."""
+        cache = BasisCache(maxsize=2)
+        cache.put_term((b"s", b"old", 1), _basis(1))
+        cache.put_term((b"s", b"new", 1), _basis(2))
+        cache.put_term((b"t", b"c", 1), _basis(3))  # evicts (s, old, 1)
+        hit = cache.get_warm((b"s", b"other", 1))
+        assert hit is not None and hit.cells() == _basis(2).cells()
+        assert cache.supplier_hits == 1
+
     def test_value_nbytes_counts_basis_payload(self):
         basis = _basis(0, size=16)
         assert _value_nbytes(basis) == basis.nbytes == 2 * 16 * 8
@@ -252,6 +273,8 @@ class TestBasisCache:
             manager.bases.put_term((b"s%d" % k, b"c", 1), _basis(k, size=64))
         assert manager.bases.stats()["evictions"] >= 5
         assert manager.nbytes <= 3 * basis_bytes
+        # A budget eviction takes the basis's supplier index entry along.
+        assert len(manager.bases._index) <= len(manager.bases)
         # Tiny transition entries survive while bases are evicted.
         state_b = NetworkState.from_active_sets(40, positive=[1])
         for k in range(6):

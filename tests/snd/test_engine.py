@@ -47,9 +47,9 @@ def fresh_snd(graph):
     return SND(graph, n_clusters=3, seed=0)
 
 
-def _worker_cache_probe() -> tuple[int, int | None, int]:
-    """``(pid, memory_budget, nbytes)`` of a pool worker's caches; sleeps
-    briefly so concurrent probes spread over every worker."""
+def _worker_cache_probe() -> tuple[int, int | None, int, int]:
+    """``(pid, memory_budget, nbytes, evictions)`` of a pool worker's
+    caches; sleeps briefly so concurrent probes spread over every worker."""
     import os
     import time
 
@@ -57,7 +57,8 @@ def _worker_cache_probe() -> tuple[int, int | None, int]:
 
     time.sleep(0.2)
     caches = _ENGINE_WORKER["caches"]
-    return os.getpid(), caches.memory_budget, caches.nbytes
+    evictions = sum(cache.evictions for cache in caches._members())
+    return os.getpid(), caches.memory_budget, caches.nbytes, evictions
 
 
 #: The engine's two execution modes: serial in-process, and a process pool.
@@ -168,7 +169,7 @@ class TestEngineSeries:
 
     def test_workers_keep_the_memory_budget(self, graph, rng):
         """Every pool worker caps its own cache hierarchy at the engine's
-        memory budget."""
+        memory budget, and the sweep's caching pressed against it."""
         budget = 1000
         caches = CacheManager(memory_budget=budget)
         with SNDEngine(fresh_snd(graph), jobs=2, caches=caches) as engine:
@@ -177,9 +178,10 @@ class TestEngineSeries:
             results = [f.result(timeout=60) for f in probes]
         reports = {pid: rest for pid, *rest in results}
         assert len(reports) == 2
-        for worker_budget, nbytes in reports.values():
+        for worker_budget, nbytes, _ in reports.values():
             assert worker_budget == budget
             assert nbytes <= budget
+        assert sum(evictions for *_, evictions in reports.values()) > 0
 
     def test_bad_executor_rejected(self, graph):
         # The process pool is the one parallel mode; the executor option
@@ -706,6 +708,19 @@ class TestWarmStartedEngine:
         ) as cold_engine:
             values_cold = cold_engine.evaluate_series(series)
         assert values_warm == pytest.approx(values_cold, rel=1e-9, abs=1e-9)
+
+    def test_stream_keeps_index_bounded(self, graph):
+        """Streaming far more states than ``basis_size`` leaves at most one
+        supplier index entry per cached basis: an evicted basis takes its
+        index entry with it."""
+        caches = CacheManager(basis_size=4)
+        series = self.rotating_adopter_series(40, 24)
+        with SNDEngine(self.ns_snd(graph), jobs=None, caches=caches) as engine:
+            updates = list(engine.stream(series))
+            bases = engine.caches.bases
+            assert len(updates) == 25  # one per state, plus the flush
+            assert bases.stats()["evictions"] > 0 and bases.hits > 0
+            assert len(bases._index) <= len(bases)
 
     def test_warm_bit_identical_to_cold(self, graph):
         """Fully integral series: the warm-started engine's distances are

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from dijkstra_reference import dijkstra_multi
 
 from repro.exceptions import ValidationError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.opinions.models.model_agnostic import ModelAgnostic
 from repro.opinions.state import NetworkState
-from repro.shortestpath.dijkstra import dijkstra_multi
 from repro.snd import SND, allocate_banks
 from repro.snd.fast import FastTermStats, _min_distance_from_set, emd_star_term_fast
 from repro.snd.ground import build_edge_costs

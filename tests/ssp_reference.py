@@ -11,10 +11,10 @@ module.
 from __future__ import annotations
 
 import numpy as np
+from dijkstra_reference import IndexedBinaryHeap
 
 from repro.exceptions import InfeasibleFlowError
 from repro.flow.problem import FlowSolution, MinCostFlowProblem
-from repro.heaps.binary_heap import IndexedBinaryHeap
 
 _EPS = 1e-12
 

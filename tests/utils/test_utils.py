@@ -1,13 +1,10 @@
-"""Tests for the utils package (validation, rng, timing)."""
-
-import time
+"""Tests for the utils package (validation, rng)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -115,34 +112,3 @@ class TestRng:
     def test_spawn_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.measure("x"):
-            pass
-        with sw.measure("x"):
-            pass
-        assert sw.counts["x"] == 2
-        assert sw.totals["x"] >= 0.0
-        assert sw.mean("x") == sw.totals["x"] / 2
-
-    def test_stopwatch_missing_label(self):
-        with pytest.raises(KeyError):
-            Stopwatch().mean("nope")
-
-    def test_stopwatch_report(self):
-        sw = Stopwatch()
-        with sw.measure("abc"):
-            pass
-        assert "abc" in sw.report()
-
-    def test_timed_elapsed(self):
-        with timed() as elapsed:
-            time.sleep(0.01)
-        final = elapsed()
-        assert final >= 0.009
-        # Frozen after exiting the context.
-        time.sleep(0.005)
-        assert elapsed() == final
