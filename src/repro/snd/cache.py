@@ -580,7 +580,10 @@ class BasisCache(_LruCache):
         ``(fp_supplier, fp_consumer, opinion)``)."""
         self._put(key, basis)
         with self._lock:
-            self._index[(key[0], key[2])] = key
+            # A budget rebalance or another thread may already have evicted
+            # the basis; indexing it then would point at a missing entry.
+            if key in self._entries:
+                self._index[(key[0], key[2])] = key
 
     def get_warm(self, key: tuple):
         """Best available warm-start hint for the term *key*, or ``None``."""

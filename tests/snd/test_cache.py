@@ -251,6 +251,16 @@ class TestBasisCache:
         assert hit is not None and hit.cells() == _basis(2).cells()
         assert cache.supplier_hits == 1
 
+    def test_basis_evicted_by_its_own_put_is_not_indexed(self):
+        """A basis bigger than the whole budget is evicted by the rebalance
+        of its own put: no index entry may point at it afterwards."""
+        big = _basis(0, size=64)
+        manager = CacheManager(memory_budget=big.nbytes // 2)
+        manager.bases.put_term((b"s", b"c", 1), big)
+        assert len(manager.bases) == 0
+        assert manager.bases.get_warm((b"s", b"x", 1)) is None
+        assert (b"s", 1) not in manager.bases._index
+
     def test_value_nbytes_counts_basis_payload(self):
         basis = _basis(0, size=16)
         assert _value_nbytes(basis) == basis.nbytes == 2 * 16 * 8
