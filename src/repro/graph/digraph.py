@@ -60,6 +60,7 @@ class DiGraph:
         "_rev_indices",
         "_rev_weights",
         "_rev_edge_ids",
+        "_edge_sources",
         "_scipy_index",
     )
 
@@ -131,6 +132,7 @@ class DiGraph:
         self._rev_indices: np.ndarray | None = None
         self._rev_weights: np.ndarray | None = None
         self._rev_edge_ids: np.ndarray | None = None
+        self._edge_sources: np.ndarray | None = None
         self._scipy_index: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -155,6 +157,7 @@ class DiGraph:
         if g._weights.shape != g._indices.shape:
             raise EdgeError("weights must align with indices")
         g._rev_indptr = g._rev_indices = g._rev_weights = g._rev_edge_ids = None
+        g._edge_sources = None
         g._scipy_index = {}
         return g
 
@@ -253,10 +256,7 @@ class DiGraph:
 
     def out_edge_ids(self, nodes: np.ndarray) -> np.ndarray:
         """Ids of the edges leaving each of *nodes*, concatenated in order."""
-        starts = self._indptr[nodes]
-        counts = self._indptr[nodes + 1] - starts
-        offsets = np.cumsum(counts) - counts
-        return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        return _slice_positions(self._indptr, nodes)
 
     def in_neighbors(self, u: int) -> np.ndarray:
         """Sources of edges entering *u* (from the cached reverse CSR)."""
@@ -272,12 +272,12 @@ class DiGraph:
         assert self._rev_weights is not None and self._rev_indptr is not None
         return self._rev_weights[self._rev_indptr[u] : self._rev_indptr[u + 1]]
 
-    def in_edge_ids(self, u: int) -> np.ndarray:
-        """Forward-CSR edge ids of the edges entering *u*."""
+    def in_edge_ids(self, nodes: np.ndarray) -> np.ndarray:
+        """Forward-CSR ids of the edges entering each of *nodes*,
+        concatenated in order (from the cached reverse CSR)."""
         self._ensure_reverse()
-        u = self._check_node(u)
         assert self._rev_edge_ids is not None and self._rev_indptr is not None
-        return self._rev_edge_ids[self._rev_indptr[u] : self._rev_indptr[u + 1]]
+        return self._rev_edge_ids[_slice_positions(self._rev_indptr, nodes)]
 
     def out_degrees(self) -> np.ndarray:
         """Array of out-degrees for all nodes."""
@@ -318,8 +318,16 @@ class DiGraph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array in CSR order."""
-        sources = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
-        return np.column_stack([sources, self._indices])
+        return np.column_stack([self.edge_sources(), self._indices])
+
+    def edge_sources(self) -> np.ndarray:
+        """Source node of every edge in CSR order (the per-edge twin of
+        :attr:`indices`), built once and read-only."""
+        if self._edge_sources is None:
+            sources = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
+            sources.setflags(write=False)
+            self._edge_sources = sources
+        return self._edge_sources
 
     # ------------------------------------------------------------------ #
     # Derived graphs
@@ -333,9 +341,8 @@ class DiGraph:
         # A stable sort by target keeps each reverse list in CSR (sorted
         # source) order.
         rev_edge_ids = np.argsort(self._indices, kind="stable")
-        sources = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
         self._rev_indptr = rev_indptr
-        self._rev_indices = sources[rev_edge_ids]
+        self._rev_indices = self.edge_sources()[rev_edge_ids]
         self._rev_weights = self._weights[rev_edge_ids]
         self._rev_edge_ids = rev_edge_ids
 
@@ -446,3 +453,12 @@ class DiGraph:
 
     def __hash__(self) -> int:  # structural identity is too expensive; use id
         return id(self)
+
+
+def _slice_positions(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Positions ``indptr[u]:indptr[u + 1]`` of each of *nodes*,
+    concatenated in order."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())

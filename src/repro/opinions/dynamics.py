@@ -79,11 +79,8 @@ def evolve_state(
         return state
 
     # Count active in-neighbors of each polarity for every node, vectorised.
-    sources = np.repeat(
-        np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr)
-    )
     targets = graph.indices
-    src_vals = values[sources]
+    src_vals = values[graph.edge_sources()]
     pos_in = np.zeros(graph.num_nodes, dtype=np.int64)
     neg_in = np.zeros(graph.num_nodes, dtype=np.int64)
     np.add.at(pos_in, targets[src_vals > 0], 1)

@@ -68,9 +68,8 @@ class OpinionModel(ABC):
         graph: DiGraph, state: NetworkState
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectors of source and target opinions per CSR edge."""
-        sources = np.repeat(
-            np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr)
+        values = state.values
+        return (
+            values[graph.edge_sources()].astype(np.int64),
+            values[graph.indices].astype(np.int64),
         )
-        return state.values[sources].astype(np.int64), state.values[
-            graph.indices
-        ].astype(np.int64)

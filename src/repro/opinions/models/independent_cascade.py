@@ -86,9 +86,6 @@ class IndependentCascadeModel(OpinionModel):
             raise ModelError("activation probabilities must lie in [0, 1]")
 
         src_op, dst_op = self._edge_endpoint_opinions(graph, state)
-        sources = np.repeat(
-            np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr)
-        )
         targets = graph.indices
         active_src = src_op != NEUTRAL
 

@@ -126,11 +126,8 @@ class LinearThresholdModel(OpinionModel):
         omega = self._edge_weights(graph)
         theta = self._node_thresholds(graph, rng=None)  # fixed thresholds per step
         values = state.values
-        sources = np.repeat(
-            np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr)
-        )
         targets = graph.indices
-        src_vals = values[sources]
+        src_vals = values[graph.edge_sources()]
         active_edge = src_vals != NEUTRAL
 
         weight_pos = np.zeros(graph.num_nodes)

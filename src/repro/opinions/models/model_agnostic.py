@@ -54,12 +54,16 @@ class ModelAgnostic(OpinionModel):
     def spreading_penalties(
         self, graph: DiGraph, state: NetworkState, opinion: int
     ) -> np.ndarray:
+        # Only edges touching an opinion holder differ from c_neutral, so
+        # the neutral fill is patched on those alone: friendly out-edges
+        # first, then every edge leaving or entering an adverse holder.
         opinion = check_opinion(opinion)
-        src_op, dst_op = self._edge_endpoint_opinions(graph, state)
+        values = state.values
+        adverse = np.flatnonzero(values == -opinion)
         penalties = np.full(graph.num_edges, self.c_neutral)
-        penalties[src_op == opinion] = self.c_friendly
-        adverse = (src_op == -opinion) | (dst_op == -opinion)
-        penalties[adverse] = self.c_adverse
+        penalties[graph.out_edge_ids(np.flatnonzero(values == opinion))] = self.c_friendly
+        penalties[graph.out_edge_ids(adverse)] = self.c_adverse
+        penalties[graph.in_edge_ids(adverse)] = self.c_adverse
         return penalties
 
     def supports_simulation(self) -> bool:

@@ -91,11 +91,8 @@ def evolve_multipolar_state(
 
     # Per-node active in-neighbor counts for every pole, vectorised:
     # in_counts[p-1, v] = |{u -> v : u holds pole p}|.
-    sources = np.repeat(
-        np.arange(graph.num_nodes, dtype=np.int64), np.diff(graph.indptr)
-    )
     targets = graph.indices
-    src_vals = values[sources]
+    src_vals = values[graph.edge_sources()]
     in_counts = np.zeros((k, graph.num_nodes), dtype=np.int64)
     for pole in range(1, k + 1):
         np.add.at(in_counts[pole - 1], targets[src_vals == pole], 1)

@@ -19,6 +19,9 @@ the repo's no-new-dependencies rule) with the shape the workload needs:
   well-behaved clients can tell "the server is full" from "I am being
   rationed".  Validation failures map to 400, unknown names/routes to 404,
   and any other exception to 500.
+* **Bounded framing** — an oversized body gets a 413 before it is read,
+  an overlong line or too many headers a 431, and the connection closes
+  (``MAX_BODY_BYTES``, ``MAX_LINE_BYTES``, ``MAX_HEADERS``).
 * **Observability** — ``GET /v1/metrics`` serves Prometheus text
   exposition (see :mod:`repro.serve.metrics`): live per-route request
   counters and latency histograms plus a snapshot translation of the
@@ -54,6 +57,7 @@ Routes
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import logging
 import signal
@@ -85,6 +89,15 @@ DEFAULT_EXECUTOR_WORKERS = 16
 
 #: The one supported API version prefix.
 API_PREFIX = "/v1"
+
+#: Framing caps. A request line or header line longer than
+#: ``MAX_LINE_BYTES``, or more than ``MAX_HEADERS`` header lines, gets a
+#: 431; a ``Content-Length`` above ``MAX_BODY_BYTES`` gets a 413 before
+#: any of the body is read. Every request body carries only names and
+#: indices, so these sit far above what a well-formed request needs.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 1024 * 1024
 
 _WATCH_END = object()
 
@@ -137,7 +150,9 @@ _ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
+    413: "content_too_large",
     429: "client_quota_exceeded",
+    431: "header_fields_too_large",
     500: "internal",
     503: "saturated",
 }
@@ -170,7 +185,9 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -203,7 +220,7 @@ class HttpServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         config = getattr(self.service, "config", None)
@@ -236,13 +253,15 @@ class HttpServer:
     async def _flush_loop(self, interval: float) -> None:
         """Periodically spill transition caches to the store so a crash
         loses at most *interval* seconds of solves (``close()`` flushes
-        the remainder on clean shutdown)."""
+        the remainder on clean shutdown). A failed flush is logged and
+        never takes down the serving loop; the next tick writes its rows
+        again."""
         while True:
             await asyncio.sleep(interval)
             try:
                 await self._run(self.service.flush)
-            except Exception:  # pragma: no cover - a failed flush must
-                pass  # never take down the serving loop; retry next tick
+            except Exception:
+                _LOG.exception("transition flush failed; retrying in %.3g s", interval)
 
     def _run(self, fn, *args, **kwargs):
         """Run one blocking service call on the executor."""
@@ -260,21 +279,20 @@ class HttpServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                # A body of None marks an unreadable Content-Length: the
-                # request is answered, then the connection closes (its
-                # framing is lost).
-                keep_alive = body is not None and (
+                # An _HttpError in place of the body marks a framing error
+                # (an unreadable or oversized Content-Length, an overlong
+                # line, too many headers): the request is answered, then
+                # the connection closes (its framing is lost).
+                framing = body if isinstance(body, _HttpError) else None
+                keep_alive = framing is None and (
                     headers.get("connection", "keep-alive").lower() != "close"
                 )
                 route = self._route(path)
                 status = 200
                 started = time.perf_counter()
                 try:
-                    if body is None:
-                        raise _HttpError(
-                            400,
-                            f"invalid Content-Length {headers['content-length']!r}",
-                        )
+                    if framing is not None:
+                        raise framing
                     if route is None:
                         raise _HttpError(404, f"no such route: {method} {path}")
                     force_close = await self._dispatch(
@@ -349,10 +367,17 @@ class HttpServer:
         return None
 
     async def _read_request(self, reader):
+        """``(method, path, headers, body)`` of the next request, ``None``
+        at the end of the connection. A framing error comes back as an
+        :class:`_HttpError` in place of the body."""
         try:
             request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.LimitOverrunError):
+        except ConnectionResetError:
             return None
+        except ValueError:  # the line outran MAX_LINE_BYTES
+            return "", "", {}, _HttpError(
+                431, f"request line longer than {MAX_LINE_BYTES} bytes"
+            )
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split()
@@ -360,17 +385,32 @@ class HttpServer:
             return None
         method, path, _version = parts
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for n_lines in itertools.count():
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return method, path, headers, _HttpError(
+                    431, f"header line longer than {MAX_LINE_BYTES} bytes"
+                )
             if line in (b"\r\n", b"\n", b""):
                 break
+            if n_lines == MAX_HEADERS:
+                return method, path, headers, _HttpError(
+                    431, f"more than {MAX_HEADERS} header lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
             # Header *names* are case-insensitive; values keep their case
             # (X-Client carries an opaque identity string).
             headers[name.strip().lower()] = value.strip()
         length = headers.get("content-length") or "0"
         if not (length.isascii() and length.isdigit()):
-            return method, path, headers, None
+            return method, path, headers, _HttpError(
+                400, f"invalid Content-Length {length!r}"
+            )
+        if int(length) > MAX_BODY_BYTES:
+            return method, path, headers, _HttpError(
+                413, f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes"
+            )
         return method, path, headers, await reader.readexactly(int(length))
 
     async def _dispatch(self, method, path, headers, body, writer, keep_alive) -> bool:

@@ -375,6 +375,7 @@ _HYBRID_GAUGES = {
 _PERSIST_COUNTERS = {
     "transitions_loaded": "Transition-cache entries warmed from the store.",
     "transitions_persisted": "Transition-cache entries flushed to the store.",
+    "flush_failures": "Transition flushes whose store write raised (retried next flush).",
 }
 
 

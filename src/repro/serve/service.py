@@ -72,10 +72,14 @@ class EngineShard:
         self._lock = threading.Lock()
         self.transitions_loaded = 0
         self.transitions_persisted = 0
+        self.flush_failures = 0
         self._warmed = False
-        # (size, fresh) snapshot at the last flush: an unchanged cache
-        # skips the store round-trip entirely.
+        # (size, fresh) snapshot at the last successful flush: an
+        # unchanged cache skips the store round-trip entirely.
         self._last_flush_state: tuple[int, int] | None = None
+        # One flush at a time, so a snapshot is written and recorded once;
+        # it also guards the two flush counters.
+        self._flush_lock = threading.Lock()
 
     def ensure_snd(self):
         """The shard's SND instance (created on first SND use, mirroring
@@ -120,6 +124,10 @@ class EngineShard:
         flush — the ``(size, fresh)`` snapshot makes periodic flushing
         nearly free on an idle server).  Upsert semantics in the store
         make re-flushing overlapping snapshots idempotent.
+
+        The snapshot is recorded only once the write succeeds: a write
+        that raises counts one ``flush_failures`` and re-raises, and the
+        next flush (periodic, or :meth:`close`) writes the rows again.
         """
         if not self.service.config.persist_transitions:
             return 0
@@ -127,17 +135,20 @@ class EngineShard:
         if snd is None or snd._caches is None:
             return 0
         transitions = snd.caches.transitions
-        state = (len(transitions), transitions.fresh)
-        with self._lock:
+        with self._flush_lock:
+            state = (len(transitions), transitions.fresh)
             if state == self._last_flush_state:
                 return 0
+            rows = transitions.export_rows()
+            written = 0
+            if rows:
+                try:
+                    with self.service._open_store() as store:
+                        written = store.save_transitions(self.graph_name, rows)
+                except Exception:
+                    self.flush_failures += 1
+                    raise
             self._last_flush_state = state
-        rows = transitions.export_rows()
-        if not rows:
-            return 0
-        with self.service._open_store() as store:
-            written = store.save_transitions(self.graph_name, rows)
-        with self._lock:
             self.transitions_persisted += written
         return written
 
@@ -171,14 +182,32 @@ class EngineShard:
         payload["corpora"] = sorted(self.corpora)
         payload["transitions_loaded"] = self.transitions_loaded
         payload["transitions_persisted"] = self.transitions_persisted
+        payload["flush_failures"] = self.flush_failures
         return payload
 
     def close(self) -> None:
-        self.flush_transitions()
-        with self._lock:
-            engine, self._engine = self._engine, None
-        if engine is not None:
-            engine.close()
+        try:
+            self.flush_transitions()
+        finally:
+            with self._lock:
+                engine, self._engine = self._engine, None
+            if engine is not None:
+                engine.close()
+
+
+def _each(shards, method) -> list:
+    """``method(shard)`` for every shard, even after one raises (a store
+    write that fails for one shard must not skip the others); the first
+    exception is re-raised at the end."""
+    results, failure = [], None
+    for shard in shards:
+        try:
+            results.append(method(shard))
+        except Exception as exc:
+            failure = failure or exc
+    if failure is not None:
+        raise failure
+    return results
 
 
 class SNDService:
@@ -461,15 +490,14 @@ class SNDService:
         :meth:`close` calls it on the way out)."""
         with self._shards_lock:
             shards = list(self._shards.values())
-        return sum(shard.flush_transitions() for shard in shards)
+        return sum(_each(shards, EngineShard.flush_transitions))
 
     def close(self) -> None:
         """Flush transition caches, then close every shard engine
         (idempotent, like the engines)."""
         with self._shards_lock:
             shards, self._shards = list(self._shards.values()), {}
-        for shard in shards:
-            shard.close()
+        _each(shards, EngineShard.close)
 
     def __enter__(self) -> "SNDService":
         return self

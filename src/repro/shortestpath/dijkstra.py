@@ -45,7 +45,7 @@ def search_matrix(graph: DiGraph, weights: np.ndarray | None, *, reverse: bool):
     w = _edge_weights(graph, weights)
     if reverse:
         graph._ensure_reverse()  # noqa: SLF001 - intentional internal access
-        w = w[graph._rev_edge_ids]  # noqa: SLF001
+        w = np.take(w, graph._rev_edge_ids)  # noqa: SLF001 - faster than w[ids]
     indptr, indices = graph.scipy_index(reverse=reverse)
     n = graph.num_nodes
     return csr_matrix((w, indices, indptr), shape=(n, n))
@@ -58,6 +58,7 @@ def multi_source_distances(
     weights: np.ndarray | None = None,
     reverse: bool = False,
     limit: float = np.inf,
+    matrix=None,
 ) -> np.ndarray:
     """Distances from *each* source to all nodes: an ``(k, n)`` matrix.
 
@@ -72,13 +73,17 @@ def multi_source_distances(
     ``<= limit`` carry their exact distance (bit for bit the unlimited
     value, since a search only ever settles nodes in distance order), every
     other node reads ``inf``.
+
+    *matrix* is ``search_matrix(graph, weights, reverse=reverse)`` when the
+    caller already holds it (several searches over one cost array).
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
         return np.empty((0, graph.num_nodes))
     if sources.min() < 0 or sources.max() >= graph.num_nodes:
         raise ValidationError("source nodes out of range")
-    matrix = search_matrix(graph, weights, reverse=reverse)
+    if matrix is None:
+        matrix = search_matrix(graph, weights, reverse=reverse)
     return np.atleast_2d(
         sp_dijkstra(matrix, directed=True, indices=sources, limit=limit)
     )

@@ -287,13 +287,14 @@ class _PartialRow:
 
     __slots__ = ("radius", "indices", "dists", "nbytes")
 
-    def __init__(self, row: np.ndarray, radius: float) -> None:
+    def __init__(self, row: np.ndarray, radius: float, settled: np.ndarray) -> None:
+        """*settled* marks the nodes the search reached (finite entries)."""
         self.radius = float(radius)
         if self.radius == np.inf:
             self.indices = None
             self.dists = row.copy()
         else:
-            indices = np.flatnonzero(row <= radius)
+            indices = np.flatnonzero(settled)
             self.indices = indices.astype(np.int32)
             self.dists = row[indices]
             self.indices.setflags(write=False)
@@ -409,10 +410,13 @@ class DijkstraRowCache(_LruCache):
         reverse: bool,
         cost_key,
         radius=np.inf,
+        matrix=None,
     ) -> np.ndarray:
         """``multi_source_distances(..., limit=radius)`` with per-source
         row memoisation; *radius* is one value or one per source. Sources
-        still to search go out in one call per distinct radius."""
+        still to search go out in one call per distinct radius, on the
+        matrix the zero-argument *matrix* returns (the caller's shared
+        ``search_matrix(graph, edge_costs, reverse=reverse)``) when given."""
         from repro.shortestpath.dijkstra import multi_source_distances
 
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
@@ -435,16 +439,20 @@ class DijkstraRowCache(_LruCache):
                 searches.setdefault(r, []).append(i)
         for r, rows in searches.items():
             fresh = multi_source_distances(
-                graph, sources[rows], weights=edge_costs, reverse=reverse, limit=r
+                graph, sources[rows], weights=edge_costs, reverse=reverse, limit=r,
+                matrix=None if matrix is None else matrix(),
             )
             if len(rows) == sources.size:
                 out = fresh
             else:
                 out[rows] = fresh
+            # A search settles exactly the nodes it leaves finite: one mask
+            # counts them and lists each partial row's entries.
+            settled = np.isfinite(fresh)
             with self._lock:
-                self.settled += int(np.count_nonzero(np.isfinite(fresh)))
+                self.settled += int(np.count_nonzero(settled))
             for k, i in enumerate(rows):
-                self._put(keys[i], _PartialRow(fresh[k], r))
+                self._put(keys[i], _PartialRow(fresh[k], r, settled[k]))
         return out
 
     def stats(self) -> dict:

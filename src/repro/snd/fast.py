@@ -67,6 +67,7 @@ members by it to solve only those that could still place.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,11 +203,14 @@ def _min_distance_from_set(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
+    matrix=None,
 ) -> np.ndarray:
     """``min_{s in members} dist(s -> v)`` for every node v (or ``v -> s``
-    when *reverse*). One Dijkstra pass regardless of ``len(members)``."""
+    when *reverse*). One Dijkstra pass regardless of ``len(members)``.
+    *matrix* is ``search_matrix(graph, edge_costs, reverse=reverse)`` when
+    the caller already holds it."""
     n = graph.num_nodes
-    base = search_matrix(graph, edge_costs, reverse=reverse)
+    base = search_matrix(graph, edge_costs, reverse=reverse) if matrix is None else matrix
     # Virtual super-source n with unit edges into the member set; the +1
     # offset avoids scipy's explicit-zero ambiguity and is subtracted back.
     indptr = np.append(base.indptr, base.indptr[-1] + len(members))
@@ -223,13 +227,14 @@ def _distance_rows(
     edge_costs: np.ndarray,
     *,
     reverse: bool,
+    matrix,
     radius=np.inf,
     row_cache=None,
     cost_key=None,
 ) -> np.ndarray:
     """Per-source shortest-path rows, exact up to *radius* (one value or
     one per source; ``inf`` beyond it), drawn from *row_cache* when
-    possible.
+    possible. *matrix* returns the term's search matrix (built once).
 
     Falls back to :func:`multi_source_distances` directly (identical
     values) when no cache or no content key is available; only full rows
@@ -237,11 +242,11 @@ def _distance_rows(
     """
     if row_cache is None or cost_key is None:
         return multi_source_distances(
-            graph, sources, weights=edge_costs, reverse=reverse
+            graph, sources, weights=edge_costs, reverse=reverse, matrix=matrix()
         )
     return row_cache.distance_rows(
         graph, sources, edge_costs, reverse=reverse, cost_key=cost_key,
-        radius=radius,
+        radius=radius, matrix=matrix,
     )
 
 
@@ -288,12 +293,13 @@ def _reduce(
     total_p, total_q = float(p.sum()), float(q.sum())
     delta = abs(total_p - total_q)
 
-    # Lemma 2: cancel common mass; Lemma 1: keep only non-empty bins.
-    common = np.minimum(p, q)
-    p_rest = p - common
-    q_rest = q - common
-    sup_ids = np.flatnonzero(p_rest > _EPS)
-    con_ids = np.flatnonzero(q_rest > _EPS)
+    # Lemma 2: cancel common mass; Lemma 1: keep only non-empty bins. With
+    # rest = p - q, a supplier keeps rest and a consumer -rest: bit for bit
+    # p - min(p, q) and q - min(p, q) on every bin above _EPS (rounding is
+    # sign-symmetric), and no other bin is read.
+    rest = p - q
+    sup_ids = np.flatnonzero(rest > _EPS)
+    con_ids = np.flatnonzero(rest < -_EPS)
     if sup_ids.size == 0 and con_ids.size == 0 and delta <= _EPS:
         return None
 
@@ -304,8 +310,8 @@ def _reduce(
         forward = total_p >= total_q
     else:
         forward = sup_ids.size <= con_ids.size
-    sup = (sup_ids, p_rest[sup_ids], p)
-    con = (con_ids, q_rest[con_ids], q)
+    sup = (sup_ids, rest[sup_ids], p)
+    con = (con_ids, -rest[con_ids], q)
     src, dst = (sup, con) if forward else (con, sup)
 
     bank_caps = np.zeros((banks.n_clusters, banks.n_banks))
@@ -368,6 +374,7 @@ def _price(
     *,
     unreachable: float,
     bank_metric: str,
+    matrix,
     row_cache=None,
     cost_key=None,
     grow: np.ndarray | None = None,
@@ -377,7 +384,8 @@ def _price(
 
     Rows are searched to ``term.radius``; with *grow* (positions in
     ``src``) only those sources search again, to their new radius, and
-    the whole term is re-priced.
+    the whole term is re-priced. Every search runs on the matrix the
+    zero-argument *matrix* returns.
     """
     n = graph.num_nodes
     reverse = not term.forward
@@ -388,6 +396,7 @@ def _price(
     if grow.size:
         rows = _distance_rows(
             graph, term.src_ids[grow], edge_costs, reverse=reverse,
+            matrix=matrix,
             radius=np.inf if term.radius is None else term.radius[grow],
             row_cache=row_cache, cost_key=cost_key,
         )
@@ -411,7 +420,8 @@ def _price(
     d_block = np.full((banks.n_clusters, banks.n_clusters), np.inf)
     for a in np.unique(cluster_of[term.src_ids]).tolist():
         dist = _min_distance_from_set(
-            graph, banks.member_arrays[a], edge_costs, reverse=reverse
+            graph, banks.member_arrays[a], edge_costs, reverse=reverse,
+            matrix=matrix(),
         )
         per_cluster = _cluster_minima(dist, banks)
         d_block[a] = np.where(np.isfinite(per_cluster), per_cluster, unreachable)
@@ -741,6 +751,10 @@ def emd_star_term_fast(
     price = dict(
         unreachable=unreachable, bank_metric=bank_metric,
         row_cache=row_cache, cost_key=cost_key,
+        # The term's rounds share one search matrix, built on first use.
+        matrix=functools.cache(functools.partial(
+            search_matrix, graph, edge_costs, reverse=not term.forward
+        )),
     )
     _price(term, graph, edge_costs, banks, **price)
     plan, solver = _certified_solve(

@@ -49,28 +49,38 @@ def quantize_costs(costs: np.ndarray, *, max_cost: int = DEFAULT_MAX_COST) -> np
     Costs that are already non-negative integers within the bound pass
     through unchanged, except that zero entries are floored to 1 (Assumption
     2 demands *positive* integers; rescaling the whole array because of one
-    zero would distort every other integer cost). Otherwise costs are scaled
-    so the maximum lands on ``max_cost``, rounded, and floored at 1.
-    Relative cost structure is preserved up to the integer resolution — the
-    "appropriate choice of costs" Assumption 2 alludes to.
+    zero would distort every other integer cost). Costs within
+    ``numpy.allclose`` of an integer count as integers and are snapped to
+    it. Otherwise costs are scaled so the maximum lands on ``max_cost``,
+    rounded, and floored at 1. Relative cost structure is preserved up to
+    the integer resolution — the "appropriate choice of costs" Assumption 2
+    alludes to.
     """
-    costs = np.asarray(costs, dtype=np.float64)
+    return _quantized(np.asarray(costs, dtype=np.float64), max_cost).astype(np.int64)
+
+
+def _quantized(costs: np.ndarray, max_cost: int) -> np.ndarray:
+    """:func:`quantize_costs` as float64 (integer-valued), for the cost
+    builder. Exact integers within the bound, the common case, skip the
+    ``allclose`` test."""
     if costs.size == 0:
-        return costs.astype(np.int64)
-    if not np.all(np.isfinite(costs)):
+        return costs.copy()
+    lo, hi = costs.min(), costs.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise QuantizationError("edge costs must be finite before quantization")
-    if costs.min() < 0:
-        raise QuantizationError(f"edge costs must be non-negative, min={costs.min()}")
+    if lo < 0:
+        raise QuantizationError(f"edge costs must be non-negative, min={lo}")
     if max_cost < 1:
         raise QuantizationError(f"max_cost must be >= 1, got {max_cost}")
     rounded = np.rint(costs)
+    if hi <= max_cost and np.array_equal(costs, rounded):
+        return rounded if lo >= 1 else np.maximum(rounded, 1)
     if np.allclose(costs, rounded) and rounded.max() <= max_cost:
-        return np.maximum(rounded, 1).astype(np.int64)
-    peak = costs.max()
-    if peak <= 0:
-        return np.ones(costs.shape, dtype=np.int64)
-    scaled = costs * (max_cost / peak)
-    return np.maximum(1, np.rint(scaled)).astype(np.int64)
+        return np.maximum(rounded, 1)
+    if hi <= 0:
+        return np.ones(costs.shape)
+    scaled = costs * (max_cost / hi)
+    return np.maximum(1, np.rint(scaled))
 
 
 def unreachable_cost(n_nodes: int, max_cost: int) -> float:
@@ -147,24 +157,24 @@ def build_edge_costs(
         )
     m = graph.num_edges
 
-    if communication_penalties is None:
-        comm = np.ones(m)
-    else:
+    # The default penalties (1 per edge, 0 per node) stay scalars: no
+    # per-edge array is built for them, and ``1.0 + spread`` is
+    # ``(ones + zeros) + spread`` bit for bit.
+    comm = 1.0
+    if communication_penalties is not None:
         comm = np.asarray(communication_penalties, dtype=np.float64)
         if comm.shape != graph.indices.shape:
             raise GroundDistanceError(
                 f"communication penalties must align with the {m} edges"
             )
 
-    if adoption_penalties is None:
-        adopt = np.zeros(m)
-    else:
+    if adoption_penalties is not None:
         per_node = np.asarray(adoption_penalties, dtype=np.float64)
         if per_node.shape != (graph.num_nodes,):
             raise GroundDistanceError(
                 f"adoption penalties must have one entry per node ({graph.num_nodes})"
             )
-        adopt = per_node[graph.indices]
+        comm = comm + per_node[graph.indices]
 
     spread = model.spreading_penalties(graph, state, opinion)
     if spread.shape != graph.indices.shape:
@@ -172,9 +182,9 @@ def build_edge_costs(
             f"{model.name}: spreading penalties misaligned with edges"
         )
 
-    costs = comm + adopt + spread
+    costs = comm + spread
     if costs.size and costs.min() < 0:
         raise GroundDistanceError("combined edge costs must be non-negative")
     if quantize:
-        return quantize_costs(costs, max_cost=max_cost).astype(np.float64)
+        return _quantized(costs, max_cost)
     return costs

@@ -17,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.exceptions import SchedulerSaturatedError
 from repro.serve import EngineConfig, SNDService
-from repro.serve.http import BackgroundServer
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, BackgroundServer
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +278,76 @@ class TestErrorMapping:
         assert status == 503
         assert body["error"]["code"] == "saturated"
         assert "full" in body["error"]["message"]
+
+
+def _raw_exchange(server, data: bytes, timeout: float = 10.0) -> bytes:
+    """Send *data* on a fresh connection and read the answer to EOF (a
+    ``socket.timeout`` fails the test: the server must close)."""
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(data)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    return raw
+
+
+class TestFramingLimits:
+    """Requests past the framing caps get a 413 / 431 envelope and a
+    closed connection, and the server keeps answering new ones."""
+
+    def _assert_refused(self, server, raw: bytes, status: int, code: str) -> None:
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), raw[:200]
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == code
+        assert _get(server, "/v1/healthz") == (200, {"ok": True})
+
+    def test_overlong_request_line_431(self, server):
+        path = b"/v1/" + b"a" * MAX_LINE_BYTES
+        raw = _raw_exchange(server, b"GET " + path + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        self._assert_refused(server, raw, 431, "header_fields_too_large")
+
+    def test_overlong_header_line_431(self, server):
+        raw = _raw_exchange(
+            server,
+            b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Pad: "
+            + b"p" * MAX_LINE_BYTES + b"\r\n\r\n",
+        )
+        self._assert_refused(server, raw, 431, "header_fields_too_large")
+
+    def test_too_many_headers_431(self, server):
+        # Repeating one name still counts every line.
+        lines = b"X-Pad: 1\r\n" * MAX_HEADERS
+        raw = _raw_exchange(server, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n" + lines + b"\r\n")
+        self._assert_refused(server, raw, 431, "header_fields_too_large")
+
+    def test_header_count_at_the_cap_is_served(self, server):
+        lines = b"X-Pad: 1\r\n" * (MAX_HEADERS - 2)
+        raw = _raw_exchange(
+            server,
+            b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n" + lines + b"\r\n",
+        )
+        assert raw.startswith(b"HTTP/1.1 200 "), raw[:200]
+
+    def test_oversized_content_length_413_without_reading_the_body(self, server):
+        # No body follows: a server that waited for it would never answer.
+        raw = _raw_exchange(
+            server,
+            b"POST /v1/distance HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1),
+        )
+        self._assert_refused(server, raw, 413, "content_too_large")
+        url = f"http://{server.host}:{server.port}/v1/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            metrics = resp.read().decode("utf-8")
+        assert 'snd_http_requests_total{route="/distance",status="413"} 1' in metrics
+
+    def test_body_at_the_cap_is_read(self, server):
+        body = json.dumps({"name": "t", "i": 0, "j": 1}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, payload = _post(server, "/v1/distance", body)
+        assert status == 200
+        assert payload["distance"] >= 0
 
 
 class TestApiVersioning:

@@ -3,9 +3,12 @@ and the kill-and-restart replay guarantee (solved == 0 on the second
 run), counter-asserted end to end."""
 
 import json
+import logging
 import signal
+import sqlite3
 import subprocess
 import sys
+import time
 import urllib.request
 
 import pytest
@@ -94,6 +97,123 @@ class TestServiceRoundTrip:
             rows = store.load_transitions("t")
             assert len(rows) == n
             assert all(isinstance(v, float) for _a, _b, v in rows)
+
+
+def _failing_once(monkeypatch):
+    """Make the next ``ExperimentStore.save_transitions`` call raise."""
+    original = ExperimentStore.save_transitions
+    calls = []
+
+    def save_transitions(self, graph_name, rows):
+        calls.append(len(rows))
+        if len(calls) == 1:
+            raise sqlite3.OperationalError("disk I/O error")
+        return original(self, graph_name, rows)
+
+    monkeypatch.setattr(ExperimentStore, "save_transitions", save_transitions)
+    return calls
+
+
+def _stored_rows(store_path):
+    with ExperimentStore(store_path) as store:
+        return {(a, b): v for a, b, v in store.load_transitions("t")}
+
+
+class TestFlushFailure:
+    """A store write that raises must not mark the snapshot as flushed."""
+
+    def test_next_flush_retries_the_failed_rows(self, store_path, monkeypatch):
+        calls = _failing_once(monkeypatch)
+        with SNDService(store_path, config=CONFIG) as service:
+            _replay(service)
+            with pytest.raises(sqlite3.OperationalError):
+                service.flush()
+            stats = service.stats()["shards"]["t"]
+            assert stats["flush_failures"] == 1
+            assert stats["transitions_persisted"] == 0
+            expected = service.shard("t").context.snd.caches.transitions.export_rows()
+            assert service.flush() == len(expected)
+            assert service.flush() == 0  # now clean
+            stats = service.stats()["shards"]["t"]
+            assert stats["transitions_persisted"] == len(expected)
+            assert stats["flush_failures"] == 1
+        assert calls == [len(expected), len(expected)]
+        assert _stored_rows(store_path) == {(a, b): v for a, b, v in expected}
+
+    def test_close_persists_after_a_failed_flush(self, store_path, monkeypatch):
+        _failing_once(monkeypatch)
+        service = SNDService(store_path, config=CONFIG)
+        values = _replay(service)
+        with pytest.raises(sqlite3.OperationalError):
+            service.flush()
+        expected = service.shard("t").context.snd.caches.transitions.export_rows()
+        service.close()
+        assert _stored_rows(store_path) == {(a, b): v for a, b, v in expected}
+        with SNDService(store_path, config=CONFIG) as warm:
+            assert _replay(warm) == values
+            assert warm.stats()["shards"]["t"]["scheduler"]["solved"] == 0
+
+    def test_failure_counter_is_scraped(self, store_path, monkeypatch):
+        from repro.serve.metrics import samples_from_stats
+
+        _failing_once(monkeypatch)
+        with SNDService(store_path, config=CONFIG) as service:
+            service.distance_pair("t", 0, 1)
+            with pytest.raises(sqlite3.OperationalError):
+                service.flush()
+            samples = samples_from_stats(service.stats())
+        failures = [s for s in samples if s.name == "snd_persistence_flush_failures_total"]
+        assert [s.value for s in failures] == [1.0]
+
+
+    def test_one_failing_shard_skips_no_other(self, store_path, monkeypatch):
+        rc = main([
+            "generate", "--nodes", "60", "--states", "5", "--seeds", "8",
+            "--seed", "4", "--store", store_path, "--name", "u",
+        ])
+        assert rc == 0
+        original = ExperimentStore.save_transitions
+
+        def save_transitions(self, graph_name, rows):
+            if graph_name == "t":
+                raise sqlite3.OperationalError("disk I/O error")
+            return original(self, graph_name, rows)
+
+        monkeypatch.setattr(ExperimentStore, "save_transitions", save_transitions)
+        service = SNDService(store_path, config=CONFIG)
+        engines = [service.shard(name).engine() for name in ("t", "u")]
+        service.distance_pair("t", 0, 1)
+        service.distance_pair("u", 0, 1)
+        with pytest.raises(sqlite3.OperationalError):
+            service.flush()
+        assert service.stats()["shards"]["u"]["transitions_persisted"] > 0
+        with pytest.raises(sqlite3.OperationalError):
+            service.close()
+        assert all(engine._closed for engine in engines)
+
+    def test_flush_loop_logs_and_retries(self, store_path, monkeypatch, caplog):
+        _failing_once(monkeypatch)
+        config = CONFIG.replace(flush_interval=0.02)
+        service = SNDService(store_path, config=config)
+        with caplog.at_level(logging.ERROR, logger="repro.serve.http"):
+            with BackgroundServer(service) as server:
+                url = f"http://{server.host}:{server.port}/v1/distance"
+                request = urllib.request.Request(
+                    url, data=json.dumps({"name": "t", "i": 0, "j": 1}).encode(),
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=60) as resp:
+                    value = json.loads(resp.read().decode())["distance"]
+                shard = service.shard("t")
+                deadline = time.monotonic() + 30
+                while shard.transitions_persisted == 0 and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert shard.flush_failures == 1
+                assert shard.transitions_persisted > 0  # a later tick retried
+        assert "transition flush failed" in caplog.text
+        with SNDService(store_path, config=CONFIG) as warm:
+            assert warm.distance_pair("t", 0, 1) == value
+            assert warm.stats()["shards"]["t"]["scheduler"]["solved"] == 0
 
 
 class TestRestartOverHttp:
