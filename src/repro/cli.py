@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         default="auto",
         choices=SOLVER_CHOICES,
-        help="SND reduced-problem solver ('auto' selects per instance; 'network-simplex' warm-starts repeat solves from cached bases)",
+        help="SND reduced-problem solver ('auto' is the network simplex at every size, which warm-starts repeat solves from cached bases)",
     )
     dist.add_argument(
         "--window",
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         default="auto",
         choices=SOLVER_CHOICES,
-        help="SND reduced-problem solver ('auto' selects per instance; 'network-simplex' warm-starts repeat solves from cached bases)",
+        help="SND reduced-problem solver ('auto' is the network simplex at every size, which warm-starts repeat solves from cached bases)",
     )
     dmat.add_argument(
         "--output",
@@ -424,7 +424,10 @@ def _print_cache_stats(
                 f"supplier={s['supplier_hits']})"
             )
         elif layer == "rows":
-            extra = f" (extensions={s['extensions']} settled={s['settled']})"
+            extra = (
+                f" (extensions={s['extensions']} settled={s['settled']} "
+                f"skipped={s['skipped']})"
+            )
         print(
             f"#   {layer:11s} hits={s['hits']} misses={s['misses']} "
             f"builds={s['builds']} evictions={s['evictions']} "

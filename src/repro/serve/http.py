@@ -20,8 +20,10 @@ the repo's no-new-dependencies rule) with the shape the workload needs:
   rationed".  Validation failures map to 400, unknown names/routes to 404,
   and any other exception to 500.
 * **Bounded framing** — an oversized body gets a 413 before it is read,
-  an overlong line or too many headers a 431, and the connection closes
-  (``MAX_BODY_BYTES``, ``MAX_LINE_BYTES``, ``MAX_HEADERS``).
+  an overlong line or too many headers a 431, a request that stops
+  arriving a 408, and the connection closes (``MAX_BODY_BYTES``,
+  ``MAX_LINE_BYTES``, ``MAX_HEADERS``, ``READ_TIMEOUT_S``); an idle
+  keep-alive connection is closed after ``IDLE_TIMEOUT_S``.
 * **Observability** — ``GET /v1/metrics`` serves Prometheus text
   exposition (see :mod:`repro.serve.metrics`): live per-route request
   counters and latency histograms plus a snapshot translation of the
@@ -98,6 +100,13 @@ API_PREFIX = "/v1"
 MAX_LINE_BYTES = 64 * 1024
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 1024 * 1024
+#: Timeouts, in seconds. A request whose line, headers and body have not
+#: all arrived ``READ_TIMEOUT_S`` after its first byte gets a 408, and a
+#: connection that starts no request for ``IDLE_TIMEOUT_S`` is closed; in
+#: both cases the connection closes, so a stalled or idle client cannot
+#: hold a connection handler.
+READ_TIMEOUT_S = 30.0
+IDLE_TIMEOUT_S = 60.0
 
 _WATCH_END = object()
 
@@ -150,6 +159,7 @@ _ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
+    408: "request_timeout",
     413: "content_too_large",
     429: "client_quota_exceeded",
     431: "header_fields_too_large",
@@ -185,6 +195,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Content Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -368,50 +379,62 @@ class HttpServer:
 
     async def _read_request(self, reader):
         """``(method, path, headers, body)`` of the next request, ``None``
-        at the end of the connection. A framing error comes back as an
+        at the end of the connection (closed, reset, or idle for
+        ``IDLE_TIMEOUT_S``). A framing error, or a request not whole
+        ``READ_TIMEOUT_S`` after its first byte, comes back as an
         :class:`_HttpError` in place of the body."""
         try:
-            request_line = await reader.readline()
-        except ConnectionResetError:
+            async with asyncio.timeout(IDLE_TIMEOUT_S):
+                first = await reader.readexactly(1)
+        except (asyncio.IncompleteReadError, ConnectionResetError, TimeoutError):
             return None
-        except ValueError:  # the line outran MAX_LINE_BYTES
-            return "", "", {}, _HttpError(
-                431, f"request line longer than {MAX_LINE_BYTES} bytes"
-            )
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            return None
-        method, path, _version = parts
+        method = path = ""
         headers: dict[str, str] = {}
-        for n_lines in itertools.count():
-            try:
-                line = await reader.readline()
-            except ValueError:
-                return method, path, headers, _HttpError(
-                    431, f"header line longer than {MAX_LINE_BYTES} bytes"
-                )
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if n_lines == MAX_HEADERS:
-                return method, path, headers, _HttpError(
-                    431, f"more than {MAX_HEADERS} header lines"
-                )
-            name, _, value = line.decode("latin-1").partition(":")
-            # Header *names* are case-insensitive; values keep their case
-            # (X-Client carries an opaque identity string).
-            headers[name.strip().lower()] = value.strip()
-        length = headers.get("content-length") or "0"
-        if not (length.isascii() and length.isdigit()):
+        try:
+            async with asyncio.timeout(READ_TIMEOUT_S):
+                try:
+                    request_line = first + await reader.readline()
+                except ConnectionResetError:
+                    return None
+                except ValueError:  # the line outran MAX_LINE_BYTES
+                    return "", "", {}, _HttpError(
+                        431, f"request line longer than {MAX_LINE_BYTES} bytes"
+                    )
+                parts = request_line.decode("latin-1").strip().split()
+                if len(parts) != 3:
+                    return None
+                method, path, _version = parts
+                for n_lines in itertools.count():
+                    try:
+                        line = await reader.readline()
+                    except ValueError:
+                        return method, path, headers, _HttpError(
+                            431, f"header line longer than {MAX_LINE_BYTES} bytes"
+                        )
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    if n_lines == MAX_HEADERS:
+                        return method, path, headers, _HttpError(
+                            431, f"more than {MAX_HEADERS} header lines"
+                        )
+                    name, _, value = line.decode("latin-1").partition(":")
+                    # Header *names* are case-insensitive; values keep their
+                    # case (X-Client carries an opaque identity string).
+                    headers[name.strip().lower()] = value.strip()
+                length = headers.get("content-length") or "0"
+                if not (length.isascii() and length.isdigit()):
+                    return method, path, headers, _HttpError(
+                        400, f"invalid Content-Length {length!r}"
+                    )
+                if int(length) > MAX_BODY_BYTES:
+                    return method, path, headers, _HttpError(
+                        413, f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes"
+                    )
+                return method, path, headers, await reader.readexactly(int(length))
+        except TimeoutError:
             return method, path, headers, _HttpError(
-                400, f"invalid Content-Length {length!r}"
+                408, f"request not received within {READ_TIMEOUT_S:g} s"
             )
-        if int(length) > MAX_BODY_BYTES:
-            return method, path, headers, _HttpError(
-                413, f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes"
-            )
-        return method, path, headers, await reader.readexactly(int(length))
 
     async def _dispatch(self, method, path, headers, body, writer, keep_alive) -> bool:
         """Handle one request; returns True when the response format

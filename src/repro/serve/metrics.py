@@ -333,10 +333,11 @@ _SCHEDULER_GAUGES = {
 _CACHE_COUNTERS = {
     "hits": "Cache lookups answered.",
     "misses": "Cache lookups that missed.",
-    "builds": "Entries computed and inserted.",
+    "builds": "Entries computed (all stored except the row cache's skipped ones).",
     "evictions": "Entries evicted by the LRU or the memory budget.",
     "extensions": "Row searches that grew a cached row to a larger radius.",
     "settled": "Nodes settled by the row searches.",
+    "skipped": "Rows searched but not stored (sampled admission).",
 }
 
 _CACHE_GAUGES = {

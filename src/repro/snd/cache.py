@@ -154,10 +154,14 @@ class _LruCache:
                 self._nbytes += _key_nbytes(key)
             self._entries[key] = value
             self._nbytes += _value_nbytes(value)
-            while len(self._entries) > self.maxsize:
+            while len(self._entries) > self._capacity():
                 self._evict_oldest_locked()
         if self._manager is not None:
             self._manager._rebalance()
+
+    def _capacity(self) -> int:
+        """Entries kept before an insert evicts the oldest."""
+        return self.maxsize
 
     def _evict_oldest_locked(self) -> int:
         key, value = self._entries.popitem(last=False)
@@ -285,10 +289,11 @@ class _PartialRow:
     ``None``.
     """
 
-    __slots__ = ("radius", "indices", "dists", "nbytes")
+    __slots__ = ("radius", "indices", "dists", "nbytes", "read")
 
     def __init__(self, row: np.ndarray, radius: float, settled: np.ndarray) -> None:
         """*settled* marks the nodes the search reached (finite entries)."""
+        self.read = False  # set by the first request it serves
         self.radius = float(radius)
         if self.radius == np.inf:
             self.indices = None
@@ -338,13 +343,23 @@ class DijkstraRowCache(_LruCache):
     call — which is what makes the cache safe for the exactness contract
     of the batch engine.
 
+    Rows are stored only while requests read them back. Once
+    :attr:`ADMIT_WINDOW` evicted rows in a row have left the cache
+    unread, only one new row in :attr:`FULL_ROW_SAMPLE` is stored, in a
+    cache that many times smaller, so a stored row still lives as many
+    searches as before; the first hit stores every row again. A stream
+    whose rows are never requested twice (each term a new state) then
+    stops paying for copies nobody reads, while a workload that re-reads
+    rows keeps them all. What a request returns never depends on it.
+
     The cache also keeps the record of recent certificate radii
     (:meth:`record_radius`) that sets where the next term's searches
     start (:meth:`start_radius`); see :mod:`repro.snd.fast`.
 
     ``misses`` counts row requests that ran a search, ``extensions`` the
-    ones among them that grew a row already held, and ``settled`` the
-    nodes those searches settled.
+    ones among them that grew a row already held, ``settled`` the nodes
+    those searches settled and ``skipped`` the rows searched but not
+    stored.
     """
 
     #: Certificate radii kept for :meth:`start_radius`, and how many it
@@ -356,6 +371,10 @@ class DijkstraRowCache(_LruCache):
     #: While rows are searched in full for that reason, one term in this
     #: many records its certificate (enough to notice them shrinking).
     FULL_ROW_SAMPLE = 8
+    #: Once this many evicted rows in a row have left the cache unread, only
+    #: one new row in FULL_ROW_SAMPLE is stored; the first hit stores every
+    #: row again.
+    ADMIT_WINDOW = 64
 
     def __init__(self, maxsize: int = DEFAULT_ROW_CACHE_SIZE) -> None:
         super().__init__(maxsize)
@@ -363,8 +382,11 @@ class DijkstraRowCache(_LruCache):
         self._start = np.inf
         self._full_rows = False  # full rows for large certificates
         self._full_row_terms = 0  # terms started so since the last bounded one
+        self._unread = 0  # evictions in a row of rows no request read
+        self._offered = 0  # rows searched since storing turned to sampling
         self.extensions = 0
         self.settled = 0
+        self.skipped = 0
 
     def record_radius(self, radius: float, settled: float) -> None:
         """Keep one solved term's certificate radius and the fraction of
@@ -432,6 +454,8 @@ class DijkstraRowCache(_LruCache):
                 if entry is not None and entry.radius >= r:
                     self._entries.move_to_end(key)
                     self.hits += 1
+                    entry.read = True
+                    self._unread = 0
                     entry.fill(out[i], r)
                     continue
                 self.misses += 1
@@ -452,13 +476,46 @@ class DijkstraRowCache(_LruCache):
             with self._lock:
                 self.settled += int(np.count_nonzero(settled))
             for k, i in enumerate(rows):
-                self._put(keys[i], _PartialRow(fresh[k], r, settled[k]))
+                if self._admit():
+                    self._put(keys[i], _PartialRow(fresh[k], r, settled[k]))
         return out
+
+    @property
+    def _sampling(self) -> bool:
+        """Whether the last ADMIT_WINDOW rows evicted all left unread."""
+        return self._unread >= self.ADMIT_WINDOW
+
+    def _admit(self) -> bool:
+        """Whether to store the row just searched (counting a skip)."""
+        with self._lock:
+            if not self._sampling:
+                return True
+            self._offered += 1
+            if self._offered % self.FULL_ROW_SAMPLE == 1:
+                return True
+            self.skipped += 1
+            return False
+
+    def _capacity(self) -> int:
+        # A sampled row lives as many searches as any row did before.
+        if self._sampling:
+            return max(1, self.maxsize // self.FULL_ROW_SAMPLE)
+        return self.maxsize
+
+    def _evict_oldest_locked(self) -> int:
+        # LRU and memory-budget evictions both come through here.
+        if getattr(next(iter(self._entries.values())), "read", False):
+            self._unread = 0
+        elif not self._sampling:
+            self._unread += 1
+            self._offered = 0
+        return super()._evict_oldest_locked()
 
     def stats(self) -> dict:
         out = super().stats()
         out["extensions"] = self.extensions
         out["settled"] = self.settled
+        out["skipped"] = self.skipped
         return out
 
     def clear(self) -> None:
@@ -466,11 +523,13 @@ class DijkstraRowCache(_LruCache):
         with self._lock:
             self._radii.clear()
             self._start, self._full_rows, self._full_row_terms = np.inf, False, 0
+            self._unread = self._offered = 0
 
     def __getstate__(self):
         state = super().__getstate__()
         state["_radii"] = deque(maxlen=self.RADIUS_WINDOW)  # like the entries
         state["_start"], state["_full_rows"], state["_full_row_terms"] = np.inf, False, 0
+        state["_unread"] = state["_offered"] = 0
         return state
 
 

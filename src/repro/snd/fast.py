@@ -26,10 +26,15 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    is at most the term. If its optimal plan ships only on exactly priced
    cells, its cost is that of a feasible plan of the true instance, so the
    plan is optimal there too. Otherwise the sources that ship on a bound
-   cell search again to ``RADIUS_GROWTH`` times their radius (every
-   partial row in full before the last of ``MAX_ROUNDS`` solves) and the
-   instance, whose shape does not change, is solved again warm from the
-   basis just found. The start
+   cell search again, each to the radius at which its own row should
+   settle ``SETTLED_GROWTH`` times its nodes (a power law fitted to the
+   row's settled counts at its radius and at ``FIT_FRACTION`` of it), and
+   the instance, whose shape does not change, is solved again warm from
+   the basis just found. A row predicted past ``FULL_SEARCH_FRACTION`` of
+   the graph is searched in full, and so is every partial row before the
+   last of ``MAX_ROUNDS`` solves or once a round's failing rows would
+   settle more nodes than the graph has. Only the grown rows are
+   re-priced. The start
    radius is the 75th percentile of the cache's recent certificate radii
    (:meth:`~repro.snd.cache.DijkstraRowCache.start_radius`); a term with
    no such record starts unlimited, which is exactly one round over full
@@ -93,14 +98,27 @@ __all__ = [
 
 _EPS = 1e-12
 
-#: A row source whose certificate fails searches again this many times
-#: as far, ...
-RADIUS_GROWTH = 1.5
-#: ... and every partial row is searched in full before a term's last
-#: solve: a term takes at most this many (an unreachable target costs one
-#: full search, and a term with hundreds of row sources, which fail a few
-#: at a time, a bounded number of solves).
-MAX_ROUNDS = 4
+#: A row source whose certificate fails searches again to the radius at
+#: which its own row should settle SETTLED_GROWTH times the nodes it
+#: holds, by a power law fitted to its settled counts at its radius and at
+#: FIT_FRACTION of it; at least one smallest edge cost further (a ball
+#: grows by whole edges, so on integer costs a shorter step mostly settles
+#: nothing new) and at most RADIUS_GROWTH times as far. Each search then
+#: settles about as much as all the row's earlier ones together.
+SETTLED_GROWTH = 2.0
+FIT_FRACTION = 0.5
+RADIUS_GROWTH = 3.0
+#: A row whose predicted count passes this fraction of the graph is
+#: searched in full; so is every partial row of a term whose failing rows
+#: together would settle more nodes than the graph has (a plan that
+#: ships past the radius from that many sources keeps failing on new
+#: ones, each round a solve of a large instance).
+FULL_SEARCH_FRACTION = 0.5
+#: Every partial row is searched in full before a term's last solve: a
+#: term takes at most this many (an unreachable target costs one full
+#: search, and a term whose sources fail a few at a time a bounded number
+#: of solves).
+MAX_ROUNDS = 8
 
 #: Valid values for the ``solver=`` knob of the fast pipeline (and of
 #: :class:`repro.snd.snd.SND`). ``"auto"`` resolves to
@@ -384,27 +402,31 @@ def _price(
 
     Rows are searched to ``term.radius``; with *grow* (positions in
     ``src``) only those sources search again, to their new radius, and
-    the whole term is re-priced. Every search runs on the matrix the
+    only their rows are re-priced. Every search runs on the matrix the
     zero-argument *matrix* returns.
     """
     n = graph.num_nodes
     reverse = not term.forward
-    if grow is None:
-        term.rows = np.empty((0, n))
+    first = grow is None
+    if first:
         term.n_sssp_runs = int(term.src_ids.size)
-        grow = np.arange(term.src_ids.size)
-    if grow.size:
+        grow = slice(None)
+    radius = None if term.radius is None else term.radius[grow]
+    rows = np.empty((0, n))
+    if term.src_ids.size:
         rows = _distance_rows(
-            graph, term.src_ids[grow], edge_costs, reverse=reverse,
-            matrix=matrix,
-            radius=np.inf if term.radius is None else term.radius[grow],
+            graph, term.src_ids[grow], edge_costs, reverse=reverse, matrix=matrix,
+            radius=np.inf if radius is None else radius,
             row_cache=row_cache, cost_key=cost_key,
         )
-        if grow.size == term.src_ids.size:
-            term.rows = rows
-        else:
-            term.rows[grow] = rows
-    term.d, term.bound_d = _priced(term.rows[:, term.dst_ids], term.radius, unreachable)
+    # Only the grown rows change, and so only their prices do.
+    d = _priced(rows[:, term.dst_ids], radius, unreachable)
+    if first:
+        term.rows = rows
+        term.d, term.bound_d = d
+    else:
+        term.rows[grow] = rows
+        term.d[grow], term.bound_d[grow] = d
     if not term.active.size:
         return
 
@@ -412,8 +434,11 @@ def _price(
         # Min over each cluster's members of each row: src user -> banks of
         # the cluster, or banks -> user over reversed rows. A cluster with
         # one member within the radius has its exact minimum there.
-        legs = _cluster_minima(term.rows, banks)[:, term.active]
-        term.legs, term.bound_legs = _priced(legs, term.radius, unreachable)
+        legs = _priced(_cluster_minima(rows, banks)[:, term.active], radius, unreachable)
+        if first:
+            term.legs, term.bound_legs = legs
+        else:
+            term.legs[grow], term.bound_legs[grow] = legs
         return
     # "cluster": per-cluster multi-source runs for the d matrix (full rows)
     cluster_of = banks.cluster_of(n)
@@ -620,6 +645,31 @@ def _solve(
     return plan
 
 
+def _grown_radii(
+    rows: np.ndarray, radius: np.ndarray, unreachable: float, min_step: float
+) -> np.ndarray:
+    """The next search radius of each failing row (searched to *radius*),
+    ``inf`` for a full search.
+
+    Between ``FIT_FRACTION·r`` and ``r`` a row's settled count is fitted
+    as ``c(ρ) ∝ ρ^α``, and the row grows to where that law reaches
+    ``SETTLED_GROWTH·c(r)``: at least *min_step* and at most
+    ``RADIUS_GROWTH·r`` further. A predicted count past
+    ``FULL_SEARCH_FRACTION`` of the graph, or a radius past the
+    unreachable cost (no finite distance lies beyond), searches in full.
+    """
+    settled = np.count_nonzero(rows <= radius[:, None], axis=1)
+    inner = np.count_nonzero(rows <= FIT_FRACTION * radius[:, None], axis=1)
+    with np.errstate(divide="ignore"):
+        # inner >= 1 (the source itself); alpha == 0 takes the largest step.
+        alpha = np.log(settled / np.maximum(inner, 1)) / np.log(1.0 / FIT_FRACTION)
+        step = np.minimum(SETTLED_GROWTH ** (1.0 / alpha), RADIUS_GROWTH)
+    grown = np.maximum(radius * step, radius + min_step)
+    full = SETTLED_GROWTH * settled > FULL_SEARCH_FRACTION * rows.shape[1]
+    grown[full | (grown >= unreachable)] = np.inf
+    return grown
+
+
 def _certified_solve(
     term: ReducedTerm,
     graph: DiGraph,
@@ -636,14 +686,16 @@ def _certified_solve(
 
     Each round folds and solves the priced term. While some row is partial
     and the plan ships on a bound-priced cell, the sources shipping on one
-    search ``RADIUS_GROWTH`` times further (every partial row in full
-    before the last of ``MAX_ROUNDS`` solves), :func:`_price` re-prices
-    the term with the *price* options, and the next round starts from the
-    basis just found. Rounds, pivots and the first solve's warm flag
-    accumulate on *term*.
+    search again, each to the radius :func:`_grown_radii` fits to its own
+    row; every partial row is searched in full instead before the last of
+    ``MAX_ROUNDS`` solves, or when those sources would settle more nodes
+    than the graph has. :func:`_price` re-prices the grown rows with the
+    *price* options, and the next round starts from the basis just found.
+    Rounds, pivots and the first solve's warm flag accumulate on *term*.
     """
     gamma = banks.gamma_matrix()
     chain: list = []
+    min_step = None
     while True:
         problem, row_labels, col_labels = _fold(term, gamma)
         # "auto" is always the network simplex; asked with the folded shape
@@ -664,13 +716,18 @@ def _certified_solve(
         grow = _uncertified(term, plan)
         if not grow.size:
             return plan, method
-        if term.rounds == MAX_ROUNDS - 1:
+        rows = term.rows[grow]
+        if term.rounds == MAX_ROUNDS - 1 or (
+            SETTLED_GROWTH * np.count_nonzero(np.isfinite(rows)) > graph.num_nodes
+        ):
             grow = np.flatnonzero(np.isfinite(term.radius))
             term.radius[grow] = np.inf
         else:
-            grown = term.radius[grow] * RADIUS_GROWTH
-            grown[grown >= price["unreachable"]] = np.inf  # no finite distance lies beyond
-            term.radius[grow] = grown
+            if min_step is None:
+                min_step = float(edge_costs[edge_costs > 0].min(initial=np.inf))
+            term.radius[grow] = _grown_radii(
+                rows, term.radius[grow], price["unreachable"], min_step
+            )
         _price(term, graph, edge_costs, banks, grow=grow, **price)
 
 

@@ -17,6 +17,7 @@ import pytest
 from repro.cli import main
 from repro.exceptions import SchedulerSaturatedError
 from repro.serve import EngineConfig, SNDService
+import repro.serve.http as http
 from repro.serve.http import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, BackgroundServer
 
 
@@ -348,6 +349,58 @@ class TestFramingLimits:
         status, payload = _post(server, "/v1/distance", body)
         assert status == 200
         assert payload["distance"] >= 0
+
+
+class TestTimeouts:
+    """A request that stops arriving gets a 408 and a closed connection;
+    a keep-alive connection left idle is closed; a slow request that
+    arrives in time is served."""
+
+    def test_stalled_request_line_408(self, server, monkeypatch):
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.3, raising=False)
+        raw = _raw_exchange(server, b"GET /v1/heal")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), raw[:200]
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "request_timeout"
+        assert _get(server, "/v1/healthz") == (200, {"ok": True})
+
+    def test_stalled_body_408(self, server, monkeypatch):
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.3, raising=False)
+        raw = _raw_exchange(
+            server,
+            b"POST /v1/distance HTTP/1.1\r\nHost: x\r\nContent-Length: 40\r\n\r\n{\"name\"",
+        )
+        assert raw.startswith(b"HTTP/1.1 408 "), raw[:200]
+        url = f"http://{server.host}:{server.port}/v1/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            metrics = resp.read().decode("utf-8")
+        assert 'snd_http_requests_total{route="/distance",status="408"} 1' in metrics
+
+    def test_idle_keep_alive_connection_closes(self, server, monkeypatch):
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.3, raising=False)
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            raw = b""
+            while b"\r\n\r\n" not in raw or not raw.endswith(b"}"):
+                raw += sock.recv(65536)
+            assert raw.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: keep-alive" in raw
+            # Idle past the timeout: the server closes (a socket.timeout
+            # here fails the test).
+            assert sock.recv(65536) == b""
+
+    def test_slow_request_within_the_timeout_is_served(self, server, monkeypatch):
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 5.0, raising=False)
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            for part in (b"GET /v1/healthz HTTP/1.1\r\n", b"Host: x\r\n",
+                         b"Connection: close\r\n\r\n"):
+                sock.sendall(part)
+                time.sleep(0.1)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        assert raw.startswith(b"HTTP/1.1 200 "), raw[:200]
 
 
 class TestApiVersioning:

@@ -214,10 +214,12 @@ class TestScrapeOverHttp:
             for cache in ("ground", "rows", "transitions", "bases"):
                 key = f'snd_cache_size{{cache="{cache}",graph="t"}}'
                 assert key in values, key
-            # the row searches' settled nodes and extensions
+            # the row searches' settled nodes, extensions and unstored rows
             assert types["snd_cache_settled_total"] == "counter"
             assert 'snd_cache_settled_total{cache="rows",graph="t"}' in values
             assert 'snd_cache_extensions_total{cache="rows",graph="t"}' in values
+            assert types["snd_cache_skipped_total"] == "counter"
+            assert values['snd_cache_skipped_total{cache="rows",graph="t"}'] == 0
             # solver metric families (process-global singletons)
             assert "snd_simplex_solves_total" in values
             assert "snd_hybrid_solves_total" in values

@@ -115,7 +115,7 @@ GRAPH = erdos_renyi_graph(30, 0.15, seed=5, directed=True)
 
 #: sha256 prefix of the bounded terms' records: a refactor of the loop
 #: that moves a value bit, a round, a settled count or a pivot shows here.
-BOUNDED_DIGEST = {"network-simplex": "517d1782de586433", "ssp": "b4b7e536bf09ea26"}
+BOUNDED_DIGEST = {"network-simplex": "92a6dfc459a2aa3a", "ssp": "3bc02033694aac45"}
 
 
 @pytest.mark.parametrize("solver", ["network-simplex", "ssp"])
@@ -164,12 +164,14 @@ def test_unreachable_target_escalates_to_one_unlimited_search():
         row_cache=cache, cost_key=("ones", POSITIVE),
     )
     assert value == full
-    # Start radius, x1.5 growths, then one unlimited search for the last
-    # round — not ~30 doublings up to the unreachable cost.
-    assert stats.rounds == MAX_ROUNDS
+    # Start radius 1; then 2 (1 node within half the radius, 2 within it:
+    # doubling the count doubles the radius); then, with 3 of the 10 nodes
+    # settled, a row whose doubled count would pass half the graph: one
+    # unlimited search — not ~30 doublings up to the unreachable cost.
+    assert stats.rounds == 3 < MAX_ROUNDS
     rows = cache.stats()
-    assert rows["misses"] == MAX_ROUNDS
-    assert rows["extensions"] == MAX_ROUNDS - 1
+    assert rows["misses"] == 3
+    assert rows["extensions"] == 2
     (entry,) = cache._entries.values()
     assert entry.radius == np.inf
 
@@ -259,3 +261,58 @@ def test_engine_bounded_rows_match_cache_free_values():
     np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0)
     assert rows["extensions"] > 0
     assert 0 < rows["settled"] < rows["misses"] * graph.num_nodes
+
+
+@pytest.mark.slow
+def test_streamed_20k_terms_match_full_rows(monkeypatch):
+    """On a 20k-node graph a bounded search costs far less than a full
+    one, and the certified loop runs for real: an engine whose radius
+    record is warm streams two episodes, each value equals the cache-free
+    full-row value to 1e-12, rows were extended, some term took more than
+    one round and none took more than MAX_ROUNDS."""
+    import repro.snd.fast as fast
+    from repro.datasets.synthetic import giant_component_powerlaw
+    from repro.opinions.dynamics import generate_series
+    from repro.snd import SND, SNDEngine
+
+    graph = giant_component_powerlaw(20_000, -2.3, k_min=2, seed=1)
+    rng = np.random.default_rng(7)
+
+    def episode():
+        return list(generate_series(
+            graph, 8, n_seeds=400, p_nbr=0.01, p_ext=0.0002,
+            candidate_fraction=0.3, seed=rng,
+        ))
+
+    def streamed(engine, states):
+        return [u.distance for u in engine.stream(states) if u.distance is not None]
+
+    snd = SND(graph, n_clusters=24, seed=0, solver="auto")
+    reference = SND(graph, banks=snd.banks, solver="auto")
+    rounds = []
+    certified_solve = fast._certified_solve
+
+    def counted(term, *args, **kwargs):
+        out = certified_solve(term, *args, **kwargs)
+        rounds.append(term.rounds)
+        return out
+
+    warm_up, *episodes = episode(), episode(), episode()
+    want = [
+        [reference.distance(a, b) for a, b in zip(states, states[1:])]
+        for states in episodes
+    ]
+    with SNDEngine(snd, jobs=1) as engine:
+        rows = engine.caches.rows
+        streamed(engine, warm_up)
+        assert len(rows._radii) >= rows.RADIUS_WARMUP and np.isfinite(rows._start)
+        before = rows.stats()
+        monkeypatch.setattr(fast, "_certified_solve", counted)
+        got = [streamed(engine, states) for states in episodes]
+        after = rows.stats()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert after["extensions"] > before["extensions"]
+    assert max(rounds) > 1 and max(rounds) <= MAX_ROUNDS
+    # Bounded rows: far fewer nodes settled than full rows would take.
+    searched = after["misses"] - before["misses"]
+    assert after["settled"] - before["settled"] < 0.5 * searched * graph.num_nodes

@@ -1,6 +1,8 @@
 """Tests for the unified cache hierarchy (repro.snd.cache)."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,6 +175,117 @@ class TestCounters:
         assert len(manager.transitions) == 0
         assert manager.transitions.evictions == 1
         assert manager.nbytes == 0
+
+
+class TestRowAdmission:
+    """The row cache stores rows only while requests read them back: once
+    ADMIT_WINDOW evicted rows in a row left unread, one new row in
+    FULL_ROW_SAMPLE is stored, and the first hit stores every row again."""
+
+    @staticmethod
+    def _request(cache, graph, family) -> np.ndarray:
+        costs = np.ones(graph.num_edges)
+        return cache.distance_rows(
+            graph, [0, 1], costs, reverse=family % 2 == 1, cost_key=("fresh", family)
+        )
+
+    def _fill_past_window(self, cache, graph, family: int = 0) -> int:
+        """Feed never-repeated families, from *family* on, until the window
+        has passed; returns the next family number."""
+        while cache.evictions < cache.ADMIT_WINDOW:
+            self._request(cache, graph, family)
+            family += 1
+        assert cache.skipped == 0  # every row was stored up to here
+        return family
+
+    def test_unread_stream_stops_storing(self, graph):
+        cache = DijkstraRowCache(maxsize=16)
+        family = 0
+        while len(cache) < 16:
+            self._request(cache, graph, family)
+            family += 1
+        full_nbytes = cache.nbytes
+        family = self._fill_past_window(cache, graph, family)
+        # The sampled rows live in a cache FULL_ROW_SAMPLE times smaller.
+        size, nbytes, misses = len(cache), cache.nbytes, cache.misses
+        assert size == 16 // cache.FULL_ROW_SAMPLE
+        assert nbytes < full_nbytes
+        for _ in range(100):
+            self._request(cache, graph, family)
+            family += 1
+        stats = cache.stats()
+        assert stats["misses"] == misses + 200  # two rows per request
+        stored = -(-200 // cache.FULL_ROW_SAMPLE)
+        assert stats["skipped"] == 200 - stored
+        assert stats["size"] == size and stats["nbytes"] == nbytes
+
+    def test_one_hit_restores_full_admission(self, graph):
+        cache = DijkstraRowCache(maxsize=16)
+        family = self._fill_past_window(cache, graph)
+        for _ in range(20):
+            self._request(cache, graph, family)
+            family += 1
+        skipped = cache.skipped
+        assert skipped > 0
+        (cost_key, reverse, source) = next(reversed(cache._entries))
+        hits = cache.hits
+        costs = np.ones(graph.num_edges)
+        cache.distance_rows(graph, [source], costs, reverse=reverse, cost_key=cost_key)
+        assert cache.hits == hits + 1
+        for _ in range(5):
+            self._request(cache, graph, family)
+            family += 1
+        assert cache.skipped == skipped
+        # The sampled rows plus all ten new ones.
+        assert len(cache) == 16 // cache.FULL_ROW_SAMPLE + 10
+
+    def test_rows_read_back_keep_full_admission(self, graph):
+        cache = DijkstraRowCache(maxsize=4)
+        for family in range(10 * cache.ADMIT_WINDOW):
+            first = self._request(cache, graph, family)
+            again = self._request(cache, graph, family)  # read back once
+            assert again.tobytes() == first.tobytes()
+        assert cache.skipped == 0
+        assert cache.evictions > cache.ADMIT_WINDOW
+
+    def test_admission_counts_survive_threads(self, graph):
+        # Every searched row is stored (then held or evicted) or skipped:
+        # a lost update of any of those counters breaks the sum.
+        cache = DijkstraRowCache(maxsize=16)
+        n_threads, per_thread = 8, 60
+
+        def work(first: int) -> None:
+            for family in range(first, first + per_thread):
+                self._request(cache, graph, family)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(k * per_thread,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats["misses"] == 2 * n_threads * per_thread and stats["hits"] == 0
+        assert stats["skipped"] > 0
+        assert stats["misses"] == stats["skipped"] + stats["evictions"] + stats["size"]
+
+    def test_fresh_cache_stores_every_row(self, graph):
+        cache = DijkstraRowCache()
+        for family in range(20):
+            self._request(cache, graph, family)
+        assert len(cache) == 40 and cache.skipped == 0
+        sampling = DijkstraRowCache(maxsize=16)
+        self._fill_past_window(sampling, graph)
+        # Pickling drops the entries and the unread record alike.
+        assert pickle.loads(pickle.dumps(sampling))._unread == 0
 
 
 def _basis(k: int, size: int = 8) -> TransportBasis:

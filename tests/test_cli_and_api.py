@@ -227,7 +227,7 @@ class TestEngineCli:
         out = capsys.readouterr().out
         assert "transitions solved" in out
         assert "cache stats" in out
-        assert "extensions=" in out and "settled=" in out
+        assert "extensions=" in out and "settled=" in out and "skipped=" in out
 
     def test_corpus_lifecycle(self, seeded_store, capsys):
         rc = main(
