@@ -423,6 +423,8 @@ def _print_cache_stats(
                 f" (exact={s['exact_hits']} reverse={s['reverse_hits']} "
                 f"supplier={s['supplier_hits']})"
             )
+        elif layer == "ground":
+            extra = f" (capacity={s['capacity']})"
         elif layer == "rows":
             extra = (
                 f" (extensions={s['extensions']} settled={s['settled']} "

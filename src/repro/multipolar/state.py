@@ -13,13 +13,15 @@ convert losslessly, and the k-pole SND built on this mapping reduces
 bit-identically to the bipolar Eq. 3 pipeline.
 
 Content fingerprints are byte-stable: :attr:`MultipolarState.values` is a
-read-only ``int8`` array, so ``state.values.tobytes()`` — the key used by
+read-only ``int8`` array, so ``state.values.tobytes()`` — whose SHA-256
+digest (:meth:`MultipolarState.content_key`) keys
 :class:`~repro.snd.cache.GroundCostCache` / ``TransitionCache`` — works on
 multipolar states unchanged.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +49,7 @@ class MultipolarState:
     [0.0, 0.0, 1.0, 0.0]
     """
 
-    __slots__ = ("_values", "_n_poles", "_projections")
+    __slots__ = ("_values", "_n_poles", "_projections", "_content_key")
 
     def __init__(self, values: Iterable[int], *, n_poles: int) -> None:
         if not isinstance(n_poles, (int, np.integer)) or not 2 <= n_poles <= MAX_POLES:
@@ -68,6 +70,7 @@ class MultipolarState:
         self._values = arr
         self._n_poles = int(n_poles)
         self._projections: dict[int, NetworkState] = {}
+        self._content_key: bytes | None = None
 
     @classmethod
     def neutral(cls, n: int, *, n_poles: int) -> "MultipolarState":
@@ -158,9 +161,16 @@ class MultipolarState:
         return f"MultipolarState(n={self.n}, k={self._n_poles}, {counts})"
 
     def fingerprint(self) -> bytes:
-        """Byte-stable content key (equal assignments => equal fingerprint;
-        the same key :class:`~repro.snd.cache.GroundCostCache` derives)."""
+        """Byte-stable content bytes (equal assignments => equal
+        fingerprint); :meth:`content_key` is their digest."""
         return self._values.tobytes()
+
+    def content_key(self) -> bytes:
+        """32-byte SHA-256 digest of :meth:`fingerprint`, computed once: the
+        key :class:`~repro.snd.cache.GroundCostCache` derives."""
+        if self._content_key is None:
+            self._content_key = hashlib.sha256(self._values.tobytes()).digest()
+        return self._content_key
 
     # ------------------------------------------------------------------ #
     # Masks, counts, histograms

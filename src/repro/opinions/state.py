@@ -8,6 +8,7 @@ return new states.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ class NetworkState:
     [1.0, 0.0, 0.0]
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_content_key")
 
     def __init__(self, values: Iterable[int]) -> None:
         arr = np.asarray(values, dtype=np.int8)
@@ -50,6 +51,7 @@ class NetworkState:
             )
         arr.setflags(write=False)
         self._values = arr
+        self._content_key: bytes | None = None
 
     @classmethod
     def neutral(cls, n: int) -> "NetworkState":
@@ -95,6 +97,13 @@ class NetworkState:
 
     def __hash__(self) -> int:
         return hash(self._values.tobytes())
+
+    def content_key(self) -> bytes:
+        """32-byte SHA-256 digest of the opinion bytes, computed once: the
+        key of every SND cache (equal opinions => equal key)."""
+        if self._content_key is None:
+            self._content_key = hashlib.sha256(self._values.tobytes()).digest()
+        return self._content_key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

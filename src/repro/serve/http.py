@@ -471,8 +471,8 @@ class HttpServer:
             value = await self._run(
                 self.service.distance_pair,
                 self._require(params, "name"),
-                int(self._require(params, "i")),
-                int(self._require(params, "j")),
+                self._int_field(params, "i"),
+                self._int_field(params, "j"),
                 client=client,
                 priority=priority,
             )
@@ -502,8 +502,8 @@ class HttpServer:
                 self.service.corpus_query,
                 self._require(params, "name"),
                 self._require(params, "corpus"),
-                int(self._require(params, "state")),
-                k=int(params.get("k", 3)),
+                self._int_field(params, "state"),
+                k=self._int_field(params, "k", default=3),
             )
             payload = [
                 {"index": idx, "distance": dist} for idx, dist in neighbours
@@ -526,6 +526,18 @@ class HttpServer:
                 400, f"missing required field {key!r}",
                 detail={"field": key},
             ) from None
+
+    @classmethod
+    def _int_field(cls, params: dict, key: str, default: int | None = None) -> int:
+        """*key* as a JSON integer (a bool, a float or a numeric string is
+        refused, not cast)."""
+        value = cls._require(params, key) if default is None else params.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _HttpError(
+                400, f"field {key!r} must be a JSON integer, got {json.dumps(value)}",
+                detail={"field": key},
+            )
+        return value
 
     # ------------------------------------------------------------------ #
     # Watch streaming

@@ -343,6 +343,7 @@ _CACHE_COUNTERS = {
 _CACHE_GAUGES = {
     "size": "Entries currently held.",
     "max_size": "Configured entry capacity.",
+    "capacity": "Entries kept before the LRU evicts (the ground cache sizes it by its hits).",
     "nbytes": "Approximate bytes held.",
 }
 

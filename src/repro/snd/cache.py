@@ -9,7 +9,8 @@ work at four levels:
 1. **Ground costs** (:class:`GroundCostCache`): Eq. 2 edge-cost arrays
    keyed by ``(state fingerprint, opinion)``. A series sweep builds
    ``2·(T-1) + 2`` arrays instead of ``4·(T-1)``; a pairwise matrix over
-   ``N`` states builds ``2·N`` instead of ``2·N·(N-1)``.
+   ``N`` states builds ``2·N`` instead of ``2·N·(N-1)``. The cache keeps
+   about twice as many arrays as its recent hits reached back for.
 2. **Shortest-path rows** (:class:`DijkstraRowCache`): per-source Dijkstra
    rows keyed by ``(cost key, direction, source)``, each searched to a
    radius (partial rows are kept sparse). Rows are independent per
@@ -33,8 +34,10 @@ retained bytes exceed the budget, entries are evicted
 least-recently-used from whichever cache currently retains the most
 bytes, so one oversized layer cannot starve the others. An entry retains
 its value's payload (a basis entry is two int64 vectors) plus the
-fingerprint bytes of its key: a transition entry over two ``n``-user
-states holds ``2·n`` key bytes next to an 8-byte float.
+fingerprint bytes of its key. A state fingerprint is the 32-byte SHA-256
+digest of its opinion bytes (:meth:`GroundCostCache.fingerprint`), so a
+transition entry holds 64 key bytes next to an 8-byte float whatever the
+number of users.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ __all__ = [
 ]
 
 #: Default bound on cached cost arrays. A series sweep only ever has 4
-#: entries live (two states x two polarities); pairwise callers size their
-#: cache to ``2·N`` explicitly. 64 leaves room for sliding-window reuse
-#: while bounding retained memory at ``64 · m`` floats.
+#: entries live (two states x two polarities), and the cache shrinks
+#: towards that on its own; pairwise callers reserve ``2·N`` explicitly.
+#: 64 leaves room for reuse that reaches further back while bounding
+#: retained memory at ``64 · m`` floats.
 DEFAULT_CACHE_SIZE = 64
 
 #: Default bound on cached Dijkstra rows (one row = ``n`` floats; 256 rows
@@ -231,41 +235,116 @@ class _LruCache:
 
 
 class GroundCostCache(_LruCache):
-    """Bounded LRU cache of Eq. 2 edge-cost arrays.
+    """Bounded LRU cache of Eq. 2 edge-cost arrays, sized by its own hits.
 
     Keys are ``(state fingerprint, opinion)`` where the fingerprint is the
-    raw opinion-vector bytes — two states with equal opinions share an
-    entry regardless of object identity. Values are the CSR-aligned cost
-    arrays of :meth:`repro.snd.ground.GroundDistanceConfig.edge_costs`;
-    they are treated as immutable once cached.
+    SHA-256 digest of the opinion-vector bytes — two states with equal
+    opinions share an entry regardless of object identity. Values are the
+    CSR-aligned cost arrays of
+    :meth:`repro.snd.ground.GroundDistanceConfig.edge_costs`, stored
+    read-only so no caller can change a shared entry.
+
+    The cache keeps about twice as many arrays as the deepest LRU position
+    (1 = most recent) its last :attr:`HIT_WINDOW` hits came from, and at
+    least :attr:`MIN_SIZE`: a stream that re-reads only the newest state's
+    arrays holds a few, while a workload that reaches far back keeps
+    :attr:`maxsize`. It holds :attr:`maxsize` until :attr:`HIT_WARMUP`
+    hits are recorded, goes back to it when a miss names a key it evicted
+    lately, and never holds fewer than :meth:`reserve` asked for. The
+    current bound is ``capacity`` in :meth:`stats`.
 
     The cache is thread-safe (one lock around lookups/inserts) so a thread
     fan-out can share a single instance; process workers each hold their
     own. ``misses`` equals the number of ground-cost builds performed.
     """
 
+    #: Fewest arrays the cache keeps once sized by its hits.
+    MIN_SIZE = 8
+    #: Recent hits whose LRU positions set the size, and how many are
+    #: recorded before they do.
+    HIT_WINDOW = 64
+    HIT_WARMUP = 8
+
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         super().__init__(maxsize)
+        self._reserved = 0  # what reserve() asked for
+        self._depths: deque = deque(maxlen=self.HIT_WINDOW)
+        self._evicted: OrderedDict = OrderedDict()  # keys evicted lately
+        self._size = 0  # 0 until HIT_WARMUP hits are recorded: maxsize
 
     @staticmethod
     def fingerprint(state: NetworkState) -> bytes:
-        """Content key for *state* (equal opinions => equal fingerprint)."""
-        return state.values.tobytes()
+        """32-byte content key for *state* (equal opinions => equal key),
+        computed once per state object."""
+        return state.content_key()
 
     def edge_costs(self, ground, graph, state: NetworkState, opinion: int) -> np.ndarray:
         """Cached ``ground.edge_costs(graph, state, opinion)``."""
         key = (self.fingerprint(state), int(opinion))
-        cached = self._get(key)
-        if cached is not None:
-            return cached
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is not None:
+                for depth, held in enumerate(reversed(self._entries), 1):
+                    if held == key:
+                        break
+                self._entries.move_to_end(key)
+                self.hits += 1
+                self._record_depth(depth)
+                return cached
+            self.misses += 1
+            if self._evicted.pop(key, False):
+                self._record_depth(self.maxsize)
         costs = ground.edge_costs(graph, state, opinion)
+        costs.setflags(write=False)
         self._put(key, costs)
         return costs
+
+    def _record_depth(self, depth: int) -> None:
+        self._depths.append(depth)
+        if len(self._depths) >= self.HIT_WARMUP:
+            self._size = max(self.MIN_SIZE, 2 * max(self._depths))
+
+    def _capacity(self) -> int:
+        if not self._size:
+            return self.maxsize
+        return max(min(self._size, self.maxsize), self._reserved)
+
+    def _evict_oldest_locked(self) -> int:
+        # LRU and memory-budget evictions both come through here.
+        self._evicted[next(iter(self._entries))] = True
+        if len(self._evicted) > self.maxsize:
+            self._evicted.popitem(last=False)
+        return super()._evict_oldest_locked()
+
+    def reserve(self, n_entries: int) -> None:
+        """Hold at least *n_entries* arrays from now on (growing
+        :attr:`maxsize` to fit)."""
+        self.grow(n_entries)
+        self._reserved = max(self._reserved, int(n_entries))
 
     @property
     def builds(self) -> int:
         """Number of ground-cost arrays actually built (== misses)."""
         return self.misses
+
+    def stats(self) -> dict:
+        out = super().stats()
+        out["capacity"] = self._capacity()
+        return out
+
+    def clear(self) -> None:
+        super().clear()
+        with self._lock:
+            self._depths.clear()
+            self._evicted.clear()
+            self._size = 0
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        state["_depths"] = deque(maxlen=self.HIT_WINDOW)  # like the entries
+        state["_evicted"] = OrderedDict()
+        state["_size"] = 0
+        return state
 
 
 def _upper_quartile(values) -> float:
@@ -538,7 +617,8 @@ class TransitionCache(_LruCache):
 
     Keys are the *ordered* fingerprint pair of the two states (Eq. 3 is
     symmetric, but term summation order differs under a swap, so the
-    ordered key preserves the bit-identical contract); values are floats.
+    ordered key preserves the bit-identical contract); values are floats,
+    so an entry counts 72 bytes (two 32-byte digests and the float).
     ``misses`` counts fresh transitions actually solved — a sliding window
     shifted by one state shows exactly one miss per shift, and a corpus
     extension shows exactly one miss per *new* pair.
@@ -580,8 +660,9 @@ class TransitionCache(_LruCache):
     # ------------------------------------------------------------------ #
 
     def export_rows(self) -> list[tuple[bytes, bytes, float]]:
-        """Snapshot of every entry as ``(key_a, key_b, value)`` rows, in
-        LRU order (oldest first), for spilling to the experiment store.
+        """Snapshot of every entry as ``(key_a, key_b, value)`` rows (keys
+        are 32-byte state digests), in LRU order (oldest first), for
+        spilling to the experiment store.
         Counter-free: exporting is not a lookup."""
         with self._lock:
             return [(ka, kb, float(v)) for (ka, kb), v in self._entries.items()]
@@ -776,17 +857,19 @@ class CacheManager:
                 break  # nothing evictable left anywhere
 
     def ensure_ground_capacity(self, n_entries: int) -> None:
-        """Grow the ground cache so *n_entries* cost arrays fit at once
-        (pairwise sweeps size it to ``n_poles·N`` to keep builds linear)."""
-        self.ground.grow(n_entries)
+        """Grow the ground cache so *n_entries* cost arrays fit at once,
+        and keep it from holding fewer (pairwise sweeps size it to
+        ``n_poles·N`` to keep builds linear)."""
+        self.ground.reserve(n_entries)
 
     def stats(self) -> dict:
         """Per-cache counters plus the hierarchy totals.
 
         Keys ``ground`` / ``rows`` / ``transitions`` / ``bases`` each map
         to the member's :meth:`_LruCache.stats` dict (hits, misses,
-        builds, evictions, size, max_size, nbytes — the basis store adds
-        its per-channel warm-hit counters); ``total_nbytes`` and
+        builds, evictions, size, max_size, nbytes — the ground cache adds
+        its current ``capacity``, the row cache its search counters and
+        the basis store its per-channel warm-hit counters); ``total_nbytes`` and
         ``memory_budget`` summarise the shared budget.
         """
         return {

@@ -146,12 +146,12 @@ def _init_engine_worker(
         matrix = np.ndarray(shape, dtype=np.int8, buffer=shm.buf)
     _ENGINE_WORKER["snd"] = snd
     _ENGINE_WORKER["matrix"] = matrix
-    _ENGINE_WORKER["caches"] = CacheManager(
-        ground_size=ground_size,
-        row_size=row_size,
-        basis_size=max(1, basis_size),
-        memory_budget=memory_budget,
+    caches = CacheManager(
+        row_size=row_size, basis_size=max(1, basis_size), memory_budget=memory_budget
     )
+    # Pairwise chunks re-read every state's arrays: hold them all.
+    caches.ensure_ground_capacity(ground_size)
+    _ENGINE_WORKER["caches"] = caches
     _ENGINE_WORKER["basis_cache_enabled"] = basis_size > 0
 
 

@@ -203,20 +203,11 @@ class SND:
         """
         self._check_state(a)
         self._check_state(b)
-        pair_terms = self._pair_terms(a, b)
-        if caches is not None:
-            # One key object per state: the row and basis entries it keys
-            # share it instead of each retaining an n-byte copy.
-            fp = {
-                id(s): GroundCostCache.fingerprint(s)
-                for supplier, consumer, _ in pair_terms
-                for s in (supplier, consumer)
-            }
         terms = []
-        for supplier, consumer, opinion in pair_terms:
+        for supplier, consumer, opinion in self._pair_terms(a, b):
             kwargs = {}
             if caches is not None:
-                fp_sup = fp[id(supplier)]
+                fp_sup = GroundCostCache.fingerprint(supplier)
                 kwargs = dict(
                     edge_costs=caches.ground.edge_costs(
                         self.ground, self.graph, supplier, opinion
@@ -224,7 +215,7 @@ class SND:
                     row_cache=caches.rows,
                     cost_key=(fp_sup, opinion),
                     basis_cache=basis_cache,
-                    basis_key=(fp_sup, fp[id(consumer)], opinion),
+                    basis_key=(fp_sup, GroundCostCache.fingerprint(consumer), opinion),
                 )
             if stats is not None:
                 stats.append(FastTermStats())

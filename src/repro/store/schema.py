@@ -19,11 +19,16 @@ v3 adds ``transition_cache``: spilled entries of the in-memory
 :class:`repro.snd.cache.TransitionCache` (one solved SND value keyed by
 the ordered state-fingerprint pair), so a restarted server warms its
 cache from the store and answers a previously-served trace with zero
-fresh solves. Fingerprints are the raw opinion-vector bytes — content
-keys, valid across processes and releases.
+fresh solves.
+
+v4 keys those rows by 32-byte state digests (the SHA-256 of the
+opinion-vector bytes, :meth:`repro.snd.cache.GroundCostCache.fingerprint`)
+instead of the raw bytes — content keys, valid across processes. Its
+migration empties ``transition_cache``: a v3 row's raw key can never
+match a digest again.
 """
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DDL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -102,5 +107,8 @@ CREATE TABLE IF NOT EXISTS transition_cache (
     updated_at  TEXT NOT NULL DEFAULT (datetime('now')),
     PRIMARY KEY (graph_id, key_a, key_b)
 ) WITHOUT ROWID;
+""",
+    4: """
+DELETE FROM transition_cache;
 """,
 }

@@ -225,6 +225,29 @@ class TestErrorMapping:
         assert status == 400
         assert "out of range" in body["error"]["message"]
 
+    @pytest.mark.parametrize("value", [1.7, True, "1", "abc", None, [1]])
+    @pytest.mark.parametrize("field", ["i", "j"])
+    def test_distance_index_must_be_json_integer_400(self, server, field, value):
+        """A pair index that is not a JSON integer (a float, a bool, a
+        string, null, a list) gets the 400 envelope naming the field,
+        not a silent cast or a 500."""
+        payload = {"name": "t", "i": 0, "j": 1, field: value}
+        status, body = _post(server, "/v1/distance", payload)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert repr(field) in body["error"]["message"]
+        assert body["error"]["detail"] == {"field": field}
+
+    @pytest.mark.parametrize("value", [1.7, True, "1", "abc", None, [1]])
+    @pytest.mark.parametrize("field", ["state", "k"])
+    def test_corpus_query_fields_must_be_json_integers_400(self, server, field, value):
+        payload = {"name": "t", "corpus": "c", "state": 0, "k": 2, field: value}
+        status, body = _post(server, "/v1/corpus/query", payload)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert repr(field) in body["error"]["message"]
+        assert body["error"]["detail"] == {"field": field}
+
     def test_unsupported_method_405(self, server):
         status, body = _post(server, "/v1/distance", {}, method="PUT")
         assert status == 405

@@ -162,19 +162,148 @@ class TestCounters:
         assert cache.nbytes == 0
 
     def test_transition_entry_counts_key_bytes(self):
-        # An 8-byte value keyed by two 20k-user fingerprints retains 40 000
-        # key bytes; the budget must see them.
-        n = 20_000
-        a = NetworkState.from_active_sets(n, positive=[0])
-        b = NetworkState.from_active_sets(n, positive=[1])
-        cache = TransitionCache()
-        cache.put(a, b, 1.0)
-        assert cache.nbytes == 2 * n + 8
-        manager = CacheManager(memory_budget=2 * n - 1)
-        manager.transitions.put(a, b, 1.0)
-        assert len(manager.transitions) == 0
-        assert manager.transitions.evictions == 1
-        assert manager.nbytes == 0
+        # An 8-byte value keyed by two 32-byte state digests retains 72
+        # bytes whatever the number of users; the budget must see them.
+        for n in (10, 20_000):
+            a = NetworkState.from_active_sets(n, positive=[0])
+            b = NetworkState.from_active_sets(n, positive=[1])
+            cache = TransitionCache()
+            cache.put(a, b, 1.0)
+            assert cache.nbytes == 2 * 32 + 8
+            manager = CacheManager(memory_budget=2 * 32 + 7)
+            manager.transitions.put(a, b, 1.0)
+            assert len(manager.transitions) == 0
+            assert manager.transitions.evictions == 1
+            assert manager.nbytes == 0
+
+
+def _look_up(ground: GroundCostCache, snd, graph, k: int) -> np.ndarray:
+    state = NetworkState.from_active_sets(40, positive=[k])
+    return ground.edge_costs(snd.ground, graph, state, 1)
+
+
+class TestGroundCapacity:
+    """The ground cache keeps about twice the deepest LRU position its
+    recent hits came from (at least MIN_SIZE arrays), goes back to maxsize
+    when a miss names a key it evicted, never holds fewer than a
+    reservation, and stores its arrays read-only."""
+
+    def test_cached_costs_are_read_only(self, graph, snd):
+        manager = CacheManager()
+        state = NetworkState.from_active_sets(40, positive=[0, 3], negative=[5])
+        costs = manager.ground.edge_costs(snd.ground, graph, state, 1)
+        expected = snd.ground.edge_costs(graph, state, 1)
+        with pytest.raises(ValueError):
+            costs[0] = -1.0
+        with pytest.raises(ValueError):
+            costs += 1.0
+        again = manager.ground.edge_costs(snd.ground, graph, state, 1)
+        assert again is costs and manager.ground.hits == 1
+        assert np.array_equal(again, expected)
+
+    def test_shallow_hits_shrink_to_min_size(self, graph, snd):
+        ground = GroundCostCache(64)
+        for k in range(40):  # each key read twice in a row: depth 1
+            _look_up(ground, snd, graph, k)
+            _look_up(ground, snd, graph, k)
+            assert len(ground) <= max(ground.MIN_SIZE, k + 1)
+        assert ground.stats()["capacity"] == ground.MIN_SIZE
+        assert len(ground) == ground.MIN_SIZE
+        assert ground.builds == 40
+
+    def test_deep_hits_keep_every_array(self, graph, snd):
+        ground = GroundCostCache(64)
+        for _ in range(4):  # a cycle over 20 keys: every hit at depth 20
+            for k in range(20):
+                _look_up(ground, snd, graph, k)
+        assert ground.builds == 20 and ground.evictions == 0
+        assert ground.stats()["capacity"] == 40
+
+    def test_miss_on_evicted_key_restores_maxsize(self, graph, snd):
+        ground = GroundCostCache(64)
+        for k in range(20):
+            _look_up(ground, snd, graph, k)
+            _look_up(ground, snd, graph, k)
+        assert ground.stats()["capacity"] == ground.MIN_SIZE
+        _look_up(ground, snd, graph, 0)  # evicted long ago
+        assert ground.builds == 21
+        assert ground.stats()["capacity"] == 64
+
+    def test_reservation_is_a_floor(self, graph, snd):
+        manager = CacheManager(ground_size=16)
+        manager.ensure_ground_capacity(30)
+        for k in range(40):
+            _look_up(manager.ground, snd, graph, k)
+            _look_up(manager.ground, snd, graph, k)
+        stats = manager.stats()["ground"]
+        assert stats["capacity"] == stats["max_size"] == 30
+        assert len(manager.ground) == 30
+
+    def test_counts_survive_threads(self, graph, snd):
+        # Each thread reads its own keys twice in a row, so every build is
+        # stored, then held or evicted: a lost update breaks either sum.
+        ground = GroundCostCache(64)
+        n_threads, per_thread = 8, 32  # users 8..39 join each thread's own
+
+        def work(k: int) -> None:
+            for i in range(per_thread):
+                state = NetworkState.from_active_sets(40, positive=[k, 8 + i])
+                for _ in range(2):
+                    ground.edge_costs(snd.ground, graph, state, 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = ground.stats()
+        assert stats["hits"] + stats["misses"] == 2 * n_threads * per_thread
+        assert stats["misses"] == stats["evictions"] + stats["size"]
+        assert stats["nbytes"] == sum(32 + v.nbytes for v in ground._entries.values())
+        assert stats["size"] <= stats["capacity"]
+
+    def test_long_stream_stays_bounded(self, graph, snd, rng):
+        """Three hundred transitions streamed through the engine: the ground
+        cache settles at MIN_SIZE arrays, a transition entry counts 72
+        bytes whatever n is, and the hierarchy grows only by those 72
+        bytes once the bounded caches are full."""
+        from repro.snd import SNDEngine
+
+        values = np.zeros(graph.num_nodes, dtype=np.int8)
+        states = []
+        for _ in range(301):
+            values = values.copy()
+            idx = rng.integers(0, graph.num_nodes, size=4)
+            values[idx] = rng.integers(-1, 2, size=idx.size)
+            states.append(NetworkState(values))
+        manager = CacheManager(row_size=16, basis_size=16)
+        n, m = graph.num_nodes, graph.num_edges
+        # Every bounded cache at its largest: ground arrays, full dense
+        # rows (or sparse ones, 12 bytes a node), and tree bases of at
+        # most 2n + banks arcs; keys are 32-byte digests.
+        banks = len(snd.banks.clusters) * snd.banks.n_banks
+        bound = (
+            GroundCostCache.MIN_SIZE * (8 * m + 32)
+            + 16 * (12 * n + 8 + 32)
+            + 16 * (16 * (2 * n + banks) + 64)
+        )
+        with SNDEngine(snd, jobs=None, caches=manager) as engine:
+            for update in engine.stream(states):
+                if update.index < 20:
+                    continue
+                assert len(manager.ground) <= GroundCostCache.MIN_SIZE
+                assert manager.ground.stats()["capacity"] == GroundCostCache.MIN_SIZE
+                transitions = manager.transitions
+                assert transitions.nbytes == 72 * len(transitions)
+                assert manager.nbytes <= bound + 72 * len(transitions)
+        assert manager.transitions.fresh >= 300 - 5  # a repeated state is rare
+        assert manager.ground.builds <= 2 * 301
 
 
 class TestRowAdmission:

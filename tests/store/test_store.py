@@ -210,7 +210,7 @@ class TestMigration:
         conn.commit()
         conn.close()
         with ExperimentStore(path) as store:
-            assert store.schema_version == 3
+            assert store.schema_version == 4
             # The v2 table exists and is usable.
             store.save_graph("g", graph)
             series = StateSeries([NetworkState.neutral(20)])
@@ -232,7 +232,7 @@ class TestMigration:
             ExperimentStore(path)
 
     def test_fresh_database_lands_on_current_version(self, store):
-        assert store.schema_version == 3
+        assert store.schema_version == 4
 
 
 class TestTransitionCachePersistence:
@@ -289,6 +289,34 @@ class TestTransitionCachePersistence:
         conn.commit()
         conn.close()
         with ExperimentStore(path) as store:
-            assert store.schema_version == 3
+            assert store.schema_version == 4
             store.save_transitions("g", [(b"a", b"b", 0.5)])
             assert store.count_transitions("g") == 1
+
+    def test_v3_rows_dropped_on_upgrade(self, tmp_path, graph):
+        """A v3 store's rows are keyed by raw opinion bytes, which no
+        32-byte state digest can match: opening it as v4 empties the
+        spilled cache, and new 32-byte rows go in as usual."""
+        import sqlite3
+
+        path = tmp_path / "v3.sqlite"
+        with ExperimentStore(path) as store:
+            store.save_graph("g", graph)
+        raw = bytes(graph.num_nodes)  # a v3 key: one int8 per user
+        conn = sqlite3.connect(path)
+        conn.executemany(
+            "INSERT INTO transition_cache (graph_id, key_a, key_b, value) "
+            "VALUES (1, ?, ?, ?)",
+            [(raw, raw[:-1] + b"\x01", 0.5), (raw[:-1] + b"\x01", raw, 0.5)],
+        )
+        conn.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
+        conn.commit()
+        assert conn.execute("SELECT COUNT(*) FROM transition_cache").fetchone() == (2,)
+        conn.close()
+        with ExperimentStore(path) as store:
+            assert store.schema_version == 4
+            assert store.count_transitions("g") == 0
+            digest = bytes(32)
+            store.save_transitions("g", [(digest, b"\x01" * 32, 0.25)])
+        with ExperimentStore(path) as store:  # a v4 store keeps its rows
+            assert store.load_transitions("g") == [(digest, b"\x01" * 32, 0.25)]
