@@ -21,9 +21,8 @@ Measures the two levers PR 3 adds over the PR-2 batch layer, writing
    stationary-background regime) swept with ``solver="network-simplex"``
    twice: cold (``use_basis_cache=False``) and warm (the engine threads
    its :class:`~repro.snd.cache.BasisCache` into every term). Pivots per
-   solve come from :data:`repro.flow.network_simplex.SIMPLEX_METRICS`
-   snapshot deltas (engines run serially so the counters stay
-   in-process); the warm sweep must cut them by >= 2x on both the
+   solve come from ``engine.stats()["network_simplex"]`` deltas around
+   each timed region; the warm sweep must cut them by >= 2x on both the
    windowed sweep and a corpus append, with values identical to 1e-9,
    and must not slow either below 0.8x the cold wall clock. Each cold and
    warm region is timed as the fastest of ``REPEATS`` fresh-engine runs,
@@ -45,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from common import print_table, record
-from repro.flow.network_simplex import SIMPLEX_METRICS
 from repro.graph.generators import powerlaw_configuration_graph
 from repro.opinions.dynamics import generate_series
 from repro.opinions.state import NetworkState, StateSeries
@@ -159,7 +157,11 @@ def _fastest_cold_warm(run):
     return tuple(min(side, key=lambda result: result[1]) for side in zip(*runs))
 
 
-def _pivot_stats(before, after):
+def _pivot_stats(engine, before=None):
+    """The engine's network-simplex counts since *before* (an earlier
+    ``engine.stats()["network_simplex"]``; ``None``: since it started)."""
+    after = engine.stats()["network_simplex"]
+    before = before or dict.fromkeys(after, 0)
     d = {
         k: after[k] - before[k]
         for k in ("solves", "cold_solves", "warm_solves", "cold_pivots",
@@ -185,30 +187,27 @@ def _network_simplex_section(graph, cfg, verbose):
 
     def ns_engine(use_basis):
         snd = SND(graph, n_clusters=24, seed=0, solver="network-simplex")
-        # Serial on purpose: SIMPLEX_METRICS is process-local, so pool
-        # workers would accumulate pivots out of the parent's sight.
+        # Serial: a worker's basis store warms only the solves sent to it,
+        # so a pool would measure a different warm-start rate.
         return SNDEngine(snd, jobs=None, use_basis_cache=use_basis)
 
     def sweep(use_basis):
-        SIMPLEX_METRICS.reset()
         with ns_engine(use_basis) as engine:
-            before = SIMPLEX_METRICS.snapshot()
             t0 = time.perf_counter()
             values = engine.evaluate_series(series)
             dt = time.perf_counter() - t0
-            stats = _pivot_stats(before, SIMPLEX_METRICS.snapshot())
+            stats = _pivot_stats(engine)
             bases = engine.stats()["caches"]["bases"]
         return values, dt, stats, bases
 
     def append(use_basis):
-        SIMPLEX_METRICS.reset()
         with ns_engine(use_basis) as engine:
             corpus = Corpus(engine, base_states)  # untimed priming
-            before = SIMPLEX_METRICS.snapshot()
+            before = engine.stats()["network_simplex"]
             t0 = time.perf_counter()
             matrix = corpus.extend(ext_states)
             dt = time.perf_counter() - t0
-            stats = _pivot_stats(before, SIMPLEX_METRICS.snapshot())
+            stats = _pivot_stats(engine, before)
             bases = engine.stats()["caches"]["bases"]
         return matrix, dt, stats, bases
 

@@ -30,17 +30,15 @@ solve. This module supplies the solver tier that exploits that:
   support *is* a sparse min-cost flow); it takes no basis and always
   starts cold;
 * per-solve diagnostics on the returned plan (``plan.info``, a
-  :class:`NetworkSimplexInfo`), aggregated by the process-local
-  :data:`SIMPLEX_METRICS` (pivots per solve, cold vs warm), mirroring the
-  hybrid tier's diagnostics, so the temporal-locality win is measured
-  rather than assumed (``engine.stats()["network_simplex"]``,
-  BENCH_engine.json).
+  :class:`NetworkSimplexInfo`: pivots, and whether a warm basis was
+  used), which an engine sums into its own cold vs warm pivot counts
+  (``engine.stats()["network_simplex"]``, BENCH_engine.json), so the
+  temporal-locality win is measured rather than assumed.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +50,6 @@ from repro.flow.problem import MASS_EPS, TransportationProblem
 
 __all__ = [
     "NetworkSimplexInfo",
-    "NetworkSimplexMetrics",
-    "SIMPLEX_METRICS",
     "solve_support_network_simplex",
     "solve_transportation_network_simplex",
 ]
@@ -70,7 +66,7 @@ _MAX_REFINEMENTS = 64
 
 
 # --------------------------------------------------------------------------- #
-# Diagnostics (mirrors the sinkhorn-hybrid tier's HybridMetrics surface)
+# Diagnostics
 # --------------------------------------------------------------------------- #
 
 
@@ -86,61 +82,6 @@ class NetworkSimplexInfo:
     warm_arcs_given: int
     warm_arcs_used: int
     cost: float
-
-
-class NetworkSimplexMetrics:
-    """Process-local aggregate counters over network-simplex solves.
-
-    The quantity of interest is *pivots per solve, cold vs warm* — the
-    direct measurement of how much of the previous optimal tree survived
-    into the next instance. Thread-safe; ``reset()`` between benchmark
-    phases.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "_lock", threading.Lock()):
-            self.solves = 0
-            self.cold_solves = 0
-            self.warm_solves = 0
-            self.cold_pivots = 0
-            self.warm_pivots = 0
-            self.warm_arcs_used = 0
-            self.last_pivots = 0
-
-    def record(self, info: NetworkSimplexInfo) -> None:
-        with self._lock:
-            self.solves += 1
-            self.last_pivots = info.pivots
-            if info.warm:
-                self.warm_solves += 1
-                self.warm_pivots += info.pivots
-                self.warm_arcs_used += info.warm_arcs_used
-            else:
-                self.cold_solves += 1
-                self.cold_pivots += info.pivots
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            cold_pps = self.cold_pivots / self.cold_solves if self.cold_solves else 0.0
-            warm_pps = self.warm_pivots / self.warm_solves if self.warm_solves else 0.0
-            return {
-                "solves": self.solves,
-                "cold_solves": self.cold_solves,
-                "warm_solves": self.warm_solves,
-                "cold_pivots": self.cold_pivots,
-                "warm_pivots": self.warm_pivots,
-                "cold_pivots_per_solve": cold_pps,
-                "warm_pivots_per_solve": warm_pps,
-                "warm_arcs_used": self.warm_arcs_used,
-                "last_pivots": self.last_pivots,
-            }
-
-
-SIMPLEX_METRICS = NetworkSimplexMetrics()
 
 
 # --------------------------------------------------------------------------- #
@@ -644,7 +585,6 @@ def solve_transportation_network_simplex(
             warm_arcs_used=0,
             cost=0.0,
         )
-        SIMPLEX_METRICS.record(info)
         plan = TransportPlan(flows=np.zeros((n_orig, m_orig)), cost=0.0, info=info)
         empty = TransportBasis(
             rows=np.empty(0, dtype=np.int64), cols=np.empty(0, dtype=np.int64)
@@ -680,7 +620,6 @@ def solve_transportation_network_simplex(
         warm_arcs_used=solver.warm_arcs_used,
         cost=cost,
     )
-    SIMPLEX_METRICS.record(info)
     plan = TransportPlan(flows=flows, cost=cost, info=info)
     if not return_basis:
         return plan
@@ -727,5 +666,4 @@ def solve_support_network_simplex(
         warm_arcs_used=0,
         cost=cost,
     )
-    SIMPLEX_METRICS.record(info)
     return TransportPlan(flows=flows, cost=cost, info=info)

@@ -37,8 +37,9 @@ objective lower-bounds the optimum, so
    \\frac{C_{hybrid} - LB_{dual}}{LB_{dual}} =: \\texttt{screen\\_error\\_bound}
 
 is reported per solve on the returned plan's ``info`` (a
-:class:`HybridSolveInfo`; aggregated by :data:`HYBRID_METRICS`, which
-:meth:`repro.snd.engine.SNDEngine.stats` embeds). The tolerance-tiered
+:class:`HybridSolveInfo`; an engine sums solves, support density and the
+largest bound into the ``"hybrid"`` block of
+:meth:`repro.snd.engine.SNDEngine.stats`). The tolerance-tiered
 property harness in ``tests/flow/test_solver_equivalence.py`` asserts the
 certificate, plan feasibility, the upper-bound property, and that the
 error tiers are monotone in ε and ``k``.
@@ -49,7 +50,6 @@ solve exactly — screening has nothing to prune there.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +60,6 @@ from repro.flow.plan import TransportPlan
 from repro.flow.problem import TransportationProblem
 
 __all__ = [
-    "HYBRID_METRICS",
-    "HybridMetrics",
     "HybridSolveInfo",
     "SMALL_EXACT_CELLS",
     "epsilon_schedule",
@@ -89,6 +87,8 @@ class HybridSolveInfo:
     """Per-solve diagnostics of the hybrid pipeline.
 
     *pivots* counts the restricted network-simplex solve's pivots.
+    *n_cells* is 0 only when there is no mass to move, and then no
+    restricted solve ran.
     """
 
     n_cells: int = 0
@@ -104,62 +104,6 @@ class HybridSolveInfo:
     pivots: int = 0
     #: The restricted solve is always cold.
     warm: bool = False
-
-
-class HybridMetrics:
-    """Thread-safe running aggregate of hybrid solves.
-
-    Embedded in :meth:`repro.snd.engine.SNDEngine.stats` as the
-    ``"hybrid"`` block. Counters are process-local: serial engines are
-    fully covered; process-pool workers aggregate inside the worker (their
-    parents see only distance values).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "_lock", threading.Lock()):
-            self.solves = 0
-            self.screened_solves = 0
-            self.total_cells = 0
-            self.support_cells = 0
-            self.max_screen_error_bound = 0.0
-            self.last_support_density = 1.0
-            self.last_screen_error_bound = 0.0
-
-    def record(self, info: HybridSolveInfo) -> None:
-        with self._lock:
-            self.solves += 1
-            if info.screened:
-                self.screened_solves += 1
-                self.total_cells += info.n_cells
-                self.support_cells += info.support_cells
-                self.last_support_density = info.support_density
-                self.last_screen_error_bound = info.screen_error_bound
-                if np.isfinite(info.screen_error_bound):
-                    self.max_screen_error_bound = max(
-                        self.max_screen_error_bound, info.screen_error_bound
-                    )
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            density = (
-                self.support_cells / self.total_cells if self.total_cells else 1.0
-            )
-            return {
-                "solves": self.solves,
-                "screened_solves": self.screened_solves,
-                "support_density": density,
-                "last_support_density": self.last_support_density,
-                "last_screen_error_bound": self.last_screen_error_bound,
-                "max_screen_error_bound": self.max_screen_error_bound,
-            }
-
-
-#: Module-level aggregate every hybrid solve records into.
-HYBRID_METRICS = HybridMetrics()
 
 
 # --------------------------------------------------------------------- #
@@ -367,7 +311,7 @@ def solve_transportation_sinkhorn_hybrid(
     Returns a feasible :class:`~repro.flow.plan.TransportPlan` whose cost
     is the exact optimum of the support-restricted problem — an upper
     bound on the true optimum, certified by ``screen_error_bound`` (see
-    ``plan.info``, a :class:`HybridSolveInfo`, and :data:`HYBRID_METRICS`).
+    ``plan.info``, a :class:`HybridSolveInfo`).
     The restricted solve is always cold.
     """
     if epsilon <= 0:
@@ -380,9 +324,9 @@ def solve_transportation_sinkhorn_hybrid(
 
     total = float(a_full.sum())
     if total <= 0:
-        info = HybridSolveInfo()
-        HYBRID_METRICS.record(info)
-        return TransportPlan(flows=np.zeros(problem.costs.shape), cost=0.0, info=info)
+        return TransportPlan(
+            flows=np.zeros(problem.costs.shape), cost=0.0, info=HybridSolveInfo()
+        )
 
     # Lemma 1: restrict to positive-mass bins (empty bins break Sinkhorn
     # and cannot carry flow anyway).
@@ -481,5 +425,4 @@ def solve_transportation_sinkhorn_hybrid(
         flows = flows[:-1, :]
     cost = float((flows * problem.costs).sum())
     info = replace(info, pivots=exact.info.pivots, cost=cost)
-    HYBRID_METRICS.record(info)
     return TransportPlan(flows=flows, cost=cost, info=info)

@@ -483,7 +483,7 @@ class HttpServer:
                 self.service.series_distances,
                 self._require(params, "name"),
                 measure=params.get("measure", "snd"),
-                window=params.get("window"),
+                window=self._optional_field(params, "window", int, "a JSON integer"),
             )
             self._write_json(
                 writer, 200, {"distances": _json_safe(values)}, keep_alive
@@ -527,17 +527,29 @@ class HttpServer:
                 detail={"field": key},
             ) from None
 
-    @classmethod
-    def _int_field(cls, params: dict, key: str, default: int | None = None) -> int:
-        """*key* as a JSON integer (a bool, a float or a numeric string is
-        refused, not cast)."""
-        value = cls._require(params, key) if default is None else params.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
+    @staticmethod
+    def _typed(key: str, value, kinds, what: str):
+        """*value* if it is one of *kinds* (never a bool: a bool, a float
+        or a numeric string is refused, not cast), else the 400 envelope."""
+        if isinstance(value, bool) or not isinstance(value, kinds):
             raise _HttpError(
-                400, f"field {key!r} must be a JSON integer, got {json.dumps(value)}",
+                400, f"field {key!r} must be {what}, got {json.dumps(value)}",
                 detail={"field": key},
             )
         return value
+
+    @classmethod
+    def _int_field(cls, params: dict, key: str, default: int | None = None) -> int:
+        """*key* as a JSON integer."""
+        value = cls._require(params, key) if default is None else params.get(key, default)
+        return cls._typed(key, value, int, "a JSON integer")
+
+    @classmethod
+    def _optional_field(cls, params: dict, key: str, kinds, what: str, default=None):
+        """*key* (*default* when absent) as one of *kinds*, or ``None``
+        for a JSON null."""
+        value = params.get(key, default)
+        return None if value is None else cls._typed(key, value, kinds, f"{what} or null")
 
     # ------------------------------------------------------------------ #
     # Watch streaming
@@ -545,11 +557,21 @@ class HttpServer:
 
     async def _stream_watch(self, params: dict, writer) -> None:
         name = self._require(params, "name")
-        window = params.get("window", 10)
-        threshold = params.get("threshold")
+        window = self._optional_field(params, "window", int, "a JSON integer", 10)
+        threshold = self._optional_field(
+            params, "threshold", (int, float), "a JSON number"
+        )
         updates = await self._run(
             self.service.watch, name, window=window, threshold=threshold
         )
+
+        def _next():
+            # Each next() may solve one SND pair — keep it off the loop.
+            return next(updates, _WATCH_END)
+
+        # The stream checks its arguments on the first update: take it
+        # before the head, so a refusal still gets its own status.
+        update = await self._run(_next)
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: application/x-ndjson\r\n"
@@ -557,19 +579,12 @@ class HttpServer:
             "Connection: close\r\n\r\n"
         )
         writer.write(head.encode("ascii"))
-
-        def _next():
-            # Each next() may solve one SND pair — keep it off the loop.
-            return next(updates, _WATCH_END)
-
-        while True:
-            update = await self._run(_next)
-            if update is _WATCH_END:
-                break
+        while update is not _WATCH_END:
             line = json.dumps(_update_payload(update)) + "\n"
             data = line.encode("utf-8")
             writer.write(f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n")
             await writer.drain()
+            update = await self._run(_next)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -328,6 +328,7 @@ _SCHEDULER_GAUGES = {
     "pending": "Unique pairs currently admitted (queued or solving).",
     "peak_pending": "High-water mark of admitted pairs.",
     "max_pending": "Configured global backpressure bound.",
+    "client_max_pending": "Configured per-client pending quota (before priority scaling).",
 }
 
 _CACHE_COUNTERS = {
@@ -359,7 +360,6 @@ _SIMPLEX_COUNTERS = {
 _SIMPLEX_GAUGES = {
     "cold_pivots_per_solve": "Mean pivots per cold solve.",
     "warm_pivots_per_solve": "Mean pivots per warm-started solve.",
-    "last_pivots": "Pivots in the most recent solve.",
 }
 
 _HYBRID_COUNTERS = {
@@ -369,8 +369,6 @@ _HYBRID_COUNTERS = {
 
 _HYBRID_GAUGES = {
     "support_density": "Mean retained support density after screening.",
-    "last_support_density": "Support density of the most recent solve.",
-    "last_screen_error_bound": "A-posteriori error bound of the most recent solve.",
     "max_screen_error_bound": "Largest a-posteriori error bound observed.",
 }
 
@@ -423,10 +421,9 @@ def samples_from_stats(stats: dict) -> list[Sample]:
     ``engine.stats()`` dict (no ``shards`` wrapper) is also accepted so
     the CLI and benchmarks can reuse the bridge for a single engine.
 
-    Per-shard families are labelled ``graph="<name>"``; the solver metric
-    families (``snd_simplex_*``, ``snd_hybrid_*``) are process-global
-    (module-level singletons), so they are emitted once, unlabelled,
-    from the first shard that carries them.
+    Per-shard families, the solver families (``snd_simplex_*``,
+    ``snd_hybrid_*``, each shard's own engine counts) included, are
+    labelled ``graph="<name>"``.
     """
     out: list[Sample] = []
     for measure, count in (stats.get("measures") or {}).items():
@@ -442,7 +439,6 @@ def samples_from_stats(stats: dict) -> list[Sample]:
     shards = stats.get("shards")
     if shards is None:
         shards = {stats.get("graph", "default"): stats}
-    solver_done = False
     for graph, shard in shards.items():
         labels = {"graph": str(graph)}
         sched = shard.get("scheduler")
@@ -450,15 +446,6 @@ def samples_from_stats(stats: dict) -> list[Sample]:
             _emit(out, "snd_scheduler", sched, _SCHEDULER_COUNTERS,
                   "counter", labels, suffix="_total")
             _emit(out, "snd_scheduler", sched, _SCHEDULER_GAUGES, "gauge", labels)
-            if sched.get("client_max_pending") is not None:
-                out.append(Sample(
-                    "snd_scheduler_client_max_pending",
-                    "snd_scheduler_client_max_pending",
-                    dict(labels),
-                    float(sched["client_max_pending"]),
-                    "Configured per-client pending quota (before priority scaling).",
-                    "gauge",
-                ))
             for client, rec in (sched.get("clients") or {}).items():
                 clabels = {**labels, "client": str(client)}
                 _emit(out, "snd_client", rec,
@@ -476,45 +463,27 @@ def samples_from_stats(stats: dict) -> list[Sample]:
                 _emit(out, "snd_cache", cache_stats, _CACHE_COUNTERS,
                       "counter", clabels, suffix="_total")
                 _emit(out, "snd_cache", cache_stats, _CACHE_GAUGES, "gauge", clabels)
-            if caches.get("total_nbytes") is not None:
-                out.append(Sample(
-                    "snd_cache_total_nbytes", "snd_cache_total_nbytes",
-                    dict(labels), float(caches["total_nbytes"]),
-                    "Approximate bytes held across all caches.", "gauge",
-                ))
-            if caches.get("memory_budget") is not None:
-                out.append(Sample(
-                    "snd_cache_memory_budget_bytes", "snd_cache_memory_budget_bytes",
-                    dict(labels), float(caches["memory_budget"]),
-                    "Configured shared cache memory budget.", "gauge",
-                ))
-        for key, help_text in (
-            ("pool_starts", "Worker pool cold starts."),
-            ("slot_writes", "State-matrix slot writes to shared memory."),
-        ):
-            if shard.get(key) is not None:
-                out.append(Sample(
-                    f"snd_engine_{key}_total", f"snd_engine_{key}_total",
-                    dict(labels), float(shard[key]),
-                    help_text, "counter",
-                ))
+            _emit(out, "snd_cache", caches, {
+                "total_nbytes": "Approximate bytes held across all caches.",
+            }, "gauge", labels)
+            _emit(out, "snd_cache", caches, {
+                "memory_budget": "Configured shared cache memory budget.",
+            }, "gauge", labels, suffix="_bytes")
+        _emit(out, "snd_engine", shard, {
+            "pool_starts": "Worker pool cold starts.",
+            "slot_writes": "State-matrix slot writes to shared memory.",
+        }, "counter", labels, suffix="_total")
         _emit(out, "snd_persistence", shard, _PERSIST_COUNTERS,
               "counter", labels, suffix="_total")
         _emit(out, "snd_corpus_query", shard.get("corpus_query") or {},
               _CORPUS_QUERY_COUNTERS, "counter", labels, suffix="_total")
-        if not solver_done:
-            simplex = shard.get("network_simplex")
-            if simplex:
-                _emit(out, "snd_simplex", simplex, _SIMPLEX_COUNTERS,
-                      "counter", None, suffix="_total")
-                _emit(out, "snd_simplex", simplex, _SIMPLEX_GAUGES, "gauge", None)
-                solver_done = True
-            hybrid = shard.get("hybrid")
-            if hybrid:
-                _emit(out, "snd_hybrid", hybrid, _HYBRID_COUNTERS,
-                      "counter", None, suffix="_total")
-                _emit(out, "snd_hybrid", hybrid, _HYBRID_GAUGES, "gauge", None)
-                solver_done = True
+        for family, key, counters, gauges in (
+            ("snd_simplex", "network_simplex", _SIMPLEX_COUNTERS, _SIMPLEX_GAUGES),
+            ("snd_hybrid", "hybrid", _HYBRID_COUNTERS, _HYBRID_GAUGES),
+        ):
+            solver = shard.get(key) or {}
+            _emit(out, family, solver, counters, "counter", labels, suffix="_total")
+            _emit(out, family, solver, gauges, "gauge", labels)
     return out
 
 

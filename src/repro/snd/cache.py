@@ -45,6 +45,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict, deque
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -250,7 +251,8 @@ class GroundCostCache(_LruCache):
     arrays holds a few, while a workload that reaches far back keeps
     :attr:`maxsize`. It holds :attr:`maxsize` until :attr:`HIT_WARMUP`
     hits are recorded, goes back to it when a miss names a key it evicted
-    lately, and never holds fewer than :meth:`reserve` asked for. The
+    lately, and never holds fewer than a reservation in force asked for
+    (:meth:`reserve`, :meth:`reserved`). The
     current bound is ``capacity`` in :meth:`stats`.
 
     The cache is thread-safe (one lock around lookups/inserts) so a thread
@@ -267,7 +269,7 @@ class GroundCostCache(_LruCache):
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         super().__init__(maxsize)
-        self._reserved = 0  # what reserve() asked for
+        self._floors: list[int] = []  # what reserve() calls in force asked for
         self._depths: deque = deque(maxlen=self.HIT_WINDOW)
         self._evicted: OrderedDict = OrderedDict()  # keys evicted lately
         self._size = 0  # 0 until HIT_WARMUP hits are recorded: maxsize
@@ -307,7 +309,7 @@ class GroundCostCache(_LruCache):
     def _capacity(self) -> int:
         if not self._size:
             return self.maxsize
-        return max(min(self._size, self.maxsize), self._reserved)
+        return max([min(self._size, self.maxsize), *self._floors])
 
     def _evict_oldest_locked(self) -> int:
         # LRU and memory-budget evictions both come through here.
@@ -320,7 +322,20 @@ class GroundCostCache(_LruCache):
         """Hold at least *n_entries* arrays from now on (growing
         :attr:`maxsize` to fit)."""
         self.grow(n_entries)
-        self._reserved = max(self._reserved, int(n_entries))
+        with self._lock:
+            self._floors.append(int(n_entries))
+
+    @contextmanager
+    def reserved(self, n_entries: int):
+        """:meth:`reserve` *n_entries* arrays while the block runs only;
+        afterwards the cache is sized as before it (a larger
+        :attr:`maxsize` stays)."""
+        self.reserve(n_entries)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._floors.remove(int(n_entries))
 
     @property
     def builds(self) -> int:
@@ -858,8 +873,9 @@ class CacheManager:
 
     def ensure_ground_capacity(self, n_entries: int) -> None:
         """Grow the ground cache so *n_entries* cost arrays fit at once,
-        and keep it from holding fewer (pairwise sweeps size it to
-        ``n_poles·N`` to keep builds linear)."""
+        and keep it from holding fewer from now on (a pool worker holds
+        every state's arrays this way; a pairwise matrix reserves its
+        ``n_poles·N`` for the call only, :meth:`GroundCostCache.reserved`)."""
         self.ground.reserve(n_entries)
 
     def stats(self) -> dict:

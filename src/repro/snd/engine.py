@@ -64,8 +64,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.flow.network_simplex import SIMPLEX_METRICS
-from repro.flow.sinkhorn_hybrid import HYBRID_METRICS
 from repro.opinions.state import NetworkState, StateSeries
 from repro.snd.cache import (
     DEFAULT_CACHE_SIZE,
@@ -73,6 +71,7 @@ from repro.snd.cache import (
     GroundCostCache,
     TransitionCache,
 )
+from repro.snd.fast import SolverCounts
 from repro.snd.scheduler import DEFAULT_MAX_PENDING, PairScheduler, resolve_jobs
 
 __all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs"]
@@ -155,8 +154,11 @@ def _init_engine_worker(
     _ENGINE_WORKER["basis_cache_enabled"] = basis_size > 0
 
 
-def _engine_pairs_worker(pairs: list[tuple[int, int]]) -> list[float]:
-    """Distances for explicit row-index pairs read from shared memory.
+def _engine_pairs_worker(
+    pairs: list[tuple[int, int]],
+) -> tuple[list[float], SolverCounts]:
+    """Distances for explicit row-index pairs read from shared memory, and
+    the solver work they took (the engine adds it to its own counts).
 
     States are rebuilt from row *copies* (a row is ``n`` int8 bytes —
     negligible next to one SND solve), so later overwrites of the shared
@@ -168,6 +170,7 @@ def _engine_pairs_worker(pairs: list[tuple[int, int]]) -> list[float]:
     caches: CacheManager = _ENGINE_WORKER["caches"]
     basis_cache = caches.bases if _ENGINE_WORKER["basis_cache_enabled"] else None
     local: dict = {}
+    counts = SolverCounts()
 
     def state(i: int):
         s = local.get(i)
@@ -176,10 +179,13 @@ def _engine_pairs_worker(pairs: list[tuple[int, int]]) -> list[float]:
             local[i] = s
         return s
 
-    return [
-        snd._sum_terms(state(i), state(j), caches=caches, basis_cache=basis_cache)[0]
+    values = [
+        snd._sum_terms(
+            state(i), state(j), caches=caches, basis_cache=basis_cache, counts=counts
+        )[0]
         for i, j in pairs
     ]
+    return values, counts
 
 
 # --------------------------------------------------------------------- #
@@ -287,7 +293,8 @@ class SNDEngine:
             self, max_pending=max_pending, client_max_pending=client_max_pending
         )
         self._queries = {"queries": 0, "bounded": 0, "solved": 0}
-        self._queries_lock = threading.Lock()
+        self._solver_counts = SolverCounts()
+        self._counts_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -427,9 +434,13 @@ class SNDEngine:
 
     def distance(self, a: NetworkState, b: NetworkState) -> float:
         """SND between two states through the engine's cache hierarchy."""
-        return self.snd._sum_terms(
-            a, b, caches=self.caches, basis_cache=self.basis_cache
-        )[0]
+        counts = SolverCounts()
+        try:
+            return self.snd._sum_terms(
+                a, b, caches=self.caches, basis_cache=self.basis_cache, counts=counts
+            )[0]
+        finally:
+            self._count_solves(counts)
 
     def _solve_pairs_local(
         self,
@@ -456,7 +467,10 @@ class SNDEngine:
         # assignment means a state's slot is stable across dispatches, not
         # necessarily equal to its position in *states*.
         slot_chunks = [[(slot_of[i], slot_of[j]) for i, j in chunk] for chunk in chunks]
-        return list(pool.map(_engine_pairs_worker, slot_chunks))
+        results = list(pool.map(_engine_pairs_worker, slot_chunks))
+        for _values, counts in results:
+            self._count_solves(counts)
+        return [values for values, _counts in results]
 
     # ------------------------------------------------------------------ #
     # Series evaluation
@@ -526,8 +540,9 @@ class SNDEngine:
 
         Eq. 3 is symmetric by construction, so only the ``N·(N-1)/2``
         pairs ``i < j`` are evaluated and mirrored; the diagonal is
-        exactly 0. The ground cache is grown to hold ``n_poles·N`` cost
-        arrays so each state's arrays are built once. *transitions*
+        exactly 0. For the call, the ground cache holds at least
+        ``n_poles·N`` cost arrays, so each state's arrays are built once;
+        afterwards it is sized as before. *transitions*
         (optional) answers already-solved pairs from the cache before any
         dispatch — the lever behind :meth:`Corpus.extend`.
         """
@@ -536,14 +551,11 @@ class SNDEngine:
         out = np.zeros((n, n), dtype=np.float64)
         if n < 2:
             return out
-        self.caches.ensure_ground_capacity(
-            max(DEFAULT_CACHE_SIZE, self.snd.n_poles * n)
-        )
-
         # Pairs are emitted grouped by row, so the scheduler's contiguous
         # chunks keep the supplier-side cost arrays hot in each worker.
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        values = self.scheduler.evaluate(states, pairs, transitions=transitions)
+        with self.caches.ground.reserved(max(DEFAULT_CACHE_SIZE, self.snd.n_poles * n)):
+            values = self.scheduler.evaluate(states, pairs, transitions=transitions)
         for (i, j), v in zip(pairs, values):
             out[i, j] = out[j, i] = v
         return out
@@ -621,37 +633,43 @@ class SNDEngine:
 
     def _count_query(self, *, bounded: int, solved: int) -> None:
         """Add one :meth:`Corpus.query` to the ``corpus_query`` counters."""
-        with self._queries_lock:
+        with self._counts_lock:
             self._queries["queries"] += 1
             self._queries["bounded"] += bounded
             self._queries["solved"] += solved
+
+    def _count_solves(self, counts: SolverCounts) -> None:
+        """Add one pair's or one pool chunk's solver work to the engine's."""
+        with self._counts_lock:
+            self._solver_counts.merge(counts)
 
     def stats(self) -> dict:
         """Cache hierarchy counters plus engine/pool state (benchmark
         JSON-ready).
 
-        The ``"hybrid"`` block aggregates the sinkhorn-hybrid solver's
-        per-solve diagnostics (support density, certified error bounds);
-        the ``"network_simplex"`` block aggregates the warm-startable
-        simplex tier's pivot counters, split cold vs warm
-        (``cold_pivots_per_solve`` / ``warm_pivots_per_solve`` — the
-        headline temporal-locality numbers in ``BENCH_engine.json``).
-        Both are process-local: serial engines are covered fully; process
-        workers accumulate in-worker and this snapshot then only reflects
-        solves that ran in the engine's own process.
+        The ``"network_simplex"`` and ``"hybrid"`` blocks count the solver
+        work of this engine's pairs, wherever they ran: in this process or
+        in a pool worker, which returns its counts with its values (see
+        :class:`~repro.snd.fast.SolverCounts`). ``"network_simplex"`` splits
+        solves and pivots cold vs warm (``cold_pivots_per_solve`` /
+        ``warm_pivots_per_solve`` — the headline temporal-locality numbers
+        in ``BENCH_engine.json``); ``"hybrid"`` counts sinkhorn-hybrid
+        solves, the screened ones, their mean support density and their
+        largest certified error bound. Per-solve diagnostics stay on each
+        solve's ``plan.info``.
         ``slot_writes`` counts shared-matrix row writes — append-only
         slot assignment keeps it at the number of *distinct* states ever
         dispatched, not dispatches times states. ``corpus_query`` counts
         :meth:`Corpus.query` calls on this engine and the member pairs they
         bounded and solved exactly (solved < bounded when pruning works).
         """
-        with self._queries_lock:
+        with self._counts_lock:
             queries = dict(self._queries)
+            solver_counts = self._solver_counts.snapshot()
         return {
             "caches": self.caches.stats(),
             "scheduler": self.scheduler.stats(),
-            "hybrid": HYBRID_METRICS.snapshot(),
-            "network_simplex": SIMPLEX_METRICS.snapshot(),
+            **solver_counts,
             "jobs": self.jobs,
             "pool_starts": self.pool_starts,
             "pool_alive": self._pool is not None,

@@ -73,7 +73,7 @@ members by it to solve only those that could still place.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -85,7 +85,9 @@ from repro.flow import network_simplex, select_transport_method
 # Unused here; kept because perfbench/tracer.py wraps this module-level name.
 from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
+from repro.flow.network_simplex import NetworkSimplexInfo
 from repro.flow.problem import TransportationProblem
+from repro.flow.sinkhorn_hybrid import HybridSolveInfo
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import multi_source_distances, search_matrix
 from repro.snd.banks import BankAllocation
@@ -93,7 +95,7 @@ from repro.snd.ground import unreachable_cost
 
 __all__ = [
     "emd_star_term_fast", "emd_star_term_bound", "check_term_options", "FastTermStats",
-    "SOLVER_CHOICES",
+    "SolverCounts", "SOLVER_CHOICES",
 ]
 
 _EPS = 1e-12
@@ -169,6 +171,80 @@ class FastTermStats:
     #: Nodes settled over the term's final rows (a full row settles every
     #: node the source reaches).
     n_settled: int = 0
+
+
+@dataclass
+class SolverCounts:
+    """Solver work summed over solves: the ``"network_simplex"`` and
+    ``"hybrid"`` blocks of :meth:`repro.snd.engine.SNDEngine.stats`.
+
+    :meth:`add` counts one solve from its ``plan.info``. A sinkhorn-hybrid
+    solve also counts the restricted network-simplex solve it ran, which is
+    always cold. Every field is a sum except the largest finite error
+    bound, so the counts of terms, pairs and pool workers merge exactly.
+    """
+
+    solves: int = 0
+    warm_solves: int = 0
+    cold_pivots: int = 0
+    warm_pivots: int = 0
+    warm_arcs_used: int = 0
+    hybrid_solves: int = 0
+    screened_solves: int = 0
+    screened_cells: int = 0
+    support_cells: int = 0
+    max_screen_error_bound: float = 0.0
+
+    def add(self, info) -> None:
+        """Count the solve *info* (a ``plan.info``) describes."""
+        if isinstance(info, HybridSolveInfo):
+            self.hybrid_solves += 1
+            if info.screened:
+                self.screened_solves += 1
+                self.screened_cells += info.n_cells
+                self.support_cells += info.support_cells
+                if np.isfinite(info.screen_error_bound):  # inf: uncertified
+                    self.max_screen_error_bound = max(
+                        self.max_screen_error_bound, info.screen_error_bound
+                    )
+            if not info.n_cells:
+                return  # no mass to move: no restricted solve ran
+        elif not isinstance(info, NetworkSimplexInfo):
+            return
+        self.solves += 1
+        if info.warm:
+            self.warm_solves += 1
+            self.warm_pivots += info.pivots
+            self.warm_arcs_used += info.warm_arcs_used
+        else:
+            self.cold_pivots += info.pivots
+
+    def merge(self, other: "SolverCounts") -> None:
+        """Add *other*'s counts to these."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            bound = f.name == "max_screen_error_bound"
+            setattr(self, f.name, max(mine, theirs) if bound else mine + theirs)
+
+    def snapshot(self) -> dict:
+        """``{"network_simplex": {...}, "hybrid": {...}}``, JSON-ready."""
+        cold, warm = self.solves - self.warm_solves, self.warm_solves
+        return {
+            "network_simplex": {
+                "solves": self.solves, "cold_solves": cold, "warm_solves": warm,
+                "cold_pivots": self.cold_pivots, "warm_pivots": self.warm_pivots,
+                "cold_pivots_per_solve": self.cold_pivots / cold if cold else 0.0,
+                "warm_pivots_per_solve": self.warm_pivots / warm if warm else 0.0,
+                "warm_arcs_used": self.warm_arcs_used,
+            },
+            "hybrid": {
+                "solves": self.hybrid_solves, "screened_solves": self.screened_solves,
+                "support_density": (
+                    self.support_cells / self.screened_cells if self.screened_cells else 1.0
+                ),
+                "max_screen_error_bound": self.max_screen_error_bound,
+            },
+        }
 
 
 @dataclass
@@ -680,6 +756,7 @@ def _certified_solve(
     price: dict,
     basis_cache=None,
     basis_key=None,
+    counts: SolverCounts | None = None,
 ):
     """Fold → solve → check → extend until the plan ships only on exactly
     priced cells; returns ``(plan, resolved solver)``.
@@ -691,7 +768,8 @@ def _certified_solve(
     ``MAX_ROUNDS`` solves, or when those sources would settle more nodes
     than the graph has. :func:`_price` re-prices the grown rows with the
     *price* options, and the next round starts from the basis just found.
-    Rounds, pivots and the first solve's warm flag accumulate on *term*.
+    Rounds, pivots and the first solve's warm flag accumulate on *term*,
+    and every solve is added to *counts* when given.
     """
     gamma = banks.gamma_matrix()
     chain: list = []
@@ -711,6 +789,8 @@ def _certified_solve(
         if plan is not None and plan.info is not None:
             term.pivots += int(plan.info.pivots)
             term.warm_start |= term.rounds == 1 and bool(plan.info.warm)
+            if counts is not None:
+                counts.add(plan.info)
         if plan is None or term.radius is None or not np.isfinite(term.radius).any():
             return plan, method
         grow = _uncertified(term, plan)
@@ -747,6 +827,7 @@ def emd_star_term_fast(
     basis_cache=None,
     basis_key=None,
     stats: FastTermStats | None = None,
+    counts: SolverCounts | None = None,
 ) -> float:
     """One EMD* term of Eq. 3 via the Theorem 4 reduction: reduce → price
     → fold → solve.
@@ -787,6 +868,10 @@ def emd_star_term_fast(
         warm-starts the solve, and the fresh optimal basis is stored back
         in stable node-label space. Values are unaffected — a warm basis
         only changes where pivoting starts.
+    stats, counts:
+        Optional diagnostics: *stats* receives the term's record (its
+        settled count scans the term's rows), and every solve of the term
+        is added to *counts* (a constant cost per solve).
     """
     check_term_options(solver, bank_metric, bank_shares)
     n = graph.num_nodes
@@ -816,7 +901,7 @@ def emd_star_term_fast(
     _price(term, graph, edge_costs, banks, **price)
     plan, solver = _certified_solve(
         term, graph, edge_costs, banks, solver, price=price,
-        basis_cache=basis_cache, basis_key=basis_key,
+        basis_cache=basis_cache, basis_key=basis_key, counts=counts,
     )
     if certify and plan is not None and row_cache.record_due():
         row_cache.record_radius(*_certificate(term, plan))

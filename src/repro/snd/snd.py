@@ -47,6 +47,7 @@ from repro.snd.cache import (
 )
 from repro.snd.fast import (
     FastTermStats,
+    SolverCounts,
     check_term_options,
     emd_star_term_bound,
     emd_star_term_fast,
@@ -191,6 +192,7 @@ class SND:
         caches: CacheManager | None = None,
         basis_cache=None,
         stats: list[FastTermStats] | None = None,
+        counts: SolverCounts | None = None,
     ) -> tuple[float, tuple[float, ...]]:
         """The Eq. 3 sum ``(value, terms)``: every :meth:`_pair_terms` term
         through :meth:`term`, summed left to right.
@@ -199,16 +201,17 @@ class SND:
         :class:`FastTermStats` per term into *stats*. The engine passes
         *caches* (ground costs, Dijkstra rows) and *basis_cache*, keyed by
         the supplier's and consumer's content fingerprints; every cache
-        layer is value-preserving.
+        layer is value-preserving. Every solve is added to *counts* when
+        given (the engine counts its solver work this way).
         """
         self._check_state(a)
         self._check_state(b)
         terms = []
         for supplier, consumer, opinion in self._pair_terms(a, b):
-            kwargs = {}
+            kwargs = {"counts": counts}
             if caches is not None:
                 fp_sup = GroundCostCache.fingerprint(supplier)
-                kwargs = dict(
+                kwargs.update(
                     edge_costs=caches.ground.edge_costs(
                         self.ground, self.graph, supplier, opinion
                     ),
@@ -264,6 +267,7 @@ class SND:
         basis_cache=None,
         basis_key=None,
         stats: FastTermStats | None = None,
+        counts: SolverCounts | None = None,
     ) -> float:
         """One EMD* term: mass of *opinion* moving from *supplier_state*'s
         adopters to *consumer_state*'s adopters under the ground distance
@@ -300,6 +304,7 @@ class SND:
             basis_cache=basis_cache,
             basis_key=basis_key,
             stats=stats,
+            counts=counts,
         )
 
     def distance(self, state_a: NetworkState, state_b: NetworkState) -> float:

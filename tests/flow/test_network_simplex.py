@@ -19,8 +19,8 @@ Covers the tier's three contracts:
 
 Plus the basis helpers (:class:`TransportBasis`, ``validate_basis``), the
 sparse support entry point the sinkhorn-hybrid tier consumes, and the
-:data:`SIMPLEX_METRICS` counter surface that
-``engine.stats()`` / BENCH_engine.json report.
+per-solve ``plan.info`` that ``engine.stats()`` / BENCH_engine.json sum
+into cold vs warm counts.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from repro.exceptions import FlowError
 from repro.flow import TransportationProblem, solve_transportation_lp
 from repro.flow.basis import TransportBasis, validate_basis
 from repro.flow.network_simplex import (
-    SIMPLEX_METRICS,
     solve_support_network_simplex,
     solve_transportation_network_simplex,
 )
+from repro.snd.fast import SolverCounts
 from repro.flow.sinkhorn_hybrid import _northwest_corner_cells
 
 from test_solver_equivalence import (
@@ -324,22 +324,23 @@ class TestSupportSolve:
 
 class TestMetrics:
     def test_counters_split_cold_and_warm(self, rng):
+        """Solve counts summed from ``plan.info`` split cold and warm."""
         problem = make_nondegenerate(rng, 10, 10)
-        SIMPLEX_METRICS.reset()
-        _, basis = solve_transportation_network_simplex(problem, return_basis=True)
-        solve_transportation_network_simplex(problem, basis=basis)
-        snap = SIMPLEX_METRICS.snapshot()
+        cold, basis = solve_transportation_network_simplex(problem, return_basis=True)
+        warm = solve_transportation_network_simplex(problem, basis=basis)
+        counts = SolverCounts()
+        counts.add(cold.info)
+        counts.add(warm.info)
+        snap = counts.snapshot()["network_simplex"]
         assert snap["solves"] == 2
         assert snap["cold_solves"] == 1 and snap["warm_solves"] == 1
         assert snap["warm_pivots_per_solve"] == 0.0
-        assert snap["cold_pivots"] == snap["cold_pivots_per_solve"]
-        assert snap["last_pivots"] == 0
-        SIMPLEX_METRICS.reset()
-        assert SIMPLEX_METRICS.snapshot()["solves"] == 0
+        assert snap["cold_pivots"] == snap["cold_pivots_per_solve"] == cold.info.pivots
+        assert snap["warm_arcs_used"] == warm.info.warm_arcs_used > 0
+        assert SolverCounts().snapshot()["network_simplex"]["solves"] == 0
 
     def test_last_info_fields(self, rng):
-        """Each plan carries its own solve's info, and the aggregate's
-        ``last_pivots`` matches the latest one."""
+        """Each plan carries its own solve's info."""
         problem = make_transportation(rng, 6, 5)
         cold, basis = solve_transportation_network_simplex(problem, return_basis=True)
         info = cold.info
@@ -350,7 +351,6 @@ class TestMetrics:
         info = warm.info
         assert info.warm and info.warm_arcs_given == len(basis)
         assert info.warm_arcs_used <= info.warm_arcs_given
-        assert SIMPLEX_METRICS.snapshot()["last_pivots"] == info.pivots
         assert not cold.info.warm  # earlier plans keep their own info
 
     @pytest.mark.parametrize(
@@ -365,12 +365,13 @@ class TestMetrics:
         )
         empty = TransportBasis(rows=[], cols=[])
         outside = TransportBasis(rows=[5, -1], cols=[0, 9])
-        SIMPLEX_METRICS.reset()
+        counts = SolverCounts()
         for hint in (empty, outside):
             plan = solve_transportation_network_simplex(problem, basis=hint)
             assert not plan.info.warm
             assert plan.info.warm_arcs_given == len(hint)
-        snap = SIMPLEX_METRICS.snapshot()
+            counts.add(plan.info)
+        snap = counts.snapshot()["network_simplex"]
         assert snap["warm_solves"] == 0 and snap["cold_solves"] == 2
 
     def test_basis_survives_pickle(self, rng):

@@ -5,7 +5,7 @@ upper-bound vs exact) live in ``test_solver_equivalence.py``; this file
 pins the mechanics: the ε-scaling schedule, support-k resolution, top-k
 screening mask, northwest-corner feasibility repair, small-instance exact
 delegation, the cold network-simplex restricted solve, the diagnostics
-surface (``plan.info`` / ``HYBRID_METRICS``), and the ``method="auto"``
+surface (``plan.info``, and its sums in ``SolverCounts``), and the ``method="auto"``
 policy (the exact network simplex at every size).
 """
 
@@ -25,8 +25,6 @@ from repro.flow import (
 )
 from repro.flow.network_simplex import solve_support_network_simplex
 from repro.flow.sinkhorn_hybrid import (
-    HYBRID_METRICS,
-    HybridMetrics,
     HybridSolveInfo,
     _northwest_corner_cells,
     epsilon_schedule,
@@ -34,6 +32,7 @@ from repro.flow.sinkhorn_hybrid import (
     screen_support,
     solve_transportation_sinkhorn_hybrid,
 )
+from repro.snd.fast import SolverCounts
 
 
 def random_balanced(rng, n, m, *, cost_hi=20):
@@ -253,14 +252,10 @@ class TestDegenerateInstances:
 
 class TestDiagnostics:
     def test_last_hybrid_info_fields(self, rng):
-        """The plan carries its own solve's info, and the aggregate's
-        ``last_*`` fields match it."""
+        """The plan carries its own solve's info."""
         problem = random_balanced(rng, 70, 70)
         plan = solve_transportation_sinkhorn_hybrid(problem, epsilon=0.05, support_k=6)
         info = plan.info
-        snap = HYBRID_METRICS.snapshot()
-        assert snap["last_support_density"] == info.support_density
-        assert snap["last_screen_error_bound"] == info.screen_error_bound
         assert info.screened
         assert info.n_cells == 70 * 70
         assert 0 < info.support_cells < info.n_cells
@@ -274,43 +269,54 @@ class TestDiagnostics:
         assert np.isfinite(info.screen_error_bound)
         assert info.screen_error_bound >= 0.0
 
-    def test_global_metrics_accumulate(self, rng):
-        before = HYBRID_METRICS.snapshot()
-        solve_transportation_sinkhorn_hybrid(random_balanced(rng, 70, 70))
-        solve_transportation_sinkhorn_hybrid(random_balanced(rng, 5, 5))
-        after = HYBRID_METRICS.snapshot()
-        assert after["solves"] == before["solves"] + 2
-        assert after["screened_solves"] == before["screened_solves"] + 1
+    def test_counts_accumulate(self, rng):
+        """Each hybrid solve counts once, and its restricted solve once as
+        a cold network-simplex solve; a solve with no mass runs none."""
+        counts = SolverCounts()
+        for problem in (
+            random_balanced(rng, 70, 70),
+            random_balanced(rng, 5, 5),
+            TransportationProblem([0.0], [0.0], np.ones((1, 1))),
+        ):
+            counts.add(solve_transportation_sinkhorn_hybrid(problem).info)
+        snap = counts.snapshot()
+        assert snap["hybrid"]["solves"] == 3
+        assert snap["hybrid"]["screened_solves"] == 1
+        assert snap["network_simplex"]["solves"] == 2
+        assert snap["network_simplex"]["cold_solves"] == 2
 
     def test_metrics_snapshot_shape(self, rng):
-        metrics = HybridMetrics()
-        metrics.record(
+        counts = SolverCounts()
+        counts.add(
             HybridSolveInfo(
                 n_cells=100, support_cells=25, support_density=0.25,
-                screen_error_bound=0.1, screened=True,
+                screen_error_bound=0.1, screened=True, pivots=7,
             )
         )
-        metrics.record(HybridSolveInfo(screened=False))
-        snap = metrics.snapshot()
-        assert snap["solves"] == 2
-        assert snap["screened_solves"] == 1
-        assert snap["support_density"] == pytest.approx(0.25)
-        assert snap["last_support_density"] == pytest.approx(0.25)
-        assert snap["max_screen_error_bound"] == pytest.approx(0.1)
-        metrics.reset()
-        assert metrics.snapshot()["solves"] == 0
+        counts.add(HybridSolveInfo(screened=False))
+        snap = counts.snapshot()["hybrid"]
+        assert snap == {
+            "solves": 2, "screened_solves": 1,
+            "support_density": pytest.approx(0.25),
+            "max_screen_error_bound": pytest.approx(0.1),
+        }
+        merged = SolverCounts()
+        merged.merge(counts)
+        merged.merge(counts)
+        assert merged.snapshot()["hybrid"]["solves"] == 4
+        assert merged.snapshot()["hybrid"]["max_screen_error_bound"] == pytest.approx(0.1)
+        assert merged.snapshot()["network_simplex"]["cold_pivots"] == 14
 
     def test_infinite_bound_not_folded_into_max(self):
-        metrics = HybridMetrics()
-        metrics.record(
+        counts = SolverCounts()
+        counts.add(
             HybridSolveInfo(
                 n_cells=4, support_cells=4, screen_error_bound=float("inf"),
                 screened=True,
             )
         )
-        snap = metrics.snapshot()
-        assert snap["max_screen_error_bound"] == 0.0  # inf = "uncertified"
-        assert snap["last_screen_error_bound"] == float("inf")  # but last is honest
+        # inf means "uncertified": it never becomes the largest bound.
+        assert counts.snapshot()["hybrid"]["max_screen_error_bound"] == 0.0
 
 
 # --------------------------------------------------------------------- #

@@ -5,9 +5,7 @@ This is the array-state ``_TreeSimplex`` with its children-set tree, the
 ``repro.flow.network_simplex`` shipped them before the tree state moved
 onto Python lists and thread arrays. The oracle tests assert the library
 solver is bitwise equal to it: cost, flows, basis cells, pivots and
-warm arcs used. Solves here record into this module's own
-``SIMPLEX_METRICS``, so they never touch the library's counters. Nothing
-in ``src/`` imports this module.
+warm arcs used. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 
 from repro.exceptions import FlowError
 from repro.flow.basis import TransportBasis
-from repro.flow.network_simplex import NetworkSimplexInfo, NetworkSimplexMetrics
+from repro.flow.network_simplex import NetworkSimplexInfo
 from repro.flow.plan import TransportPlan
 from repro.flow.problem import TransportationProblem
 
@@ -29,8 +27,6 @@ _FEAS_TOL = 1e-7
 # trusted after recomputing potentials exactly from the tree; bound how many
 # times that refinement can re-open the solve.
 _MAX_REFINEMENTS = 64
-
-SIMPLEX_METRICS = NetworkSimplexMetrics()
 
 
 class _TreeSimplex:
@@ -519,7 +515,6 @@ def solve_transportation_network_simplex(
             warm_arcs_used=0,
             cost=0.0,
         )
-        SIMPLEX_METRICS.record(info)
         plan = TransportPlan(flows=np.zeros((n_orig, m_orig)), cost=0.0, info=info)
         empty = TransportBasis(
             rows=np.empty(0, dtype=np.int64), cols=np.empty(0, dtype=np.int64)
@@ -565,7 +560,6 @@ def solve_transportation_network_simplex(
         warm_arcs_used=solver.warm_arcs_used,
         cost=cost,
     )
-    SIMPLEX_METRICS.record(info)
     plan = TransportPlan(flows=flows.copy(), cost=cost, info=info)
 
     tree_arcs = solver.tree_real_arcs()
@@ -636,7 +630,6 @@ def solve_support_network_simplex(
         warm_arcs_used=solver.warm_arcs_used,
         cost=cost,
     )
-    SIMPLEX_METRICS.record(info)
     plan = TransportPlan(flows=flows, cost=cost, info=info)
     if return_cells:
         tree_arcs = solver.tree_real_arcs()

@@ -248,6 +248,52 @@ class TestErrorMapping:
         assert repr(field) in body["error"]["message"]
         assert body["error"]["detail"] == {"field": field}
 
+    @pytest.mark.parametrize("value", ["3", "abc", 2.5, True, [1], {}])
+    @pytest.mark.parametrize("path", ["/v1/series", "/v1/watch"])
+    def test_window_must_be_json_integer_or_null_400(self, server, path, value):
+        """A window that is not a JSON integer or null gets the 400
+        envelope naming the field before any work: no 500 for a string,
+        no silent 200 for a float, and no chunked head on /v1/watch."""
+        status, body = _post(server, path, {"name": "t", "window": value})
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "'window'" in body["error"]["message"]
+        assert body["error"]["detail"] == {"field": "window"}
+        _status, stats = _get(server, "/v1/stats")
+        assert stats["shards"].get("t", {}).get("scheduler", {}).get("requested", 0) == 0
+
+    @pytest.mark.parametrize("value", ["1e9", True, [1], {}])
+    def test_watch_threshold_must_be_json_number_or_null_400(self, server, value):
+        status, body = _post(
+            server, "/v1/watch", {"name": "t", "window": 3, "threshold": value}
+        )
+        assert status == 400
+        assert "'threshold'" in body["error"]["message"]
+        assert body["error"]["detail"] == {"field": "threshold"}
+
+    def test_watch_window_out_of_range_400_before_the_stream(self, server):
+        """A window the engine refuses is answered with the 400 envelope,
+        not inside an already-sent chunked 200."""
+        status, body = _post(server, "/v1/watch", {"name": "t", "window": 1})
+        assert status == 400
+        assert "window" in body["error"]["message"]
+
+    def test_null_window_and_threshold_accepted(self, server):
+        status, body = _post(server, "/v1/series", {"name": "t", "window": None})
+        assert status == 200 and len(body["distances"]) == 4
+        url = f"http://{server.host}:{server.port}/v1/watch"
+        for payload in (
+            {"name": "t", "window": None, "threshold": None},
+            {"name": "t", "window": 3, "threshold": 5},
+        ):
+            request = urllib.request.Request(
+                url, data=json.dumps(payload).encode(), method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=120) as resp:
+                assert resp.status == 200
+                lines = [line for line in resp.read().decode().splitlines() if line]
+            assert len(lines) == 6
+
     def test_unsupported_method_405(self, server):
         status, body = _post(server, "/v1/distance", {}, method="PUT")
         assert status == 405
@@ -535,9 +581,6 @@ class TestHybridOverHttp:
     (not a stubbed raise) maps to HTTP 503 with the rejected counter."""
 
     def test_hybrid_service_distance_and_stats(self, store_path):
-        from repro.flow.sinkhorn_hybrid import HYBRID_METRICS
-
-        before = HYBRID_METRICS.snapshot()["solves"]
         service = SNDService(
             store_path, config=EngineConfig(
                 clusters=2, solver="sinkhorn-hybrid", persist_transitions=False
@@ -551,8 +594,8 @@ class TestHybridOverHttp:
             assert body["distance"] > 0
             _status, stats = _get(server, "/v1/stats")
             hybrid = stats["shards"]["t"]["hybrid"]
-            assert hybrid["solves"] > before
-            assert 0.0 <= hybrid["last_support_density"] <= 1.0
+            assert hybrid["solves"] > 0
+            assert 0.0 <= hybrid["support_density"] <= 1.0
 
     def test_real_saturation_maps_to_503(self, store_path, monkeypatch):
         import repro.flow as flow_mod

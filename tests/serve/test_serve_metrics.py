@@ -138,19 +138,29 @@ class TestStatsBridge:
         assert values['snd_measure_requests_total{measure="snd"}'] == 4
         assert values['snd_measure_requests_total{measure="esp"}'] == 2
 
-    def test_solver_families_emitted_once(self):
-        shard = {
+    def test_solver_families_per_shard(self):
+        """Each shard's solver counts are its own samples, labelled by
+        graph, through the same path as the cache families."""
+        g1 = {
             "scheduler": {"requested": 1},
-            "network_simplex": {"solves": 7, "warm_solves": 3},
-            "hybrid": {"solves": 2, "last_support_density": 0.5},
+            "network_simplex": {"solves": 7, "warm_solves": 3,
+                                "warm_pivots_per_solve": 1.5},
+            "hybrid": {"solves": 2, "support_density": 0.5},
         }
-        stats = {"shards": {"g1": shard, "g2": dict(shard)}}
-        text = render_samples(samples_from_stats(stats))
-        assert text.count("snd_simplex_solves_total 7") == 1
-        assert text.count("snd_hybrid_solves_total 2") == 1
-        # per-shard families appear for both graphs
-        assert 'snd_scheduler_requested_total{graph="g1"}' in text
-        assert 'snd_scheduler_requested_total{graph="g2"}' in text
+        g2 = {"scheduler": {"requested": 1},
+              "network_simplex": {"solves": 0}, "hybrid": {"solves": 0}}
+        stats = {"shards": {"g1": g1, "g2": g2}}
+        types, values = parse_exposition(render_samples(samples_from_stats(stats)))
+        assert values['snd_simplex_solves_total{graph="g1"}'] == 7
+        assert values['snd_simplex_warm_solves_total{graph="g1"}'] == 3
+        assert values['snd_simplex_warm_pivots_per_solve{graph="g1"}'] == 1.5
+        assert values['snd_hybrid_solves_total{graph="g1"}'] == 2
+        assert values['snd_hybrid_support_density{graph="g1"}'] == 0.5
+        assert values['snd_simplex_solves_total{graph="g2"}'] == 0
+        assert values['snd_hybrid_solves_total{graph="g2"}'] == 0
+        assert types["snd_simplex_solves_total"] == "counter"
+        assert types["snd_hybrid_support_density"] == "gauge"
+        assert not any(name.startswith("snd_simplex_last") for name in types)
 
     def test_route_bucket_bounds_cardinality(self):
         m = ServeMetrics()
@@ -195,8 +205,9 @@ class TestScrapeOverHttp:
             clusters=2, client_max_pending=8, persist_transitions=False
         )
         with BackgroundServer(SNDService(store_path, config=config)) as server:
+            # States 0 and 2 differ (0 and 1 are equal: no solve at all).
             assert self._post(server, "/v1/distance",
-                              {"name": "t", "i": 0, "j": 1}) == 200
+                              {"name": "t", "i": 0, "j": 2}) == 200
             status, headers, text = self._fetch(server, "/v1/metrics")
             assert status == 200
             assert headers["Content-Type"] == CONTENT_TYPE
@@ -220,9 +231,9 @@ class TestScrapeOverHttp:
             assert 'snd_cache_extensions_total{cache="rows",graph="t"}' in values
             assert types["snd_cache_skipped_total"] == "counter"
             assert values['snd_cache_skipped_total{cache="rows",graph="t"}'] == 0
-            # solver metric families (process-global singletons)
-            assert "snd_simplex_solves_total" in values
-            assert "snd_hybrid_solves_total" in values
+            # solver metric families, the shard's own engine counts
+            assert values['snd_simplex_solves_total{graph="t"}'] > 0
+            assert 'snd_hybrid_solves_total{graph="t"}' in values
             # uptime gauge present
             assert types["snd_serve_uptime_seconds"] == "gauge"
 

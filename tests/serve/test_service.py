@@ -209,3 +209,23 @@ class TestOneEnginePerShard:
             svc.corpus_extend("t", "one-engine", take=1)
             svc.corpus_query("t", "one-engine", 4, k=2)
         assert created == [1]
+
+
+class TestSolverCountsPerShard:
+    def test_two_shards_count_separately(self, tmp_path):
+        """Each shard reports the solves of its own engine: work on one
+        graph never shows in another's counts."""
+        path = str(tmp_path / "two.sqlite")
+        for name, seed in (("a", "3"), ("b", "4")):
+            assert main([
+                "generate", "--nodes", "60", "--states", "3", "--seeds", "8",
+                "--seed", seed, "--store", path, "--name", name,
+            ]) == 0
+        config = EngineConfig(clusters=2, persist_transitions=False)
+        with SNDService(path, config=config) as svc:
+            svc.shard("b").engine()  # both engines exist, only "a" solves
+            assert svc.distance_pair("a", 0, 2) > 0
+            shards = svc.stats()["shards"]
+        assert shards["a"]["network_simplex"]["solves"] > 0
+        assert shards["b"]["network_simplex"]["solves"] == 0
+        assert shards["b"]["hybrid"]["solves"] == 0

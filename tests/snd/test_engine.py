@@ -214,6 +214,18 @@ class TestEnginePairwise:
             one = engine.pairwise_matrix([NetworkState.neutral(40)])
             assert one.shape == (1, 1) and one[0, 0] == 0.0
 
+    def test_ground_reservation_ends_with_the_call(self, graph):
+        """A matrix holds ground arrays for its own states only while it
+        runs: a long stream afterwards sizes the cache by its own hits."""
+        rng = np.random.default_rng(3)
+        with SNDEngine(fresh_snd(graph), jobs=None) as engine:
+            engine.pairwise_matrix(random_series(40, 3, rng))
+            for _update in engine.stream(random_series(40, 200, rng)):
+                pass
+            ground = engine.caches.ground.stats()
+        assert ground["capacity"] == GroundCostCache.MIN_SIZE
+        assert ground["size"] <= GroundCostCache.MIN_SIZE
+
 
 class TestCorpusIncremental:
     """The acceptance contract: ``Corpus.extend`` is bit-identical to a
@@ -633,19 +645,18 @@ class TestWarmStartedEngine:
         transition from the transition cache and solves the single new
         transition with *warm* network-simplex solves (supplier-channel
         basis hits), pivoting less than the cold sweep did per solve."""
-        from repro.flow.network_simplex import SIMPLEX_METRICS
-
         series = self.constant_adopter_series(40, 7)
         with SNDEngine(self.ns_snd(graph), jobs=None) as engine:
-            SIMPLEX_METRICS.reset()
             engine.evaluate_series(series[:6], transitions=engine.caches.transitions)
-            cold = SIMPLEX_METRICS.snapshot()
+            cold = engine.stats()["network_simplex"]
             assert cold["cold_solves"] > 0
             hits_before = engine.caches.bases.stats()["hits"]
-            SIMPLEX_METRICS.reset()
             engine.evaluate_series(series[1:7], transitions=engine.caches.transitions)
-            warm = SIMPLEX_METRICS.snapshot()
+            total = engine.stats()["network_simplex"]
             bases = engine.caches.bases.stats()
+        warm = {key: total[key] - cold[key] for key in (
+            "solves", "cold_solves", "warm_solves", "warm_pivots"
+        )}
         # Exactly one new transition was solved; its reverse terms (3/4)
         # are always warmed by terms 1/2 of the same pair (reverse
         # channel), while the forward terms depend on label overlap with
@@ -657,7 +668,7 @@ class TestWarmStartedEngine:
         assert warm["warm_solves"] >= warm["cold_solves"]
         assert bases["hits"] > hits_before
         assert bases["supplier_hits"] + bases["reverse_hits"] + bases["exact_hits"] > 0
-        assert warm["warm_pivots_per_solve"] < max(
+        assert warm["warm_pivots"] / warm["warm_solves"] < max(
             cold["cold_pivots_per_solve"], 1.0
         )
 
@@ -681,12 +692,9 @@ class TestWarmStartedEngine:
         whose reverse-channel hits warm-start the second
         direction of every pair — visible in the pivots-per-solve
         counters of ``engine.stats()``."""
-        from repro.flow.network_simplex import SIMPLEX_METRICS
-
         series = self.rotating_adopter_series(40, 4)
         auto = SND(graph, n_clusters=3, seed=0, solver="auto")
         with SNDEngine(auto, jobs=None) as engine:
-            SIMPLEX_METRICS.reset()
             values_warm = engine.evaluate_series(
                 series, transitions=engine.caches.transitions
             )
@@ -770,3 +778,103 @@ class TestWarmStartedEngine:
             assert engine.pool_starts == starts  # no relaunch
             assert sorted(slot_of) == list(range(len(batch)))  # remapped from 0
             assert len(engine._slots) == len(batch)
+
+
+class TestSolverCounts:
+    """Each engine counts its own network-simplex solves and pivots,
+    wherever its pairs ran: a pool chunk returns its counts with its
+    values."""
+
+    @pytest.fixture(scope="class")
+    def graph60(self):
+        return erdos_renyi_graph(60, 0.1, seed=4)
+
+    def test_pool_counts_equal_serial(self, graph60):
+        """A jobs=2 matrix counts the solves and pivots a serial one does.
+        Under the "cluster" bank metric every term solves once on full
+        rows, so the work does not depend on which process's row cache
+        saw which terms first."""
+        states = random_series(60, 5, np.random.default_rng(1))
+        counts = {}
+        for jobs in (2, None):
+            snd = SND(
+                graph60, n_clusters=3, seed=0, solver="network-simplex",
+                bank_metric="cluster",
+            )
+            with SNDEngine(snd, jobs=jobs, use_basis_cache=False) as engine:
+                engine.pairwise_matrix(states)
+                counts[jobs] = engine.stats()["network_simplex"]
+                assert engine.pool_starts == (jobs is not None)
+        assert counts[2] == counts[None]
+        assert counts[None]["solves"] == 40  # 10 pairs, four terms each
+
+    @pytest.mark.parametrize(
+        "use_basis_cache, expected",
+        [
+            (False, {"solves": 40, "cold_solves": 40, "warm_solves": 0,
+                     "cold_pivots": 125, "warm_pivots": 0, "warm_arcs_used": 0}),
+            (True, {"solves": 40, "cold_solves": 20, "warm_solves": 20,
+                    "cold_pivots": 64, "warm_pivots": 3, "warm_arcs_used": 59}),
+        ],
+        ids=["cold", "warm"],
+    )
+    def test_serial_stream_counts_pinned(self, graph60, use_basis_cache, expected):
+        """The counts of a serial stream, pinned: each term adds every
+        round's solve, cold or warm, as one solve."""
+        states = random_series(60, 12, np.random.default_rng(8))
+        snd = SND(graph60, n_clusters=3, seed=0, solver="network-simplex")
+        with SNDEngine(snd, jobs=None, use_basis_cache=use_basis_cache) as engine:
+            for _update in engine.stream(states):
+                pass
+            counts = engine.stats()["network_simplex"]
+        assert {key: counts[key] for key in expected} == expected
+
+    def test_threads_lose_no_counts(self, graph60):
+        """Eight threads solving distinct pairs on one engine, switching
+        every microsecond: the engine counts what one thread counts."""
+        import sys
+        import threading
+
+        states = list(random_series(60, 9, np.random.default_rng(4)))
+        pairs = [(i, i + 1) for i in range(8)]
+
+        def engine():
+            snd = SND(
+                graph60, n_clusters=3, seed=0, solver="network-simplex",
+                bank_metric="cluster",
+            )
+            return SNDEngine(snd, jobs=None, use_basis_cache=False)
+
+        with engine() as serial:
+            for i, j in pairs:
+                serial.distance(states[i], states[j])
+            expected = serial.stats()["network_simplex"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with engine() as shared:
+                threads = [
+                    threading.Thread(target=shared.distance, args=(states[i], states[j]))
+                    for i, j in pairs
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                counts = shared.stats()["network_simplex"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert expected["solves"] > 0
+        assert counts == expected
+
+    def test_engines_count_separately(self, graph60):
+        """Solves of one engine never show in another's counts."""
+        states = random_series(60, 3, np.random.default_rng(2))
+        snd = SND(graph60, n_clusters=3, seed=0, solver="network-simplex")
+        busy, idle = SNDEngine(snd, jobs=None), SNDEngine(snd, jobs=None)
+        with busy, idle:
+            busy.evaluate_series(states)
+            assert busy.stats()["network_simplex"]["solves"] > 0
+            assert idle.stats()["network_simplex"]["solves"] == 0
+            assert idle.stats()["hybrid"]["solves"] == 0

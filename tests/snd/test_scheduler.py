@@ -385,25 +385,20 @@ class TestThrottledHybridSolves:
             assert stats["solved"] == 1
 
     def test_engine_stats_embed_hybrid_block(self, graph):
-        from repro.flow.sinkhorn_hybrid import HYBRID_METRICS
-
         states = distinct_states(30, 2)
-        before = HYBRID_METRICS.snapshot()["solves"]
         with hybrid_engine(graph) as engine:
+            before = engine.stats()["hybrid"]
             engine.scheduler.evaluate(states, [(0, 1)])
             stats = engine.stats()
-            assert "hybrid" in stats
-            for key in (
-                "solves",
-                "screened_solves",
-                "support_density",
-                "last_support_density",
-                "last_screen_error_bound",
+            assert set(stats["hybrid"]) == {
+                "solves", "screened_solves", "support_density",
                 "max_screen_error_bound",
-            ):
-                assert key in stats["hybrid"]
-            # The pair's reduced solves all went through the hybrid tier.
-            assert stats["hybrid"]["solves"] > before
+            }
+            # The pair's reduced solves all went through the hybrid tier,
+            # each with its restricted network-simplex solve.
+            assert before["solves"] == 0
+            assert stats["hybrid"]["solves"] > 0
+            assert stats["network_simplex"]["solves"] == stats["hybrid"]["solves"]
 
 
 class TestClientFairness:
