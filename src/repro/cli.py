@@ -406,6 +406,8 @@ def _make_service(args: argparse.Namespace):
 def _print_cache_stats(
     stats: dict | None, measures: dict[str, int] | None = None
 ) -> None:
+    """Print each cache's ``stats()`` dict as ``key=value`` pairs: the
+    keys are the stats keys and the ``snd_cache_*`` metric suffixes."""
     if measures:
         joined = "  ".join(
             f"{name}={count}" for name, count in sorted(measures.items())
@@ -415,30 +417,13 @@ def _print_cache_stats(
         print("# cache stats: no SND instance was used")
         return
     print("# cache stats (unified hierarchy)")
-    for layer in ("ground", "rows", "transitions", "bases"):
-        s = stats[layer]
-        extra = ""
-        if layer == "bases":
-            extra = (
-                f" (exact={s['exact_hits']} reverse={s['reverse_hits']} "
-                f"supplier={s['supplier_hits']})"
-            )
-        elif layer == "ground":
-            extra = f" (capacity={s['capacity']})"
-        elif layer == "rows":
-            extra = (
-                f" (extensions={s['extensions']} settled={s['settled']} "
-                f"skipped={s['skipped']})"
-            )
-        print(
-            f"#   {layer:11s} hits={s['hits']} misses={s['misses']} "
-            f"builds={s['builds']} evictions={s['evictions']} "
-            f"size={s['size']}/{s['max_size']} bytes={s['nbytes']}{extra}"
-        )
-    print(
-        f"#   total bytes={stats['total_nbytes']} "
-        f"budget={stats['memory_budget']}"
-    )
+    totals = {}
+    for name, value in stats.items():
+        if isinstance(value, dict):
+            print(f"#   {name:11s} " + " ".join(f"{k}={v}" for k, v in value.items()))
+        else:
+            totals[name] = value
+    print("#   " + " ".join(f"{k}={v}" for k, v in totals.items()))
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
@@ -447,6 +432,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         values = service.series_distances(
             args.name, measure=args.measure, window=args.window
         )
+        cache_stats = service.cache_stats(args.name)
     print(f"# {args.measure} distances between adjacent states")
     for t, v in enumerate(values):
         print(f"{t:4d} -> {t + 1:4d}: {v:.6g}")
@@ -468,7 +454,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             f"(series_id={sid}) in {args.store}"
         )
     if args.cache_stats:
-        _print_cache_stats(context.cache_stats(), service.measure_requests())
+        _print_cache_stats(cache_stats, service.measure_requests())
     return 0
 
 
@@ -476,6 +462,7 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
     with _make_service(args) as service:
         shard = service.shard(args.name)
         matrix = service.matrix(args.name, measure=args.measure)
+        cache_stats = service.cache_stats(args.name)
     series = shard.series
     if args.output:
         np.save(args.output, matrix)
@@ -497,7 +484,7 @@ def _cmd_distance_matrix(args: argparse.Namespace) -> int:
             f"({args.measure} matrix) to {args.store}"
         )
     if args.cache_stats:
-        _print_cache_stats(shard.context.cache_stats(), service.measure_requests())
+        _print_cache_stats(cache_stats, service.measure_requests())
     return 0
 
 

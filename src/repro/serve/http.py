@@ -466,8 +466,11 @@ class HttpServer:
         if not isinstance(params, dict):
             raise _HttpError(400, "request body must be a JSON object")
         if path == "/distance":
-            client = headers.get("x-client") or params.get("client")
-            priority = headers.get("x-priority") or params.get("priority")
+            # A header wins over the body field; the field is checked either way.
+            client = self._optional_field(params, "client", str, "a JSON string")
+            client = headers.get("x-client") or client
+            priority = self._optional_field(params, "priority", str, "a JSON string")
+            priority = headers.get("x-priority") or priority
             value = await self._run(
                 self.service.distance_pair,
                 self._require(params, "name"),

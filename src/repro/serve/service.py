@@ -465,9 +465,10 @@ class SNDService:
     # ------------------------------------------------------------------ #
 
     def cache_stats(self, graph_name: str) -> dict | None:
-        """The shard's unified-cache counters (the ``--cache-stats``
-        surface; ``None`` when no SND instance was used)."""
-        return self.shard(graph_name).context.cache_stats()
+        """The shard's unified-cache counters, pool workers' included
+        (``stats()["caches"]``, the ``--cache-stats`` surface; ``None``
+        when no SND instance was used)."""
+        return self.shard(graph_name).stats()["caches"]
 
     def stats(self) -> dict:
         """Service-wide counters: one entry per loaded shard (cache

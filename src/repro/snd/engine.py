@@ -74,7 +74,20 @@ from repro.snd.cache import (
 from repro.snd.fast import SolverCounts
 from repro.snd.scheduler import DEFAULT_MAX_PENDING, PairScheduler, resolve_jobs
 
-__all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs"]
+__all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs", "STATS_GAUGES"]
+
+#: The keys of :meth:`SNDEngine.stats` (and of the serving shard stats
+#: that embed it) whose values are levels: sizes, bounds, settings and
+#: means. Every other numeric leaf is a monotone counter, so a pool
+#: worker's count adds to the engine's and the scrape exports it as
+#: ``_total``.
+STATS_GAUGES = frozenset({
+    "pending", "peak_pending", "max_pending", "client_max_pending",
+    "size", "max_size", "capacity", "nbytes", "total_nbytes", "memory_budget",
+    "cold_pivots_per_solve", "warm_pivots_per_solve",
+    "support_density", "max_screen_error_bound",
+    "jobs", "n_states",
+})
 
 
 # --------------------------------------------------------------------- #
@@ -154,11 +167,21 @@ def _init_engine_worker(
     _ENGINE_WORKER["basis_cache_enabled"] = basis_size > 0
 
 
+def _cache_counters(caches: CacheManager) -> dict[str, dict[str, int]]:
+    """The counter (non-gauge) keys of each member cache's stats."""
+    return {
+        name: {key: value for key, value in member.items() if key not in STATS_GAUGES}
+        for name, member in caches.stats().items()
+        if isinstance(member, dict)
+    }
+
+
 def _engine_pairs_worker(
     pairs: list[tuple[int, int]],
-) -> tuple[list[float], SolverCounts]:
-    """Distances for explicit row-index pairs read from shared memory, and
-    the solver work they took (the engine adds it to its own counts).
+) -> tuple[list[float], SolverCounts, dict[str, dict[str, int]]]:
+    """Distances for explicit row-index pairs read from shared memory, the
+    solver work they took, and the worker caches' counter delta (the
+    engine adds both to its own counts).
 
     States are rebuilt from row *copies* (a row is ``n`` int8 bytes —
     negligible next to one SND solve), so later overwrites of the shared
@@ -171,6 +194,7 @@ def _engine_pairs_worker(
     basis_cache = caches.bases if _ENGINE_WORKER["basis_cache_enabled"] else None
     local: dict = {}
     counts = SolverCounts()
+    before = _cache_counters(caches)
 
     def state(i: int):
         s = local.get(i)
@@ -185,7 +209,11 @@ def _engine_pairs_worker(
         )[0]
         for i, j in pairs
     ]
-    return values, counts
+    delta = {
+        name: {key: value - before[name][key] for key, value in member.items()}
+        for name, member in _cache_counters(caches).items()
+    }
+    return values, counts, delta
 
 
 # --------------------------------------------------------------------- #
@@ -294,6 +322,8 @@ class SNDEngine:
         )
         self._queries = {"queries": 0, "bounded": 0, "solved": 0}
         self._solver_counts = SolverCounts()
+        #: Cache counters the pool workers added, by member cache.
+        self._worker_caches: dict[str, dict[str, int]] = {}
         self._counts_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -468,9 +498,9 @@ class SNDEngine:
         # necessarily equal to its position in *states*.
         slot_chunks = [[(slot_of[i], slot_of[j]) for i, j in chunk] for chunk in chunks]
         results = list(pool.map(_engine_pairs_worker, slot_chunks))
-        for _values, counts in results:
-            self._count_solves(counts)
-        return [values for values, _counts in results]
+        for _values, counts, cache_delta in results:
+            self._count_solves(counts, cache_delta)
+        return [values for values, *_counts in results]
 
     # ------------------------------------------------------------------ #
     # Series evaluation
@@ -638,14 +668,27 @@ class SNDEngine:
             self._queries["bounded"] += bounded
             self._queries["solved"] += solved
 
-    def _count_solves(self, counts: SolverCounts) -> None:
-        """Add one pair's or one pool chunk's solver work to the engine's."""
+    def _count_solves(self, counts: SolverCounts, cache_delta: dict | None = None) -> None:
+        """Add one pair's or one pool chunk's solver work, and a chunk's
+        worker cache counters, to the engine's."""
         with self._counts_lock:
             self._solver_counts.merge(counts)
+            for name, member in (cache_delta or {}).items():
+                mine = self._worker_caches.setdefault(name, {})
+                for key, value in member.items():
+                    mine[key] = mine.get(key, 0) + value
 
     def stats(self) -> dict:
         """Cache hierarchy counters plus engine/pool state (benchmark
         JSON-ready).
+
+        One schema: a key in :data:`STATS_GAUGES` is a level, every other
+        numeric leaf a monotone counter. ``/v1/metrics`` exports each leaf
+        under its key (``repro.serve.metrics``) and ``--cache-stats``
+        prints the ``"caches"`` dicts as they are. The ``"caches"`` counters
+        include what pool workers' own caches counted, returned with each
+        chunk's values; the gauges (``size``, ``nbytes``, ``capacity``,
+        ...) are this process's caches only.
 
         The ``"network_simplex"`` and ``"hybrid"`` blocks count the solver
         work of this engine's pairs, wherever they ran: in this process or
@@ -663,11 +706,15 @@ class SNDEngine:
         :meth:`Corpus.query` calls on this engine and the member pairs they
         bounded and solved exactly (solved < bounded when pruning works).
         """
+        caches = self.caches.stats()
         with self._counts_lock:
             queries = dict(self._queries)
             solver_counts = self._solver_counts.snapshot()
+            for name, member in self._worker_caches.items():
+                for key, value in member.items():
+                    caches[name][key] += value
         return {
-            "caches": self.caches.stats(),
+            "caches": caches,
             "scheduler": self.scheduler.stats(),
             **solver_counts,
             "jobs": self.jobs,

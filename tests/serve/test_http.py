@@ -294,6 +294,35 @@ class TestErrorMapping:
                 lines = [line for line in resp.read().decode().splitlines() if line]
             assert len(lines) == 6
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("client", ["a"]), ("client", {"a": 1}), ("client", 7), ("client", True),
+         ("priority", ["high"]), ("priority", 3), ("priority", False)],
+    )
+    def test_client_and_priority_must_be_json_string_or_null_400(
+        self, server, field, value
+    ):
+        """A client identity or priority that is not a JSON string (a
+        list, an object, a number, a bool) gets the 400 envelope naming
+        the field: not a 500, and not a client served as ``"7"``."""
+        payload = {"name": "t", "i": 0, "j": 1, field: value}
+        status, body = _post(server, "/v1/distance", payload)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert repr(field) in body["error"]["message"]
+        assert body["error"]["detail"] == {"field": field}
+        _status, stats = _get(server, "/v1/stats")
+        shard = stats["shards"].get("t", {})
+        assert shard.get("scheduler", {}).get("requested", 0) == 0
+
+    def test_string_or_null_client_and_priority_accepted(self, server):
+        for extra in ({"client": None, "priority": None},
+                      {"client": "alice", "priority": "high"}):
+            status, _body = _post(server, "/v1/distance", {"name": "t", "i": 0, "j": 1, **extra})
+            assert status == 200
+        _status, stats = _get(server, "/v1/stats")
+        assert list(stats["shards"]["t"]["scheduler"]["clients"]) == ["alice"]
+
     def test_unsupported_method_405(self, server):
         status, body = _post(server, "/v1/distance", {}, method="PUT")
         assert status == 405

@@ -1,27 +1,26 @@
-"""Prometheus exposition tests: registry instruments, the stats-tree
-bridge, and a real-socket scrape of /v1/metrics with counter
-monotonicity across requests."""
+"""Prometheus exposition tests: a golden scrape, the live HTTP families,
+the stats-tree bridge, and a real-socket scrape of /v1/metrics with
+counter monotonicity across requests."""
 
 import json
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.exceptions import ValidationError
 from repro.serve import EngineConfig, SNDService
 from repro.serve.http import BackgroundServer
 from repro.serve.metrics import (
     CONTENT_TYPE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
     ServeMetrics,
     render_samples,
     samples_from_stats,
 )
+
+FIXTURES = Path(__file__).parent
 
 
 def parse_exposition(text: str):
@@ -44,64 +43,175 @@ def parse_exposition(text: str):
     return types, values
 
 
+#: Fixed HTTP observations rendered into the golden scrape: latencies
+#: spread over the buckets and one past the last, an unknown path, and a
+#: status other than 200.
+GOLDEN_REQUESTS = (
+    ("/distance", 200, 0.0042),
+    ("/distance", 200, 0.0191),
+    ("/distance", 400, 0.0007),
+    ("/no/such/path", 404, 0.0003),
+    ("/metrics", 200, 0.03),
+    ("/watch", 200, 7.5),
+    ("/matrix", 200, 12.0),
+)
+
+
+def golden_render() -> str:
+    """The scrape of ``golden_stats.json`` plus :data:`GOLDEN_REQUESTS`,
+    without the uptime gauge (the one family that reads the clock)."""
+    metrics = ServeMetrics()
+    for path, status, seconds in GOLDEN_REQUESTS:
+        metrics.observe_request(path, status, seconds)
+    stats = json.loads((FIXTURES / "golden_stats.json").read_text())
+    return "".join(
+        line + "\n"
+        for line in metrics.render(stats).splitlines()
+        if "snd_serve_uptime_seconds" not in line
+    )
+
+
+def family_of(line: str) -> str:
+    """The metric family a HELP, TYPE or sample line belongs to."""
+    if line.startswith("#"):
+        return line.split(" ")[2]
+    name = line.split("{")[0].split(" ")[0]
+    histogram = "snd_http_request_duration_seconds"
+    return histogram if name.startswith(histogram) else name
+
+
+class TestGoldenScrape:
+    """``golden_scrape.txt`` is the render of the same stats tree and HTTP
+    observations by the table-driven exporter this one replaced."""
+
+    def test_every_golden_line_rendered(self):
+        rendered = set(golden_render().splitlines())
+        golden = (FIXTURES / "golden_scrape.txt").read_text().splitlines()
+        assert [line for line in golden if line not in rendered] == []
+
+    def test_new_lines_only_for_keys_the_tables_dropped(self):
+        golden = set((FIXTURES / "golden_scrape.txt").read_text().splitlines())
+        new = [line for line in golden_render().splitlines() if line not in golden]
+        assert {family_of(line) for line in new} == {
+            "snd_cache_exact_hits_total",
+            "snd_cache_reverse_hits_total",
+            "snd_cache_supplier_hits_total",
+            "snd_engine_jobs",
+            "snd_engine_capacity",
+            "snd_engine_n_states",
+        }
+
+    def test_one_contiguous_block_per_family(self):
+        seen: list[str] = []
+        for line in golden_render().splitlines():
+            family = family_of(line)
+            if not seen or seen[-1] != family:
+                assert family not in seen, f"{family} split in two blocks"
+                seen.append(family)
+
+
 class TestInstruments:
+    """The two live HTTP families, recorded by :class:`ServeMetrics`."""
+
     def test_counter_requires_total_suffix(self):
-        with pytest.raises(ValidationError):
-            Counter("snd_things", "h")
+        """Every counter family in a full scrape ends in ``_total``."""
+        types, _values = parse_exposition(golden_render())
+        counters = [name for name, mtype in types.items() if mtype == "counter"]
+        assert counters and all(name.endswith("_total") for name in counters)
 
     def test_counter_labels_and_monotonicity(self):
-        c = Counter("snd_reqs_total", "h", ("route",))
-        c.inc(route="/a")
-        c.inc(2, route="/a")
-        c.inc(route="/b")
-        assert c.value(route="/a") == 3
-        with pytest.raises(ValidationError):
-            c.inc(-1, route="/a")
-        with pytest.raises(ValidationError):
-            c.inc(other="x")
-        lines = render_samples(c.collect())
-        assert '# TYPE snd_reqs_total counter' in lines
-        assert 'snd_reqs_total{route="/a"} 3' in lines
+        m = ServeMetrics()
+        m.observe_request("/distance", 200, 0.01)
+        m.observe_request("/distance", 200, 0.01)
+        m.observe_request("/distance", 400, 0.01)
+        m.observe_request("/series", 200, 0.01)
+        text = m.render()
+        assert "# TYPE snd_http_requests_total counter" in text
+        _types, values = parse_exposition(text)
+        assert values['snd_http_requests_total{route="/distance",status="200"}'] == 2
+        assert values['snd_http_requests_total{route="/distance",status="400"}'] == 1
+        m.observe_request("/distance", 200, 0.01)
+        _types, after = parse_exposition(m.render())
+        assert after['snd_http_requests_total{route="/distance",status="200"}'] == 3
+        assert all(after[name] >= value for name, value in values.items()
+                   if name.endswith("_total") or "_bucket" in name)
 
-    def test_gauge_set(self):
-        g = Gauge("snd_depth", "h")
-        g.set(4)
-        g.set(2)
-        _types, values = parse_exposition(render_samples(g.collect()))
-        assert values["snd_depth"] == 2
+    def test_gauges_read_the_current_stats_value(self):
+        m = ServeMetrics()
+        for pending in (4, 2):
+            _types, values = parse_exposition(
+                m.render({"scheduler": {"pending": pending}})
+            )
+        assert values['snd_scheduler_pending{graph="default"}'] == 2
 
     def test_histogram_buckets_are_cumulative(self):
-        h = Histogram("snd_lat_seconds", "h", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0):
-            h.observe(v)
-        _types, values = parse_exposition(render_samples(h.collect()))
-        assert values['snd_lat_seconds_bucket{le="0.1"}'] == 1
-        assert values['snd_lat_seconds_bucket{le="1"}'] == 3
-        assert values['snd_lat_seconds_bucket{le="10"}'] == 4
-        assert values['snd_lat_seconds_bucket{le="+Inf"}'] == 4
-        assert values["snd_lat_seconds_count"] == 4
-        assert values["snd_lat_seconds_sum"] == pytest.approx(6.05)
+        m = ServeMetrics()
+        for v in (0.0005, 0.02, 0.02, 5.0, 60.0):
+            m.observe_request("/distance", 200, v)
+        _types, values = parse_exposition(m.render())
+
+        def bucket(le):
+            return values[
+                f'snd_http_request_duration_seconds_bucket{{le="{le}",route="/distance"}}'
+            ]
+
+        assert bucket("0.001") == 1
+        assert bucket("0.01") == 1
+        assert bucket("0.025") == 3
+        assert bucket("5") == 4
+        assert bucket("10") == 4
+        assert bucket("+Inf") == 5
+        assert values['snd_http_request_duration_seconds_count{route="/distance"}'] == 5
+        assert values['snd_http_request_duration_seconds_sum{route="/distance"}'] == (
+            pytest.approx(65.0405)
+        )
 
     def test_label_escaping(self):
-        c = Counter("snd_esc_total", "h", ("who",))
-        c.inc(who='a"b\\c\nd')
-        line = render_samples(c.collect())
-        assert '{who="a\\"b\\\\c\\nd"}' in line
+        stats = {"scheduler": {"clients": {'a"b\\c\nd': {"requested": 1}}}}
+        text = ServeMetrics().render(stats)
+        assert 'snd_client_requested_total{client="a\\"b\\\\c\\nd",graph="default"} 1' in text
 
-    def test_registry_collects_in_order(self):
-        reg = MetricRegistry()
-        reg.counter("snd_a_total", "ha")
-        reg.gauge("snd_b", "hb")
-        fams = [s.family for s in reg.collect()]
-        assert fams == []  # nothing observed yet -> no samples
+    def test_no_http_rows_before_the_first_request(self):
+        types, _values = parse_exposition(ServeMetrics().render())
+        assert list(types) == ["snd_serve_uptime_seconds"]
+
+    def test_threads_lose_no_observations(self):
+        """Eight threads recording at once, switching every microsecond:
+        every request is counted once and bucketed once."""
+        import sys
+        import threading
+
+        m = ServeMetrics()
+
+        def record():
+            for _ in range(500):
+                m.observe_request("/distance", 200, 0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        _types, values = parse_exposition(m.render())
+        assert values['snd_http_requests_total{route="/distance",status="200"}'] == 4000
+        assert values['snd_http_request_duration_seconds_bucket{le="0.005",route="/distance"}'] == 4000
+        assert values['snd_http_request_duration_seconds_bucket{le="0.001",route="/distance"}'] == 0
 
     def test_help_and_type_emitted_once_per_family(self):
-        c = Counter("snd_multi_total", "h", ("k",))
-        c.inc(k="1")
-        c.inc(k="2")
-        text = render_samples(c.collect())
-        assert text.count("# TYPE snd_multi_total counter") == 1
-        assert text.count("# HELP snd_multi_total") == 1
+        m = ServeMetrics()
+        for route in ("/distance", "/series", "/matrix"):
+            m.observe_request(route, 200, 0.01)
+        text = m.render()
+        for family in ("snd_http_requests_total", "snd_http_request_duration_seconds"):
+            assert text.count(f"# TYPE {family} ") == 1
+            assert text.count(f"# HELP {family} ") == 1
+        assert text.count("# TYPE ") == text.count("# HELP ") == 3
 
 
 class TestStatsBridge:
@@ -161,6 +271,68 @@ class TestStatsBridge:
         assert types["snd_simplex_solves_total"] == "counter"
         assert types["snd_hybrid_support_density"] == "gauge"
         assert not any(name.startswith("snd_simplex_last") for name in types)
+
+    def test_basis_channel_hits_exported(self):
+        """The basis store's per-channel warm hits reach the scrape with
+        the values ``engine.stats()`` reports."""
+        from repro.graph.generators import erdos_renyi_graph
+        from repro.opinions.state import NetworkState
+        from repro.snd import SND, SNDEngine
+
+        rng = np.random.default_rng(1)
+        values = np.zeros(60, dtype=np.int8)
+        states = []
+        for _ in range(5):
+            values = values.copy()
+            idx = rng.integers(0, 60, size=6)
+            values[idx] = rng.integers(-1, 2, size=idx.size)
+            states.append(NetworkState(values))
+        snd = SND(erdos_renyi_graph(60, 0.1, seed=4), n_clusters=3, seed=0,
+                  solver="network-simplex")
+        with SNDEngine(snd, jobs=None) as engine:
+            engine.pairwise_matrix(states)
+            stats = engine.stats()
+        bases = stats["caches"]["bases"]
+        assert bases["reverse_hits"] + bases["supplier_hits"] > 0
+        types, values = parse_exposition(render_samples(samples_from_stats(stats)))
+        for channel in ("exact", "reverse", "supplier"):
+            name = f"snd_cache_{channel}_hits_total"
+            assert types[name] == "counter"
+            assert values[f'{name}{{cache="bases",graph="default"}}'] == (
+                bases[f"{channel}_hits"]
+            )
+
+    @pytest.mark.parametrize(
+        "path, sample",
+        [
+            (("scheduler",), 'snd_scheduler_novel_total{graph="default"}'),
+            (("scheduler", "clients", "a"),
+             'snd_client_novel_total{client="a",graph="default"}'),
+            (("caches", "rows"), 'snd_cache_novel_total{cache="rows",graph="default"}'),
+            (("caches",), 'snd_cache_novel_total{graph="default"}'),
+            (("network_simplex",), 'snd_simplex_novel_total{graph="default"}'),
+            (("hybrid",), 'snd_hybrid_novel_total{graph="default"}'),
+            (("corpus_query",), 'snd_corpus_query_novel_total{graph="default"}'),
+            ((), 'snd_engine_novel_total{graph="default"}'),
+        ],
+    )
+    def test_new_stats_key_exported(self, path, sample):
+        """A numeric key added to any stats dict is scraped as a counter
+        with no exporter edit."""
+        stats = {
+            "scheduler": {"requested": 1, "clients": {"a": {"requested": 1}}},
+            "caches": {"rows": {"hits": 1}, "total_nbytes": 8},
+            "network_simplex": {"solves": 1},
+            "hybrid": {"solves": 0},
+            "corpus_query": {"queries": 0},
+        }
+        node = stats
+        for key in path:
+            node = node[key]
+        node["novel"] = 7
+        types, values = parse_exposition(render_samples(samples_from_stats(stats)))
+        assert values[sample] == 7
+        assert types[sample.split("{")[0]] == "counter"
 
     def test_route_bucket_bounds_cardinality(self):
         m = ServeMetrics()

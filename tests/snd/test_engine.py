@@ -808,6 +808,34 @@ class TestSolverCounts:
         assert counts[2] == counts[None]
         assert counts[None]["solves"] == 40  # 10 pairs, four terms each
 
+    def test_pool_cache_counters_reach_stats(self, graph60):
+        """A jobs=2 matrix reports its workers' cache lookups: one ground
+        lookup per term, as the serial engine counts, and the rows and
+        bases the workers built. Gauges stay this process's own."""
+        states = random_series(60, 5, np.random.default_rng(1))
+        caches, own = {}, {}
+        for jobs in (2, None):
+            snd = SND(
+                graph60, n_clusters=3, seed=0, solver="network-simplex",
+                bank_metric="cluster",
+            )
+            with SNDEngine(snd, jobs=jobs) as engine:
+                engine.pairwise_matrix(states)
+                caches[jobs] = engine.stats()["caches"]
+                own[jobs] = engine.caches.stats()
+        pooled, serial = caches[2], caches[None]
+
+        def lookups(stats):
+            return stats["ground"]["hits"] + stats["ground"]["misses"]
+
+        assert lookups(pooled) == lookups(serial) > 0
+        assert pooled["rows"]["misses"] > 0
+        assert pooled["bases"]["builds"] > 0
+        for name in ("ground", "rows", "bases"):
+            for key in ("size", "nbytes"):
+                assert pooled[name][key] == 0  # the parent process held none
+        assert pooled["ground"]["capacity"] == own[2]["ground"]["capacity"]
+
     @pytest.mark.parametrize(
         "use_basis_cache, expected",
         [
