@@ -3,10 +3,10 @@
 
 Two different needs, two different algorithms:
 
-* :func:`balanced_bfs_partition` produces a *complete, balanced* partition —
-  what EMD* bank allocation needs (every bin must belong to exactly one
-  cluster, cluster sizes should be comparable so bank capacities are
-  well-conditioned).
+* :func:`balanced_bfs_partition` produces a *complete* partition grown
+  from far-apart seeds — what EMD* bank allocation needs (every bin must
+  belong to exactly one cluster). Despite the name, its cluster sizes can
+  be far apart on graphs with hubs; see its docstring.
 * :func:`label_propagation_communities` finds *natural* communities — what
   the community-lp baseline (Conover et al.) uses.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import ClusteringError
 from repro.graph.digraph import DiGraph
-from repro.graph.traversal import bfs_distances
+from repro.graph.traversal import bfs_levels, unit_matrix
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive_int
 
@@ -106,18 +106,28 @@ def label_propagation_communities(
 def balanced_bfs_partition(
     graph: DiGraph, n_clusters: int, *, seed=None
 ) -> list[np.ndarray]:
-    """Partition nodes into *n_clusters* connected, size-balanced chunks.
+    """Partition nodes into *n_clusters* chunks grown by BFS from far-apart
+    seeds.
 
     Clusters grow along *graph*'s edges as stored; pass
     ``graph.to_undirected()`` for chunks that ignore edge direction, as
     bank allocation does.
 
-    Seeds are chosen greedily far apart (k-center style on hop distance),
-    then clusters grow by synchronized BFS, smallest cluster first: each
-    step claims every unclaimed neighbour of the cluster's frontier, and
-    those nodes become its next frontier. Leftovers no cluster can reach
-    are assigned to the globally smallest cluster, which keeps the result
-    a true partition even on disconnected graphs.
+    Seeds are chosen greedily far apart (k-center style on hop distance):
+    each seed's BFS is folded into the running hop distance to the nearest
+    seed, and the next seed is a random node no seed reaches or else the
+    farthest one. Clusters then grow by synchronized BFS, smallest cluster
+    first: each step claims every unclaimed neighbour of the cluster's
+    frontier, and those nodes become its next frontier. Leftovers no
+    cluster can reach are assigned to the globally smallest cluster, which
+    keeps the result a true partition even on disconnected graphs.
+
+    The sizes are not balanced. Every cluster grows one BFS level per
+    round, and smallest-first order only decides who claims a node that
+    two frontiers reach in the same round. A frontier that reaches a hub
+    claims the hub's whole neighbourhood in one step, so on power-law
+    graphs one cluster can hold most of the nodes: 16 239 of 19 998 on a
+    20k-node power-law giant component cut into 24 clusters.
     """
     check_positive_int(n_clusters, "n_clusters")
     n = graph.num_nodes
@@ -125,15 +135,17 @@ def balanced_bfs_partition(
         raise ClusteringError(f"cannot make {n_clusters} clusters from {n} nodes")
     rng = as_rng(seed)
 
+    matrix = unit_matrix(graph)
+    nearest = np.full(n, n, dtype=np.int64)  # n: no seed reaches the node
     seeds = [int(rng.integers(n))]
     for _ in range(n_clusters - 1):
-        dist = bfs_distances(graph, seeds)
-        unreached = dist < 0
-        if unreached.any():
-            candidates = np.flatnonzero(unreached)
+        order, levels = bfs_levels(matrix, seeds[-1])
+        nearest[order] = np.minimum(nearest[order], levels)
+        candidates = np.flatnonzero(nearest == n)
+        if candidates.size:
             seeds.append(int(candidates[rng.integers(len(candidates))]))
         else:
-            seeds.append(int(np.argmax(dist)))
+            seeds.append(int(np.argmax(nearest)))
 
     assignment = np.full(n, -1, dtype=np.int64)
     assignment[seeds] = np.arange(n_clusters)
@@ -142,7 +154,7 @@ def balanced_bfs_partition(
     remaining = n - n_clusters
     while remaining > 0:
         progressed = False
-        # Grow smallest-first so sizes stay balanced.
+        # Smallest-first: the smallest cluster claims contested nodes.
         for ci in np.argsort(sizes, kind="stable"):
             neighbours = graph.indices[graph.out_edge_ids(frontiers[ci])]
             claimed = np.unique(neighbours[assignment[neighbours] < 0])

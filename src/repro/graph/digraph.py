@@ -96,37 +96,15 @@ class DiGraph:
             hi = int(edge_arr.max())
             if lo < 0 or hi >= self._n:
                 raise NodeError(f"edge endpoints must lie in [0, {self._n - 1}]")
-
-            # Drop self-loops.
-            keep = edge_arr[:, 0] != edge_arr[:, 1]
-            edge_arr = edge_arr[keep]
-            weight_arr = weight_arr[keep]
-
-            # Sort into CSR order, then collapse duplicates keeping min weight.
-            order = np.lexsort((edge_arr[:, 1], edge_arr[:, 0]))
-            edge_arr = edge_arr[order]
-            weight_arr = weight_arr[order]
-            if edge_arr.shape[0]:
-                same = np.concatenate(
-                    ([False], np.all(edge_arr[1:] == edge_arr[:-1], axis=1))
-                )
-                if same.any():
-                    # Group-min over runs of duplicates.
-                    group_id = np.cumsum(~same) - 1
-                    n_groups = group_id[-1] + 1
-                    min_w = np.full(n_groups, np.inf)
-                    np.minimum.at(min_w, group_id, weight_arr)
-                    firsts = np.flatnonzero(~same)
-                    edge_arr = edge_arr[firsts]
-                    weight_arr = min_w
-
-        sources = edge_arr[:, 0]
-        self._indices = np.ascontiguousarray(edge_arr[:, 1])
-        self._weights = np.ascontiguousarray(weight_arr)
-        self._indptr = np.zeros(self._n + 1, dtype=np.int64)
-        if sources.size:
-            np.add.at(self._indptr, sources + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
+        # Drop self-loops, then sort into CSR order by the one key
+        # u * n + v (it orders like (u, v)). The sort is stable, so each
+        # run of duplicates is folded in input order.
+        keep = edge_arr[:, 0] != edge_arr[:, 1]
+        key = edge_arr[keep, 0] * self._n + edge_arr[keep, 1]
+        order = np.argsort(key, kind="stable")
+        self._indptr, self._indices, self._weights = _csr_from_sorted_keys(
+            self._n, key[order], weight_arr[keep][order]
+        )
 
         self._rev_indptr: np.ndarray | None = None
         self._rev_indices: np.ndarray | None = None
@@ -371,11 +349,18 @@ class DiGraph:
         When both ``u -> v`` and ``v -> u`` already exist with different
         weights, the minimum is kept (consistent with parallel-edge collapse).
         """
-        edge_arr = self.edge_array()
-        flipped = edge_arr[:, ::-1]
-        all_edges = np.vstack([edge_arr, flipped])
-        all_weights = np.concatenate([self._weights, self._weights])
-        return DiGraph(self._n, all_edges, all_weights)
+        n = self._n
+        sources, targets = self.edge_sources(), self._indices
+        # The edge keys u * n + v are sorted and unique, and so are the
+        # flipped keys v * n + u once sorted: the stable sort of the two
+        # runs is a merge that keeps each edge ahead of its flip, as the
+        # constructor's stable sort would.
+        flipped = targets * n + sources
+        flip_order = np.argsort(flipped)
+        key = np.concatenate([sources * n + targets, flipped[flip_order]])
+        weights = np.concatenate([self._weights, self._weights[flip_order]])
+        order = np.argsort(key, kind="stable")
+        return DiGraph.from_csr(*_csr_from_sorted_keys(n, key[order], weights[order]))
 
     def subgraph(self, nodes: Sequence[int]) -> tuple["DiGraph", np.ndarray]:
         """Induced subgraph on *nodes*.
@@ -462,3 +447,20 @@ def _slice_positions(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     counts = indptr[nodes + 1] - starts
     offsets = np.cumsum(counts) - counts
     return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def _csr_from_sorted_keys(
+    n: int, key: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices, weights)`` of the loop-free edges with
+    sorted keys ``u * n + v``. Each run of equal keys becomes one edge at
+    the run's minimum weight, folded left to right, so signed zeros and
+    NaNs come out as the fold meets them."""
+    firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    if firsts.size < key.size:
+        weights = np.minimum.reduceat(weights, firsts)
+        key = key[firsts]
+    sources, targets = np.divmod(key, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    return indptr, targets, weights

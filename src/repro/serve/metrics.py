@@ -152,6 +152,7 @@ _HELP = {
     "batches": "Chunk submissions to the engine pool.",
     "rejected": "Admissions refused by global backpressure.",
     "client_rejected": "Admissions refused by a per-client fairness quota.",
+    "snd_client_rejected": "Admissions of this client refused by its fairness quota or by global backpressure.",
     "pending": "Unique pairs currently admitted (queued or solving).",
     "peak_pending": "High-water mark of admitted pairs.",
     "max_pending": "Configured global backpressure bound.",

@@ -6,8 +6,10 @@ Three strategies mirror the design space the paper sketches:
 
 * ``"global"`` — one cluster, one bank group: recovers EMDα behaviour;
 * ``"per-bin"`` — one cluster per user: maximal locality, largest problem;
-* ``"cluster"`` (default) — the compromise: a balanced BFS partition with
-  one or more banks per cluster.
+* ``"cluster"`` (default) — the compromise: a BFS partition grown from
+  far-apart seeds (:func:`repro.graph.clustering.balanced_bfs_partition`,
+  whose cluster sizes are uneven on graphs with hubs), with one or more
+  banks per cluster.
 
 γ defaults respect the Theorem 3 metricity condition
 ``γ ≥ ½ · max intra-cluster D`` without computing intra-cluster diameters
@@ -18,6 +20,13 @@ collects the leftovers of a graph with more weak components than clusters
 breaks that precondition: ``ecc(v)`` then only covers v's own piece, and γ
 can fall below the threshold. Multiple banks per cluster get geometrically
 spaced γ (γ, 2γ, ...), modelling non-constant disposal cost.
+
+Allocation is set-up work, paid once per :class:`~repro.snd.snd.SND`: one
+symmetrisation of the graph, one BFS per k-center seed, the cluster
+growth, and one BFS per cluster on its induced submatrix for γ. Every
+search is scipy's compiled ``breadth_first_order``
+(:mod:`repro.graph.traversal`); nothing is cached on the graph, so each
+allocation does all of this work again.
 """
 
 from __future__ import annotations
@@ -26,11 +35,12 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.exceptions import ClusteringError, ValidationError
 from repro.graph.clustering import balanced_bfs_partition, validate_partition
 from repro.graph.digraph import DiGraph
-from repro.graph.traversal import bfs_distances
+from repro.graph.traversal import bfs_levels, unit_matrix
 from repro.snd.ground import DEFAULT_MAX_COST
 from repro.utils.rng import as_rng
 
@@ -129,16 +139,18 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _cluster_gamma(
-    undirected: DiGraph, members: np.ndarray, hop_cost: float, n_banks: int
+    matrix: csr_matrix, members: np.ndarray, hop_cost: float, n_banks: int
 ) -> np.ndarray:
     """γ ladder for one cluster: the hop eccentricity of its first member
     inside the cluster's induced subgraph, times a per-hop cost.
 
-    The ladder meets the Theorem 3 threshold only when that subgraph is
-    connected (see the module docstring).
+    *matrix* is the symmetrised graph's :func:`unit_matrix`; the search
+    runs on its submatrix over *members*. The ladder meets the Theorem 3
+    threshold only when that subgraph is connected (see the module
+    docstring).
     """
-    sub, _ = undirected.subgraph(members)
-    ecc = int(bfs_distances(sub, 0).max())
+    _, levels = bfs_levels(matrix[members][:, members], 0)
+    ecc = int(levels[-1])
     base = float(hop_cost) * max(1, ecc)
     return base * (2.0 ** np.arange(n_banks))
 
@@ -204,6 +216,7 @@ def allocate_banks(
         )
 
     scale = float(hop_cost) if hop_cost is not None else float(max_cost)
+    matrix = unit_matrix(undirected)
     gammas = []
     for members in clusters:
         if gamma is not None:
@@ -215,7 +228,7 @@ def allocate_banks(
             # (the Theorem 3 bound is 0 for singletons).
             ladder = 0.5 * scale * (2.0 ** np.arange(n_banks))
         else:
-            ladder = _cluster_gamma(undirected, np.asarray(members), scale, n_banks)
+            ladder = _cluster_gamma(matrix, np.asarray(members), scale, n_banks)
         gammas.append(gamma_scale * ladder)
 
     return BankAllocation(

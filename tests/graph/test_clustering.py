@@ -54,6 +54,21 @@ class TestBalancedBfsPartition:
         sizes = [len(c) for c in clusters]
         assert max(sizes) <= 3 * min(sizes)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="smallest-first growth does not balance sizes on graphs with "
+        "hubs: a frontier that reaches a hub claims its whole neighbourhood; "
+        "changing the layout moves every SND value",
+    )
+    def test_balanced_on_powerlaw_graph(self):
+        from repro.datasets.synthetic import giant_component_powerlaw
+
+        g = giant_component_powerlaw(5000, -2.3, k_min=2, seed=1)
+        clusters = balanced_bfs_partition(g.to_undirected(), 24, seed=0)
+        # The largest cluster holds 1 524 of 5 000 nodes, 7.3x n/k.
+        assert max(len(c) for c in clusters) <= 2 * g.num_nodes / 24
+
     def test_handles_disconnected(self):
         g = DiGraph(6, [(0, 1), (1, 2), (3, 4)])  # node 5 isolated
         clusters = balanced_bfs_partition(g, 2, seed=0)

@@ -1,8 +1,11 @@
 """Unit tests for the CSR DiGraph."""
 
 import bank_reference
+import graph_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EdgeError, GraphError, NodeError
 from repro.graph.digraph import DiGraph
@@ -210,6 +213,64 @@ class TestDerivedGraphs:
         g = DiGraph.from_undirected_edges(3, [(0, 1), (1, 2)])
         assert g.num_edges == 4
         assert g.has_edge(1, 0) and g.has_edge(2, 1)
+
+
+def _assert_csr_equal(graph, want):
+    """*graph*'s CSR is bitwise the frozen ``(indptr, indices, weights)``."""
+    for got, ref in zip((graph.indptr, graph.indices, graph.weights), want):
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+# Weights whose minimum depends on the fold order (signed zeros, NaN).
+_WEIGHTS = [3.0, 1.0, 0.0, -0.0, -2.5, np.inf, np.nan]
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=40))
+    weights = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=len(edges), max_size=len(edges)))
+    return n, edges, weights
+
+
+class TestCsrOracle:
+    """The constructor and ``to_undirected`` are bitwise equal to the
+    frozen lexsort path in ``tests/graph_reference.py``."""
+
+    # Nodes 5 and 6 are isolated; 0 <-> 1 and 2 <-> 3 are duplicated in
+    # both directions with different weights; 1 and 4 carry self-loops.
+    N = 7
+    EDGES = [
+        (0, 1), (1, 0), (0, 1), (1, 0), (1, 1), (2, 3), (3, 2),
+        (3, 2), (4, 4), (4, 0), (2, 3), (0, 4), (3, 1),
+    ]
+    WEIGHTS = [4.0, 2.0, 3.0, 0.5, 9.0, 0.0, -0.0, 1.0, 7.0, 6.0, 8.0, 6.5, 2.0]
+
+    def test_constructor_fixed_case(self):
+        g = DiGraph(self.N, self.EDGES, self.WEIGHTS)
+        _assert_csr_equal(g, graph_reference.csr_arrays(self.N, self.EDGES, self.WEIGHTS))
+        assert g.out_degrees()[5:].tolist() == [0, 0]
+
+    def test_to_undirected_fixed_case(self):
+        g = DiGraph(self.N, self.EDGES, self.WEIGHTS)
+        _assert_csr_equal(g.to_undirected(), graph_reference.to_undirected(g))
+
+    def test_to_undirected_random_weights(self):
+        g = erdos_renyi_graph(300, 0.02, seed=9, directed=True)
+        g = g.with_weights(np.random.default_rng(9).choice(_WEIGHTS, g.num_edges))
+        _assert_csr_equal(g.to_undirected(), graph_reference.to_undirected(g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_lists())
+    def test_random_edge_lists(self, case):
+        n, edges, weights = case
+        g = DiGraph(n, edges, weights)
+        _assert_csr_equal(g, graph_reference.csr_arrays(n, edges, weights))
+        _assert_csr_equal(g.to_undirected(), graph_reference.to_undirected(g))
+        _assert_csr_equal(DiGraph(n, edges), graph_reference.csr_arrays(n, edges))
 
 
 class TestInterop:

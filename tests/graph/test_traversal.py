@@ -1,9 +1,13 @@
 """Tests for BFS and connectivity."""
 
 import bank_reference
+import graph_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.exceptions import NodeError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.traversal import (
@@ -52,6 +56,64 @@ class TestBfs:
         for v in range(40):
             expected = theirs.get(v, -1)
             assert ours[v] == expected
+
+
+@st.composite
+def _directed_graphs(draw):
+    """A directed graph with few edges (usually disconnected) and a source
+    list: one node, several with repeats, or none."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    sources = draw(
+        st.one_of(
+            node,
+            st.lists(node, min_size=1, max_size=6).map(lambda s: s + s[:1]),
+            st.just([]),
+        )
+    )
+    return DiGraph(n, edges), sources
+
+
+class TestAgainstInterpretedLoops:
+    """The compiled searches equal the queue loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_directed_graphs())
+    def test_bfs_distances(self, case):
+        g, sources = case
+        want = bank_reference.bfs_distances(g, sources)
+        got = bfs_distances(g, sources)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_directed_graphs())
+    def test_tree_and_weak_components(self, case):
+        g, _ = case
+        for graph in (g, g.to_undirected()):
+            want = graph_reference.weakly_connected_components(graph)
+            got = weakly_connected_components(graph)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            for source in range(min(graph.num_nodes, 4)):
+                want = graph_reference.bfs_tree(graph, source)
+                got = bfs_tree(graph, source)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_zero_weight_edges_are_edges(self):
+        g = DiGraph(3, [(0, 1), (1, 2)]).with_weights(np.zeros(2))
+        assert bfs_distances(g, 0).tolist() == [0, 1, 2]
+        assert bfs_tree(g, 0).tolist() == [-1, 0, 1]
+        assert weakly_connected_components(g).tolist() == [0, 0, 0]
+
+    def test_out_of_range_source_rejected(self):
+        g = DiGraph(3, [(0, 1)])
+        with pytest.raises(NodeError):
+            bfs_distances(g, [0, 3])
+        with pytest.raises(NodeError):
+            bfs_distances(g, -1)
 
 
 class TestComponents:

@@ -82,7 +82,9 @@ def family_of(line: str) -> str:
 
 class TestGoldenScrape:
     """``golden_scrape.txt`` is the render of the same stats tree and HTTP
-    observations by the table-driven exporter this one replaced."""
+    observations by the table-driven exporter this one replaced, except
+    the ``snd_client_rejected_total`` HELP line, corrected since: a
+    client's ``rejected`` also counts its quota refusals."""
 
     def test_every_golden_line_rendered(self):
         rendered = set(golden_render().splitlines())
