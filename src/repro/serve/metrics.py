@@ -165,6 +165,7 @@ _HELP = {
     "extensions": "Row searches that grew a cached row to a larger radius.",
     "settled": "Nodes settled by the row searches.",
     "skipped": "Rows searched but not stored (sampled admission).",
+    "terms": "Certified terms started by the row cache.",
     "exact_hits": "Basis-store hits on the same term solved before.",
     "reverse_hits": "Basis-store hits on the transposed term (supplier and consumer swapped).",
     "supplier_hits": "Basis-store hits on the latest term with the same supplier state.",

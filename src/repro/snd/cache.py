@@ -159,14 +159,18 @@ class _LruCache:
                 self._nbytes += _key_nbytes(key)
             self._entries[key] = value
             self._nbytes += _value_nbytes(value)
-            while len(self._entries) > self._capacity():
-                self._evict_oldest_locked()
+            self._shrink_locked()
         if self._manager is not None:
             self._manager._rebalance()
 
     def _capacity(self) -> int:
         """Entries kept before an insert evicts the oldest."""
         return self.maxsize
+
+    def _shrink_locked(self) -> None:
+        """Evict the oldest entries down to :meth:`_capacity`."""
+        while len(self._entries) > self._capacity():
+            self._evict_oldest_locked()
 
     def _evict_oldest_locked(self) -> int:
         key, value = self._entries.popitem(last=False)
@@ -253,7 +257,9 @@ class GroundCostCache(_LruCache):
     hits are recorded, goes back to it when a miss names a key it evicted
     lately, and never holds fewer than a reservation in force asked for
     (:meth:`reserve`, :meth:`reserved`). The
-    current bound is ``capacity`` in :meth:`stats`.
+    current bound is ``capacity`` in :meth:`stats`, and the cache never
+    holds more: when a hit or the end of a reservation lowers it, the
+    oldest arrays are evicted at once.
 
     The cache is thread-safe (one lock around lookups/inserts) so a thread
     fan-out can share a single instance; process workers each hold their
@@ -292,6 +298,7 @@ class GroundCostCache(_LruCache):
                 self._entries.move_to_end(key)
                 self.hits += 1
                 self._record_depth(depth)
+                self._shrink_locked()  # the hit may have lowered the capacity
                 return cached
             self.misses += 1
             if self._evicted.pop(key, False):
@@ -336,6 +343,7 @@ class GroundCostCache(_LruCache):
         finally:
             with self._lock:
                 self._floors.remove(int(n_entries))
+                self._shrink_locked()
 
     @property
     def builds(self) -> int:
@@ -362,12 +370,11 @@ class GroundCostCache(_LruCache):
         return state
 
 
-def _upper_quartile(values) -> float:
-    """The 75th percentile of *values*, interpolated linearly as
+def _quantile(ordered: list, q: float) -> float:
+    """The *q* quantile of the sorted *ordered*, interpolated linearly as
     ``numpy.percentile`` does (sorting a few dozen floats beats its
     overhead)."""
-    ordered = sorted(values)
-    pos = 0.75 * (len(ordered) - 1)
+    pos = q * (len(ordered) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(ordered) - 1)
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
@@ -448,18 +455,28 @@ class DijkstraRowCache(_LruCache):
 
     The cache also keeps the record of recent certificate radii
     (:meth:`record_radius`) that sets where the next term's searches
-    start (:meth:`start_radius`); see :mod:`repro.snd.fast`.
+    start (:meth:`start_radius`), and remembers which cost arrays hold
+    only integers (:meth:`integral_costs`), whose unreached nodes the
+    term prices one integer past the radius; see :mod:`repro.snd.fast`.
 
     ``misses`` counts row requests that ran a search, ``extensions`` the
     ones among them that grew a row already held, ``settled`` the nodes
-    those searches settled and ``skipped`` the rows searched but not
-    stored.
+    those searches settled, ``skipped`` the rows searched but not
+    stored and ``terms`` the certified terms started, so ``settled /
+    terms`` is the nodes a term settles.
     """
 
     #: Certificate radii kept for :meth:`start_radius`, and how many it
     #: needs before it starts a term at a finite radius.
     RADIUS_WINDOW = 64
     RADIUS_WARMUP = 16
+    #: A term with at least this many row sources starts at the median of
+    #: the record, a term with fewer at its 75th percentile: the rows a
+    #: lower start saves grow with the sources, while the extra round it
+    #: may cost is the same for every term.
+    MANY_SOURCES = 4
+    #: Cost keys whose integrality :meth:`integral_costs` remembers.
+    INTEGRAL_WINDOW = 64
     #: Settled fraction of the graph past which rows are searched in full.
     FULL_ROW_FRACTION = 0.5
     #: While rows are searched in full for that reason, one term in this
@@ -473,7 +490,9 @@ class DijkstraRowCache(_LruCache):
     def __init__(self, maxsize: int = DEFAULT_ROW_CACHE_SIZE) -> None:
         super().__init__(maxsize)
         self._radii: deque = deque(maxlen=self.RADIUS_WINDOW)  # (radius, settled)
-        self._start = np.inf
+        self._start = np.inf  # p75 of the record
+        self._median = np.inf
+        self._integral: OrderedDict = OrderedDict()  # cost key -> all integers
         self._full_rows = False  # full rows for large certificates
         self._full_row_terms = 0  # terms started so since the last bounded one
         self._unread = 0  # evictions in a row of rows no request read
@@ -481,6 +500,7 @@ class DijkstraRowCache(_LruCache):
         self.extensions = 0
         self.settled = 0
         self.skipped = 0
+        self.terms = 0
 
     def record_radius(self, radius: float, settled: float) -> None:
         """Keep one solved term's certificate radius and the fraction of
@@ -488,28 +508,51 @@ class DijkstraRowCache(_LruCache):
         the next terms start (:meth:`start_radius`)."""
         with self._lock:
             self._radii.append((float(radius), float(settled)))
-            self._start = np.inf
+            self._start = self._median = np.inf
             self._full_rows = False
             if len(self._radii) >= self.RADIUS_WARMUP:
                 radii, fractions = zip(*self._radii)
-                self._full_rows = _upper_quartile(fractions) > self.FULL_ROW_FRACTION
+                self._full_rows = _quantile(sorted(fractions), 0.75) > self.FULL_ROW_FRACTION
                 if not self._full_rows:
-                    self._start = _upper_quartile(radii)
+                    radii = sorted(radii)
+                    self._start = _quantile(radii, 0.75)
+                    self._median = _quantile(radii, 0.5)
 
-    def start_radius(self) -> float:
-        """Search radius for a new term: the 75th percentile of the last
-        64 recorded certificate radii.
+    def start_radius(self, n_sources: int = 1) -> float:
+        """Search radius for a new term with *n_sources* row sources: the
+        median of the last 64 recorded certificate radii from
+        :attr:`MANY_SOURCES` sources on, their 75th percentile below.
 
         It is ``inf`` (full rows) until :attr:`RADIUS_WARMUP` are recorded
         — a percentile of fewer would be a noisy guess, and an engine's
         first terms then run exactly as cache-free ones do — and while the
         75th percentile of their settled fractions exceeds
         :attr:`FULL_ROW_FRACTION`: there a bounded search saves little and
-        its extra rounds cost more.
+        its extra rounds cost more. Each call counts one term.
         """
         with self._lock:
+            self.terms += 1
             self._full_row_terms = self._full_row_terms + 1 if self._full_rows else 0
-            return self._start
+            return self._median if n_sources >= self.MANY_SOURCES else self._start
+
+    def integral_costs(self, cost_key, edge_costs: np.ndarray) -> bool:
+        """Whether every cost in *edge_costs*, the array *cost_key* names,
+        is an integer (quantized Eq. 2 costs always are). Then every
+        distance is one, and a node a search limited to ``r`` left
+        unreached lies at least ``⌊r⌋ + 1`` away. The array is scanned
+        once per key; the last :attr:`INTEGRAL_WINDOW` keys' answers are
+        kept."""
+        with self._lock:
+            known = self._integral.get(cost_key)
+            if known is not None:
+                self._integral.move_to_end(cost_key)
+                return known
+        known = bool(np.array_equal(edge_costs, np.rint(edge_costs)))
+        with self._lock:
+            self._integral[cost_key] = known
+            if len(self._integral) > self.INTEGRAL_WINDOW:
+                self._integral.popitem(last=False)
+        return known
 
     def record_due(self) -> bool:
         """Whether the term started last should record its certificate:
@@ -610,19 +653,24 @@ class DijkstraRowCache(_LruCache):
         out["extensions"] = self.extensions
         out["settled"] = self.settled
         out["skipped"] = self.skipped
+        out["terms"] = self.terms
         return out
 
     def clear(self) -> None:
         super().clear()
         with self._lock:
             self._radii.clear()
-            self._start, self._full_rows, self._full_row_terms = np.inf, False, 0
+            self._integral.clear()
+            self._start = self._median = np.inf
+            self._full_rows, self._full_row_terms = False, 0
             self._unread = self._offered = 0
 
     def __getstate__(self):
         state = super().__getstate__()
         state["_radii"] = deque(maxlen=self.RADIUS_WINDOW)  # like the entries
-        state["_start"], state["_full_rows"], state["_full_row_terms"] = np.inf, False, 0
+        state["_integral"] = OrderedDict()
+        state["_start"] = state["_median"] = np.inf
+        state["_full_rows"], state["_full_row_terms"] = False, 0
         state["_unread"] = state["_offered"] = 0
         return state
 

@@ -21,8 +21,11 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    With such a cache (and ``"nearest"``) each row is searched only to a
    radius ``L_s`` (``scipy.sparse.csgraph.dijkstra(..., limit=L_s)``,
    sources sharing a radius in one call). Every user the search did not
-   reach is priced at ``L_s`` and every unreached bank leg at
-   ``L_s + γ``: both are lower bounds, so the relaxed instance's optimum
+   reach lies beyond ``L_s`` and is priced at ``L_s``, or at
+   ``⌊L_s⌋ + 1`` when every edge cost is an integer (Assumption 2, as
+   quantized Eq. 2 costs are; the row cache checks once per cost key),
+   and every unreached bank leg at that price plus γ: both are lower
+   bounds, so the relaxed instance's optimum
    is at most the term. If its optimal plan ships only on exactly priced
    cells, its cost is that of a feasible plan of the true instance, so the
    plan is optimal there too. Otherwise the sources that ship on a bound
@@ -35,7 +38,9 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    last of ``MAX_ROUNDS`` solves or once a round's failing rows would
    settle more nodes than the graph has. Only the grown rows are
    re-priced. The start
-   radius is the 75th percentile of the cache's recent certificate radii
+   radius is the median of the cache's recent certificate radii for a
+   term with at least four row sources and their 75th percentile for a
+   smaller one
    (:meth:`~repro.snd.cache.DijkstraRowCache.start_radius`); a term with
    no such record starts unlimited, which is exactly one round over full
    rows — so cache-free terms, and an engine's first terms, are bitwise
@@ -262,8 +267,8 @@ class ReducedTerm:
     beyond). :func:`_price` fills
     ``d`` (``d[src, dst]``) and ``legs`` (``(src, active)``, ``None``
     without banks) from them: an unreached node costs the unreachable
-    cost under a full row and ``min(radius, unreachable)`` — a lower
-    bound — under a partial one. ``bound_d`` / ``bound_legs`` mark the
+    cost under a full row and a lower bound under a partial one (see
+    :func:`_priced`). ``bound_d`` / ``bound_legs`` mark the
     entries that are such bounds (``None`` while every row is full).
     :func:`_certified_solve` counts its ``rounds``, their ``pivots`` and
     whether the first started warm.
@@ -469,6 +474,7 @@ def _price(
     unreachable: float,
     bank_metric: str,
     matrix,
+    integral: bool,
     row_cache=None,
     cost_key=None,
     grow: np.ndarray | None = None,
@@ -479,7 +485,8 @@ def _price(
     Rows are searched to ``term.radius``; with *grow* (positions in
     ``src``) only those sources search again, to their new radius, and
     only their rows are re-priced. Every search runs on the matrix the
-    zero-argument *matrix* returns.
+    zero-argument *matrix* returns. *integral* says every edge cost is an
+    integer (see :func:`_priced`).
     """
     n = graph.num_nodes
     reverse = not term.forward
@@ -496,7 +503,7 @@ def _price(
             row_cache=row_cache, cost_key=cost_key,
         )
     # Only the grown rows change, and so only their prices do.
-    d = _priced(rows[:, term.dst_ids], radius, unreachable)
+    d = _priced(rows[:, term.dst_ids], radius, unreachable, integral)
     if first:
         term.rows = rows
         term.d, term.bound_d = d
@@ -510,7 +517,9 @@ def _price(
         # Min over each cluster's members of each row: src user -> banks of
         # the cluster, or banks -> user over reversed rows. A cluster with
         # one member within the radius has its exact minimum there.
-        legs = _priced(_cluster_minima(rows, banks)[:, term.active], radius, unreachable)
+        legs = _priced(
+            _cluster_minima(rows, banks)[:, term.active], radius, unreachable, integral
+        )
         if first:
             term.legs, term.bound_legs = legs
         else:
@@ -532,17 +541,22 @@ def _price(
 
 
 def _priced(
-    values: np.ndarray, radius: np.ndarray | None, unreachable: float
+    values: np.ndarray, radius: np.ndarray | None, unreachable: float, integral: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``(prices, bound)`` of per-source *values* read off rows searched
     to *radius* (``None``: full rows): an unreached entry costs
-    *unreachable* under a full row and the lower bound
-    ``min(radius, unreachable)`` under a partial one, and *bound* marks
-    those lower bounds (``None`` for full rows)."""
+    *unreachable* under a full row and a lower bound under a partial one,
+    and *bound* marks those lower bounds (``None`` for full rows).
+
+    A search limited to ``r`` settles every node within ``r`` (the limit
+    is inclusive), so an unreached node lies beyond ``r``; when every edge
+    cost is an *integral* one, so is every distance, and the node is at
+    least ``⌊r⌋ + 1`` away. The bound is ``min(⌊r⌋ + 1, unreachable)``
+    then and ``min(r, unreachable)`` otherwise."""
     reached = np.isfinite(values)
     if radius is None:
         return np.where(reached, values, unreachable), None
-    fill = np.minimum(radius, unreachable)[:, None]
+    fill = np.minimum(np.floor(radius) + 1.0 if integral else radius, unreachable)[:, None]
     return np.where(reached, values, fill), np.isfinite(radius)[:, None] & ~reached
 
 
@@ -887,11 +901,12 @@ def emd_star_term_fast(
         return 0.0
     unreachable = unreachable_cost(n, max_cost)
     certify = bank_metric == "nearest" and row_cache is not None and cost_key is not None
-    start = row_cache.start_radius() if certify else np.inf
+    start = row_cache.start_radius(term.src_ids.size) if certify else np.inf
     if start < unreachable:
         term.radius = np.full(term.src_ids.size, start)
     price = dict(
         unreachable=unreachable, bank_metric=bank_metric,
+        integral=term.radius is not None and row_cache.integral_costs(cost_key, edge_costs),
         row_cache=row_cache, cost_key=cost_key,
         # The term's rounds share one search matrix, built on first use.
         matrix=functools.cache(functools.partial(

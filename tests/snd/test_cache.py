@@ -239,6 +239,43 @@ class TestGroundCapacity:
         assert stats["capacity"] == stats["max_size"] == 30
         assert len(manager.ground) == 30
 
+    def test_shallow_hits_evict_down_to_capacity(self, graph, snd):
+        """A hit that lowers the capacity evicts down to it at once, not at
+        the next insert: 20 arrays held, one hit 20 deep, then 64 hits one
+        deep leave the cache at MIN_SIZE arrays."""
+        ground = GroundCostCache(64)
+        for k in range(20):
+            _look_up(ground, snd, graph, k)
+        for _ in range(1 + ground.HIT_WINDOW):  # depth 20 first, then depth 1
+            _look_up(ground, snd, graph, 0)
+        stats = ground.stats()
+        assert stats["capacity"] == ground.MIN_SIZE
+        assert stats["size"] == ground.MIN_SIZE
+        assert stats["misses"] == stats["evictions"] + stats["size"]
+        assert stats["nbytes"] == sum(32 + v.nbytes for v in ground._entries.values())
+
+    def test_reservation_end_evicts_down_to_capacity(self, graph, snd):
+        ground = GroundCostCache(64)
+        with ground.reserved(30):
+            for k in range(30):
+                _look_up(ground, snd, graph, k)
+                _look_up(ground, snd, graph, k)
+            assert len(ground) == 30
+        assert ground.stats()["capacity"] == ground.MIN_SIZE
+        assert len(ground) == ground.MIN_SIZE
+        # The newest arrays stay.
+        _look_up(ground, snd, graph, 29)
+        assert ground.builds == 30
+
+    @pytest.mark.parametrize(
+        "repeat", [pytest.param(k, marks=pytest.mark.slow) for k in range(1, 200)]
+    )
+    def test_counts_survive_threads_repeated(self, graph, snd, repeat):
+        """The thread test again, 199 more times in one process (slow): a
+        cache that outgrows its capacity fails it only in some
+        interleavings."""
+        self.test_counts_survive_threads(graph, snd)
+
     def test_counts_survive_threads(self, graph, snd):
         # Each thread reads its own keys twice in a row, so every build is
         # stored, then held or evicted: a lost update breaks either sum.

@@ -183,6 +183,24 @@ class TestEngineSeries:
             assert nbytes <= budget
         assert sum(evictions for *_, evictions in reports.values()) > 0
 
+    @pytest.mark.parametrize("jobs", ENGINE_MODES)
+    def test_rows_count_certified_terms(self, graph, rng, jobs):
+        """``caches.rows.terms`` counts every term that moves mass, in this
+        process or in a pool worker, so settled nodes per term read off
+        ``stats()``."""
+        series = random_series(40, 5, rng)
+        snd = fresh_snd(graph)
+        want = sum(
+            stats.rounds > 0
+            for a, b in zip(series, series[1:])
+            for stats in snd.evaluate(a, b).stats
+        )
+        with SNDEngine(fresh_snd(graph), jobs=jobs) as engine:
+            engine.evaluate_series(series)
+            rows = engine.stats()["caches"]["rows"]
+        assert want > 0 and rows["terms"] == want
+        assert rows["settled"] > 0
+
     def test_bad_executor_rejected(self, graph):
         # The process pool is the one parallel mode; the executor option
         # is gone and fails loudly rather than being ignored.

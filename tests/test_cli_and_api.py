@@ -228,6 +228,7 @@ class TestEngineCli:
         assert "transitions solved" in out
         assert "cache stats" in out
         assert "extensions=" in out and "settled=" in out and "skipped=" in out
+        assert "terms=" in out
 
     def test_corpus_lifecycle(self, seeded_store, capsys):
         rc = main(
