@@ -166,6 +166,7 @@ _HELP = {
     "settled": "Nodes settled by the row searches.",
     "skipped": "Rows searched but not stored (sampled admission).",
     "terms": "Certified terms started by the row cache.",
+    "mirrored": "Certified terms started at their mirror term's dual radii instead of the record.",
     "exact_hits": "Basis-store hits on the same term solved before.",
     "reverse_hits": "Basis-store hits on the transposed term (supplier and consumer swapped).",
     "supplier_hits": "Basis-store hits on the latest term with the same supplier state.",

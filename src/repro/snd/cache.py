@@ -463,7 +463,9 @@ class DijkstraRowCache(_LruCache):
     ones among them that grew a row already held, ``settled`` the nodes
     those searches settled, ``skipped`` the rows searched but not
     stored and ``terms`` the certified terms started, so ``settled /
-    terms`` is the nodes a term settles.
+    terms`` is the nodes a term settles. ``mirrored`` counts the terms
+    among them started at their mirror term's dual radii instead of the
+    record (:meth:`count_mirrored`).
     """
 
     #: Certificate radii kept for :meth:`start_radius`, and how many it
@@ -490,6 +492,8 @@ class DijkstraRowCache(_LruCache):
     def __init__(self, maxsize: int = DEFAULT_ROW_CACHE_SIZE) -> None:
         super().__init__(maxsize)
         self._radii: deque = deque(maxlen=self.RADIUS_WINDOW)  # (radius, settled)
+        # The settled fractions of the terms that started from the record.
+        self._fractions: deque = deque(maxlen=self.RADIUS_WINDOW)
         self._start = np.inf  # p75 of the record
         self._median = np.inf
         self._integral: OrderedDict = OrderedDict()  # cost key -> all integers
@@ -501,20 +505,32 @@ class DijkstraRowCache(_LruCache):
         self.settled = 0
         self.skipped = 0
         self.terms = 0
+        self.mirrored = 0
 
-    def record_radius(self, radius: float, settled: float) -> None:
+    def record_radius(self, radius: float, settled: float | None) -> None:
         """Keep one solved term's certificate radius and the fraction of
         the graph its rows hold within that radius, and work out where
-        the next terms start (:meth:`start_radius`)."""
+        the next terms start (:meth:`start_radius`).
+
+        *settled* is ``None`` for a term that did not start from the
+        record (a mirror-started one): where its rows stopped was not the
+        record's choice, so its fraction says nothing of the record's
+        starts. Its radius, the largest cost its optimal plan ships on,
+        joins the start percentiles all the same, while the full-row rule
+        reads only the fractions of record-started terms, as if the
+        others had not run."""
         with self._lock:
-            self._radii.append((float(radius), float(settled)))
+            self._radii.append((float(radius), settled))
+            if settled is not None:
+                self._fractions.append(float(settled))
             self._start = self._median = np.inf
             self._full_rows = False
             if len(self._radii) >= self.RADIUS_WARMUP:
-                radii, fractions = zip(*self._radii)
-                self._full_rows = _quantile(sorted(fractions), 0.75) > self.FULL_ROW_FRACTION
+                self._full_rows = bool(self._fractions) and (
+                    _quantile(sorted(self._fractions), 0.75) > self.FULL_ROW_FRACTION
+                )
                 if not self._full_rows:
-                    radii = sorted(radii)
+                    radii = sorted(radius for radius, _ in self._radii)
                     self._start = _quantile(radii, 0.75)
                     self._median = _quantile(radii, 0.5)
 
@@ -534,6 +550,13 @@ class DijkstraRowCache(_LruCache):
             self.terms += 1
             self._full_row_terms = self._full_row_terms + 1 if self._full_rows else 0
             return self._median if n_sources >= self.MANY_SOURCES else self._start
+
+    def count_mirrored(self) -> None:
+        """Count a term started at its mirror's dual radii: it asked
+        :meth:`start_radius` (a finite answer lets it start bounded) and
+        records no certificate."""
+        with self._lock:
+            self.mirrored += 1
 
     def integral_costs(self, cost_key, edge_costs: np.ndarray) -> bool:
         """Whether every cost in *edge_costs*, the array *cost_key* names,
@@ -654,12 +677,14 @@ class DijkstraRowCache(_LruCache):
         out["settled"] = self.settled
         out["skipped"] = self.skipped
         out["terms"] = self.terms
+        out["mirrored"] = self.mirrored
         return out
 
     def clear(self) -> None:
         super().clear()
         with self._lock:
             self._radii.clear()
+            self._fractions.clear()
             self._integral.clear()
             self._start = self._median = np.inf
             self._full_rows, self._full_row_terms = False, 0
@@ -668,6 +693,7 @@ class DijkstraRowCache(_LruCache):
     def __getstate__(self):
         state = super().__getstate__()
         state["_radii"] = deque(maxlen=self.RADIUS_WINDOW)  # like the entries
+        state["_fractions"] = deque(maxlen=self.RADIUS_WINDOW)
         state["_integral"] = OrderedDict()
         state["_start"] = state["_median"] = np.inf
         state["_full_rows"], state["_full_row_terms"] = False, 0

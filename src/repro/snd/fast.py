@@ -2,13 +2,17 @@
 
 Each EMD* term runs four stages over one :class:`ReducedTerm` record:
 
-1. **Reduce** (:func:`_reduce`, Lemmas 1-2): cancel per-bin common mass;
-   the surviving suppliers/consumers are exactly the users whose opinion
-   changed — at most ``n∆`` of each (Assumption 1). This stage also sizes
-   the bank bins and decides the orientation, once: ``src`` is the
-   bank-free side the shortest-path rows run from, ``dst`` the other
+1. **Reduce** (:func:`reduce_term`, Lemmas 1-2): cancel per-bin common
+   mass; the surviving suppliers/consumers are exactly the users whose
+   opinion changed — at most ``n∆`` of each (Assumption 1). This stage
+   also sizes the bank bins and decides the orientation, once: ``src`` is
+   the bank-free side the shortest-path rows run from, ``dst`` the other
    side, which also hosts the bank bins (the lighter histogram's side;
    without a deficit there are no banks and ``src`` is the smaller side).
+   A term's mirror (the histograms swapped, as Eq. 3's ``(b, a, o)`` is
+   to ``(a, b, o)``) reduces to the same users, amounts and capacities,
+   so :func:`mirror_reduction` reads its reduction off the term's, bit
+   for bit.
 2. **Price** (:func:`_price`), inside the certified rows loop: one
    single-source Dijkstra per ``src`` user (reversed when ``src`` holds
    the consumers) prices the ``d[src, dst]`` block, and under the default
@@ -44,7 +48,11 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    (:meth:`~repro.snd.cache.DijkstraRowCache.start_radius`); a term with
    no such record starts unlimited, which is exactly one round over full
    rows — so cache-free terms, and an engine's first terms, are bitwise
-   what they were before the loop existed. A certified plan may be a
+   what they were before the loop existed. A mirror term started where
+   the record gives a finite radius starts each row at its own radius
+   instead, ``ρ_s`` from the first term's optimal duals
+   (:func:`_dual_radii`, :class:`MirrorHandoff`); under the term's own
+   duals that radius certifies in one round. A certified plan may be a
    different optimal vertex than the full-row solve finds, so a value may
    move in its last bits (within 1e-12). The paper-literal ``"cluster"``
    metric additionally runs one multi-source Dijkstra per cluster hosting
@@ -70,9 +78,13 @@ violate the triangle inequality across clusters (a route through a third
 cluster's members can undercut the cluster-to-cluster distance), and the
 reduction is exact only up to that defect.
 
-:func:`emd_star_term_bound` runs the reduce stage alone and returns a
-lower bound on the term: no rows, no solve. ``Corpus.query`` ranks
-members by it to solve only those that could still place.
+:func:`emd_star_term_fast` runs the four stages: :func:`reduce_term`,
+then :func:`solve_reduced_term`, which :meth:`repro.snd.snd.SND.term`
+calls directly to hand a term's reduction and duals to its mirror.
+:func:`emd_star_term_bound` (:func:`term_bound` of a reduction) runs the
+reduce stage alone and returns a lower bound on the term: no rows, no
+solve. ``Corpus.query`` ranks members by it to solve only those that
+could still place.
 """
 
 from __future__ import annotations
@@ -100,7 +112,8 @@ from repro.snd.ground import unreachable_cost
 
 __all__ = [
     "emd_star_term_fast", "emd_star_term_bound", "check_term_options", "FastTermStats",
-    "SolverCounts", "SOLVER_CHOICES",
+    "SolverCounts", "SOLVER_CHOICES", "reduce_term", "mirror_reduction", "term_bound",
+    "solve_reduced_term", "MirrorHandoff",
 ]
 
 _EPS = 1e-12
@@ -271,7 +284,9 @@ class ReducedTerm:
     :func:`_priced`). ``bound_d`` / ``bound_legs`` mark the
     entries that are such bounds (``None`` while every row is full).
     :func:`_certified_solve` counts its ``rounds``, their ``pivots`` and
-    whether the first started warm.
+    whether the first started warm. *totals* are the supplier and consumer
+    histograms' masses (:func:`mirror_reduction` re-derives the
+    orientation from them).
     """
 
     forward: bool
@@ -283,6 +298,7 @@ class ReducedTerm:
     active: np.ndarray
     n_suppliers: int
     n_consumers: int
+    totals: tuple[float, float] = (0.0, 0.0)
     radius: np.ndarray | None = None
     rows: np.ndarray | None = None
     d: np.ndarray | None = None
@@ -384,11 +400,24 @@ def _bank_capacities(
 # --------------------------------------------------------------------- #
 
 
-def _reduce(
-    p: np.ndarray, q: np.ndarray, banks: BankAllocation, bank_shares: str
+def _forward(total_p: float, total_q: float, n_sup: int, n_con: int) -> bool:
+    """The orientation rule: rows run from the suppliers (``True``) or the
+    consumers. The lighter histogram hosts the banks, so rows run from the
+    other side and the same rows price both the d block and (under
+    "nearest") every bank leg; without a deficit they run from the smaller
+    side."""
+    if abs(total_p - total_q) > _EPS:
+        return total_p >= total_q
+    return n_sup <= n_con
+
+
+def reduce_term(
+    p_hist: np.ndarray, q_hist: np.ndarray, banks: BankAllocation, bank_shares: str
 ) -> ReducedTerm | None:
-    """Lemmas 1-2, the bank bins and the orientation; ``None`` when no mass
-    moves at all."""
+    """Lemmas 1-2, the bank bins and the orientation of the term moving
+    *p_hist* onto *q_hist*; ``None`` when no mass moves at all."""
+    p = np.asarray(p_hist, dtype=np.float64)
+    q = np.asarray(q_hist, dtype=np.float64)
     total_p, total_q = float(p.sum()), float(q.sum())
     delta = abs(total_p - total_q)
 
@@ -402,13 +431,7 @@ def _reduce(
     if sup_ids.size == 0 and con_ids.size == 0 and delta <= _EPS:
         return None
 
-    # The lighter histogram hosts the banks. Rows run from the other side,
-    # so the same rows price both the d block and (under "nearest") every
-    # bank leg; without a deficit they run from the smaller side.
-    if delta > _EPS:
-        forward = total_p >= total_q
-    else:
-        forward = sup_ids.size <= con_ids.size
+    forward = _forward(total_p, total_q, sup_ids.size, con_ids.size)
     sup = (sup_ids, rest[sup_ids], p)
     con = (con_ids, -rest[con_ids], q)
     src, dst = (sup, con) if forward else (con, sup)
@@ -428,7 +451,60 @@ def _reduce(
         active=active,
         n_suppliers=int(sup_ids.size),
         n_consumers=int(con_ids.size),
+        totals=(total_p, total_q),
     )
+
+
+def mirror_reduction(term: ReducedTerm | None) -> ReducedTerm | None:
+    """The reduction of *term*'s mirror, the term with the two histograms
+    swapped: bit for bit what :func:`reduce_term` returns for it, read off
+    *term* alone.
+
+    ``q - p`` is ``-(p - q)`` bit for bit (rounding is sign-symmetric), so
+    the mirror's suppliers are *term*'s consumers with the same amounts and
+    vice versa. The totals swap, so the deficit is the same and the lighter
+    histogram, which sizes the bank bins, is the same one: the capacities
+    are shared. Only the orientation is derived again, by
+    :func:`_forward`.
+    """
+    if term is None:
+        return None
+    src, dst = (term.src_ids, term.src_amounts), (term.dst_ids, term.dst_amounts)
+    sup, con = (src, dst) if term.forward else (dst, src)
+    total_p, total_q = term.totals
+    # The mirror's suppliers are con, its consumers sup.
+    forward = _forward(total_q, total_p, term.n_consumers, term.n_suppliers)
+    src, dst = (con, sup) if forward else (sup, con)
+    return ReducedTerm(
+        forward=forward,
+        src_ids=src[0],
+        src_amounts=src[1],
+        dst_ids=dst[0],
+        dst_amounts=dst[1],
+        bank_caps=term.bank_caps,
+        active=term.active,
+        n_suppliers=term.n_consumers,
+        n_consumers=term.n_suppliers,
+        totals=(total_q, total_p),
+    )
+
+
+def term_bound(
+    term: ReducedTerm | None,
+    edge_costs: np.ndarray,
+    banks: BankAllocation,
+    *,
+    unreachable: float,
+) -> float:
+    """:func:`emd_star_term_bound` of the reduced *term* on a graph whose
+    unreachable cost is *unreachable*."""
+    if term is None or term.src_ids.size == 0:
+        return 0.0  # nothing to solve: the term is 0
+    c_min = min(float(edge_costs.min(initial=np.inf)), unreachable)
+    caps = term.bank_caps[term.active]
+    live = caps > _EPS
+    banked = float((caps[live] * banks.gamma_matrix()[term.active][live]).sum())
+    return banked + c_min * float(term.dst_amounts.sum())
 
 
 def emd_star_term_bound(
@@ -441,8 +517,8 @@ def emd_star_term_bound(
     bank_shares: str = "mass",
 ) -> float:
     """A lower bound on the EMD* term :func:`emd_star_term_fast` returns
-    for the same arguments, from :func:`_reduce` alone: no Dijkstra rows
-    and no solve.
+    for the same arguments, from :func:`reduce_term` alone: no Dijkstra
+    rows and no solve.
 
     The reduced instance is balanced, so every plan ships each ``dst``
     amount in full and fills every live bank bin. A bin costs ``leg + γ_b
@@ -453,16 +529,10 @@ def emd_star_term_bound(
     cost of any feasible plan, under either bank metric and share rule.
     No metric property of the ground distance is used.
     """
-    p = np.asarray(p_hist, dtype=np.float64)
-    q = np.asarray(q_hist, dtype=np.float64)
-    term = _reduce(p, q, banks, bank_shares)
-    if term is None or term.src_ids.size == 0:
-        return 0.0  # nothing to solve: the term is 0
-    c_min = min(float(edge_costs.min(initial=np.inf)), unreachable_cost(p.size, max_cost))
-    caps = term.bank_caps[term.active]
-    live = caps > _EPS
-    banked = float((caps[live] * banks.gamma_matrix()[term.active][live]).sum())
-    return banked + c_min * float(term.dst_amounts.sum())
+    term = reduce_term(p_hist, q_hist, banks, bank_shares)
+    return term_bound(
+        term, edge_costs, banks, unreachable=unreachable_cost(np.size(p_hist), max_cost)
+    )
 
 
 def _price(
@@ -773,7 +843,9 @@ def _certified_solve(
     counts: SolverCounts | None = None,
 ):
     """Fold → solve → check → extend until the plan ships only on exactly
-    priced cells; returns ``(plan, resolved solver)``.
+    priced cells; returns ``(plan, resolved solver, problem, basis)``: the
+    last round's folded instance and, from the network simplex, its
+    optimal basis (``None`` from other solvers).
 
     Each round folds and solves the priced term. While some row is partial
     and the plan ships on a bound-priced cell, the sources shipping on one
@@ -805,11 +877,12 @@ def _certified_solve(
             term.warm_start |= term.rounds == 1 and bool(plan.info.warm)
             if counts is not None:
                 counts.add(plan.info)
+        basis = chain[0] if chain else None
         if plan is None or term.radius is None or not np.isfinite(term.radius).any():
-            return plan, method
+            return plan, method, problem, basis
         grow = _uncertified(term, plan)
         if not grow.size:
-            return plan, method
+            return plan, method, problem, basis
         rows = term.rows[grow]
         if term.rounds == MAX_ROUNDS - 1 or (
             SETTLED_GROWTH * np.count_nonzero(np.isfinite(rows)) > graph.num_nodes
@@ -823,6 +896,177 @@ def _certified_solve(
                 rows, term.radius[grow], price["unreachable"], min_step
             )
         _price(term, graph, edge_costs, banks, grow=grow, **price)
+
+
+def _potentials(costs: np.ndarray, basis: TransportBasis) -> tuple | None:
+    """Row and column potentials ``(u, v)`` with ``u_i + v_j = costs[i, j]``
+    on every cell of *basis*, by one walk over the tree from row 0;
+    ``None`` unless *basis* is a spanning tree of the instance (an
+    optimum whose tree kept an artificial arc leaves a forest of real
+    cells)."""
+    m, n = costs.shape
+    if len(basis) != m + n - 1:
+        return None
+    rows, cols = basis.rows.tolist(), (basis.cols + m).tolist()
+    adjacent: list[list] = [[] for _ in range(m + n)]
+    for i, j, c in zip(rows, cols, costs[basis.rows, basis.cols].tolist()):
+        adjacent[i].append((j, c))
+        adjacent[j].append((i, c))
+    potential = [None] * (m + n)
+    potential[0] = 0.0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, c in adjacent[i]:
+            if potential[j] is None:
+                potential[j] = c - potential[i]
+                stack.append(j)
+    if None in potential:
+        return None  # m + n - 1 cells that do not connect: a cycle somewhere
+    return np.array(potential[:m]), np.array(potential[m:])
+
+
+def _dual_radii(
+    term: ReducedTerm, problem: TransportationProblem, basis: TransportBasis, gamma
+) -> np.ndarray | None:
+    """``ρ_s = max_j (u_s + v_j - γ_j)`` for every ``src`` user s, from the
+    optimal duals of the solved *term*: ``u`` on the ``src`` side, ``v``
+    on the ``dst`` columns (users, then the folded bank bins, whose γ is
+    taken off; ``γ_j = 0`` for a user). ``None`` when *basis* is not a
+    spanning tree. A shift of the duals leaves ρ unchanged.
+
+    Under a term's own optimal duals, a cell priced above ``u_s + v_j`` has
+    a positive reduced cost, and no optimal plan ships on it. A search
+    from s to ``ρ_s`` (to ``⌊ρ_s⌋`` on integral costs, whose unreached
+    cells cost ``⌊ρ_s⌋ + 1``) prices every cell it leaves unreached, user
+    or leg (γ added), above that: the relaxed plan then certifies in one
+    round. :func:`solve_reduced_term` starts the mirror term there, whose
+    own duals these predict.
+    """
+    potentials = _potentials(problem.costs, basis)
+    if potentials is None:
+        return None
+    u, v = potentials if term.forward else potentials[::-1]
+    if term.legs is not None:
+        live = term.bank_caps[term.active] > _EPS
+        v = v - np.concatenate([np.zeros(term.dst_ids.size), gamma[term.active][live]])
+    return np.maximum(u + v.max(initial=-np.inf), 0.0)
+
+
+#: Slack under which a dual radius on integral costs still counts as the
+#: integer just above it (its potentials are sums of costs and γ).
+_RADIUS_SLACK = 1e-9
+
+
+@dataclass
+class MirrorHandoff:
+    """What an Eq. 3 term ``(a, b, o)`` hands its mirror ``(b, a, o)``
+    within one pair's sum (see :meth:`repro.snd.snd.SND._sum_terms`).
+
+    The first of the two terms :func:`solve_reduced_term` solves fills it
+    and sets *ready*: *term* is the mirror's reduction
+    (:func:`mirror_reduction`), and *radii* the first term's dual radii
+    (:func:`_dual_radii`), one per ``src`` user, or ``None`` when the
+    mirror starts from the row cache's record instead. The radii apply only
+    when both terms' rows run from the same users, which the orientation
+    rule gives unless the deficit is zero and both sides are the same
+    size.
+    """
+
+    term: ReducedTerm | None = None
+    radii: np.ndarray | None = None
+    ready: bool = False
+
+
+def solve_reduced_term(
+    term: ReducedTerm | None,
+    graph: DiGraph,
+    edge_costs: np.ndarray,
+    banks: BankAllocation,
+    *,
+    max_cost: int,
+    solver: str = "ssp",
+    bank_metric: str = "nearest",
+    row_cache=None,
+    cost_key=None,
+    basis_cache=None,
+    basis_key=None,
+    stats: FastTermStats | None = None,
+    counts: SolverCounts | None = None,
+    mirror: MirrorHandoff | None = None,
+) -> float:
+    """The EMD* term of the reduction *term* (:func:`reduce_term`): price →
+    fold → solve, with the options of :func:`emd_star_term_fast`.
+
+    *mirror* pairs the term with its mirror. Not yet *ready*, the term
+    fills it once solved. *Ready*, the term is that mirror: *term* is the
+    hand-off's reduction, and a certified term whose row cache would start
+    it at a finite radius starts each row at its dual radius instead
+    (counted as ``mirrored``). Such a term records its certificate radius
+    but not its settled fraction: its rows stopped where the duals said,
+    not where the record did (see
+    :meth:`~repro.snd.cache.DijkstraRowCache.record_radius`).
+    """
+    start_from = mirror if mirror is not None and mirror.ready else None
+    if mirror is not None and not mirror.ready:
+        mirror.term = mirror_reduction(term)
+    if term is None:
+        if mirror is not None:
+            mirror.ready = True
+        if stats is not None:
+            stats.cost = 0.0
+        return 0.0
+    unreachable = unreachable_cost(graph.num_nodes, max_cost)
+    certify = bank_metric == "nearest" and row_cache is not None and cost_key is not None
+    start = row_cache.start_radius(term.src_ids.size) if certify else np.inf
+    bounded = start < unreachable  # never bounds a term the record runs full
+    integral = bounded and row_cache.integral_costs(cost_key, edge_costs)
+    dual = start_from.radii if bounded and start_from is not None else None
+    if dual is not None:
+        term.radius = np.floor(dual + _RADIUS_SLACK) if integral else dual.copy()
+        term.radius[dual >= unreachable] = np.inf
+        row_cache.count_mirrored()
+    elif bounded:
+        term.radius = np.full(term.src_ids.size, start)
+    price = dict(
+        unreachable=unreachable, bank_metric=bank_metric, integral=integral,
+        row_cache=row_cache, cost_key=cost_key,
+        # The term's rounds share one search matrix, built on first use.
+        matrix=functools.cache(functools.partial(
+            search_matrix, graph, edge_costs, reverse=not term.forward
+        )),
+    )
+    _price(term, graph, edge_costs, banks, **price)
+    plan, solver, problem, basis = _certified_solve(
+        term, graph, edge_costs, banks, solver, price=price,
+        basis_cache=basis_cache, basis_key=basis_key, counts=counts,
+    )
+    if certify and plan is not None and row_cache.record_due():
+        radius, settled = _certificate(term, plan)
+        row_cache.record_radius(radius, settled if dual is None else None)
+    if mirror is not None and not mirror.ready:
+        # The mirror's rows run from these users only when its orientation
+        # is the opposite one; only a spanning tree yields the duals.
+        if certify and basis is not None and mirror.term.forward != term.forward:
+            mirror.radii = _dual_radii(term, problem, basis, banks.gamma_matrix())
+        mirror.ready = True
+    cost = 0.0 if plan is None else float(plan.cost)
+
+    if stats is not None:
+        stats.n_suppliers = term.n_suppliers
+        stats.n_consumers = term.n_consumers
+        stats.n_sssp_runs = term.n_sssp_runs
+        stats.n_settled = int(np.isfinite(term.rows).sum())
+        stats.n_cluster_runs = term.n_cluster_runs
+        stats.rounds = term.rounds
+        stats.solver = solver
+        stats.cost = cost
+        # The network simplex and the hybrid report their pivots, summed
+        # over the term's rounds, and whether its first solve started warm.
+        if plan is not None and plan.info is not None:
+            stats.pivots = term.pivots
+            stats.warm_start = term.warm_start
+    return cost
 
 
 def emd_star_term_fast(
@@ -844,7 +1088,7 @@ def emd_star_term_fast(
     counts: SolverCounts | None = None,
 ) -> float:
     """One EMD* term of Eq. 3 via the Theorem 4 reduction: reduce → price
-    → fold → solve.
+    → fold → solve (:func:`reduce_term`, then :func:`solve_reduced_term`).
 
     Parameters
     ----------
@@ -889,51 +1133,11 @@ def emd_star_term_fast(
     """
     check_term_options(solver, bank_metric, bank_shares)
     n = graph.num_nodes
-    p = np.asarray(p_hist, dtype=np.float64)
-    q = np.asarray(q_hist, dtype=np.float64)
-    if p.shape != (n,) or q.shape != (n,):
+    if np.shape(p_hist) != (n,) or np.shape(q_hist) != (n,):
         raise ValidationError("histograms must have one bin per graph node")
-
-    term = _reduce(p, q, banks, bank_shares)
-    if term is None:
-        if stats is not None:
-            stats.cost = 0.0
-        return 0.0
-    unreachable = unreachable_cost(n, max_cost)
-    certify = bank_metric == "nearest" and row_cache is not None and cost_key is not None
-    start = row_cache.start_radius(term.src_ids.size) if certify else np.inf
-    if start < unreachable:
-        term.radius = np.full(term.src_ids.size, start)
-    price = dict(
-        unreachable=unreachable, bank_metric=bank_metric,
-        integral=term.radius is not None and row_cache.integral_costs(cost_key, edge_costs),
-        row_cache=row_cache, cost_key=cost_key,
-        # The term's rounds share one search matrix, built on first use.
-        matrix=functools.cache(functools.partial(
-            search_matrix, graph, edge_costs, reverse=not term.forward
-        )),
+    return solve_reduced_term(
+        reduce_term(p_hist, q_hist, banks, bank_shares), graph, edge_costs, banks,
+        max_cost=max_cost, solver=solver, bank_metric=bank_metric,
+        row_cache=row_cache, cost_key=cost_key, basis_cache=basis_cache,
+        basis_key=basis_key, stats=stats, counts=counts,
     )
-    _price(term, graph, edge_costs, banks, **price)
-    plan, solver = _certified_solve(
-        term, graph, edge_costs, banks, solver, price=price,
-        basis_cache=basis_cache, basis_key=basis_key, counts=counts,
-    )
-    if certify and plan is not None and row_cache.record_due():
-        row_cache.record_radius(*_certificate(term, plan))
-    cost = 0.0 if plan is None else float(plan.cost)
-
-    if stats is not None:
-        stats.n_suppliers = term.n_suppliers
-        stats.n_consumers = term.n_consumers
-        stats.n_sssp_runs = term.n_sssp_runs
-        stats.n_settled = int(np.isfinite(term.rows).sum())
-        stats.n_cluster_runs = term.n_cluster_runs
-        stats.rounds = term.rounds
-        stats.solver = solver
-        stats.cost = cost
-        # The network simplex and the hybrid report their pivots, summed
-        # over the term's rounds, and whether its first solve started warm.
-        if plan is not None and plan.info is not None:
-            stats.pivots = term.pivots
-            stats.warm_start = term.warm_start
-    return cost

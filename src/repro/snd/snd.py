@@ -47,12 +47,15 @@ from repro.snd.cache import (
 )
 from repro.snd.fast import (
     FastTermStats,
+    MirrorHandoff,
     SolverCounts,
     check_term_options,
-    emd_star_term_bound,
-    emd_star_term_fast,
+    mirror_reduction,
+    reduce_term,
+    solve_reduced_term,
+    term_bound,
 )
-from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig
+from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig, unreachable_cost
 
 __all__ = ["SND", "SNDResult"]
 
@@ -60,6 +63,21 @@ __all__ = ["SND", "SNDResult"]
 def _check_users(graph: DiGraph, state) -> None:
     if state.n != graph.num_nodes:
         raise StateError(f"state covers {state.n} users, graph has {graph.num_nodes}")
+
+
+def _mirrors(terms) -> dict[int, int]:
+    """``{i: j}`` for each term ``i = (c, s, o)`` whose mirror ``j = (s, c,
+    o)`` (the same states, swapped, at the same opinion) comes earlier in
+    *terms*; each term pairs at most once."""
+    first: dict = {}
+    out = {}
+    for i, (supplier, consumer, opinion) in enumerate(terms):
+        j = first.pop((id(consumer), id(supplier), opinion), None)
+        if j is None:
+            first.setdefault((id(supplier), id(consumer), opinion), i)
+        else:
+            out[i] = j
+    return out
 
 
 @dataclass
@@ -195,7 +213,14 @@ class SND:
         counts: SolverCounts | None = None,
     ) -> tuple[float, tuple[float, ...]]:
         """The Eq. 3 sum ``(value, terms)``: every :meth:`_pair_terms` term
-        through :meth:`term`, summed left to right.
+        through :meth:`term`, in order, summed left to right.
+
+        A term and its mirror (supplier and consumer swapped, same
+        opinion) share one :class:`~repro.snd.fast.MirrorHandoff`: the
+        first hands the second its reduction and, on certified rows, the
+        radii its optimal duals give each row source
+        (:func:`~repro.snd.fast.solve_reduced_term`). Nothing else crosses
+        terms, and the hand-off ends with the call.
 
         :meth:`evaluate` runs it cache-free and collects one
         :class:`FastTermStats` per term into *stats*. The engine passes
@@ -207,8 +232,12 @@ class SND:
         self._check_state(a)
         self._check_state(b)
         terms = []
-        for supplier, consumer, opinion in self._pair_terms(a, b):
-            kwargs = {"counts": counts}
+        pair_terms = self._pair_terms(a, b)
+        handoffs = {}
+        for i, j in _mirrors(pair_terms).items():
+            handoffs[i] = handoffs[j] = MirrorHandoff()
+        for i, (supplier, consumer, opinion) in enumerate(pair_terms):
+            kwargs = {"counts": counts, "mirror": handoffs.get(i)}
             if caches is not None:
                 fp_sup = GroundCostCache.fingerprint(supplier)
                 kwargs.update(
@@ -233,26 +262,31 @@ class SND:
         share rule, and assumes no metric (see ``docs/measures.md``).
 
         *caches* supplies the Eq. 2 cost arrays from its ground cache, so
-        an exact solve of the same pair afterwards builds none of them.
+        an exact solve of the same pair afterwards builds none of them. A
+        term's mirror takes its reduction, as in :meth:`_sum_terms`.
         """
         self._check_state(a)
         self._check_state(b)
-        bounds = []
-        for supplier, consumer, opinion in self._pair_terms(a, b):
+        pair_terms = self._pair_terms(a, b)
+        mirrors = _mirrors(pair_terms)
+        unreachable = unreachable_cost(self.graph.num_nodes, self.ground.max_cost)
+        reduced, bounds = [], []
+        for i, (supplier, consumer, opinion) in enumerate(pair_terms):
             if caches is None:
                 edge_costs = self.ground.edge_costs(self.graph, supplier, opinion)
             else:
                 edge_costs = caches.ground.edge_costs(
                     self.ground, self.graph, supplier, opinion
                 )
-            bounds.append(emd_star_term_bound(
-                supplier.histogram(opinion),
-                consumer.histogram(opinion),
-                edge_costs,
-                self.banks,
-                max_cost=self.ground.max_cost,
-                bank_shares=self.bank_shares,
-            ))
+            if i in mirrors:
+                term = mirror_reduction(reduced[mirrors[i]])
+            else:
+                term = reduce_term(
+                    supplier.histogram(opinion), consumer.histogram(opinion),
+                    self.banks, self.bank_shares,
+                )
+            reduced.append(term)
+            bounds.append(term_bound(term, edge_costs, self.banks, unreachable=unreachable))
         return 0.5 * sum(bounds)
 
     def term(
@@ -268,6 +302,7 @@ class SND:
         basis_key=None,
         stats: FastTermStats | None = None,
         counts: SolverCounts | None = None,
+        mirror: MirrorHandoff | None = None,
     ) -> float:
         """One EMD* term: mass of *opinion* moving from *supplier_state*'s
         adopters to *consumer_state*'s adopters under the ground distance
@@ -283,28 +318,37 @@ class SND:
         *basis_key* (the term's ``(supplier fingerprint, consumer
         fingerprint, opinion)`` key) thread spanning-tree warm starts
         through network-simplex solves — also value-preserving, see
-        :class:`~repro.snd.cache.BasisCache`.
+        :class:`~repro.snd.cache.BasisCache`. *mirror* is the hand-off
+        this term shares with its mirror term (see :meth:`_sum_terms`):
+        once the mirror has filled it, this term takes its reduction from
+        it instead of reducing the histograms again.
         """
         _check_users(self.graph, supplier_state)
         _check_users(self.graph, consumer_state)
         if edge_costs is None:
             edge_costs = self.ground.edge_costs(self.graph, supplier_state, opinion)
-        return emd_star_term_fast(
+        if mirror is not None and mirror.ready:
+            term = mirror.term
+        else:
+            term = reduce_term(
+                supplier_state.histogram(opinion), consumer_state.histogram(opinion),
+                self.banks, self.bank_shares,
+            )
+        return solve_reduced_term(
+            term,
             self.graph,
-            supplier_state.histogram(opinion),
-            consumer_state.histogram(opinion),
             edge_costs,
             self.banks,
             max_cost=self.ground.max_cost,
             solver=self.solver,
             bank_metric=self.bank_metric,
-            bank_shares=self.bank_shares,
             row_cache=row_cache,
             cost_key=cost_key,
             basis_cache=basis_cache,
             basis_key=basis_key,
             stats=stats,
             counts=counts,
+            mirror=mirror,
         )
 
     def distance(self, state_a: NetworkState, state_b: NetworkState) -> float:

@@ -857,10 +857,10 @@ class TestSolverCounts:
     @pytest.mark.parametrize(
         "use_basis_cache, expected",
         [
-            (False, {"solves": 40, "cold_solves": 40, "warm_solves": 0,
-                     "cold_pivots": 125, "warm_pivots": 0, "warm_arcs_used": 0}),
-            (True, {"solves": 40, "cold_solves": 20, "warm_solves": 20,
-                    "cold_pivots": 64, "warm_pivots": 3, "warm_arcs_used": 59}),
+            (False, {"solves": 41, "cold_solves": 40, "warm_solves": 1,
+                     "cold_pivots": 125, "warm_pivots": 0, "warm_arcs_used": 4}),
+            (True, {"solves": 41, "cold_solves": 20, "warm_solves": 21,
+                    "cold_pivots": 64, "warm_pivots": 3, "warm_arcs_used": 63}),
         ],
         ids=["cold", "warm"],
     )
