@@ -105,54 +105,12 @@ def weakly_connected_components(graph: DiGraph) -> np.ndarray:
 
 
 def strongly_connected_components(graph: DiGraph) -> np.ndarray:
-    """Tarjan's algorithm, iterative form. Returns component labels."""
-    n = graph.num_nodes
-    indptr, indices = graph.indptr, graph.indices
-    index = np.full(n, _UNREACHED, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    labels = np.full(n, _UNREACHED, dtype=np.int64)
-    stack: list[int] = []
-    next_index = 0
-    next_label = 0
-
-    for root in range(n):
-        if index[root] != _UNREACHED:
-            continue
-        work: list[tuple[int, int]] = [(root, int(indptr[root]))]
-        while work:
-            u, edge_pos = work[-1]
-            if index[u] == _UNREACHED:
-                index[u] = lowlink[u] = next_index
-                next_index += 1
-                stack.append(u)
-                on_stack[u] = True
-            advanced = False
-            while edge_pos < indptr[u + 1]:
-                v = int(indices[edge_pos])
-                edge_pos += 1
-                if index[v] == _UNREACHED:
-                    work[-1] = (u, edge_pos)
-                    work.append((v, int(indptr[v])))
-                    advanced = True
-                    break
-                if on_stack[v]:
-                    lowlink[u] = min(lowlink[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[u] == index[u]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    labels[w] = next_label
-                    if w == u:
-                        break
-                next_label += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[u])
-    return labels
+    """Label array: ``labels[v]`` is the strong-component id of node ``v``
+    (two nodes share one iff each reaches the other)."""
+    _, labels = connected_components(
+        unit_matrix(graph), directed=True, connection="strong"
+    )
+    return labels.astype(np.int64)
 
 
 def is_weakly_connected(graph: DiGraph) -> bool:

@@ -160,11 +160,9 @@ _HELP = {
     # caches
     "hits": "Cache lookups answered.",
     "misses": "Cache lookups that missed.",
-    "builds": "Entries computed (all stored except the row cache's skipped ones).",
+    "builds": "Entries computed (the row cache stores only full rows searched while its record starts terms full).",
     "evictions": "Entries evicted by the LRU or the memory budget.",
-    "extensions": "Row searches that grew a cached row to a larger radius.",
     "settled": "Nodes settled by the row searches.",
-    "skipped": "Rows searched but not stored (sampled admission).",
     "terms": "Certified terms started by the row cache.",
     "mirrored": "Certified terms started at their mirror term's dual radii instead of the record.",
     "exact_hits": "Basis-store hits on the same term solved before.",

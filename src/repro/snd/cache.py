@@ -11,12 +11,13 @@ work at four levels:
    ``2·(T-1) + 2`` arrays instead of ``4·(T-1)``; a pairwise matrix over
    ``N`` states builds ``2·N`` instead of ``2·N·(N-1)``. The cache keeps
    about twice as many arrays as its recent hits reached back for.
-2. **Shortest-path rows** (:class:`DijkstraRowCache`): per-source Dijkstra
-   rows keyed by ``(cost key, direction, source)``, each searched to a
-   radius (partial rows are kept sparse). Rows are independent per
-   source, so stitching cached and fresh rows is bit-identical to one
-   batched run at the same radius. The cache also records recent
-   certificate radii, which set how far a new term searches first.
+2. **Shortest-path rows** (:class:`DijkstraRowCache`): full per-source
+   Dijkstra rows keyed by ``(cost key, direction, source)``, stored only
+   while terms search full rows; a held row answers a request at any
+   radius cut there. Rows are independent per source, so stitching
+   cached and fresh rows is bit-identical to one batched run at the same
+   radius. The cache also records recent certificate radii, which set
+   how far a new term searches first.
 3. **Finished transitions** (:class:`TransitionCache`): whole SND values
    keyed by the ordered state-fingerprint pair. Sliding windows re-solve
    exactly one transition per shift; corpus extensions solve only the new
@@ -380,92 +381,42 @@ def _quantile(ordered: list, q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-class _PartialRow:
-    """One cached row: exact distances up to *radius*.
-
-    A partial row is stored sparse: ``indices`` (int32) and ``dists`` list
-    every node the search settled, i.e. every node at distance
-    ``<= radius``; all other nodes lie beyond it. A full row (*radius*
-    ``inf``) keeps its dense array in ``dists`` and ``indices`` is
-    ``None``.
-    """
-
-    __slots__ = ("radius", "indices", "dists", "nbytes", "read")
-
-    def __init__(self, row: np.ndarray, radius: float, settled: np.ndarray) -> None:
-        """*settled* marks the nodes the search reached (finite entries)."""
-        self.read = False  # set by the first request it serves
-        self.radius = float(radius)
-        if self.radius == np.inf:
-            self.indices = None
-            self.dists = row.copy()
-        else:
-            indices = np.flatnonzero(settled)
-            self.indices = indices.astype(np.int32)
-            self.dists = row[indices]
-            self.indices.setflags(write=False)
-        self.dists.setflags(write=False)
-        held = self.dists.nbytes + (0 if self.indices is None else self.indices.nbytes)
-        self.nbytes = int(held) + 8
-
-    def fill(self, out: np.ndarray, radius: float) -> None:
-        """Write the row, cut at *radius* (``<= self.radius``), into the
-        dense *out* (``inf`` beyond the cut)."""
-        dists = self.dists
-        if self.indices is None:
-            out[:] = dists if radius == np.inf else np.where(dists <= radius, dists, np.inf)
-            return
-        out.fill(np.inf)
-        if radius >= self.radius:
-            out[self.indices] = dists
-        else:
-            keep = dists <= radius
-            out[self.indices[keep]] = dists[keep]
-
-
 class DijkstraRowCache(_LruCache):
-    """Bounded LRU cache of per-source shortest-path rows, searched only
-    as far as they were asked to go.
+    """Bounded LRU cache of full per-source shortest-path rows, plus the
+    record of certificate radii that sets how far a term searches.
 
     A row is ``dist(source -> ·)`` (or ``dist(· -> source)`` when
     *reverse*) under one supplier-side cost array; the key is
     ``(cost_key, reverse, source)`` where ``cost_key`` is the ground-cost
-    cache key ``(state fingerprint, opinion)``. An entry is a partial row
-    ``(radius, indices, dists)``, held sparse: the exact distance of every
-    node within *radius* (a full row, radius ``inf``, is held dense). A
-    request at a radius the entry covers is a hit and is served cut at the
-    asked radius, so what a term sees never depends on what the cache
-    happened to hold. A request past it extends the entry: that source is
-    searched again to the larger radius (scipy cannot resume a search)
-    and the longer row replaces the shorter. Rows are independent per source
-    and a search limited to a radius settles exactly the nodes within it,
-    so for each radius a matrix stitched from cached and fresh rows is
-    bit-identical to one batched ``multi_source_distances(..., limit=)``
-    call — which is what makes the cache safe for the exactness contract
-    of the batch engine.
+    cache key ``(state fingerprint, opinion)``. An entry is a dense,
+    read-only full row. A request at any radius is a hit on a held row and
+    is served cut at the asked radius (``inf`` beyond it): a search
+    limited to a radius settles exactly the nodes within it, at their full
+    distances, so the cut row is bit-identical to the limited search, and
+    a matrix stitched from held and fresh rows is bit-identical to one
+    batched ``multi_source_distances(..., limit=)`` call — what a term
+    sees never depends on what the cache held, which is what makes the
+    cache safe for the exactness contract of the batch engine.
 
-    Rows are stored only while requests read them back. Once
-    :attr:`ADMIT_WINDOW` evicted rows in a row have left the cache
-    unread, only one new row in :attr:`FULL_ROW_SAMPLE` is stored, in a
-    cache that many times smaller, so a stored row still lives as many
-    searches as before; the first hit stores every row again. A stream
-    whose rows are never requested twice (each term a new state) then
-    stops paying for copies nobody reads, while a workload that re-reads
-    rows keeps them all. What a request returns never depends on it.
+    Rows are stored only while the record starts terms full
+    (:meth:`start_radius` is ``inf``): during its warm-up, while
+    certificates settle most of the graph, and in an engine that never
+    consults it (the ``"cluster"`` bank metric). Those are the rows later
+    requests read back. A row searched to a radius, or grown to full
+    inside a certified term, is never stored: a certified stream moves to
+    a new state with each term and never asks for it again.
 
-    The cache also keeps the record of recent certificate radii
-    (:meth:`record_radius`) that sets where the next term's searches
-    start (:meth:`start_radius`), and remembers which cost arrays hold
-    only integers (:meth:`integral_costs`), whose unreached nodes the
-    term prices one integer past the radius; see :mod:`repro.snd.fast`.
+    The record of recent certificate radii (:meth:`record_radius`) sets
+    where the next term's searches start (:meth:`start_radius`), and the
+    cache remembers which cost arrays hold only integers
+    (:meth:`integral_costs`), whose unreached nodes the term prices one
+    integer past the radius; see :mod:`repro.snd.fast`.
 
-    ``misses`` counts row requests that ran a search, ``extensions`` the
-    ones among them that grew a row already held, ``settled`` the nodes
-    those searches settled, ``skipped`` the rows searched but not
-    stored and ``terms`` the certified terms started, so ``settled /
-    terms`` is the nodes a term settles. ``mirrored`` counts the terms
-    among them started at their mirror term's dual radii instead of the
-    record (:meth:`count_mirrored`).
+    ``misses`` counts row requests that ran a search, ``settled`` the
+    nodes those searches settled and ``terms`` the certified terms
+    started, so ``settled / terms`` is the nodes a term settles.
+    ``mirrored`` counts the terms among them started at their mirror
+    term's dual radii instead of the record (:meth:`count_mirrored`).
     """
 
     #: Certificate radii kept for :meth:`start_radius`, and how many it
@@ -484,10 +435,6 @@ class DijkstraRowCache(_LruCache):
     #: While rows are searched in full for that reason, one term in this
     #: many records its certificate (enough to notice them shrinking).
     FULL_ROW_SAMPLE = 8
-    #: Once this many evicted rows in a row have left the cache unread, only
-    #: one new row in FULL_ROW_SAMPLE is stored; the first hit stores every
-    #: row again.
-    ADMIT_WINDOW = 64
 
     def __init__(self, maxsize: int = DEFAULT_ROW_CACHE_SIZE) -> None:
         super().__init__(maxsize)
@@ -499,11 +446,7 @@ class DijkstraRowCache(_LruCache):
         self._integral: OrderedDict = OrderedDict()  # cost key -> all integers
         self._full_rows = False  # full rows for large certificates
         self._full_row_terms = 0  # terms started so since the last bounded one
-        self._unread = 0  # evictions in a row of rows no request read
-        self._offered = 0  # rows searched since storing turned to sampling
-        self.extensions = 0
         self.settled = 0
-        self.skipped = 0
         self.terms = 0
         self.mirrored = 0
 
@@ -610,17 +553,14 @@ class DijkstraRowCache(_LruCache):
         searches: dict[float, list[int]] = {}
         with self._lock:
             for i, (key, r) in enumerate(zip(keys, radii.tolist())):
-                entry = self._entries.get(key)
-                if entry is not None and entry.radius >= r:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    entry.read = True
-                    self._unread = 0
-                    entry.fill(out[i], r)
+                row = self._entries.get(key)
+                if row is None:
+                    self.misses += 1
+                    searches.setdefault(r, []).append(i)
                     continue
-                self.misses += 1
-                self.extensions += entry is not None
-                searches.setdefault(r, []).append(i)
+                self._entries.move_to_end(key)
+                self.hits += 1
+                out[i] = row if r == np.inf else np.where(row <= r, row, np.inf)
         for r, rows in searches.items():
             fresh = multi_source_distances(
                 graph, sources[rows], weights=edge_costs, reverse=reverse, limit=r,
@@ -630,52 +570,19 @@ class DijkstraRowCache(_LruCache):
                 out = fresh
             else:
                 out[rows] = fresh
-            # A search settles exactly the nodes it leaves finite: one mask
-            # counts them and lists each partial row's entries.
-            settled = np.isfinite(fresh)
             with self._lock:
-                self.settled += int(np.count_nonzero(settled))
-            for k, i in enumerate(rows):
-                if self._admit():
-                    self._put(keys[i], _PartialRow(fresh[k], r, settled[k]))
+                self.settled += int(np.count_nonzero(np.isfinite(fresh)))
+                store = r == np.inf and self._start == np.inf
+            if store:
+                for k, i in enumerate(rows):
+                    row = fresh[k].copy()
+                    row.setflags(write=False)
+                    self._put(keys[i], row)
         return out
-
-    @property
-    def _sampling(self) -> bool:
-        """Whether the last ADMIT_WINDOW rows evicted all left unread."""
-        return self._unread >= self.ADMIT_WINDOW
-
-    def _admit(self) -> bool:
-        """Whether to store the row just searched (counting a skip)."""
-        with self._lock:
-            if not self._sampling:
-                return True
-            self._offered += 1
-            if self._offered % self.FULL_ROW_SAMPLE == 1:
-                return True
-            self.skipped += 1
-            return False
-
-    def _capacity(self) -> int:
-        # A sampled row lives as many searches as any row did before.
-        if self._sampling:
-            return max(1, self.maxsize // self.FULL_ROW_SAMPLE)
-        return self.maxsize
-
-    def _evict_oldest_locked(self) -> int:
-        # LRU and memory-budget evictions both come through here.
-        if getattr(next(iter(self._entries.values())), "read", False):
-            self._unread = 0
-        elif not self._sampling:
-            self._unread += 1
-            self._offered = 0
-        return super()._evict_oldest_locked()
 
     def stats(self) -> dict:
         out = super().stats()
-        out["extensions"] = self.extensions
         out["settled"] = self.settled
-        out["skipped"] = self.skipped
         out["terms"] = self.terms
         out["mirrored"] = self.mirrored
         return out
@@ -688,7 +595,6 @@ class DijkstraRowCache(_LruCache):
             self._integral.clear()
             self._start = self._median = np.inf
             self._full_rows, self._full_row_terms = False, 0
-            self._unread = self._offered = 0
 
     def __getstate__(self):
         state = super().__getstate__()
@@ -697,7 +603,6 @@ class DijkstraRowCache(_LruCache):
         state["_integral"] = OrderedDict()
         state["_start"] = state["_median"] = np.inf
         state["_full_rows"], state["_full_row_terms"] = False, 0
-        state["_unread"] = state["_offered"] = 0
         return state
 
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -491,13 +492,25 @@ class SNDEngine:
         rewrites *states* into the shared matrix rows, so two concurrent
         dispatches would clobber each other's slots. Chunks are expected
         to be contiguous-ish so worker caches keep supplier states hot.
+
+        A worker that dies (a crash, a kill) breaks the whole pool: the
+        chunks then go again, once, to a fresh pool, and a second
+        failure raises.
         """
-        pool, slot_of = self._ensure_process_pool(states)
-        # Translate caller indices to shared-matrix slots: append-only
-        # assignment means a state's slot is stable across dispatches, not
-        # necessarily equal to its position in *states*.
-        slot_chunks = [[(slot_of[i], slot_of[j]) for i, j in chunk] for chunk in chunks]
-        results = list(pool.map(_engine_pairs_worker, slot_chunks))
+
+        def run() -> list:
+            pool, slot_of = self._ensure_process_pool(states)
+            # Translate caller indices to shared-matrix slots: append-only
+            # assignment means a state's slot is stable across dispatches,
+            # not necessarily equal to its position in *states*.
+            slot_chunks = [[(slot_of[i], slot_of[j]) for i, j in chunk] for chunk in chunks]
+            return list(pool.map(_engine_pairs_worker, slot_chunks))
+
+        try:
+            results = run()
+        except BrokenProcessPool:
+            self._shutdown_pool()
+            results = run()
         for _values, counts, cache_delta in results:
             self._count_solves(counts, cache_delta)
         return [values for values, *_counts in results]

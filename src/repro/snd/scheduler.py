@@ -189,8 +189,9 @@ class PairScheduler:
         fingerprint-ordered pair (in-flight from another thread, or a
         duplicate earlier in the same batch).
     ``solved``
-        Fresh solves actually dispatched.  With a shared transition
-        cache, N concurrent requests for one pair contribute exactly 1.
+        Fresh solves that returned a value (a batch that raised counts
+        none).  With a shared transition cache, N concurrent requests for
+        one pair contribute exactly 1.
     ``batches``
         Chunk submissions (serial runs count one batch per slice).
     ``rejected``
@@ -452,17 +453,19 @@ class PairScheduler:
         across its worker pool — the one place that decides where a batch
         runs."""
         engine = self.engine
-        self.solved += len(pairs)
         if engine.jobs <= 1 or len(pairs) <= 1:
             self.batches += 1
-            return engine._solve_pairs_local(states, pairs)
-        chunks = [pairs[a:b] for a, b in _chunk_ranges(len(pairs), engine.jobs)]
-        self.batches += len(chunks)
-        # The engine (re)writes states into the shared-memory matrix per
-        # dispatch, so concurrent dispatches must not interleave.
-        with self._dispatch_lock:
-            chunk_values = engine._dispatch_chunks(states, chunks)
-        return [value for chunk in chunk_values for value in chunk]
+            values = engine._solve_pairs_local(states, pairs)
+        else:
+            chunks = [pairs[a:b] for a, b in _chunk_ranges(len(pairs), engine.jobs)]
+            self.batches += len(chunks)
+            # The engine (re)writes states into the shared-memory matrix per
+            # dispatch, so concurrent dispatches must not interleave.
+            with self._dispatch_lock:
+                chunk_values = engine._dispatch_chunks(states, chunks)
+            values = [value for chunk in chunk_values for value in chunk]
+        self.solved += len(pairs)  # only pairs that were answered
+        return values
 
     def _publish(
         self,

@@ -139,6 +139,21 @@ class TestComponents:
         labels = strongly_connected_components(line_graph)
         assert len(np.unique(labels)) == 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 25),
+        p=st.floats(0.01, 0.3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_strong_components_by_definition(self, n, p, seed):
+        """u and v share a label iff each reaches the other."""
+        g = erdos_renyi_graph(n, p, seed=seed, directed=True)
+        labels = strongly_connected_components(g)
+        assert labels.dtype == np.int64
+        reach = np.array([bfs_distances(g, v) >= 0 for v in range(n)])
+        mutual = reach & reach.T
+        assert np.array_equal(labels[:, None] == labels[None, :], mutual)
+
     def test_strong_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
         g = erdos_renyi_graph(40, 0.06, seed=3, directed=True)

@@ -399,12 +399,11 @@ class TestScrapeOverHttp:
             for cache in ("ground", "rows", "transitions", "bases"):
                 key = f'snd_cache_size{{cache="{cache}",graph="t"}}'
                 assert key in values, key
-            # the row searches' settled nodes, extensions and unstored rows
+            # the row searches' settled nodes and the certified terms
             assert types["snd_cache_settled_total"] == "counter"
             assert 'snd_cache_settled_total{cache="rows",graph="t"}' in values
-            assert 'snd_cache_extensions_total{cache="rows",graph="t"}' in values
-            assert types["snd_cache_skipped_total"] == "counter"
-            assert values['snd_cache_skipped_total{cache="rows",graph="t"}'] == 0
+            assert types["snd_cache_terms_total"] == "counter"
+            assert 'snd_cache_terms_total{cache="rows",graph="t"}' in values
             # solver metric families, the shard's own engine counts
             assert values['snd_simplex_solves_total{graph="t"}'] > 0
             assert 'snd_hybrid_solves_total{graph="t"}' in values

@@ -343,80 +343,57 @@ class TestGroundCapacity:
         assert manager.ground.builds <= 2 * 301
 
 
-class TestRowAdmission:
-    """The row cache stores rows only while requests read them back: once
-    ADMIT_WINDOW evicted rows in a row left unread, one new row in
-    FULL_ROW_SAMPLE is stored, and the first hit stores every row again."""
+class TestRowStorage:
+    """The row cache stores only full rows, and only while its record
+    starts terms full; a held row answers a request at any radius."""
 
     @staticmethod
-    def _request(cache, graph, family) -> np.ndarray:
+    def _request(cache, graph, family, radius=np.inf) -> np.ndarray:
         costs = np.ones(graph.num_edges)
         return cache.distance_rows(
-            graph, [0, 1], costs, reverse=family % 2 == 1, cost_key=("fresh", family)
+            graph, [0, 1], costs, reverse=family % 2 == 1, cost_key=("fresh", family),
+            radius=radius,
         )
 
-    def _fill_past_window(self, cache, graph, family: int = 0) -> int:
-        """Feed never-repeated families, from *family* on, until the window
-        has passed; returns the next family number."""
-        while cache.evictions < cache.ADMIT_WINDOW:
-            self._request(cache, graph, family)
-            family += 1
-        assert cache.skipped == 0  # every row was stored up to here
-        return family
+    @staticmethod
+    def _warm(cache: DijkstraRowCache) -> DijkstraRowCache:
+        """Give *cache* a record that starts terms at a finite radius."""
+        for _ in range(cache.RADIUS_WARMUP):
+            cache.record_radius(2.0, 0.1)
+        assert cache.start_radius() == 2.0
+        return cache
 
-    def test_unread_stream_stops_storing(self, graph):
-        cache = DijkstraRowCache(maxsize=16)
-        family = 0
-        while len(cache) < 16:
-            self._request(cache, graph, family)
-            family += 1
-        full_nbytes = cache.nbytes
-        family = self._fill_past_window(cache, graph, family)
-        # The sampled rows live in a cache FULL_ROW_SAMPLE times smaller.
-        size, nbytes, misses = len(cache), cache.nbytes, cache.misses
-        assert size == 16 // cache.FULL_ROW_SAMPLE
-        assert nbytes < full_nbytes
-        for _ in range(100):
-            self._request(cache, graph, family)
-            family += 1
-        stats = cache.stats()
-        assert stats["misses"] == misses + 200  # two rows per request
-        stored = -(-200 // cache.FULL_ROW_SAMPLE)
-        assert stats["skipped"] == 200 - stored
-        assert stats["size"] == size and stats["nbytes"] == nbytes
-
-    def test_one_hit_restores_full_admission(self, graph):
-        cache = DijkstraRowCache(maxsize=16)
-        family = self._fill_past_window(cache, graph)
-        for _ in range(20):
-            self._request(cache, graph, family)
-            family += 1
-        skipped = cache.skipped
-        assert skipped > 0
-        (cost_key, reverse, source) = next(reversed(cache._entries))
-        hits = cache.hits
-        costs = np.ones(graph.num_edges)
-        cache.distance_rows(graph, [source], costs, reverse=reverse, cost_key=cost_key)
-        assert cache.hits == hits + 1
-        for _ in range(5):
-            self._request(cache, graph, family)
-            family += 1
-        assert cache.skipped == skipped
-        # The sampled rows plus all ten new ones.
-        assert len(cache) == 16 // cache.FULL_ROW_SAMPLE + 10
-
-    def test_rows_read_back_keep_full_admission(self, graph):
-        cache = DijkstraRowCache(maxsize=4)
-        for family in range(10 * cache.ADMIT_WINDOW):
-            first = self._request(cache, graph, family)
-            again = self._request(cache, graph, family)  # read back once
+    def test_bounded_rows_are_never_stored(self, graph):
+        cache = DijkstraRowCache()
+        for family in range(10):
+            first = self._request(cache, graph, family, radius=2.0)
+            again = self._request(cache, graph, family, radius=2.0)
             assert again.tobytes() == first.tobytes()
-        assert cache.skipped == 0
-        assert cache.evictions > cache.ADMIT_WINDOW
+        stats = cache.stats()
+        assert stats["misses"] == 40 and stats["hits"] == 0
+        assert stats["size"] == stats["nbytes"] == stats["evictions"] == 0
 
-    def test_admission_counts_survive_threads(self, graph):
-        # Every searched row is stored (then held or evicted) or skipped:
-        # a lost update of any of those counters breaks the sum.
+    def test_full_rows_of_a_bounded_record_are_not_stored(self, graph):
+        cache = self._warm(DijkstraRowCache())
+        for family in range(10):
+            self._request(cache, graph, family)
+        assert len(cache) == 0 and cache.misses == 20
+        cache.clear()  # the record starts terms full again
+        self._request(cache, graph, 0)
+        assert len(cache) == 2
+
+    def test_rows_read_back_hit_at_any_radius(self, graph):
+        cache = DijkstraRowCache(maxsize=4)
+        for family in range(3 * 64):
+            first = self._request(cache, graph, family)
+            again = self._request(cache, graph, family, radius=1.5)
+            assert again.tobytes() == np.where(first <= 1.5, first, np.inf).tobytes()
+        assert cache.hits == cache.misses == 2 * 3 * 64
+        assert len(cache) == 4 and cache.evictions == 2 * 3 * 64 - 4
+
+    def test_counts_survive_threads(self, graph):
+        # Every searched row is stored, then held or evicted: a lost
+        # update of any of those counters breaks the sum.
         cache = DijkstraRowCache(maxsize=16)
         n_threads, per_thread = 8, 60
 
@@ -440,18 +417,20 @@ class TestRowAdmission:
         assert not any(thread.is_alive() for thread in threads)
         stats = cache.stats()
         assert stats["misses"] == 2 * n_threads * per_thread and stats["hits"] == 0
-        assert stats["skipped"] > 0
-        assert stats["misses"] == stats["skipped"] + stats["evictions"] + stats["size"]
+        assert stats["misses"] == stats["evictions"] + stats["size"]
 
-    def test_fresh_cache_stores_every_row(self, graph):
+    def test_fresh_cache_stores_every_full_row(self, graph):
         cache = DijkstraRowCache()
         for family in range(20):
             self._request(cache, graph, family)
-        assert len(cache) == 40 and cache.skipped == 0
-        sampling = DijkstraRowCache(maxsize=16)
-        self._fill_past_window(sampling, graph)
-        # Pickling drops the entries and the unread record alike.
-        assert pickle.loads(pickle.dumps(sampling))._unread == 0
+        assert len(cache) == 40
+        assert set(cache.stats()) >= {"settled", "terms", "mirrored"}
+        assert not {"extensions", "skipped"} & set(cache.stats())
+        row = next(iter(cache._entries.values()))
+        assert not row.flags.writeable and row.shape == (graph.num_nodes,)
+        # Pickling drops the entries and the record alike.
+        warm = pickle.loads(pickle.dumps(self._warm(cache)))
+        assert len(warm) == 0 and warm.start_radius() == np.inf
 
 
 def _basis(k: int, size: int = 8) -> TransportBasis:

@@ -798,6 +798,91 @@ class TestWarmStartedEngine:
             assert len(engine._slots) == len(batch)
 
 
+class TestPoolRecovery:
+    """A dead pool worker breaks the pool, not the engine: the engine
+    starts a fresh pool and dispatches the batch again, once."""
+
+    @pytest.fixture(scope="class")
+    def graph60(self):
+        return erdos_renyi_graph(60, 0.1, seed=4)
+
+    @staticmethod
+    def _engine(graph, jobs) -> SNDEngine:
+        # "cluster" rows are full and cold solves are bitwise those of any
+        # process, so pooled values equal serial ones exactly.
+        snd = SND(
+            graph, n_clusters=3, seed=0, solver="network-simplex",
+            bank_metric="cluster",
+        )
+        return SNDEngine(snd, jobs=jobs, use_basis_cache=False)
+
+    def test_worker_killed_between_calls(self, graph60):
+        import os
+        import signal
+        import time
+
+        first, second = (
+            random_series(60, 5, np.random.default_rng(seed)) for seed in (1, 2)
+        )
+        with self._engine(graph60, None) as serial:
+            want = serial.pairwise_matrix(second)
+        with self._engine(graph60, 2) as engine:
+            engine.pairwise_matrix(first)
+            pool = engine._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken  # the next dispatch meets a broken pool
+            got = engine.pairwise_matrix(second)
+            assert engine.pool_starts == 2
+            assert engine.scheduler.solved == 20
+        np.testing.assert_array_equal(got, want)
+
+    def test_second_failure_reaches_every_waiter(self, graph60, monkeypatch):
+        """A batch whose fresh pool breaks too raises the pool's error, to
+        its caller and to a request coalesced onto it, and counts no
+        solve."""
+        import threading
+        import time
+        from concurrent.futures.process import BrokenProcessPool
+
+        states = list(random_series(60, 4, np.random.default_rng(3)))
+        engine = self._engine(graph60, 2)
+        scheduler = engine.scheduler
+        maps, waiter_errors = [], []
+
+        def waiter_run():
+            try:
+                scheduler.evaluate(states, [(0, 1)])
+            except BrokenProcessPool as exc:
+                waiter_errors.append(exc)
+
+        waiter = threading.Thread(target=waiter_run)
+
+        class DeadPool:
+            def map(self, fn, chunks):
+                maps.append(len(chunks))
+                if len(maps) == 1:  # hold the batch until a request joins it
+                    waiter.start()
+                    deadline = time.monotonic() + 30
+                    while scheduler.coalesced < 1 and time.monotonic() < deadline:
+                        time.sleep(0.005)
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(
+            engine, "_ensure_process_pool",
+            lambda batch: (DeadPool(), list(range(len(batch)))),
+        )
+        with engine, pytest.raises(BrokenProcessPool):
+            engine.evaluate_series(states)
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert scheduler.coalesced == 1 and len(waiter_errors) == 1
+        assert len(maps) == 2  # one fresh pool, then the error
+        assert scheduler.solved == 0 and scheduler.pending == 0
+
+
 class TestSolverCounts:
     """Each engine counts its own network-simplex solves and pivots,
     wherever its pairs ran: a pool chunk returns its counts with its

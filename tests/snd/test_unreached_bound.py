@@ -37,7 +37,7 @@ MAX_COST = 10
 )
 def test_unreached_cells_lie_past_the_next_integer(seed, radius, reverse):
     """On random integral costs every cell a search to ``r`` leaves
-    unreached, fresh or served from a longer cached row cut at ``r``, has
+    unreached, fresh or served from a held full row cut at ``r``, has
     a full-row distance of at least ``⌊r⌋ + 1``; so the price ``_priced``
     gives it is a lower bound on its full-row price."""
     rng = np.random.default_rng(seed)
@@ -50,7 +50,7 @@ def test_unreached_cells_lie_past_the_next_integer(seed, radius, reverse):
     )
     cache = DijkstraRowCache()
     kwargs = dict(reverse=reverse, cost_key=("c", seed))
-    cache.distance_rows(graph, sources, costs, radius=radius + 2.5, **kwargs)
+    cache.distance_rows(graph, sources, costs, **kwargs)
     served = cache.distance_rows(graph, sources, costs, radius=radius, **kwargs)
     assert cache.stats()["hits"] == sources.size
     assert served.tobytes() == fresh.tobytes()

@@ -227,8 +227,8 @@ class TestEngineCli:
         out = capsys.readouterr().out
         assert "transitions solved" in out
         assert "cache stats" in out
-        assert "extensions=" in out and "settled=" in out and "skipped=" in out
-        assert "terms=" in out
+        assert "settled=" in out and "terms=" in out and "mirrored=" in out
+        assert "extensions=" not in out and "skipped=" not in out
 
     def test_corpus_lifecycle(self, seeded_store, capsys):
         rc = main(
