@@ -193,6 +193,47 @@ def test_full_rows_of_record_full_terms_are_stored_and_hit():
     assert cache.hits == cache.misses == len(cache)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_extended_row_bitwise_equals_fresh_search(reverse):
+    """Rows asked for at growing radii — one radius, per-source radii,
+    then full — are each bitwise the fresh search. Bounded rows are not
+    stored, so each larger radius searches again; the full rows are
+    stored and answer a later bounded request cut."""
+    graph = erdos_renyi_graph(60, 0.08, seed=4, directed=True)
+    state = NetworkState.from_active_sets(60, positive=range(0, 12))
+    costs = build_edge_costs(graph, state, POSITIVE, ModelAgnostic(), max_cost=MAX_COST)
+    sources = np.array([3, 17, 40])
+    cache = DijkstraRowCache()
+    kwargs = dict(reverse=reverse, cost_key=("c", POSITIVE))
+
+    def fresh(limit):
+        return multi_source_distances(
+            graph, sources, weights=costs, reverse=reverse, limit=limit
+        )
+
+    short = cache.distance_rows(graph, sources, costs, radius=4.0, **kwargs)
+    assert short.tobytes() == fresh(4.0).tobytes()
+    assert np.isfinite(short).sum() < np.isfinite(fresh(np.inf)).sum()
+    # Per-source radii: one source grows, the others shrink.
+    radii = np.array([4.0, 9.0, 2.5])
+    mixed = cache.distance_rows(graph, sources, costs, radius=radii, **kwargs)
+    for row, source, radius in zip(mixed, sources, radii):
+        want = multi_source_distances(
+            graph, [source], weights=costs, reverse=reverse, limit=radius
+        )
+        assert row.tobytes() == want[0].tobytes()
+    for limit in (9.0, np.inf):
+        grown = cache.distance_rows(graph, sources, costs, radius=limit, **kwargs)
+        assert grown.tobytes() == fresh(limit).tobytes()
+    assert len(cache) == 3  # only the full rows are held
+    cut = cache.distance_rows(graph, sources, costs, radius=4.0, **kwargs)
+    assert cut.tobytes() == short.tobytes()
+    stats = cache.stats()
+    # 4 rounds of 3 fresh searches; then 3 hits on the held full rows.
+    assert (stats["misses"], stats["hits"]) == (12, 3)
+    assert stats["settled"] > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
