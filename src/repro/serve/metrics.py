@@ -198,6 +198,7 @@ _HELP = {
     "flush_failures": "Transition flushes whose store write raised (retried next flush).",
     "queries": "Corpus top-k queries answered.",
     "bounded": "Corpus member pairs ranked by their row-free SND lower bound.",
+    "refined": "Corpus member pairs checked against their hop-aware lower bound before a solve.",
     "snd_corpus_query_solved": "Corpus member pairs solved exactly (the rest were pruned).",
 }
 

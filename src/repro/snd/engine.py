@@ -321,7 +321,7 @@ class SNDEngine:
         self.scheduler = PairScheduler(
             self, max_pending=max_pending, client_max_pending=client_max_pending
         )
-        self._queries = {"queries": 0, "bounded": 0, "solved": 0}
+        self._queries = {"queries": 0, "bounded": 0, "refined": 0, "solved": 0}
         self._solver_counts = SolverCounts()
         #: Cache counters the pool workers added, by member cache.
         self._worker_caches: dict[str, dict[str, int]] = {}
@@ -674,11 +674,12 @@ class SNDEngine:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def _count_query(self, *, bounded: int, solved: int) -> None:
+    def _count_query(self, *, bounded: int, refined: int, solved: int) -> None:
         """Add one :meth:`Corpus.query` to the ``corpus_query`` counters."""
         with self._counts_lock:
             self._queries["queries"] += 1
             self._queries["bounded"] += bounded
+            self._queries["refined"] += refined
             self._queries["solved"] += solved
 
     def _count_solves(self, counts: SolverCounts, cache_delta: dict | None = None) -> None:
@@ -717,7 +718,8 @@ class SNDEngine:
         slot assignment keeps it at the number of *distinct* states ever
         dispatched, not dispatches times states. ``corpus_query`` counts
         :meth:`Corpus.query` calls on this engine and the member pairs they
-        bounded and solved exactly (solved < bounded when pruning works).
+        bounded, refined (checked against the hop-aware bound) and solved
+        exactly (solved < bounded when pruning works).
         """
         caches = self.caches.stats()
         with self._counts_lock:
@@ -865,17 +867,22 @@ class Corpus:
         order: the first *k* in one batch, then, round by round, every
         member whose bound is at most the current k-th exact distance. A
         member whose bound exceeds it by more than ``BOUND_RTOL`` cannot
-        place and is never solved. ``engine.stats()["corpus_query"]``
-        counts the bounded and solved pairs.
+        place and is never solved. Before a member is solved in a later
+        round, its hop-aware bound (:meth:`~repro.snd.snd.SND.hop_bound`,
+        from the same reductions) is checked against the k-th distance in
+        the same way. ``engine.stats()["corpus_query"]`` counts the
+        bounded, refined and solved pairs.
         """
         if not self._states:
             raise ValidationError("corpus is empty")
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         engine = self.engine
+        snd = engine.snd
         k = min(k, len(self._states))
+        terms = [[] for _ in self._states]
         bounds = np.array([
-            engine.snd.lower_bound(state, m, engine.caches) for m in self._states
+            snd.lower_bound(state, m, engine.caches, t) for m, t in zip(self._states, terms)
         ])
         # Stable: members with equal bounds are solved in index order.
         order = np.argsort(bounds, kind="stable")
@@ -884,15 +891,19 @@ class Corpus:
         # scheduler so values stay bit-identical to the per-pair loop.
         query_states = [state] + self._states
         exact: dict[int, float] = {}
-        batch = order[:k].tolist()
+        batch, seen, refined = order[:k].tolist(), k, 0
         while batch:
             values = engine.scheduler.evaluate(query_states, [(0, m + 1) for m in batch])
             exact.update(zip(batch, values))
-            kth = sorted(exact.values())[k - 1]
             # <=, not <: a member tied with the k-th value may win on index.
-            end = int(np.searchsorted(sorted_bounds, kth * (1 + BOUND_RTOL), side="right"))
-            batch = order[len(exact):end].tolist()
-        engine._count_query(bounded=len(bounds), solved=len(exact))
+            cut = sorted(exact.values())[k - 1] * (1 + BOUND_RTOL)
+            end = int(np.searchsorted(sorted_bounds, cut, side="right"))
+            # The k-th value only falls, so a member pruned now stays pruned.
+            candidates = order[seen:end].tolist()
+            seen = max(seen, end)
+            refined += len(candidates)
+            batch = [m for m in candidates if snd.hop_bound(terms[m]) <= cut]
+        engine._count_query(bounded=len(bounds), refined=refined, solved=len(exact))
         nearest = sorted(exact.items(), key=lambda item: (item[1], item[0]))[:k]
         return [(int(i), float(d)) for i, d in nearest]
 

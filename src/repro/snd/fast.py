@@ -83,8 +83,10 @@ then :func:`solve_reduced_term`, which :meth:`repro.snd.snd.SND.term`
 calls directly to hand a term's reduction and duals to its mirror.
 :func:`emd_star_term_bound` (:func:`term_bound` of a reduction) runs the
 reduce stage alone and returns a lower bound on the term: no rows, no
-solve. ``Corpus.query`` ranks members by it to solve only those that
-could still place.
+solve. Given hops from the ``src`` side (:func:`term_hops`, a capped
+breadth-first search), :func:`term_bound` is tighter. ``Corpus.query``
+ranks members by the first and checks the second before it solves one,
+to solve only those that could still place.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ from repro.snd.ground import unreachable_cost
 __all__ = [
     "emd_star_term_fast", "emd_star_term_bound", "check_term_options", "FastTermStats",
     "SolverCounts", "SOLVER_CHOICES", "reduce_term", "mirror_reduction", "term_bound",
-    "solve_reduced_term", "MirrorHandoff",
+    "solve_reduced_term", "MirrorHandoff", "term_hops",
 ]
 
 _EPS = 1e-12
@@ -139,6 +141,10 @@ FULL_SEARCH_FRACTION = 0.5
 #: search, and a term whose sources fail a few at a time a bounded number
 #: of solves).
 MAX_ROUNDS = 8
+
+#: The hop-aware bound's search (:func:`term_hops`) stops at this depth: a
+#: node further away prices as ``HOP_DEPTH + 1`` hops, still a lower bound.
+HOP_DEPTH = 3
 
 #: Valid values for the ``solver=`` knob of the fast pipeline (and of
 #: :class:`repro.snd.snd.SND`). ``"auto"`` resolves to
@@ -489,22 +495,71 @@ def mirror_reduction(term: ReducedTerm | None) -> ReducedTerm | None:
     )
 
 
+def term_hops(graph: DiGraph, term: ReducedTerm, depth: int = HOP_DEPTH) -> np.ndarray:
+    """``H``: each node's hop distance from *term*'s nearest ``src`` user,
+    along the direction its rows run (in-edges when it is not *forward*).
+
+    Each level pushes the frontier over every edge at once, reading the
+    graph's cached per-edge source and target arrays (swapped for a
+    reversed term), and the search stops at *depth*: a node it did not
+    reach is at least ``depth + 1`` hops away and reads so, or ``inf``
+    (unreachable) when the search ran out of nodes first.
+    """
+    tails, heads = graph.edge_sources(), graph.indices
+    if not term.forward:
+        tails, heads = heads, tails
+    hops = np.full(graph.num_nodes, np.inf)
+    hops[term.src_ids] = 0.0
+    frontier = hops == 0.0
+    for level in range(1, depth + 1):
+        reached = heads[frontier[tails]]
+        reached = reached[np.isinf(hops[reached])]
+        if not reached.size:
+            return hops
+        hops[reached] = level
+        frontier = hops == level
+    hops[np.isinf(hops)] = depth + 1
+    return hops
+
+
 def term_bound(
     term: ReducedTerm | None,
     edge_costs: np.ndarray,
     banks: BankAllocation,
     *,
     unreachable: float,
+    hops: np.ndarray | None = None,
+    bank_metric: str = "nearest",
 ) -> float:
     """:func:`emd_star_term_bound` of the reduced *term* on a graph whose
-    unreachable cost is *unreachable*."""
+    unreachable cost ``U`` is *unreachable*.
+
+    With *hops* (``H = ``:func:`term_hops` of *term*), the bound counts
+    hops too. A path to ``dst`` user t has at least ``H(t)`` edges, each
+    costing at least ``c_min``, so a unit shipped to t costs at least
+    ``min(c_min·H(t), U)`` (``U`` for an unreached t). Under ``"nearest"``
+    a bin of cluster c sits at its nearest member's distance, so it costs
+    at least ``γ_b + min(c_min·min_{v∈C_c} H(v), U)``; under
+    *bank_metric* ``"cluster"`` its leg runs from the ``src`` user's whole
+    cluster, and only ``γ_b`` is counted. Every price holds per column of
+    every plan, so the sum is again at most the term, and at least the
+    bound without hops (``H >= 1`` on ``dst``).
+    """
     if term is None or term.src_ids.size == 0:
         return 0.0  # nothing to solve: the term is 0
     c_min = min(float(edge_costs.min(initial=np.inf)), unreachable)
     caps = term.bank_caps[term.active]
     live = caps > _EPS
-    banked = float((caps[live] * banks.gamma_matrix()[term.active][live]).sum())
-    return banked + c_min * float(term.dst_amounts.sum())
+    bins = banks.gamma_matrix()[term.active]
+    if hops is None:
+        return float((caps[live] * bins[live]).sum()) + c_min * float(term.dst_amounts.sum())
+    reached = np.isfinite(hops)
+    price = np.full(hops.shape, unreachable)
+    price[reached] = np.minimum(c_min * hops[reached], unreachable)
+    if bank_metric == "nearest":
+        bins = bins + _cluster_minima(price, banks)[term.active][:, None]
+    banked = float((caps[live] * bins[live]).sum())
+    return banked + float(term.dst_amounts @ price[term.dst_ids])
 
 
 def emd_star_term_bound(
@@ -527,7 +582,8 @@ def emd_star_term_bound(
     the unreachable cost, so at least ``c_min``, the smaller of the two,
     per unit. ``Σ_b cap_b·γ_b + c_min·Σ dst`` is therefore at most the
     cost of any feasible plan, under either bank metric and share rule.
-    No metric property of the ground distance is used.
+    No metric property of the ground distance is used. :func:`term_bound`
+    with hops is tighter.
     """
     term = reduce_term(p_hist, q_hist, banks, bank_shares)
     return term_bound(
@@ -927,13 +983,16 @@ def _potentials(costs: np.ndarray, basis: TransportBasis) -> tuple | None:
 
 
 def _dual_radii(
-    term: ReducedTerm, problem: TransportationProblem, basis: TransportBasis, gamma
+    costs: np.ndarray, basis: TransportBasis, forward: bool, bin_gamma: np.ndarray | None
 ) -> np.ndarray | None:
     """``ρ_s = max_j (u_s + v_j - γ_j)`` for every ``src`` user s, from the
-    optimal duals of the solved *term*: ``u`` on the ``src`` side, ``v``
-    on the ``dst`` columns (users, then the folded bank bins, whose γ is
-    taken off; ``γ_j = 0`` for a user). ``None`` when *basis* is not a
-    spanning tree. A shift of the duals leaves ρ unchanged.
+    optimal duals of a solved term: its folded problem's *costs* and
+    optimal *basis*, whose rows are the ``src`` side when the term is
+    *forward* and its columns otherwise (:func:`_fold`). ``u`` is on the
+    ``src`` side, ``v`` on the ``dst`` columns: users, then the folded bank
+    bins, whose γ (*bin_gamma*; ``None`` without banks) is taken off;
+    ``γ_j = 0`` for a user. ``None`` when *basis* is not a spanning tree. A
+    shift of the duals leaves ρ unchanged.
 
     Under a term's own optimal duals, a cell priced above ``u_s + v_j`` has
     a positive reduced cost, and no optimal plan ships on it. A search
@@ -943,13 +1002,12 @@ def _dual_radii(
     round. :func:`solve_reduced_term` starts the mirror term there, whose
     own duals these predict.
     """
-    potentials = _potentials(problem.costs, basis)
+    potentials = _potentials(costs, basis)
     if potentials is None:
         return None
-    u, v = potentials if term.forward else potentials[::-1]
-    if term.legs is not None:
-        live = term.bank_caps[term.active] > _EPS
-        v = v - np.concatenate([np.zeros(term.dst_ids.size), gamma[term.active][live]])
+    u, v = potentials if forward else potentials[::-1]
+    if bin_gamma is not None:
+        v = v - np.concatenate([np.zeros(v.size - bin_gamma.size), bin_gamma])
     return np.maximum(u + v.max(initial=-np.inf), 0.0)
 
 
@@ -965,17 +1023,24 @@ class MirrorHandoff:
 
     The first of the two terms :func:`solve_reduced_term` solves fills it
     and sets *ready*: *term* is the mirror's reduction
-    (:func:`mirror_reduction`), and *radii* the first term's dual radii
-    (:func:`_dual_radii`), one per ``src`` user, or ``None`` when the
-    mirror starts from the row cache's record instead. The radii apply only
-    when both terms' rows run from the same users, which the orientation
-    rule gives unless the deficit is zero and both sides are the same
-    size.
+    (:func:`mirror_reduction`), and *duals* holds the first term's folded
+    costs, optimal basis, orientation and bank-bin γ, not its rows.
+    *radii*, the first term's dual radii (:func:`_dual_radii`), one per
+    ``src`` user, is computed from them on first read, and only a mirror
+    that starts bounded reads it. It is ``None`` when the mirror starts
+    from the row cache's record instead: the first term ran uncertified
+    rows, left no basis or no spanning tree, or the two terms' rows run
+    from different users, which the orientation rule gives only when the
+    deficit is zero and both sides are the same size.
     """
 
     term: ReducedTerm | None = None
-    radii: np.ndarray | None = None
+    duals: tuple | None = None
     ready: bool = False
+
+    @functools.cached_property
+    def radii(self) -> np.ndarray | None:
+        return None if self.duals is None else _dual_radii(*self.duals)
 
 
 def solve_reduced_term(
@@ -1048,7 +1113,11 @@ def solve_reduced_term(
         # The mirror's rows run from these users only when its orientation
         # is the opposite one; only a spanning tree yields the duals.
         if certify and basis is not None and mirror.term.forward != term.forward:
-            mirror.radii = _dual_radii(term, problem, basis, banks.gamma_matrix())
+            bin_gamma = None
+            if term.legs is not None:
+                live = term.bank_caps[term.active] > _EPS
+                bin_gamma = banks.gamma_matrix()[term.active][live]
+            mirror.duals = (problem.costs, basis, term.forward, bin_gamma)
         mirror.ready = True
     cost = 0.0 if plan is None else float(plan.cost)
 

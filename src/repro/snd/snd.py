@@ -54,6 +54,7 @@ from repro.snd.fast import (
     reduce_term,
     solve_reduced_term,
     term_bound,
+    term_hops,
 )
 from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig, unreachable_cost
 
@@ -255,7 +256,7 @@ class SND:
             terms.append(self.term(supplier, consumer, opinion, **kwargs))
         return 0.5 * sum(terms), tuple(terms)
 
-    def lower_bound(self, a, b, caches: CacheManager | None = None) -> float:
+    def lower_bound(self, a, b, caches: CacheManager | None = None, terms=None) -> float:
         """A lower bound on ``SND(a, b)`` that searches no rows and solves
         nothing: half the sum of :func:`~repro.snd.fast.emd_star_term_bound`
         over :meth:`_pair_terms`. It holds for every solver, bank metric and
@@ -263,7 +264,9 @@ class SND:
 
         *caches* supplies the Eq. 2 cost arrays from its ground cache, so
         an exact solve of the same pair afterwards builds none of them. A
-        term's mirror takes its reduction, as in :meth:`_sum_terms`.
+        term's mirror takes its reduction, as in :meth:`_sum_terms`. A
+        *terms* list receives each term's ``(reduction, edge costs)``, for
+        :meth:`hop_bound`.
         """
         self._check_state(a)
         self._check_state(b)
@@ -287,6 +290,37 @@ class SND:
                 )
             reduced.append(term)
             bounds.append(term_bound(term, edge_costs, self.banks, unreachable=unreachable))
+            if terms is not None:
+                terms.append((term, edge_costs))
+        return 0.5 * sum(bounds)
+
+    def hop_bound(self, terms) -> float:
+        """The hop-aware lower bound on the pair whose :meth:`lower_bound`
+        filled *terms*: at least that bound, and still no row and no solve
+        (:func:`~repro.snd.fast.term_bound` with hops).
+
+        One hop search (:func:`~repro.snd.fast.term_hops`) serves every
+        term with the same ``src`` users and direction. On a symmetric
+        graph a search finds the same hops either way, so it also serves a
+        mirror pair, whose rows run from the same users in opposite
+        directions.
+        """
+        graph = self.graph
+        symmetric = all(map(np.array_equal, graph.scipy_index(), graph.scipy_index(reverse=True)))
+        unreachable = unreachable_cost(graph.num_nodes, self.ground.max_cost)
+        searched: dict = {}
+        bounds = []
+        for term, edge_costs in terms:
+            hops = None
+            if term is not None and term.src_ids.size:
+                key = (symmetric or term.forward, term.src_ids.tobytes())
+                if key not in searched:
+                    searched[key] = term_hops(graph, term)
+                hops = searched[key]
+            bounds.append(term_bound(
+                term, edge_costs, self.banks, unreachable=unreachable, hops=hops,
+                bank_metric=self.bank_metric,
+            ))
         return 0.5 * sum(bounds)
 
     def term(
