@@ -495,15 +495,15 @@ def mirror_reduction(term: ReducedTerm | None) -> ReducedTerm | None:
     )
 
 
-def term_hops(graph: DiGraph, term: ReducedTerm, depth: int = HOP_DEPTH) -> np.ndarray:
+def term_hops(graph: DiGraph, term: ReducedTerm) -> np.ndarray:
     """``H``: each node's hop distance from *term*'s nearest ``src`` user,
     along the direction its rows run (in-edges when it is not *forward*).
 
     Each level pushes the frontier over every edge at once, reading the
     graph's cached per-edge source and target arrays (swapped for a
-    reversed term), and the search stops at *depth*: a node it did not
-    reach is at least ``depth + 1`` hops away and reads so, or ``inf``
-    (unreachable) when the search ran out of nodes first.
+    reversed term), and the search stops at :data:`HOP_DEPTH`: a node it
+    did not reach is at least ``HOP_DEPTH + 1`` hops away and reads so, or
+    ``inf`` (unreachable) when the search ran out of nodes first.
     """
     tails, heads = graph.edge_sources(), graph.indices
     if not term.forward:
@@ -511,14 +511,14 @@ def term_hops(graph: DiGraph, term: ReducedTerm, depth: int = HOP_DEPTH) -> np.n
     hops = np.full(graph.num_nodes, np.inf)
     hops[term.src_ids] = 0.0
     frontier = hops == 0.0
-    for level in range(1, depth + 1):
+    for level in range(1, HOP_DEPTH + 1):
         reached = heads[frontier[tails]]
         reached = reached[np.isinf(hops[reached])]
         if not reached.size:
             return hops
         hops[reached] = level
         frontier = hops == level
-    hops[np.isinf(hops)] = depth + 1
+    hops[np.isinf(hops)] = HOP_DEPTH + 1
     return hops
 
 
@@ -529,7 +529,7 @@ def term_bound(
     *,
     unreachable: float,
     hops: np.ndarray | None = None,
-    bank_metric: str = "nearest",
+    bank_metric: str | None = None,
 ) -> float:
     """:func:`emd_star_term_bound` of the reduced *term* on a graph whose
     unreachable cost ``U`` is *unreachable*.
@@ -543,8 +543,11 @@ def term_bound(
     *bank_metric* ``"cluster"`` its leg runs from the ``src`` user's whole
     cluster, and only ``γ_b`` is counted. Every price holds per column of
     every plan, so the sum is again at most the term, and at least the
-    bound without hops (``H >= 1`` on ``dst``).
+    bound without hops (``H >= 1`` on ``dst``). *hops* needs *bank_metric*:
+    a ``"nearest"`` leg priced under ``"cluster"`` may exceed the term.
     """
+    if hops is not None and bank_metric is None:
+        raise ValueError("term_bound with hops needs the bank metric")
     if term is None or term.src_ids.size == 0:
         return 0.0  # nothing to solve: the term is 0
     c_min = min(float(edge_costs.min(initial=np.inf)), unreachable)

@@ -300,20 +300,16 @@ class SND:
         (:func:`~repro.snd.fast.term_bound` with hops).
 
         One hop search (:func:`~repro.snd.fast.term_hops`) serves every
-        term with the same ``src`` users and direction. On a symmetric
-        graph a search finds the same hops either way, so it also serves a
-        mirror pair, whose rows run from the same users in opposite
-        directions.
+        term with the same ``src`` users and direction.
         """
         graph = self.graph
-        symmetric = all(map(np.array_equal, graph.scipy_index(), graph.scipy_index(reverse=True)))
         unreachable = unreachable_cost(graph.num_nodes, self.ground.max_cost)
         searched: dict = {}
         bounds = []
         for term, edge_costs in terms:
             hops = None
             if term is not None and term.src_ids.size:
-                key = (symmetric or term.forward, term.src_ids.tobytes())
+                key = (term.forward, term.src_ids.tobytes())
                 if key not in searched:
                     searched[key] = term_hops(graph, term)
                 hops = searched[key]

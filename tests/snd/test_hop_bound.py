@@ -200,11 +200,15 @@ def test_pair_bound_below_distance_large_budget(
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("depth", [1, HOP_DEPTH, 40])
 @pytest.mark.parametrize("directed", [False, True])
-def test_hops_are_capped_bfs_distances(directed):
+def test_hops_are_capped_bfs_distances(monkeypatch, directed, depth):
     """Hops from the nearest ``src`` user along the rows' direction: exact
-    up to the depth, ``depth + 1`` beyond it, ``inf`` once the search runs
-    out of nodes."""
+    up to ``HOP_DEPTH``, ``HOP_DEPTH + 1`` beyond it, ``inf`` once the
+    search runs out of nodes."""
+    import repro.snd.fast as fast_module
+
+    monkeypatch.setattr(fast_module, "HOP_DEPTH", depth)
     graph = _graph(5, directed)
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -216,20 +220,19 @@ def test_hops_are_capped_bfs_distances(directed):
         search = graph if term.forward else graph.reverse()
         want = bfs_distances(search, term.src_ids).astype(float)
         want[want < 0] = np.inf
-        for depth in (1, HOP_DEPTH, 40):
-            got = term_hops(graph, term, depth)
-            capped = np.where(want > depth, depth + 1, want)
-            # Unreached within the depth reads depth + 1 unless the search
-            # ran dry first, and then it is truly unreachable.
-            exhausted = np.isinf(got).any()
-            assert np.array_equal(got, want if exhausted else capped)
+        got = term_hops(graph, term)
+        capped = np.where(want > depth, depth + 1, want)
+        # Unreached within the depth reads depth + 1 unless the search
+        # ran dry first, and then it is truly unreachable.
+        exhausted = np.isinf(got).any()
+        assert np.array_equal(got, want if exhausted else capped)
 
 
-@pytest.mark.parametrize("directed, searches", [(False, 1), (True, 2)])
-def test_one_search_per_src_set_and_direction(monkeypatch, directed, searches):
-    """A mirror pair runs rows from the same users in opposite directions:
-    one search serves both on a symmetric graph, two run on a directed
-    one."""
+@pytest.mark.parametrize("directed", [False, True])
+def test_one_search_per_src_set_and_direction(monkeypatch, directed):
+    """Two users flip from positive to negative: all four terms run rows
+    from those two users, two forward and two reversed, so two searches
+    serve them."""
     import repro.snd.snd as snd_module
 
     calls = []
@@ -238,13 +241,26 @@ def test_one_search_per_src_set_and_direction(monkeypatch, directed, searches):
     graph = erdos_renyi_graph(30, 0.2, seed=2, directed=directed)
     snd = SND(graph, n_clusters=3, seed=0)
     a = NetworkState.from_active_sets(30, positive=[0, 1])
-    b = NetworkState.from_active_sets(30, positive=[2])
+    b = NetworkState.from_active_sets(30, negative=[0, 1])
     terms = []
     snd.lower_bound(a, b, None, terms)
-    assert terms[0][0].src_ids.tolist() == terms[2][0].src_ids.tolist() == [0, 1]
-    assert terms[0][0].forward != terms[2][0].forward
+    assert [t.src_ids.tolist() for t, _ in terms] == [[0, 1]] * 4
+    assert sorted(t.forward for t, _ in terms) == [False, False, True, True]
     snd.hop_bound(terms)
-    assert len(calls) == searches
+    assert len(calls) == 2
+
+
+def test_hops_need_the_bank_metric():
+    """A ``"nearest"`` leg priced under ``"cluster"`` can exceed the
+    term, so the hop bound will not guess the metric."""
+    graph = _graph(5, False)
+    banks = allocate_banks(graph, n_clusters=3, seed=0)
+    term = reduce_term(np.eye(32)[0], np.eye(32)[9], banks, "mass")
+    with pytest.raises(ValueError, match="bank metric"):
+        term_bound(
+            term, np.ones(graph.num_edges), banks, unreachable=100.0,
+            hops=term_hops(graph, term),
+        )
 
 
 # --------------------------------------------------------------------- #
