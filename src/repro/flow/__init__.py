@@ -18,14 +18,9 @@ exact solvers are provided:
   oracle of the equivalence tests.
 
 All exact solvers agree to numerical tolerance; cross-solver agreement is
-property-tested in ``tests/flow/test_solver_equivalence.py``. One
-*approximation tier* sits alongside them:
-:func:`solve_transportation_sinkhorn_hybrid` (``"sinkhorn-hybrid"``) — a
-log-domain Sinkhorn screen identifies a sparse support, then the network
-simplex solves that support exactly and cold; its relative error is
-certified per solve and property-tested under tolerance tiers. It runs
-only when asked for by name. ``method="auto"`` (:func:`select_transport_method`)
-is the exact network simplex at every size; see ``docs/solvers.md``.
+property-tested in ``tests/flow/test_solver_equivalence.py``.
+``method="auto"`` (:func:`select_transport_method`) is the exact network
+simplex at every size; see ``docs/solvers.md``.
 """
 
 from repro.exceptions import ValidationError
@@ -33,7 +28,6 @@ from repro.flow.basis import TransportBasis
 from repro.flow.lp_reference import solve_transportation_lp
 from repro.flow.network_simplex import solve_transportation_network_simplex
 from repro.flow.problem import MinCostFlowProblem, TransportationProblem
-from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 from repro.flow.ssp import solve_mcf_ssp, solve_transportation_ssp
 
 __all__ = [
@@ -45,7 +39,6 @@ __all__ = [
     "solve_transportation_ssp",
     "solve_transportation_network_simplex",
     "solve_transportation_lp",
-    "solve_transportation_sinkhorn_hybrid",
     "solve_transportation",
 ]
 
@@ -53,7 +46,6 @@ _TRANSPORT_SOLVERS = {
     "ssp": solve_transportation_ssp,
     "network-simplex": solve_transportation_network_simplex,
     "lp": solve_transportation_lp,
-    "sinkhorn-hybrid": solve_transportation_sinkhorn_hybrid,
 }
 
 
@@ -61,9 +53,8 @@ def select_transport_method(n_suppliers: int, n_consumers: int) -> str:
     """The ``method="auto"`` policy for dense transportation instances.
 
     Always ``"network-simplex"``. The cold network simplex ties or beats
-    every other exact solver from 8x8 upward, and it keeps pace with the
-    approximate screened hybrid up to 640k cells (measured in
-    ``docs/solvers.md``); it is also the only tier that consumes a warm
+    every other exact solver from 8x8 upward (measured in
+    ``docs/solvers.md``), and it is the only tier that consumes a warm
     basis. The SND pipeline still calls
     this with the folded instance shape, so a tracer wrapping it can count
     solves per tier and instance sizes.
@@ -77,9 +68,8 @@ def solve_transportation(problem: TransportationProblem, *, method: str = "ssp")
 
     ``method`` is one of ``"ssp"`` (default),
     ``"network-simplex"`` (warm-startable sparse simplex — pass bases via
-    :func:`solve_transportation_network_simplex` directly), ``"lp"``,
-    ``"sinkhorn-hybrid"`` (approximate: Sinkhorn-screened sparse exact
-    solve with a certified error bound), or ``"auto"``
+    :func:`solve_transportation_network_simplex` directly), ``"lp"``, or
+    ``"auto"``
     (:func:`select_transport_method`: the network simplex).
     Returns a :class:`~repro.flow.plan.TransportPlan`.
     """

@@ -25,10 +25,6 @@ solve. This module supplies the solver tier that exploits that:
   artificial arc — so *any* cell set is safe to pass and the result is
   always the exact optimum (bit-identical to a cold solve on integral
   instances, see docs/solvers.md for the contract);
-* :func:`solve_support_network_simplex` — the sparse entry point the
-  sinkhorn-hybrid tier calls for its restricted exact solve (the screened
-  support *is* a sparse min-cost flow); it takes no basis and always
-  starts cold;
 * per-solve diagnostics on the returned plan (``plan.info``, a
   :class:`NetworkSimplexInfo`: pivots, and whether a warm basis was
   used), which an engine sums into its own cold vs warm pivot counts
@@ -50,7 +46,6 @@ from repro.flow.problem import MASS_EPS, TransportationProblem
 
 __all__ = [
     "NetworkSimplexInfo",
-    "solve_support_network_simplex",
     "solve_transportation_network_simplex",
 ]
 
@@ -629,41 +624,3 @@ def solve_transportation_network_simplex(
         keep = (rows < n_orig) & (cols < m_orig)  # drop dummy-node cells
         rows, cols = rows[keep], cols[keep]
     return plan, TransportBasis(rows=rows, cols=cols)
-
-
-def solve_support_network_simplex(
-    a: np.ndarray,
-    b: np.ndarray,
-    d: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> TransportPlan:
-    """Exact balanced solve restricted to the arcs ``(rows[k], cols[k])``.
-
-    The sparse entry point the sinkhorn-hybrid tier solves its screened
-    support on (the support *is* a sparse min-cost flow). The solve is
-    always cold. Returns the plan with dense ``(n, m)`` flows.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n, m = a.shape[0], b.shape[0]
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    costs = np.ascontiguousarray(d[rows, cols], dtype=np.float64)
-
-    solver = _solve_arcs(n, m, rows, n + cols, costs, a, b, [])
-
-    flows = np.zeros((n, m), dtype=np.float64)
-    flows[rows, cols] = np.maximum(solver.flow[: solver.n_real], 0.0)
-    cost = float((flows[rows, cols] * costs).sum())
-    info = NetworkSimplexInfo(
-        n_suppliers=n,
-        n_consumers=m,
-        n_arcs=solver.n_arcs,
-        pivots=solver.pivots,
-        warm=False,
-        warm_arcs_given=0,
-        warm_arcs_used=0,
-        cost=cost,
-    )
-    return TransportPlan(flows=flows, cost=cost, info=info)

@@ -28,8 +28,7 @@ class TransportPlan:
     info:
         Diagnostics of the solve that produced the plan, when the solver
         reports any: a :class:`~repro.flow.network_simplex.NetworkSimplexInfo`
-        or a :class:`~repro.flow.sinkhorn_hybrid.HybridSolveInfo`; ``None``
-        for the other solvers.
+        for the network simplex; ``None`` for the other solvers.
     """
 
     flows: np.ndarray

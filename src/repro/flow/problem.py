@@ -4,7 +4,7 @@
 family (suppliers x consumers with a full cost matrix).
 :class:`MinCostFlowProblem` is the sparse general form the successive
 shortest paths solver runs on (the bipartite form of a transportation
-instance, or the screened support of the sinkhorn-hybrid tier).
+instance).
 """
 
 from __future__ import annotations

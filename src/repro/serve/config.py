@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.exceptions import ValidationError
+from repro.snd.fast import SOLVER_CHOICES
 from repro.snd.scheduler import PRIORITY_WEIGHTS as PRIORITY_CLASSES
 from repro.snd.scheduler import resolve_jobs
 
@@ -85,6 +86,18 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         resolve_jobs(self.jobs)  # 0, "many" and True fail here, not per request
+        if self.solver not in SOLVER_CHOICES:
+            raise ValidationError(
+                f"solver must be one of {list(SOLVER_CHOICES)}, got {self.solver!r}"
+            )
+        if self.clusters is not None and (
+            isinstance(self.clusters, bool)
+            or not isinstance(self.clusters, int)
+            or self.clusters < 1
+        ):
+            raise ValidationError(
+                f"clusters must be None or an integer >= 1, got {self.clusters!r}"
+            )
         if self.priority not in PRIORITY_CLASSES:
             raise ValidationError(
                 f"priority must be one of {sorted(PRIORITY_CLASSES)}, "

@@ -129,7 +129,6 @@ FAMILIES = {
     "caches": "snd_cache",
     "corpus_query": "snd_corpus_query",
     "network_simplex": "snd_simplex",
-    "hybrid": "snd_hybrid",
 }
 
 #: Families whose nested dicts are labelled records (one per cache, one
@@ -183,10 +182,6 @@ _HELP = {
     "warm_arcs_used": "Basis arcs successfully reused by warm starts.",
     "cold_pivots_per_solve": "Mean pivots per cold solve.",
     "warm_pivots_per_solve": "Mean pivots per warm-started solve.",
-    "snd_hybrid_solves": "Hybrid-tier transport solves.",
-    "screened_solves": "Solves where Sinkhorn screening reduced the support.",
-    "support_density": "Mean retained support density after screening.",
-    "max_screen_error_bound": "Largest a-posteriori error bound observed.",
     # engine, persistence, corpus queries
     "jobs": "Worker processes per parallel dispatch (1: serial).",
     "pool_starts": "Worker pool cold starts.",
@@ -231,7 +226,7 @@ def samples_from_stats(stats: dict) -> list[Sample]:
 
     The tree shape is ``{"measures": ..., "shards": {graph: shard_stats}}``
     where each shard embeds ``engine.stats()`` (scheduler / caches /
-    network_simplex / hybrid / corpus_query sections) once its engine
+    network_simplex / corpus_query sections) once its engine
     exists, plus the persistence counters the service maintains.  A bare
     ``engine.stats()`` dict (no ``shards`` wrapper) is also accepted so
     the CLI and benchmarks can reuse the bridge for a single engine.

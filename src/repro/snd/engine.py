@@ -41,7 +41,7 @@ Exactness contract: every path funnels through the same Eq. 3 loop as
 :meth:`SND.evaluate`, ``SND._sum_terms`` (same cost arrays, same solver,
 same summation order). Only network-simplex solves
 (``"network-simplex"`` and ``"auto"``) ever warm-start. With a
-cold solver (``"ssp"``, ``"lp"``, ``"sinkhorn-hybrid"``) or with
+cold solver (``"ssp"``, ``"lp"``) or with
 ``use_basis_cache=False``, results are bit-identical to the naive
 per-pair loop in every execution mode. With warm starts on, a cached
 basis only changes where pivoting starts, but the optimum can then be
@@ -86,7 +86,6 @@ STATS_GAUGES = frozenset({
     "pending", "peak_pending", "max_pending", "client_max_pending",
     "size", "max_size", "capacity", "nbytes", "total_nbytes", "memory_budget",
     "cold_pivots_per_solve", "warm_pivots_per_solve",
-    "support_density", "max_screen_error_bound",
     "jobs", "n_states",
 })
 
@@ -704,16 +703,13 @@ class SNDEngine:
         chunk's values; the gauges (``size``, ``nbytes``, ``capacity``,
         ...) are this process's caches only.
 
-        The ``"network_simplex"`` and ``"hybrid"`` blocks count the solver
-        work of this engine's pairs, wherever they ran: in this process or
-        in a pool worker, which returns its counts with its values (see
-        :class:`~repro.snd.fast.SolverCounts`). ``"network_simplex"`` splits
-        solves and pivots cold vs warm (``cold_pivots_per_solve`` /
-        ``warm_pivots_per_solve`` — the headline temporal-locality numbers
-        in ``BENCH_engine.json``); ``"hybrid"`` counts sinkhorn-hybrid
-        solves, the screened ones, their mean support density and their
-        largest certified error bound. Per-solve diagnostics stay on each
-        solve's ``plan.info``.
+        The ``"network_simplex"`` block counts the solver work of this
+        engine's pairs, wherever they ran: in this process or in a pool
+        worker, which returns its counts with its values (see
+        :class:`~repro.snd.fast.SolverCounts`). It splits solves and pivots
+        cold vs warm (``cold_pivots_per_solve`` / ``warm_pivots_per_solve``
+        — the headline temporal-locality numbers in ``BENCH_engine.json``).
+        Per-solve diagnostics stay on each solve's ``plan.info``.
         ``slot_writes`` counts shared-matrix row writes — append-only
         slot assignment keeps it at the number of *distinct* states ever
         dispatched, not dispatches times states. ``corpus_query`` counts

@@ -65,10 +65,8 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    ``solver="auto"`` (via :func:`repro.flow.select_transport_method`) is
    the exact network simplex at every size. A network-simplex solve is
    warm-started from a :class:`~repro.snd.cache.BasisCache` when one is
-   threaded; every other solver runs cold. Explicit ``"ssp"``, ``"lp"``
-   and the approximate ``"sinkhorn-hybrid"`` (entropic screen + sparse
-   exact solve, certified per-solve error bound; see
-   :mod:`repro.flow.sinkhorn_hybrid`) solve the same folded instance.
+   threaded; every other solver runs cold. Explicit ``"ssp"`` and
+   ``"lp"`` solve the same folded instance exactly.
 
 Under ``bank_metric="nearest"`` the result *exactly* equals the direct
 (unreduced) EMD* — the extended ground distance is a semimetric, so the
@@ -106,7 +104,6 @@ from repro.flow import solve_mcf_ssp  # noqa: F401
 from repro.flow.basis import TransportBasis
 from repro.flow.network_simplex import NetworkSimplexInfo
 from repro.flow.problem import TransportationProblem
-from repro.flow.sinkhorn_hybrid import HybridSolveInfo
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import multi_source_distances, search_matrix
 from repro.snd.banks import BankAllocation
@@ -151,7 +148,7 @@ HOP_DEPTH = 3
 #: ``"network-simplex"``, the warm-startable sparse simplex: paired with
 #: a :class:`repro.snd.cache.BasisCache` it reuses the previous optimal
 #: spanning tree across temporally local solves.
-SOLVER_CHOICES = ("auto", "ssp", "lp", "network-simplex", "sinkhorn-hybrid")
+SOLVER_CHOICES = ("auto", "ssp", "lp", "network-simplex")
 
 
 def check_term_options(solver: str, bank_metric: str, bank_shares: str) -> None:
@@ -185,8 +182,7 @@ class FastTermStats:
     n_cluster_runs: int = 0
     #: Solves of the term: 1, plus one per round that searched further.
     rounds: int = 0
-    #: Simplex pivots of the network-simplex solve, or of the hybrid's
-    #: restricted network-simplex solve (0 for other solvers).
+    #: Simplex pivots of the network-simplex solve (0 for other solvers).
     pivots: int = 0
     #: Whether the network-simplex solve started from a cached warm basis.
     warm_start: bool = False
@@ -199,13 +195,11 @@ class FastTermStats:
 
 @dataclass
 class SolverCounts:
-    """Solver work summed over solves: the ``"network_simplex"`` and
-    ``"hybrid"`` blocks of :meth:`repro.snd.engine.SNDEngine.stats`.
+    """Network-simplex work summed over solves: the ``"network_simplex"``
+    block of :meth:`repro.snd.engine.SNDEngine.stats`.
 
-    :meth:`add` counts one solve from its ``plan.info``. A sinkhorn-hybrid
-    solve also counts the restricted network-simplex solve it ran, which is
-    always cold. Every field is a sum except the largest finite error
-    bound, so the counts of terms, pairs and pool workers merge exactly.
+    :meth:`add` counts one solve from its ``plan.info``. Every field is a
+    sum, so the counts of terms, pairs and pool workers merge exactly.
     """
 
     solves: int = 0
@@ -213,27 +207,10 @@ class SolverCounts:
     cold_pivots: int = 0
     warm_pivots: int = 0
     warm_arcs_used: int = 0
-    hybrid_solves: int = 0
-    screened_solves: int = 0
-    screened_cells: int = 0
-    support_cells: int = 0
-    max_screen_error_bound: float = 0.0
 
     def add(self, info) -> None:
         """Count the solve *info* (a ``plan.info``) describes."""
-        if isinstance(info, HybridSolveInfo):
-            self.hybrid_solves += 1
-            if info.screened:
-                self.screened_solves += 1
-                self.screened_cells += info.n_cells
-                self.support_cells += info.support_cells
-                if np.isfinite(info.screen_error_bound):  # inf: uncertified
-                    self.max_screen_error_bound = max(
-                        self.max_screen_error_bound, info.screen_error_bound
-                    )
-            if not info.n_cells:
-                return  # no mass to move: no restricted solve ran
-        elif not isinstance(info, NetworkSimplexInfo):
+        if not isinstance(info, NetworkSimplexInfo):
             return
         self.solves += 1
         if info.warm:
@@ -246,12 +223,10 @@ class SolverCounts:
     def merge(self, other: "SolverCounts") -> None:
         """Add *other*'s counts to these."""
         for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            bound = f.name == "max_screen_error_bound"
-            setattr(self, f.name, max(mine, theirs) if bound else mine + theirs)
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def snapshot(self) -> dict:
-        """``{"network_simplex": {...}, "hybrid": {...}}``, JSON-ready."""
+        """``{"network_simplex": {...}}``, JSON-ready."""
         cold, warm = self.solves - self.warm_solves, self.warm_solves
         return {
             "network_simplex": {
@@ -260,13 +235,6 @@ class SolverCounts:
                 "cold_pivots_per_solve": self.cold_pivots / cold if cold else 0.0,
                 "warm_pivots_per_solve": self.warm_pivots / warm if warm else 0.0,
                 "warm_arcs_used": self.warm_arcs_used,
-            },
-            "hybrid": {
-                "solves": self.hybrid_solves, "screened_solves": self.screened_solves,
-                "support_density": (
-                    self.support_cells / self.screened_cells if self.screened_cells else 1.0
-                ),
-                "max_screen_error_bound": self.max_screen_error_bound,
             },
         }
 
@@ -757,9 +725,10 @@ def _fold(
 
     Bank bins join ``dst`` as extra columns at per-pair cost ``leg + γ``
     (see :func:`_fold_banks`). The ``src x dst`` block is oriented
-    supplier x consumer here and only here, as a C-ordered copy: the
-    hybrid tier's sums run in memory order, so another layout could move
-    a last bit.
+    supplier x consumer here and only here, as a C-ordered copy: every
+    solver reads the block row-major (the network simplex's ``ravel``,
+    HiGHS's ``reshape(-1)``), so a transposed view would only move that
+    copy into each solver.
     """
     costs, dst_amounts, dst_labels = term.d, term.dst_amounts, term.dst_ids
     if term.legs is not None:
@@ -822,8 +791,7 @@ def _solve(
     chain: list | None = None,
 ):
     """Solve the folded instance with *method* (``"ssp"``, ``"lp"`` —
-    HiGHS —, ``"network-simplex"`` — warm-startable —, or
-    ``"sinkhorn-hybrid"`` — approximate screened solve).
+    HiGHS —, or ``"network-simplex"`` — warm-startable).
 
     This is the one place the warm-start rule lives: only a
     ``"network-simplex"`` solve is warm-started, and every other method
@@ -1133,8 +1101,8 @@ def solve_reduced_term(
         stats.rounds = term.rounds
         stats.solver = solver
         stats.cost = cost
-        # The network simplex and the hybrid report their pivots, summed
-        # over the term's rounds, and whether its first solve started warm.
+        # The network simplex reports its pivots, summed over the term's
+        # rounds, and whether its first solve started warm.
         if plan is not None and plan.info is not None:
             stats.pivots = term.pivots
             stats.warm_start = term.warm_start
@@ -1174,8 +1142,7 @@ def emd_star_term_fast(
     max_cost:
         Assumption-2 bound ``U`` (sizes the unreachable-distance clamp).
     solver:
-        ``"ssp"`` (default), ``"lp"``, ``"network-simplex"``,
-        ``"sinkhorn-hybrid"`` (approximate, certified error bound), or
+        ``"ssp"`` (default), ``"lp"``, ``"network-simplex"``, or
         ``"auto"`` (the network simplex).
     bank_metric:
         ``"nearest"`` (default, semimetric-preserving) or ``"cluster"``

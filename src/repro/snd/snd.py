@@ -122,9 +122,7 @@ class SND:
         Reduced-problem solver: ``"ssp"`` (default), ``"lp"``,
         ``"network-simplex"`` (warm-startable sparse simplex; the engine
         threads cached bases through it on temporally local workloads),
-        ``"sinkhorn-hybrid"`` (approximate, with a certified per-solve
-        error bound; always cold), or ``"auto"`` (the network simplex at
-        every size).
+        or ``"auto"`` (the network simplex at every size).
 
     Examples
     --------

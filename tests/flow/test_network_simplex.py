@@ -17,9 +17,8 @@ Covers the tier's three contracts:
   terminate on tie-heavy integer costs with many zero bins (the classic
   cycling regime for naive pivot rules); regression-tested across seeds.
 
-Plus the basis helpers (:class:`TransportBasis`, ``validate_basis``), the
-sparse support entry point the sinkhorn-hybrid tier consumes, and the
-per-solve ``plan.info`` that ``engine.stats()`` / BENCH_engine.json sum
+Plus the basis helpers (:class:`TransportBasis`, ``validate_basis``) and
+the per-solve ``plan.info`` that ``engine.stats()`` / BENCH_engine.json sum
 into cold vs warm counts.
 """
 
@@ -30,15 +29,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.exceptions import FlowError
 from repro.flow import TransportationProblem, solve_transportation_lp
 from repro.flow.basis import TransportBasis, validate_basis
-from repro.flow.network_simplex import (
-    solve_support_network_simplex,
-    solve_transportation_network_simplex,
-)
+from repro.flow.network_simplex import solve_transportation_network_simplex
 from repro.snd.fast import SolverCounts
-from repro.flow.sinkhorn_hybrid import _northwest_corner_cells
 
 from test_solver_equivalence import (
     AGREE_TOL,
@@ -257,64 +251,6 @@ class TestWarmStart:
             scale = max(1.0, abs(cold.cost))
             assert warm.cost == pytest.approx(cold.cost, abs=AGREE_TOL * scale)
         _agree(warm, problem, f"ns-foreign-hint-{trial}")
-
-
-# --------------------------------------------------------------------- #
-# Sparse support entry point (the sinkhorn-hybrid consumer)
-# --------------------------------------------------------------------- #
-
-
-class TestSupportSolve:
-    def _dense_support(self, n, m):
-        rows = np.repeat(np.arange(n), m)
-        cols = np.tile(np.arange(m), n)
-        return rows, cols
-
-    def test_full_support_matches_dense(self, rng):
-        problem = make_transportation(rng, 7, 7)
-        # Strictly positive bins so the balanced support solve applies.
-        a = problem.supplies + 1.0
-        b = problem.demands + 1.0
-        b *= a.sum() / b.sum()
-        d = problem.costs
-        rows, cols = self._dense_support(7, 7)
-        plan = solve_support_network_simplex(a, b, d, rows, cols).flows
-        dense = solve_transportation_lp(TransportationProblem(a, b, d))
-        assert float((plan * d).sum()) == pytest.approx(
-            dense.cost, abs=AGREE_TOL * max(1.0, dense.cost)
-        )
-        np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-9)
-        np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-9)
-
-    def test_restricted_support_ships_on_support_only(self, rng):
-        n = m = 8
-        a = rng.random(n) + 0.5
-        b = rng.random(m) + 0.5
-        b *= a.sum() / b.sum()
-        d = rng.random((n, m)) * 20.0
-        # A feasible sparse support: the northwest-corner chain + randoms.
-        mask = rng.random((n, m)) < 0.4
-        mask[_northwest_corner_cells(a, b)] = True
-        rows, cols = np.nonzero(mask)
-        plan = solve_support_network_simplex(a, b, d, rows, cols)
-        assert not plan.info.warm and plan.info.warm_arcs_used == 0
-        # Off-support cells never receive flow, and the plan is the dense
-        # optimum once off-support cells are priced out of reach.
-        assert not plan.flows[~mask].any()
-        priced_out = np.where(mask, d, 1e6)
-        dense = solve_transportation_lp(TransportationProblem(a, b, priced_out))
-        assert plan.cost == pytest.approx(dense.cost, rel=1e-9)
-
-    def test_infeasible_support_raises(self):
-        # Two suppliers, two consumers, but the support only reaches
-        # consumer 0 — consumer 1's demand cannot be met.
-        a = np.array([2.0, 2.0])
-        b = np.array([1.0, 3.0])
-        d = np.ones((2, 2))
-        rows = np.array([0, 1])
-        cols = np.array([0, 0])
-        with pytest.raises(FlowError, match="infeasible"):
-            solve_support_network_simplex(a, b, d, rows, cols)
 
 
 # --------------------------------------------------------------------- #

@@ -7,8 +7,6 @@ bit for bit: cost, flows, basis cells, pivots and warm arcs used. The
 instances are tiny, medium, degenerate with integer costs and
 unbalanced; the starts are cold, the instance's own optimal basis, a
 neighbouring instance's basis, random in-range cells and garbage cells.
-The sparse entry point the sinkhorn-hybrid tier calls is checked the
-same way; it always starts cold.
 
 The default run draws a modest number of examples; ``--runslow`` (CI's
 warm-start suite) draws ten times as many.
@@ -24,10 +22,7 @@ from hypothesis import strategies as st
 
 from repro.flow import TransportationProblem
 from repro.flow.basis import TransportBasis
-from repro.flow.network_simplex import (
-    solve_support_network_simplex,
-    solve_transportation_network_simplex,
-)
+from repro.flow.network_simplex import solve_transportation_network_simplex
 
 KINDS = ("tiny", "medium", "degenerate", "unbalanced")
 HINTS = ("cold", "own", "neighbour", "random", "garbage", "empty")
@@ -120,48 +115,11 @@ def _check_dense(seed: int, kind: str, mode: str) -> None:
         assert got.info.warm == want.info.warm
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
-    a, b = a.copy(), b.copy()
-    cells, i, j = [], 0, 0
-    while i < a.size and j < b.size:
-        cells.append((i, j))
-        moved = min(a[i], b[j])
-        a[i] -= moved
-        b[j] -= moved
-        if a[i] <= b[j] and i < a.size - 1:
-            i += 1
-        else:
-            j += 1
-    return cells
-
-
-def _check_support(seed: int, kind: str) -> None:
-    rng = np.random.default_rng(seed)
-    problem = _instance(rng, "medium" if kind == "unbalanced" else kind)
-    a, b, d = problem.supplies.copy(), problem.demands.copy(), problem.costs
-    n, m = d.shape
-    a[0] += 1.0
-    b[0] += 1.0
-    b *= a.sum() / b.sum()
-    mask = rng.random((n, m)) < 0.4
-    for i, j in _northwest_corner(a, b):
-        mask[i, j] = True  # a feasible chain, as the hybrid's screen adds
-    rows, cols = np.nonzero(mask)
-    perm = rng.permutation(rows.size)
-    rows, cols = rows[perm], cols[perm]
-
-    got = solve_support_network_simplex(a, b, d, rows, cols)
-    want = reference.solve_support_network_simplex(a, b, d, rows, cols)
-    _assert_same_plan(got, want)
-    assert not got.info.warm and not want.info.warm
-
-
 _cases = dict(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(KINDS),
     mode=st.sampled_from(HINTS),
 )
-_support_cases = dict(seed=_cases["seed"], kind=_cases["kind"])
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -170,24 +128,11 @@ def test_dense_matches_reference(seed, kind, mode):
     _check_dense(seed, kind, mode)
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(**_support_cases)
-def test_support_matches_reference(seed, kind):
-    _check_support(seed, kind)
-
-
 @pytest.mark.slow
 @settings(max_examples=SLOW_EXAMPLES, deadline=None)
 @given(**_cases)
 def test_dense_matches_reference_large_budget(seed, kind, mode):
     _check_dense(seed, kind, mode)
-
-
-@pytest.mark.slow
-@settings(max_examples=SLOW_EXAMPLES, deadline=None)
-@given(**_support_cases)
-def test_support_matches_reference_large_budget(seed, kind):
-    _check_support(seed, kind)
 
 
 @pytest.mark.parametrize("n,m", [(96, 96), (40, 150)])

@@ -21,14 +21,6 @@ reduced-cost optimality invariants: flow conservation, capacity bounds,
 and the absence of a negative-cost cycle in the residual/exchange graph
 (the complementary-slackness certificate).
 
-The **tolerance-tiered hybrid harness** at the bottom extends the same
-idea to the approximate ``"sinkhorn-hybrid"`` tier: exact solvers must
-agree to ``AGREE_TOL``; the hybrid must return a *feasible* plan whose
-cost (a) upper-bounds the exact optimum, (b) stays within a stated
-relative-error budget that is a function of ``(ε, k)`` and **monotone in
-both** (the tier table itself is asserted monotone), and (c) never
-exceeds its own per-solve certificate ``screen_error_bound``.
-
 A small smoke subset runs in tier-1; the full matrix is marked
 ``@pytest.mark.slow`` and runs in CI's property-suite job (``--runslow``).
 """
@@ -39,36 +31,23 @@ import numpy as np
 import pytest
 import ssp_reference
 
+from repro import flow
+from repro.exceptions import ValidationError
 from repro.flow import (
     MinCostFlowProblem,
     TransportationProblem,
+    select_transport_method,
     solve_mcf_ssp,
     solve_transportation,
     solve_transportation_lp,
     solve_transportation_network_simplex,
     solve_transportation_ssp,
 )
-from repro.flow.sinkhorn_hybrid import solve_transportation_sinkhorn_hybrid
 
 #: Cross-solver agreement budget (absolute, costs are O(1e3) at most).
 AGREE_TOL = 1e-9
 #: Slack for invariant checks on plans returned by the float LP solver.
 FEAS_TOL = 1e-6
-
-#: The hybrid tier table: ``(epsilon, support_k) -> relative-error
-#: budget``. Budgets were calibrated on randomized 70x70..120x80 instances
-#: (worst observed error x a 2-5x safety margin; see benchmarks/README.md)
-#: and are MONOTONE in both knobs — tightening ε or raising k never
-#: loosens the budget. ``test_tier_table_monotone`` asserts that shape
-#: programmatically, so the table cannot silently regress.
-HYBRID_ERROR_TIERS = (
-    # (epsilon, support_k, rel-error budget)
-    (0.5, 2, 2.5),       # coarse screen: error can exceed the optimum itself
-    (0.1, 4, 0.10),
-    (0.05, 6, 0.02),
-    (0.02, 8, 0.005),
-    (0.005, 16, 0.001),
-)
 
 
 # --------------------------------------------------------------------- #
@@ -284,7 +263,7 @@ def check_mcf_instance(mcf_factory) -> None:
 
 class TestEquivalenceSmoke:
     # Up to 8x8 = 64 cells: the small-instance region, where auto runs the
-    # network simplex like everywhere else below the hybrid threshold.
+    # network simplex as at every size.
     @pytest.mark.parametrize("n,m", [(1, 1), (3, 4), (6, 6), (8, 8)])
     def test_transportation_small(self, rng, n, m):
         check_transportation_instance(make_transportation(rng, n, m))
@@ -357,167 +336,69 @@ class TestEquivalenceMatrix:
 
 
 # --------------------------------------------------------------------- #
-# Tolerance-tiered hybrid harness
+# The method="auto" policy and the method registry
 # --------------------------------------------------------------------- #
 
 
-def make_screened_transportation(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    *,
-    tie_heavy: bool = False,
-    integer_costs: bool = True,
-) -> TransportationProblem:
-    """A balanced instance big enough that the hybrid actually screens
-    (``n*m > SMALL_EXACT_CELLS``) with strictly positive costs, so the
-    optimum is bounded away from zero and relative error is well-defined."""
-    supplies = rng.integers(1, 12, n).astype(np.float64)
-    demands = rng.integers(1, 12, m).astype(np.float64)
-    demands *= supplies.sum() / demands.sum()
-    if integer_costs:
-        costs = rng.integers(1, 21, (n, m)).astype(np.float64)
-    else:
-        costs = 1.0 + np.round(rng.random((n, m)) * 19.0, 6)
-    if tie_heavy:
-        costs = np.maximum(1.0, np.floor(costs / 4.0) * 4.0)
-    return TransportationProblem(supplies, demands, costs)
+def _shape_with_cells(cells: int) -> tuple[int, int]:
+    """An (n, m) whose product is exactly *cells* and reasonably square."""
+    n = int(np.sqrt(cells))
+    while cells % n:
+        n -= 1
+    return n, cells // n
 
 
-def check_hybrid_tier(
-    problem: TransportationProblem,
-    *,
-    epsilon: float,
-    support_k: int,
-    budget: float,
-) -> None:
-    """One hybrid solve against the exact optimum: feasibility, the
-    upper-bound property, the tier's relative-error budget, and the
-    per-solve certificate."""
-    exact = solve_transportation_lp(problem).cost
-    plan = solve_transportation_sinkhorn_hybrid(
-        problem, epsilon=epsilon, support_k=support_k
-    )
-    label = f"hybrid(eps={epsilon}, k={support_k})"
-    # Feasible plan with the full partial-transport marginal semantics.
-    assert_transportation_plan_optimal_on_support(problem, plan, label=label)
-    # Exact-on-a-restriction => a true upper bound on the optimum.
-    scale = max(1.0, abs(exact))
-    assert plan.cost >= exact - AGREE_TOL * scale, (
-        f"{label}: cost {plan.cost} fell below exact optimum {exact}"
-    )
-    # The tier's stated relative-error budget.
-    rel = (plan.cost - exact) / exact
-    assert rel <= budget, (
-        f"{label}: relative error {rel:.3e} exceeds tier budget {budget}"
-    )
-    # The certificate: actual error never exceeds the reported bound
-    # ((C - OPT)/OPT <= (C - LB)/LB whenever LB <= OPT <= C).
-    info = plan.info
-    assert info is not None and info.screened, f"{label}: expected a screened solve"
-    if np.isfinite(info.screen_error_bound):
-        assert rel <= info.screen_error_bound + 1e-9, (
-            f"{label}: error {rel:.3e} exceeds its own certificate "
-            f"{info.screen_error_bound:.3e}"
-        )
-
-
-def assert_transportation_plan_optimal_on_support(problem, plan, *, label):
-    """Feasibility-only variant of :func:`assert_transportation_plan_optimal`:
-    the hybrid plan is optimal on its *support*, not on the full cell set,
-    so the full exchange-graph negative-cycle check does not apply."""
-    plan.validate(problem)
-    assert plan.flows.min() >= -FEAS_TOL, f"{label}: negative flow"
-
-
-class TestHybridTiersSmoke:
-    """Tier-1 subset: one screened instance, the two mid tiers."""
-
+class TestAutoPolicy:
     @pytest.mark.parametrize(
-        "epsilon,support_k,budget",
-        [t for t in HYBRID_ERROR_TIERS if t[0] in (0.05, 0.02)],
+        "cells", [2, 64, 65, 2_048, 2_049, 40_000, 160_001, 100_000_000]
     )
-    def test_mid_tiers(self, rng, epsilon, support_k, budget):
-        problem = make_screened_transportation(rng, 70, 70)
-        check_hybrid_tier(
-            problem, epsilon=epsilon, support_k=support_k, budget=budget
-        )
+    def test_exact_region_is_network_simplex(self, cells):
+        """One exact branch: every size lands on the network simplex (no
+        size tiers), 10 000 x 10 000 included."""
+        n, m = _shape_with_cells(cells)
+        assert select_transport_method(n, m) == "network-simplex"
 
-    def test_tier_table_monotone(self):
-        """The budget function is monotone in BOTH knobs: any tier with
-        smaller-or-equal ε and larger-or-equal k must have a
-        smaller-or-equal budget."""
-        for e1, k1, b1 in HYBRID_ERROR_TIERS:
-            for e2, k2, b2 in HYBRID_ERROR_TIERS:
-                if e2 <= e1 and k2 >= k1:
-                    assert b2 <= b1, (
-                        f"tier table not monotone: ({e1},{k1})->{b1} vs "
-                        f"({e2},{k2})->{b2}"
-                    )
-        # And it is strictly ordered along the published tier sequence.
-        budgets = [b for _, _, b in HYBRID_ERROR_TIERS]
-        assert budgets == sorted(budgets, reverse=True)
-
-    def test_tiers_tighten_in_practice(self, rng):
-        """Observed error is (weakly) better at the tightest tier than at
-        the loosest — the behavioural counterpart of the table shape."""
-        problem = make_screened_transportation(rng, 70, 70)
-        exact = solve_transportation_lp(problem).cost
-        loose = solve_transportation_sinkhorn_hybrid(
-            problem, epsilon=0.5, support_k=2
-        ).cost
-        tight = solve_transportation_sinkhorn_hybrid(
-            problem, epsilon=0.005, support_k=16
-        ).cost
-        assert abs(tight - exact) <= abs(loose - exact) + AGREE_TOL * exact
-
-
-@pytest.mark.slow
-class TestHybridTierMatrix:
-    """Full randomized matrix: every tier x instance family (CI
-    property-suite job, ``--runslow``)."""
-
-    @pytest.mark.parametrize("epsilon,support_k,budget", HYBRID_ERROR_TIERS)
-    @pytest.mark.parametrize("n,m", [(70, 70), (64, 90), (120, 80)])
-    @pytest.mark.parametrize("tie_heavy", [False, True])
-    def test_tier_matrix(self, rng, n, m, epsilon, support_k, budget, tie_heavy):
-        problem = make_screened_transportation(rng, n, m, tie_heavy=tie_heavy)
-        check_hybrid_tier(
-            problem, epsilon=epsilon, support_k=support_k, budget=budget
-        )
-
-    @pytest.mark.parametrize("trial", range(4))
-    def test_float_costs(self, rng, trial):
-        problem = make_screened_transportation(rng, 80, 70, integer_costs=False)
-        check_hybrid_tier(problem, epsilon=0.02, support_k=8, budget=0.005)
-
-    @pytest.mark.parametrize("trial", range(3))
-    def test_unbalanced_screened(self, rng, trial):
-        """Unbalanced screened instances: the dummy row/column is folded
-        into the support and partial-transport semantics hold."""
-        supplies = rng.integers(1, 12, 75).astype(np.float64)
-        demands = rng.integers(1, 12, 70).astype(np.float64)
-        costs = rng.integers(1, 21, (75, 70)).astype(np.float64)
-        problem = TransportationProblem(supplies, demands, costs)
-        exact = solve_transportation_lp(problem).cost
-        plan = solve_transportation_sinkhorn_hybrid(
-            problem, epsilon=0.02, support_k=8
-        )
-        plan.validate(problem)
-        scale = max(1.0, abs(exact))
-        assert plan.cost >= exact - AGREE_TOL * scale
-        assert (plan.cost - exact) / max(exact, 1.0) <= 0.005
-
-    def test_upper_bound_never_violated_across_seeds(self, rng):
-        """Cost >= exact on a stream of fresh instances — the invariant
-        that makes the hybrid safe wherever an upper bound is assumed."""
-        for _ in range(6):
-            seed = int(rng.integers(0, 2**32))
-            problem = make_screened_transportation(
-                np.random.default_rng(seed), 70, 70
+    @pytest.mark.parametrize("cells", [160_000, 160_001])
+    def test_each_cutoff_both_sides(self, monkeypatch, cells):
+        """On both sides of the former 160 000-cell cutoff ``auto``
+        dispatches to the registered network simplex, while naming a
+        solver still reaches it."""
+        n, m = _shape_with_cells(cells)
+        assert n * m == cells
+        calls = []
+        for name in ("network-simplex", "ssp"):
+            monkeypatch.setitem(
+                flow._TRANSPORT_SOLVERS, name, lambda p, name=name: calls.append(name)
             )
-            exact = solve_transportation_lp(problem).cost
-            cost = solve_transportation_sinkhorn_hybrid(
-                problem, epsilon=0.1, support_k=4
-            ).cost
-            assert cost >= exact - AGREE_TOL * max(1.0, exact), f"seed={seed}"
+        problem = TransportationProblem(np.ones(n), np.ones(m), np.zeros((n, m)))
+        solve_transportation(problem, method="auto")
+        solve_transportation(problem, method="ssp")
+        assert calls == ["network-simplex", "ssp"]
+
+    def test_degenerate_shapes(self):
+        assert select_transport_method(0, 10) == "network-simplex"
+        assert select_transport_method(10, 0) == "network-simplex"
+        assert select_transport_method(1, 1) == "network-simplex"
+
+    def test_auto_exact_above_old_cutoff(self):
+        """420 x 400 = 168 000 cells, above the 160 000-cell cutoff where
+        ``auto`` once left the exact solvers: ``auto`` is bitwise the cold
+        network simplex and agrees with HiGHS."""
+        rng = np.random.default_rng(11)
+        supplies = rng.integers(1, 12, 420).astype(float)
+        demands = rng.integers(1, 12, 400).astype(float)
+        demands *= supplies.sum() / demands.sum()
+        costs = rng.integers(0, 20, (420, 400)).astype(float)
+        problem = TransportationProblem(supplies, demands, costs)
+        auto = solve_transportation(problem, method="auto")
+        cold = solve_transportation_network_simplex(problem)
+        assert np.array_equal(auto.flows, cold.flows)
+        assert repr(auto.cost) == repr(cold.cost)
+        exact = solve_transportation_lp(problem)
+        assert auto.cost == pytest.approx(exact.cost, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["sinkhorn", "sinkhorn-hybrid"])
+    def test_unknown_method_rejected(self, rng, method):
+        problem = make_transportation(rng, 3, 3)
+        with pytest.raises(ValidationError, match="network-simplex"):
+            solve_transportation(problem, method=method)

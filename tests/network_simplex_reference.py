@@ -1,7 +1,7 @@
 """Frozen network simplex (test-only oracle).
 
 This is the array-state ``_TreeSimplex`` with its children-set tree, the
-``_solve_arcs`` helper and both public entry points exactly as
+``_solve_arcs`` helper and the dense entry point exactly as
 ``repro.flow.network_simplex`` shipped them before the tree state moved
 onto Python lists and thread arrays. The oracle tests assert the library
 solver is bitwise equal to it: cost, flows, basis cells, pivots and
@@ -568,70 +568,3 @@ def solve_transportation_network_simplex(
     keep = (rows < n_orig) & (cols < m_orig)  # drop dummy-node cells
     out_basis = TransportBasis(rows=rows[keep], cols=cols[keep])
     return (plan, out_basis) if return_basis else plan
-
-
-def solve_support_network_simplex(
-    a: np.ndarray,
-    b: np.ndarray,
-    d: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    *,
-    warm_cells: tuple[np.ndarray, np.ndarray] | None = None,
-    return_cells: bool = False,
-) -> TransportPlan | tuple[TransportPlan, tuple[np.ndarray, np.ndarray]]:
-    """Exact balanced solve restricted to the arcs ``(rows[k], cols[k])``.
-
-    The sparse entry point for the sinkhorn-hybrid tier: its screened
-    support is exactly a sparse min-cost flow, so this is the natural first
-    consumer of the warm-startable backend. *warm_cells* is an optional
-    ``(rows, cols)`` hint; cells outside the support are ignored. Returns
-    the plan with dense ``(n, m)`` flows (and the optimal basis cells when
-    *return_cells*).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n, m = a.shape[0], b.shape[0]
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    tails = rows
-    heads = n + cols
-    costs = np.ascontiguousarray(d[rows, cols], dtype=np.float64)
-
-    warm_arc_ids = None
-    if warm_cells is not None:
-        wr = np.asarray(warm_cells[0], dtype=np.int64)
-        wc = np.asarray(warm_cells[1], dtype=np.int64)
-        if wr.size:
-            arc_of = {
-                (int(r), int(c)): k for k, (r, c) in enumerate(zip(rows, cols))
-            }
-            ids = [
-                arc_of[(int(r), int(c))]
-                for r, c in zip(wr, wc)
-                if (int(r), int(c)) in arc_of
-            ]
-            if ids:
-                warm_arc_ids = np.asarray(ids, dtype=np.int64)
-
-    solver = _solve_arcs(n, m, tails, heads, costs, a, b, warm_arc_ids)
-
-    flows = np.zeros((n, m), dtype=np.float64)
-    flows[rows, cols] = np.maximum(solver.flow[: solver.n_real], 0.0)
-    cost = float((flows[rows, cols] * costs).sum())
-    info = NetworkSimplexInfo(
-        n_suppliers=n,
-        n_consumers=m,
-        n_arcs=solver.n_arcs,
-        pivots=solver.pivots,
-        warm=warm_arc_ids is not None and len(warm_arc_ids) > 0,
-        warm_arcs_given=0 if warm_cells is None else int(np.asarray(warm_cells[0]).size),
-        warm_arcs_used=solver.warm_arcs_used,
-        cost=cost,
-    )
-    plan = TransportPlan(flows=flows, cost=cost, info=info)
-    if return_cells:
-        tree_arcs = solver.tree_real_arcs()
-        return plan, (rows[tree_arcs].copy(), cols[tree_arcs].copy())
-    return plan

@@ -32,6 +32,14 @@ class TestValidation:
             {"jobs": 0},
             {"jobs": "many"},
             {"jobs": True},
+            {"solver": "nope"},
+            {"solver": "exact"},
+            {"solver": "sinkhorn-hybrid"},
+            {"clusters": 0},
+            {"clusters": -3},
+            {"clusters": "3"},
+            {"clusters": 2.5},
+            {"clusters": True},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -78,11 +86,11 @@ class TestMappingRoundTrip:
 
 class TestLayerViews:
     def test_snd_kwargs(self):
-        config = EngineConfig(clusters=2, seed=9, solver="exact")
+        config = EngineConfig(clusters=2, seed=9, solver="lp")
         assert config.snd_kwargs() == {
             "n_clusters": 2,
             "seed": 9,
-            "solver": "exact",
+            "solver": "lp",
         }
 
     def test_engine_kwargs_defaults_max_pending(self):

@@ -604,32 +604,14 @@ class TestCoalescingOverHttp:
             assert sched["coalesced"] + sched["cache_answered"] == n_clients - 1
 
 
-class TestHybridOverHttp:
-    """The approximate tier exercised end-to-end over real sockets: the
-    hybrid diagnostics surface in /stats, and genuine scheduler saturation
-    (not a stubbed raise) maps to HTTP 503 with the rejected counter."""
-
-    def test_hybrid_service_distance_and_stats(self, store_path):
-        service = SNDService(
-            store_path, config=EngineConfig(
-                clusters=2, solver="sinkhorn-hybrid", persist_transitions=False
-            )
-        )
-        with BackgroundServer(service) as server:
-            # States 0 and 2 differ (0/1 are identical -> distance 0 with
-            # no transportation solve, which would leave the metrics flat).
-            status, body = _post(server, "/v1/distance", {"name": "t", "i": 0, "j": 2})
-            assert status == 200
-            assert body["distance"] > 0
-            _status, stats = _get(server, "/v1/stats")
-            hybrid = stats["shards"]["t"]["hybrid"]
-            assert hybrid["solves"] > 0
-            assert 0.0 <= hybrid["support_density"] <= 1.0
+class TestSaturationOverHttp:
+    """Genuine scheduler saturation over real sockets (not a stubbed
+    raise) maps to HTTP 503 with the rejected counter."""
 
     def test_real_saturation_maps_to_503(self, store_path, monkeypatch):
         import repro.flow as flow_mod
 
-        real = flow_mod._TRANSPORT_SOLVERS["sinkhorn-hybrid"]
+        real = flow_mod._TRANSPORT_SOLVERS["ssp"]
         hold = threading.Event()
         started = threading.Event()
 
@@ -638,14 +620,12 @@ class TestHybridOverHttp:
             hold.wait(timeout=30)
             return real(problem, **kw)
 
-        monkeypatch.setitem(
-            flow_mod._TRANSPORT_SOLVERS, "sinkhorn-hybrid", throttled
-        )
+        monkeypatch.setitem(flow_mod._TRANSPORT_SOLVERS, "ssp", throttled)
         service = SNDService(
             store_path,
             config=EngineConfig(
                 clusters=2,
-                solver="sinkhorn-hybrid",
+                solver="ssp",
                 max_pending=1,
                 persist_transitions=False,
             ),
@@ -658,7 +638,7 @@ class TestHybridOverHttp:
 
             t = threading.Thread(target=slow_client)
             t.start()
-            assert started.wait(timeout=30)  # hybrid solve now holds the slot
+            assert started.wait(timeout=30)  # the solve now holds the slot
 
             # Swap in a non-blocking submit over the same genuine path so the
             # second request observes saturation instead of queueing behind it.
@@ -687,7 +667,6 @@ class TestHybridOverHttp:
             sched = stats["shards"]["t"]["scheduler"]
             assert sched["rejected"] == 1
             assert sched["solved"] >= 1
-            assert stats["shards"]["t"]["hybrid"]["solves"] >= 1
 
 
 def _post_until_eof(server, path, payload, timeout):

@@ -257,21 +257,16 @@ class TestStatsBridge:
             "scheduler": {"requested": 1},
             "network_simplex": {"solves": 7, "warm_solves": 3,
                                 "warm_pivots_per_solve": 1.5},
-            "hybrid": {"solves": 2, "support_density": 0.5},
         }
-        g2 = {"scheduler": {"requested": 1},
-              "network_simplex": {"solves": 0}, "hybrid": {"solves": 0}}
+        g2 = {"scheduler": {"requested": 1}, "network_simplex": {"solves": 0}}
         stats = {"shards": {"g1": g1, "g2": g2}}
         types, values = parse_exposition(render_samples(samples_from_stats(stats)))
         assert values['snd_simplex_solves_total{graph="g1"}'] == 7
         assert values['snd_simplex_warm_solves_total{graph="g1"}'] == 3
         assert values['snd_simplex_warm_pivots_per_solve{graph="g1"}'] == 1.5
-        assert values['snd_hybrid_solves_total{graph="g1"}'] == 2
-        assert values['snd_hybrid_support_density{graph="g1"}'] == 0.5
         assert values['snd_simplex_solves_total{graph="g2"}'] == 0
-        assert values['snd_hybrid_solves_total{graph="g2"}'] == 0
         assert types["snd_simplex_solves_total"] == "counter"
-        assert types["snd_hybrid_support_density"] == "gauge"
+        assert types["snd_simplex_warm_pivots_per_solve"] == "gauge"
         assert not any(name.startswith("snd_simplex_last") for name in types)
 
     def test_basis_channel_hits_exported(self):
@@ -313,7 +308,6 @@ class TestStatsBridge:
             (("caches", "rows"), 'snd_cache_novel_total{cache="rows",graph="default"}'),
             (("caches",), 'snd_cache_novel_total{graph="default"}'),
             (("network_simplex",), 'snd_simplex_novel_total{graph="default"}'),
-            (("hybrid",), 'snd_hybrid_novel_total{graph="default"}'),
             (("corpus_query",), 'snd_corpus_query_novel_total{graph="default"}'),
             ((), 'snd_engine_novel_total{graph="default"}'),
         ],
@@ -325,7 +319,6 @@ class TestStatsBridge:
             "scheduler": {"requested": 1, "clients": {"a": {"requested": 1}}},
             "caches": {"rows": {"hits": 1}, "total_nbytes": 8},
             "network_simplex": {"solves": 1},
-            "hybrid": {"solves": 0},
             "corpus_query": {"queries": 0},
         }
         node = stats
@@ -406,7 +399,7 @@ class TestScrapeOverHttp:
             assert 'snd_cache_terms_total{cache="rows",graph="t"}' in values
             # solver metric families, the shard's own engine counts
             assert values['snd_simplex_solves_total{graph="t"}'] > 0
-            assert 'snd_hybrid_solves_total{graph="t"}' in values
+            assert 'snd_simplex_warm_solves_total{graph="t"}' in values
             # uptime gauge present
             assert types["snd_serve_uptime_seconds"] == "gauge"
 

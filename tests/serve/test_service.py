@@ -228,4 +228,3 @@ class TestSolverCountsPerShard:
             shards = svc.stats()["shards"]
         assert shards["a"]["network_simplex"]["solves"] > 0
         assert shards["b"]["network_simplex"]["solves"] == 0
-        assert shards["b"]["hybrid"]["solves"] == 0

@@ -628,7 +628,7 @@ class TestWarmStartedEngine:
     def test_activation_policy(self, graph):
         """The basis store is active if and only if ``use_basis_cache``,
         whatever the solver; only network-simplex solves read it."""
-        for solver in ("auto", "network-simplex", "ssp", "lp", "sinkhorn-hybrid"):
+        for solver in ("auto", "network-simplex", "ssp", "lp"):
             snd = SND(graph, n_clusters=3, seed=0, solver=solver)
             on = SNDEngine(snd, jobs=None)
             assert on.basis_cache is on.caches.bases
@@ -640,14 +640,14 @@ class TestWarmStartedEngine:
         assert "network_simplex" in stats and "slot_writes" in stats
 
     @pytest.mark.parametrize("jobs", ENGINE_MODES)
-    def test_hybrid_engine_stays_cold(self, graph, rng, jobs):
-        """The hybrid never reads or stores a basis: a serial and a
+    def test_cold_solver_engine_stays_cold(self, graph, rng, jobs):
+        """A cold solver never reads or stores a basis: a serial and a
         process engine with basis caching on are bitwise the per-pair
         ``SND.distance`` loop, and the basis store stays empty."""
-        hybrid = SND(graph, n_clusters=3, seed=0, solver="sinkhorn-hybrid")
+        ssp = SND(graph, n_clusters=3, seed=0, solver="ssp")
         series = random_series(40, 6, rng)
-        naive = np.array([hybrid.distance(a, b) for a, b in series.transitions()])
-        engine_snd = SND(graph, n_clusters=3, seed=0, solver="sinkhorn-hybrid")
+        naive = np.array([ssp.distance(a, b) for a, b in series.transitions()])
+        engine_snd = SND(graph, n_clusters=3, seed=0, solver="ssp")
         with SNDEngine(engine_snd, jobs=jobs, use_basis_cache=True) as engine:
             assert np.array_equal(engine.evaluate_series(series), naive)
             assert len(engine.caches.bases) == 0
@@ -1008,4 +1008,3 @@ class TestSolverCounts:
             busy.evaluate_series(states)
             assert busy.stats()["network_simplex"]["solves"] > 0
             assert idle.stats()["network_simplex"]["solves"] == 0
-            assert idle.stats()["hybrid"]["solves"] == 0

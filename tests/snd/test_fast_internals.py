@@ -138,12 +138,11 @@ class TestSolverConsistencyAtScale:
 
 
 class TestTermDiagnostics:
-    def test_hybrid_term_does_not_report_earlier_simplex_pivots(self):
+    def test_cold_term_does_not_report_earlier_simplex_pivots(self):
         """Pivots and the warm flag describe the solve behind the term's
-        own cost: a sinkhorn-hybrid term handed a basis cache solves its
-        support cold, so right after a network-simplex term on the same
-        thread it reports exactly the pivots of a hybrid term run alone,
-        and never a warm start."""
+        own cost: an ssp term handed a basis cache solves cold, so right
+        after a network-simplex term on the same thread it reports exactly
+        the pivots of an ssp term run alone, and never a warm start."""
         from repro.opinions.state import POSITIVE
         from repro.snd.cache import BasisCache
 
@@ -151,10 +150,10 @@ class TestTermDiagnostics:
         banks = allocate_banks(g, n_clusters=3, seed=0)
         a = NetworkState.from_active_sets(60, positive=list(range(0, 24, 2)))
         b = NetworkState.from_active_sets(60, positive=list(range(30, 50, 2)))
-        hybrid = SND(g, banks=banks, solver="sinkhorn-hybrid")
+        ssp = SND(g, banks=banks, solver="ssp")
 
         alone = FastTermStats()
-        hybrid.term(b, a, POSITIVE, stats=alone)
+        ssp.term(b, a, POSITIVE, stats=alone)
 
         simplex_stats = FastTermStats()
         SND(g, banks=banks, solver="network-simplex").term(
@@ -162,15 +161,15 @@ class TestTermDiagnostics:
         )
         assert simplex_stats.pivots > 0
 
-        hybrid_stats = FastTermStats()
+        ssp_stats = FastTermStats()
         cache = BasisCache()
-        hybrid.term(
+        ssp.term(
             b, a, POSITIVE, basis_cache=cache, basis_key=("b", "a", POSITIVE),
-            stats=hybrid_stats,
+            stats=ssp_stats,
         )
-        assert hybrid_stats.solver == "sinkhorn-hybrid"
-        assert hybrid_stats.pivots == alone.pivots
-        assert hybrid_stats.warm_start is False
+        assert ssp_stats.solver == "ssp"
+        assert ssp_stats.pivots == alone.pivots
+        assert ssp_stats.warm_start is False
         assert len(cache) == 0
 
 
@@ -179,7 +178,7 @@ class TestWarmStartRule:
     basis if and only if its resolved method is the network simplex."""
 
     @pytest.mark.parametrize(
-        "solver", ["auto", "network-simplex", "ssp", "lp", "sinkhorn-hybrid"]
+        "solver", ["auto", "network-simplex", "ssp", "lp"]
     )
     def test_only_network_simplex_touches_the_basis_store(self, solver):
         from repro.opinions.state import POSITIVE

@@ -291,22 +291,22 @@ class TestStats:
             assert engine.stats()["scheduler"] == stats
 
 
-def hybrid_engine(graph, **kwargs) -> SNDEngine:
+def ssp_engine(graph, **kwargs) -> SNDEngine:
     return SNDEngine(
-        SND(graph, n_clusters=2, seed=0, solver="sinkhorn-hybrid"),
+        SND(graph, n_clusters=2, seed=0, solver="ssp"),
         jobs=None,
         **kwargs,
     )
 
 
-def throttle_hybrid(monkeypatch, *, delay=0.0, hold=None, started=None):
-    """Wrap the registered sinkhorn-hybrid solver so every reduced solve
+def throttle_ssp(monkeypatch, *, delay=0.0, hold=None, started=None):
+    """Wrap the registered successive-shortest-paths solver so every reduced solve
     is slow (or blocks on *hold*), simulating large-instance latency while
     keeping values exact. Patching the registry entry throttles the real
     solve path (emd_star_term_fast -> solve_transportation), not a stub."""
     import repro.flow as flow_mod
 
-    real = flow_mod._TRANSPORT_SOLVERS["sinkhorn-hybrid"]
+    real = flow_mod._TRANSPORT_SOLVERS["ssp"]
 
     def throttled(problem, **kw):
         if started is not None:
@@ -317,23 +317,23 @@ def throttle_hybrid(monkeypatch, *, delay=0.0, hold=None, started=None):
             time.sleep(delay)
         return real(problem, **kw)
 
-    monkeypatch.setitem(flow_mod._TRANSPORT_SOLVERS, "sinkhorn-hybrid", throttled)
+    monkeypatch.setitem(flow_mod._TRANSPORT_SOLVERS, "ssp", throttled)
     return real
 
 
-class TestThrottledHybridSolves:
-    """Satellite: slow *approximate* solves must neither break coalescing
-    nor dodge backpressure — the scheduler guarantees are solver-agnostic."""
+class TestThrottledColdSolves:
+    """Slow cold solves must neither break coalescing nor dodge
+    backpressure — the scheduler guarantees are solver-agnostic."""
 
     def test_concurrent_same_pair_still_one_solve(self, graph, monkeypatch):
         states = distinct_states(30, 2)
-        reference = SND(graph, n_clusters=2, seed=0, solver="sinkhorn-hybrid").distance(
+        reference = SND(graph, n_clusters=2, seed=0, solver="ssp").distance(
             states[0], states[1]
         )
         started = threading.Event()
-        throttle_hybrid(monkeypatch, delay=0.1, started=started)
+        throttle_ssp(monkeypatch, delay=0.1, started=started)
         n_threads = 5
-        with hybrid_engine(graph) as engine:
+        with ssp_engine(graph) as engine:
             sched = engine.scheduler
             transitions = engine.caches.transitions
             results: list[float] = [None] * n_threads
@@ -357,7 +357,7 @@ class TestThrottledHybridSolves:
             for t in threads:
                 t.join(timeout=60)
             assert not errors
-            assert sched.solved == 1  # one slow hybrid solve, N answers
+            assert sched.solved == 1  # one slow solve, N answers
             assert sched.requested == n_threads
             assert sched.coalesced + sched.cache_answered == n_threads - 1
             assert len(set(results)) == 1
@@ -367,38 +367,22 @@ class TestThrottledHybridSolves:
         states = distinct_states(30, 4)
         hold = threading.Event()
         started = threading.Event()
-        throttle_hybrid(monkeypatch, hold=hold, started=started)
-        with hybrid_engine(graph, max_pending=1) as engine:
+        throttle_ssp(monkeypatch, hold=hold, started=started)
+        with ssp_engine(graph, max_pending=1) as engine:
             sched = engine.scheduler
             t = threading.Thread(target=lambda: sched.evaluate(states, [(0, 1)]))
             t.start()
-            assert started.wait(timeout=10)  # hybrid solve now in flight
+            assert started.wait(timeout=10)  # the solve is now in flight
             with pytest.raises(SchedulerSaturatedError):
                 sched.evaluate(states, [(2, 3)], block=False)
             assert sched.rejected == 1
-            assert sched.pending == 1  # the stalled hybrid pair
+            assert sched.pending == 1  # the stalled pair
             hold.set()
             t.join(timeout=60)
             assert sched.pending == 0
             stats = sched.stats()
             assert stats["rejected"] == 1
             assert stats["solved"] == 1
-
-    def test_engine_stats_embed_hybrid_block(self, graph):
-        states = distinct_states(30, 2)
-        with hybrid_engine(graph) as engine:
-            before = engine.stats()["hybrid"]
-            engine.scheduler.evaluate(states, [(0, 1)])
-            stats = engine.stats()
-            assert set(stats["hybrid"]) == {
-                "solves", "screened_solves", "support_density",
-                "max_screen_error_bound",
-            }
-            # The pair's reduced solves all went through the hybrid tier,
-            # each with its restricted network-simplex solve.
-            assert before["solves"] == 0
-            assert stats["hybrid"]["solves"] > 0
-            assert stats["network_simplex"]["solves"] == stats["hybrid"]["solves"]
 
 
 class TestClientFairness:

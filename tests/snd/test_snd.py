@@ -151,7 +151,13 @@ class TestConfiguration:
         assert agnostic != pytest.approx(icc)
 
     @pytest.mark.parametrize(
-        "option", [{"bank_shares": "typo"}, {"bank_metric": "bogus"}, {"solver": "x"}]
+        "option",
+        [
+            {"bank_shares": "typo"},
+            {"bank_metric": "bogus"},
+            {"solver": "x"},
+            {"solver": "sinkhorn-hybrid"},
+        ],
     )
     def test_bad_term_option_fails_at_construction(self, graph, option):
         with pytest.raises(ValidationError):

@@ -202,14 +202,6 @@ EXPECTED = {
     "network-simplex-cluster-mass-3": "2fd2581de5352c4b",
     "network-simplex-cluster-size-1": "ba47882427bc0585",
     "network-simplex-cluster-size-3": "d911a5bf8cb84973",
-    "sinkhorn-hybrid-nearest-mass-1": "a05328c9eb16aa8e",
-    "sinkhorn-hybrid-nearest-mass-3": "45fc7ae410700f72",
-    "sinkhorn-hybrid-nearest-size-1": "5f93778f0d276962",
-    "sinkhorn-hybrid-nearest-size-3": "4344c95695d7a479",
-    "sinkhorn-hybrid-cluster-mass-1": "1d0afc05a2060708",
-    "sinkhorn-hybrid-cluster-mass-3": "f66851adbbaca752",
-    "sinkhorn-hybrid-cluster-size-1": "b8f7a8aa8d9cc9ac",
-    "sinkhorn-hybrid-cluster-size-3": "cd12eacc1dcc2dc7",
 }
 
 

@@ -40,6 +40,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_solver_rejected_by_parser(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["distance", "--store", "x", "--name", "t", "--solver", "sinkhorn-hybrid"]
+            )
+
     def test_generate_and_distance_roundtrip(self, tmp_path):
         store_path = str(tmp_path / "exp.sqlite")
         rc = main(
