@@ -101,6 +101,11 @@ class MultipolarSND(SND):
     def state_from_row(self, row: np.ndarray) -> MultipolarState:
         return MultipolarState(row, n_poles=self.n_poles)
 
+    @property
+    def pole_values(self) -> tuple[int, ...]:
+        """Pole p's holders carry the value p."""
+        return tuple(range(1, self.n_poles + 1))
+
     def _pair_terms(self, a, b):
         """Pole-``p`` projections at the positive opinion, direction-major
         and pole-minor."""

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.opinions.state import NetworkState
+from repro.snd.ground import EdgeCosts
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -246,9 +247,11 @@ class GroundCostCache(_LruCache):
     Keys are ``(state fingerprint, opinion)`` where the fingerprint is the
     SHA-256 digest of the opinion-vector bytes — two states with equal
     opinions share an entry regardless of object identity. Values are the
-    CSR-aligned cost arrays of
-    :meth:`repro.snd.ground.GroundDistanceConfig.edge_costs`, stored
-    read-only so no caller can change a shared entry.
+    :class:`~repro.snd.ground.EdgeCosts` of
+    :meth:`repro.snd.ground.GroundDistanceConfig.build` (:meth:`costs`):
+    the CSR-aligned cost array (:meth:`edge_costs`), stored read-only so no
+    caller can change a shared entry, with its integrality and smallest
+    costs, each found at most once per array.
 
     The cache keeps about twice as many arrays as the deepest LRU position
     (1 = most recent) its last :attr:`HIT_WINDOW` hits came from, and at
@@ -288,7 +291,12 @@ class GroundCostCache(_LruCache):
         return state.content_key()
 
     def edge_costs(self, ground, graph, state: NetworkState, opinion: int) -> np.ndarray:
-        """Cached ``ground.edge_costs(graph, state, opinion)``."""
+        """Cached ``ground.edge_costs(graph, state, opinion)`` (read-only)."""
+        return self.costs(ground, graph, state, opinion).values
+
+    def costs(self, ground, graph, state: NetworkState, opinion: int) -> EdgeCosts:
+        """Cached ``ground.build(graph, state, opinion)``: :meth:`edge_costs`
+        with the facts the certified loop and the bounds read."""
         key = (self.fingerprint(state), int(opinion))
         with self._lock:
             cached = self._entries.get(key)
@@ -304,8 +312,8 @@ class GroundCostCache(_LruCache):
             self.misses += 1
             if self._evicted.pop(key, False):
                 self._record_depth(self.maxsize)
-        costs = ground.edge_costs(graph, state, opinion)
-        costs.setflags(write=False)
+        costs = ground.build(graph, state, opinion)
+        costs.values.setflags(write=False)
         self._put(key, costs)
         return costs
 
@@ -407,10 +415,11 @@ class DijkstraRowCache(_LruCache):
     a new state with each term and never asks for it again.
 
     The record of recent certificate radii (:meth:`record_radius`) sets
-    where the next term's searches start (:meth:`start_radius`), and the
-    cache remembers which cost arrays hold only integers
-    (:meth:`integral_costs`), whose unreached nodes the term prices one
-    integer past the radius; see :mod:`repro.snd.fast`.
+    where the next term's searches start (:meth:`start_radius`); see
+    :mod:`repro.snd.fast`. The held rows are dropped when the record
+    moves from full rows to bounded starts: a bounded search moves to a
+    new state with each term, and never read them back on the measured
+    streams.
 
     ``misses`` counts row requests that ran a search, ``settled`` the
     nodes those searches settled and ``terms`` the certified terms
@@ -428,8 +437,6 @@ class DijkstraRowCache(_LruCache):
     #: lower start saves grow with the sources, while the extra round it
     #: may cost is the same for every term.
     MANY_SOURCES = 4
-    #: Cost keys whose integrality :meth:`integral_costs` remembers.
-    INTEGRAL_WINDOW = 64
     #: Settled fraction of the graph past which rows are searched in full.
     FULL_ROW_FRACTION = 0.5
     #: While rows are searched in full for that reason, one term in this
@@ -443,7 +450,6 @@ class DijkstraRowCache(_LruCache):
         self._fractions: deque = deque(maxlen=self.RADIUS_WINDOW)
         self._start = np.inf  # p75 of the record
         self._median = np.inf
-        self._integral: OrderedDict = OrderedDict()  # cost key -> all integers
         self._full_rows = False  # full rows for large certificates
         self._full_row_terms = 0  # terms started so since the last bounded one
         self.settled = 0
@@ -461,8 +467,10 @@ class DijkstraRowCache(_LruCache):
         starts. Its radius, the largest cost its optimal plan ships on,
         joins the start percentiles all the same, while the full-row rule
         reads only the fractions of record-started terms, as if the
-        others had not run."""
+        others had not run. When the record moves from full rows to
+        bounded starts, the held rows go."""
         with self._lock:
+            was_full = self._start == np.inf
             self._radii.append((float(radius), settled))
             if settled is not None:
                 self._fractions.append(float(settled))
@@ -476,6 +484,9 @@ class DijkstraRowCache(_LruCache):
                     radii = sorted(radius for radius, _ in self._radii)
                     self._start = _quantile(radii, 0.75)
                     self._median = _quantile(radii, 0.5)
+            if was_full and self._start < np.inf:
+                while self._entries:
+                    self._evict_oldest_locked()
 
     def start_radius(self, n_sources: int = 1) -> float:
         """Search radius for a new term with *n_sources* row sources: the
@@ -500,25 +511,6 @@ class DijkstraRowCache(_LruCache):
         records no certificate."""
         with self._lock:
             self.mirrored += 1
-
-    def integral_costs(self, cost_key, edge_costs: np.ndarray) -> bool:
-        """Whether every cost in *edge_costs*, the array *cost_key* names,
-        is an integer (quantized Eq. 2 costs always are). Then every
-        distance is one, and a node a search limited to ``r`` left
-        unreached lies at least ``⌊r⌋ + 1`` away. The array is scanned
-        once per key; the last :attr:`INTEGRAL_WINDOW` keys' answers are
-        kept."""
-        with self._lock:
-            known = self._integral.get(cost_key)
-            if known is not None:
-                self._integral.move_to_end(cost_key)
-                return known
-        known = bool(np.array_equal(edge_costs, np.rint(edge_costs)))
-        with self._lock:
-            self._integral[cost_key] = known
-            if len(self._integral) > self.INTEGRAL_WINDOW:
-                self._integral.popitem(last=False)
-        return known
 
     def record_due(self) -> bool:
         """Whether the term started last should record its certificate:
@@ -592,7 +584,6 @@ class DijkstraRowCache(_LruCache):
         with self._lock:
             self._radii.clear()
             self._fractions.clear()
-            self._integral.clear()
             self._start = self._median = np.inf
             self._full_rows, self._full_row_terms = False, 0
 
@@ -600,7 +591,6 @@ class DijkstraRowCache(_LruCache):
         state = super().__getstate__()
         state["_radii"] = deque(maxlen=self.RADIUS_WINDOW)  # like the entries
         state["_fractions"] = deque(maxlen=self.RADIUS_WINDOW)
-        state["_integral"] = OrderedDict()
         state["_start"] = state["_median"] = np.inf
         state["_full_rows"], state["_full_row_terms"] = False, 0
         return state

@@ -74,6 +74,7 @@ from repro.snd.cache import (
 )
 from repro.snd.fast import SolverCounts
 from repro.snd.scheduler import DEFAULT_MAX_PENDING, PairScheduler, resolve_jobs
+from repro.snd.snd import BoundSides
 
 __all__ = ["SNDEngine", "Corpus", "StreamUpdate", "resolve_jobs", "STATS_GAUGES"]
 
@@ -791,16 +792,30 @@ class Corpus:
                 f"Corpus needs an SNDEngine, got {type(engine).__name__}"
             )
         self.engine = engine
-        self._states: list[NetworkState] = []
+        # The members and their index (what SND.member_bounds reads of
+        # them), replaced together so a query reads one consistent pair.
+        self._members: tuple[list[NetworkState], BoundSides] = (
+            [], engine.snd.bound_sides([]),
+        )
         self._matrix = np.zeros((0, 0), dtype=np.float64)
         states = list(states)
         if states:
             self.extend(states)
 
     @property
+    def _states(self) -> list[NetworkState]:
+        return self._members[0]
+
+    @property
     def states(self) -> list[NetworkState]:
         """The corpus members, append order preserved."""
         return list(self._states)
+
+    def _add_members(self, new_states: list[NetworkState]) -> None:
+        """Append *new_states* and their index rows."""
+        states, index = self._members
+        more = self.engine.snd.bound_sides(new_states, self.engine.caches)
+        self._members = (states + new_states, index + more)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -844,7 +859,7 @@ class Corpus:
                     transitions.put(self._states[i], self._states[j], self._matrix[i, j])
         matrix = self.engine.pairwise_matrix(states, transitions=transitions)
         assert matrix.shape == (n, n)
-        self._states = states
+        self._add_members(new_states)
         self._matrix = matrix
         return self.matrix
 
@@ -859,33 +874,34 @@ class Corpus:
         The answer is exact, the same as solving *state* against every
         member and sorting, but found by bound-pruning. Every member gets
         a row-free lower bound (:meth:`~repro.snd.snd.SND.lower_bound`,
-        which assumes no metric). Members are solved exactly in bound
-        order: the first *k* in one batch, then, round by round, every
-        member whose bound is at most the current k-th exact distance. A
-        member whose bound exceeds it by more than ``BOUND_RTOL`` cannot
-        place and is never solved. Before a member is solved in a later
-        round, its hop-aware bound (:meth:`~repro.snd.snd.SND.hop_bound`,
-        from the same reductions) is checked against the k-th distance in
-        the same way. ``engine.stats()["corpus_query"]`` counts the
-        bounded, refined and solved pairs.
+        which assumes no metric), all in one pass over the corpus's member
+        index (:meth:`~repro.snd.snd.SND.member_bounds`). Members are
+        solved exactly in bound order: the first *k* in one batch, then,
+        round by round, every member whose bound is at most the current
+        k-th exact distance. A member whose bound exceeds it by more than
+        ``BOUND_RTOL`` cannot place and is never solved. Before a member is
+        solved in a later round, its hop-aware bound
+        (:meth:`~repro.snd.snd.SND.hop_bound`, from the pair's reductions)
+        is checked against the k-th distance in the same way.
+        ``engine.stats()["corpus_query"]`` counts the bounded, refined and
+        solved pairs. The query reads the members as they stood when it
+        began, whatever an :meth:`extend` running meanwhile adds.
         """
-        if not self._states:
+        members, index = self._members
+        if not members:
             raise ValidationError("corpus is empty")
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         engine = self.engine
         snd = engine.snd
-        k = min(k, len(self._states))
-        terms = [[] for _ in self._states]
-        bounds = np.array([
-            snd.lower_bound(state, m, engine.caches, t) for m, t in zip(self._states, terms)
-        ])
+        k = min(k, len(members))
+        bounds = snd.member_bounds(state, index, engine.caches)
         # Stable: members with equal bounds are solved in index order.
         order = np.argsort(bounds, kind="stable")
         sorted_bounds = bounds[order]
         # (query, member) argument order is preserved through the
         # scheduler so values stay bit-identical to the per-pair loop.
-        query_states = [state] + self._states
+        query_states = [state] + members
         exact: dict[int, float] = {}
         batch, seen, refined = order[:k].tolist(), k, 0
         while batch:
@@ -898,7 +914,10 @@ class Corpus:
             candidates = order[seen:end].tolist()
             seen = max(seen, end)
             refined += len(candidates)
-            batch = [m for m in candidates if snd.hop_bound(terms[m]) <= cut]
+            batch = [
+                m for m in candidates
+                if snd.hop_bound(snd.bound_terms(state, members[m], engine.caches)) <= cut
+            ]
         engine._count_query(bounded=len(bounds), refined=refined, solved=len(exact))
         nearest = sorted(exact.items(), key=lambda item: (item[1], item[0]))[:k]
         return [(int(i), float(d)) for i, d in nearest]
@@ -920,7 +939,7 @@ class Corpus:
         (it was produced by the same bit-identical pipeline)."""
         series, matrix = store.load_corpus(graph_name, corpus_name)
         corpus = cls(engine)
-        corpus._states = list(series)
+        corpus._add_members(list(series))
         corpus._matrix = np.asarray(matrix, dtype=np.float64).copy()
         return corpus
 

@@ -27,7 +27,8 @@ Each EMD* term runs four stages over one :class:`ReducedTerm` record:
    sources sharing a radius in one call). Every user the search did not
    reach lies beyond ``L_s`` and is priced at ``L_s``, or at
    ``⌊L_s⌋ + 1`` when every edge cost is an integer (Assumption 2, as
-   quantized Eq. 2 costs are; the row cache checks once per cost key),
+   quantized Eq. 2 costs are; :class:`~repro.snd.ground.EdgeCosts`
+   carries the fact, from the builder or one scan per array),
    and every unreached bank leg at that price plus γ: both are lower
    bounds, so the relaxed instance's optimum
    is at most the term. If its optimal plan ships only on exactly priced
@@ -90,6 +91,7 @@ to solve only those that could still place.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -107,12 +109,12 @@ from repro.flow.problem import TransportationProblem
 from repro.graph.digraph import DiGraph
 from repro.shortestpath.dijkstra import multi_source_distances, search_matrix
 from repro.snd.banks import BankAllocation
-from repro.snd.ground import unreachable_cost
+from repro.snd.ground import EdgeCosts, unreachable_cost
 
 __all__ = [
     "emd_star_term_fast", "emd_star_term_bound", "check_term_options", "FastTermStats",
     "SolverCounts", "SOLVER_CHOICES", "reduce_term", "mirror_reduction", "term_bound",
-    "solve_reduced_term", "MirrorHandoff", "term_hops",
+    "unit_term_bounds", "solve_reduced_term", "MirrorHandoff", "term_hops",
 ]
 
 _EPS = 1e-12
@@ -355,18 +357,31 @@ def _bank_capacities(
     Must match :func:`repro.emd.emd_star.build_extension` exactly (the
     fast/direct equivalence depends on it).
     """
-    nc, nb = banks.n_clusters, banks.n_banks
-    sizes = banks.cluster_sizes
-    if bank_shares == "size":
-        shares = sizes / sizes.sum()
-    else:  # "mass"
-        cluster_of = banks.cluster_of(histogram.shape[0])
+    cluster_mass = None
+    if bank_shares == "mass":
         cluster_mass = np.bincount(
-            cluster_of, weights=histogram, minlength=nc
+            banks.cluster_of(histogram.shape[0]), weights=histogram,
+            minlength=banks.n_clusters,
         ).astype(np.float64)
-        total = cluster_mass.sum()
-        shares = cluster_mass / total if total > 0 else sizes / sizes.sum()
-    return np.repeat((shares[:, None] / nb) * deficit, nb, axis=1)
+    return _capacities(cluster_mass, banks, deficit, bank_shares)
+
+
+def _capacities(cluster_mass, banks: BankAllocation, deficit, bank_shares: str) -> np.ndarray:
+    """:func:`_bank_capacities` from the histogram's mass per cluster,
+    ``(..., n_clusters)`` (unread under ``"size"``), for a deficit of
+    shape ``(...)``: ``(..., n_clusters, n_banks)``, each entry by the
+    same operations as one term's."""
+    nb = banks.n_banks
+    sizes = banks.cluster_sizes
+    by_size = sizes / sizes.sum()
+    if bank_shares == "size":
+        shares = by_size
+    else:  # "mass"
+        total = cluster_mass.sum(axis=-1, keepdims=True)
+        held = total > 0
+        shares = np.where(held, cluster_mass / np.where(held, total, 1.0), by_size)
+    caps = ((shares / nb) * np.asarray(deficit)[..., None])[..., None]
+    return caps if nb == 1 else np.repeat(caps, nb, axis=-1)
 
 
 # --------------------------------------------------------------------- #
@@ -492,7 +507,7 @@ def term_hops(graph: DiGraph, term: ReducedTerm) -> np.ndarray:
 
 def term_bound(
     term: ReducedTerm | None,
-    edge_costs: np.ndarray,
+    edge_costs: np.ndarray | EdgeCosts,
     banks: BankAllocation,
     *,
     unreachable: float,
@@ -518,19 +533,89 @@ def term_bound(
         raise ValueError("term_bound with hops needs the bank metric")
     if term is None or term.src_ids.size == 0:
         return 0.0  # nothing to solve: the term is 0
-    c_min = min(float(edge_costs.min(initial=np.inf)), unreachable)
-    caps = term.bank_caps[term.active]
-    live = caps > _EPS
-    bins = banks.gamma_matrix()[term.active]
+    c_min = min(EdgeCosts.of(edge_costs).smallest, unreachable)
+    bins = banks.gamma_matrix()
     if hops is None:
-        return float((caps[live] * bins[live]).sum()) + c_min * float(term.dst_amounts.sum())
+        banked = _banked(term.bank_caps[None], bins)[0]
+        return float(banked) + c_min * float(term.dst_amounts.sum())
     reached = np.isfinite(hops)
     price = np.full(hops.shape, unreachable)
     price[reached] = np.minimum(c_min * hops[reached], unreachable)
     if bank_metric == "nearest":
-        bins = bins + _cluster_minima(price, banks)[term.active][:, None]
-    banked = float((caps[live] * bins[live]).sum())
+        bins = bins + _cluster_minima(price, banks)[:, None]
+    banked = float(_banked(term.bank_caps[None], bins)[0])
     return banked + float(term.dst_amounts @ price[term.dst_ids])
+
+
+def _banked(caps: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """``Σ cap·bin`` over the live bins (capacity above ``_EPS``) of each
+    of the terms whose capacities *caps*, ``(R, n_clusters, n_banks)``,
+    holds, with each bin priced at *bins*, ``(n_clusters, n_banks)``.
+
+    Each term's live products are summed by one numpy sum in row-major
+    order, as a term alone is: rows are grouped by their count of live
+    bins, and each group summed along its last axis, which numpy sums
+    row by row exactly as it sums a vector. A bin with capacity only
+    lives in a cluster with a deficit share, so this is the sum over the
+    active clusters' live bins."""
+    n_terms, width = caps.shape[0], caps.shape[1] * caps.shape[2]
+    caps = caps.reshape(n_terms, width)
+    live = caps > _EPS
+    counts = live.sum(axis=1)
+    # Rows by count, so each group is one slice; then each row's live
+    # products first, in their order (dead bins read 0 after them).
+    by_count = np.argsort(counts, kind="stable")
+    live = live[by_count]
+    products = np.where(live, caps[by_count] * np.reshape(bins, width), 0.0)
+    products = np.take_along_axis(products, np.argsort(~live, axis=1, kind="stable"), axis=1)
+    out = np.empty(n_terms)
+    lo = 0
+    for count, group in itertools.groupby(counts[by_count].tolist()):
+        hi = lo + sum(1 for _ in group)
+        out[by_count[lo:hi]] = products[lo:hi, :count].sum(axis=1)
+        lo = hi
+    return out
+
+
+def unit_term_bounds(
+    n_sup: np.ndarray,
+    n_con: np.ndarray,
+    common: np.ndarray,
+    mass_sup: np.ndarray | None,
+    mass_con: np.ndarray | None,
+    c_sup: np.ndarray,
+    c_con: np.ndarray,
+    banks: BankAllocation,
+    bank_shares: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`term_bound` (without hops) of ``reduce_term(p, q)`` and of
+    its mirror ``reduce_term(q, p)``, for a batch of unit-mass histogram
+    pairs, from counts alone and bit for bit.
+
+    Of each pair, *n_sup* users hold ``p`` and *n_con* hold ``q``, and
+    *common* hold both; *mass_sup* / *mass_con* count each side's holders
+    per cluster (trailing axis ``n_clusters``; unread under ``"size"``),
+    and *c_sup* / *c_con* are the smallest costs of ``p``'s and ``q``'s own
+    Eq. 2 arrays, each at most ``U``. The arguments broadcast together.
+
+    Lemma 2 leaves ``n_sup - common`` suppliers and ``n_con - common``
+    consumers, one unit each. The heavier side is ``src``, so ``dst``
+    holds ``min(n_sup, n_con) - common`` units and the lighter histogram
+    sizes the deficit's bins: the same for a term and its mirror
+    (:func:`mirror_reduction`), which differ only in whose smallest cost
+    prices ``dst``. On equal counts there is no deficit and no bin, so
+    either side may be called the lighter. A pair with ``p == q`` reads 0,
+    as the term does.
+    """
+    lighter = None
+    if bank_shares != "size":
+        lighter = np.where((n_sup >= n_con)[..., None], mass_con, mass_sup)
+    caps = _capacities(lighter, banks, np.abs(n_sup - n_con), bank_shares)
+    banked = _banked(
+        caps.reshape(-1, *caps.shape[-2:]), banks.gamma_matrix()
+    ).reshape(caps.shape[:-2])
+    moved = np.minimum(n_sup, n_con) - common
+    return banked + c_sup * moved, banked + c_con * moved
 
 
 def emd_star_term_bound(
@@ -860,7 +945,7 @@ def _grown_radii(
 def _certified_solve(
     term: ReducedTerm,
     graph: DiGraph,
-    edge_costs: np.ndarray,
+    costs: EdgeCosts,
     banks: BankAllocation,
     solver: str,
     *,
@@ -886,7 +971,6 @@ def _certified_solve(
     """
     gamma = banks.gamma_matrix()
     chain: list = []
-    min_step = None
     while True:
         problem, row_labels, col_labels = _fold(term, gamma)
         # "auto" is always the network simplex; asked with the folded shape
@@ -917,12 +1001,10 @@ def _certified_solve(
             grow = np.flatnonzero(np.isfinite(term.radius))
             term.radius[grow] = np.inf
         else:
-            if min_step is None:
-                min_step = float(edge_costs[edge_costs > 0].min(initial=np.inf))
             term.radius[grow] = _grown_radii(
-                rows, term.radius[grow], price["unreachable"], min_step
+                rows, term.radius[grow], price["unreachable"], costs.smallest_positive
             )
-        _price(term, graph, edge_costs, banks, grow=grow, **price)
+        _price(term, graph, costs.values, banks, grow=grow, **price)
 
 
 def _potentials(costs: np.ndarray, basis: TransportBasis) -> tuple | None:
@@ -1017,7 +1099,7 @@ class MirrorHandoff:
 def solve_reduced_term(
     term: ReducedTerm | None,
     graph: DiGraph,
-    edge_costs: np.ndarray,
+    edge_costs: np.ndarray | EdgeCosts,
     banks: BankAllocation,
     *,
     max_cost: int,
@@ -1033,6 +1115,9 @@ def solve_reduced_term(
 ) -> float:
     """The EMD* term of the reduction *term* (:func:`reduce_term`): price →
     fold → solve, with the options of :func:`emd_star_term_fast`.
+    *edge_costs* may come wrapped with its facts
+    (:class:`~repro.snd.ground.EdgeCosts`, as the ground cache returns
+    it); a bare array is scanned for the ones a bounded term reads.
 
     *mirror* pairs the term with its mirror. Not yet *ready*, the term
     fills it once solved. *Ready*, the term is that mirror: *term* is the
@@ -1043,6 +1128,8 @@ def solve_reduced_term(
     not where the record did (see
     :meth:`~repro.snd.cache.DijkstraRowCache.record_radius`).
     """
+    costs = EdgeCosts.of(edge_costs)
+    edge_costs = costs.values
     start_from = mirror if mirror is not None and mirror.ready else None
     if mirror is not None and not mirror.ready:
         mirror.term = mirror_reduction(term)
@@ -1056,7 +1143,7 @@ def solve_reduced_term(
     certify = bank_metric == "nearest" and row_cache is not None and cost_key is not None
     start = row_cache.start_radius(term.src_ids.size) if certify else np.inf
     bounded = start < unreachable  # never bounds a term the record runs full
-    integral = bounded and row_cache.integral_costs(cost_key, edge_costs)
+    integral = bounded and costs.integral
     dual = start_from.radii if bounded and start_from is not None else None
     if dual is not None:
         term.radius = np.floor(dual + _RADIUS_SLACK) if integral else dual.copy()
@@ -1074,7 +1161,7 @@ def solve_reduced_term(
     )
     _price(term, graph, edge_costs, banks, **price)
     plan, solver, problem, basis = _certified_solve(
-        term, graph, edge_costs, banks, solver, price=price,
+        term, graph, costs, banks, solver, price=price,
         basis_cache=basis_cache, basis_key=basis_key, counts=counts,
     )
     if certify and plan is not None and row_cache.record_due():

@@ -22,6 +22,7 @@ costs onto ``{1..U}``, preserving ratios up to rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.opinions.state import NetworkState
 
 __all__ = [
     "DEFAULT_MAX_COST",
+    "EdgeCosts",
     "GroundDistanceConfig",
     "build_edge_costs",
     "quantize_costs",
@@ -56,15 +58,20 @@ def quantize_costs(costs: np.ndarray, *, max_cost: int = DEFAULT_MAX_COST) -> np
     the integer resolution — the "appropriate choice of costs" Assumption 2
     alludes to.
     """
-    return _quantized(np.asarray(costs, dtype=np.float64), max_cost).astype(np.int64)
+    return _quantized(np.asarray(costs, dtype=np.float64), max_cost)[0].astype(np.int64)
 
 
-def _quantized(costs: np.ndarray, max_cost: int) -> np.ndarray:
+def _quantized(costs: np.ndarray, max_cost: int) -> tuple[np.ndarray, float]:
     """:func:`quantize_costs` as float64 (integer-valued), for the cost
-    builder. Exact integers within the bound, the common case, skip the
-    ``allclose`` test."""
+    builder, and its smallest cost (``inf`` when empty). Exact integers
+    within the bound, the common case, skip the ``allclose`` test.
+
+    The smallest cost comes from the input's minimum, not a scan of the
+    output: rounding, scaling by a positive factor and flooring at 1 are
+    all monotone, so they map the smallest input onto the smallest
+    output."""
     if costs.size == 0:
-        return costs.copy()
+        return costs.copy(), np.inf
     lo, hi = costs.min(), costs.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise QuantizationError("edge costs must be finite before quantization")
@@ -74,13 +81,58 @@ def _quantized(costs: np.ndarray, max_cost: int) -> np.ndarray:
         raise QuantizationError(f"max_cost must be >= 1, got {max_cost}")
     rounded = np.rint(costs)
     if hi <= max_cost and np.array_equal(costs, rounded):
-        return rounded if lo >= 1 else np.maximum(rounded, 1)
+        if lo >= 1:
+            return rounded, float(lo)
+        return np.maximum(rounded, 1), 1.0
     if np.allclose(costs, rounded) and rounded.max() <= max_cost:
-        return np.maximum(rounded, 1)
+        return np.maximum(rounded, 1), max(float(np.rint(lo)), 1.0)
     if hi <= 0:
-        return np.ones(costs.shape)
-    scaled = costs * (max_cost / hi)
-    return np.maximum(1, np.rint(scaled))
+        return np.ones(costs.shape), 1.0
+    scale = max_cost / hi
+    return np.maximum(1, np.rint(costs * scale)), max(float(np.rint(lo * scale)), 1.0)
+
+
+class EdgeCosts:
+    """A CSR-aligned Eq. 2 cost array (*values*) and three facts about it
+    that the certified row loop and the row-free bounds read
+    (:mod:`repro.snd.fast`): whether every cost is an *integral* one, the
+    *smallest* cost and the *smallest_positive* one (``inf`` when there
+    is none).
+
+    The quantizing builder states all three, since it knows them (every
+    quantized cost is an integer of at least 1). For any other array each
+    fact is scanned on its first read and kept, so a wrapper the ground
+    cache holds scans its array at most once.
+    """
+
+    def __init__(self, values: np.ndarray, *, smallest: float | None = None) -> None:
+        self.values = values
+        if smallest is not None:  # a quantized array: integers, all >= 1
+            self.integral = True
+            self.smallest = self.smallest_positive = smallest
+
+    @classmethod
+    def of(cls, costs) -> "EdgeCosts":
+        """*costs* itself when it is wrapped already, else a new wrapper."""
+        return costs if isinstance(costs, cls) else cls(np.asarray(costs, dtype=np.float64))
+
+    @functools.cached_property
+    def integral(self) -> bool:
+        return bool(np.array_equal(self.values, np.rint(self.values)))
+
+    @functools.cached_property
+    def smallest(self) -> float:
+        return float(self.values.min(initial=np.inf))
+
+    @functools.cached_property
+    def smallest_positive(self) -> float:
+        values = self.values
+        return float(values[values > 0].min(initial=np.inf))
+
+    @property
+    def nbytes(self) -> int:
+        """The cost array's bytes (what a cache entry of it retains)."""
+        return int(self.values.nbytes)
 
 
 def unreachable_cost(n_nodes: int, max_cost: int) -> float:
@@ -123,7 +175,11 @@ class GroundDistanceConfig:
 
     def edge_costs(self, graph: DiGraph, state: NetworkState, opinion: int) -> np.ndarray:
         """Per-edge ground costs ``A_ext(state, opinion)`` (CSR-aligned)."""
-        return build_edge_costs(
+        return self.build(graph, state, opinion).values
+
+    def build(self, graph: DiGraph, state: NetworkState, opinion: int) -> EdgeCosts:
+        """:meth:`edge_costs` with the facts the builder knows about them."""
+        return _edge_costs(
             graph,
             state,
             opinion,
@@ -151,6 +207,25 @@ def build_edge_costs(
     Returns a CSR-aligned cost array; integer-valued (as float64) when
     *quantize* is set.
     """
+    return _edge_costs(
+        graph, state, opinion, model,
+        communication_penalties=communication_penalties,
+        adoption_penalties=adoption_penalties, max_cost=max_cost, quantize=quantize,
+    ).values
+
+
+def _edge_costs(
+    graph: DiGraph,
+    state: NetworkState,
+    opinion: int,
+    model: OpinionModel,
+    *,
+    communication_penalties: np.ndarray | None,
+    adoption_penalties: np.ndarray | None,
+    max_cost: int,
+    quantize: bool,
+) -> EdgeCosts:
+    """:func:`build_edge_costs` with its facts (:class:`EdgeCosts`)."""
     if state.n != graph.num_nodes:
         raise GroundDistanceError(
             f"state has {state.n} users but graph has {graph.num_nodes}"
@@ -186,5 +261,6 @@ def build_edge_costs(
     if costs.size and costs.min() < 0:
         raise GroundDistanceError("combined edge costs must be non-negative")
     if quantize:
-        return _quantized(costs, max_cost)
-    return costs
+        values, smallest = _quantized(costs, max_cost)
+        return EdgeCosts(values, smallest=smallest)
+    return EdgeCosts(costs)

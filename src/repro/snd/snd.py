@@ -55,10 +55,16 @@ from repro.snd.fast import (
     solve_reduced_term,
     term_bound,
     term_hops,
+    unit_term_bounds,
 )
-from repro.snd.ground import DEFAULT_MAX_COST, GroundDistanceConfig, unreachable_cost
+from repro.snd.ground import (
+    DEFAULT_MAX_COST,
+    EdgeCosts,
+    GroundDistanceConfig,
+    unreachable_cost,
+)
 
-__all__ = ["SND", "SNDResult"]
+__all__ = ["SND", "SNDResult", "BoundSides"]
 
 
 def _check_users(graph: DiGraph, state) -> None:
@@ -79,6 +85,38 @@ def _mirrors(terms) -> dict[int, int]:
         else:
             out[i] = j
     return out
+
+
+@dataclass(frozen=True)
+class BoundSides:
+    """What the row-free bound reads of each of *M* states
+    (:meth:`SND.bound_sides`), per pole in :meth:`SND._pair_terms` order:
+
+    * *rows*, ``(M, n)``: the int8 opinion rows;
+    * *holders*, ``(M, poles)``: how many users hold the pole;
+    * *mass*, ``(M, poles, n_clusters)``: how many of them each cluster
+      holds;
+    * *c_min*, ``(M, poles)``: the smallest cost of the state's own Eq. 2
+      array for the pole, at most the unreachable cost ``U``.
+    """
+
+    rows: np.ndarray
+    holders: np.ndarray
+    mass: np.ndarray
+    c_min: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __add__(self, other: "BoundSides") -> "BoundSides":
+        """The sides of this batch's states, then *other*'s."""
+        return BoundSides(*(
+            np.concatenate([mine, theirs])
+            for mine, theirs in zip(
+                (self.rows, self.holders, self.mass, self.c_min),
+                (other.rows, other.holders, other.mass, other.c_min),
+            )
+        ))
 
 
 @dataclass
@@ -188,6 +226,13 @@ class SND:
     #: contributes one cost array per pole to a pair.
     n_poles = 2
 
+    @property
+    def pole_values(self) -> tuple[int, ...]:
+        """The opinion value a pole's holders carry, per pole in
+        :meth:`_pair_terms` order: a state's pole histogram is its
+        ``values == pole_values[j]``."""
+        return (POSITIVE, NEGATIVE)
+
     def _check_state(self, state: NetworkState) -> None:
         _check_users(self.graph, state)
 
@@ -198,8 +243,16 @@ class SND:
 
     def _pair_terms(self, a, b) -> list[tuple[NetworkState, NetworkState, int]]:
         """Eq. 3's terms as ``(supplier, consumer, opinion)`` triples, in
-        summation order."""
+        summation order: one per pole with *a* supplying, then their
+        mirrors, pole by pole (the row-free bounds read this layout)."""
         return [(a, b, POSITIVE), (a, b, NEGATIVE), (b, a, POSITIVE), (b, a, NEGATIVE)]
+
+    def _costs(self, state, opinion: int, caches: CacheManager | None) -> EdgeCosts:
+        """*state*'s Eq. 2 costs for *opinion*, from the ground cache of
+        *caches* when given."""
+        if caches is None:
+            return self.ground.build(self.graph, state, opinion)
+        return caches.ground.costs(self.ground, self.graph, state, opinion)
 
     def _sum_terms(
         self,
@@ -240,9 +293,7 @@ class SND:
             if caches is not None:
                 fp_sup = GroundCostCache.fingerprint(supplier)
                 kwargs.update(
-                    edge_costs=caches.ground.edge_costs(
-                        self.ground, self.graph, supplier, opinion
-                    ),
+                    edge_costs=self._costs(supplier, opinion, caches),
                     row_cache=caches.rows,
                     cost_key=(fp_sup, opinion),
                     basis_cache=basis_cache,
@@ -254,48 +305,103 @@ class SND:
             terms.append(self.term(supplier, consumer, opinion, **kwargs))
         return 0.5 * sum(terms), tuple(terms)
 
-    def lower_bound(self, a, b, caches: CacheManager | None = None, terms=None) -> float:
+    def bound_sides(self, states, caches: CacheManager | None = None) -> BoundSides:
+        """:class:`BoundSides` of *states*: what :meth:`member_bounds`
+        reads of them, with their Eq. 2 arrays' smallest costs drawn from
+        the ground cache of *caches* when given (the arrays themselves
+        are not kept)."""
+        states = list(states)
+        n, poles, n_clusters = self.graph.num_nodes, self.n_poles, self.banks.n_clusters
+        cluster_of = self.banks.cluster_of(n)
+        unreachable = unreachable_cost(n, self.ground.max_cost)
+        rows = np.empty((len(states), n), dtype=np.int8)
+        holders = np.empty((len(states), poles))
+        mass = np.empty((len(states), poles, n_clusters))
+        c_min = np.empty((len(states), poles))
+        for i, state in enumerate(states):
+            self._check_state(state)
+            rows[i] = state.values
+            # A state's own terms are the first half of its pair with itself.
+            own = self._pair_terms(state, state)[:poles]
+            for j, (value, (side, _, opinion)) in enumerate(zip(self.pole_values, own)):
+                held = np.flatnonzero(rows[i] == value)
+                holders[i, j] = held.size
+                mass[i, j] = np.bincount(cluster_of[held], minlength=n_clusters)
+                c_min[i, j] = min(self._costs(side, opinion, caches).smallest, unreachable)
+        return BoundSides(rows, holders, mass, c_min)
+
+    def member_bounds(
+        self, query, members: BoundSides, caches: CacheManager | None = None
+    ) -> np.ndarray:
+        """``lower_bound(query, m)`` for every state m *members* describes,
+        in one pass over them: bit for bit the pair's own bound, which is
+        this pass over one member.
+
+        Only the query's side is computed here (its Eq. 2 arrays come
+        from the ground cache of *caches* when given, so a solve of the
+        query afterwards builds none). Each of the :meth:`_pair_terms`
+        moves one pole's unit-mass holders, so a term's bound needs only
+        the two holder counts, the users holding the pole in both states,
+        the lighter side's holders per cluster and the supplier's smallest
+        cost (:func:`~repro.snd.fast.unit_term_bounds`, which prices a
+        term and its mirror together); every term of every member is
+        priced at once. The first half of :meth:`_pair_terms` has the query
+        supply pole by pole, the second half the member, and the terms are
+        summed in that order and halved, as Eq. 3 is.
+        """
+        mine = self.bound_sides([query], caches)
+        common = np.empty((self.n_poles, len(members)))
+        for j, value in enumerate(self.pole_values):
+            held = np.flatnonzero(mine.rows[0] == value)
+            common[j] = np.count_nonzero(members.rows[:, held] == value, axis=1)
+        # Pole-major: (poles, 1) for the query against (poles, M).
+        ours, theirs = unit_term_bounds(
+            mine.holders.T, members.holders.T, common,
+            mine.mass.transpose(1, 0, 2), members.mass.transpose(1, 0, 2),
+            mine.c_min.T, members.c_min.T, self.banks, self.bank_shares,
+        )
+        total = ours[0].copy()
+        for term in (*ours[1:], *theirs):
+            total += term
+        return 0.5 * total
+
+    def lower_bound(self, a, b, caches: CacheManager | None = None) -> float:
         """A lower bound on ``SND(a, b)`` that searches no rows and solves
         nothing: half the sum of :func:`~repro.snd.fast.emd_star_term_bound`
         over :meth:`_pair_terms`. It holds for every solver, bank metric and
-        share rule, and assumes no metric (see ``docs/measures.md``).
+        share rule, and assumes no metric (see ``docs/measures.md``). It is
+        :meth:`member_bounds` over the one member *b*.
 
         *caches* supplies the Eq. 2 cost arrays from its ground cache, so
-        an exact solve of the same pair afterwards builds none of them. A
-        term's mirror takes its reduction, as in :meth:`_sum_terms`. A
-        *terms* list receives each term's ``(reduction, edge costs)``, for
-        :meth:`hop_bound`.
+        an exact solve of the same pair afterwards builds none of them.
         """
+        return float(self.member_bounds(a, self.bound_sides([b], caches), caches)[0])
+
+    def bound_terms(self, a, b, caches: CacheManager | None = None) -> list:
+        """Each of the pair's :meth:`_pair_terms` as ``(reduction,
+        supplier costs)``, what :meth:`hop_bound` reads. A term's mirror
+        takes its reduction, as in :meth:`_sum_terms`; *caches* supplies
+        the cost arrays from its ground cache when given."""
         self._check_state(a)
         self._check_state(b)
         pair_terms = self._pair_terms(a, b)
         mirrors = _mirrors(pair_terms)
-        unreachable = unreachable_cost(self.graph.num_nodes, self.ground.max_cost)
-        reduced, bounds = [], []
+        terms = []
         for i, (supplier, consumer, opinion) in enumerate(pair_terms):
-            if caches is None:
-                edge_costs = self.ground.edge_costs(self.graph, supplier, opinion)
-            else:
-                edge_costs = caches.ground.edge_costs(
-                    self.ground, self.graph, supplier, opinion
-                )
             if i in mirrors:
-                term = mirror_reduction(reduced[mirrors[i]])
+                term = mirror_reduction(terms[mirrors[i]][0])
             else:
                 term = reduce_term(
                     supplier.histogram(opinion), consumer.histogram(opinion),
                     self.banks, self.bank_shares,
                 )
-            reduced.append(term)
-            bounds.append(term_bound(term, edge_costs, self.banks, unreachable=unreachable))
-            if terms is not None:
-                terms.append((term, edge_costs))
-        return 0.5 * sum(bounds)
+            terms.append((term, self._costs(supplier, opinion, caches)))
+        return terms
 
     def hop_bound(self, terms) -> float:
-        """The hop-aware lower bound on the pair whose :meth:`lower_bound`
-        filled *terms*: at least that bound, and still no row and no solve
-        (:func:`~repro.snd.fast.term_bound` with hops).
+        """The hop-aware lower bound on the pair whose :meth:`bound_terms`
+        are *terms*: at least its :meth:`lower_bound`, and still no row and
+        no solve (:func:`~repro.snd.fast.term_bound` with hops).
 
         One hop search (:func:`~repro.snd.fast.term_hops`) serves every
         term with the same ``src`` users and direction.
@@ -323,7 +429,7 @@ class SND:
         consumer_state: NetworkState,
         opinion: int,
         *,
-        edge_costs: np.ndarray | None = None,
+        edge_costs: np.ndarray | EdgeCosts | None = None,
         row_cache: DijkstraRowCache | None = None,
         cost_key=None,
         basis_cache=None,
@@ -337,8 +443,10 @@ class SND:
         built from *supplier_state*.
 
         *edge_costs* short-circuits the Eq. 2 build with a precomputed
-        CSR-aligned cost array (the batch engine passes cached arrays); it
-        must equal ``self.ground.edge_costs(graph, supplier_state, opinion)``.
+        CSR-aligned cost array, bare or as
+        :class:`~repro.snd.ground.EdgeCosts` (the batch engine passes the
+        ground cache's); it must equal
+        ``self.ground.edge_costs(graph, supplier_state, opinion)``.
         *row_cache* / *cost_key* (the batch engine's ``(state fingerprint,
         opinion)`` content key for *edge_costs*) additionally reuse
         per-source Dijkstra rows across terms — value-preserving, see
@@ -354,7 +462,7 @@ class SND:
         _check_users(self.graph, supplier_state)
         _check_users(self.graph, consumer_state)
         if edge_costs is None:
-            edge_costs = self.ground.edge_costs(self.graph, supplier_state, opinion)
+            edge_costs = self.ground.build(self.graph, supplier_state, opinion)
         if mirror is not None and mirror.ready:
             term = mirror.term
         else:

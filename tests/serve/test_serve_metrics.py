@@ -299,17 +299,24 @@ class TestStatsBridge:
                 bases[f"{channel}_hits"]
             )
 
+    # Explicit ids, frozen at the names pytest first generated from each
+    # case's position, so that removing a case renames no other.
     @pytest.mark.parametrize(
         "path, sample",
         [
-            (("scheduler",), 'snd_scheduler_novel_total{graph="default"}'),
-            (("scheduler", "clients", "a"),
-             'snd_client_novel_total{client="a",graph="default"}'),
-            (("caches", "rows"), 'snd_cache_novel_total{cache="rows",graph="default"}'),
-            (("caches",), 'snd_cache_novel_total{graph="default"}'),
-            (("network_simplex",), 'snd_simplex_novel_total{graph="default"}'),
-            (("corpus_query",), 'snd_corpus_query_novel_total{graph="default"}'),
-            ((), 'snd_engine_novel_total{graph="default"}'),
+            pytest.param(path, sample, id=f"{name}-{sample}")
+            for name, path, sample in [
+                ("path0", ("scheduler",), 'snd_scheduler_novel_total{graph="default"}'),
+                ("path1", ("scheduler", "clients", "a"),
+                 'snd_client_novel_total{client="a",graph="default"}'),
+                ("path2", ("caches", "rows"),
+                 'snd_cache_novel_total{cache="rows",graph="default"}'),
+                ("path3", ("caches",), 'snd_cache_novel_total{graph="default"}'),
+                ("path4", ("network_simplex",), 'snd_simplex_novel_total{graph="default"}'),
+                ("path5", ("corpus_query",),
+                 'snd_corpus_query_novel_total{graph="default"}'),
+                ("path6", (), 'snd_engine_novel_total{graph="default"}'),
+            ]
         ],
     )
     def test_new_stats_key_exported(self, path, sample):

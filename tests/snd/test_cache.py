@@ -373,6 +373,25 @@ class TestRowStorage:
         assert stats["misses"] == 40 and stats["hits"] == 0
         assert stats["size"] == stats["nbytes"] == stats["evictions"] == 0
 
+    def test_warm_up_rows_go_when_the_record_starts_bounded(self, graph):
+        """Rows held while the record warmed up are dropped when it first
+        starts terms at a radius, and held again once it runs full."""
+        cache = DijkstraRowCache()
+        for family in range(3):
+            self._request(cache, graph, family)
+        assert len(cache) == 6 and cache.nbytes > 0
+        for _ in range(cache.RADIUS_WARMUP - 1):
+            cache.record_radius(2.0, 0.1)
+        assert len(cache) == 6  # still warming up: full rows
+        cache.record_radius(2.0, 0.1)
+        assert cache.start_radius() == 2.0
+        assert len(cache) == 0 and cache.nbytes == 0
+        for _ in range(cache.RADIUS_WINDOW):
+            cache.record_radius(2.0, 0.9)  # rows reach most of the graph
+        assert cache.start_radius() == np.inf
+        self._request(cache, graph, 0)
+        assert len(cache) == 2
+
     def test_full_rows_of_a_bounded_record_are_not_stored(self, graph):
         cache = self._warm(DijkstraRowCache())
         for family in range(10):

@@ -111,8 +111,7 @@ class TestPrunedEqualsBruteForce:
         a, q = random_states(rng, 2)
         snd = SND(GRAPH, n_clusters=3, seed=0, solver="ssp")
         exact = snd.distance(q, a)
-        bounds = iter([exact * overshoot, 0.0])
-        snd.lower_bound = lambda *args: next(bounds)
+        snd.member_bounds = lambda *args: np.array([exact * overshoot, 0.0])
         got, counts = pruned(snd, q, [a, a], 1)
         assert got == [(0, exact)]
         assert counts["solved"] == 2

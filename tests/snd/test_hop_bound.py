@@ -160,8 +160,8 @@ def _check_pair(seed, directed, poles, fractional, shares, bank_metric):
     else:
         snd = MultipolarSND(graph, poles, model, **kwargs)
     a, b = _states(rng, graph.num_nodes, poles, 2)
-    terms = []
-    cheap = snd.lower_bound(a, b, None, terms)
+    cheap = snd.lower_bound(a, b)
+    terms = snd.bound_terms(a, b)
     bound = snd.hop_bound(terms)
     assert len(terms) == 2 * snd.n_poles
     assert cheap <= bound * (1 + 1e-12)
@@ -242,8 +242,7 @@ def test_one_search_per_src_set_and_direction(monkeypatch, directed):
     snd = SND(graph, n_clusters=3, seed=0)
     a = NetworkState.from_active_sets(30, positive=[0, 1])
     b = NetworkState.from_active_sets(30, negative=[0, 1])
-    terms = []
-    snd.lower_bound(a, b, None, terms)
+    terms = snd.bound_terms(a, b)
     assert [t.src_ids.tolist() for t, _ in terms] == [[0, 1]] * 4
     assert sorted(t.forward for t, _ in terms) == [False, False, True, True]
     snd.hop_bound(terms)

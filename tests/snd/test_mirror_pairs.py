@@ -467,8 +467,9 @@ def test_k2_multipolar_engine_equals_bipolar_engine():
 
 
 def test_lower_bound_shares_the_reduction(monkeypatch):
-    """``SND.lower_bound`` reduces each mirror pair once, and its value is
-    the sum of the four terms' bounds."""
+    """``SND.lower_bound`` is the sum of the four terms' bounds. Priced
+    from holder counts, it reduces no term; ``SND.bound_terms``, what
+    ``SND.hop_bound`` reads, reduces each mirror pair once."""
     snd = SND(GRAPH, n_clusters=3, seed=0)
     a, b = _first_pair()
     calls = []
@@ -489,6 +490,8 @@ def test_lower_bound_shares_the_reduction(monkeypatch):
 
     monkeypatch.setattr(snd_module, "reduce_term", counted)
     assert snd.lower_bound(a, b) == want
+    assert not calls
+    assert len(snd.bound_terms(a, b)) == 4
     assert len(calls) == 2
 
 

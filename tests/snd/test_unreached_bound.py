@@ -22,9 +22,14 @@ from repro.opinions.models.model_agnostic import ModelAgnostic
 from repro.opinions.state import NEGATIVE, POSITIVE, NetworkState
 from repro.shortestpath.dijkstra import multi_source_distances
 from repro.snd import allocate_banks
-from repro.snd.cache import DijkstraRowCache
+from repro.snd.cache import DijkstraRowCache, GroundCostCache
 from repro.snd.fast import FastTermStats, emd_star_term_fast
-from repro.snd.ground import build_edge_costs, unreachable_cost
+from repro.snd.ground import (
+    EdgeCosts,
+    GroundDistanceConfig,
+    build_edge_costs,
+    unreachable_cost,
+)
 
 MAX_COST = 10
 
@@ -54,7 +59,7 @@ def test_unreached_cells_lie_past_the_next_integer(seed, radius, reverse):
     served = cache.distance_rows(graph, sources, costs, radius=radius, **kwargs)
     assert cache.stats()["hits"] == sources.size
     assert served.tobytes() == fresh.tobytes()
-    assert cache.integral_costs(("c", seed), costs)
+    assert EdgeCosts(costs).integral
 
     unreached = ~np.isfinite(fresh)
     assert np.all(full[unreached] >= np.floor(radius) + 1)
@@ -145,13 +150,23 @@ def test_fractional_costs_keep_the_radius_bound(monkeypatch, fractional):
 
 
 def test_integrality_is_scanned_once_per_cost_key(monkeypatch):
+    """The ground cache holds one :class:`EdgeCosts` per cost key, and an
+    unquantized array's integrality is scanned on its first read and kept
+    with it."""
+    graph = erdos_renyi_graph(40, 0.1, seed=2, directed=True)
+    state = NetworkState.from_active_sets(graph.num_nodes, positive=range(0, 8))
+    ground = GroundDistanceConfig(
+        ModelAgnostic(0.5, 1.7, 8.1),
+        communication_penalties=np.linspace(0.3, 2.7, graph.num_edges),
+        max_cost=MAX_COST, quantize=False,
+    )
+    cache = GroundCostCache()
     scans = []
     array_equal = np.array_equal
     monkeypatch.setattr(np, "array_equal", lambda a, b: scans.append(a) or array_equal(a, b))
-    cache = DijkstraRowCache()
-    whole, half = np.array([1.0, 3.0, 7.0]), np.array([1.0, 2.5])
     for _ in range(3):
-        assert cache.integral_costs("a", whole) and not cache.integral_costs("b", half)
+        for opinion in (POSITIVE, NEGATIVE):
+            assert not cache.costs(ground, graph, state, opinion).integral
     assert len(scans) == 2
 
 
